@@ -10,13 +10,13 @@
 
 use crate::config::{AmpedConfig, GatherAlgo, SchedulePolicy};
 use amped_linalg::Mat;
-use amped_partition::{isp_ranges, plan_modes, ModePlan, PartitionPlan, ShardStats};
+use amped_partition::{isp_ranges, plan_modes, ModePlan, PartitionPlan, ShardStats, StatsScratch};
 use amped_plan::{
     AssignmentSpace, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
     UniformCost, WorkloadProfile,
 };
 use amped_runtime::kernels::{
-    launch_mttkrp, launch_mttkrp_compiled, CompiledShard, FactorsView, FnSource, MttkrpOut,
+    launch_mttkrp, launch_mttkrp_compiled, CompiledShard, FactorsView, MttkrpOut, SortedCoo,
 };
 use amped_runtime::{
     Collective, Device, DeviceRuntime, DispatchKind, FactorBlock, SimRuntime, Timeline, TuneParams,
@@ -506,9 +506,13 @@ impl AmpedEngine {
     /// updated output factor `Ŷ_d` and the mode timing.
     ///
     /// Real execution: every ISP's elementwise computation (Algorithm 2) runs
-    /// through [`DeviceRuntime::launch_grid`] with atomic `f32` updates; the
-    /// ring all-gather (Algorithm 3) actually moves the produced rows between
-    /// per-GPU blocks via [`DeviceRuntime::allgather_blocks`].
+    /// as one block of a [`DeviceRuntime::launch_grid`] grid through the
+    /// kernel layer — no atomic read-modify-write anywhere: multi-ISP shards
+    /// walk the output-sorted copy as row runs with `f64` accumulation and
+    /// one rounding per cell (see `amped_runtime::kernels`), single-ISP
+    /// shards keep the legacy single-writer `f32` order. The ring all-gather
+    /// (Algorithm 3) actually moves the produced rows between per-GPU blocks
+    /// via [`DeviceRuntime::allgather_blocks`].
     pub fn mttkrp_mode(
         &mut self,
         d: usize,
@@ -573,10 +577,11 @@ impl AmpedEngine {
                 compute_busy += su_compute;
 
                 // --- Real execution of the grid (Algorithm 2) through the
-                // kernel layer: one threadblock per ISP, privatized output
-                // tiles when the grid has more than one block.
+                // kernel layer: one threadblock per ISP. The mode-`d` copy
+                // is sorted by output index, so multi-block grids walk it
+                // as row runs (no privatized tiles, no merge pass).
                 let tensor = &plan.modes[d].tensor;
-                let src = FnSource::new(|e, m| tensor.idx(e, m), |e| tensor.value(e));
+                let src = SortedCoo::new(tensor.indices_flat(), tensor.values(), mp_order, d);
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
                 nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
@@ -776,6 +781,10 @@ fn prepare_mode(
 ) -> Vec<ShardUnit> {
     let mp = &plan.modes[d];
     let elem_bytes = mp.tensor.elem_bytes();
+    // One counting workspace for every ISP of the mode: `compute_scratch` is
+    // bit-identical to the sort-based `ShardStats::compute`, so the costs
+    // (and every modeled time derived from them) keep their bits.
+    let mut scratch = StatsScratch::new();
     mp.shards
         .iter()
         .map(|s| {
@@ -786,7 +795,13 @@ fn prepare_mode(
             let isps: Vec<IspUnit> = ranges
                 .into_iter()
                 .map(|r| {
-                    let st = ShardStats::compute(&mp.tensor, d, r.clone(), cache_rows);
+                    let st = ShardStats::compute_scratch(
+                        &mp.tensor,
+                        d,
+                        r.clone(),
+                        cache_rows,
+                        &mut scratch,
+                    );
                     let bs = BlockStats {
                         nnz: st.nnz,
                         distinct_out: st.distinct_out,
@@ -832,16 +847,13 @@ fn gather_rows(
     let blocks: Vec<FactorBlock> = assignment
         .iter()
         .map(|shard_ids| {
-            let mut rows = Vec::new();
-            let mut data = Vec::new();
+            let n: usize = shard_ids.iter().map(|&sid| shards[sid].rows as usize).sum();
+            let mut rows = Vec::with_capacity(n);
+            let mut data = Vec::with_capacity(n * rank);
             for &sid in shard_ids {
-                let su = &shards[sid];
-                for i in su.index_range.clone() {
-                    rows.push(i);
-                    for c in 0..rank {
-                        data.push(out.get(i as usize, c));
-                    }
-                }
+                let r = shards[sid].index_range.clone();
+                out.extend_rows(r.start as usize..r.end as usize, &mut data);
+                rows.extend(r);
             }
             FactorBlock { rows, data }
         })

@@ -3,30 +3,64 @@
 //! Every execution path in the workspace — the AMPED engine, the OOC engine,
 //! the baseline systems, and the host reference kernels — funnels its
 //! elementwise computation (paper §3.0.1) through this module instead of
-//! hand-rolling per-element atomic updates. Two execution strategies sit
-//! behind one entry point:
+//! hand-rolling per-element atomic updates. Three execution strategies sit
+//! behind one entry point; which one a launch takes follows from what the
+//! launch itself shows — its block count and whether the source can lend a
+//! sorted view ([`EcSource::sorted_coo`]) — never from an option:
 //!
-//! * **Direct** (single-block grids): the block's nonzeros accumulate
-//!   straight into the shared output in element order with plain `f32`
-//!   adds. One block means one writer, so no atomics are needed and the
-//!   value sequence reproduces the historical CAS-loop execution bit for
+//! * **Direct** (single-block grids, any source): the block's nonzeros
+//!   accumulate straight into the shared output in element order with plain
+//!   `f32` adds. One block means one writer, so no atomics are needed and
+//!   the value sequence reproduces the historical CAS-loop execution bit for
 //!   bit — this is what keeps `tests/runtime_equivalence.rs` golden.
-//! * **Privatized** (multi-block grids): each block accumulates into its own
-//!   `f64` tile spanning only the output rows it touches (Nisa et al.'s
-//!   load-balanced formulation), and tiles merge into the shared output **in
-//!   block-index order** after the grid joins. No write sharing during
-//!   execution, no contended atomics, and the result is independent of the
-//!   host worker count because the merge order is fixed.
+//! * **Run** (multi-block grids over a source sorted by the output mode —
+//!   the engines' per-mode tensor copies, paper §3.1): a block walks its
+//!   element range as *runs* of equal output row over the raw element-major
+//!   arrays, accumulates each run in an `f64` register tile, rounds the rows
+//!   that lie strictly inside the block into the output itself, and hands
+//!   back at most two *edge partials* — the runs touching its first and last
+//!   element, the only rows another block can share. After the grid joins
+//!   the edge partials fold **in block-index order**. No span scan, no
+//!   zeroed tile, no read-modify-write of tile memory per nonzero, no merge
+//!   pass over untouched cells, and a hot row spanning many blocks is split
+//!   across them (Nisa et al.'s and Wijeratne et al.'s output-sorted
+//!   formulation).
+//! * **Tile** (multi-block grids over any other source — unsorted OOC
+//!   chunks, format baselines): each block accumulates into its own `f64`
+//!   tile spanning only the output rows it touches, and tiles merge into the
+//!   shared output in block-index order after the grid joins.
+//!
+//! **Run and tile produce the same bits.** Cell by cell both compute: per
+//! block, an `f64` partial from `+0.0` over the block's elements of that
+//! row in element order; the partials of the blocks holding that row summed
+//! from `+0.0` in block-index order; an exact-zero total skipped, any other
+//! total added to the widened cell and rounded to `f32` once per launch. On
+//! a sorted source a row strictly inside a block has no other block's
+//! partial (a tile that merely *spans* the row contributes `+0.0`, which
+//! never changes an `f64` that started from `+0.0`), so the run path may
+//! round it on the spot; the rows at a block's ends are exactly the ones
+//! the fold handles. `tests/prop_kernel_runs.rs` holds the two paths to
+//! equality of bits. Neither depends on the host worker count, because the
+//! fold/merge order is fixed by block index.
+//!
+//! The run path trusts [`SortedCoo::new`]'s sortedness claim only as far as
+//! it checks it: rows must strictly increase from run to run inside a block
+//! and must not decrease across blocks at the edge fold. Together those two
+//! checks cover the whole grid, so an unsorted source is a contract panic,
+//! never a silently wrong factor.
 //!
 //! The inner loop is *rank-blocked* the way Tensor Toolbox chunks sptensor
 //! `mttkrp` (`nzchunk` × `rchunk`): the factor-column loop is tiled by
 //! [`TuneParams::rank_chunk`] so the per-element Hadamard partial stays in
 //! registers and the factor-row working set per pass shrinks at large rank.
-//! Rank blocking never reorders the per-cell accumulation over elements —
-//! each output cell still sums its elements in element order, whatever the
-//! tile width — so *every* `rank_chunk` is bit-transparent on the direct
-//! path and `1`-ulp-bounded on the privatized path, which is what lets the
-//! autotuner search it freely.
+//! The run path cuts each chunk further into monomorphic fixed-width tiles
+//! (`column_tiles`). Rank blocking never reorders the per-cell
+//! accumulation over elements — each output cell still sums its elements in
+//! element order, whatever the tile width — so *every* `rank_chunk` is
+//! bit-transparent on all three paths, which is what lets the autotuner
+//! search it freely. (Direct accumulates in `f32` and owes the sequential
+//! `f64` reference only its legacy error; run and tile stay within one
+//! `f32` ulp of it.)
 
 pub use crate::compiled::CompiledShard;
 use crate::params::{TuneParams, MAX_RANK_CHUNK};
@@ -45,6 +79,65 @@ pub trait EcSource: Sync {
     fn coord(&self, e: usize, m: usize) -> u32;
     /// Value of element `e`.
     fn value(&self, e: usize) -> f32;
+    /// The source's raw element-major arrays, when it holds them with
+    /// elements sorted (non-decreasing) by their mode-`d` coordinate. This
+    /// is what selects the run path for a multi-block grid; the default —
+    /// closures, format adapters, unsorted chunks — has no such view and
+    /// takes the tile path.
+    fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
+        let _ = d;
+        None
+    }
+}
+
+/// Borrowed element-major COO arrays whose elements are sorted by one
+/// mode's coordinate — the shape of the engines' per-mode tensor copies
+/// (paper §3.1). As an [`EcSource`] it serves every path; for output mode
+/// `sorted_mode` it also lends itself as the run path's view.
+#[derive(Clone, Copy)]
+pub struct SortedCoo<'a> {
+    indices: &'a [u32],
+    values: &'a [f32],
+    order: usize,
+    sorted_mode: usize,
+}
+
+impl<'a> SortedCoo<'a> {
+    /// Wraps `indices` (`values.len() × order`, element-major) and `values`,
+    /// claiming the elements are sorted by their `sorted_mode` coordinate.
+    /// The claim is not verified here (that would cost a pass per launch);
+    /// the run path checks it as it walks and panics on a violation.
+    pub fn new(indices: &'a [u32], values: &'a [f32], order: usize, sorted_mode: usize) -> Self {
+        assert!(
+            sorted_mode < order,
+            "sorted mode {sorted_mode} out of range for order {order}"
+        );
+        assert_eq!(
+            indices.len(),
+            values.len() * order,
+            "coordinate array length mismatch"
+        );
+        Self {
+            indices,
+            values,
+            order,
+            sorted_mode,
+        }
+    }
+}
+
+impl EcSource for SortedCoo<'_> {
+    #[inline]
+    fn coord(&self, e: usize, m: usize) -> u32 {
+        self.indices[e * self.order + m]
+    }
+    #[inline]
+    fn value(&self, e: usize) -> f32 {
+        self.values[e]
+    }
+    fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
+        (d == self.sorted_mode).then_some(*self)
+    }
 }
 
 /// Adapts a pair of closures into an [`EcSource`] — the universal bridge
@@ -150,13 +243,24 @@ impl MttkrpOut {
         f32::from_bits(self.cells[r * self.rank + c].load(Ordering::Relaxed))
     }
 
+    /// Appends rows `rows` (row-major, whole rows) to `dst` (valid once all
+    /// writers are joined) — the bulk reader for row-proportional consumers
+    /// like the engines' all-gather packing.
+    pub fn extend_rows(&self, rows: Range<usize>, dst: &mut Vec<f32>) {
+        let cells = &self.cells[rows.start * self.rank..rows.end * self.rank];
+        // relaxed: same post-join contract as `get`.
+        dst.extend(
+            cells
+                .iter()
+                .map(|a| f32::from_bits(a.load(Ordering::Relaxed))),
+        );
+    }
+
     /// Snapshot into a plain row-major vector.
     pub fn to_vec(&self) -> Vec<f32> {
-        self.cells
-            .iter()
-            // relaxed: same post-join contract as `get`.
-            .map(|a| f32::from_bits(a.load(Ordering::Relaxed)))
-            .collect()
+        let mut v = Vec::with_capacity(self.cells.len());
+        self.extend_rows(0..self.rows, &mut v);
+        v
     }
 
     /// Single-writer `f32` add at flat index `idx` — the legacy accumulation
@@ -179,6 +283,18 @@ impl MttkrpOut {
         // row span to exactly one thread); joins publish the final value.
         let cur = f32::from_bits(cell.load(Ordering::Relaxed)) as f64;
         cell.store(((cur + v) as f32).to_bits(), Ordering::Relaxed);
+    }
+
+    /// Single-writer merge of one row's `f64` totals: every nonzero total is
+    /// rounded into its cell once; exact-zero totals are skipped so cells
+    /// the launch never touched keep their bits (a `-0.0` stays `-0.0`).
+    fn merge_row(&self, row: usize, totals: &[f64]) {
+        let base = row * self.rank;
+        for (c, &v) in totals.iter().enumerate() {
+            if v != 0.0 {
+                self.merge_f64(base + c, v);
+            }
+        }
     }
 }
 
@@ -306,10 +422,166 @@ fn merge_tiles(out: &MttkrpOut, tiles: &[&BlockTile]) {
     }
 }
 
+/// Lane counts of the run path's column tiles, widest first. Each is its
+/// own monomorphic [`RunGrid::tile`], so the lane loops have constant trip
+/// counts and vectorize; the power-of-two ladder down to one lane means
+/// every rank and every `rank_chunk` decomposes exactly, with no
+/// dynamic-width tile.
+const TILE_LANES: [usize; 6] = [32, 16, 8, 4, 2, 1];
+
+/// Cuts `0..rank` into the run path's column tiles: `rank_chunk`-wide chunks
+/// (the tuned width is never exceeded), each chunk greedily into the widest
+/// [`TILE_LANES`] entries that fit. Rank 40 at chunk 32 is `[32, 8]`; rank 7
+/// is `[4, 2, 1]`; chunk 1 is all single lanes.
+fn column_tiles(rank: usize, rank_chunk: usize) -> Vec<Range<usize>> {
+    let mut tiles = Vec::new();
+    for chunk in (0..rank).step_by(rank_chunk) {
+        let end = (chunk + rank_chunk).min(rank);
+        let mut c0 = chunk;
+        for w in TILE_LANES {
+            while end - c0 >= w {
+                tiles.push(c0..c0 + w);
+                c0 += w;
+            }
+        }
+    }
+    tiles
+}
+
+/// One block-end run's `f64` totals: the only rows of a sorted block that
+/// another block may also hold, so they are folded after the join instead
+/// of being rounded by the block.
+struct EdgePartial {
+    row: usize,
+    acc: Vec<f64>,
+}
+
+/// What the blocks of one run-path launch share.
+struct RunGrid<'a> {
+    /// The source; its `sorted_mode` is the launch's output mode.
+    coo: SortedCoo<'a>,
+    /// All modes but the output mode, ascending — the Hadamard product
+    /// order.
+    in_modes: Vec<usize>,
+    factors: &'a FactorsView<'a>,
+    tiles: Vec<Range<usize>>,
+}
+
+impl RunGrid<'_> {
+    /// Accumulates columns `c0..c0 + W` of one run (elements `run`, all of
+    /// one output row) into `dst`: per element the `f64` Hadamard product
+    /// over `in_modes`, summed from `+0.0` in element order — the tile
+    /// path's arithmetic for these cells, held in a register tile instead
+    /// of tile memory.
+    #[inline]
+    fn tile<const W: usize>(&self, run: Range<usize>, c0: usize, dst: &mut [f64]) {
+        let order = self.coo.order;
+        let mut acc = [0.0f64; W];
+        let coords = self.coo.indices[run.start * order..run.end * order].chunks_exact(order);
+        for (coords, &v) in coords.zip(&self.coo.values[run]) {
+            let mut prod = [v as f64; W];
+            for &m in &self.in_modes {
+                let row = &self.factors.row(m, coords[m] as usize)[c0..c0 + W];
+                for (p, &x) in prod.iter_mut().zip(row) {
+                    *p *= x as f64;
+                }
+            }
+            for (a, p) in acc.iter_mut().zip(prod) {
+                *a += p;
+            }
+        }
+        dst[c0..c0 + W].copy_from_slice(&acc);
+    }
+
+    /// Executes one block: walks `range` as runs of equal output row,
+    /// accumulates each run tile by tile, rounds interior rows into `out`,
+    /// and returns the edge partials (first run, then last run if it is a
+    /// different one) in element order. Empty blocks return none.
+    ///
+    /// Panics if the rows do not strictly increase from run to run — the
+    /// source broke [`SortedCoo::new`]'s claim.
+    fn block(&self, range: Range<usize>, out: &MttkrpOut) -> Vec<EdgePartial> {
+        let (order, d) = (self.coo.order, self.coo.sorted_mode);
+        let coords = &self.coo.indices[range.start * order..range.end * order];
+        let row_at = |e: usize| coords[(e - range.start) * order + d];
+        let mut edges = Vec::new();
+        let mut acc = vec![0.0f64; self.factors.rank()];
+        let mut prev_row = None;
+        let mut e0 = range.start;
+        while e0 < range.end {
+            let row = row_at(e0);
+            assert!(
+                prev_row.is_none_or(|p| p < row),
+                "run path: source is not sorted by output mode {d} \
+                 (row {row} after {prev_row:?} at element {e0})"
+            );
+            prev_row = Some(row);
+            let mut e1 = e0 + 1;
+            while e1 < range.end && row_at(e1) == row {
+                e1 += 1;
+            }
+            for t in &self.tiles {
+                let (run, c0) = (e0..e1, t.start);
+                match t.len() {
+                    32 => self.tile::<32>(run, c0, &mut acc),
+                    16 => self.tile::<16>(run, c0, &mut acc),
+                    8 => self.tile::<8>(run, c0, &mut acc),
+                    4 => self.tile::<4>(run, c0, &mut acc),
+                    2 => self.tile::<2>(run, c0, &mut acc),
+                    _ => self.tile::<1>(run, c0, &mut acc),
+                }
+            }
+            if e0 == range.start || e1 == range.end {
+                edges.push(EdgePartial {
+                    row: row as usize,
+                    acc: acc.clone(),
+                });
+            } else {
+                out.merge_row(row as usize, &acc);
+            }
+            e0 = e1;
+        }
+        edges
+    }
+}
+
+/// Folds the blocks' edge partials (given in block-index order, element
+/// order within a block) into `out`: consecutive partials of one row sum
+/// from `+0.0`, and each row's totals are rounded once.
+///
+/// Panics if the rows decrease from one partial to the next — with
+/// [`RunGrid::block`]'s in-block check this covers the whole grid's order.
+fn fold_edges<'a>(out: &MttkrpOut, edges: impl Iterator<Item = &'a EdgePartial>) {
+    let mut total = vec![0.0f64; out.rank()];
+    let mut cur: Option<usize> = None;
+    for e in edges {
+        if cur != Some(e.row) {
+            if let Some(row) = cur {
+                assert!(
+                    row < e.row,
+                    "run path: blocks are not in output-row order (row {} after {row})",
+                    e.row
+                );
+                out.merge_row(row, &total);
+                total.fill(0.0);
+            }
+            cur = Some(e.row);
+        }
+        for (t, &a) in total.iter_mut().zip(&e.acc) {
+            *t += a;
+        }
+    }
+    if let Some(row) = cur {
+        out.merge_row(row, &total);
+    }
+}
+
 /// Runs the block jobs of one MTTKRP grid through `execute` (which must call
 /// the given kernel closure once per block index, possibly concurrently),
-/// then merges privatized tiles deterministically. Factored out so the
-/// runtime-launched and host-only entry points share one dispatch.
+/// then folds edge partials or merges tiles deterministically. Picks the
+/// path from the block count and the source's own sorted view (see the
+/// module docs). Factored out so the runtime-launched and host-only entry
+/// points share one dispatch.
 fn dispatch<S, E>(
     src: &S,
     d: usize,
@@ -329,6 +601,24 @@ where
                 ec_direct(src, d, factors, r.clone(), rank_chunk, out);
             }
         })
+    } else if let Some(coo) = src.sorted_coo(d) {
+        assert_eq!(coo.sorted_mode, d, "sorted view is for another mode");
+        assert_eq!(coo.order, factors.order(), "one factor matrix per mode");
+        let grid = RunGrid {
+            coo,
+            in_modes: (0..coo.order).filter(|&m| m != d).collect(),
+            factors,
+            tiles: column_tiles(factors.rank(), rank_chunk),
+        };
+        let edges: Vec<OnceLock<Vec<EdgePartial>>> =
+            (0..blocks.len()).map(|_| OnceLock::new()).collect();
+        let timing = execute(&|b: usize| {
+            let _ = edges[b].set(grid.block(blocks[b].clone(), out));
+        });
+        // Deterministic fold: block-index order, independent of which
+        // worker ran which block and of the worker count.
+        fold_edges(out, edges.iter().filter_map(OnceLock::get).flatten());
+        timing
     } else {
         let tiles: Vec<OnceLock<BlockTile>> = (0..blocks.len()).map(|_| OnceLock::new()).collect();
         let timing = execute(&|b: usize| {
@@ -614,6 +904,53 @@ mod tests {
                 assert!((got - w).abs() <= 1e-5 * w.abs().max(1.0), "cell {j}");
             }
         }
+    }
+
+    #[test]
+    fn run_path_matches_tile_path_on_the_sorted_tiny_tensor() {
+        // `tiny()` is sorted by mode 0; 0..2 | 2..4 | 4..5 puts row 2 on a
+        // block boundary, so the edge fold sums two partials.
+        let (src, factors, rank) = tiny();
+        let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+        let flat: Vec<u32> = src.coords.iter().flatten().copied().collect();
+        let sorted = SortedCoo::new(&flat, &src.vals, 3, 0);
+        assert!(sorted.sorted_coo(0).is_some());
+        assert!(sorted.sorted_coo(1).is_none(), "sorted by mode 0 only");
+        let blocks = vec![0..2, 2..4, 4..5];
+        let (tile, run) = (MttkrpOut::zeros(3, rank), MttkrpOut::zeros(3, rank));
+        mttkrp_host(&src, 0, &views, &blocks, &tp(2), &tile);
+        mttkrp_host(&sorted, 0, &views, &blocks, &tp(2), &run);
+        let bits = |o: &MttkrpOut| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run), bits(&tile));
+    }
+
+    #[test]
+    fn column_tiles_respect_rank_chunk_and_cover_the_rank() {
+        assert_eq!(column_tiles(40, 32), vec![0..32, 32..40]);
+        assert_eq!(column_tiles(7, 32), vec![0..4, 4..6, 6..7]);
+        assert_eq!(column_tiles(32, 8), vec![0..8, 8..16, 16..24, 24..32]);
+        assert_eq!(column_tiles(3, 1), vec![0..1, 1..2, 2..3]);
+        for (rank, chunk) in [(257, 256), (257, 32), (100, 24), (1, 256)] {
+            let tiles = column_tiles(rank, chunk);
+            assert_eq!(tiles.first().map(|t| t.start), Some(0));
+            assert_eq!(tiles.last().map(|t| t.end), Some(rank));
+            assert!(tiles.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(tiles
+                .iter()
+                .all(|t| TILE_LANES.contains(&t.len()) && t.len() <= chunk));
+        }
+    }
+
+    #[test]
+    fn extend_rows_appends_whole_rows() {
+        let out = MttkrpOut::zeros(3, 2);
+        for (idx, v) in [(2, 1.5), (3, -2.0), (5, 4.0)] {
+            out.add_f32(idx, v);
+        }
+        let mut got = vec![9.0];
+        out.extend_rows(1..3, &mut got);
+        assert_eq!(got, vec![9.0, 1.5, -2.0, 0.0, 4.0]);
+        assert_eq!(out.to_vec(), vec![0.0, 0.0, 1.5, -2.0, 0.0, 4.0]);
     }
 
     #[test]

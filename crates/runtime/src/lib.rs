@@ -90,7 +90,7 @@ pub use device::{Device, Platform};
 pub use export::{chrome_trace, chrome_trace_string};
 pub use kernels::{
     launch_mttkrp, launch_mttkrp_compiled, mttkrp_host_compiled, EcSource, FactorsView, FnSource,
-    MttkrpOut,
+    MttkrpOut, SortedCoo,
 };
 pub use params::{DispatchKind, TuneParams, MAX_RANK_CHUNK};
 pub use runtime::{Collective, DeviceRuntime, FactorBlock};

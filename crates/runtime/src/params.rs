@@ -10,13 +10,14 @@
 //! transparent*: any valid `TuneParams` produces the same numerics, only
 //! different wall time.
 //!
-//! * `rank_chunk` is bit-transparent on both kernel paths because rank
+//! * `rank_chunk` is bit-transparent on every kernel path because rank
 //!   blocking tiles the factor-*column* loop while each output cell still
 //!   accumulates over elements in element order (see the kernel module
 //!   docs).
 //! * `workers` only changes how blocks are claimed; the direct path has one
-//!   block and the privatized path merges tiles in block-index order, so
-//!   results are worker-count independent by construction.
+//!   block and the run and tile paths fold edge partials / merge tiles in
+//!   block-index order, so results are worker-count independent by
+//!   construction.
 //! * `ooc_chunk_budget` / `prefetch_depth` only move chunk *reads* in time;
 //!   chunks are still computed in file order on the main thread.
 
@@ -39,7 +40,9 @@ pub enum DispatchKind {
     /// The PR-6 kernel layer: walk raw COO elements, decode every mode
     /// coordinate per nonzero, accumulate into per-block privatized `f64`
     /// tiles merged in block-index order (single-block grids take the
-    /// legacy direct path). No preprocessing, works on any [`EcSource`].
+    /// legacy direct path; sources sorted by the output mode take the
+    /// bit-equal run path instead of tiles — the kernel layer picks, not
+    /// this enum). No preprocessing, works on any [`EcSource`].
     ///
     /// [`EcSource`]: crate::kernels::EcSource
     #[default]

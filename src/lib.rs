@@ -59,8 +59,8 @@ pub mod prelude {
     pub use amped_runtime::{
         chrome_trace, chrome_trace_string, launch_mttkrp, launch_mttkrp_compiled, Collective,
         CompiledShard, CpuParallelRuntime, Device, DeviceRuntime, DispatchKind, FactorBlock,
-        FactorsView, FnSource, GridTiming, MttkrpOut, Platform, SimRuntime, SpanPath, SpanScope,
-        StragglerReport, Timeline, TracingRuntime, TuneParams,
+        FactorsView, FnSource, GridTiming, MttkrpOut, Platform, SimRuntime, SortedCoo, SpanPath,
+        SpanScope, StragglerReport, Timeline, TracingRuntime, TuneParams,
     };
     pub use amped_sim::metrics::{geomean, RunReport};
     pub use amped_sim::obs::MetricsRegistry;

@@ -6,6 +6,8 @@
 //! `MttkrpEngine::replan`, and measurably cut the imbalance overhead in
 //! later iterations — without changing what the decomposition computes.
 
+mod common;
+
 use amped::prelude::*;
 use rand::SeedableRng;
 
@@ -134,8 +136,7 @@ fn ooc_engine_replans_between_iterations_too() {
     // tensors the hot-row serialization cost dominates both fast and slow
     // devices equally, which is a cost-model property, not a planner bug.)
     let t = GenSpec::uniform(vec![3000, 2000, 2000], 400_000, 808).generate();
-    let dir = std::env::temp_dir().join("amped_als_rebalance");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("als_rebalance");
     let path = dir.join("rb.tnsb");
     let cap = 32_768;
     write_tnsb(&t, &path, cap).unwrap();
@@ -181,7 +182,6 @@ fn ooc_engine_replans_between_iterations_too() {
             < res.per_iteration.first().unwrap().total_time,
         "rebalanced ooc iterations should be faster"
     );
-    std::fs::remove_file(path).ok();
 }
 
 #[test]

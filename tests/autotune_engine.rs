@@ -4,11 +4,12 @@
 //! search at all, and the out-of-core constructor tunes from the `.tnsb`
 //! footer statistics alone.
 
+mod common;
+
 use amped::prelude::*;
 use amped_stream::write_tnsb;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 
 fn tensor() -> SparseTensor {
     GenSpec {
@@ -41,12 +42,6 @@ fn spec() -> PlatformSpec {
     PlatformSpec::rtx6000_ada_node(2).scaled(1e-3)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("amped_autotune_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
 #[test]
 fn tuned_engine_is_bit_identical_and_searches_once() {
     let t = tensor();
@@ -74,8 +69,8 @@ fn tuned_engine_is_bit_identical_and_searches_once() {
 
 #[test]
 fn warm_persistent_cache_performs_no_search() {
-    let path = tmp("warm_engine.json");
-    let _ = std::fs::remove_file(&path);
+    let dir = common::ScratchDir::new("autotune");
+    let path = dir.join("warm_engine.json");
     let t = tensor();
 
     // Cold: search + persist.
@@ -102,14 +97,13 @@ fn warm_persistent_cache_performs_no_search() {
         warm.tune(),
         "cache returned a different winner"
     );
-
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn ooc_tuned_matches_untuned_and_tunes_from_footer_stats() {
     let t = tensor();
-    let path = tmp("tuned.tnsb");
+    let dir = common::ScratchDir::new("autotune");
+    let path = dir.join("tuned.tnsb");
     write_tnsb(&t, &path, 512).unwrap();
     let budget = 512u64 * (t.elem_bytes() + t.order() as u64 * 4) * 2;
     let fs = factors(&t, 16, 73);
@@ -131,6 +125,4 @@ fn ooc_tuned_matches_untuned_and_tunes_from_footer_stats() {
             "mode {d}: tuned OOC parameters changed the numerics"
         );
     }
-
-    std::fs::remove_file(path).ok();
 }

@@ -8,6 +8,8 @@
 //! * Every cluster-run factor must match the sequential COO oracle — the
 //!   hierarchy changes the schedule, never the data.
 
+mod common;
+
 use amped::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -184,8 +186,7 @@ fn ooc_engine_runs_on_a_cluster_runtime() {
         seed: 907,
     }
     .generate();
-    let dir = std::env::temp_dir().join("amped_cluster_scaling");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("cluster_scaling");
     let path = dir.join("cluster.tnsb");
     write_tnsb(&t, &path, 2048).unwrap();
     let cluster = ClusterSpec::rtx6000_ada_cluster(2, 2).scaled(1e-3);
@@ -210,7 +211,6 @@ fn ooc_engine_runs_on_a_cluster_runtime() {
     let (out, timing) = OocEngine::mttkrp_mode(&mut e, 0, &factors).unwrap();
     assert!(out.approx_eq(&mttkrp_ref(&t, &factors, 0), 1e-3, 1e-4));
     assert!(timing.wall > 0.0);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]

@@ -4,6 +4,8 @@
 //! budget-charged compiled-chunk cache (warm iterations skip disk reads;
 //! budget pressure degrades to compile-per-visit with a one-shot warning).
 
+mod common;
+
 use amped::prelude::*;
 use amped::runtime::DispatchKind;
 use rand::rngs::SmallRng;
@@ -137,8 +139,7 @@ fn replan_invalidates_compiled_shards() {
 fn ooc_engine_caches_compiled_chunks_and_skips_disk() {
     let t = tensor();
     let fs = factors(&t, 16, 94);
-    let dir = std::env::temp_dir().join("amped_compiled_cache");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("compiled_cache");
     let path = dir.join("warm.tnsb");
     write_tnsb(&t, &path, 4096).unwrap();
 
@@ -175,15 +176,13 @@ fn ooc_engine_caches_compiled_chunks_and_skips_disk() {
         "ooc compiled output drifted: max diff {}",
         cold.max_abs_diff(&want)
     );
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn ooc_budget_pressure_degrades_to_compile_per_visit() {
     let t = tensor();
     let fs = factors(&t, 16, 95);
-    let dir = std::env::temp_dir().join("amped_compiled_cache");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("compiled_cache");
     let path = dir.join("tight.tnsb");
     let cap = 4096;
     write_tnsb(&t, &path, cap).unwrap();
@@ -221,5 +220,4 @@ fn ooc_budget_pressure_degrades_to_compile_per_visit() {
     // The budget never leaks: everything charged for caching was released
     // or never charged.
     assert!(e.stage_peak() <= budget);
-    std::fs::remove_file(path).ok();
 }

@@ -3,6 +3,8 @@
 //! straggler report feeding the rebalancing planner — and the contract that
 //! none of it changes a single computed bit when no observer is attached.
 
+mod common;
+
 use amped::prelude::*;
 use amped::sim::obs::warnings;
 use amped_stream::write_tnsb;
@@ -148,8 +150,7 @@ fn straggler_report_feeds_the_rebalancing_planner() {
 #[test]
 fn ooc_run_records_chunk_metrics() {
     let t = tensor();
-    let dir = std::env::temp_dir().join("amped_obs_metrics_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("obs_metrics");
     let path = dir.join("obs.tnsb");
     write_tnsb(&t, &path, 512).unwrap();
     let budget = 512 * (t.elem_bytes() + t.order() as u64 * 4) * 2;
@@ -176,7 +177,6 @@ fn ooc_run_records_chunk_metrics() {
         0.0,
         "all chunks released after the mode"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

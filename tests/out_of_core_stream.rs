@@ -3,14 +3,9 @@
 //! in-core engine correctly reports out-of-memory — and on tensors both
 //! paths can hold, the two engines agree.
 
-use amped::prelude::*;
-use std::path::PathBuf;
+mod common;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("amped_ooc_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+use amped::prelude::*;
 
 /// The headline scenario: a tensor whose per-mode host copies do not fit in
 /// the (scaled) host memory. The in-core engine must fail with the same
@@ -51,7 +46,8 @@ fn ooc_succeeds_where_in_core_hits_host_oom() {
 
     // Out-of-core: 16 Ki-element chunks (256 KB payload) rotating through a
     // 1 MB staging budget — 3% of the tensor's own footprint.
-    let path = tmp("oversize.tnsb");
+    let dir = common::ScratchDir::new("ooc_integration");
+    let path = dir.join("oversize.tnsb");
     let chunk_capacity = 16 * 1024;
     write_tnsb(&t, &path, chunk_capacity).unwrap();
     let stage_budget = 1 << 20;
@@ -73,7 +69,6 @@ fn ooc_succeeds_where_in_core_hits_host_oom() {
     assert!(res.report.total_time > 0.0);
     // The staging high-water mark stayed within the configured budget.
     assert!(ooc.stage_peak() <= stage_budget);
-    std::fs::remove_file(path).ok();
 }
 
 /// On a small tensor both engines can hold, one ALS iteration from the same
@@ -99,7 +94,8 @@ fn ooc_matches_in_core_factors_on_small_tensor() {
     let mut in_core = AmpedEngine::new(&t, platform.clone(), cfg.clone()).unwrap();
     let reference = cp_als(&mut in_core, &opts).unwrap();
 
-    let path = tmp("small.tnsb");
+    let dir = common::ScratchDir::new("ooc_integration");
+    let path = dir.join("small.tnsb");
     write_tnsb(&t, &path, 100).unwrap();
     let mut ooc = OocEngine::open(&path, platform, cfg, 1 << 20).unwrap();
     let streamed = cp_als(&mut ooc, &opts).unwrap();
@@ -119,7 +115,6 @@ fn ooc_matches_in_core_factors_on_small_tensor() {
         );
     }
     assert!((streamed.fits[0] - reference.fits[0]).abs() < 1e-6);
-    std::fs::remove_file(path).ok();
 }
 
 /// `.tns` text converts to `.tnsb` without materializing, and the converted
@@ -127,8 +122,9 @@ fn ooc_matches_in_core_factors_on_small_tensor() {
 #[test]
 fn tns_conversion_feeds_the_ooc_engine() {
     let t = GenSpec::uniform(vec![40, 30, 20], 1500, 11).generate();
-    let tns = tmp("conv.tns");
-    let tnsb = tmp("conv.tnsb");
+    let dir = common::ScratchDir::new("ooc_integration");
+    let tns = dir.join("conv.tns");
+    let tnsb = dir.join("conv.tnsb");
     io::write_tns_file(&t, &tns).unwrap();
     let meta = convert_tns_to_tnsb(&tns, &tnsb, 256).unwrap();
     assert_eq!(meta.nnz, t.nnz() as u64);
@@ -158,6 +154,4 @@ fn tns_conversion_feeds_the_ooc_engine() {
     .unwrap();
     assert_eq!(res.iterations, 2);
     assert!(res.fits.iter().all(|f| f.is_finite()));
-    std::fs::remove_file(tns).ok();
-    std::fs::remove_file(tnsb).ok();
 }

@@ -2,6 +2,8 @@
 //! checked on the simulated timing (robust directional claims only; the
 //! quantitative tables live in EXPERIMENTS.md).
 
+mod common;
+
 use amped::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -174,8 +176,7 @@ fn time_breakdown_reconciles_with_wall_time() {
     check(&timing, "in-core hetero");
     // Out of core: the scatter pipeline gates all GPUs globally, which is
     // exactly where stall time used to masquerade as transfer time.
-    let dir = std::env::temp_dir().join("amped_perf_shape");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("perf_shape");
     let path = dir.join("reconcile.tnsb");
     write_tnsb(&t, &path, 4096).unwrap();
     let budget = 4096 * (t.elem_bytes() + t.order() as u64 * 4) * 2;
@@ -190,7 +191,6 @@ fn time_breakdown_reconciles_with_wall_time() {
         let (_, timing) = OocEngine::mttkrp_mode(&mut ooc, d, &factors).unwrap();
         check(&timing, "out-of-core");
     }
-    std::fs::remove_file(path).ok();
 }
 
 #[test]

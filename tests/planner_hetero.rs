@@ -3,6 +3,8 @@
 //! nnz-equal CCP on simulated makespan, and the engine must execute the
 //! cost-guided plan correctly.
 
+mod common;
+
 use amped::prelude::*;
 use rand::SeedableRng;
 
@@ -189,8 +191,7 @@ fn ooc_engine_accepts_cost_guided_planner_on_hetero_node() {
         seed: 555,
     }
     .generate();
-    let dir = std::env::temp_dir().join("amped_planner_hetero");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::ScratchDir::new("planner_hetero");
     let path = dir.join("hetero.tnsb");
     write_tnsb(&t, &path, 2048).unwrap();
     let cfg = AmpedConfig {
@@ -225,5 +226,4 @@ fn ooc_engine_accepts_cost_guided_planner_on_hetero_node() {
         .collect();
     let (out, _) = e.mttkrp_mode(0, &factors).unwrap();
     assert!(out.approx_eq(&mttkrp_ref(&t, &factors, 0), 1e-3, 1e-4));
-    std::fs::remove_file(path).ok();
 }

@@ -19,6 +19,8 @@
 //!   multi-block scenario checks timing only, since concurrent `f32` atomics
 //!   accumulate in thread-dependent order.
 
+mod common;
+
 use amped::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -158,8 +160,7 @@ fn scenario_amped_multi_isp_timing() -> Record {
 
 fn scenario_ooc() -> Record {
     let t = test_tensor();
-    let dir = std::env::temp_dir().join("amped_runtime_equivalence");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = common::ScratchDir::new("runtime_equivalence");
     let path = dir.join("golden.tnsb");
     write_tnsb(&t, &path, 512).expect("write .tnsb");
     // Chunk capacity 512 < isp_nnz 1024 → one block per chunk grid.
@@ -190,7 +191,6 @@ fn scenario_ooc() -> Record {
     }
     rec.insert("total_time".into(), total.to_bits());
     record_factors(&mut rec, &factors);
-    std::fs::remove_file(path).ok();
     rec
 }
 
