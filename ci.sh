@@ -115,11 +115,13 @@ cargo test -q -p amped-check --test interleave_claim \
 echo "=== 16/17 kernel proptests at AMPED_THREADS in {1, 2, 4} ==="
 # The three kernel paths' bit contracts (tile: worker-count invariant and
 # ≤ 1 ulp from the f64 reference; compiled: bit-identical to it; run:
-# bit-equal to tile) must hold whatever the default host pool is. Stage 3
-# ran them at this host's default; these runs pin the pool size.
+# bit-equal to tile) and the OOC engine's on sorted chunks (one set of bits
+# across prefetch depth, workers and rank_chunk, equal to a host replay)
+# must hold whatever the default host pool is. Stage 3 ran them at this
+# host's default; these runs pin the pool size.
 for threads in 1 2 4; do
   AMPED_THREADS=$threads cargo test -q --test prop_kernel_privatized \
-    --test prop_kernel_compiled --test prop_kernel_runs
+    --test prop_kernel_compiled --test prop_kernel_runs --test prop_ooc_sorted
 done
 
 echo "=== 17/17 benchmark/check.sh (the benchmark's own gate + smoke run) ==="

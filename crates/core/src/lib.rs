@@ -52,6 +52,12 @@ pub mod engine;
 pub mod ooc;
 pub mod reference;
 
+/// The integration tests' scratch-directory helper, shared by this crate's
+/// unit tests: one unique-per-call directory, removed on drop.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 pub use config::{AmpedConfig, GatherAlgo, SchedulePolicy};
 pub use engine::{AmpedEngine, ModeTiming, MttkrpEngine};
 pub use ooc::OocEngine;

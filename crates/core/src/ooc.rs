@@ -9,12 +9,24 @@
 //! and each chunk is scattered host→GPU with every GPU
 //! pulling the slice whose output rows it owns (the streaming plan's CCP
 //! device ranges guarantee no output row spans two GPUs, so intra-GPU
-//! atomics still suffice). Timing reuses the same cost model as the in-core
-//! engine plus the runtime's scatter stage
-//! ([`DeviceRuntime::scatter_time`]); chunk payloads arrive unsorted by
-//! output index, so slices pay the atomic-serialization cost the in-core
-//! engine's sorted copies avoid — out-of-core trades compute efficiency for
-//! the ability to run at all.
+//! atomics still suffice).
+//!
+//! Each streamed chunk is sorted by the mode it is about to be reduced along
+//! as the last step of its decode ([`ChunkReader::stage`] with that mode —
+//! a stable key sort, so the chunk is the same whichever thread read it and
+//! at every prefetch depth), which gives a chunk the shape of the in-core
+//! engine's mode-sorted copies (paper §3.1): a multi-ISP chunk runs the
+//! kernel layer's row-run path over a [`SortedCoo`] view, with no per-block
+//! output tile and no merge pass. The sort happens wherever the read does —
+//! on the prefetch thread, overlapped with the previous chunk's compute —
+//! and its wall is counted in `ooc_chunk_sort_us`.
+//!
+//! Timing reuses the same cost model as the in-core engine plus the
+//! runtime's scatter stage ([`DeviceRuntime::scatter_time`]). The *modeled*
+//! GPU still receives its slice in file order — the host-side sort is not
+//! priced — so slices pay the atomic-serialization cost the in-core
+//! engine's sorted copies avoid: on the modeled clock out-of-core trades
+//! compute efficiency for the ability to run at all.
 //!
 //! Every chunk load and release goes through the staging [`MemPool`], so a
 //! tensor too large for the *budget* still decomposes (chunks rotate through
@@ -38,12 +50,13 @@ use amped_plan::{
 };
 use amped_runtime::kernels::{
     launch_mttkrp, launch_mttkrp_compiled, CompiledShard, FactorsView, FnSource, MttkrpOut,
+    SortedCoo,
 };
 use amped_runtime::{Device, DeviceRuntime, DispatchKind, SimRuntime, Timeline, TuneParams};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::obs::{warn_once, Counter};
 use amped_sim::{MemPool, PlatformSpec, SimError, TimeBreakdown};
-use amped_stream::{Chunk, ChunkReader, StagedRead, StreamError, StreamPlan, TnsbMeta};
+use amped_stream::{Chunk, ChunkReader, StagedRead, StreamPlan, TnsbMeta};
 use amped_tensor::Idx;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -419,8 +432,9 @@ impl OocEngine {
 
         // --- Real execution: stream every chunk once through the staging
         // budget and run the elementwise computation (Algorithm 2) as a grid
-        // of ISP blocks through the kernel layer (privatized tiles when the
-        // chunk spans several ISPs, direct accumulation otherwise).
+        // of ISP blocks through the kernel layer (the row-run path over the
+        // mode-sorted chunk when it spans several ISPs, direct accumulation
+        // otherwise).
         // The whole chunk executes as one zero-cost grid on device 0: a
         // host-side stand-in for functional output only — per-device
         // placement and timing are carried by the scatter/compute arrays
@@ -458,9 +472,15 @@ impl OocEngine {
                 }
 
                 let exec_chunk = |runtime: &mut dyn DeviceRuntime, chunk: &Chunk| {
+                    assert_eq!(
+                        chunk.sorted_mode(),
+                        Some(d),
+                        "chunk {} was not sorted for mode {d}",
+                        chunk.index()
+                    );
                     nnz_counter.add(chunk.nnz() as u64);
                     let isps = isp_ranges(0..chunk.nnz(), cfg.isp_nnz);
-                    let src = FnSource::new(|e, m| chunk.coords(e)[m], |e| chunk.value(e));
+                    let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), order, d);
                     // Zero costs: simulated time comes from the slice model
                     // above.
                     let costs = vec![0.0f64; isps.len()];
@@ -472,7 +492,7 @@ impl OocEngine {
                         // Out of core the streamed chunk is the shard-level
                         // region.
                         let _chunk_span = tl.as_ref().map(|t| t.span("shard", k as u64));
-                        let chunk = reader.load_chunk(k).map_err(|e| e.into_sim())?;
+                        let chunk = sorted_chunk(reader, k, d, None)?;
                         exec_chunk(runtime, &chunk);
                         reader.release(chunk);
                     }
@@ -480,7 +500,7 @@ impl OocEngine {
                     pipeline_chunks(
                         runtime,
                         reader,
-                        num_chunks,
+                        d,
                         depth,
                         tl.as_ref(),
                         &prefetch_hits,
@@ -594,9 +614,40 @@ impl OocEngine {
     }
 }
 
-/// The double-buffered chunk loop: chunk reads run on one background thread
-/// while the main thread computes, with every budget decision staying on
-/// the main thread (the staging [`MemPool`] is not shared).
+/// The one way the engine obtains chunk `k` for mode `d`: sorted by `d`
+/// ([`ChunkReader::stage`]), settled against the staging budget on this
+/// thread. `staged_ahead` is the reservation and the prefetch thread's
+/// answer when the chunk was staged ahead; `None` stages and reads it here.
+fn sorted_chunk(
+    reader: &mut ChunkReader,
+    k: usize,
+    d: usize,
+    staged_ahead: Option<(u64, Result<Chunk, SimError>)>,
+) -> Result<Chunk, SimError> {
+    let (reserved, read) = match staged_ahead {
+        Some(answer) => answer,
+        None => {
+            let staged = reader.stage(k, Some(d)).map_err(|e| e.into_sim())?;
+            (staged.bytes(), staged.read().map_err(|e| e.into_sim()))
+        }
+    };
+    match read {
+        Ok(chunk) => {
+            reader.finish_stage(&chunk);
+            Ok(chunk)
+        }
+        Err(e) => {
+            // A failed read must not leak budget.
+            reader.fail_stage(reserved);
+            Err(e)
+        }
+    }
+}
+
+/// The double-buffered chunk loop: chunk reads — decode and the sort by
+/// mode `d` — run on one background thread while the main thread computes,
+/// with every budget decision staying on the main thread (the staging
+/// [`MemPool`] is not shared).
 ///
 /// Protocol: [`ChunkReader::stage`] reserves budget here and hands the
 /// `Send`-able [`StagedRead`] to the reader thread over a channel; results
@@ -605,8 +656,8 @@ impl OocEngine {
 /// to execute; a budget stall narrows the window for that round (counted in
 /// `ooc_chunk_stalls`) and staging retries next iteration, so a mid-run
 /// squeeze degrades to the blocking cadence instead of failing. Chunks are
-/// executed strictly in index order, so factors are bit-identical to the
-/// blocking loop at every depth.
+/// executed strictly in index order and the sort is deterministic, so
+/// factors are bit-identical to the blocking loop at every depth.
 ///
 /// Mirrors the device-side `cp.async` double-buffer pattern (prefetch tile
 /// `i+1` while tile `i` computes) with a host thread standing in for the
@@ -614,7 +665,7 @@ impl OocEngine {
 fn pipeline_chunks<F>(
     runtime: &mut dyn DeviceRuntime,
     reader: &mut ChunkReader,
-    num_chunks: usize,
+    d: usize,
     depth: usize,
     tl: Option<&Timeline>,
     prefetch_hits: &Counter,
@@ -623,9 +674,10 @@ fn pipeline_chunks<F>(
 where
     F: Fn(&mut dyn DeviceRuntime, &Chunk),
 {
+    let num_chunks = reader.meta().num_chunks();
     let result = crossbeam::thread::scope(|s| {
         let (req_tx, req_rx) = mpsc::channel::<StagedRead>();
-        let (res_tx, res_rx) = mpsc::channel::<Result<Chunk, StreamError>>();
+        let (res_tx, res_rx) = mpsc::channel();
         s.spawn(move |_| {
             for staged in req_rx.iter() {
                 if res_tx.send(staged.read()).is_err() {
@@ -644,7 +696,7 @@ where
             // the reader thread always has queued work to overlap with the
             // compute below.
             while next_stage < num_chunks && next_stage <= k + depth {
-                match reader.stage(next_stage) {
+                match reader.stage(next_stage, Some(d)) {
                     Ok(staged) => {
                         in_flight.push_back((next_stage, staged.bytes()));
                         req_tx.send(staged).expect("prefetch reader thread alive");
@@ -663,40 +715,31 @@ where
                     }
                 }
             }
-            let mut prefetched = false;
-            let chunk = if in_flight.front().map(|f| f.0) == Some(k) {
-                let (_, bytes) = in_flight.pop_front().expect("front checked");
-                match res_rx.recv() {
-                    Ok(Ok(chunk)) => {
-                        reader.finish_stage(&chunk);
-                        prefetch_hits.inc();
-                        prefetched = true;
-                        chunk
-                    }
-                    Ok(Err(e)) => {
-                        reader.fail_stage(bytes);
-                        outcome = Err(e.into_sim());
-                        break 'chunks;
-                    }
-                    Err(_) => {
-                        reader.fail_stage(bytes);
-                        outcome = Err(SimError::Unsupported(
-                            "prefetch reader thread disconnected".into(),
-                        ));
-                        break 'chunks;
-                    }
-                }
+            // Chunk `k` was staged ahead iff it heads the in-flight queue;
+            // otherwise it is staged and read here, this round only.
+            let staged_ahead = if in_flight.front().map(|f| f.0) == Some(k) {
+                let (_, reserved) = in_flight.pop_front().expect("front checked");
+                let read = match res_rx.recv() {
+                    Ok(read) => read.map_err(|e| e.into_sim()),
+                    Err(_) => Err(SimError::Unsupported(
+                        "prefetch reader thread disconnected".into(),
+                    )),
+                };
+                Some((reserved, read))
             } else {
-                // Chunk `k` never got staged: fall back to the synchronous
-                // load for this round.
-                match reader.load_chunk(k) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        outcome = Err(e.into_sim());
-                        break 'chunks;
-                    }
+                None
+            };
+            let prefetched = staged_ahead.is_some();
+            let chunk = match sorted_chunk(reader, k, d, staged_ahead) {
+                Ok(chunk) => chunk,
+                Err(e) => {
+                    outcome = Err(e);
+                    break 'chunks;
                 }
             };
+            if prefetched {
+                prefetch_hits.inc();
+            }
             {
                 // Launches of an overlapped chunk carry a `prefetched` span
                 // segment, so the timeline shows which chunks hid their I/O.
@@ -710,14 +753,13 @@ where
             reader.release(chunk);
         }
         // Settle any outstanding reservations (non-empty only on error):
-        // close the request channel, then drain results so every staged
-        // byte returns to the budget.
+        // close the request channel, then wait out each staged read so
+        // every reserved byte — payload and sort scratch — returns to the
+        // budget.
         drop(req_tx);
-        for (_, bytes) in in_flight.drain(..) {
-            match res_rx.recv() {
-                Ok(Ok(chunk)) => reader.release(chunk),
-                _ => reader.fail_stage(bytes),
-            }
+        for (_, reserved) in in_flight.drain(..) {
+            let _ = res_rx.recv();
+            reader.fail_stage(reserved);
         }
         outcome
     });
@@ -812,19 +854,13 @@ impl MttkrpEngine for OocEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ScratchDir;
     use crate::reference::mttkrp_ref;
     use amped_stream::write_tnsb;
     use amped_tensor::gen::GenSpec;
     use amped_tensor::SparseTensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("amped_ooc_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn platform(m: usize) -> PlatformSpec {
         PlatformSpec::rtx6000_ada_node(m).scaled(1e-3)
@@ -861,7 +897,8 @@ mod tests {
             seed: 81,
         }
         .generate();
-        let path = tmp("ref.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("ref.tnsb");
         write_tnsb(&t, &path, 512).unwrap();
         let fs = factors(&t, 16, 82);
         let mut e = OocEngine::open(&path, platform(4), cfg(16), budget_for(&t, 512)).unwrap();
@@ -877,13 +914,13 @@ mod tests {
             assert_eq!(timing.per_gpu.len(), 4);
         }
         assert_eq!(e.reader.budget().used(), 0, "all chunks must be released");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn ooc_matches_reference_5mode() {
         let t = GenSpec::uniform(vec![20, 24, 28, 16, 12], 2000, 83).generate();
-        let path = tmp("ref5.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("ref5.tnsb");
         write_tnsb(&t, &path, 300).unwrap();
         let fs = factors(&t, 8, 84);
         let mut e = OocEngine::open(&path, platform(3), cfg(8), budget_for(&t, 300)).unwrap();
@@ -894,13 +931,13 @@ mod tests {
                 "mode {d}"
             );
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn simulated_time_is_deterministic_and_positive() {
         let t = GenSpec::uniform(vec![50, 50, 50], 3000, 91).generate();
-        let path = tmp("det.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("det.tnsb");
         write_tnsb(&t, &path, 256).unwrap();
         let fs = factors(&t, 8, 92);
         let b = budget_for(&t, 256);
@@ -914,7 +951,6 @@ mod tests {
             assert_eq!(a.compute, b.compute);
             assert_eq!(a.h2d, b.h2d);
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -926,7 +962,8 @@ mod tests {
             seed: 95,
         }
         .generate();
-        let path = tmp("depths.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("depths.tnsb");
         write_tnsb(&t, &path, 400).unwrap();
         let fs = factors(&t, 8, 96);
         let b = budget_for(&t, 400);
@@ -966,17 +1003,20 @@ mod tests {
             outputs[0], outputs[2],
             "depth 2 must be bit-identical to the blocking loop"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn pipeline_narrows_on_mid_run_stall_and_stays_exact() {
         // Chunks of 100/100/50 elements with a budget of 175 elements: the
-        // first prefetch of chunk 1 next to resident chunk 0 stalls (200
-        // elements), later pairs fit (150) — the window narrows mid-run and
-        // recovers, and the factors still match the blocking loop exactly.
+        // prefetch of chunk 1 next to chunk 0 stalls (200 elements), and so
+        // does the last pair once the sort's index scratch is charged
+        // beside the payloads (150 + 37.5) — the pipeline runs at the
+        // blocking cadence and the factors still match the blocking loop
+        // exactly. (`tests/prop_ooc_sorted.rs` squeezes a budget that
+        // narrows and recovers.)
         let t = GenSpec::uniform(vec![40, 30, 20], 250, 97).generate();
-        let path = tmp("midrun.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("midrun.tnsb");
         write_tnsb(&t, &path, 100).unwrap();
         let fs = factors(&t, 8, 98);
         let budget = 175 * t.elem_bytes();
@@ -1010,7 +1050,6 @@ mod tests {
         for (a, b) in base.as_slice().iter().zip(out.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1020,7 +1059,8 @@ mod tests {
         // chunks): prefetch can never overlap — the engine warns once
         // (process-wide) and runs the blocking loop.
         let t = GenSpec::uniform(vec![40, 30, 20], 300, 99).generate();
-        let path = tmp("singlebuf.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("singlebuf.tnsb");
         write_tnsb(&t, &path, 100).unwrap();
         let fs = factors(&t, 8, 100);
         let budget = 185 * t.elem_bytes();
@@ -1043,13 +1083,13 @@ mod tests {
         );
         assert!(out.approx_eq(&mttkrp_ref(&t, &fs, 0), 1e-3, 1e-4));
         assert_eq!(e.reader.budget().used(), 0);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn stage_budget_too_small_for_one_chunk_is_oom() {
         let t = GenSpec::uniform(vec![30, 30, 30], 2000, 93).generate();
-        let path = tmp("oom.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("oom.tnsb");
         write_tnsb(&t, &path, 1024).unwrap();
         let err = OocEngine::open(&path, platform(2), cfg(8), 100).unwrap_err();
         assert!(err.is_oom(), "expected OOM, got {err}");
@@ -1057,13 +1097,13 @@ mod tests {
             err.to_string().contains("chunk staging"),
             "staging OOM should carry its purpose: {err}"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn dynamic_queue_schedule_is_unsupported() {
         let t = GenSpec::uniform(vec![20, 20, 20], 500, 94).generate();
-        let path = tmp("sched.tnsb");
+        let dir = ScratchDir::new("ooc");
+        let path = dir.join("sched.tnsb");
         write_tnsb(&t, &path, 256).unwrap();
         let c = AmpedConfig {
             schedule: SchedulePolicy::DynamicQueue,
@@ -1071,7 +1111,6 @@ mod tests {
         };
         let err = OocEngine::open(&path, platform(2), c, budget_for(&t, 256)).unwrap_err();
         assert!(matches!(err, SimError::Unsupported(_)));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   the value sequence reproduces the historical CAS-loop execution bit for
 //!   bit — this is what keeps `tests/runtime_equivalence.rs` golden.
 //! * **Run** (multi-block grids over a source sorted by the output mode —
-//!   the engines' per-mode tensor copies, paper §3.1): a block walks its
+//!   the in-core engine's per-mode tensor copies, paper §3.1, and the
+//!   out-of-core engine's chunks, sorted at decode): a block walks its
 //!   element range as *runs* of equal output row over the raw element-major
 //!   arrays, accumulates each run in an `f64` register tile, rounds the rows
 //!   that lie strictly inside the block into the output itself, and hands
@@ -25,8 +26,8 @@
 //!   pass over untouched cells, and a hot row spanning many blocks is split
 //!   across them (Nisa et al.'s and Wijeratne et al.'s output-sorted
 //!   formulation).
-//! * **Tile** (multi-block grids over any other source — unsorted OOC
-//!   chunks, format baselines): each block accumulates into its own `f64`
+//! * **Tile** (multi-block grids over any other source — format baselines,
+//!   tuner probes, closures): each block accumulates into its own `f64`
 //!   tile spanning only the output rows it touches, and tiles merge into the
 //!   shared output in block-index order after the grid joins.
 //!
@@ -82,8 +83,8 @@ pub trait EcSource: Sync {
     /// The source's raw element-major arrays, when it holds them with
     /// elements sorted (non-decreasing) by their mode-`d` coordinate. This
     /// is what selects the run path for a multi-block grid; the default —
-    /// closures, format adapters, unsorted chunks — has no such view and
-    /// takes the tile path.
+    /// closures, format adapters — has no such view and takes the tile
+    /// path.
     fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
         let _ = d;
         None
@@ -637,8 +638,9 @@ where
 /// Launches one MTTKRP grid for output mode `d` through a [`DeviceRuntime`]:
 /// `blocks[b]` is the element range of threadblock `b`, `costs[b]` its
 /// simulated cost. Single-block grids take the direct path (legacy `f32`
-/// element order); multi-block grids take the privatized path. The returned
-/// timing is whatever the runtime reports for the grid (pure model on
+/// element order); multi-block grids take the run path when `src` lends a
+/// view sorted by `d` and the tile path otherwise (see the module docs). The
+/// returned timing is whatever the runtime reports for the grid (pure model on
 /// [`crate::SimRuntime`], measured wall on [`crate::CpuParallelRuntime`]).
 ///
 /// Tunables come from the runtime's [`TuneParams`]

@@ -540,19 +540,15 @@ pub fn read_tnsb_meta(path: impl AsRef<Path>) -> Result<TnsbMeta, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ScratchDir;
     use amped_tensor::gen::GenSpec;
     use amped_tensor::io::write_tns_file;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("amped_tnsb_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     #[test]
     fn meta_round_trips_through_disk() {
         let t = GenSpec::uniform(vec![40, 30, 20], 1000, 7).generate();
-        let path = tmp("meta.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("meta.tnsb");
         let written = write_tnsb(&t, &path, 128).unwrap();
         let read = read_tnsb_meta(&path).unwrap();
         assert_eq!(read.shape, t.shape());
@@ -566,13 +562,13 @@ mod tests {
         for m in 0..3 {
             assert_eq!(read.hist[m], t.mode_hist(m));
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn chunk_bounding_boxes_are_tight() {
         let t = GenSpec::uniform(vec![50, 50], 300, 9).generate();
-        let path = tmp("bbox.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("bbox.tnsb");
         let meta = write_tnsb(&t, &path, 64).unwrap();
         let mut e = 0usize;
         for c in &meta.chunks {
@@ -584,31 +580,30 @@ mod tests {
             e += c.nnz as usize;
         }
         assert_eq!(e, t.nnz());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn rejects_non_tnsb_files() {
-        let path = tmp("not_tnsb.bin");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("not_tnsb.bin");
         std::fs::write(&path, b"definitely not a tensor").unwrap();
         let err = read_tnsb_meta(&path).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Io { .. } | StreamError::Format { .. } | StreamError::Truncated { .. }
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn finish_of_empty_writer_is_an_error() {
-        let path = tmp("empty_writer.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("empty_writer.tnsb");
         let w = TnsbWriter::create(&path, vec![4, 4], 8).unwrap();
         let err = w.finish().unwrap_err();
         assert!(
             err.to_string().contains("no nonzero elements"),
             "unexpected error: {err}"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -638,7 +633,8 @@ mod tests {
             b.extend_from_slice(&lo.to_le_bytes());
             b.extend_from_slice(&hi.to_le_bytes());
         }
-        let path = tmp("partial_middle.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("partial_middle.tnsb");
         std::fs::write(&path, &b).unwrap();
         let err = read_tnsb_meta(&path).unwrap_err();
         assert!(
@@ -646,16 +642,15 @@ mod tests {
                 .contains("only the last chunk may be partial"),
             "unexpected error: {err}"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn writer_rejects_out_of_bounds_coordinates() {
-        let path = tmp("oob.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let path = dir.join("oob.tnsb");
         let mut w = TnsbWriter::create(&path, vec![4, 4], 16).unwrap();
         let err = w.push(&[4, 0], 1.0).unwrap_err();
         assert!(matches!(err, StreamError::Format { .. }), "{err}");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -667,8 +662,9 @@ mod tests {
             .map(|m| (0..t.nnz()).map(|e| t.idx(e, m)).max().unwrap() + 1)
             .collect();
         let t = SparseTensor::from_parts(shape, t.indices_flat().to_vec(), t.values().to_vec());
-        let tns = tmp("conv.tns");
-        let tnsb = tmp("conv.tnsb");
+        let dir = ScratchDir::new("tnsb");
+        let tns = dir.join("conv.tns");
+        let tnsb = dir.join("conv.tnsb");
         write_tns_file(&t, &tns).unwrap();
         let meta = convert_tns_to_tnsb(&tns, &tnsb, 100).unwrap();
         assert_eq!(meta.shape, t.shape());
@@ -676,16 +672,14 @@ mod tests {
         for m in 0..t.order() {
             assert_eq!(meta.hist[m], t.mode_hist(m));
         }
-        std::fs::remove_file(tns).ok();
-        std::fs::remove_file(tnsb).ok();
     }
 
     #[test]
     fn conversion_of_empty_tns_fails() {
-        let tns = tmp("empty.tns");
+        let dir = ScratchDir::new("tnsb");
+        let tns = dir.join("empty.tns");
         std::fs::write(&tns, "# nothing here\n").unwrap();
-        let err = convert_tns_to_tnsb(&tns, tmp("empty.tnsb"), 10).unwrap_err();
+        let err = convert_tns_to_tnsb(&tns, dir.join("empty.tnsb"), 10).unwrap_err();
         assert!(matches!(err, StreamError::Tns(_)));
-        std::fs::remove_file(tns).ok();
     }
 }

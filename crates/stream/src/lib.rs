@@ -34,6 +34,12 @@ pub mod format;
 pub mod partition;
 pub mod reader;
 
+/// The integration tests' scratch-directory helper, shared by this crate's
+/// unit tests: one unique-per-call directory, removed on drop.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 pub use error::StreamError;
 pub use format::{
     convert_tns_to_tnsb, read_tnsb_meta, write_tnsb, ChunkMeta, TnsbMeta, TnsbWriter,

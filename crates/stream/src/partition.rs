@@ -329,18 +329,12 @@ fn route_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ScratchDir;
     use crate::format::write_tnsb;
     use amped_partition::ModePlan;
     use amped_sim::MemPool;
     use amped_tensor::gen::GenSpec;
     use amped_tensor::SparseTensor;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("amped_streamplan_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn tensor() -> SparseTensor {
         GenSpec {
@@ -353,7 +347,8 @@ mod tests {
     }
 
     fn plan_of(t: &SparseTensor, name: &str, cap: usize, gpus: usize) -> StreamPlan {
-        let path = tmp(name);
+        let dir = ScratchDir::new("streamplan");
+        let path = dir.join(name);
         write_tnsb(t, &path, cap).unwrap();
         // Budget: one chunk payload + its coordinate scratch.
         let budget = cap as u64 * (t.elem_bytes() + t.order() as u64 * 4);
@@ -364,7 +359,6 @@ mod tests {
             0,
             "plan build must release all staging memory"
         );
-        std::fs::remove_file(path).ok();
         plan
     }
 
@@ -440,13 +434,13 @@ mod tests {
     #[test]
     fn insufficient_budget_fails_with_oom() {
         let t = tensor();
-        let path = tmp("oom.tnsb");
+        let dir = ScratchDir::new("streamplan");
+        let path = dir.join("oom.tnsb");
         write_tnsb(&t, &path, 512).unwrap();
         // Payload fits but the gather scratch does not.
         let mut r =
             ChunkReader::open(&path, MemPool::new("host-stage", 512 * t.elem_bytes())).unwrap();
         let err = StreamPlan::build(&mut r, 2, usize::MAX).unwrap_err();
         assert!(err.is_oom(), "expected staging OOM, got {err}");
-        std::fs::remove_file(path).ok();
     }
 }

@@ -171,6 +171,11 @@ fn ooc_run_records_chunk_metrics() {
     assert_eq!(reg.counter_value("ooc_chunk_reads", &[]), chunks);
     assert!(reg.counter_value("ooc_chunk_read_bytes", &[]) > 0);
     assert_eq!(reg.counter_value("ooc_chunk_stalls", &[]), 0);
+    // The chunk sort has a counter of its own beside the read's (its value
+    // is wall time, so only its presence is pinned here).
+    assert!(reg
+        .render_prometheus()
+        .contains("amped_ooc_chunk_sort_us_total"));
     assert_eq!(reg.counter_value("nnz_processed", &[]), t.nnz() as u64);
     assert_eq!(
         reg.gauge("ooc_resident_bytes").get(),

@@ -1,0 +1,293 @@
+//! The out-of-core engine on mode-sorted chunks: every chunk is sorted by the
+//! output mode as the last step of its decode and runs the kernel layer's
+//! row-run path. The sort is a deterministic stable key sort and the run
+//! path folds in block-index order, so the MTTKRP output is one set of
+//! **bits** — across prefetch depths, host worker counts and `rank_chunk`
+//! widths, whichever thread sorted a chunk, and equal to a host replay of
+//! the same sorted chunks through `mttkrp_host` — and stays within the usual
+//! tolerance of the `f64` oracle. Budgets tight enough to force the
+//! single-buffer fallback and a mid-run prefetch stall are part of the
+//! matrix, and every run must leave the staging budget empty with a peak no
+//! higher than its chunk window (payload plus the charged sort scratch).
+
+mod common;
+
+use amped::partition::isp_ranges;
+use amped::prelude::*;
+use amped::runtime::kernels::mttkrp_host;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::path::Path;
+
+const DEPTHS: [usize; 3] = [0, 1, 2];
+const WORKERS: [usize; 3] = [1, 2, 8];
+const RANK_CHUNKS: [usize; 3] = [1, 8, 32];
+const RANK: usize = 12;
+const ISP_NNZ: usize = 64;
+
+fn platform() -> PlatformSpec {
+    PlatformSpec::rtx6000_ada_node(2).scaled(1e-3)
+}
+
+fn config() -> AmpedConfig {
+    AmpedConfig {
+        rank: RANK,
+        isp_nnz: ISP_NNZ,
+        shard_nnz_budget: 1024,
+        ..Default::default()
+    }
+}
+
+/// A skewed tensor with `hot` of its nonzeros in row 3 of mode `hot_mode`.
+fn tensor(shape: &[Idx], nnz: usize, hot_mode: usize, hot: f64, seed: u64) -> SparseTensor {
+    let skew = (0..shape.len()).map(|m| 0.3 * m as f64).collect();
+    let base = GenSpec {
+        shape: shape.to_vec(),
+        nnz,
+        skew,
+        seed,
+    }
+    .generate();
+    // The generator drops duplicates, so small shapes yield fewer elements.
+    let nnz = base.nnz();
+    let mut indices = base.indices_flat().to_vec();
+    let hot_elems = (nnz as f64 * hot) as usize;
+    // Spread the hot elements over the file so every chunk holds some.
+    for e in (0..nnz).filter(|e| (e * hot_elems) / nnz != ((e + 1) * hot_elems) / nnz) {
+        indices[e * shape.len() + hot_mode] = 3;
+    }
+    SparseTensor::from_parts(shape.to_vec(), indices, base.values().to_vec())
+}
+
+fn factors(t: &SparseTensor, seed: u64) -> Vec<Mat> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    t.shape()
+        .iter()
+        .map(|&d| Mat::random(d as usize, RANK, &mut rng))
+        .collect()
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// One engine run of every mode at the given tunables: output bits per
+/// mode, the staging peak, and the stall and prefetch-hit counts.
+struct Run {
+    bits: Vec<Vec<u32>>,
+    stage_peak: u64,
+    stalls: u64,
+    prefetch_hits: u64,
+}
+
+fn engine_run(
+    path: &Path,
+    t: &SparseTensor,
+    fs: &[Mat],
+    budget: u64,
+    tune: TuneParams,
+    check_oracle: bool,
+) -> Run {
+    let reg = MetricsRegistry::new();
+    let rt = CpuParallelRuntime::new(platform()).with_metrics(reg.clone());
+    let mut e = OocEngine::with_runtime(path, Box::new(rt), config(), budget).unwrap();
+    e.set_tune(tune);
+    let mut out_bits = Vec::new();
+    for d in 0..t.order() {
+        let (out, _) = e.mttkrp_mode(d, fs).unwrap();
+        assert_eq!(
+            reg.gauge("ooc_resident_bytes").get(),
+            0.0,
+            "mode {d} left bytes in the staging budget ({tune:?})"
+        );
+        if check_oracle {
+            let want = mttkrp_ref(t, fs, d);
+            assert!(
+                out.approx_eq(&want, 1e-3, 1e-4),
+                "mode {d} diverged from the oracle by {} ({tune:?})",
+                out.max_abs_diff(&want)
+            );
+        }
+        out_bits.push(bits(out.as_slice()));
+    }
+    Run {
+        bits: out_bits,
+        stage_peak: e.stage_peak(),
+        stalls: reg.counter_value("ooc_chunk_stalls", &[]),
+        prefetch_hits: reg.counter_value("ooc_prefetch_hits", &[]),
+    }
+}
+
+/// The same MTTKRP without the engine: every chunk read sorted by `d`
+/// straight from the reader and launched over the engine's ISP blocks with
+/// `mttkrp_host`, all chunks accumulating into one output.
+fn host_replay(path: &Path, t: &SparseTensor, fs: &[Mat], d: usize) -> Vec<u32> {
+    let mut reader = ChunkReader::open(path, MemPool::new("replay", 1 << 40)).unwrap();
+    let views = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), RANK);
+    let out = MttkrpOut::zeros(t.dim(d) as usize, RANK);
+    for k in 0..reader.meta().num_chunks() {
+        let staged = reader.stage(k, Some(d)).unwrap();
+        let chunk = staged.read().unwrap();
+        reader.finish_stage(&chunk);
+        let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), t.order(), d);
+        let blocks = isp_ranges(0..chunk.nnz(), ISP_NNZ);
+        mttkrp_host(&src, d, &views, &blocks, &TuneParams::default(), &out);
+        reader.release(chunk);
+    }
+    bits(&out.to_vec())
+}
+
+/// Payload bytes and charged sort scratch of the largest chunk window a
+/// run at `depth` may hold: `depth + 1` chunks, each with the scratch of its
+/// widest mode (4 B per element and radix pass — one pass up to 2¹⁶ rows).
+fn window_bytes(t: &SparseTensor, cap: usize, depth: usize) -> u64 {
+    let passes = |dim: Idx| if dim <= 1 << 16 { 1 } else { 2 };
+    let scratch = t.shape().iter().map(|&d| passes(d) * 4).max().unwrap();
+    (depth as u64 + 1) * cap as u64 * (t.elem_bytes() + scratch)
+}
+
+/// The full matrix on one tensor with a roomy budget: one set of bits, equal
+/// to the host replay, within tolerance of the oracle, budget accounted.
+fn check_matrix(t: &SparseTensor, cap: usize, seed: u64) {
+    let dir = common::ScratchDir::new("prop_ooc_sorted");
+    let path = dir.join("t.tnsb");
+    write_tnsb(t, &path, cap).unwrap();
+    let fs = factors(t, seed);
+    let replay: Vec<Vec<u32>> = (0..t.order())
+        .map(|d| host_replay(&path, t, &fs, d))
+        .collect();
+    // Room for the planner's scan (chunk + coordinates) and a depth-2 window.
+    let budget = 4 * cap as u64 * (t.elem_bytes() + 8);
+    for depth in DEPTHS {
+        for workers in WORKERS {
+            for rank_chunk in RANK_CHUNKS {
+                let tune = TuneParams {
+                    prefetch_depth: depth,
+                    ooc_chunk_budget: depth + 1,
+                    workers,
+                    rank_chunk,
+                    ..Default::default()
+                };
+                // The oracle comparison is the same at every point of the
+                // matrix once the bits are; pay for it once per depth.
+                let oracle = workers == 1 && rank_chunk == 32;
+                let run = engine_run(&path, t, &fs, budget, tune, oracle);
+                assert_eq!(run.bits, replay, "{tune:?}");
+                // The planner's scan holds one chunk plus its coordinates;
+                // execution holds the chunk window.
+                let plan_scan = cap as u64 * (t.elem_bytes() + 4 * t.order() as u64);
+                let allowed = plan_scan.max(window_bytes(t, cap, depth));
+                assert!(
+                    run.stage_peak <= allowed,
+                    "stage peak {} above {allowed} ({tune:?})",
+                    run.stage_peak
+                );
+                if depth > 0 {
+                    assert!(run.prefetch_hits > 0, "{tune:?} never prefetched");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bits_are_one_set_on_a_skewed_3_mode_tensor_with_a_hot_row() {
+    // 93 % of the nonzeros in one row of mode 0: its run spans every block
+    // of every chunk, so the edge fold carries the whole row.
+    let t = tensor(&[90, 40, 70], 2600, 0, 0.93, 5);
+    let hot = (0..t.nnz()).filter(|&e| t.idx(e, 0) == 3).count();
+    assert!(hot * 10 > t.nnz() * 9, "hot row holds only {hot} elements");
+    check_matrix(&t, 400, 6);
+}
+
+#[test]
+fn bits_are_one_set_on_a_skewed_5_mode_tensor() {
+    let t = tensor(&[30, 24, 1, 16, 50], 2000, 4, 0.5, 7);
+    check_matrix(&t, 300, 8);
+}
+
+#[test]
+fn tight_budgets_change_the_cadence_never_the_bits() {
+    // Chunks of 100 / 100 / 100 / 90 elements (the generator may drop a
+    // few duplicates from the last).
+    let t = tensor(&[40, 30, 20], 390, 1, 0.3, 9);
+    assert!((386..=390).contains(&t.nnz()), "{} elements", t.nnz());
+    let dir = common::ScratchDir::new("prop_ooc_sorted");
+    let path = dir.join("tight.tnsb");
+    write_tnsb(&t, &path, 100).unwrap();
+    let fs = factors(&t, 10);
+    let replay: Vec<Vec<u32>> = (0..t.order())
+        .map(|d| host_replay(&path, &t, &fs, d))
+        .collect();
+    let elem = t.elem_bytes();
+    for workers in WORKERS {
+        let tune = TuneParams {
+            prefetch_depth: 1,
+            ooc_chunk_budget: 2,
+            workers,
+            ..Default::default()
+        };
+        // 185 elements: one chunk plus planning scratch, never two chunks
+        // (the smallest pair is 100 + 86) — the engine runs the blocking
+        // loop.
+        let single = engine_run(&path, &t, &fs, 185 * elem, tune, true);
+        assert_eq!(
+            single.bits, replay,
+            "single-buffer fallback, {workers} workers"
+        );
+        assert_eq!(single.prefetch_hits, 0, "fallback must not prefetch");
+        assert!(single.stage_peak <= 185 * elem);
+        // 240 elements: two full chunks never fit beside their sort scratch
+        // (100 + 100 + 25 + 25), the last pair does (100 + 90 + 25 + 22.5)
+        // — every attempt to widen the window past a full chunk stalls,
+        // and the run ends overlapped.
+        let squeezed = engine_run(&path, &t, &fs, 240 * elem, tune, true);
+        assert_eq!(squeezed.bits, replay, "mid-run stall, {workers} workers");
+        assert!(squeezed.stalls > 0, "the squeezed budget never stalled");
+        assert!(
+            squeezed.prefetch_hits > 0,
+            "the squeezed budget never prefetched"
+        );
+        assert!(squeezed.stage_peak <= 240 * elem);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Random shapes, chunk sizes and hot-row shares: the blocking loop at
+    /// one worker and the deepest pipeline at eight give the replay's bits.
+    #[test]
+    fn engine_bits_equal_the_host_replay(
+        d0 in 1u32..80,
+        d1 in 1u32..50,
+        d2 in 1u32..50,
+        nnz in 1usize..1500,
+        cap in 1usize..500,
+        hot in 0.0f64..0.95,
+        seed in 0u64..1000,
+    ) {
+        let t = tensor(&[d0.max(4), d1, d2], nnz, 0, hot, seed);
+        let dir = common::ScratchDir::new("prop_ooc_sorted");
+        let path = dir.join("p.tnsb");
+        write_tnsb(&t, &path, cap).unwrap();
+        let fs = factors(&t, seed ^ 0xabc);
+        let budget = 4 * cap as u64 * (t.elem_bytes() + 8);
+        let blocking = TuneParams { prefetch_depth: 0, workers: 1, rank_chunk: 1, ..Default::default() };
+        let deep = TuneParams {
+            prefetch_depth: 2,
+            ooc_chunk_budget: 3,
+            workers: 8,
+            rank_chunk: 8,
+            ..Default::default()
+        };
+        let a = engine_run(&path, &t, &fs, budget, blocking, true);
+        let b = engine_run(&path, &t, &fs, budget, deep, false);
+        for d in 0..3 {
+            let replay = host_replay(&path, &t, &fs, d);
+            prop_assert_eq!(&a.bits[d], &replay, "blocking loop, mode {}", d);
+            prop_assert_eq!(&b.bits[d], &replay, "depth-2 pipeline, mode {}", d);
+        }
+    }
+}
