@@ -112,16 +112,19 @@ cargo run -q -p amped-check -- lint
 cargo test -q -p amped-check --test interleave_claim \
   --test interleave_plan_modes --test interleave_prefetch
 
-echo "=== 16/17 kernel proptests at AMPED_THREADS in {1, 2, 4} ==="
+echo "=== 16/17 kernel and dense-update proptests at AMPED_THREADS in {1, 2, 4} ==="
 # The three kernel paths' bit contracts (tile: worker-count invariant and
 # ≤ 1 ulp from the f64 reference; compiled: bit-identical to it; run:
-# bit-equal to tile) and the OOC engine's on sorted chunks (one set of bits
-# across prefetch depth, workers and rank_chunk, equal to a host replay)
+# bit-equal to tile), the OOC engine's on sorted chunks (one set of bits
+# across prefetch depth, workers and rank_chunk, equal to a host replay) and
+# the dense update's (panel solve ≡ scalar oracle, dense_update ≡ the
+# sequential solve/normalize/gram, cp_als one set of bits on both engines)
 # must hold whatever the default host pool is. Stage 3 ran them at this
 # host's default; these runs pin the pool size.
 for threads in 1 2 4; do
   AMPED_THREADS=$threads cargo test -q --test prop_kernel_privatized \
-    --test prop_kernel_compiled --test prop_kernel_runs --test prop_ooc_sorted
+    --test prop_kernel_compiled --test prop_kernel_runs --test prop_ooc_sorted \
+    --test prop_dense_update
 done
 
 echo "=== 17/17 benchmark/check.sh (the benchmark's own gate + smoke run) ==="

@@ -14,7 +14,7 @@ fn bench_allgather(c: &mut Criterion) {
         let blocks: Vec<FactorBlock> = (0..m)
             .map(|g| FactorBlock {
                 rows: ((g * rows / m) as u32..((g + 1) * rows / m) as u32).collect(),
-                data: vec![g as f32; rows * rank / m],
+                data: vec![g as f32; rows * rank / m].into(),
             })
             .collect();
         group.throughput(Throughput::Bytes((rows * rank * 4) as u64));

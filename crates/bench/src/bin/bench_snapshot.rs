@@ -304,7 +304,7 @@ fn main() {
         let blocks: Vec<FactorBlock> = (0..m)
             .map(|g| FactorBlock {
                 rows: ((g * rows / m) as u32..((g + 1) * rows / m) as u32).collect(),
-                data: vec![g as f32; rows * rank / m],
+                data: vec![g as f32; rows * rank / m].into(),
             })
             .collect();
         push(

@@ -4,16 +4,25 @@
 //! each mode `d`, compute `M = X₍d₎ (⊙_{w≠d} A_w)` (the MTTKRP the engine
 //! accelerates), then solve the normal equations
 //! `Â_d = M (⊛_{w≠d} A_wᵀA_w)⁻¹`, normalize columns into λ, and continue.
-//! The tiny `R × R` solve runs on the host (its cost is negligible next to
-//! MTTKRP — which is exactly why MTTKRP is the bottleneck worth a paper).
+//!
+//! Only the `R × R` factorization of that system is small. Applying it is one
+//! triangular solve per factor row, and the column norms and the new Gram
+//! matrix are sweeps over the same `I_d` rows — on a tall tensor with few
+//! nonzeros per row that is as much host work as the MTTKRP itself. So the
+//! whole dense half of a mode update is one blocked step, [`dense_update`],
+//! split across the host workers in a way that keeps every output bit
+//! (DESIGN.md §15).
 //!
 //! The loop is generic over [`MttkrpEngine`], so the same ALS drives the
 //! in-core [`crate::engine::AmpedEngine`] and the out-of-core
 //! [`crate::ooc::OocEngine`].
 
 use crate::engine::MttkrpEngine;
-use amped_linalg::{cholesky, hadamard_grams, model_norm_sq, Mat};
+use amped_linalg::{
+    cholesky, div_cols, hadamard_grams, model_norm_sq, norms_from_sq_sums, CholFactor, Mat,
+};
 use amped_plan::{NnzCcp, Partitioner, PlanStats, RebalancingPlanner, UniformCost};
+use amped_runtime::smexec::{for_each_part_mut, host_workers};
 use amped_sim::metrics::RunReport;
 use amped_sim::SimError;
 use rand::rngs::SmallRng;
@@ -85,6 +94,79 @@ pub struct AlsResult {
     pub rebalances: usize,
 }
 
+/// The `rows × rank²` multiply-adds of a [`dense_update`] that repay one
+/// thread: a matrix is cut into as many parts as it has this much work for
+/// (and no more than there are workers), so one under twice this stays on
+/// the calling thread. Measured on a 2-vCPU host at rank 8 and rank 32: two
+/// parts break even with one at about 2¹⁹–2²⁰ in total, four scopes of
+/// roughly 40 µs each against 0.4 ns per multiply-add.
+const DENSE_PART_MIN_WORK: usize = 1 << 19;
+
+/// `parts + 1` ascending bounds cutting `0..units` into `parts` near-equal
+/// ranges (some empty when `parts > units`).
+fn even_bounds(units: usize, parts: usize) -> Vec<usize> {
+    (0..=parts).map(|k| units * k / parts).collect()
+}
+
+/// Bounds cutting the rows `0..n` of an upper triangle into `parts` bands of
+/// near-equal area: row `i` holds `n − i` cells, so the bands widen downwards.
+fn triangle_bounds(n: usize, parts: usize) -> Vec<usize> {
+    let area = n * (n + 1) / 2;
+    let mut bounds = vec![0];
+    let (mut i, mut above) = (0, 0);
+    for k in 1..parts {
+        while i < n && above < area * k / parts {
+            above += n - i;
+            i += 1;
+        }
+        bounds.push(i);
+    }
+    bounds.push(n);
+    bounds
+}
+
+/// The dense half of one ALS mode update, in place on the MTTKRP result
+/// `a`: solve the normal equations for every row (`Â = M V⁻¹` through
+/// `chol`), normalize the columns, and form the new Gram matrix. Returns
+/// `(λ, ÂᵀÂ)` and leaves the unit-column factor in `a`.
+///
+/// Each of the four passes is cut into at most `workers` parts that run
+/// side by side, and every cut keeps each output cell's arithmetic whole:
+/// the solve and the divide go by row ranges (rows are independent), the
+/// column norms by bands of columns and the Gram triangle by bands of its
+/// rows `i` (each cell still sums the factor rows in row order). The result
+/// is therefore the bits of `solve_mat_rows → normalize_cols → gram` at any
+/// worker count. How many parts a matrix is worth is read off its size
+/// (`DENSE_PART_MIN_WORK`); a small one is not cut at all.
+pub fn dense_update(chol: &CholFactor, a: &mut Mat, workers: usize) -> (Vec<f32>, Mat) {
+    let (rows, rank) = (a.rows(), a.cols());
+    assert_eq!(rank, chol.n(), "matrix width must match factor dimension");
+    let parts = (rows * rank * rank / DENSE_PART_MIN_WORK).clamp(1, workers.max(1));
+    let row_bounds: Vec<usize> = even_bounds(rows, parts).iter().map(|r| r * rank).collect();
+
+    for_each_part_mut(a.as_mut_slice(), &row_bounds, |_, part| {
+        chol.solve_rows(part)
+    });
+    let mut sq_sums = vec![0.0f64; rank];
+    for_each_part_mut(&mut sq_sums, &even_bounds(rank, parts), |c0, band| {
+        a.col_sq_sums(c0, band)
+    });
+    let lambda = norms_from_sq_sums(&sq_sums);
+    for_each_part_mut(a.as_mut_slice(), &row_bounds, |_, part| {
+        div_cols(part, &lambda)
+    });
+    let mut gram = Mat::zeros(rank, rank);
+    let gram_bounds: Vec<usize> = triangle_bounds(rank, parts)
+        .iter()
+        .map(|i| i * rank)
+        .collect();
+    for_each_part_mut(gram.as_mut_slice(), &gram_bounds, |at, band| {
+        a.gram_band(at / rank, band)
+    });
+    gram.mirror_upper();
+    (lambda, gram)
+}
+
 /// Runs CP-ALS using `engine` for every MTTKRP. The tensor and rank are the
 /// ones the engine was built with.
 pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsResult, SimError> {
@@ -115,6 +197,7 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
     // trace exported from them) nest `iteration=i/mode=d/shard=s`. With no
     // tracer `tl` is `None` and the loop body does nothing extra.
     let tl = engine.timeline();
+    let workers = host_workers();
     let registry = engine.metrics();
     let als_iterations = registry.counter("als_iterations");
     let mut rebalancer = opts
@@ -145,17 +228,19 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             iter_report.per_mode.push(timing.wall);
             iter_timings.push(timing);
 
+            let _dense_span = tl.as_ref().map(|t| t.span("dense", d as u64));
             let v = hadamard_grams(&grams, Some(d));
             let chol = cholesky(&v, 1e-12)
                 .ok_or_else(|| SimError::Unsupported("degenerate ALS normal equations".into()))?;
-            let mut a = m.clone();
-            chol.solve_mat_rows(&mut a);
-            lambda = a.normalize_cols();
-            grams[d] = a.gram();
+            // Only the last mode's MTTKRP result is read again (by the fit
+            // below); every other mode's becomes its factor in place.
+            let mut a = if d == n - 1 {
+                last_m.insert(m).clone()
+            } else {
+                m
+            };
+            (lambda, grams[d]) = dense_update(&chol, &mut a, workers);
             factors[d] = a;
-            if d == n - 1 {
-                last_m = Some(m);
-            }
         }
         iterations += 1;
         als_iterations.inc();
@@ -323,6 +408,66 @@ mod tests {
         assert!(res.report.total_time > 0.0);
         assert_eq!(res.factors.len(), 3);
         assert_eq!(res.lambda.len(), 2);
+    }
+
+    #[test]
+    fn bounds_cover_their_range_and_triangle_bands_balance() {
+        assert_eq!(even_bounds(10, 3), vec![0, 3, 6, 10]);
+        assert_eq!(even_bounds(2, 4), vec![0, 0, 1, 1, 2]);
+        assert_eq!(triangle_bounds(32, 1), vec![0, 32]);
+        assert_eq!(triangle_bounds(0, 3), vec![0, 0, 0, 0]);
+        for (n, parts) in [(32usize, 2usize), (32, 8), (7, 3), (3, 8)] {
+            let b = triangle_bounds(n, parts);
+            assert_eq!((b.len(), b[0], b[parts]), (parts + 1, 0, n));
+            let areas: Vec<usize> = b
+                .windows(2)
+                .map(|w| (w[0]..w[1]).map(|i| n - i).sum())
+                .collect();
+            // No band is more than one triangle row over its share.
+            let share = n * (n + 1) / 2 / parts;
+            assert!(
+                areas.iter().all(|&a| a <= share + n),
+                "{n}/{parts}: {areas:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_span_closes_before_the_next_mode_launches() {
+        use amped_runtime::{SimRuntime, TracingRuntime};
+        let (t, _) = low_rank(&[15, 15, 15], 2, 800, 0.0, 105);
+        let cfg = AmpedConfig {
+            rank: 2,
+            isp_nnz: 512,
+            shard_nnz_budget: 4096,
+            ..AmpedConfig::default()
+        };
+        let rt = TracingRuntime::new(SimRuntime::new(
+            PlatformSpec::rtx6000_ada_node(2).scaled(1e-3),
+        ));
+        let tl = rt.timeline();
+        let mut e = AmpedEngine::with_runtime(&t, Box::new(rt), cfg).unwrap();
+        let opts = AlsOptions {
+            max_iters: 2,
+            tol: 0.0,
+            ..Default::default()
+        };
+        cp_als(&mut e, &opts).unwrap();
+        // The dense update issues no runtime op, so its span labels none:
+        // every op still sits directly under `iteration/mode`, and the path
+        // is back at the root once the run returns.
+        let in_run: Vec<_> = tl
+            .snapshot()
+            .into_iter()
+            .filter(|r| !r.span.is_root())
+            .collect();
+        assert!(!in_run.is_empty());
+        for r in in_run {
+            let keys: Vec<_> = r.span.labels().iter().map(|l| l.key).collect();
+            assert_eq!(keys[..2], ["iteration", "mode"], "{}", r.span.render());
+            assert!(!keys.contains(&"dense"), "{}", r.span.render());
+        }
+        assert!(tl.current_span().is_root());
     }
 
     #[test]

@@ -855,7 +855,10 @@ fn gather_rows(
                 out.extend_rows(r.start as usize..r.end as usize, &mut data);
                 rows.extend(r);
             }
-            FactorBlock { rows, data }
+            FactorBlock {
+                rows,
+                data: data.into(),
+            }
         })
         .collect();
     let gathered = runtime.allgather_blocks(&blocks);

@@ -2,13 +2,19 @@
 
 use crate::Mat;
 
+/// Rows the panel kernel solves side by side. Eight `f64` lanes are four
+/// SSE2 (two AVX2) registers per operand: enough independent subtract
+/// chains to hide the latency a single row's chain is bound by.
+const PANEL: usize = 8;
+
 /// A lower-triangular Cholesky factor `L` with `V = L Lᵀ`, stored in `f64`
 /// for numerical stability (the `R × R` Hadamard-of-Grams matrix in ALS can be
 /// poorly conditioned once factors become collinear).
 #[derive(Clone, Debug)]
 pub struct CholFactor {
     n: usize,
-    l: Vec<f64>, // row-major lower triangle, full n×n storage
+    l: Vec<f64>,  // row-major lower triangle, full n×n storage
+    lt: Vec<f64>, // `Lᵀ`, row-major: back substitution reads rows, not columns
 }
 
 /// Factorizes the symmetric positive (semi-)definite matrix `v`.
@@ -57,7 +63,13 @@ fn try_cholesky(v: &Mat, jitter: f64) -> Option<CholFactor> {
             }
         }
     }
-    Some(CholFactor { n, l })
+    let mut lt = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            lt[j * n + i] = l[i * n + j];
+        }
+    }
+    Some(CholFactor { n, l, lt })
 }
 
 impl CholFactor {
@@ -66,27 +78,15 @@ impl CholFactor {
         self.n
     }
 
+    /// The factor `L`, row-major `n × n` with the strict upper triangle zero.
+    pub fn l(&self) -> &[f64] {
+        &self.l
+    }
+
     /// Solves `V x = b` in place (`b` holds the solution on return).
     pub fn solve_row(&self, b: &mut [f32]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let n = self.n;
-        let mut y = vec![0.0f64; n];
-        // Forward substitution: L y = b.
-        for i in 0..n {
-            let mut sum = b[i] as f64;
-            for (k, &yk) in y[..i].iter().enumerate() {
-                sum -= self.l[i * n + k] * yk;
-            }
-            y[i] = sum / self.l[i * n + i];
-        }
-        // Backward substitution: Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (k, &bk) in b.iter().enumerate().skip(i + 1) {
-                sum -= self.l[k * n + i] * (bk as f64);
-            }
-            b[i] = (sum / self.l[i * n + i]) as f32;
-        }
+        self.solve_rows(b);
     }
 
     /// Solves `V xᵀ = rowᵀ` for every row of `m`, in place.
@@ -95,8 +95,79 @@ impl CholFactor {
     /// symmetric), applied row by row to the MTTKRP output `M`.
     pub fn solve_mat_rows(&self, m: &mut Mat) {
         assert_eq!(m.cols(), self.n, "matrix width must match factor dimension");
-        for r in 0..m.rows() {
-            self.solve_row(m.row_mut(r));
+        self.solve_rows(m.as_mut_slice());
+    }
+
+    /// Solves every `n`-wide row packed in `rows`, in place: the one solve
+    /// this crate has. Rows are independent, so any split of a matrix into
+    /// row ranges solved separately gives the same bits as one call.
+    ///
+    /// Full groups of `PANEL` (8) rows go through the kernel side by side, the
+    /// rest one at a time through the same kernel at one lane. One scratch
+    /// panel is allocated per call, none per row.
+    pub fn solve_rows(&self, rows: &mut [f32]) {
+        let n = self.n;
+        if n == 0 {
+            assert!(rows.is_empty(), "a 0 × 0 factor solves no rows");
+            return;
+        }
+        assert_eq!(rows.len() % n, 0, "rows must pack whole n-wide rows");
+        let mut y = vec![0.0f64; n * PANEL];
+        let mut panels = rows.chunks_exact_mut(n * PANEL);
+        for panel in &mut panels {
+            self.solve_panel::<PANEL>(panel, &mut y);
+        }
+        for row in panels.into_remainder().chunks_exact_mut(n) {
+            self.solve_panel::<1>(row, &mut y[..n]);
+        }
+    }
+
+    /// Forward then back substitution on `P` packed rows at once. `y` is the
+    /// `n × P` scratch panel, column `i` of all `P` rows adjacent, so each
+    /// substitution step is one multiply-subtract across the rows — which
+    /// vectorises — instead of a chain within one. Lanes never mix, and each
+    /// lane does what the scalar textbook loop does in the same order: start
+    /// from `b_i`, subtract the `k` terms ascending, divide; back
+    /// substitution reads the `x_k` already rounded to `f32` and widened
+    /// again. So the result is that loop's, bit for bit, at any `P`.
+    fn solve_panel<const P: usize>(&self, rows: &mut [f32], y: &mut [f64]) {
+        let n = self.n;
+        // Forward substitution: L y = b.
+        for i in 0..n {
+            let mut sum = [0.0f64; P];
+            for (p, s) in sum.iter_mut().enumerate() {
+                *s = rows[p * n + i] as f64;
+            }
+            let l_row = &self.l[i * n..i * n + i];
+            for (&lik, yk) in l_row.iter().zip(y.chunks_exact(P)) {
+                for (s, &ykp) in sum.iter_mut().zip(yk) {
+                    *s -= lik * ykp;
+                }
+            }
+            let diag = self.l[i * n + i];
+            for (yi, s) in y[i * P..(i + 1) * P].iter_mut().zip(sum) {
+                *yi = s / diag;
+            }
+        }
+        // Backward substitution: Lᵀ x = y, with x overwriting y from the
+        // bottom up.
+        for i in (0..n).rev() {
+            let (head, solved) = y.split_at_mut((i + 1) * P);
+            let yi = &mut head[i * P..];
+            let mut sum = [0.0f64; P];
+            sum.copy_from_slice(yi);
+            let lt_row = &self.lt[i * n + i + 1..(i + 1) * n];
+            for (&lki, xk) in lt_row.iter().zip(solved.chunks_exact(P)) {
+                for (s, &xkp) in sum.iter_mut().zip(xk) {
+                    *s -= lki * xkp;
+                }
+            }
+            let diag = self.l[i * n + i];
+            for (p, (yip, s)) in yi.iter_mut().zip(sum).enumerate() {
+                let x = (s / diag) as f32;
+                rows[p * n + i] = x;
+                *yip = x as f64;
+            }
         }
     }
 }
@@ -146,6 +217,30 @@ mod tests {
             let mut row = m.row(r).to_vec();
             f.solve_row(&mut row);
             assert_eq!(all.row(r), row.as_slice());
+        }
+    }
+
+    #[test]
+    fn row_ranges_solve_to_the_bits_of_one_call() {
+        // 21 rows: two full panels and a five-row tail in one call; the
+        // split at row 3 moves every row to a different lane or to the tail.
+        let v = spd(7, 3);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let m = Mat::random(21, 7, &mut rng);
+        let f = cholesky(&v, 0.0).unwrap();
+
+        let mut all = m.clone();
+        f.solve_mat_rows(&mut all);
+        let mut split = m.clone();
+        let (top, bottom) = split.as_mut_slice().split_at_mut(3 * 7);
+        f.solve_rows(top);
+        f.solve_rows(bottom);
+        assert_eq!(split, all);
+        // x = V⁻¹ b really is what came out.
+        let x = all.row(20);
+        for i in 0..7 {
+            let b: f32 = (0..7).map(|j| v.get(i, j) * x[j]).sum();
+            assert!((b - m.get(20, i)).abs() < 1e-3);
         }
     }
 

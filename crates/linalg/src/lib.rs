@@ -1,14 +1,21 @@
 //! Small dense linear algebra used by CP-ALS and the MTTKRP kernels.
 //!
-//! Factor matrices in CP decomposition are tall-skinny (`I_d × R` with `R ≈ 32`),
-//! and the per-iteration dense work is tiny compared to the sparse MTTKRP:
-//! `R × R` Gram matrices, Hadamard products of Grams, and one SPD solve per
-//! factor row. This crate implements exactly that surface — row-major `f32`
-//! storage (matching the GPU baselines evaluated in the paper) with `f64`
-//! internal accumulation where it matters for stability.
+//! Factor matrices in CP decomposition are tall-skinny (`I_d × R` with `R ≈ 32`).
+//! The `R × R` part of an ALS mode update — Gram matrices, their Hadamard
+//! product, one Cholesky factorization — is tiny. The `I_d`-proportional part
+//! is not: one SPD solve per factor row, the column norms and the new Gram
+//! matrix are sweeps over every row, and on a tall tensor with few nonzeros
+//! per row they cost as much as the sparse MTTKRP. This crate implements
+//! exactly that surface — row-major `f32` storage (matching the GPU baselines
+//! evaluated in the paper) with `f64` internal accumulation where it matters
+//! for stability.
 //!
-//! Nothing in here allocates in inner loops; all kernels are cache-friendly
-//! row-major sweeps.
+//! The row-proportional kernels work on packed rows and on bands
+//! ([`CholFactor::solve_rows`], [`Mat::col_sq_sums`], [`div_cols`],
+//! [`Mat::gram_band`]), each documented with the split under which its
+//! output bits do not change, so a caller may run the parts side by side;
+//! the crate itself starts no thread. Scratch is allocated once per call,
+//! never per row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,5 +25,5 @@ mod mat;
 mod ops;
 
 pub use chol::{cholesky, CholFactor};
-pub use mat::Mat;
+pub use mat::{div_cols, norms_from_sq_sums, Mat};
 pub use ops::{hadamard_grams, khatri_rao, model_norm_sq};

@@ -120,26 +120,56 @@ impl Mat {
     /// Gram matrix `AᵀA` (`cols × cols`), accumulated in `f64`.
     pub fn gram(&self) -> Mat {
         let n = self.cols;
-        let mut acc = vec![0.0f64; n * n];
+        let mut out = Mat::zeros(n, n);
+        self.gram_band(0, &mut out.data);
+        out.mirror_upper();
+        out
+    }
+
+    /// Rows `i0..i0 + out.len() / cols` of the upper triangle of `AᵀA`,
+    /// written into `out` (those rows of the Gram matrix, packed; entries
+    /// left of the diagonal are not touched). Every cell is accumulated in
+    /// `f64` down the rows of `self` in row order and rounded once, so
+    /// cutting the triangle into bands of `i` computed separately gives the
+    /// bits of [`Mat::gram`]; [`Mat::mirror_upper`] completes the matrix.
+    pub fn gram_band(&self, i0: usize, out: &mut [f32]) {
+        let n = self.cols;
+        if n == 0 {
+            return;
+        }
+        assert_eq!(out.len() % n, 0, "out must pack whole Gram rows");
+        assert!(i0 + out.len() / n <= n, "band runs past the last Gram row");
+        let mut acc = vec![0.0f64; out.len()];
+        // The row widened once, not once per `i`.
+        let mut row = vec![0.0f64; n];
         for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..n {
-                let ri = row[i] as f64;
+            for (w, &v) in row[i0..].iter_mut().zip(&self.row(r)[i0..]) {
+                *w = v as f64;
+            }
+            for (acc_i, i) in acc.chunks_exact_mut(n).zip(i0..) {
+                let ri = row[i];
                 // Symmetric: accumulate the upper triangle only.
-                for j in i..n {
-                    acc[i * n + j] += ri * row[j] as f64;
+                for (a, &rj) in acc_i[i..].iter_mut().zip(&row[i..]) {
+                    *a += ri * rj;
                 }
             }
         }
-        let mut out = Mat::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = acc[i * n + j] as f32;
-                out.set(i, j, v);
-                out.set(j, i, v);
+        for ((out_i, acc_i), i) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)).zip(i0..) {
+            for (o, &a) in out_i[i..].iter_mut().zip(&acc_i[i..]) {
+                *o = a as f32;
             }
         }
-        out
+    }
+
+    /// Copies the upper triangle of a square matrix onto the lower one.
+    pub fn mirror_upper(&mut self) {
+        assert_eq!(self.rows, self.cols, "only a square matrix has a mirror");
+        let n = self.cols;
+        for i in 0..n {
+            for j in i + 1..n {
+                self.data[j * n + i] = self.data[i * n + j];
+            }
+        }
     }
 
     /// Dense product `self × other`.
@@ -223,23 +253,45 @@ impl Mat {
     /// Normalizes every column to unit Euclidean norm, returning the norms
     /// (the CP weight vector λ). Zero columns are left untouched with λ = 0.
     pub fn normalize_cols(&mut self) -> Vec<f32> {
-        let mut norms = vec![0.0f64; self.cols];
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (c, &v) in row.iter().enumerate() {
-                norms[c] += (v as f64) * (v as f64);
-            }
-        }
-        let norms: Vec<f32> = norms.iter().map(|&n| n.sqrt() as f32).collect();
-        for r in 0..self.rows {
-            let row = self.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                if norms[c] > 0.0 {
-                    *v /= norms[c];
-                }
-            }
-        }
+        let mut sq = vec![0.0f64; self.cols];
+        self.col_sq_sums(0, &mut sq);
+        let norms = norms_from_sq_sums(&sq);
+        div_cols(&mut self.data, &norms);
         norms
+    }
+
+    /// Sums of squares of the columns `c0..c0 + out.len()`, each accumulated
+    /// in `f64` down the rows in row order — so bands of columns summed
+    /// separately give the bits of one sweep over all of them.
+    pub fn col_sq_sums(&self, c0: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        let cols = c0..c0 + out.len();
+        for r in 0..self.rows {
+            for (o, &v) in out.iter_mut().zip(&self.row(r)[cols.clone()]) {
+                *o += (v as f64) * (v as f64);
+            }
+        }
+    }
+}
+
+/// Column norms from the sums [`Mat::col_sq_sums`] returns.
+pub fn norms_from_sq_sums(sq: &[f64]) -> Vec<f32> {
+    sq.iter().map(|&s| s.sqrt() as f32).collect()
+}
+
+/// Divides column `c` of every `norms.len()`-wide row packed in `rows` by
+/// `norms[c]`; a column whose norm is not positive is left untouched. Entry
+/// by entry, so any split into row ranges gives the same bits.
+pub fn div_cols(rows: &mut [f32], norms: &[f32]) {
+    if norms.is_empty() {
+        return;
+    }
+    for row in rows.chunks_exact_mut(norms.len()) {
+        for (v, &norm) in row.iter_mut().zip(norms) {
+            if norm > 0.0 {
+                *v /= norm;
+            }
+        }
     }
 }
 
@@ -320,6 +372,40 @@ mod tests {
         assert!((a.get(1, 0) - 0.8).abs() < 1e-6);
         // Zero column untouched.
         assert_eq!(a.get(0, 1), 0.0);
+    }
+
+    #[test]
+    fn gram_bands_assemble_the_gram_in_bits() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let a = Mat::random(57, 7, &mut rng);
+        let whole = a.gram();
+        // Uneven bands, one of them empty.
+        let mut banded = Mat::zeros(7, 7);
+        for (i0, i1) in [(0usize, 1usize), (1, 1), (1, 5), (5, 7)] {
+            a.gram_band(i0, &mut banded.as_mut_slice()[i0 * 7..i1 * 7]);
+        }
+        assert_eq!(banded.get(3, 1), 0.0, "bands write the upper triangle only");
+        banded.mirror_upper();
+        assert_eq!(banded, whole);
+    }
+
+    #[test]
+    fn column_bands_and_row_ranges_normalize_in_bits() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let a = Mat::random(40, 6, &mut rng);
+        let mut whole = a.clone();
+        let lambda = whole.normalize_cols();
+
+        let mut sq = vec![7.0f64; 6]; // stale values are overwritten
+        let (left, right) = sq.split_at_mut(2);
+        a.col_sq_sums(0, left);
+        a.col_sq_sums(2, right);
+        assert_eq!(norms_from_sq_sums(&sq), lambda);
+        let mut split = a.clone();
+        let (top, bottom) = split.as_mut_slice().split_at_mut(13 * 6);
+        div_cols(top, &lambda);
+        div_cols(bottom, &lambda);
+        assert_eq!(split, whole);
     }
 
     #[test]

@@ -32,8 +32,10 @@ pub enum Collective {
 pub struct FactorBlock {
     /// Output-row indices, in the order `data` packs them.
     pub rows: Vec<u32>,
-    /// Row-major packed row values.
-    pub data: Vec<f32>,
+    /// Row-major packed row values. Shared: the functional all-gathers
+    /// forward a block M² times per mode, and every hop of this payload is a
+    /// reference bump, not a copy of the factor rows.
+    pub data: std::sync::Arc<[f32]>,
 }
 
 /// The device abstraction the whole system executes through.

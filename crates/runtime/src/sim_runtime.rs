@@ -367,7 +367,7 @@ mod tests {
         let blocks: Vec<FactorBlock> = (0..4)
             .map(|g| FactorBlock {
                 rows: vec![g as u32],
-                data: vec![g as f32; 8],
+                data: vec![g as f32; 8].into(),
             })
             .collect();
         let gathered = r.allgather_blocks(&blocks);
@@ -401,7 +401,7 @@ mod tests {
         let blocks: Vec<FactorBlock> = (0..4)
             .map(|g| FactorBlock {
                 rows: vec![g as u32],
-                data: vec![g as f32; 8],
+                data: vec![g as f32; 8].into(),
             })
             .collect();
         let gathered = r.allgather_blocks(&blocks);

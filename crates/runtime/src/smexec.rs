@@ -127,6 +127,47 @@ where
     .expect("grid worker panicked");
 }
 
+/// Runs `f(bounds[k], &mut data[bounds[k]..bounds[k + 1]])` for every
+/// non-empty part `k`, each part on a host thread of its own: the last on the
+/// calling thread, the others on scoped threads that are joined before this
+/// returns. One part (or none) spawns nothing. The caller sizes the pool by
+/// how many parts it cuts — at most [`host_workers`], for work long enough
+/// to repay a spawn — and `f` is handed its part's offset so it can find
+/// the matching range of whatever it reads beside `data`.
+///
+/// `bounds` must ascend from 0 to `data.len()`. A panic in any part
+/// propagates to the caller once every part has stopped.
+pub fn for_each_part_mut<T, F>(data: &mut [T], bounds: &[usize], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert_eq!(bounds.first(), Some(&0), "bounds start at 0");
+    assert_eq!(bounds.last(), Some(&data.len()), "bounds end at the length");
+    let mut parts = Vec::with_capacity(bounds.len() - 1);
+    let mut rest = data;
+    for w in bounds.windows(2) {
+        let (part, tail) = rest.split_at_mut(w[1] - w[0]);
+        rest = tail;
+        if !part.is_empty() {
+            parts.push((w[0], part));
+        }
+    }
+    let Some((last_at, last)) = parts.pop() else {
+        return;
+    };
+    let f = &f;
+    let joined = crossbeam::thread::scope(|s| {
+        for (at, part) in parts {
+            s.spawn(move |_| f(at, part));
+        }
+        f(last_at, last);
+    });
+    if let Err(payload) = joined {
+        std::panic::resume_unwind(payload);
+    }
+}
+
 /// Executes a grid: runs `kernel(block_index)` for every block of the grid
 /// (one block per entry of `costs`) on up to `workers` host threads via
 /// [`execute_blocks`], and returns the simulated [`GridTiming`] of
@@ -213,6 +254,39 @@ mod tests {
             execute_blocks(workers, 37, |b| hits.add(0, b, 1.0));
             assert_eq!(hits.to_vec(), vec![1.0; 37]);
         }
+    }
+
+    #[test]
+    fn for_each_part_mut_covers_every_part_once_with_its_offset() {
+        // Uneven parts, empty parts at either end and in the middle.
+        let bounds = [0usize, 0, 3, 3, 10, 37, 37];
+        let mut data = vec![0u32; 37];
+        for_each_part_mut(&mut data, &bounds, |at, part| {
+            for (k, v) in part.iter_mut().enumerate() {
+                *v += (at + k) as u32 + 1;
+            }
+        });
+        let want: Vec<u32> = (1..=37).collect();
+        assert_eq!(data, want);
+        // One part and no part run on the caller.
+        let caller = std::thread::current().id();
+        for_each_part_mut(&mut data, &[0, 37], |_, _| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        for_each_part_mut(&mut [0u8; 0], &[0, 0], |_, _| panic!("no part to run"));
+    }
+
+    #[test]
+    fn panic_in_a_part_propagates_to_the_caller() {
+        let r = std::panic::catch_unwind(|| {
+            let mut data = [0u8; 4];
+            for_each_part_mut(&mut data, &[0, 2, 4], |at, _| {
+                if at == 0 {
+                    panic!("part 0 exploded");
+                }
+            });
+        });
+        assert!(r.is_err(), "a spawned part's panic must propagate");
     }
 
     #[test]

@@ -561,11 +561,11 @@ mod tests {
         let blocks = vec![
             FactorBlock {
                 rows: vec![0],
-                data: vec![1.0; 4],
+                data: vec![1.0; 4].into(),
             },
             FactorBlock {
                 rows: vec![1],
-                data: vec![2.0; 4],
+                data: vec![2.0; 4].into(),
             },
         ];
         assert_eq!(

@@ -429,7 +429,8 @@ pub fn warn_once(key: &str, message: &str) -> bool {
 }
 
 /// Maximum number of host threads used to execute grids and other
-/// host-parallel work (kernel blocks, multi-mode planning). Simulated time
+/// host-parallel work (kernel blocks, multi-mode planning, the dense half of
+/// an ALS mode update). Simulated time
 /// is independent of this; it only bounds real CPU usage.
 ///
 /// Defaults to `min(available_parallelism, 8)`. The `AMPED_THREADS`

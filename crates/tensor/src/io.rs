@@ -327,12 +327,10 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let t = GenSpec::uniform(vec![10, 10], 50, 1).generate();
-        let dir = std::env::temp_dir().join("amped_tns_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::common::ScratchDir::new("tns");
         let path = dir.join("t.tns");
         write_tns_file(&t, &path).unwrap();
         let back = read_tns_file(&path).unwrap();
         assert_eq!(back.nnz(), t.nnz());
-        std::fs::remove_file(path).ok();
     }
 }

@@ -27,6 +27,12 @@ pub mod io;
 pub mod stats;
 mod zipf;
 
+/// The integration tests' scratch-directory helper, shared by this crate's
+/// unit tests: one unique-per-call directory, removed on drop.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 pub use coo::{ElemRef, SparseTensor};
 pub use zipf::Zipf;
 

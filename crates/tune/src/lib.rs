@@ -38,6 +38,12 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// The integration tests' scratch-directory helper, shared by this crate's
+/// unit tests: one unique-per-call directory, removed on drop.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 /// Largest probe shard the search benchmarks candidates on. Subsampling is
 /// strided, so the probe keeps the original's index distribution.
 pub const MAX_PROBE_NNZ: usize = 32_768;
@@ -528,12 +534,7 @@ fn search_grid(order: usize, rank: usize, coords: &[Idx], vals: &[Val]) -> TuneP
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_file(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("amped_tune_test");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
-    }
+    use crate::common::ScratchDir;
 
     fn tensor() -> SparseTensor {
         GenSpec::uniform(vec![50, 40, 30], 3000, 17).generate()
@@ -541,8 +542,8 @@ mod tests {
 
     #[test]
     fn search_persist_reload_round_trips_exactly() {
-        let path = tmp_file("roundtrip.json");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("tune");
+        let path = dir.join("roundtrip.json");
         let reg = MetricsRegistry::new();
         let t = tensor();
 
@@ -576,7 +577,8 @@ mod tests {
 
     #[test]
     fn poisoned_cache_is_a_recoverable_error_and_research_never_panics() {
-        let path = tmp_file("poisoned.json");
+        let dir = ScratchDir::new("tune");
+        let path = dir.join("poisoned.json");
         std::fs::write(&path, "{ this is not json").expect("write poison");
         assert!(
             matches!(
@@ -602,6 +604,7 @@ mod tests {
 
     #[test]
     fn structurally_invalid_caches_are_malformed_not_panics() {
+        let dir = ScratchDir::new("tune");
         for (name, body) in [
             ("arr.json", "[1, 2, 3]"),
             ("noentries.json", r#"{"version": 1}"#),
@@ -615,7 +618,7 @@ mod tests {
                 r#"{"entries": {"k": {"rank_chunk": 32}}}"#,
             ),
         ] {
-            let path = tmp_file(name);
+            let path = dir.join(name);
             std::fs::write(&path, body).expect("write");
             assert!(
                 matches!(
@@ -648,7 +651,8 @@ mod tests {
     fn pre_dispatch_caches_load_with_the_elementwise_default() {
         // A cache written before the dispatch axis existed (no "dispatch"
         // field) must stay loadable — and resolve to the bit-exact default.
-        let path = tmp_file("predispatch.json");
+        let dir = ScratchDir::new("tune");
+        let path = dir.join("predispatch.json");
         std::fs::write(
             &path,
             r#"{"entries": {"k": {"rank_chunk": 32, "workers": 2,
@@ -662,7 +666,8 @@ mod tests {
 
     #[test]
     fn dispatch_field_round_trips_and_rejects_garbage() {
-        let path = tmp_file("dispatch.json");
+        let dir = ScratchDir::new("tune");
+        let path = dir.join("dispatch.json");
         std::fs::write(
             &path,
             r#"{"entries": {"k": {"rank_chunk": 8, "workers": 1,

@@ -1,6 +1,7 @@
 //! Shared helpers for the integration tests (`mod common;` in each binary)
 //! and, through a `#[cfg(test)] #[path]` include, for the unit tests of
-//! `amped-stream` and `amped-core` — so keep this file free of `amped` paths.
+//! `amped-stream`, `amped-core`, `amped-tune` and `amped-tensor` — so keep
+//! this file free of `amped` paths.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
