@@ -9,30 +9,36 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== 1/17 cargo fmt --check ==="
+echo "=== 1/15 cargo fmt --check ==="
 cargo fmt --check
 
-echo "=== 2/17 cargo build --release ==="
+echo "=== 2/15 cargo build --release ==="
 cargo build --release
 
-echo "=== 3/17 cargo test -q ==="
-cargo test -q
+echo "=== 3/15 cargo test -q at AMPED_THREADS in {1, 2, 4} ==="
+# The whole suite, three times: every bit contract (kernel paths, OOC engine
+# on sorted chunks, dense update, cp_als on both engines) and everything
+# else must hold whatever the host worker pool is, not just at this host's
+# default. About 90 s per warm pass on 2 vCPUs.
+for threads in 1 2 4; do
+  AMPED_THREADS=$threads cargo test -q
+done
 
-echo "=== 4/17 cargo clippy --all-targets -- -D warnings ==="
+echo "=== 4/15 cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets -- -D warnings
 
-echo "=== 5/17 cargo doc --no-deps (warnings denied) ==="
+echo "=== 5/15 cargo doc --no-deps (warnings denied) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "=== 6/17 cargo bench -p amped-bench -- --test (smoke) ==="
+echo "=== 6/15 cargo bench -p amped-bench -- --test (smoke) ==="
 cargo bench -p amped-bench -- --test
 
-echo "=== 7/17 cluster example (smoke) ==="
+echo "=== 7/15 cluster example (smoke) ==="
 # The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
 # HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
 cargo run --release --example cluster
 
-echo "=== 8/17 trace_export (observability artifacts, self-validating) ==="
+echo "=== 8/15 trace_export (observability artifacts, self-validating) ==="
 # Small ALS runs on both engines with metrics + span tracing attached. The
 # binary asserts its own output: the Chrome traces parse through the
 # serde_json shim, carry one named track per device with nested
@@ -41,7 +47,7 @@ echo "=== 8/17 trace_export (observability artifacts, self-validating) ==="
 # layer broke.
 cargo run --release -p amped-bench --bin trace_export target/trace_export
 
-echo "=== 9/17 ec_kernel smoke + bench_diff BENCH_pr5.json BENCH_pr6.json (gating) ==="
+echo "=== 9/15 ec_kernel smoke + bench_diff BENCH_pr5.json BENCH_pr6.json (gating) ==="
 # The kernel-layer smoke: the elementwise bench compiles and runs, and the
 # committed pr6 snapshot shows the privatized parallel kernel beating the
 # sequential oracle. The assert-faster check compares two rows of the *same*
@@ -51,7 +57,7 @@ cargo bench -p amped-bench --bench ec_kernel -- --test
 cargo run --release -p amped-bench --bin bench_diff -- BENCH_pr5.json BENCH_pr6.json \
   "--assert-faster=ec_kernel/parallel_privatized/r32,ec_kernel/sequential/r32"
 
-echo "=== 10/17 bench_diff BENCH_pr6.json BENCH_pr7.json (obs overhead gate) ==="
+echo "=== 10/15 bench_diff BENCH_pr6.json BENCH_pr7.json (obs overhead gate) ==="
 # The observability overhead contract: in the committed pr7 snapshot the
 # fully instrumented MTTKRP (metrics + tracing attached) must sit within 5%
 # of the uninstrumented run. Both rows come from the same snapshot, so the
@@ -59,20 +65,20 @@ echo "=== 10/17 bench_diff BENCH_pr6.json BENCH_pr7.json (obs overhead gate) ===
 cargo run --release -p amped-bench --bin bench_diff -- BENCH_pr6.json BENCH_pr7.json \
   "--assert-within=obs/mttkrp_instrumented,obs/mttkrp_uninstrumented,5"
 
-echo "=== 11/17 bench_diff BENCH_pr4.json BENCH_pr5.json (informational) ==="
+echo "=== 11/15 bench_diff BENCH_pr4.json BENCH_pr5.json (informational) ==="
 # Snapshot deltas across machines are noise-prone; this stage prints the
 # table but never fails CI (add --fail-on-regression for a gating run).
 cargo run --release -p amped-bench --bin bench_diff -- BENCH_pr4.json BENCH_pr5.json \
   || echo "bench_diff could not run (informational stage, not a CI failure)"
 
-echo "=== 12/17 tune_smoke (autotune cold search + warm cache hit) ==="
+echo "=== 12/15 tune_smoke (autotune cold search + warm cache hit) ==="
 # Cold engine construction must run exactly one grid search and persist the
 # winner; a second construction over the same cache file must resolve
 # identical parameters with zero searches. Asserted through the
 # tune_searches / tune_cache_hits counters inside the binary.
 cargo run --release -p amped-bench --bin tune_smoke
 
-echo "=== 13/17 bench_diff BENCH_pr7.json BENCH_pr8.json (autotuned-execution gates) ==="
+echo "=== 13/15 bench_diff BENCH_pr7.json BENCH_pr8.json (autotuned-execution gates) ==="
 # Single-name --assert-faster is the cross-snapshot form: pr8's row must
 # strictly beat pr7's same-named row (batched slab decode for the OOC
 # stream; counting-based shard stats + parallel fan-out for planning).
@@ -86,48 +92,20 @@ cargo run --release -p amped-bench --bin bench_diff -- BENCH_pr7.json BENCH_pr8.
   "--assert-faster=partition/all_modes/200k" \
   "--assert-within=partition/all_modes/200k,partition/single_mode_x3/200k,50"
 
-echo "=== 14/17 bench_diff BENCH_pr8.json BENCH_pr9.json (compiled-shard gates) ==="
-# The sort-once, iterate-many contract. Within the pr9 snapshot (machine-
-# consistent, safe to gate): the compiled segmented-reduction kernel must
-# beat the privatized elementwise kernel at the paper's default rank — the
-# whole point of paying the compile. Cross-snapshot (this machine's history):
-# the stream rows now run the compiled dispatch with warm caches, so both
-# the out-of-core and in-core 150k MTTKRPs must strictly beat their pr8
-# elementwise medians.
-cargo run --release -p amped-bench --bin bench_diff -- BENCH_pr8.json BENCH_pr9.json \
-  "--assert-faster=ec_kernel/compiled_segmented/r32,ec_kernel/parallel_privatized/r32" \
-  "--assert-faster=stream/ooc_mttkrp/150k" \
-  "--assert-faster=stream/in_core_mttkrp/150k"
-
-
-echo "=== 15/17 amped-check lint + bounded-interleaving suites ==="
+echo "=== 14/15 amped-check lint + bounded-interleaving suites ==="
 # The architectural gate (DESIGN.md §14). The lint must exit zero against
 # the committed check-baseline.toml — any NEW violation (stray atomic or
 # thread spawn outside the concurrency layer, naked unwrap in lib code,
 # unjustified Ordering::Relaxed, f32 += outside the kernel layer, duplicate
-# warn_once key) fails the build; frozen legacy debt does not. The three
-# interleaving suites then re-prove the claim-counter, plan_modes, and OOC
-# prefetch protocols over every bounded schedule.
+# warn_once key, fixed name under temp_dir()) fails the build; frozen legacy
+# debt does not. The three interleaving suites then re-prove the
+# claim-counter, plan_modes, and OOC prefetch protocols over every bounded
+# schedule.
 cargo run -q -p amped-check -- lint
 cargo test -q -p amped-check --test interleave_claim \
   --test interleave_plan_modes --test interleave_prefetch
 
-echo "=== 16/17 kernel and dense-update proptests at AMPED_THREADS in {1, 2, 4} ==="
-# The three kernel paths' bit contracts (tile: worker-count invariant and
-# ≤ 1 ulp from the f64 reference; compiled: bit-identical to it; run:
-# bit-equal to tile), the OOC engine's on sorted chunks (one set of bits
-# across prefetch depth, workers and rank_chunk, equal to a host replay) and
-# the dense update's (panel solve ≡ scalar oracle, dense_update ≡ the
-# sequential solve/normalize/gram, cp_als one set of bits on both engines)
-# must hold whatever the default host pool is. Stage 3 ran them at this
-# host's default; these runs pin the pool size.
-for threads in 1 2 4; do
-  AMPED_THREADS=$threads cargo test -q --test prop_kernel_privatized \
-    --test prop_kernel_compiled --test prop_kernel_runs --test prop_ooc_sorted \
-    --test prop_dense_update
-done
-
-echo "=== 17/17 benchmark/check.sh (the benchmark's own gate + smoke run) ==="
+echo "=== 15/15 benchmark/check.sh (the benchmark's own gate + smoke run) ==="
 # benchmark/ is a standalone package (own workspace, lock file and target
 # directory): fmt, clippy, its unit tests, and a smoke run of every workload
 # through both passes against the current tree — which also proves every

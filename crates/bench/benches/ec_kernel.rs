@@ -4,7 +4,7 @@
 //! computation on the host reference kernels — real measured throughput, not
 //! simulated time.
 
-use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_privatized, mttkrp_ref};
+use amped_core::reference::{mttkrp_privatized, mttkrp_ref};
 use amped_linalg::Mat;
 use amped_tensor::gen::GenSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -13,9 +13,6 @@ use rand::SeedableRng;
 
 fn bench_ec(c: &mut Criterion) {
     let t = GenSpec::uniform(vec![10_000, 5_000, 5_000], 200_000, 1).generate();
-    // Compiled once, outside every timing loop: the sort-once half of the
-    // sort-once, iterate-many pair — ALS pays it on the first iteration.
-    let shard = compile_mode(&t, 0);
     let mut group = c.benchmark_group("ec_kernel");
     group.sample_size(10);
     group.throughput(Throughput::Elements(t.nnz() as u64));
@@ -34,13 +31,6 @@ fn bench_ec(c: &mut Criterion) {
             &rank,
             |b, _| {
                 b.iter(|| mttkrp_privatized(&t, &factors, 0));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("compiled_segmented", rank),
-            &rank,
-            |b, _| {
-                b.iter(|| mttkrp_compiled(&shard, &t, &factors));
             },
         );
     }

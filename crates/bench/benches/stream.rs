@@ -6,6 +6,7 @@
 //! host staging budgets (each budget fixes its chunk capacity at 40% of the
 //! budget: payload + coordinate scratch must fit).
 
+use amped_bench::ScratchDir;
 use amped_core::{AmpedConfig, AmpedEngine, OocEngine};
 use amped_linalg::Mat;
 use amped_sim::PlatformSpec;
@@ -15,7 +16,6 @@ use amped_tensor::SparseTensor;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 
 fn tensor() -> SparseTensor {
     GenSpec {
@@ -36,14 +36,9 @@ fn cfg() -> AmpedConfig {
     }
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("amped_stream_bench");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
 fn bench_stream(c: &mut Criterion) {
     let t = tensor();
+    let dir = ScratchDir::new("stream_bench");
     let platform = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
     let mut rng = SmallRng::seed_from_u64(14);
     let factors: Vec<Mat> = t
@@ -69,13 +64,12 @@ fn bench_stream(c: &mut Criterion) {
         let budget = budget_kib * 1024;
         let elem_cost = t.elem_bytes() + t.order() as u64 * 4;
         let chunk_capacity = (budget * 2 / 5 / elem_cost) as usize;
-        let path = tmp(&format!("bench_{budget_kib}k.tnsb"));
+        let path = dir.join(&format!("bench_{budget_kib}k.tnsb"));
         write_tnsb(&t, &path, chunk_capacity).unwrap();
         let mut ooc = OocEngine::open(&path, platform.clone(), cfg(), budget).unwrap();
         group.bench_function(format!("ooc_mttkrp/budget_{budget_kib}KiB"), |b| {
             b.iter(|| ooc.mttkrp_mode(0, &factors).unwrap());
         });
-        std::fs::remove_file(path).ok();
     }
     group.finish();
 }

@@ -15,7 +15,8 @@
 //! `cargo bench -p amped-bench` for careful measurements.
 
 use amped_bench::reportio::{emit, Table};
-use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_privatized, mttkrp_ref};
+use amped_bench::ScratchDir;
+use amped_core::reference::{mttkrp_privatized, mttkrp_ref};
 use amped_core::{AmpedConfig, AmpedEngine, OocEngine};
 use amped_formats::{CsfTensor, HicooTensor, LinTensor};
 use amped_linalg::Mat;
@@ -115,26 +116,6 @@ fn main() {
             "ec_kernel/parallel_privatized/r32",
             median_secs(REPS, || {
                 mttkrp_privatized(&t, &factors, 0);
-            }),
-            Some(nnz),
-        );
-        // Sort-once, iterate-many: the compile (sort + gather) is timed as
-        // its own row, then the iterate-many row executes from the compiled
-        // layout — the shape an ALS loop sees after its first iteration.
-        let shard = compile_mode(&t, 0);
-        push(
-            &mut table,
-            "ec_kernel/shard_compile/r32",
-            median_secs(REPS, || {
-                compile_mode(&t, 0);
-            }),
-            Some(nnz),
-        );
-        push(
-            &mut table,
-            "ec_kernel/compiled_segmented/r32",
-            median_secs(REPS, || {
-                mttkrp_compiled(&shard, &t, &factors);
             }),
             Some(nnz),
         );
@@ -352,8 +333,7 @@ fn main() {
             shard_nnz_budget: 1 << 16,
             ..AmpedConfig::default()
         };
-        let dir = std::env::temp_dir().join("amped_bench_snapshot");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("bench_snapshot");
         let path = dir.join("snapshot.tnsb");
         push(
             &mut table,
@@ -363,26 +343,7 @@ fn main() {
             }),
             Some(nnz),
         );
-        // Both engines run the compiled segmented-reduction dispatch: the
-        // first call per mode compiles (sort + gather), every later call is
-        // a cache hit executing straight from the compiled layout — for the
-        // OOC engine that also skips the chunk's disk read. The warm-up run
-        // inside `median_secs` pays the compile, so the medians measure the
-        // iterate-many steady state an ALS loop sits in.
-        use amped_runtime::{DispatchKind, TuneParams};
-        use amped_sim::obs::MetricsRegistry;
-        let compiled_tune = TuneParams {
-            dispatch: DispatchKind::CompiledSegmented,
-            ..TuneParams::default()
-        };
-        let in_reg = MetricsRegistry::new();
-        let mut in_core = AmpedEngine::with_runtime(
-            &t,
-            Box::new(SimRuntime::new(platform.clone()).with_metrics(in_reg.clone())),
-            cfg.clone(),
-        )
-        .unwrap();
-        in_core.set_tune(compiled_tune);
+        let mut in_core = AmpedEngine::new(&t, platform.clone(), cfg.clone()).unwrap();
         push(
             &mut table,
             "stream/in_core_mttkrp/150k",
@@ -391,15 +352,7 @@ fn main() {
             }),
             Some(nnz),
         );
-        let ooc_reg = MetricsRegistry::new();
-        let mut ooc = OocEngine::with_runtime(
-            &path,
-            Box::new(SimRuntime::new(platform).with_metrics(ooc_reg.clone())),
-            cfg,
-            1 << 20,
-        )
-        .unwrap();
-        ooc.set_tune(compiled_tune);
+        let mut ooc = OocEngine::open(&path, platform, cfg, 1 << 20).unwrap();
         push(
             &mut table,
             "stream/ooc_mttkrp/150k",
@@ -408,18 +361,6 @@ fn main() {
             }),
             Some(nnz),
         );
-        for (label, reg) in [("in_core", &in_reg), ("ooc", &ooc_reg)] {
-            table.push(vec![
-                format!("stream/compiled_cache/{label}"),
-                "—".to_string(),
-                format!(
-                    "{} hits / {} compiles",
-                    reg.counter_value("compiled_cache_hits", &[]),
-                    reg.counter_value("shard_compiles", &[])
-                ),
-            ]);
-        }
-        std::fs::remove_file(path).ok();
     }
 
     // 7. Planner layer (amped-plan): nnz CCP vs cost-guided CCP through the

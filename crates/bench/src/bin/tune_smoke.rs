@@ -10,6 +10,7 @@
 //! Exits non-zero (via panic) on any violated assertion; prints the resolved
 //! parameters on success.
 
+use amped_bench::ScratchDir;
 use amped_core::{AmpedConfig, AmpedEngine};
 use amped_runtime::SimRuntime;
 use amped_sim::obs::MetricsRegistry;
@@ -33,10 +34,8 @@ fn main() {
     };
     let spec = || PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
 
-    let cache = std::env::temp_dir()
-        .join("amped_tune_smoke")
-        .join("cache.json");
-    std::fs::remove_file(&cache).ok();
+    let dir = ScratchDir::new("tune_smoke");
+    let cache = dir.join("cache.json");
 
     // Cold: no cache file yet, so the tuner must run one grid search and
     // persist the winner.
@@ -81,6 +80,5 @@ fn main() {
     );
     println!("warm cache hit: {:?}", warm.tune());
 
-    std::fs::remove_file(&cache).ok();
     println!("tune_smoke: OK (cold search + warm cache hit)");
 }

@@ -10,6 +10,13 @@
 pub mod calibration;
 pub mod reportio;
 
+/// The integration tests' scratch-directory helper, shared by the benches
+/// and binaries that write files: one unique-per-process directory under
+/// `temp_dir()`, removed on drop — never a fixed name two runs could share.
+#[path = "../../../tests/common/mod.rs"]
+pub mod scratch;
+pub use scratch::ScratchDir;
+
 use amped_baselines::{
     AmpedSystem, BlcoSystem, EqualNnzSystem, FlycooSystem, MmCsfSystem, MttkrpSystem, PartiSystem,
 };

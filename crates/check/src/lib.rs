@@ -1,8 +1,9 @@
 //! `amped-check`: the workspace's architectural lint engine.
 //!
 //! Scans every library source file in the workspace (`crates/*/src`, plus
-//! the root facade's `src/`) with a comment/string-stripping lexer, runs
-//! the rule set of [`rules`], and diffs the violation counts against the
+//! the root facade's `src/`) — and, as tooling, every crate's `benches/` and
+//! the root `examples/` — with a comment/string-stripping lexer, runs the
+//! rule set of [`rules`], and diffs the violation counts against the
 //! committed `check-baseline.toml` ratchet. New violations fail; frozen
 //! debt does not. See DESIGN.md §14 for the policy and `src/rules.rs` for
 //! the invariants themselves.
@@ -20,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Crates whose `src/` is harness tooling, exempt from the rule set.
+/// Crates whose `src/` is harness tooling, exempt from the library rules.
 const TOOL_CRATES: &[&str] = &["bench"];
 
 /// The repository root, resolved from this crate's manifest directory
@@ -43,16 +44,19 @@ pub fn collect_files(root: &Path) -> Result<Vec<(String, FileKind)>, String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir {}: {e}", crates_dir.display()))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let src = entry.path().join("src");
-        if !src.is_dir() {
-            continue;
-        }
         let tool_crate = TOOL_CRATES.contains(&name.as_str());
-        walk_rs(&src, root, tool_crate, &mut out)?;
+        for (sub, tool) in [("src", tool_crate), ("benches", true)] {
+            let dir = entry.path().join(sub);
+            if dir.is_dir() {
+                walk_rs(&dir, root, tool, &mut out)?;
+            }
+        }
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk_rs(&root_src, root, false, &mut out)?;
+    for (sub, tool) in [("src", false), ("examples", true)] {
+        let dir = root.join(sub);
+        if dir.is_dir() {
+            walk_rs(&dir, root, tool, &mut out)?;
+        }
     }
     out.sort();
     Ok(out)

@@ -1,9 +1,10 @@
 //! The architectural rule set.
 //!
 //! Every rule is a substring scan over the comment/string-stripped code
-//! lines produced by [`crate::lexer`], restricted to *library* files and
-//! (for most rules) to lines outside `#[cfg(test)]` modules. The rules
-//! encode the workspace's concurrency and numerics contracts:
+//! lines produced by [`crate::lexer`], restricted to lines outside
+//! `#[cfg(test)]` modules and — all but `fixed-temp-dir`, which also covers
+//! tooling, benches and examples — to *library* files. The rules encode the
+//! workspace's concurrency, numerics and file-hygiene contracts:
 //!
 //! | rule             | invariant                                                        |
 //! |------------------|------------------------------------------------------------------|
@@ -13,6 +14,7 @@
 //! | `relaxed-comment`| every `Ordering::Relaxed` carries a `relaxed:` justification     |
 //! | `f32-accum`      | no bare `f32` `+=` accumulation outside the kernel layer         |
 //! | `warn-once-key`  | `warn_once` keys are globally unique                             |
+//! | `fixed-temp-dir` | no `temp_dir().join("literal")`: scratch paths are per-process   |
 
 use crate::lexer::SourceFile;
 
@@ -21,7 +23,8 @@ use crate::lexer::SourceFile;
 pub enum FileKind {
     /// Library code: all rules apply (outside `#[cfg(test)]` regions).
     Lib,
-    /// Harness / binary tooling: exempt from the rule set.
+    /// Harness / binary tooling, benches, examples: exempt from every rule
+    /// but `fixed-temp-dir`.
     Tool,
 }
 
@@ -46,6 +49,7 @@ pub const RULE_NAMES: &[&str] = &[
     "relaxed-comment",
     "f32-accum",
     "warn-once-key",
+    "fixed-temp-dir",
 ];
 
 /// The concurrency layer: the only library files allowed to hold raw
@@ -117,11 +121,14 @@ fn violation(rule: &'static str, file: &str, idx: usize, sf: &SourceFile) -> Vio
 /// Run every per-file rule over one scanned file.
 pub fn check_file(file: &str, kind: FileKind, sf: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
-    if kind != FileKind::Lib {
-        return out;
-    }
     for (idx, code) in sf.code.iter().enumerate() {
         if sf.in_test[idx] {
+            continue;
+        }
+        if joins_a_literal_to_temp_dir(sf, idx) {
+            out.push(violation("fixed-temp-dir", file, idx, sf));
+        }
+        if kind != FileKind::Lib {
             continue;
         }
         if !allowlisted(CONCURRENCY_LAYER, file) && ATOMIC_TOKENS.iter().any(|t| code.contains(t)) {
@@ -141,6 +148,22 @@ pub fn check_file(file: &str, kind: FileKind, sf: &SourceFile) -> Vec<Violation>
         }
     }
     out
+}
+
+/// `temp_dir()` on code line `idx` followed — on that line or, for a chained
+/// call broken after it, at the start of the next — by `.join("`: a path
+/// every process on the host shares, so two concurrent runs (or two tests)
+/// read and delete each other's files. `join(format!(…))` with the pid in it,
+/// or a `ScratchDir`, is the sanctioned shape.
+fn joins_a_literal_to_temp_dir(sf: &SourceFile, idx: usize) -> bool {
+    let Some((_, after)) = sf.code[idx].split_once("temp_dir()") else {
+        return false;
+    };
+    let next = match after.trim() {
+        "" => sf.code.get(idx + 1).map_or("", |l| l.trim()),
+        rest => rest,
+    };
+    next.starts_with(".join(\"")
 }
 
 /// A `relaxed:` comment on the same raw line or within the preceding window
@@ -310,6 +333,23 @@ mod tests {
                    fn h(k: &str) { warn_once(k, \"m\"); }\n";
         let files = vec![("crates/a/src/lib.rs".to_string(), FileKind::Lib, scan(src))];
         assert!(check_warn_once_keys(&files).is_empty());
+    }
+
+    #[test]
+    fn literal_temp_dir_joins_are_flagged_in_tools_too() {
+        let one_line = "let d = std::env::temp_dir().join(\"amped_x\");\n";
+        let chained = "let d = std::env::temp_dir()\n    .join(\"amped_x\")\n    .join(\"f\");\n";
+        for src in [one_line, chained] {
+            for kind in [FileKind::Lib, FileKind::Tool] {
+                let v = check_file("examples/x.rs", kind, &scan(src));
+                assert_eq!(v.len(), 1, "{src:?}: {v:?}");
+                assert_eq!((v[0].rule, v[0].line), ("fixed-temp-dir", 1));
+            }
+        }
+        let unique = "let d = std::env::temp_dir().join(format!(\"amped_{}\", id()));\n";
+        assert!(lib(unique).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod t {{\n fn f() {{ {one_line} }}\n}}\n");
+        assert!(lib(&in_test).is_empty());
     }
 
     #[test]

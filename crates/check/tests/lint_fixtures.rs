@@ -103,6 +103,19 @@ fn duplicate_warn_once_keys_are_caught_across_call_sites() {
 }
 
 #[test]
+fn fixed_names_under_temp_dir_are_caught_even_in_tooling() {
+    let sf = scan(include_str!("fixtures/fixed_temp_dir.rs"));
+    for kind in [FileKind::Lib, FileKind::Tool] {
+        let v = check_file("crates/bench/benches/fixture.rs", kind, &sf);
+        assert_eq!(rules_hit(&v), vec!["fixed-temp-dir"]);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        // The one-line join and the chained one; the pid-qualified name and
+        // the `#[cfg(test)]` use are fine.
+        assert_eq!(lines, vec![5, 11], "{v:?}");
+    }
+}
+
+#[test]
 fn clean_code_with_decoy_tokens_raises_nothing() {
     let v = lint(include_str!("fixtures/clean.rs"));
     assert!(v.is_empty(), "negative control must be clean: {v:?}");

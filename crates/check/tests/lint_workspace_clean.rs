@@ -43,8 +43,8 @@ fn baseline_freezes_only_known_rules() {
 fn structural_rules_carry_no_frozen_debt() {
     // The ratchet freezes legacy unwrap debt only. The structural rules —
     // layer containment, ordering justifications, accumulation discipline,
-    // key uniqueness — hold outright, and the baseline must not quietly
-    // grow debt for them.
+    // key uniqueness, per-process scratch paths — hold outright, and the
+    // baseline must not quietly grow debt for them.
     let base = committed_baseline();
     for rule in [
         "raw-atomic",
@@ -52,6 +52,7 @@ fn structural_rules_carry_no_frozen_debt() {
         "relaxed-comment",
         "f32-accum",
         "warn-once-key",
+        "fixed-temp-dir",
     ] {
         assert!(
             !base.contains_key(rule),

@@ -15,11 +15,9 @@ use amped_plan::{
     AssignmentSpace, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
     UniformCost, WorkloadProfile,
 };
-use amped_runtime::kernels::{
-    launch_mttkrp, launch_mttkrp_compiled, CompiledShard, FactorsView, MttkrpOut, SortedCoo,
-};
+use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{
-    Collective, Device, DeviceRuntime, DispatchKind, FactorBlock, SimRuntime, Timeline, TuneParams,
+    Collective, Device, DeviceRuntime, FactorBlock, SimRuntime, Timeline, TuneParams,
 };
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -127,47 +125,62 @@ pub struct AmpedEngine {
     /// dynamic-queue schedule needs on heterogeneous platforms. All entries
     /// are equal on a homogeneous spec, making every ratio exactly 1.
     gpu_throughput: Vec<f64>,
-    /// Compiled-shard cache, `compiled[d][shard]` — the sort-once,
-    /// iterate-many layouts reused across ALS iterations when the runtime's
-    /// dispatch is [`DispatchKind::CompiledSegmented`]. Keyed by position in
-    /// the current plan: [`AmpedEngine::replan`] rebuilds mode `d`'s shard
-    /// list, so it clears `compiled[d]` (stale layouts would address the old
-    /// element order).
-    compiled: Vec<Vec<Option<CompiledShard>>>,
     obs: EngineMeters,
 }
 
-/// The engine's own telemetry handles (runtime-level counters live in the
-/// backend): nonzeros processed per executed shard, replans applied, and the
-/// compiled-shard cache traffic (compiles, warm hits, replan evictions).
-/// Detached — free — unless the runtime carries an attached registry.
+/// Both engines' own telemetry handles (runtime-level counters live in the
+/// backend), resolved once at construction: nonzeros processed per executed
+/// shard or chunk, replans applied, and — out of core only — chunks the
+/// prefetch pipeline had staged ahead. Detached — free — unless the runtime
+/// carries an attached registry.
 #[derive(Debug, Default)]
-struct EngineMeters {
-    nnz_processed: Counter,
-    replans: Counter,
-    shard_compiles: Counter,
-    compiled_cache_hits: Counter,
-    compiled_cache_evictions: Counter,
+pub(crate) struct EngineMeters {
+    pub(crate) nnz_processed: Counter,
+    pub(crate) replans: Counter,
+    /// Left detached by [`EngineMeters::attach`]; the out-of-core engine
+    /// binds it.
+    pub(crate) ooc_prefetch_hits: Counter,
 }
 
 impl EngineMeters {
-    fn attach(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn attach(registry: &MetricsRegistry) -> Self {
         Self {
             nnz_processed: registry.counter("nnz_processed"),
             replans: registry.counter("replans"),
-            shard_compiles: registry.counter("shard_compiles"),
-            compiled_cache_hits: registry.counter("compiled_cache_hits"),
-            compiled_cache_evictions: registry.counter("compiled_cache_evictions"),
+            ooc_prefetch_hits: Counter::default(),
         }
     }
 }
 
-/// One empty compiled-shard cache slot per prepared shard.
-fn empty_compiled_cache(mode_shards: &[Vec<ShardUnit>]) -> Vec<Vec<Option<CompiledShard>>> {
-    mode_shards
-        .iter()
-        .map(|ms| (0..ms.len()).map(|_| None).collect())
-        .collect()
+/// The argument checks both engines' `replan` share: `assignment` must name
+/// a mode of `shape`, own output indices, target `num_gpus` devices and
+/// cover that mode's index space.
+pub(crate) fn validate_replan(
+    assignment: &ModeAssignment,
+    shape: &[Idx],
+    num_gpus: usize,
+) -> Result<(), SimError> {
+    let d = assignment.mode;
+    let order = shape.len();
+    if d >= order {
+        return Err(SimError::Unsupported(format!(
+            "replan mode {d} out of range for order {order}"
+        )));
+    }
+    if assignment.space != AssignmentSpace::OutputIndex {
+        return Err(SimError::Unsupported(
+            "engine replan requires an output-index assignment".into(),
+        ));
+    }
+    if assignment.num_devices() != num_gpus {
+        return Err(SimError::Unsupported(format!(
+            "assignment targets {} devices, platform has {num_gpus}",
+            assignment.num_devices(),
+        )));
+    }
+    assignment
+        .validate(shape[d] as u64)
+        .map_err(SimError::Unsupported)
 }
 
 /// Re-prices a shard's compute time (prepared against GPU `owner`'s spec)
@@ -316,7 +329,6 @@ impl AmpedEngine {
             .map(|g| throughput_query.device_throughput(g))
             .collect();
         let obs = EngineMeters::attach(&runtime.metrics());
-        let compiled = empty_compiled_cache(&mode_shards);
         Ok(Self {
             runtime,
             spec,
@@ -324,7 +336,6 @@ impl AmpedEngine {
             plan,
             mode_shards,
             gpu_throughput,
-            compiled,
             obs,
         })
     }
@@ -385,27 +396,12 @@ impl AmpedEngine {
                     .into(),
             ));
         }
+        validate_replan(
+            assignment,
+            self.plan.modes[0].tensor.shape(),
+            self.spec.num_gpus(),
+        )?;
         let d = assignment.mode;
-        let order = self.plan.modes.len();
-        if d >= order {
-            return Err(SimError::Unsupported(format!(
-                "replan mode {d} out of range for order {order}"
-            )));
-        }
-        if assignment.space != AssignmentSpace::OutputIndex {
-            return Err(SimError::Unsupported(
-                "engine replan requires an output-index assignment".into(),
-            ));
-        }
-        if assignment.num_devices() != self.spec.num_gpus() {
-            return Err(SimError::Unsupported(format!(
-                "assignment targets {} devices, platform has {}",
-                assignment.num_devices(),
-                self.spec.num_gpus()
-            )));
-        }
-        let dim = self.plan.modes[d].tensor.dim(d) as u64;
-        assignment.validate(dim).map_err(SimError::Unsupported)?;
         let start = std::time::Instant::now();
         // The stored copy is already mode-sorted; the counting sort inside
         // `build_with_ranges` is stable, so re-sharding it is exact.
@@ -426,12 +422,6 @@ impl AmpedEngine {
             d,
         );
         self.plan.preprocess_wall += start.elapsed().as_secs_f64();
-        // The new assignment re-shards the element order: every compiled
-        // layout for this mode addresses stale ranges, so evict them. They
-        // recompile lazily at next touch.
-        let evicted = self.compiled[d].iter().filter(|c| c.is_some()).count() as u64;
-        self.obs.compiled_cache_evictions.add(evicted);
-        self.compiled[d] = (0..self.mode_shards[d].len()).map(|_| None).collect();
         self.obs.replans.inc();
         Ok(())
     }
@@ -543,13 +533,11 @@ impl AmpedEngine {
             mode_shards,
             cfg,
             gpu_throughput,
-            compiled,
             obs,
             ..
         } = self;
         let tl = runtime.timeline();
         let runtime = runtime.as_mut();
-        let dispatch = runtime.tune().dispatch;
         let mut nnz_done: u64 = 0;
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
 
@@ -585,31 +573,7 @@ impl AmpedEngine {
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
                 nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
-                match dispatch {
-                    DispatchKind::ElementwisePrivatized => {
-                        launch_mttkrp(runtime, g, &src, d, &fviews, &blocks, &costs, &out);
-                    }
-                    DispatchKind::CompiledSegmented => {
-                        // Sort-once, iterate-many: compile at first touch of
-                        // this (mode, shard), then every later iteration
-                        // reuses the layout. The compile span makes the
-                        // one-time cost visible in Chrome traces.
-                        let slot = &mut compiled[d][sid];
-                        if slot.is_none() {
-                            let _compile = tl.as_ref().map(|t| t.span("compile", sid as u64));
-                            let lo = blocks.first().map_or(0, |r| r.start);
-                            let hi = blocks.last().map_or(lo, |r| r.end);
-                            *slot = Some(CompiledShard::compile(&src, d, mp_order, lo..hi));
-                            obs.shard_compiles.inc();
-                        } else {
-                            obs.compiled_cache_hits.inc();
-                        }
-                        let cs = slot.as_ref().expect("slot filled above");
-                        // Same grid shape (one block per ISP cost), so the
-                        // simulated pipeline timing is dispatch-independent.
-                        launch_mttkrp_compiled(runtime, g, cs, &fviews, &costs, &out);
-                    }
-                }
+                launch_mttkrp(runtime, g, &src, d, &fviews, &blocks, &costs, &out);
             }
             let end = compute_end.last().copied().unwrap_or(0.0);
             ends[g] = end;

@@ -42,17 +42,12 @@
 //! device allocation goes through the [`DeviceRuntime`] seam.
 
 use crate::config::{AmpedConfig, SchedulePolicy};
-use crate::engine::{ModeTiming, MttkrpEngine};
+use crate::engine::{validate_replan, EngineMeters, ModeTiming, MttkrpEngine};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ShardStats};
-use amped_plan::{
-    AssignmentSpace, ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery, WorkloadProfile,
-};
-use amped_runtime::kernels::{
-    launch_mttkrp, launch_mttkrp_compiled, CompiledShard, FactorsView, FnSource, MttkrpOut,
-    SortedCoo,
-};
-use amped_runtime::{Device, DeviceRuntime, DispatchKind, SimRuntime, Timeline, TuneParams};
+use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery, WorkloadProfile};
+use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
+use amped_runtime::{Device, DeviceRuntime, SimRuntime, Timeline, TuneParams};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::obs::{warn_once, Counter};
 use amped_sim::{MemPool, PlatformSpec, SimError, TimeBreakdown};
@@ -75,14 +70,7 @@ pub struct OocEngine {
     cfg: AmpedConfig,
     reader: ChunkReader,
     plan: StreamPlan,
-    /// Compiled-chunk cache, `compiled[d][chunk]` — resident compiled
-    /// layouts charged against the [`ChunkReader`] staging budget (via its
-    /// scratch accounting), used when the runtime's dispatch is
-    /// [`DispatchKind::CompiledSegmented`]. A warm entry skips the chunk's
-    /// disk read entirely; under budget pressure entries are simply not
-    /// cached (compile-per-visit, one-shot warning). Invalidated per mode on
-    /// [`OocEngine::replan`].
-    compiled: Vec<Vec<Option<CompiledShard>>>,
+    obs: EngineMeters,
 }
 
 impl OocEngine {
@@ -227,15 +215,18 @@ impl OocEngine {
                 isp_nnz: cfg.isp_nnz,
             },
         );
-        let compiled: Vec<Vec<Option<CompiledShard>>> = (0..meta.order())
-            .map(|_| (0..meta.num_chunks()).map(|_| None).collect())
-            .collect();
         let plan = StreamPlan::build_with_planner(&mut reader, planner, &cost, cache_rows)
             .map_err(|e| e.into_sim())?;
 
-        // Chunk I/O telemetry (`ooc_*` counters) records into the runtime's
-        // registry; detached registries make this free.
-        reader.set_metrics(runtime.metrics());
+        // Chunk I/O telemetry (`ooc_*` counters) and the engine's own meters
+        // record into the runtime's registry; detached registries make this
+        // free.
+        let registry = runtime.metrics();
+        let obs = EngineMeters {
+            ooc_prefetch_hits: registry.counter("ooc_prefetch_hits"),
+            ..EngineMeters::attach(&registry)
+        };
+        reader.set_metrics(registry);
 
         Ok(Self {
             runtime,
@@ -244,7 +235,7 @@ impl OocEngine {
             cfg,
             reader,
             plan,
-            compiled,
+            obs,
         })
     }
 
@@ -307,49 +298,14 @@ impl OocEngine {
     /// out-of-core replanning costs real chunk I/O, which is exactly the
     /// trade the imbalance threshold gates.
     pub fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
+        validate_replan(assignment, &self.reader.meta().shape, self.spec.num_gpus())?;
         let d = assignment.mode;
-        let order = self.reader.meta().order();
-        if d >= order {
-            return Err(SimError::Unsupported(format!(
-                "replan mode {d} out of range for order {order}"
-            )));
-        }
-        if assignment.space != AssignmentSpace::OutputIndex {
-            return Err(SimError::Unsupported(
-                "engine replan requires an output-index assignment".into(),
-            ));
-        }
-        if assignment.num_devices() != self.spec.num_gpus() {
-            return Err(SimError::Unsupported(format!(
-                "assignment targets {} devices, platform has {}",
-                assignment.num_devices(),
-                self.spec.num_gpus()
-            )));
-        }
-        assignment
-            .validate(self.reader.meta().shape[d] as u64)
-            .map_err(SimError::Unsupported)?;
         let gpu = &self.spec.gpus[0];
         let cache_rows = (gpu.l2_bytes / (self.cfg.rank as u64 * 4)).max(1) as usize;
         self.plan
             .rebuild_mode(&mut self.reader, d, assignment.index_ranges(), cache_rows)
             .map_err(|e| e.into_sim())?;
-        // Chunk routing for mode `d` changed: evict its compiled layouts and
-        // return their bytes to the staging budget.
-        let mut evicted = 0u64;
-        for slot in self.compiled[d].iter_mut() {
-            if let Some(cs) = slot.take() {
-                self.reader.release_scratch(cs.bytes());
-                evicted += 1;
-            }
-        }
-        if evicted > 0 {
-            self.runtime
-                .metrics()
-                .counter("compiled_cache_evictions")
-                .add(evicted);
-        }
-        self.runtime.metrics().counter("replans").inc();
+        self.obs.replans.inc();
         Ok(())
     }
 
@@ -384,10 +340,9 @@ impl OocEngine {
             cfg,
             reader,
             plan,
-            compiled,
+            obs,
         } = self;
         let runtime = runtime.as_mut();
-        let dispatch = runtime.tune().dispatch;
         let mp = &plan.modes[d];
         let loads = mp.gpu_loads();
         let active = loads.iter().filter(|&&l| l > 0).count().max(1);
@@ -442,130 +397,63 @@ impl OocEngine {
         // the scatter ops, not these launches.
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         let tl = runtime.timeline();
-        let nnz_counter = runtime.metrics().counter("nnz_processed");
-        let prefetch_hits = runtime.metrics().counter("ooc_prefetch_hits");
 
-        match dispatch {
-            DispatchKind::ElementwisePrivatized => {
-                // Prefetch policy: the runtime's tunables ask for up to
-                // `effective_prefetch()` chunks staged ahead of the one
-                // computing. A budget that can never hold two consecutive
-                // chunks at once would stall on every stage — warn once and
-                // run the blocking loop.
-                let mut depth = runtime
-                    .tune()
-                    .effective_prefetch()
-                    .min(num_chunks.saturating_sub(1));
-                if depth > 0 {
-                    let capacity = reader.budget().capacity();
-                    let can_double = (0..num_chunks - 1).any(|k| {
-                        reader.meta().chunk_bytes(k) + reader.meta().chunk_bytes(k + 1) <= capacity
-                    });
-                    if !can_double {
-                        warn_once(
-                            "ooc-single-buffer",
-                            "OOC prefetch requested but the staging budget fits only one \
-                             resident chunk; running the blocking chunk loop instead",
-                        );
-                        depth = 0;
-                    }
-                }
-
-                let exec_chunk = |runtime: &mut dyn DeviceRuntime, chunk: &Chunk| {
-                    assert_eq!(
-                        chunk.sorted_mode(),
-                        Some(d),
-                        "chunk {} was not sorted for mode {d}",
-                        chunk.index()
-                    );
-                    nnz_counter.add(chunk.nnz() as u64);
-                    let isps = isp_ranges(0..chunk.nnz(), cfg.isp_nnz);
-                    let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), order, d);
-                    // Zero costs: simulated time comes from the slice model
-                    // above.
-                    let costs = vec![0.0f64; isps.len()];
-                    launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
-                };
-
-                if depth == 0 {
-                    for k in 0..num_chunks {
-                        // Out of core the streamed chunk is the shard-level
-                        // region.
-                        let _chunk_span = tl.as_ref().map(|t| t.span("shard", k as u64));
-                        let chunk = sorted_chunk(reader, k, d, None)?;
-                        exec_chunk(runtime, &chunk);
-                        reader.release(chunk);
-                    }
-                } else {
-                    pipeline_chunks(
-                        runtime,
-                        reader,
-                        d,
-                        depth,
-                        tl.as_ref(),
-                        &prefetch_hits,
-                        exec_chunk,
-                    )?;
-                }
+        // Prefetch policy: the runtime's tunables ask for up to
+        // `effective_prefetch()` chunks staged ahead of the one computing. A
+        // budget that can never hold two consecutive chunks at once would
+        // stall on every stage — warn once and run the blocking loop.
+        let mut depth = runtime
+            .tune()
+            .effective_prefetch()
+            .min(num_chunks.saturating_sub(1));
+        if depth > 0 {
+            let capacity = reader.budget().capacity();
+            let can_double = (0..num_chunks - 1).any(|k| {
+                reader.meta().chunk_bytes(k) + reader.meta().chunk_bytes(k + 1) <= capacity
+            });
+            if !can_double {
+                warn_once(
+                    "ooc-single-buffer",
+                    "OOC prefetch requested but the staging budget fits only one \
+                     resident chunk; running the blocking chunk loop instead",
+                );
+                depth = 0;
             }
-            DispatchKind::CompiledSegmented => {
-                // Sort-once, iterate-many: a warm compiled chunk executes
-                // straight from the cache — no disk read, no staging charge,
-                // no coordinate decode. Cold chunks stream once, compile
-                // under a `compile` span, execute, and stay resident only if
-                // the staging budget can hold the layout (charged as scratch
-                // after the raw chunk is released, so the freed chunk bytes
-                // count toward the cache's headroom). Under budget pressure
-                // we fall back to compile-per-visit with a one-shot warning.
-                // The prefetch pipeline stays elementwise-only: warm-cache
-                // iterations do no I/O at all, which beats overlapping it.
-                let compiles = runtime.metrics().counter("shard_compiles");
-                let cache_hits = runtime.metrics().counter("compiled_cache_hits");
-                let cache = &mut compiled[d];
-                // Caching a layout must never starve a later chunk load (this
-                // mode's or another's): keep headroom for the largest chunk
-                // on disk, and skip caching once the budget cannot spare it.
-                let headroom = (0..num_chunks)
-                    .map(|k| reader.meta().chunk_bytes(k))
-                    .max()
-                    .unwrap_or(0);
-                for (k, slot) in cache.iter_mut().enumerate() {
-                    let _chunk_span = tl.as_ref().map(|t| t.span("shard", k as u64));
-                    if let Some(cs) = slot.as_ref() {
-                        cache_hits.inc();
-                        nnz_counter.add(cs.nnz() as u64);
-                        // Same grid shape as the elementwise path (one block
-                        // per ISP, zero cost): simulated timing stays
-                        // dispatch-independent.
-                        let costs = vec![0.0f64; cs.nnz().div_ceil(cfg.isp_nnz).max(1)];
-                        launch_mttkrp_compiled(runtime, 0, cs, &fviews, &costs, &out);
-                        continue;
-                    }
-                    let chunk = reader.load_chunk(k).map_err(|e| e.into_sim())?;
-                    nnz_counter.add(chunk.nnz() as u64);
-                    let cs = {
-                        let _compile = tl.as_ref().map(|t| t.span("compile", k as u64));
-                        let src = FnSource::new(|e, m| chunk.coords(e)[m], |e| chunk.value(e));
-                        CompiledShard::compile(&src, d, order, 0..chunk.nnz())
-                    };
-                    compiles.inc();
-                    let costs = vec![0.0f64; chunk.nnz().div_ceil(cfg.isp_nnz).max(1)];
-                    launch_mttkrp_compiled(runtime, 0, &cs, &fviews, &costs, &out);
-                    reader.release(chunk);
-                    let fits = reader.budget().used() + cs.bytes() + headroom
-                        <= reader.budget().capacity();
-                    if fits && reader.charge_scratch(cs.bytes()).is_ok() {
-                        *slot = Some(cs);
-                    } else {
-                        warn_once(
-                            "ooc-compiled-cache-budget",
-                            "staging budget cannot hold a compiled chunk layout next to a \
-                             resident chunk; compiled dispatch is re-compiling evicted chunks \
-                             on every visit",
-                        );
-                    }
-                }
+        }
+
+        let exec_chunk = |runtime: &mut dyn DeviceRuntime, chunk: &Chunk| {
+            assert_eq!(
+                chunk.sorted_mode(),
+                Some(d),
+                "chunk {} was not sorted for mode {d}",
+                chunk.index()
+            );
+            obs.nnz_processed.add(chunk.nnz() as u64);
+            let isps = isp_ranges(0..chunk.nnz(), cfg.isp_nnz);
+            let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), order, d);
+            // Zero costs: simulated time comes from the slice model above.
+            let costs = vec![0.0f64; isps.len()];
+            launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
+        };
+
+        if depth == 0 {
+            for k in 0..num_chunks {
+                // Out of core the streamed chunk is the shard-level region.
+                let _chunk_span = tl.as_ref().map(|t| t.span("shard", k as u64));
+                let chunk = sorted_chunk(reader, k, d, None)?;
+                exec_chunk(runtime, &chunk);
+                reader.release(chunk);
             }
+        } else {
+            pipeline_chunks(
+                runtime,
+                reader,
+                d,
+                depth,
+                tl.as_ref(),
+                &obs.ooc_prefetch_hits,
+                exec_chunk,
+            )?;
         }
 
         // --- Barrier + per-GPU breakdown.

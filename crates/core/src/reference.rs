@@ -60,20 +60,18 @@ pub fn mttkrp_privatized(t: &SparseTensor, factors: &[Mat], mode: usize) -> Mat 
     Mat::from_vec(rows, r, out.to_vec())
 }
 
-/// Compiles output mode `mode` of `t` into a segmented-reduction layout —
-/// the sort-once half of the sort-once, iterate-many pair. Pair with
-/// [`mttkrp_compiled`] so benchmarks can amortize the compile outside their
-/// timing loop the way ALS amortizes it across iterations.
+/// An owned copy of `t` stably sorted by its `mode` coordinate — the input
+/// of [`mttkrp_compiled`]. Like it, this name survives PR 9's compiled
+/// dispatch only because `benchmark/src/surface.rs` links it and this tree
+/// may not edit `benchmark/`.
 pub fn compile_mode(t: &SparseTensor, mode: usize) -> CompiledShard {
-    let src = FnSource::new(|e, m| t.idx(e, m), |e| t.value(e));
-    CompiledShard::compile(&src, mode, t.order(), 0..t.nnz())
+    CompiledShard::compile(t.indices_flat(), t.values(), t.order(), mode)
 }
 
-/// Multithreaded COO MTTKRP through the kernel layer's compiled
-/// segmented-reduction path: gather + per-segment `f64` accumulation with a
-/// single writer per output row. On a zeroed output this is bit-identical
-/// to [`mttkrp_ref`] (stable-sorted segments preserve per-cell element
-/// order) at every worker count.
+/// Multithreaded MTTKRP over [`compile_mode`]'s sorted copy: the kernel
+/// layer's run path at the host worker count, the kernel both engines
+/// launch. Matches [`mttkrp_ref`] to `f64` reassociation error (a row cut by
+/// a block boundary sums per-block partials), within one `f32` ulp per cell.
 pub fn mttkrp_compiled(shard: &CompiledShard, t: &SparseTensor, factors: &[Mat]) -> Mat {
     assert_eq!(factors.len(), t.order(), "one factor matrix per mode");
     let r = factors[shard.mode()].cols();
@@ -162,15 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn compiled_is_bit_identical_to_ref() {
+    fn compiled_matches_ref() {
         let (t, fs) = setup(vec![40, 30, 20], 3000, 8);
         for d in 0..3 {
             let a = mttkrp_ref(&t, &fs, d);
-            let shard = compile_mode(&t, d);
-            let b = mttkrp_compiled(&shard, &t, &fs);
-            // Not approximate: single-writer segments in stable-sort order
-            // reproduce the sequential f64 sums exactly.
-            assert_eq!(a.as_slice(), b.as_slice(), "mode {d}");
+            let b = mttkrp_compiled(&compile_mode(&t, d), &t, &fs);
+            assert!(a.approx_eq(&b, 1e-3, 1e-4), "mode {d}");
         }
     }
 

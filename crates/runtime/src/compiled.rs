@@ -1,277 +1,100 @@
-//! Compiled shards: sort-once, iterate-many segmented-reduction MTTKRP.
+//! An owned mode-sorted copy of a shard — what is left of PR 9's *compiled
+//! dispatch*.
 //!
-//! ALS runs dozens of iterations over the *same* tensor in the *same* shard
-//! decomposition, yet the elementwise path re-walks raw COO elements and
-//! re-decodes every mode coordinate per nonzero on every launch. This module
-//! amortizes that work the way the paper's lineage does (FLYCOO's
-//! mode-specific remapped layouts, BLCO's blocked linearized format): at
-//! first touch of a `(mode, shard)` pair the shard is *compiled* —
-//!
-//! * nonzeros are stably sorted by output-mode coordinate into contiguous
-//!   **segments** (one per distinct output row) with CSR-style segment
-//!   pointers, and
-//! * input-mode coordinates are pre-gathered into flat mode-major arrays,
-//!   so the inner loop does zero [`EcSource::coord`] virtual calls and no
-//!   multi-mode decode —
-//!
-//! and every subsequent launch executes a gather + segmented reduction.
-//! Output writes are strictly sequential per segment: each output row lives
-//! in exactly one segment, each segment is assigned wholly to one block, so
-//! there are no atomics, no privatized `f64` tiles, and no merge phase.
-//!
-//! **Numerics.** Within a segment, elements are accumulated in `f64` in
-//! stable-sort order — i.e. original element order among equal output
-//! coordinates — and each cell is rounded to `f32` exactly once per launch
-//! via the same single-rounding merge the privatized path uses. Per cell
-//! that is the *identical* `f64` sum the sequential reference computes, so
-//! on a zeroed output the compiled path is bit-identical to the sequential
-//! `f64` reference — and therefore trivially within the 1-ulp contract. The
-//! result depends only on the compiled layout, never on the block
-//! partition, worker count, or `rank_chunk` tile width (the per-cell
-//! element order is the same for every tile), so warm-cache and cold-cache
-//! runs at any worker count produce the same bits.
+//! PR 9 compiled each `(mode, shard)` pair into a second sorted layout (CSR
+//! segment pointers plus mode-major gathered coordinates) with its own
+//! segmented-reduction kernel, per-engine caches and a tuner axis. Since
+//! PRs 12–13 both engines hand the kernel layer data that is already sorted
+//! by the output mode and run it through the row-run path, which beat the
+//! compiled kernel on every workload, so the kernel, the caches and the
+//! option are gone (DESIGN.md §13). The one part that was not a duplicate
+//! stays: the stable sort by output coordinate into an owned copy in the
+//! element-major layout [`SortedCoo`] borrows, for callers whose data is
+//! *not* sorted yet — the autotuner's probe subsample and the
+//! `reference::compile_mode` probe of the benchmark harness.
 
-use crate::kernels::{EcSource, FactorsView, MttkrpOut};
-use crate::params::MAX_RANK_CHUNK;
-use std::ops::Range;
+use crate::kernels::SortedCoo;
 
-/// A shard compiled for segmented-reduction MTTKRP along one output mode.
+/// Element-major COO arrays stably sorted by one mode's coordinate, owned.
+/// Lend it to the kernel layer with [`CompiledShard::sorted_coo`].
 ///
-/// Immutable after [`CompiledShard::compile`]; safe to share across launches
-/// and ALS iterations as long as the underlying element set and mode
-/// assignment are unchanged (engines invalidate on `replan`).
+/// The type keeps PR 9's name because `amped_core::reference::compile_mode`
+/// returns it to `benchmark/src/surface.rs`, which this tree may not edit.
 #[derive(Debug)]
 pub struct CompiledShard {
-    /// Output mode this layout was compiled for.
     d: usize,
-    /// Mode ids of the input factors, in ascending order (all modes ≠ `d`).
-    in_modes: Vec<usize>,
-    /// Nonzero values, in segment-contiguous (sorted) order.
-    vals: Vec<f32>,
-    /// Pre-gathered input coordinates, mode-major: entry `j * nnz + e` is
-    /// the coordinate of (sorted) element `e` along `in_modes[j]`.
-    in_idx: Vec<u32>,
-    /// CSR-style segment pointers into `vals` (`segments + 1` entries).
-    seg_ptr: Vec<u32>,
-    /// Output row of each segment (strictly increasing).
-    seg_rows: Vec<u32>,
+    order: usize,
+    indices: Vec<u32>,
+    values: Vec<f32>,
 }
 
 impl CompiledShard {
-    /// Compiles elements `range` of `src` for output mode `d` of an
-    /// `order`-mode tensor. The per-element sort is *stable*, so sources
-    /// already sorted by output coordinate (the engines' per-mode tensor
-    /// copies) compile with an identity permutation in one linear pass.
-    pub fn compile<S: EcSource + ?Sized>(
-        src: &S,
-        d: usize,
-        order: usize,
-        range: Range<usize>,
-    ) -> Self {
+    /// Copies `indices` (`values.len() × order`, element-major) and `values`
+    /// sorted by their mode-`d` coordinate. The sort is *stable*: elements of
+    /// one output row keep their original order, so every cell sums its
+    /// elements in the order the unsorted source would.
+    pub fn compile(indices: &[u32], values: &[f32], order: usize, d: usize) -> Self {
         assert!(d < order, "output mode {d} out of range for order {order}");
-        let nnz = range.len();
-        let mut perm: Vec<usize> = range.collect();
-        // Stable: equal output coordinates keep their original element
-        // order, which is what makes the segmented sum reproduce the
-        // sequential reference bit for bit.
-        perm.sort_by_key(|&e| src.coord(e, d));
-
-        let in_modes: Vec<usize> = (0..order).filter(|&m| m != d).collect();
-        let mut vals = Vec::with_capacity(nnz);
-        let mut in_idx = vec![0u32; in_modes.len() * nnz];
-        let mut seg_ptr = Vec::new();
-        let mut seg_rows = Vec::new();
-        seg_ptr.push(0u32);
-        let mut prev_row = u32::MAX;
-        for (e, &src_e) in perm.iter().enumerate() {
-            let row = src.coord(src_e, d);
-            if e == 0 || row != prev_row {
-                if e != 0 {
-                    seg_ptr.push(e as u32);
-                }
-                seg_rows.push(row);
-                prev_row = row;
-            }
-            vals.push(src.value(src_e));
-            for (j, &m) in in_modes.iter().enumerate() {
-                in_idx[j * nnz + e] = src.coord(src_e, m);
-            }
-        }
-        seg_ptr.push(nnz as u32);
-        if nnz == 0 {
-            // Degenerate: no segments at all, `seg_ptr == [0, 0]` would
-            // claim one empty segment. Normalize to the empty CSR.
-            seg_ptr = vec![0];
-        }
+        assert_eq!(
+            indices.len(),
+            values.len() * order,
+            "coordinate array length mismatch"
+        );
+        let mut perm: Vec<usize> = (0..values.len()).collect();
+        perm.sort_by_key(|&e| indices[e * order + d]);
         Self {
             d,
-            in_modes,
-            vals,
-            in_idx,
-            seg_ptr,
-            seg_rows,
+            order,
+            indices: perm
+                .iter()
+                .flat_map(|&e| &indices[e * order..(e + 1) * order])
+                .copied()
+                .collect(),
+            values: perm.iter().map(|&e| values[e]).collect(),
         }
     }
 
-    /// Output mode this shard was compiled for.
+    /// The mode the copy is sorted by.
     pub fn mode(&self) -> usize {
         self.d
     }
 
-    /// Number of compiled nonzeros.
+    /// Number of nonzeros.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.values.len()
     }
 
-    /// Number of output-row segments (distinct output rows touched).
-    pub fn segments(&self) -> usize {
-        self.seg_rows.len()
-    }
-
-    /// Resident size of the compiled layout in bytes — what engines charge
-    /// against staging budgets when caching compiled chunks.
-    pub fn bytes(&self) -> u64 {
-        ((self.vals.len() + self.in_idx.len() + self.seg_ptr.len() + self.seg_rows.len())
-            * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Splits the segment list into exactly `parts` contiguous ranges,
-    /// balanced by element count (tail ranges may be empty). Segments are
-    /// never split across blocks, so each output row has exactly one
-    /// writer; the numeric result is independent of `parts`.
-    pub fn segment_blocks(&self, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.max(1);
-        let n = self.nnz();
-        let segs = self.segments();
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for b in 1..=parts {
-            let mut end = if b == parts {
-                segs
-            } else {
-                let target = (n * b) / parts;
-                let mut e = start;
-                while e < segs && (self.seg_ptr[e] as usize) < target {
-                    e += 1;
-                }
-                e
-            };
-            if end < start {
-                end = start;
-            }
-            out.push(start..end);
-            start = end;
-        }
-        out
-    }
-
-    /// Executes the segments in `segs` for one block: per segment, per rank
-    /// tile, accumulate an `f64` partial over the segment's elements in
-    /// compiled (stable-sorted) order, then round into `out` once. The
-    /// caller guarantees distinct blocks get disjoint segment ranges, so
-    /// every output cell has a single writer.
-    pub fn run_segments(
-        &self,
-        factors: &FactorsView<'_>,
-        segs: Range<usize>,
-        rank_chunk: usize,
-        out: &MttkrpOut,
-    ) {
-        let rank = factors.rank();
-        let nnz = self.nnz();
-        let mut acc = [0.0f64; MAX_RANK_CHUNK];
-        let mut prod = [0.0f64; MAX_RANK_CHUNK];
-        for s in segs {
-            let row = self.seg_rows[s] as usize;
-            let e0 = self.seg_ptr[s] as usize;
-            let e1 = self.seg_ptr[s + 1] as usize;
-            for c0 in (0..rank).step_by(rank_chunk) {
-                let cw = rank_chunk.min(rank - c0);
-                let acc = &mut acc[..cw];
-                acc.fill(0.0);
-                for e in e0..e1 {
-                    let prod = &mut prod[..cw];
-                    prod.fill(self.vals[e] as f64);
-                    for (j, &m) in self.in_modes.iter().enumerate() {
-                        let i = self.in_idx[j * nnz + e] as usize;
-                        let frow = &factors.row(m, i)[c0..c0 + cw];
-                        for (p, &x) in prod.iter_mut().zip(frow) {
-                            *p *= x as f64;
-                        }
-                    }
-                    for (a, &p) in acc.iter_mut().zip(prod.iter()) {
-                        *a += p;
-                    }
-                }
-                let base = row * rank + c0;
-                for (c, &a) in acc.iter().enumerate() {
-                    out.merge_f64(base + c, a);
-                }
-            }
-        }
+    /// The copy as the run path's borrowed view.
+    pub fn sorted_coo(&self) -> SortedCoo<'_> {
+        SortedCoo::new(&self.indices, &self.values, self.order, self.d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::FnSource;
-
-    fn tiny() -> (Vec<[u32; 3]>, Vec<f32>) {
-        (
-            vec![[2, 0, 1], [0, 1, 0], [2, 1, 1], [0, 0, 0], [1, 1, 1]],
-            vec![1.0, -2.0, 0.5, 3.0, 4.0],
-        )
-    }
-
-    fn src_of<'a>(coords: &'a [[u32; 3]], vals: &'a [f32]) -> impl EcSource + 'a {
-        FnSource::new(
-            move |e: usize, m: usize| coords[e][m],
-            move |e: usize| vals[e],
-        )
-    }
+    use crate::kernels::EcSource;
 
     #[test]
     fn compile_builds_sorted_segments() {
-        let (coords, vals) = tiny();
-        let cs = CompiledShard::compile(&src_of(&coords, &vals), 0, 3, 0..5);
-        assert_eq!(cs.mode(), 0);
-        assert_eq!(cs.nnz(), 5);
-        assert_eq!(cs.segments(), 3);
-        assert_eq!(cs.seg_rows, vec![0, 1, 2]);
-        assert_eq!(cs.seg_ptr, vec![0, 2, 3, 5]);
-        // Stable sort: within row 0, element order 1 then 3 is preserved.
-        assert_eq!(cs.vals, vec![-2.0, 3.0, 4.0, 1.0, 0.5]);
-        // Mode-major gathered input coords: modes 1 then 2.
-        assert_eq!(cs.in_modes, vec![1, 2]);
-        assert_eq!(&cs.in_idx[0..5], &[1, 0, 1, 0, 1]);
-        assert_eq!(&cs.in_idx[5..10], &[0, 0, 1, 1, 1]);
-        assert!(cs.bytes() > 0);
+        let coords: [u32; 15] = [2, 0, 1, 0, 1, 0, 2, 1, 1, 0, 0, 0, 1, 1, 1];
+        let vals = [1.0, -2.0, 0.5, 3.0, 4.0];
+        let cs = CompiledShard::compile(&coords, &vals, 3, 0);
+        assert_eq!((cs.mode(), cs.nnz()), (0, 5));
+        // One contiguous segment per output row; within row 0 the stable
+        // sort keeps element 1 before element 3, within row 2 0 before 2.
+        assert_eq!(cs.values, vec![-2.0, 3.0, 4.0, 1.0, 0.5]);
+        assert_eq!(
+            cs.indices,
+            vec![0, 1, 0, 0, 0, 0, 1, 1, 1, 2, 0, 1, 2, 1, 1]
+        );
+        assert!(cs.sorted_coo().sorted_coo(0).is_some());
+        assert!(cs.sorted_coo().sorted_coo(1).is_none());
     }
 
     #[test]
-    fn empty_range_compiles_to_empty_csr() {
-        let (coords, vals) = tiny();
-        let cs = CompiledShard::compile(&src_of(&coords, &vals), 1, 3, 2..2);
-        assert_eq!(cs.nnz(), 0);
-        assert_eq!(cs.segments(), 0);
-        assert_eq!(cs.segment_blocks(4), vec![0..0, 0..0, 0..0, 0..0]);
-    }
-
-    #[test]
-    fn segment_blocks_partition_exactly() {
-        let (coords, vals) = tiny();
-        let cs = CompiledShard::compile(&src_of(&coords, &vals), 0, 3, 0..5);
-        for parts in 1..=6 {
-            let blocks = cs.segment_blocks(parts);
-            assert_eq!(blocks.len(), parts, "exactly one range per block");
-            let mut next = 0;
-            for b in &blocks {
-                assert_eq!(b.start, next, "contiguous");
-                assert!(b.end >= b.start);
-                next = b.end;
-            }
-            assert_eq!(next, cs.segments(), "covers every segment");
-        }
+    fn empty_input_compiles_to_an_empty_copy() {
+        let cs = CompiledShard::compile(&[], &[], 3, 1);
+        assert_eq!((cs.mode(), cs.nnz()), (1, 0));
     }
 }

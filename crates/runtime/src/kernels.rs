@@ -14,8 +14,9 @@
 //!   the value sequence reproduces the historical CAS-loop execution bit for
 //!   bit — this is what keeps `tests/runtime_equivalence.rs` golden.
 //! * **Run** (multi-block grids over a source sorted by the output mode —
-//!   the in-core engine's per-mode tensor copies, paper §3.1, and the
-//!   out-of-core engine's chunks, sorted at decode): a block walks its
+//!   the in-core engine's per-mode tensor copies, paper §3.1, the
+//!   out-of-core engine's chunks, sorted at decode, and
+//!   [`CompiledShard`] copies of anything else): a block walks its
 //!   element range as *runs* of equal output row over the raw element-major
 //!   arrays, accumulates each run in an `f64` register tile, rounds the rows
 //!   that lie strictly inside the block into the output itself, and hands
@@ -27,9 +28,9 @@
 //!   across them (Nisa et al.'s and Wijeratne et al.'s output-sorted
 //!   formulation).
 //! * **Tile** (multi-block grids over any other source — format baselines,
-//!   tuner probes, closures): each block accumulates into its own `f64`
-//!   tile spanning only the output rows it touches, and tiles merge into the
-//!   shared output in block-index order after the grid joins.
+//!   closures): each block accumulates into its own `f64` tile spanning
+//!   only the output rows it touches, and tiles merge into the shared output
+//!   in block-index order after the grid joins.
 //!
 //! **Run and tile produce the same bits.** Cell by cell both compute: per
 //! block, an `f64` partial from `+0.0` over the block's elements of that
@@ -201,7 +202,7 @@ impl<'a> FactorsView<'a> {
 
     /// Row `i` of factor `m`.
     #[inline]
-    pub(crate) fn row(&self, m: usize, i: usize) -> &'a [f32] {
+    fn row(&self, m: usize, i: usize) -> &'a [f32] {
         &self.mats[m][i * self.rank..(i + 1) * self.rank]
     }
 }
@@ -278,7 +279,7 @@ impl MttkrpOut {
     /// Single-writer merge of an `f64` tile value at flat index `idx`: the
     /// running cell is widened, added, and rounded once.
     #[inline]
-    pub(crate) fn merge_f64(&self, idx: usize, v: f64) {
+    fn merge_f64(&self, idx: usize, v: f64) {
         let cell = &self.cells[idx];
         // relaxed: single-writer cell (the merge phase assigns each output
         // row span to exactly one thread); joins publish the final value.
@@ -700,48 +701,26 @@ pub fn mttkrp_host<S: EcSource + ?Sized>(
     );
 }
 
-/// Launches one segmented-reduction MTTKRP grid over a pre-compiled shard
-/// through a [`DeviceRuntime`] — the iterate-many half of the sort-once,
-/// iterate-many path (see [`crate::compiled`]). The grid has exactly
-/// `costs.len()` blocks: the compiled segment list is split into that many
-/// contiguous, nnz-balanced segment ranges (tail blocks may be empty), so a
-/// launch presents the same grid shape to the runtime as the elementwise
-/// dispatch over the same ISP costs — simulated timing is unchanged by the
-/// dispatch choice; only real wall time differs.
-pub fn launch_mttkrp_compiled(
-    rt: &mut dyn DeviceRuntime,
-    gpu: usize,
-    shard: &CompiledShard,
-    factors: &FactorsView<'_>,
-    costs: &[f64],
-    out: &MttkrpOut,
-) -> GridTiming {
-    let rank_chunk = rt.tune().effective_rank_chunk();
-    let blocks = shard.segment_blocks(costs.len());
-    rt.launch_grid(
-        gpu,
-        &|b: usize| shard.run_segments(factors, blocks[b].clone(), rank_chunk, out),
-        costs,
-    )
-}
-
-/// Host-only segmented-reduction MTTKRP over a pre-compiled shard — the
-/// compiled analogue of [`mttkrp_host`] (no runtime, no simulated timing).
-/// Block count follows the worker pool (4 blocks per worker for load
-/// balance); the result is bit-identical at every block and worker count
-/// because segments are never split across blocks.
+/// [`mttkrp_host`] over an owned mode-sorted copy: `4 × workers` even blocks
+/// of its [`SortedCoo`] view, i.e. the run path. Not a kernel of its own —
+/// the name survives PR 9's compiled dispatch only because
+/// `benchmark/src/surface.rs` links it and this tree may not edit
+/// `benchmark/`.
 pub fn mttkrp_host_compiled(
     shard: &CompiledShard,
     factors: &FactorsView<'_>,
     tune: &TuneParams,
     out: &MttkrpOut,
 ) {
-    let workers = tune.effective_workers();
-    let rank_chunk = tune.effective_rank_chunk();
-    let blocks = shard.segment_blocks((workers * 4).max(4));
-    execute_blocks(workers, blocks.len(), |b| {
-        shard.run_segments(factors, blocks[b].clone(), rank_chunk, out)
-    });
+    let blocks = even_blocks(shard.nnz(), 4 * tune.effective_workers());
+    mttkrp_host(
+        &shard.sorted_coo(),
+        shard.mode(),
+        factors,
+        &blocks,
+        tune,
+        out,
+    );
 }
 
 /// Splits `0..n` into `parts` near-equal contiguous element ranges (at most

@@ -44,16 +44,13 @@
 //!   per-block accumulation and a deterministic merge. Engines and
 //!   baselines launch through [`kernels::launch_mttkrp`] instead of writing
 //!   per-element atomic updates.
-//! * [`compiled`] — the sort-once, iterate-many path: a shard compiled into
-//!   output-sorted CSR-style segments with pre-gathered input coordinates
-//!   ([`CompiledShard`]), executed as a gather + segmented reduction via
-//!   [`kernels::launch_mttkrp_compiled`]. Engines cache compiled shards
-//!   across ALS iterations and invalidate them on replan.
+//! * [`compiled`] — an owned mode-sorted copy ([`CompiledShard`]) for
+//!   callers whose data is not sorted by the output mode yet; it lends the
+//!   kernel layer the same [`SortedCoo`] view the engines' copies do.
 //! * [`params`] — the tunable execution parameters ([`TuneParams`]: rank
-//!   tile, worker count, OOC chunk budget and prefetch depth, and the
-//!   [`DispatchKind`] strategy axis) a runtime carries and the `amped-tune`
-//!   autotuner searches. Every setting is numerics-safe; only the opt-in
-//!   dispatch axis changes bit sequences (within the 1-ulp contract).
+//!   tile, worker count, OOC chunk budget and prefetch depth) a runtime
+//!   carries and the `amped-tune` autotuner searches. Every setting is
+//!   bit-transparent.
 //! * [`smexec`] / [`collective`] — the execution primitives themselves
 //!   (grid executor, flat and hierarchical ring all-gathers), moved here
 //!   from `amped-sim` so that no caller outside this crate reaches them
@@ -89,10 +86,9 @@ pub use cpu_runtime::CpuParallelRuntime;
 pub use device::{Device, Platform};
 pub use export::{chrome_trace, chrome_trace_string};
 pub use kernels::{
-    launch_mttkrp, launch_mttkrp_compiled, mttkrp_host_compiled, EcSource, FactorsView, FnSource,
-    MttkrpOut, SortedCoo,
+    launch_mttkrp, mttkrp_host_compiled, EcSource, FactorsView, FnSource, MttkrpOut, SortedCoo,
 };
-pub use params::{DispatchKind, TuneParams, MAX_RANK_CHUNK};
+pub use params::{TuneParams, MAX_RANK_CHUNK};
 pub use runtime::{Collective, DeviceRuntime, FactorBlock};
 pub use sim_runtime::SimRuntime;
 pub use smexec::GridTiming;

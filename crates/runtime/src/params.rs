@@ -8,7 +8,9 @@
 //! searches a small candidate grid per (backend, tensor-stats bucket) and
 //! caches the winner; everything here must therefore be *behaviorally
 //! transparent*: any valid `TuneParams` produces the same numerics, only
-//! different wall time.
+//! different wall time. All four fields are, with no exception — which
+//! path a launch takes is decided by the launch (block count, sortedness),
+//! never by a field here.
 //!
 //! * `rank_chunk` is bit-transparent on every kernel path because rank
 //!   blocking tiles the factor-*column* loop while each output cell still
@@ -27,34 +29,6 @@ use amped_sim::host_workers;
 /// Hadamard partial holds this many columns, and [`TuneParams::rank_chunk`]
 /// is clamped to it.
 pub const MAX_RANK_CHUNK: usize = 256;
-
-/// Which MTTKRP execution strategy the engines drive per launch.
-///
-/// Both strategies are numerically safe for ALS (≤ 1 `f32` ulp from the
-/// sequential `f64` reference, bit-invariant across worker counts), but
-/// they are *not* bit-identical to each other, so the default stays on the
-/// historical elementwise path — every pre-PR-9 golden keeps its bits
-/// unless a caller (or the autotuner) opts into compiled execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DispatchKind {
-    /// The PR-6 kernel layer: walk raw COO elements, decode every mode
-    /// coordinate per nonzero, accumulate into per-block privatized `f64`
-    /// tiles merged in block-index order (single-block grids take the
-    /// legacy direct path; sources sorted by the output mode take the
-    /// bit-equal run path instead of tiles — the kernel layer picks, not
-    /// this enum). No preprocessing, works on any [`EcSource`].
-    ///
-    /// [`EcSource`]: crate::kernels::EcSource
-    #[default]
-    ElementwisePrivatized,
-    /// Sort-once, iterate-many: the shard is compiled once into a
-    /// [`CompiledShard`](crate::kernels::CompiledShard) — nonzeros sorted
-    /// by output index into CSR-style segments, input-mode indices
-    /// pre-gathered into flat arrays — and every subsequent launch runs a
-    /// gather + segmented reduction with no privatized tiles and no merge.
-    /// Pays a one-time compile that amortizes across ALS iterations.
-    CompiledSegmented,
-}
 
 /// Searched kernel/pipeline parameters. `Default` reproduces the
 /// pre-autotuner behavior bit for bit: the historical rank tile of 32,
@@ -78,10 +52,6 @@ pub struct TuneParams {
     /// restores the strictly blocking read-then-compute loop. Effective
     /// depth is additionally capped at `ooc_chunk_budget - 1`.
     pub prefetch_depth: usize,
-    /// MTTKRP execution strategy. The default elementwise path keeps the
-    /// historical bit sequences; [`DispatchKind::CompiledSegmented`] trades
-    /// a one-time per-shard compile for faster steady-state iterations.
-    pub dispatch: DispatchKind,
 }
 
 impl Default for TuneParams {
@@ -91,7 +61,6 @@ impl Default for TuneParams {
             workers: 0,
             ooc_chunk_budget: 2,
             prefetch_depth: 1,
-            dispatch: DispatchKind::ElementwisePrivatized,
         }
     }
 }
@@ -133,11 +102,6 @@ mod tests {
         assert_eq!(t.ooc_chunk_budget, 2);
         assert_eq!(t.prefetch_depth, 1);
         assert_eq!(t.effective_prefetch(), 1);
-        assert_eq!(
-            t.dispatch,
-            DispatchKind::ElementwisePrivatized,
-            "default dispatch keeps every pre-PR-9 golden bit-exact"
-        );
     }
 
     #[test]

@@ -14,18 +14,16 @@
 //! sample of a tensor win on the 130k version too, and coarse keys keep the
 //! cache small and the hit rate high.
 //!
-//! A corrupt cache file is a *recoverable* condition, never a panic: the
-//! tuner warns once, starts cold, and overwrites the poison on the next
-//! successful search.
+//! A corrupt cache file — or one written in another format version — is a
+//! *recoverable* condition, never a panic: the tuner warns once, starts
+//! cold, and overwrites the file on the next successful search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use amped_linalg::Mat;
-use amped_runtime::kernels::{
-    even_blocks, mttkrp_host, mttkrp_host_compiled, CompiledShard, FactorsView, FnSource, MttkrpOut,
-};
-use amped_runtime::{DispatchKind, TuneParams};
+use amped_runtime::kernels::{even_blocks, mttkrp_host, CompiledShard, FactorsView, MttkrpOut};
+use amped_runtime::TuneParams;
 use amped_sim::host_workers;
 use amped_sim::obs::{warn_once, Counter, MetricsRegistry};
 use amped_tensor::gen::GenSpec;
@@ -53,14 +51,10 @@ pub const MAX_PROBE_NNZ: usize = 32_768;
 /// simply never wins).
 const PROBE_RUNS: usize = 4;
 
-/// Iterations a compiled shard's one-time compile is assumed to amortize
-/// over when the search scores [`DispatchKind::CompiledSegmented`]
-/// candidates: `score = exec + compile / TUNE_AMORTIZE_ITERS`. Sixteen is a
-/// conservative ALS run length — real decompositions run dozens of
-/// iterations, so if compiled wins under this pricing it wins in practice,
-/// while one-shot workloads mispredicted by at most `compile / 16` stay
-/// protected from a compile that could never pay for itself.
-pub const TUNE_AMORTIZE_ITERS: f64 = 16.0;
+/// Cache format version written and accepted. Version 1 files hold winners
+/// scored on the tile or on PR 9's compiled kernel (and may carry a
+/// `dispatch` field), not on what the engines launch: they are re-searched.
+const CACHE_VERSION: f64 = 2.0;
 
 /// The tensor-shape facts a search is keyed and provisioned by. Obtainable
 /// without touching payload data — the out-of-core engine builds one from
@@ -121,6 +115,14 @@ pub enum TuneError {
         /// What was wrong.
         message: String,
     },
+    /// The cache file was written in another format version (or none): its
+    /// winners were scored on a kernel the engines no longer launch.
+    Version {
+        /// Offending path.
+        path: PathBuf,
+        /// The `"version"` found; `None` when absent or not a number.
+        found: Option<f64>,
+    },
 }
 
 impl fmt::Display for TuneError {
@@ -132,6 +134,11 @@ impl fmt::Display for TuneError {
             TuneError::Malformed { path, message } => {
                 write!(f, "tune cache {} is malformed: {message}", path.display())
             }
+            TuneError::Version { path, found } => write!(
+                f,
+                "tune cache {} has format version {found:?}, not {CACHE_VERSION}",
+                path.display()
+            ),
         }
     }
 }
@@ -236,18 +243,8 @@ impl Autotuner {
         t: &SparseTensor,
         rank: usize,
     ) -> TuneParams {
-        let stats = TensorStats::of_tensor(t, rank);
-        let key = Self::cache_key(backend, &stats);
-        if let Some(&p) = self.entries.get(&key) {
-            self.hits.inc();
-            return p;
-        }
-        self.searches.inc();
-        let (coords, vals) = subsample(t, MAX_PROBE_NNZ);
-        let p = search_grid(t.order(), rank, &coords, &vals);
-        self.entries.insert(key, p);
-        self.persist_best_effort();
-        p
+        let key = Self::cache_key(backend, &TensorStats::of_tensor(t, rank));
+        self.cached_or(key, || search_grid(t, rank))
     }
 
     /// Parameters for a tensor known only by its [`TensorStats`] (the
@@ -256,23 +253,30 @@ impl Autotuner {
     /// bucket). Cache and counters behave as in
     /// [`Autotuner::params_for_tensor`].
     pub fn params_for_stats(&mut self, backend: &str, stats: &TensorStats) -> TuneParams {
-        let key = Self::cache_key(backend, stats);
+        self.cached_or(Self::cache_key(backend, stats), || {
+            let sample = (stats.nnz.min(MAX_PROBE_NNZ as u64) as usize).max(1);
+            let probe = GenSpec::uniform(stats.dims.clone(), sample, 0xA11CED).generate();
+            search_grid(&probe, stats.rank)
+        })
+    }
+
+    /// The entry cached under `key`, or the result of `search` — counted,
+    /// remembered and persisted.
+    fn cached_or(&mut self, key: String, search: impl FnOnce() -> TuneParams) -> TuneParams {
         if let Some(&p) = self.entries.get(&key) {
             self.hits.inc();
             return p;
         }
         self.searches.inc();
-        let sample = (stats.nnz.min(MAX_PROBE_NNZ as u64) as usize).max(1);
-        let probe = GenSpec::uniform(stats.dims.clone(), sample, 0xA11CED).generate();
-        let (coords, vals) = subsample(&probe, MAX_PROBE_NNZ);
-        let p = search_grid(stats.order(), stats.rank, &coords, &vals);
+        let p = search();
         self.entries.insert(key, p);
         self.persist_best_effort();
         p
     }
 
     /// Loads a cache file. A missing file is an empty cache; anything else
-    /// that fails is a [`TuneError`].
+    /// that fails — a file of another format version included — is a
+    /// [`TuneError`].
     pub fn load_cache(path: &Path) -> Result<BTreeMap<String, TuneParams>, TuneError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -292,6 +296,14 @@ impl Autotuner {
         let Value::Obj(fields) = &root else {
             return Err(malformed("top level is not an object".into()));
         };
+        let found = fields.iter().find_map(|(k, v)| match v {
+            Value::Num(x) if k == "version" => Some(*x),
+            _ => None,
+        });
+        if found != Some(CACHE_VERSION) {
+            let path = path.to_path_buf();
+            return Err(TuneError::Version { path, found });
+        }
         let entries = fields
             .iter()
             .find(|(k, _)| k == "entries")
@@ -318,19 +330,6 @@ impl Autotuner {
                     ))),
                 }
             };
-            // `dispatch` is optional for backward compatibility: caches
-            // written before the dispatch axis existed load as the
-            // (bit-exact) elementwise default.
-            let dispatch = match param_fields.iter().find(|(k, _)| k == "dispatch") {
-                None => DispatchKind::ElementwisePrivatized,
-                Some((_, Value::Num(x))) if *x == 0.0 => DispatchKind::ElementwisePrivatized,
-                Some((_, Value::Num(x))) if *x == 1.0 => DispatchKind::CompiledSegmented,
-                Some((_, other)) => {
-                    return Err(malformed(format!(
-                        "entry {key:?} field \"dispatch\" is not 0 or 1: {other:?}"
-                    )))
-                }
-            };
             map.insert(
                 key.clone(),
                 TuneParams {
@@ -338,7 +337,6 @@ impl Autotuner {
                     workers: field("workers")?,
                     ooc_chunk_budget: field("ooc_chunk_budget")?,
                     prefetch_depth: field("prefetch_depth")?,
-                    dispatch,
                 },
             );
         }
@@ -365,20 +363,13 @@ impl Autotuner {
                                 Value::Num(p.ooc_chunk_budget as f64),
                             ),
                             ("prefetch_depth".into(), Value::Num(p.prefetch_depth as f64)),
-                            (
-                                "dispatch".into(),
-                                Value::Num(match p.dispatch {
-                                    DispatchKind::ElementwisePrivatized => 0.0,
-                                    DispatchKind::CompiledSegmented => 1.0,
-                                }),
-                            ),
                         ]),
                     )
                 })
                 .collect(),
         );
         let root = Value::Obj(vec![
-            ("version".into(), Value::Num(1.0)),
+            ("version".into(), Value::Num(CACHE_VERSION)),
             ("entries".into(), entries),
         ]);
         let text = serde_json::to_string_pretty(&root).expect("value tree renders");
@@ -424,23 +415,18 @@ fn subsample(t: &SparseTensor, max: usize) -> (Vec<Idx>, Vec<Val>) {
     (coords, vals)
 }
 
-/// Benchmarks the candidate grid on the probe shard and returns the winner
-/// (defaults with the winning `rank_chunk`/`workers`/`dispatch`
-/// substituted; the OOC pipeline knobs keep their defaults — double
-/// buffering already subsumes the blocking loop).
-///
-/// The dispatch axis is priced honestly: compiled-segmented candidates pay
-/// the probe's one-time compile *divided by* [`TUNE_AMORTIZE_ITERS`] on top
-/// of their measured execution time, since a real ALS run compiles each
-/// shard once and then iterates — raw per-launch time would overstate the
-/// compile, and ignoring it would let a pathological compile win for free.
+/// Benchmarks the [`candidates`] on a strided subsample of `t` and returns
+/// the fastest, timed on the kernel the engines launch: the subsample is
+/// sorted by mode 0 once, outside the timing loop, and every candidate runs
+/// the kernel layer's run path over that copy in `4 × workers` blocks.
 ///
 /// Per-mode indices are compacted to first-seen ranks so factor matrices
 /// stay probe-sized even for billion-row modes; compaction preserves the
 /// access *pattern* (reuse distances and run structure), which is what the
 /// candidates differ on.
-fn search_grid(order: usize, rank: usize, coords: &[Idx], vals: &[Val]) -> TuneParams {
-    let rank = rank.max(1);
+fn search_grid(t: &SparseTensor, rank: usize) -> TuneParams {
+    let (order, rank) = (t.order(), rank.max(1));
+    let (coords, vals) = subsample(t, MAX_PROBE_NNZ);
     let k = vals.len();
     if k == 0 {
         return TuneParams::default();
@@ -463,72 +449,46 @@ fn search_grid(order: usize, rank: usize, coords: &[Idx], vals: &[Val]) -> TuneP
         .collect();
     let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
     let out = MttkrpOut::zeros(dims[0], rank);
-    let src = FnSource::new(|e, m| remapped[e * order + m], |e| vals[e]);
-
-    // Candidates: tile widths that actually differ at this rank, crossed
-    // with serial vs the full worker pool.
-    let mut rc_cands: Vec<usize> = Vec::new();
-    let mut seen_eff = Vec::new();
-    for rc in [8usize, 32, 256] {
-        let eff = rc.min(rank);
-        if !seen_eff.contains(&eff) {
-            seen_eff.push(eff);
-            rc_cands.push(rc);
-        }
-    }
-    let hw = host_workers();
-    let mut worker_cands = vec![1usize];
-    if hw > 1 {
-        worker_cands.push(hw);
-    }
-
-    // One layout compile serves every compiled candidate; its wall time is
-    // the amortized cost the scores below charge.
-    let t0 = Instant::now();
-    let shard = CompiledShard::compile(&src, 0, order, 0..k);
-    let compile_s = t0.elapsed().as_secs_f64();
-    let amortized_compile = compile_s / TUNE_AMORTIZE_ITERS;
+    let sorted = CompiledShard::compile(&remapped, &vals, order, 0);
+    let src = sorted.sorted_coo();
 
     let mut best = TuneParams::default();
-    let mut best_score = f64::INFINITY;
-    for &w in &worker_cands {
-        let blocks = even_blocks(k, (w * 4).max(4));
-        for &rc in &rc_cands {
-            for dispatch in [
-                DispatchKind::ElementwisePrivatized,
-                DispatchKind::CompiledSegmented,
-            ] {
-                let cand = TuneParams {
-                    rank_chunk: rc,
-                    workers: w,
-                    dispatch,
-                    ..TuneParams::default()
-                };
-                let mut elapsed = f64::INFINITY;
-                for _ in 0..PROBE_RUNS {
-                    let t0 = Instant::now();
-                    match dispatch {
-                        DispatchKind::ElementwisePrivatized => {
-                            mttkrp_host(&src, 0, &views, &blocks, &cand, &out)
-                        }
-                        DispatchKind::CompiledSegmented => {
-                            mttkrp_host_compiled(&shard, &views, &cand, &out)
-                        }
-                    }
-                    elapsed = elapsed.min(t0.elapsed().as_secs_f64());
-                }
-                let score = match dispatch {
-                    DispatchKind::ElementwisePrivatized => elapsed,
-                    DispatchKind::CompiledSegmented => elapsed + amortized_compile,
-                };
-                if score < best_score {
-                    best_score = score;
-                    best = cand;
-                }
+    let mut best_elapsed = f64::INFINITY;
+    for cand in candidates(rank) {
+        let blocks = even_blocks(k, 4 * cand.workers);
+        for _ in 0..PROBE_RUNS {
+            let t0 = Instant::now();
+            mttkrp_host(&src, 0, &views, &blocks, &cand, &out);
+            let elapsed = t0.elapsed().as_secs_f64();
+            if elapsed < best_elapsed {
+                best_elapsed = elapsed;
+                best = cand;
             }
         }
     }
     best
+}
+
+/// The searched grid at `rank`: the tile widths that actually differ at this
+/// rank, crossed with serial vs the full worker pool; the OOC pipeline knobs
+/// keep their defaults. Every entry is bit-transparent
+/// (`tests/autotune_engine.rs` runs both engines under each).
+pub fn candidates(rank: usize) -> Vec<TuneParams> {
+    let mut rank_chunks = vec![8usize, 32, 256];
+    rank_chunks.dedup_by_key(|rc| (*rc).min(rank));
+    let mut pools = vec![1, host_workers()];
+    pools.dedup();
+    let mut grid = Vec::new();
+    for &workers in &pools {
+        for &rank_chunk in &rank_chunks {
+            grid.push(TuneParams {
+                rank_chunk,
+                workers,
+                ..TuneParams::default()
+            });
+        }
+    }
+    grid
 }
 
 #[cfg(test)]
@@ -607,15 +567,15 @@ mod tests {
         let dir = ScratchDir::new("tune");
         for (name, body) in [
             ("arr.json", "[1, 2, 3]"),
-            ("noentries.json", r#"{"version": 1}"#),
-            ("badentry.json", r#"{"entries": {"k": 7}}"#),
+            ("noentries.json", r#"{"version": 2}"#),
+            ("badentry.json", r#"{"version": 2, "entries": {"k": 7}}"#),
             (
                 "badfield.json",
-                r#"{"entries": {"k": {"rank_chunk": -2.5}}}"#,
+                r#"{"version": 2, "entries": {"k": {"rank_chunk": -2.5}}}"#,
             ),
             (
                 "missingfield.json",
-                r#"{"entries": {"k": {"rank_chunk": 32}}}"#,
+                r#"{"version": 2, "entries": {"k": {"rank_chunk": 32}}}"#,
             ),
         ] {
             let path = dir.join(name);
@@ -648,48 +608,48 @@ mod tests {
     }
 
     #[test]
-    fn pre_dispatch_caches_load_with_the_elementwise_default() {
-        // A cache written before the dispatch axis existed (no "dispatch"
-        // field) must stay loadable — and resolve to the bit-exact default.
+    fn other_version_caches_are_researched_and_rewritten() {
+        // A v1 file: its winner was scored on the tile or the compiled
+        // kernel, and it carries the retired `dispatch` field.
         let dir = ScratchDir::new("tune");
-        let path = dir.join("predispatch.json");
-        std::fs::write(
-            &path,
-            r#"{"entries": {"k": {"rank_chunk": 32, "workers": 2,
-                "ooc_chunk_budget": 2, "prefetch_depth": 1}}}"#,
-        )
-        .expect("write");
-        let map = Autotuner::load_cache(&path).expect("old format loads");
-        assert_eq!(map["k"].dispatch, DispatchKind::ElementwisePrivatized);
-        assert_eq!(map["k"].workers, 2);
-    }
-
-    #[test]
-    fn dispatch_field_round_trips_and_rejects_garbage() {
-        let dir = ScratchDir::new("tune");
-        let path = dir.join("dispatch.json");
-        std::fs::write(
-            &path,
-            r#"{"entries": {"k": {"rank_chunk": 8, "workers": 1,
-                "ooc_chunk_budget": 2, "prefetch_depth": 1, "dispatch": 1}}}"#,
-        )
-        .expect("write");
-        let map = Autotuner::load_cache(&path).expect("dispatch=1 loads");
-        assert_eq!(map["k"].dispatch, DispatchKind::CompiledSegmented);
-
-        std::fs::write(
-            &path,
-            r#"{"entries": {"k": {"rank_chunk": 8, "workers": 1,
-                "ooc_chunk_budget": 2, "prefetch_depth": 1, "dispatch": 7}}}"#,
-        )
-        .expect("write");
-        assert!(
-            matches!(
-                Autotuner::load_cache(&path),
-                Err(TuneError::Malformed { .. })
-            ),
-            "unknown dispatch ordinal must be Malformed, not silently misread"
+        let path = dir.join("v1.json");
+        let t = tensor();
+        let key = Autotuner::cache_key("sim-w4", &TensorStats::of_tensor(&t, 16));
+        let v1 = format!(
+            r#"{{"version": 1, "entries": {{"{key}": {{"rank_chunk": 8, "workers": 1,
+                "ooc_chunk_budget": 2, "prefetch_depth": 1, "dispatch": 1}}}}}}"#
         );
+        std::fs::write(&path, v1).expect("write");
+        std::fs::write(dir.join("none.json"), r#"{"entries": {}}"#).expect("write");
+        for (file, want) in [("v1.json", Some(1.0)), ("none.json", None)] {
+            assert!(matches!(
+                Autotuner::load_cache(&dir.join(file)),
+                Err(TuneError::Version { found, .. }) if found == want
+            ));
+        }
+
+        // Never reused silently: the matching key is searched again, once…
+        let reg = MetricsRegistry::new();
+        let mut stale = Autotuner::with_cache(&path);
+        stale.attach_metrics(&reg);
+        assert!(
+            stale.load_error().is_some(),
+            "the stale version is reported"
+        );
+        let p = stale.params_for_tensor("sim-w4", &t, 16);
+        assert_eq!(reg.counter_value("tune_searches", &[]), 1);
+        assert_eq!(reg.counter_value("tune_cache_hits", &[]), 0);
+
+        // …the file is rewritten as v2 and the next construction is a pure
+        // cache hit.
+        let text = std::fs::read_to_string(&path).expect("rewritten");
+        assert!(text.contains("\"version\": 2") && !text.contains("dispatch"));
+        let mut warm = Autotuner::with_cache(&path);
+        warm.attach_metrics(&reg);
+        assert!(warm.load_error().is_none());
+        assert_eq!(warm.params_for_tensor("sim-w4", &t, 16), p);
+        assert_eq!(reg.counter_value("tune_searches", &[]), 1);
+        assert_eq!(reg.counter_value("tune_cache_hits", &[]), 1);
     }
 
     #[test]

@@ -46,7 +46,15 @@ fn main() {
 
     // --- Out-of-core: chunk the tensor to disk, stream through a 1 MB
     // staging budget (3% of the tensor's own footprint).
-    let dir = std::env::temp_dir().join("amped_stream_ooc_example");
+    // A directory of this process alone: two concurrent runs must not share
+    // (or delete) each other's file.
+    let nanos = std::time::UNIX_EPOCH
+        .elapsed()
+        .map_or(0, |d| d.subsec_nanos());
+    let dir = std::env::temp_dir().join(format!(
+        "amped_stream_ooc_example_{}_{nanos}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("oversize.tnsb");
     let meta = write_tnsb(&tensor, &path, 16 * 1024).unwrap();
@@ -91,5 +99,6 @@ fn main() {
          through the staging budget,\neach GPU pulling only the slices whose \
          output rows it owns."
     );
-    std::fs::remove_file(path).ok();
+    drop(engine);
+    std::fs::remove_dir_all(dir).ok();
 }

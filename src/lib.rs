@@ -57,10 +57,10 @@ pub mod prelude {
         RebalancingPlanner, UniformCost, WorkloadProfile,
     };
     pub use amped_runtime::{
-        chrome_trace, chrome_trace_string, launch_mttkrp, launch_mttkrp_compiled, Collective,
-        CompiledShard, CpuParallelRuntime, Device, DeviceRuntime, DispatchKind, FactorBlock,
-        FactorsView, FnSource, GridTiming, MttkrpOut, Platform, SimRuntime, SortedCoo, SpanPath,
-        SpanScope, StragglerReport, Timeline, TracingRuntime, TuneParams,
+        chrome_trace, chrome_trace_string, launch_mttkrp, Collective, CompiledShard,
+        CpuParallelRuntime, Device, DeviceRuntime, FactorBlock, FactorsView, FnSource, GridTiming,
+        MttkrpOut, Platform, SimRuntime, SortedCoo, SpanPath, SpanScope, StragglerReport, Timeline,
+        TracingRuntime, TuneParams,
     };
     pub use amped_sim::metrics::{geomean, RunReport};
     pub use amped_sim::obs::MetricsRegistry;

@@ -1,8 +1,9 @@
 //! End-to-end autotuning: a tuned engine computes bit-identical results to
-//! a default one (every searched knob is numerics-transparent), the first
-//! construction searches exactly once, a warm persistent cache performs no
-//! search at all, and the out-of-core constructor tunes from the `.tnsb`
-//! footer statistics alone.
+//! a default one — and so does an engine forced onto any other candidate of
+//! the searched grid (every searched knob is bit-transparent, not just the
+//! winner) — the first construction searches exactly once, a warm persistent
+//! cache performs no search at all, and the out-of-core constructor tunes
+//! from the `.tnsb` footer statistics alone.
 
 mod common;
 
@@ -56,14 +57,20 @@ fn tuned_engine_is_bit_identical_and_searches_once() {
     assert_eq!(reg.counter_value("tune_searches", &[]), 1);
     assert_eq!(reg.counter_value("tune_cache_hits", &[]), 0);
 
-    for d in 0..t.order() {
-        let (want, _) = base.mttkrp_mode(d, &fs).unwrap();
-        let (got, _) = tuned.mttkrp_mode(d, &fs).unwrap();
-        assert_eq!(
-            want.as_slice(),
-            got.as_slice(),
-            "mode {d}: tuned parameters changed the numerics"
-        );
+    // Every candidate the search could have returned, the winner among them.
+    let grid = amped::tune::candidates(cfg().rank);
+    assert!(grid.contains(&tuned.tune()), "the winner is a candidate");
+    for cand in grid {
+        tuned.set_tune(cand);
+        for d in 0..t.order() {
+            let (want, _) = base.mttkrp_mode(d, &fs).unwrap();
+            let (got, _) = tuned.mttkrp_mode(d, &fs).unwrap();
+            assert_eq!(
+                want.as_slice(),
+                got.as_slice(),
+                "mode {d}: {cand:?} changed the numerics"
+            );
+        }
     }
 }
 
@@ -116,13 +123,18 @@ fn ooc_tuned_matches_untuned_and_tunes_from_footer_stats() {
     let mut tuned = OocEngine::with_tuner(&path, Box::new(rt), cfg(), budget, &mut tuner).unwrap();
     assert_eq!(reg.counter_value("tune_searches", &[]), 1);
 
-    for d in 0..t.order() {
-        let (want, _) = base.mttkrp_mode(d, &fs).unwrap();
-        let (got, _) = tuned.mttkrp_mode(d, &fs).unwrap();
-        assert_eq!(
-            want.as_slice(),
-            got.as_slice(),
-            "mode {d}: tuned OOC parameters changed the numerics"
-        );
+    let grid = amped::tune::candidates(cfg().rank);
+    assert!(grid.contains(&tuned.tune()), "the winner is a candidate");
+    for cand in grid {
+        tuned.set_tune(cand);
+        for d in 0..t.order() {
+            let (want, _) = base.mttkrp_mode(d, &fs).unwrap();
+            let (got, _) = tuned.mttkrp_mode(d, &fs).unwrap();
+            assert_eq!(
+                want.as_slice(),
+                got.as_slice(),
+                "mode {d}: {cand:?} changed the OOC numerics"
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@
 
 use amped::partition::isp_ranges;
 use amped::prelude::*;
-use amped::runtime::kernels::mttkrp_host;
+use amped::runtime::kernels::{even_blocks, mttkrp_host};
+use amped::runtime::mttkrp_host_compiled;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -228,6 +229,69 @@ fn blocks_out_of_row_order_panic_at_the_fold() {
     let _ = case.run(&[30..60, 0..30], 1, 32, true);
 }
 
+/// Unsorted data reaches the run path through an owned sorted copy
+/// (`compile_mode` + `mttkrp_compiled` / `mttkrp_host_compiled` — the tuner
+/// probe's and the benchmark probe's path). It must produce the bits of the
+/// tile path over the same stably-sorted element order, at every worker
+/// count and `rank_chunk`.
+#[test]
+fn sorted_copy_of_an_unsorted_tensor_matches_the_tile_path() {
+    let t = GenSpec {
+        shape: vec![40, 25, 30],
+        nnz: 3000,
+        skew: vec![1.0, 0.0, 0.5],
+        seed: 515,
+    }
+    .generate();
+    let rank = 40;
+    let mut rng = SmallRng::seed_from_u64(516);
+    let factors: Vec<Mat> = t
+        .shape()
+        .iter()
+        .map(|&d| Mat::random(d as usize, rank, &mut rng))
+        .collect();
+    let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+    let bits = |o: &MttkrpOut| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for d in 0..t.order() {
+        assert!(
+            (1..t.nnz()).any(|e| t.idx(e - 1, d) > t.idx(e, d)),
+            "mode {d}: the generated tensor is already sorted, nothing tested"
+        );
+        let shard = compile_mode(&t, d);
+        // The same element order, from a closure: tile path only.
+        let mut perm: Vec<usize> = (0..t.nnz()).collect();
+        perm.sort_by_key(|&e| t.idx(e, d));
+        let tile_src = FnSource::new(|e, m| t.idx(perm[e], m), |e| t.value(perm[e]));
+        let rows = t.dim(d) as usize;
+        for workers in [1usize, 2, 4] {
+            let blocks = even_blocks(t.nnz(), 4 * workers);
+            for &rank_chunk in &RANK_CHUNKS {
+                let tune = TuneParams {
+                    workers,
+                    rank_chunk,
+                    ..Default::default()
+                };
+                let (want, got) = (MttkrpOut::zeros(rows, rank), MttkrpOut::zeros(rows, rank));
+                mttkrp_host(&tile_src, d, &views, &blocks, &tune, &want);
+                mttkrp_host_compiled(&shard, &views, &tune, &got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "mode {d}, workers {workers}, rank_chunk {rank_chunk}"
+                );
+            }
+        }
+        // `mttkrp_compiled` is the same launch at the host pool's size.
+        let tune = TuneParams::default();
+        let blocks = even_blocks(t.nnz(), 4 * tune.effective_workers());
+        let want = MttkrpOut::zeros(rows, rank);
+        mttkrp_host(&tile_src, d, &views, &blocks, &tune, &want);
+        let got = mttkrp_compiled(&shard, &t, &factors);
+        let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits(&want), "mode {d}: mttkrp_compiled");
+    }
+}
+
 /// The in-core engine under default dispatch (run path on every multi-ISP
 /// shard) returns the bits the tile path produced before the switch. The
 /// expectation is captured here, not in a golden file: the engine's own
@@ -257,7 +321,6 @@ fn engine_default_dispatch_keeps_the_tile_path_bits() {
         .collect();
     let platform = PlatformSpec::rtx6000_ada_node(3).scaled(1e-3);
     let mut engine = AmpedEngine::new(&t, platform, cfg.clone()).unwrap();
-    assert_eq!(engine.tune().dispatch, DispatchKind::default());
     let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
     for d in 0..t.order() {
         let mp = &engine.plan().modes[d];

@@ -167,7 +167,6 @@ fn check_matrix(t: &SparseTensor, cap: usize, seed: u64) {
                     ooc_chunk_budget: depth + 1,
                     workers,
                     rank_chunk,
-                    ..Default::default()
                 };
                 // The oracle comparison is the same at every point of the
                 // matrix once the bits are; pay for it once per depth.
@@ -280,7 +279,6 @@ proptest! {
             ooc_chunk_budget: 3,
             workers: 8,
             rank_chunk: 8,
-            ..Default::default()
         };
         let a = engine_run(&path, &t, &fs, budget, blocking, true);
         let b = engine_run(&path, &t, &fs, budget, deep, false);
