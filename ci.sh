@@ -33,10 +33,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "=== 6/15 cargo bench -p amped-bench -- --test (smoke) ==="
 cargo bench -p amped-bench -- --test
 
-echo "=== 7/15 cluster example (smoke) ==="
+echo "=== 7/15 cluster example + figures fig10 (smoke) ==="
 # The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
 # HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
 cargo run --release --example cluster
+# Preprocessing wall against BLCO's linearization, with the wall split into
+# sort / statistics / pricing busy-seconds — the one bin that reports setup
+# next to an external preprocessor. Printed, not gated (wall time).
+cargo run --release -p amped-bench --bin figures -- --out target/figures fig10
 
 echo "=== 8/15 trace_export (observability artifacts, self-validating) ==="
 # Small ALS runs on both engines with metrics + span tracing attached. The

@@ -10,7 +10,7 @@
 
 use crate::system::{pipeline_time, Capabilities, MttkrpSystem, SystemRun};
 use amped_linalg::Mat;
-use amped_partition::{isp_ranges, EqualPlan, ShardStats};
+use amped_partition::{isp_ranges, EqualPlan, ShardStats, StatsScratch};
 use amped_plan::{EqualSplit, Partitioner, PlanStats, UniformCost};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
@@ -117,6 +117,7 @@ impl MttkrpSystem for EqualNnzSystem {
         }
 
         let cache_rows = (gpu.l2_bytes / (rank as u64 * 4)).max(1) as usize;
+        let mut scratch = StatsScratch::new();
         let mut fs = factors.to_vec();
         let mut report = RunReport {
             preprocess_wall,
@@ -146,7 +147,13 @@ impl MttkrpSystem for EqualNnzSystem {
                     let costs: Vec<f64> = isps
                         .iter()
                         .map(|r| {
-                            let st = ShardStats::compute(tensor, d, r.clone(), cache_rows);
+                            let st = ShardStats::compute_scratch(
+                                tensor,
+                                d,
+                                r.clone(),
+                                cache_rows,
+                                &mut scratch,
+                            );
                             let bs = BlockStats {
                                 nnz: st.nnz,
                                 distinct_out: st.distinct_out,

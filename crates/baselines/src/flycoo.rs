@@ -10,7 +10,7 @@
 
 use crate::system::{Capabilities, MttkrpSystem, SystemRun};
 use amped_linalg::Mat;
-use amped_partition::{isp_ranges, PartitionPlan, ShardStats};
+use amped_partition::{isp_ranges, PartitionPlan, StatsScratch};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
@@ -103,13 +103,14 @@ impl MttkrpSystem for FlycooSystem {
         };
 
         let cache_rows = (gpu.l2_bytes / (rank as u64 * 4)).max(1) as usize;
+        let mut scratch = StatsScratch::new();
         for d in 0..order {
             let mp = &plan.modes[d];
             let isps = isp_ranges(0..mp.tensor.nnz(), isp_nnz);
             let costs: Vec<f64> = isps
                 .iter()
                 .map(|r| {
-                    let st = ShardStats::compute(&mp.tensor, d, r.clone(), cache_rows);
+                    let st = mp.range_stats(r.clone(), cache_rows, &mut scratch);
                     let bs = BlockStats {
                         nnz: st.nnz,
                         distinct_out: st.distinct_out,

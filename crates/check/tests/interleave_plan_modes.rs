@@ -1,10 +1,15 @@
-//! Bounded interleaving exploration of the `plan_modes` protocol.
+//! Bounded interleaving exploration of the planning pool's protocol.
 //!
-//! Mirrors `amped_partition::plan::plan_modes`: workers claim mode indices
-//! from a shared atomic counter and publish each built plan into a
-//! per-mode once-slot (the production code's `OnceLock<Result<T, E>>`).
+//! Mirrors `pool_map` in `amped_partition::plan`, the pool under
+//! `PartitionPlan::build_priced` (it grew out of `plan_modes`, one job per
+//! mode; a "mode" below is any of its jobs — a mode's sort or one shard's
+//! statistics): workers claim job indices from a shared atomic counter and
+//! publish each result into a per-job once-slot (the production code's
+//! `OnceLock<Result<T, E>>`).
+//! The worker-local scratch the production pool carries is private to its
+//! thread and takes no part in the protocol.
 //! The schedule-exhaustive asserts prove the two properties the production
-//! code's `.expect("every mode planned")` relies on: every slot is filled
+//! code's `.expect("every job claimed")` relies on: every slot is filled
 //! (no lost mode) and every `set` wins (no double-build — claims are
 //! disjoint, so no worker ever races a slot).
 
@@ -38,7 +43,7 @@ fn run_plan_modes(workers: usize, order: usize) -> usize {
         trial.run(threads);
 
         // No lost mode: every slot filled, with the deterministic value —
-        // the production `.expect("every mode planned")` can never fire.
+        // the production `.expect("every job claimed")` can never fire.
         let total_wins: usize = set_wins.iter().map(|m| *m.lock().expect("joined")).sum();
         assert_eq!(
             total_wins, order,
@@ -65,7 +70,7 @@ fn run_plan_modes(workers: usize, order: usize) -> usize {
 #[test]
 fn every_mode_is_planned_exactly_once() {
     // The paper's 3-mode tensor planned by two workers — the shape
-    // `plan_modes` runs on a 2-core host (3 workers × 3 modes exceeds the
+    // the pool runs on a 2-core host (3 workers × 3 modes exceeds the
     // exhaustible bound; worker count does not change the protocol).
     let schedules = run_plan_modes(2, 3);
     assert!(

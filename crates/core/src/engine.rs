@@ -10,7 +10,7 @@
 
 use crate::config::{AmpedConfig, GatherAlgo, SchedulePolicy};
 use amped_linalg::Mat;
-use amped_partition::{isp_ranges, plan_modes, ModePlan, PartitionPlan, ShardStats, StatsScratch};
+use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
 use amped_plan::{
     AssignmentSpace, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
     UniformCost, WorkloadProfile,
@@ -22,7 +22,7 @@ use amped_runtime::{
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
 use amped_sim::obs::{Counter, MetricsRegistry};
-use amped_sim::{PlatformSpec, SimError, TimeBreakdown};
+use amped_sim::{host_workers, PlatformSpec, SimError, TimeBreakdown};
 use amped_tensor::{Idx, SparseTensor};
 use std::ops::Range;
 
@@ -95,6 +95,9 @@ struct IspUnit {
     cost: f64,
 }
 
+/// A mode's priced ISPs, per shard in stream order.
+type ModeIsps = Vec<Vec<IspUnit>>;
+
 /// One shard prepared for execution: its stream bytes, its threadblocks, and
 /// its precomputed grid makespan.
 #[derive(Clone, Debug)]
@@ -149,6 +152,20 @@ impl EngineMeters {
             replans: registry.counter("replans"),
             ooc_prefetch_hits: Counter::default(),
         }
+    }
+}
+
+/// Publishes where setup went, after construction and after every replan:
+/// `preprocess_wall` and its split into busy-seconds per phase (summed over
+/// pool jobs), as gauges of the runtime's registry.
+pub(crate) fn record_setup(registry: &MetricsRegistry, wall: f64, busy: PlanBusy) {
+    for (name, seconds) in [
+        ("setup_wall_s", wall),
+        ("setup_sort_busy_s", busy.sort_s),
+        ("setup_stats_busy_s", busy.stats_s),
+        ("setup_pricing_busy_s", busy.pricing_s),
+    ] {
+        registry.gauge(name).set(seconds);
     }
 }
 
@@ -307,15 +324,20 @@ impl AmpedEngine {
             SchedulePolicy::StaticCcp => m,
             SchedulePolicy::DynamicQueue => 1,
         };
-        let plan = build_partition_plan(tensor, planner, &spec, &cfg, plan_gpus)?;
+        let start = std::time::Instant::now();
+        let (mut plan, priced) =
+            plan_and_price(tensor, planner, &spec, &cfg, plan_gpus, host_workers())?;
 
         // --- Host memory: all per-mode tensor copies live there (§3.1).
         runtime.alloc(Device::Host, plan.host_bytes(), "per-mode tensor copies")?;
 
-        let cost = CostModel::default();
-        let mode_shards: Vec<Vec<ShardUnit>> = (0..tensor.order())
-            .map(|d| prepare_mode(runtime.as_ref(), &spec, &cost, &cfg, &plan, d))
+        let mode_shards: Vec<Vec<ShardUnit>> = plan
+            .modes
+            .iter()
+            .zip(priced)
+            .map(|(mp, isps)| schedule_mode(runtime.as_ref(), mp, isps))
             .collect();
+        plan.preprocess_wall = start.elapsed().as_secs_f64();
         let throughput_query = PlatformCostQuery::new(
             &spec,
             WorkloadProfile {
@@ -328,7 +350,9 @@ impl AmpedEngine {
         let gpu_throughput = (0..m)
             .map(|g| throughput_query.device_throughput(g))
             .collect();
-        let obs = EngineMeters::attach(&runtime.metrics());
+        let registry = runtime.metrics();
+        let obs = EngineMeters::attach(&registry);
+        record_setup(&registry, plan.preprocess_wall, plan.busy);
         Ok(Self {
             runtime,
             spec,
@@ -382,10 +406,11 @@ impl AmpedEngine {
         self.runtime.gpu_mem_peak()
     }
 
-    /// Swaps mode `assignment.mode`'s device assignment: re-shards the
-    /// stored mode-sorted tensor copy under the new output-index ranges and
-    /// recomputes the mode's execution schedule, leaving every other mode
-    /// (and all device memory) untouched. This is the ALS-time rebalancing
+    /// Swaps mode `assignment.mode`'s device assignment: re-cuts the shards
+    /// of the stored mode-sorted copy under the new output-index ranges
+    /// (in place — no sort, no second copy) and recomputes the mode's
+    /// execution schedule, leaving every other mode (and all device
+    /// memory) untouched. This is the ALS-time rebalancing
     /// path — [`crate::als::cp_als`] calls it between iterations when a
     /// [`amped_plan::RebalancingPlanner`] triggers.
     pub fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
@@ -403,25 +428,18 @@ impl AmpedEngine {
         )?;
         let d = assignment.mode;
         let start = std::time::Instant::now();
-        // The stored copy is already mode-sorted; the counting sort inside
-        // `build_with_ranges` is stable, so re-sharding it is exact.
-        let mp = ModePlan::build_with_ranges(
-            &self.plan.modes[d].tensor,
+        let (spec, cfg, cost) = (&self.spec, &self.cfg, CostModel::default());
+        let isps = self.plan.recut_priced(
             d,
             assignment.index_ranges(),
-            self.cfg.shard_nnz_budget,
+            cfg.shard_nnz_budget,
+            host_workers(),
+            |mp, shard, scratch| price_shard(spec, &cost, cfg, mp, shard, scratch),
         );
-        self.plan.modes[d] = mp;
-        let cost = CostModel::default();
-        self.mode_shards[d] = prepare_mode(
-            self.runtime.as_ref(),
-            &self.spec,
-            &cost,
-            &self.cfg,
-            &self.plan,
-            d,
-        );
+        self.mode_shards[d] = schedule_mode(self.runtime.as_ref(), &self.plan.modes[d], isps);
         self.plan.preprocess_wall += start.elapsed().as_secs_f64();
+        let plan = &self.plan;
+        record_setup(&self.runtime.metrics(), plan.preprocess_wall, plan.busy);
         self.obs.replans.inc();
         Ok(())
     }
@@ -667,17 +685,20 @@ impl GatherAlgo {
     }
 }
 
-/// Runs the planner for every mode and materializes the assignments into a
-/// [`PartitionPlan`] — the histogram → [`Partitioner`] → ranges → shards
-/// wiring shared by every in-core planning policy.
-fn build_partition_plan(
+/// Runs the planner for every mode, materializes the assignments into a
+/// [`PartitionPlan`] and prices every shard's ISPs — the histogram →
+/// [`Partitioner`] → ranges → sorted copy → shards → block costs wiring
+/// shared by every in-core planning policy, all of it on a pool of
+/// `workers` threads (see [`PartitionPlan::build_priced`]). Nothing here
+/// needs the runtime; [`schedule_mode`] is the part that does.
+fn plan_and_price(
     tensor: &SparseTensor,
     planner: &dyn Partitioner,
     spec: &PlatformSpec,
     cfg: &AmpedConfig,
     plan_gpus: usize,
-) -> Result<PartitionPlan, SimError> {
-    let start = std::time::Instant::now();
+    workers: usize,
+) -> Result<(PartitionPlan, Vec<ModeIsps>), SimError> {
     // Cost-aware policies see the platform through the cost facade; the
     // dynamic-queue ablation plans one global pool, where device throughput
     // is meaningless.
@@ -697,92 +718,80 @@ fn build_partition_plan(
     let stats = PlanStats {
         nnz: tensor.nnz() as u64,
     };
-    // Modes are planned concurrently on the host worker pool (`plan_modes`);
-    // each mode's histogram, planner call, counting sort, and shard
-    // statistics are independent, and results land in mode order, so the
-    // product is bit-identical to the serial loop.
-    let modes = plan_modes(tensor.order(), |d| {
-        let hist = tensor.mode_hist(d);
-        let a = planner
-            .plan_mode(d, &hist, &stats, cost.as_ref())
-            .map_err(|e| SimError::Unsupported(format!("planner '{}': {e}", planner.name())))?;
-        if a.space != AssignmentSpace::OutputIndex {
-            return Err(SimError::Unsupported(format!(
-                "planner '{}' produced an element-space assignment; the AMPED engine \
-                 requires output-index ownership",
-                planner.name()
-            )));
-        }
-        a.validate(tensor.dim(d) as u64)
-            .map_err(SimError::Unsupported)?;
-        Ok(ModePlan::build_with_ranges_hist(
-            tensor,
-            d,
-            &hist,
-            a.index_ranges(),
-            cfg.shard_nnz_budget,
-        ))
-    })?;
-    Ok(PartitionPlan {
-        modes,
-        preprocess_wall: start.elapsed().as_secs_f64(),
-    })
+    let block_cost = CostModel::default();
+    PartitionPlan::build_priced(
+        tensor,
+        cfg.shard_nnz_budget,
+        workers,
+        |d, hist| {
+            let a = planner
+                .plan_mode(d, hist, &stats, cost.as_ref())
+                .map_err(|e| SimError::Unsupported(format!("planner '{}': {e}", planner.name())))?;
+            if a.space != AssignmentSpace::OutputIndex {
+                return Err(SimError::Unsupported(format!(
+                    "planner '{}' produced an element-space assignment; the AMPED engine \
+                     requires output-index ownership",
+                    planner.name()
+                )));
+            }
+            a.validate(tensor.dim(d) as u64)
+                .map_err(SimError::Unsupported)?;
+            Ok(a.index_ranges())
+        },
+        |mp, shard, scratch| price_shard(spec, &block_cost, cfg, mp, shard, scratch),
+    )
 }
 
-/// Precomputes ISP splits, per-block costs, and grid makespans for mode `d`.
-/// Costs depend only on workload statistics, so they are computed once and
-/// reused by every run. Each shard is priced against its *owning* GPU's
-/// spec, so heterogeneous platforms model slow devices slower (on the
-/// homogeneous default spec every `GpuSpec` is identical and the numbers
-/// are bit-for-bit those of the former `gpus[0]`-only pricing).
-fn prepare_mode(
-    runtime: &dyn DeviceRuntime,
+/// ISP splits and per-block costs of one shard. Costs depend only on
+/// workload statistics, so they are computed once and reused by every run.
+/// The shard is priced against its *owning* GPU's spec, so heterogeneous
+/// platforms model slow devices slower (on the homogeneous default spec
+/// every `GpuSpec` is identical and the numbers are bit-for-bit those of
+/// the former `gpus[0]`-only pricing).
+fn price_shard(
     spec: &PlatformSpec,
     cost: &CostModel,
     cfg: &AmpedConfig,
-    plan: &PartitionPlan,
-    d: usize,
-) -> Vec<ShardUnit> {
-    let mp = &plan.modes[d];
+    mp: &ModePlan,
+    s: &Shard,
+    scratch: &mut StatsScratch,
+) -> Vec<IspUnit> {
+    let gpu = &spec.gpus[s.gpu];
+    let cache_rows = (gpu.l2_bytes / (cfg.rank as u64 * 4)).max(1) as usize;
+    let ranges = isp_ranges(s.elem_range.clone(), cfg.isp_nnz);
+    let concurrency = ranges.len();
+    ranges
+        .into_iter()
+        .map(|r| {
+            let st = mp.range_stats(r.clone(), cache_rows, scratch);
+            let bs = BlockStats {
+                nnz: st.nnz,
+                distinct_out: st.distinct_out,
+                max_out_run: st.max_out_run,
+                distinct_in_total: st.distinct_in_total,
+                dram_factor_reads: st.dram_factor_reads,
+                sorted_by_output: true, // per-mode sorted copies
+                order: mp.tensor.order(),
+                rank: cfg.rank,
+                elem_bytes: mp.tensor.elem_bytes(),
+            };
+            IspUnit {
+                range: r,
+                cost: cost.block_time(gpu, &bs, 1.0, concurrency),
+            }
+        })
+        .collect()
+}
+
+/// Folds a mode's priced shards into its execution schedule: each shard's
+/// grid makespan is the runtime's to say (`dyn DeviceRuntime` is not
+/// `Sync`, so this is the one planning step that stays on the caller).
+fn schedule_mode(runtime: &dyn DeviceRuntime, mp: &ModePlan, priced: ModeIsps) -> Vec<ShardUnit> {
     let elem_bytes = mp.tensor.elem_bytes();
-    // One counting workspace for every ISP of the mode: `compute_scratch` is
-    // bit-identical to the sort-based `ShardStats::compute`, so the costs
-    // (and every modeled time derived from them) keep their bits.
-    let mut scratch = StatsScratch::new();
     mp.shards
         .iter()
-        .map(|s| {
-            let gpu = &spec.gpus[s.gpu];
-            let cache_rows = (gpu.l2_bytes / (cfg.rank as u64 * 4)).max(1) as usize;
-            let ranges = isp_ranges(s.elem_range.clone(), cfg.isp_nnz);
-            let concurrency = ranges.len();
-            let isps: Vec<IspUnit> = ranges
-                .into_iter()
-                .map(|r| {
-                    let st = ShardStats::compute_scratch(
-                        &mp.tensor,
-                        d,
-                        r.clone(),
-                        cache_rows,
-                        &mut scratch,
-                    );
-                    let bs = BlockStats {
-                        nnz: st.nnz,
-                        distinct_out: st.distinct_out,
-                        max_out_run: st.max_out_run,
-                        distinct_in_total: st.distinct_in_total,
-                        dram_factor_reads: st.dram_factor_reads,
-                        sorted_by_output: true, // per-mode sorted copies
-                        order: mp.tensor.order(),
-                        rank: cfg.rank,
-                        elem_bytes,
-                    };
-                    IspUnit {
-                        range: r,
-                        cost: cost.block_time(gpu, &bs, 1.0, concurrency),
-                    }
-                })
-                .collect();
+        .zip(priced)
+        .map(|(s, isps)| {
             let costs: Vec<f64> = isps.iter().map(|i| i.cost).collect();
             let compute = runtime.makespan(s.gpu, &costs).makespan;
             ShardUnit {
@@ -870,7 +879,7 @@ impl MttkrpEngine for AmpedEngine {
     }
 
     fn mode_hist(&self, d: usize) -> Vec<u64> {
-        self.plan.modes[d].tensor.mode_hist(d)
+        self.plan.modes[d].hist()
     }
 
     fn mode_loads(&self, d: usize) -> Vec<u64> {
@@ -1040,6 +1049,99 @@ mod tests {
         assert!(timeline.count(OpKind::LaunchGrid) > 0);
         assert!(timeline.count(OpKind::H2d) > 0);
         assert!(timeline.count(OpKind::Allgather) >= 2, "timed + functional");
+    }
+
+    /// The serial reading of construction: one mode's schedule from its
+    /// plan, shard by shard on the calling thread.
+    fn schedule_serially(e: &AmpedEngine, mp: &ModePlan) -> Vec<ShardUnit> {
+        let (cost, mut scratch) = (CostModel::default(), StatsScratch::new());
+        let priced = mp
+            .shards
+            .iter()
+            .map(|s| price_shard(&e.spec, &cost, &e.cfg, mp, s, &mut scratch))
+            .collect();
+        schedule_mode(e.runtime.as_ref(), mp, priced)
+    }
+
+    /// Replanning re-cuts the shards of the sorted copy where it lies — no
+    /// sort, no second copy — and lands on the plan and schedule a build
+    /// under the new ranges gives.
+    #[test]
+    fn replan_recuts_the_sorted_copy_in_place() {
+        let t = GenSpec {
+            shape: vec![80, 60, 70],
+            nnz: 5000,
+            skew: vec![0.8, 0.0, 0.4],
+            seed: 81,
+        }
+        .generate();
+        let mut e = AmpedEngine::new(&t, platform(4), cfg(16)).unwrap();
+        let buffers = |e: &AmpedEngine| {
+            let copy = &e.plan.modes[0].tensor;
+            (copy.indices_flat().as_ptr(), copy.values().as_ptr())
+        };
+        let (before, wall) = (buffers(&e), e.preprocess_wall());
+        let ranges = vec![0..3, 3..20, 20..50, 50..80];
+        e.replan(&ModeAssignment::from_index_ranges(0, ranges.clone()))
+            .unwrap();
+        assert_eq!(buffers(&e), before, "the sorted copy must not move");
+        assert!(e.preprocess_wall() > wall, "replanning is preprocessing");
+        let fresh = ModePlan::build_with_ranges_hist(
+            &t,
+            0,
+            &t.mode_hist(0),
+            ranges,
+            e.cfg.shard_nnz_budget,
+        );
+        let mp = &e.plan.modes[0];
+        assert_eq!(mp.device_ranges, fresh.device_ranges);
+        assert_eq!(format!("{:?}", mp.shards), format!("{:?}", fresh.shards));
+        assert_eq!(
+            format!("{:?}", e.mode_shards[0]),
+            format!("{:?}", schedule_serially(&e, &fresh))
+        );
+        assert_eq!(MttkrpEngine::mode_hist(&e, 0), t.mode_hist(0));
+    }
+
+    /// The whole construction product — device ranges, shards and their
+    /// statistics, ISP ranges and cost bits, shard makespans — is the same
+    /// whatever the pool size, and is the serial loop's.
+    #[test]
+    fn construction_is_identical_on_any_pool_size() {
+        let t = GenSpec {
+            shape: vec![40, 24, 28, 16, 12],
+            nnz: 6000,
+            skew: vec![0.7, 0.0, 0.3, 0.0, 0.0],
+            seed: 98,
+        }
+        .generate();
+        let e = AmpedEngine::new(&t, platform(3), cfg(8)).unwrap();
+        let serial: Vec<ModePlan> = (0..t.order())
+            .map(|d| ModePlan::build(&t, d, 3, e.cfg.shard_nnz_budget))
+            .collect();
+        let want: Vec<String> = serial
+            .iter()
+            .map(|mp| format!("{:?}", schedule_serially(&e, mp)))
+            .collect();
+        for (d, want) in want.iter().enumerate() {
+            assert_eq!(&format!("{:?}", e.mode_shards[d]), want, "mode {d}");
+        }
+        for workers in [1, 2, 4] {
+            let (plan, priced) = plan_and_price(&t, &NnzCcp, &e.spec, &e.cfg, 3, workers).unwrap();
+            for (d, (mp, isps)) in plan.modes.iter().zip(priced).enumerate() {
+                assert_eq!(mp.device_ranges, serial[d].device_ranges);
+                assert_eq!(
+                    format!("{:?}", mp.shards),
+                    format!("{:?}", serial[d].shards)
+                );
+                assert_eq!(mp.tensor, serial[d].tensor);
+                assert_eq!(
+                    format!("{:?}", schedule_mode(e.runtime.as_ref(), mp, isps)),
+                    want[d],
+                    "mode {d} on {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

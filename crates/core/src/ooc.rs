@@ -42,7 +42,7 @@
 //! device allocation goes through the [`DeviceRuntime`] seam.
 
 use crate::config::{AmpedConfig, SchedulePolicy};
-use crate::engine::{validate_replan, EngineMeters, ModeTiming, MttkrpEngine};
+use crate::engine::{record_setup, validate_replan, EngineMeters, ModeTiming, MttkrpEngine};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ShardStats};
 use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery, WorkloadProfile};
@@ -226,6 +226,7 @@ impl OocEngine {
             ooc_prefetch_hits: registry.counter("ooc_prefetch_hits"),
             ..EngineMeters::attach(&registry)
         };
+        record_setup(&registry, plan.preprocess_wall, plan.busy);
         reader.set_metrics(registry);
 
         Ok(Self {
@@ -305,6 +306,8 @@ impl OocEngine {
         self.plan
             .rebuild_mode(&mut self.reader, d, assignment.index_ranges(), cache_rows)
             .map_err(|e| e.into_sim())?;
+        let plan = &self.plan;
+        record_setup(&self.runtime.metrics(), plan.preprocess_wall, plan.busy);
         self.obs.replans.inc();
         Ok(())
     }

@@ -7,7 +7,7 @@
 //! sums for the same output rows, which must be combined (and re-broadcast)
 //! through the host after every mode.
 
-use crate::shard::ShardStats;
+use crate::shard::{ShardStats, StatsScratch};
 use amped_tensor::{Idx, SparseTensor};
 use std::ops::Range;
 
@@ -72,9 +72,10 @@ impl EqualPlan {
         let mut chunks = Vec::with_capacity(num_gpus);
         let mut touched = vec![0u8; t.dim(d) as usize]; // count of GPUs touching each row (saturating at 2)
         let mut total_touched_rows = 0u64;
+        let mut scratch = StatsScratch::new();
         for (g, range) in ranges.iter().enumerate() {
             let (lo, hi) = (range.start, range.end);
-            let stats = ShardStats::compute(t, d, lo..hi, usize::MAX);
+            let stats = ShardStats::compute_scratch(t, d, lo..hi, usize::MAX, &mut scratch);
             total_touched_rows += stats.distinct_out;
             // Mark the rows this GPU touches (distinct per GPU).
             let mut rows: Vec<Idx> = (lo..hi).map(|e| t.idx(e, d)).collect();

@@ -28,31 +28,20 @@ impl ShardStats {
     /// with `cache_rows` hot factor rows assumed cache-resident (pass the
     /// GPU's L2 capacity in rows; `usize::MAX` disables the cache model).
     ///
-    /// Works on any element order (sort-based counting on scratch copies);
-    /// cost `O(k log k)` for a range of `k` elements.
+    /// Works on any element order; `O(k)` for a range of `k` elements plus
+    /// a fresh [`StatsScratch`] — loops should hold one and call
+    /// [`ShardStats::compute_scratch`].
     pub fn compute(
         t: &SparseTensor,
         d: usize,
         elem_range: Range<usize>,
         cache_rows: usize,
     ) -> Self {
-        Self::compute_with(
-            elem_range.len(),
-            t.order(),
-            |e, m| t.idx(elem_range.start + e, m),
-            d,
-            cache_rows,
-        )
+        Self::compute_scratch(t, d, elem_range, cache_rows, &mut StatsScratch::new())
     }
 
-    /// [`ShardStats::compute`] through a reusable [`StatsScratch`]: `O(k)`
-    /// per call via epoch-marked counting arrays instead of `O(k log k)`
-    /// sorting. Bit-identical to `compute` — per-index occurrence counts
-    /// are exactly the run lengths the sorted scan sees, and
-    /// [`amped_sim::costmodel::dram_factor_reads`] sorts its input itself,
-    /// so the row-count emission order is immaterial. This is what the
-    /// shard-construction loop calls: one workspace amortized over every
-    /// shard of a tensor.
+    /// [`ShardStats::compute`] through a caller-held [`StatsScratch`]: one
+    /// workspace amortized over every range of a loop.
     pub fn compute_scratch(
         t: &SparseTensor,
         d: usize,
@@ -60,14 +49,9 @@ impl ShardStats {
         cache_rows: usize,
         scratch: &mut StatsScratch,
     ) -> Self {
-        Self::compute_with_scratch(
-            elem_range.len(),
-            t.order(),
-            |e, m| t.idx(elem_range.start + e, m),
-            d,
-            cache_rows,
-            scratch,
-        )
+        let n = t.order();
+        let coords = &t.indices_flat()[elem_range.start * n..elem_range.end * n];
+        Self::compute_from_coords(coords, n, d, cache_rows, scratch)
     }
 
     /// Computes the statistics of a raw element-major coordinate slice
@@ -76,127 +60,32 @@ impl ShardStats {
     /// the out-of-core streaming partitioner calls on per-GPU chunk slices,
     /// where building a `SparseTensor` copy would double the host-memory
     /// footprint of the staging budget.
-    pub fn compute_from_coords(coords: &[Idx], order: usize, d: usize, cache_rows: usize) -> Self {
+    pub fn compute_from_coords(
+        coords: &[Idx],
+        order: usize,
+        d: usize,
+        cache_rows: usize,
+        scratch: &mut StatsScratch,
+    ) -> Self {
         assert!(order > 0, "order must be positive");
         assert!(
             coords.len().is_multiple_of(order),
             "coords must be k × order"
         );
-        Self::compute_with(
-            coords.len() / order,
-            order,
-            |e, m| coords[e * order + m],
-            d,
-            cache_rows,
-        )
-    }
-
-    /// Shared counting core over an indexed coordinate accessor.
-    fn compute_with(
-        k: usize,
-        order: usize,
-        idx: impl Fn(usize, usize) -> Idx,
-        d: usize,
-        cache_rows: usize,
-    ) -> Self {
-        if k == 0 {
-            return Self::default();
-        }
-        let mut out: Vec<Idx> = (0..k).map(|e| idx(e, d)).collect();
-        out.sort_unstable();
-        let mut distinct_out = 0u64;
-        let mut max_out_run = 0u64;
-        let mut run = 0u64;
-        let mut prev: Option<Idx> = None;
-        for &i in &out {
-            if prev == Some(i) {
-                run += 1;
-            } else {
-                distinct_out += 1;
-                run = 1;
-                prev = Some(i);
-            }
-            max_out_run = max_out_run.max(run);
-        }
-        let mut distinct_in_total = 0u64;
-        let mut row_counts: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Idx> = Vec::with_capacity(k);
-        for w in 0..order {
-            if w == d {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend((0..k).map(|e| idx(e, w)));
-            scratch.sort_unstable();
-            let mut i = 0;
-            while i < scratch.len() {
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == scratch[i] {
-                    j += 1;
-                }
-                distinct_in_total += 1;
-                row_counts.push((j - i) as u32);
-                i = j;
-            }
-        }
-        let dram_factor_reads = amped_sim::costmodel::dram_factor_reads(row_counts, cache_rows);
-        Self {
-            nnz: k as u64,
-            distinct_out,
-            max_out_run,
-            distinct_in_total,
-            dram_factor_reads,
-        }
-    }
-
-    /// Counting core: tallies per-index occurrences against epoch-marked
-    /// scratch arrays. A distinct index's occurrence count equals its run
-    /// length in the sorted order, so `distinct_out`/`max_out_run`/
-    /// `distinct_in_total` come out identical to the sort-based scan, and
-    /// `dram_factor_reads` sorts the row counts internally so their
-    /// first-seen emission order changes nothing.
-    fn compute_with_scratch(
-        k: usize,
-        order: usize,
-        idx: impl Fn(usize, usize) -> Idx,
-        d: usize,
-        cache_rows: usize,
-        scratch: &mut StatsScratch,
-    ) -> Self {
-        if k == 0 {
-            return Self::default();
-        }
-        let (distinct_out, max_out_run) = scratch.tally(k, |e| idx(e, d), false);
-        scratch.row_counts.clear();
-        let mut distinct_in_total = 0u64;
-        for w in 0..order {
-            if w == d {
-                continue;
-            }
-            let (distinct, _) = scratch.tally(k, |e| idx(e, w), true);
-            distinct_in_total += distinct;
-        }
-        let dram_factor_reads =
-            amped_sim::costmodel::dram_factor_reads_mut(&mut scratch.row_counts, cache_rows);
-        Self {
-            nnz: k as u64,
-            distinct_out,
-            max_out_run,
-            distinct_in_total,
-            dram_factor_reads,
-        }
+        scratch.count(coords, order, d, cache_rows, None)
     }
 }
 
-/// Reusable counting workspace for [`ShardStats::compute_scratch`]:
-/// per-index epoch marks and occurrence counts, grown lazily to the largest
+/// Reusable counting workspace behind every [`ShardStats`] entry point:
+/// per-index epoch stamps and occurrence counts, grown lazily to the largest
 /// index seen. The epoch stamp makes reuse free — no clearing between
 /// shards or modes, just a generation bump.
 #[derive(Clone, Debug, Default)]
 pub struct StatsScratch {
     epoch: u32,
-    mark: Vec<u32>,
-    count: Vec<u32>,
+    /// Per index: the epoch that last saw it (high half) and its count in
+    /// that epoch (low half) — one word, one cache line per key.
+    cells: Vec<u64>,
     distinct: Vec<Idx>,
     row_counts: Vec<u32>,
 }
@@ -207,40 +96,86 @@ impl StatsScratch {
         Self::default()
     }
 
-    /// Counts occurrences of `key(e)` over `e ∈ 0..k`. Returns
-    /// `(distinct, max_count)`; when `collect_rows`, appends each distinct
-    /// index's count to the shared row-count pool (in first-seen order).
-    fn tally(&mut self, k: usize, key: impl Fn(usize) -> Idx, collect_rows: bool) -> (u64, u64) {
+    /// The one counting core: statistics of the element-major `coords`
+    /// (`k × order`) for output mode `d`. A distinct index's occurrence
+    /// count is its run length in sorted order, and
+    /// [`amped_sim::costmodel::dram_factor_reads_mut`] sorts the row counts
+    /// itself, so tallying in first-seen order loses nothing. `out_mode`
+    /// carries `(distinct_out, max_out_run)` when the caller already knows
+    /// them (a mode-sorted range reads them off its row pointers); `None`
+    /// tallies the output mode like any other.
+    fn count(
+        &mut self,
+        coords: &[Idx],
+        order: usize,
+        d: usize,
+        cache_rows: usize,
+        out_mode: Option<(u64, u64)>,
+    ) -> ShardStats {
+        if coords.is_empty() {
+            return ShardStats::default();
+        }
+        let keys = |w: usize| coords.chunks_exact(order).map(move |c| c[w]);
+        let (distinct_out, max_out_run) = out_mode.unwrap_or_else(|| self.tally(keys(d), false));
+        self.row_counts.clear();
+        let mut distinct_in_total = 0u64;
+        for w in (0..order).filter(|&w| w != d) {
+            let (distinct, _) = self.tally(keys(w), true);
+            distinct_in_total += distinct;
+        }
+        let dram_factor_reads =
+            amped_sim::costmodel::dram_factor_reads_mut(&mut self.row_counts, cache_rows);
+        ShardStats {
+            nnz: (coords.len() / order) as u64,
+            distinct_out,
+            max_out_run,
+            distinct_in_total,
+            dram_factor_reads,
+        }
+    }
+
+    /// Counts occurrences of each key. Returns `(distinct, max_count)`;
+    /// when `collect_rows`, appends each distinct index's count to the
+    /// shared row-count pool (in first-seen order).
+    fn tally(
+        &mut self,
+        keys: impl ExactSizeIterator<Item = Idx>,
+        collect_rows: bool,
+    ) -> (u64, u64) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // u32 generation wrapped: stale marks could alias. Reset once
+            // u32 generation wrapped: stale stamps could alias. Reset once
             // every four billion passes.
-            self.mark.fill(0);
+            self.cells.fill(0);
             self.epoch = 1;
         }
-        let epoch = self.epoch;
-        self.distinct.clear();
-        let mut max_count = 0u32;
-        for e in 0..k {
-            let i = key(e) as usize;
-            if i >= self.mark.len() {
-                self.mark.resize(i + 1, 0);
-                self.count.resize(i + 1, 0);
-            }
-            if self.mark[i] == epoch {
-                self.count[i] += 1;
-            } else {
-                self.mark[i] = epoch;
-                self.count[i] = 1;
-                self.distinct.push(i as Idx);
-            }
-            max_count = max_count.max(self.count[i]);
+        let stamp = (self.epoch as u64) << 32;
+        // Room for every key to be new, so the loop appends without asking.
+        if self.distinct.len() < keys.len() {
+            self.distinct.resize(keys.len(), 0);
         }
+        let mut seen = 0usize;
+        for key in keys {
+            let i = key as usize;
+            if i >= self.cells.len() {
+                self.cells.resize(i + 1, 0);
+            }
+            // No branch on `fresh`: on an ISP's worth of random coordinates
+            // it is a coin flip, and a mispredict costs more than both arms.
+            let cell = &mut self.cells[i];
+            let fresh = *cell < stamp;
+            *cell = if fresh { stamp | 1 } else { *cell + 1 };
+            self.distinct[seen] = key;
+            seen += fresh as usize;
+        }
+        let counts = self.distinct[..seen]
+            .iter()
+            .map(|&i| self.cells[i as usize] as u32);
+        let max_count = counts.clone().max().unwrap_or(0);
         if collect_rows {
-            self.row_counts
-                .extend(self.distinct.iter().map(|&i| self.count[i as usize]));
+            self.row_counts.extend(counts);
         }
-        (self.distinct.len() as u64, max_count as u64)
+        (seen as u64, max_count as u64)
     }
 }
 
@@ -265,8 +200,9 @@ impl Shard {
     }
 }
 
-/// The per-output-mode partitioning product: a mode-sorted tensor copy, the
-/// per-GPU contiguous device ranges, and the shard list.
+/// The per-output-mode partitioning product: a mode-sorted tensor copy with
+/// its row pointers, the per-GPU contiguous device ranges, and the shard
+/// list.
 #[derive(Clone, Debug)]
 pub struct ModePlan {
     /// Output mode this plan targets.
@@ -280,6 +216,32 @@ pub struct ModePlan {
     /// The tensor copy, counting-sorted by output-mode index. Stored in host
     /// memory in the real system; shards reference element ranges within it.
     pub tensor: SparseTensor,
+    /// Row pointers of the sorted copy (`dim + 1` entries): output index
+    /// `i` owns elements `row_ptr[i]..row_ptr[i + 1]`. The prefix sums of
+    /// the mode histogram — what shard cuts, the output-mode statistics of
+    /// any range and [`ModePlan::hist`] are read from.
+    pub row_ptr: Vec<usize>,
+}
+
+/// Checks that `device_ranges` tile the index space `0..dim` contiguously
+/// and in order — the contract of every per-mode (re)build, in core and out
+/// of core.
+///
+/// # Panics
+/// Panics if they do not.
+pub fn assert_ranges_tile(device_ranges: &[Range<Idx>], dim: Idx) {
+    let num_gpus = device_ranges.len();
+    assert!(num_gpus > 0, "need at least one GPU");
+    assert_eq!(device_ranges[0].start, 0, "ranges must start at index 0");
+    assert_eq!(
+        device_ranges[num_gpus - 1].end,
+        dim,
+        "ranges must cover the whole index space"
+    );
+    assert!(
+        device_ranges.windows(2).all(|w| w[0].end == w[1].start),
+        "device ranges must be contiguous and in order"
+    );
 }
 
 impl ModePlan {
@@ -298,29 +260,14 @@ impl ModePlan {
     /// Builds the mode-`d` plan for externally supplied contiguous device
     /// ranges — the seam the `amped-plan` partitioner layer materializes
     /// assignments through (cost-guided or rebalanced ranges instead of the
-    /// nnz-balanced CCP of [`ModePlan::build`]). The shard construction and
-    /// statistics are byte-for-byte the wiring `build` uses.
+    /// nnz-balanced CCP of [`ModePlan::build`]) — given the mode-`d`
+    /// histogram the planner was run on. One mode, start to finish, on the
+    /// calling thread; [`crate::PartitionPlan`] runs the same two steps as
+    /// pool jobs.
     ///
     /// # Panics
-    /// Panics if the ranges do not tile `0..t.dim(d)` contiguously in order.
-    pub fn build_with_ranges(
-        t: &SparseTensor,
-        d: usize,
-        device_ranges: Vec<Range<Idx>>,
-        shard_nnz_budget: usize,
-    ) -> Self {
-        let hist = t.mode_hist(d);
-        Self::build_with_ranges_hist(t, d, &hist, device_ranges, shard_nnz_budget)
-    }
-
-    /// [`ModePlan::build_with_ranges`] for callers that already hold the
-    /// mode-`d` histogram (planner-driven construction computes it for the
-    /// planner anyway; a histogram is a full `O(nnz)` pass worth not
-    /// repeating).
-    ///
-    /// # Panics
-    /// Panics if `hist` is not the mode-`d` histogram of `t` (length checked
-    /// against `t.dim(d)`) or the ranges do not tile it contiguously.
+    /// Panics if `hist` is not the mode-`d` histogram of `t` or the ranges
+    /// do not tile `0..t.dim(d)` contiguously in order.
     pub fn build_with_ranges_hist(
         t: &SparseTensor,
         d: usize,
@@ -328,68 +275,96 @@ impl ModePlan {
         device_ranges: Vec<Range<Idx>>,
         shard_nnz_budget: usize,
     ) -> Self {
-        assert_eq!(hist.len(), t.dim(d) as usize, "histogram/mode mismatch");
-        let num_gpus = device_ranges.len();
-        assert!(num_gpus > 0, "need at least one GPU");
-        assert!(shard_nnz_budget > 0, "shard budget must be positive");
-        assert_eq!(device_ranges[0].start, 0, "ranges must start at index 0");
-        assert_eq!(
-            device_ranges[num_gpus - 1].end,
-            t.dim(d),
-            "ranges must cover the whole index space"
-        );
-        assert!(
-            device_ranges.windows(2).all(|w| w[0].end == w[1].start),
-            "device ranges must be contiguous and in order"
-        );
-        let sorted = t.sorted_by_mode(d);
-        // Element offset of each index: prefix sums of the histogram.
-        let mut prefix = Vec::with_capacity(hist.len() + 1);
-        prefix.push(0usize);
-        for &h in hist {
-            prefix.push(prefix.last().unwrap() + h as usize);
-        }
-        let mut shards = Vec::new();
+        let mut mp = Self::sort_and_cut(t, d, hist, device_ranges, shard_nnz_budget);
         let mut scratch = StatsScratch::new();
-        for (gpu, range) in device_ranges.iter().enumerate() {
-            let mut idx = range.start;
-            while idx < range.end {
-                let shard_start_idx = idx;
-                let elem_start = prefix[idx as usize];
-                let mut elem_end = elem_start;
-                // Grow by whole indices until the budget is met.
-                while idx < range.end {
-                    let next = prefix[idx as usize + 1];
-                    if next - elem_start > shard_nnz_budget && elem_end > elem_start {
-                        break;
-                    }
-                    elem_end = next;
-                    idx += 1;
-                }
-                let elem_range = elem_start..elem_end;
-                let stats = ShardStats::compute_scratch(
-                    &sorted,
-                    d,
-                    elem_range.clone(),
-                    usize::MAX,
-                    &mut scratch,
-                );
-                shards.push(Shard {
-                    gpu,
-                    index_range: shard_start_idx..idx,
-                    elem_range,
-                    stats,
-                });
-            }
-            // GPUs with empty ranges contribute no shards.
+        for s in 0..mp.shards.len() {
+            mp.shards[s].stats = mp.shard_stats(s, &mut scratch);
+        }
+        mp
+    }
+
+    /// The counting sort and the shard cuts of a mode, with every shard's
+    /// statistics left at their default for the caller to fill in from
+    /// [`ModePlan::shard_stats`].
+    pub(crate) fn sort_and_cut(
+        t: &SparseTensor,
+        d: usize,
+        hist: &[u64],
+        device_ranges: Vec<Range<Idx>>,
+        shard_nnz_budget: usize,
+    ) -> Self {
+        assert_ranges_tile(&device_ranges, t.dim(d));
+        let tensor = t.sorted_by_mode_with_hist(d, hist);
+        let mut row_ptr = Vec::with_capacity(hist.len() + 1);
+        let mut at = 0usize;
+        row_ptr.push(at);
+        for &h in hist {
+            at += h as usize;
+            row_ptr.push(at);
         }
         Self {
             mode: d,
-            num_gpus,
+            num_gpus: device_ranges.len(),
+            shards: cut_shards(&row_ptr, &device_ranges, shard_nnz_budget),
             device_ranges,
-            shards,
-            tensor: sorted,
+            tensor,
+            row_ptr,
         }
+    }
+
+    /// Re-cuts the shards of the (already sorted) copy under new device
+    /// ranges: no sort, no copy, statistics left at their default like
+    /// [`ModePlan::sort_and_cut`].
+    ///
+    /// # Panics
+    /// Panics if the ranges do not tile the mode's index space.
+    pub(crate) fn recut(&mut self, device_ranges: Vec<Range<Idx>>, shard_nnz_budget: usize) {
+        assert_ranges_tile(&device_ranges, self.tensor.dim(self.mode));
+        self.shards = cut_shards(&self.row_ptr, &device_ranges, shard_nnz_budget);
+        self.num_gpus = device_ranges.len();
+        self.device_ranges = device_ranges;
+    }
+
+    /// Statistics of shard `s` (cache model off, as the planner wants them).
+    pub fn shard_stats(&self, s: usize, scratch: &mut StatsScratch) -> ShardStats {
+        self.range_stats(self.shards[s].elem_range.clone(), usize::MAX, scratch)
+    }
+
+    /// [`ShardStats::compute_scratch`] on a range of the sorted copy, with
+    /// the output-mode numbers read off the row pointers instead of
+    /// tallied: the rows a range touches are consecutive, so `distinct_out`
+    /// is the non-empty ones among them and `max_out_run` the longest
+    /// overlap (the range may start and end mid-row).
+    pub fn range_stats(
+        &self,
+        elem_range: Range<usize>,
+        cache_rows: usize,
+        scratch: &mut StatsScratch,
+    ) -> ShardStats {
+        if elem_range.is_empty() {
+            return ShardStats::default();
+        }
+        let (n, d) = (self.tensor.order(), self.mode);
+        let first = self.tensor.idx(elem_range.start, d) as usize;
+        let last = self.tensor.idx(elem_range.end - 1, d) as usize;
+        let (mut distinct_out, mut max_out_run) = (0u64, 0usize);
+        for row in first..=last {
+            let run =
+                self.row_ptr[row + 1].min(elem_range.end) - self.row_ptr[row].max(elem_range.start);
+            distinct_out += (run > 0) as u64;
+            max_out_run = max_out_run.max(run);
+        }
+        let coords = &self.tensor.indices_flat()[elem_range.start * n..elem_range.end * n];
+        let out_mode = Some((distinct_out, max_out_run as u64));
+        scratch.count(coords, n, d, cache_rows, out_mode)
+    }
+
+    /// The output-index histogram of the mode: row-pointer differences.
+    pub fn hist(&self) -> Vec<u64> {
+        self.row_ptr
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u64)
+            .collect()
     }
 
     /// Total nonzeros assigned to each GPU.
@@ -400,19 +375,42 @@ impl ModePlan {
         }
         loads
     }
+}
 
-    /// Output rows owned by each GPU (`device_ranges` lengths).
-    pub fn gpu_rows(&self) -> Vec<u64> {
-        self.device_ranges
-            .iter()
-            .map(|r| (r.end - r.start) as u64)
-            .collect()
+/// Cuts each device range into shards of at most `shard_nnz_budget`
+/// elements, grown by whole output indices (statistics left at default).
+fn cut_shards(
+    row_ptr: &[usize],
+    device_ranges: &[Range<Idx>],
+    shard_nnz_budget: usize,
+) -> Vec<Shard> {
+    assert!(shard_nnz_budget > 0, "shard budget must be positive");
+    let mut shards = Vec::new();
+    for (gpu, range) in device_ranges.iter().enumerate() {
+        let mut idx = range.start;
+        while idx < range.end {
+            let shard_start_idx = idx;
+            let elem_start = row_ptr[idx as usize];
+            let mut elem_end = elem_start;
+            // Grow by whole indices until the budget is met.
+            while idx < range.end {
+                let next = row_ptr[idx as usize + 1];
+                if next - elem_start > shard_nnz_budget && elem_end > elem_start {
+                    break;
+                }
+                elem_end = next;
+                idx += 1;
+            }
+            shards.push(Shard {
+                gpu,
+                index_range: shard_start_idx..idx,
+                elem_range: elem_start..elem_end,
+                stats: ShardStats::default(),
+            });
+        }
+        // GPUs with empty ranges contribute no shards.
     }
-
-    /// Shards owned by GPU `g`, in stream order.
-    pub fn shards_of(&self, g: usize) -> impl Iterator<Item = &Shard> + '_ {
-        self.shards.iter().filter(move |s| s.gpu == g)
-    }
+    shards
 }
 
 /// Splits an element range into equal-sized inter-shard partitions (ISPs) of
@@ -450,8 +448,9 @@ mod tests {
         let t = tensor();
         for d in 0..3 {
             let direct = ModePlan::build(&t, d, 3, 200);
+            let hist = t.mode_hist(d);
             let via_ranges =
-                ModePlan::build_with_ranges(&t, d, chains_on_chains(&t.mode_hist(d), 3), 200);
+                ModePlan::build_with_ranges_hist(&t, d, &hist, chains_on_chains(&hist, 3), 200);
             assert_eq!(direct.device_ranges, via_ranges.device_ranges);
             assert_eq!(direct.gpu_loads(), via_ranges.gpu_loads());
             assert_eq!(direct.shards.len(), via_ranges.shards.len());
@@ -466,7 +465,7 @@ mod tests {
     #[should_panic(expected = "cover the whole index space")]
     fn build_with_ranges_rejects_partial_cover() {
         let t = tensor();
-        ModePlan::build_with_ranges(&t, 0, vec![0..10, 10..20], 200);
+        ModePlan::build_with_ranges_hist(&t, 0, &t.mode_hist(0), vec![0..10, 10..20], 200);
     }
 
     #[test]
@@ -574,7 +573,37 @@ mod tests {
         assert_eq!(s.distinct_in_total, 2); // mode 0 has {0, 1}
     }
 
-    /// The epoch-marked counting path must be bit-identical to the
+    /// The statistics as they were first written — three sorts per slice,
+    /// `O(k log k)` — kept as the oracle of the counting core.
+    fn sort_based_stats(
+        t: &SparseTensor,
+        d: usize,
+        range: Range<usize>,
+        cache_rows: usize,
+    ) -> ShardStats {
+        if range.is_empty() {
+            return ShardStats::default();
+        }
+        // Run lengths of one mode's sorted coordinates over the range.
+        let runs = |w: usize| {
+            let mut keys: Vec<Idx> = range.clone().map(|e| t.idx(e, w)).collect();
+            keys.sort_unstable();
+            keys.chunk_by(|a, b| a == b)
+                .map(|run| run.len() as u32)
+                .collect::<Vec<u32>>()
+        };
+        let out = runs(d);
+        let row_counts: Vec<u32> = (0..t.order()).filter(|&w| w != d).flat_map(runs).collect();
+        ShardStats {
+            nnz: range.len() as u64,
+            distinct_out: out.len() as u64,
+            max_out_run: out.iter().copied().max().unwrap_or(0) as u64,
+            distinct_in_total: row_counts.len() as u64,
+            dram_factor_reads: amped_sim::costmodel::dram_factor_reads(row_counts, cache_rows),
+        }
+    }
+
+    /// The epoch-marked counting core must be bit-identical to the
     /// sort-based scan on every mode, range, and cache size — including a
     /// reused scratch (stale marks from earlier calls must never alias).
     #[test]
@@ -584,26 +613,79 @@ mod tests {
         for d in 0..3 {
             for range in [0..t.nnz(), 100..900, 37..38, 5..5] {
                 for cache_rows in [usize::MAX, 64, 3, 0] {
-                    let sorted = ShardStats::compute(&t, d, range.clone(), cache_rows);
+                    let sorted = sort_based_stats(&t, d, range.clone(), cache_rows);
                     let counted =
                         ShardStats::compute_scratch(&t, d, range.clone(), cache_rows, &mut scratch);
                     assert_eq!(
                         sorted, counted,
                         "mode {d}, range {range:?}, cache {cache_rows}"
                     );
+                    let fresh = ShardStats::compute(&t, d, range.clone(), cache_rows);
+                    assert_eq!(sorted, fresh, "mode {d}, range {range:?}, fresh scratch");
                 }
             }
         }
     }
 
+    /// On a mode-sorted copy the output-mode numbers come from the row
+    /// pointers; they must equal the oracle's on whole shards and on ISP
+    /// ranges that start and end in the middle of a (hot) row.
+    #[test]
+    fn sorted_range_stats_match_sort_based_path() {
+        let t = tensor();
+        let mut scratch = StatsScratch::new();
+        for d in 0..3 {
+            let mp = ModePlan::build(&t, d, 3, 200);
+            assert_eq!(mp.hist(), t.mode_hist(d));
+            let mut ranges = vec![0..t.nnz(), 100..900, 37..38, 5..5, t.nnz()..t.nnz()];
+            ranges.extend(isp_ranges(0..t.nnz(), 77));
+            ranges.extend(mp.shards.iter().map(|s| s.elem_range.clone()));
+            for range in ranges {
+                for cache_rows in [usize::MAX, 64, 3, 0] {
+                    assert_eq!(
+                        mp.range_stats(range.clone(), cache_rows, &mut scratch),
+                        sort_based_stats(&mp.tensor, d, range.clone(), cache_rows),
+                        "mode {d}, range {range:?}, cache {cache_rows}"
+                    );
+                }
+            }
+            for (s, shard) in mp.shards.iter().enumerate() {
+                assert_eq!(shard.stats, mp.shard_stats(s, &mut scratch));
+            }
+        }
+    }
+
+    /// Re-cutting a built plan under other ranges is the plan a fresh build
+    /// under those ranges gives, without touching the sorted copy.
+    #[test]
+    fn recut_matches_a_fresh_build_and_keeps_the_copy() {
+        let t = tensor();
+        let mut mp = ModePlan::build(&t, 0, 3, 200);
+        let copy = mp.tensor.indices_flat().as_ptr();
+        let ranges = vec![0..5, 5..40, 40..64];
+        mp.recut(ranges.clone(), 150);
+        let fresh = ModePlan::build_with_ranges_hist(&t, 0, &t.mode_hist(0), ranges, 150);
+        assert_eq!(mp.device_ranges, fresh.device_ranges);
+        assert_eq!(mp.shards.len(), fresh.shards.len());
+        let mut scratch = StatsScratch::new();
+        for (s, (a, b)) in mp.shards.iter().zip(&fresh.shards).enumerate() {
+            assert_eq!((a.gpu, &a.index_range), (b.gpu, &b.index_range));
+            assert_eq!(a.elem_range, b.elem_range);
+            assert_eq!(mp.shard_stats(s, &mut scratch), b.stats);
+        }
+        assert_eq!(mp.tensor.indices_flat().as_ptr(), copy);
+    }
+
     #[test]
     fn stats_from_raw_coords_match_tensor_path() {
         let t = tensor();
+        let mut scratch = StatsScratch::new();
         for d in 0..3 {
             for range in [0..t.nnz(), 100..900, 37..38] {
                 let via_tensor = ShardStats::compute(&t, d, range.clone(), 64);
                 let flat = &t.indices_flat()[range.start * t.order()..range.end * t.order()];
-                let via_coords = ShardStats::compute_from_coords(flat, t.order(), d, 64);
+                let via_coords =
+                    ShardStats::compute_from_coords(flat, t.order(), d, 64, &mut scratch);
                 assert_eq!(via_tensor, via_coords, "mode {d}, range {range:?}");
             }
         }

@@ -19,7 +19,7 @@ pub enum AssignmentSpace {
 /// One output mode's device assignment: `m` contiguous, ascending ranges
 /// (one per device, possibly empty) tiling the whole space. This is the
 /// common product of every [`crate::Partitioner`], materialized into
-/// executable plans by `ModePlan::build_with_ranges` (in-core),
+/// executable plans by `PartitionPlan::build_priced` (in-core),
 /// `EqualPlan::build_from_ranges` (baseline), or the streaming pass 2.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ModeAssignment {

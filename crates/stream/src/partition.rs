@@ -24,7 +24,7 @@
 
 use crate::error::StreamError;
 use crate::reader::{Chunk, ChunkReader};
-use amped_partition::ShardStats;
+use amped_partition::{assert_ranges_tile, PlanBusy, ShardStats, StatsScratch};
 use amped_plan::{AssignmentSpace, CostQuery, NnzCcp, Partitioner, PlanStats, UniformCost};
 use amped_tensor::Idx;
 use serde::Serialize;
@@ -98,6 +98,9 @@ pub struct StreamPlan {
     pub modes: Vec<StreamModePlan>,
     /// Real wall-clock seconds spent building the plan.
     pub preprocess_wall: f64,
+    /// The part of it spent on slice statistics (`stats_s`; pass 2 sorts
+    /// and prices nothing — the rest of the wall is chunk I/O and decode).
+    pub busy: PlanBusy,
 }
 
 impl StreamPlan {
@@ -140,7 +143,6 @@ impl StreamPlan {
         let num_gpus = cost.num_devices();
         let start = Instant::now();
         let order = reader.meta().order();
-        let num_chunks = reader.meta().num_chunks();
         let stats = PlanStats {
             nnz: reader.meta().nnz,
         };
@@ -160,42 +162,28 @@ impl StreamPlan {
         }
 
         // --- Pass 2: one bounded scan for per-chunk, per-mode slice stats.
-        let mut modes: Vec<StreamModePlan> = (0..order)
-            .map(|d| StreamModePlan {
+        let all_modes: Vec<(usize, &[Range<Idx>])> = device_ranges
+            .iter()
+            .enumerate()
+            .map(|(d, r)| (d, r.as_slice()))
+            .collect();
+        let mut busy = PlanBusy::default();
+        let routes = scan_chunks(reader, &all_modes, cache_rows, &mut busy)?;
+        let modes = device_ranges
+            .into_iter()
+            .zip(routes)
+            .enumerate()
+            .map(|(d, (device_ranges, chunks))| StreamModePlan {
                 mode: d,
                 num_gpus,
-                device_ranges: device_ranges[d].clone(),
-                chunks: Vec::with_capacity(num_chunks),
+                device_ranges,
+                chunks,
             })
             .collect();
-        let mut scratches: Vec<Vec<Idx>> = vec![Vec::new(); num_gpus];
-        for c in 0..num_chunks {
-            let chunk = reader.load_chunk(c)?;
-            let scratch_bytes = (chunk.nnz() * order * 4) as u64;
-            if let Err(e) = reader.charge_scratch(scratch_bytes) {
-                reader.release(chunk);
-                return Err(e);
-            }
-            let meta = reader.meta().chunks[c].clone();
-            for (d, mode_plan) in modes.iter_mut().enumerate() {
-                let per_gpu = route_chunk(
-                    &chunk,
-                    meta.mode_min[d],
-                    meta.mode_max[d],
-                    order,
-                    d,
-                    &device_ranges[d],
-                    &mut scratches,
-                    cache_rows,
-                );
-                mode_plan.chunks.push(ChunkRoute { chunk: c, per_gpu });
-            }
-            reader.release_scratch(scratch_bytes);
-            reader.release(chunk);
-        }
         Ok(Self {
             modes,
             preprocess_wall: start.elapsed().as_secs_f64(),
+            busy,
         })
     }
 
@@ -221,48 +209,14 @@ impl StreamPlan {
             num_gpus,
             "replan must keep the GPU count"
         );
-        assert_eq!(device_ranges[0].start, 0, "ranges must start at index 0");
-        assert_eq!(
-            device_ranges[num_gpus - 1].end,
-            reader.meta().shape[d],
-            "ranges must cover the whole index space"
-        );
-        assert!(
-            device_ranges.windows(2).all(|w| w[0].end == w[1].start),
-            "device ranges must be contiguous and in order"
-        );
+        assert_ranges_tile(&device_ranges, reader.meta().shape[d]);
         let start = Instant::now();
-        let order = reader.meta().order();
-        let num_chunks = reader.meta().num_chunks();
-        let mut scratches: Vec<Vec<Idx>> = vec![Vec::new(); num_gpus];
-        let mut chunks = Vec::with_capacity(num_chunks);
-        for c in 0..num_chunks {
-            let chunk = reader.load_chunk(c)?;
-            let scratch_bytes = (chunk.nnz() * order * 4) as u64;
-            if let Err(e) = reader.charge_scratch(scratch_bytes) {
-                reader.release(chunk);
-                return Err(e);
-            }
-            let meta = reader.meta().chunks[c].clone();
-            let per_gpu = route_chunk(
-                &chunk,
-                meta.mode_min[d],
-                meta.mode_max[d],
-                order,
-                d,
-                &device_ranges,
-                &mut scratches,
-                cache_rows,
-            );
-            chunks.push(ChunkRoute { chunk: c, per_gpu });
-            reader.release_scratch(scratch_bytes);
-            reader.release(chunk);
-        }
+        let mut routes = scan_chunks(reader, &[(d, &device_ranges)], cache_rows, &mut self.busy)?;
         self.modes[d] = StreamModePlan {
             mode: d,
             num_gpus,
             device_ranges,
-            chunks,
+            chunks: routes.remove(0),
         };
         self.preprocess_wall += start.elapsed().as_secs_f64();
         Ok(())
@@ -274,55 +228,104 @@ impl StreamPlan {
     }
 }
 
+/// Pass 2 over `modes` (each with its device ranges): loads every chunk once
+/// through the reader's staging budget (payload plus its coordinate
+/// scratch, both released before the next chunk and on every error path)
+/// and routes it for each listed mode. Returns the routes per listed mode,
+/// in file order; the seconds spent on slice statistics are added to
+/// `busy.stats_s`. The full scan of [`StreamPlan::build_with_planner`] and
+/// the one-mode rescan of [`StreamPlan::rebuild_mode`] are this function.
+fn scan_chunks(
+    reader: &mut ChunkReader,
+    modes: &[(usize, &[Range<Idx>])],
+    cache_rows: usize,
+    busy: &mut PlanBusy,
+) -> Result<Vec<Vec<ChunkRoute>>, StreamError> {
+    let order = reader.meta().order();
+    let num_chunks = reader.meta().num_chunks();
+    let num_gpus = modes.first().map_or(0, |(_, ranges)| ranges.len());
+    let mut routes: Vec<Vec<ChunkRoute>> = modes
+        .iter()
+        .map(|_| Vec::with_capacity(num_chunks))
+        .collect();
+    let mut buckets: Vec<Vec<Idx>> = vec![Vec::new(); num_gpus];
+    let mut scratch = StatsScratch::new();
+    for c in 0..num_chunks {
+        let chunk = reader.load_chunk(c)?;
+        let scratch_bytes = (chunk.nnz() * order * 4) as u64;
+        if let Err(e) = reader.charge_scratch(scratch_bytes) {
+            reader.release(chunk);
+            return Err(e);
+        }
+        let began = Instant::now();
+        let meta = &reader.meta().chunks[c];
+        for (&(d, ranges), routes) in modes.iter().zip(&mut routes) {
+            let bbox = meta.mode_min[d]..=meta.mode_max[d];
+            let per_gpu = route_chunk(
+                &chunk,
+                bbox,
+                order,
+                d,
+                ranges,
+                &mut buckets,
+                cache_rows,
+                &mut scratch,
+            );
+            routes.push(ChunkRoute { chunk: c, per_gpu });
+        }
+        busy.stats_s += began.elapsed().as_secs_f64();
+        reader.release_scratch(scratch_bytes);
+        reader.release(chunk);
+    }
+    Ok(routes)
+}
+
 /// Routes one loaded chunk for one output mode: per-GPU slice statistics
 /// under the mode's contiguous device ranges, with the bounding-box fast
-/// path when the whole chunk lies inside one GPU's range. Shared by the
-/// full pass-2 scan of [`StreamPlan::build_with_planner`] and the per-mode
-/// rescan of [`StreamPlan::rebuild_mode`].
+/// path when the whole chunk (`bbox` = its mode-`d` index bounds from the
+/// footer) lies inside one GPU's range.
 #[allow(clippy::too_many_arguments)]
 fn route_chunk(
     chunk: &Chunk,
-    mode_min: Idx,
-    mode_max: Idx,
+    bbox: std::ops::RangeInclusive<Idx>,
     order: usize,
     d: usize,
     ranges: &[Range<Idx>],
-    scratches: &mut [Vec<Idx>],
+    buckets: &mut [Vec<Idx>],
     cache_rows: usize,
+    scratch: &mut StatsScratch,
 ) -> Vec<ShardStats> {
-    let num_gpus = ranges.len();
+    let mut stats =
+        |coords: &[Idx]| ShardStats::compute_from_coords(coords, order, d, cache_rows, scratch);
     // Bounding-box fast path from the chunk metadata: the whole chunk
     // inside one GPU's range — stats over the raw payload, no routing.
     let sole_owner = ranges
         .iter()
-        .position(|r| mode_min >= r.start && mode_max < r.end);
+        .position(|r| *bbox.start() >= r.start && *bbox.end() < r.end);
     if let Some(owner) = sole_owner {
-        (0..num_gpus)
+        (0..ranges.len())
             .map(|g| {
                 if g == owner {
-                    ShardStats::compute_from_coords(chunk.coords_flat(), order, d, cache_rows)
+                    stats(chunk.coords_flat())
                 } else {
                     ShardStats::default()
                 }
             })
             .collect()
     } else {
-        // One routing pass: bucket each element into its owner's scratch
-        // (ranges are contiguous and ascending), then compute stats per
-        // bucket. Total scratch ≤ the chunk's own coordinates — within the
+        // One routing pass: bucket each element under its owner (ranges
+        // are contiguous and ascending), then compute stats per bucket.
+        // Total bucket size ≤ the chunk's own coordinates — within the
         // charged bytes.
-        for s in scratches.iter_mut() {
-            s.clear();
+        for b in buckets.iter_mut() {
+            b.clear();
         }
         for e in 0..chunk.nnz() {
             let coords = chunk.coords(e);
             let g = ranges.partition_point(|r| r.end <= coords[d]);
-            scratches[g].extend_from_slice(coords);
+            buckets[g].extend_from_slice(coords);
         }
-        scratches
-            .iter()
-            .map(|s| ShardStats::compute_from_coords(s, order, d, cache_rows))
-            .collect()
+        buckets.iter().map(|b| stats(b)).collect()
     }
 }
 

@@ -225,20 +225,50 @@ impl SparseTensor {
     /// Runs in `O(nnz + I_d)` — this is the per-mode preprocessing pass of the
     /// AMPED partitioner.
     pub fn sorted_by_mode(&self, d: usize) -> SparseTensor {
-        let hist = self.mode_hist(d);
-        let mut starts = vec![0usize; hist.len() + 1];
-        for (i, &h) in hist.iter().enumerate() {
-            starts[i + 1] = starts[i] + h as usize;
+        self.sorted_by_mode_with_hist(d, &self.mode_hist(d))
+    }
+
+    /// [`SparseTensor::sorted_by_mode`] for callers that already hold the
+    /// mode-`d` histogram. One sequential read of the source and one
+    /// scattered write of the copy: each element goes straight to its
+    /// row's cursor, so there is no permutation to build or follow.
+    ///
+    /// # Panics
+    /// Panics if `hist` is not the mode-`d` histogram of this tensor.
+    pub fn sorted_by_mode_with_hist(&self, d: usize, hist: &[u64]) -> SparseTensor {
+        assert_eq!(
+            hist.len(),
+            self.shape[d] as usize,
+            "histogram/mode mismatch"
+        );
+        let mut cursor = Vec::with_capacity(hist.len());
+        let mut at = 0usize;
+        for &h in hist {
+            cursor.push(at);
+            at += h as usize;
         }
+        assert_eq!(at, self.nnz(), "histogram does not sum to nnz");
         let n = self.order();
-        let mut perm = vec![0usize; self.nnz()];
-        let mut cursor = starts.clone();
-        for e in 0..self.nnz() {
-            let key = self.indices[e * n + d] as usize;
-            perm[cursor[key]] = e;
-            cursor[key] += 1;
+        let mut indices = vec![0 as Idx; self.indices.len()];
+        let mut values = vec![0.0 as Val; self.values.len()];
+        for (src, &val) in self.indices.chunks_exact(n).zip(&self.values) {
+            let at = &mut cursor[src[d] as usize];
+            indices[*at * n..(*at + 1) * n].copy_from_slice(src);
+            values[*at] = val;
+            *at += 1;
         }
-        self.permuted(&perm)
+        // Every cursor must have stopped at its row's end: a histogram with
+        // the right sum but the wrong counts spills one row into the next.
+        let mut end = 0usize;
+        for (&c, &h) in cursor.iter().zip(hist) {
+            end += h as usize;
+            assert_eq!(c, end, "histogram is not this tensor's mode-{d} histogram");
+        }
+        SparseTensor {
+            shape: self.shape.clone(),
+            indices,
+            values,
+        }
     }
 
     /// Lexicographic sort of elements by the mode order given in `mode_order`
@@ -334,6 +364,56 @@ mod tests {
         // Stability: original order preserved within the same key.
         assert_eq!(t.value(0), 2.0);
         assert_eq!(t.value(1), 4.0);
+    }
+
+    /// Coordinates from a small LCG over `shape`, `rows` restricting mode 0.
+    fn drawn(shape: &[Idx], nnz: usize, rows: std::ops::Range<Idx>) -> SparseTensor {
+        let mut t = SparseTensor::new(shape.to_vec());
+        let mut state = 0x2545_F491_4F6C_DD1Du64 ^ (nnz as u64) << 8 ^ shape.len() as u64;
+        let mut next = |bound: Idx| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % bound as u64) as Idx
+        };
+        for e in 0..nnz {
+            let mut coords: Vec<Idx> = shape.iter().map(|&s| next(s)).collect();
+            coords[0] = rows.start + next(rows.end - rows.start);
+            t.push(&coords, e as Val);
+        }
+        t
+    }
+
+    /// The direct scatter is a stable sort by the mode-`d` coordinate: on
+    /// every shape it must place elements exactly where `sort_by_key`
+    /// (stable) does — small dimensions make duplicates the rule.
+    #[test]
+    fn sorted_by_mode_equals_a_stable_sort_by_key() {
+        let mut cases = vec![
+            SparseTensor::new(vec![4, 3]), // nnz 0
+            drawn(&[9, 6, 5], 150, 4..5),  // every nonzero in one row
+            drawn(&[12, 6, 5], 150, 3..8), // empty rows at both ends
+            drawn(&[1, 1], 20, 0..1),      // nothing but duplicates
+        ];
+        for order in 2..=5 {
+            // A dimension of 1 in every tensor of order ≥ 2.
+            cases.push(drawn(&[7, 1, 5, 3, 4][..order], 200, 0..7));
+        }
+        for t in &cases {
+            for d in 0..t.order() {
+                let mut perm: Vec<usize> = (0..t.nnz()).collect();
+                perm.sort_by_key(|&e| t.idx(e, d));
+                let want = t.permuted(&perm);
+                assert_eq!(t.sorted_by_mode(d), want, "shape {:?} mode {d}", t.shape());
+                let hist = t.mode_hist(d);
+                assert_eq!(t.sorted_by_mode_with_hist(d, &hist), want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not this tensor's mode-0 histogram")]
+    fn sorted_by_mode_rejects_a_foreign_histogram() {
+        // Right length, right sum, wrong rows.
+        let _ = small().sorted_by_mode_with_hist(0, &[1, 2, 1]);
     }
 
     #[test]

@@ -603,7 +603,7 @@ impl AtomicBool {
 }
 
 /// An instrumented write-once slot — the model-side stand-in for
-/// `std::sync::OnceLock` in the `plan_modes` protocol. `set` returns whether
+/// `std::sync::OnceLock` in the planning pool's protocol. `set` returns whether
 /// this call installed the value (exactly one caller wins).
 #[derive(Debug, Default)]
 pub struct OnceSlot<T> {

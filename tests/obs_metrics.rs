@@ -184,6 +184,72 @@ fn ooc_run_records_chunk_metrics() {
     );
 }
 
+/// What both constructors publish about setup: the preprocessing wall (the
+/// Fig. 10 quantity) and its split into busy-seconds per phase.
+fn assert_setup_gauges(reg: &MetricsRegistry, preprocess_wall: f64, constructor_s: f64) {
+    let text = reg.render_prometheus();
+    let names = [
+        "setup_sort_busy_s",
+        "setup_stats_busy_s",
+        "setup_pricing_busy_s",
+    ];
+    for name in names.iter().chain(&["setup_wall_s"]) {
+        assert!(text.contains(&format!("amped_{name}")), "{name} missing");
+    }
+    let wall = reg.gauge("setup_wall_s").get();
+    assert_eq!(wall, preprocess_wall);
+    assert!(
+        wall > 0.0 && wall <= constructor_s,
+        "{wall} vs {constructor_s}"
+    );
+    let busy: f64 = names.iter().map(|n| reg.gauge(n).get()).sum();
+    let workers = amped::sim::host_workers() as f64;
+    assert!(
+        busy > 0.0 && busy <= wall * workers,
+        "{busy} vs {wall} × {workers}"
+    );
+}
+
+#[test]
+fn setup_gauges_split_the_preprocessing_wall() {
+    let t = tensor();
+    let spec = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
+
+    let reg = MetricsRegistry::new();
+    let rt = SimRuntime::new(spec.clone()).with_metrics(reg.clone());
+    let began = std::time::Instant::now();
+    let mut e = AmpedEngine::with_runtime(&t, Box::new(rt), cfg()).unwrap();
+    assert_setup_gauges(&reg, e.preprocess_wall(), began.elapsed().as_secs_f64());
+    for phase in [
+        "setup_sort_busy_s",
+        "setup_stats_busy_s",
+        "setup_pricing_busy_s",
+    ] {
+        assert!(reg.gauge(phase).get() > 0.0, "{phase}");
+    }
+    // A replan is preprocessing too: the gauges follow `preprocess_wall`.
+    let built = e.preprocess_wall();
+    e.replan(&ModeAssignment::from_index_ranges(0, vec![0..10, 10..80]))
+        .unwrap();
+    assert!(e.preprocess_wall() > built);
+    assert_eq!(reg.gauge("setup_wall_s").get(), e.preprocess_wall());
+
+    let dir = common::ScratchDir::new("obs_metrics");
+    let path = dir.join("setup.tnsb");
+    write_tnsb(&t, &path, 512).unwrap();
+    let budget = 512 * (t.elem_bytes() + t.order() as u64 * 4) * 2;
+    let reg = MetricsRegistry::new();
+    let rt = SimRuntime::new(spec).with_metrics(reg.clone());
+    let began = std::time::Instant::now();
+    let e = OocEngine::with_runtime(&path, Box::new(rt), cfg(), budget).unwrap();
+    assert_setup_gauges(
+        &reg,
+        MttkrpEngine::preprocess_wall(&e),
+        began.elapsed().as_secs_f64(),
+    );
+    assert!(reg.gauge("setup_stats_busy_s").get() > 0.0);
+}
+
 #[test]
 fn warn_once_registry_is_observable() {
     // `warnings()` exposes the one-shot warning map; keys registered by
