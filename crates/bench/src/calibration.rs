@@ -41,7 +41,7 @@ pub struct CalibrationRow {
 impl CalibrationRow {
     /// The band of `modeled / measured` ratios considered calibrated:
     /// within 2× either way. Outside it the model is lying about this op
-    /// kind on this host — the pr8 snapshot measured a `launch` ratio of
+    /// kind on this host — a run at PR 8 measured a `launch` ratio of
     /// `0.0122` (model ~80× optimistic), which this flag now surfaces
     /// instead of letting the number scroll past.
     pub const CALIBRATED_BAND: (f64, f64) = (0.5, 2.0);

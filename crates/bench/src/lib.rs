@@ -2,20 +2,13 @@
 //! report emission (Markdown + CSV + JSON under `results/`).
 //!
 //! The `figures` binary uses this library to regenerate every table and
-//! figure of the paper; the Criterion benches reuse the dataset builders.
+//! figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibration;
 pub mod reportio;
-
-/// The integration tests' scratch-directory helper, shared by the benches
-/// and binaries that write files: one unique-per-process directory under
-/// `temp_dir()`, removed on drop — never a fixed name two runs could share.
-#[path = "../../../tests/common/mod.rs"]
-pub mod scratch;
-pub use scratch::ScratchDir;
 
 use amped_baselines::{
     AmpedSystem, BlcoSystem, EqualNnzSystem, FlycooSystem, MmCsfSystem, MttkrpSystem, PartiSystem,

@@ -1,12 +1,11 @@
 //! `amped-check`: the workspace's architectural lint engine.
 //!
 //! Scans every library source file in the workspace (`crates/*/src`, plus
-//! the root facade's `src/`) — and, as tooling, every crate's `benches/` and
-//! the root `examples/` — with a comment/string-stripping lexer, runs the
-//! rule set of [`rules`], and diffs the violation counts against the
-//! committed `check-baseline.toml` ratchet. New violations fail; frozen
-//! debt does not. See DESIGN.md §14 for the policy and `src/rules.rs` for
-//! the invariants themselves.
+//! the root facade's `src/`) — and, as tooling, the root `examples/` — with
+//! a comment/string-stripping lexer, runs the rule set of [`rules`], and
+//! diffs the violation counts against the committed `check-baseline.toml`
+//! ratchet. New violations fail; frozen debt does not. See DESIGN.md §14 for
+//! the policy and `src/rules.rs` for the invariants themselves.
 //!
 //! Run as `cargo run -p amped-check -- lint` (add `--write-baseline` after
 //! burning down debt to tighten the ratchet).
@@ -44,12 +43,9 @@ pub fn collect_files(root: &Path) -> Result<Vec<(String, FileKind)>, String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir {}: {e}", crates_dir.display()))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let tool_crate = TOOL_CRATES.contains(&name.as_str());
-        for (sub, tool) in [("src", tool_crate), ("benches", true)] {
-            let dir = entry.path().join(sub);
-            if dir.is_dir() {
-                walk_rs(&dir, root, tool, &mut out)?;
-            }
+        let dir = entry.path().join("src");
+        if dir.is_dir() {
+            walk_rs(&dir, root, TOOL_CRATES.contains(&name.as_str()), &mut out)?;
         }
     }
     for (sub, tool) in [("src", false), ("examples", true)] {

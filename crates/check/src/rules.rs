@@ -3,7 +3,7 @@
 //! Every rule is a substring scan over the comment/string-stripped code
 //! lines produced by [`crate::lexer`], restricted to lines outside
 //! `#[cfg(test)]` modules and — all but `fixed-temp-dir`, which also covers
-//! tooling, benches and examples — to *library* files. The rules encode the
+//! tooling and examples — to *library* files. The rules encode the
 //! workspace's concurrency, numerics and file-hygiene contracts:
 //!
 //! | rule             | invariant                                                        |
@@ -23,8 +23,8 @@ use crate::lexer::SourceFile;
 pub enum FileKind {
     /// Library code: all rules apply (outside `#[cfg(test)]` regions).
     Lib,
-    /// Harness / binary tooling, benches, examples: exempt from every rule
-    /// but `fixed-temp-dir`.
+    /// Harness / binary tooling and examples: exempt from every rule but
+    /// `fixed-temp-dir`.
     Tool,
 }
 
@@ -58,14 +58,13 @@ pub const CONCURRENCY_LAYER: &[&str] = &[
     "crates/runtime/src/kernels.rs",
     "crates/runtime/src/smexec.rs",
     "crates/sim/src/obs.rs",
-    "crates/sim/src/atomics.rs",
     "crates/partition/src/plan.rs",
     "crates/core/src/ooc.rs",
 ];
 
 /// The kernel layer: the only library files allowed to accumulate into
 /// `f32` with `+=` (they own the f64-accumulate/round-once contract).
-pub const KERNEL_LAYER: &[&str] = &["crates/runtime/src/kernels.rs", "crates/sim/src/atomics.rs"];
+pub const KERNEL_LAYER: &[&str] = &["crates/runtime/src/kernels.rs"];
 
 /// Raw-atomic tokens. `Ordering::` alone is not a signal (it collides with
 /// `std::cmp::Ordering`), so we key on the atomic type names and the module
@@ -266,7 +265,7 @@ mod tests {
         let v = lib("use std::sync::atomic::AtomicUsize;\n");
         assert!(v.iter().any(|v| v.rule == "raw-atomic"), "{v:?}");
         let v = check_file(
-            "crates/sim/src/atomics.rs",
+            "crates/sim/src/obs.rs",
             FileKind::Lib,
             &scan("use std::sync::atomic::AtomicUsize;\n"),
         );

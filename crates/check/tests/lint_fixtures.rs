@@ -106,7 +106,7 @@ fn duplicate_warn_once_keys_are_caught_across_call_sites() {
 fn fixed_names_under_temp_dir_are_caught_even_in_tooling() {
     let sf = scan(include_str!("fixtures/fixed_temp_dir.rs"));
     for kind in [FileKind::Lib, FileKind::Tool] {
-        let v = check_file("crates/bench/benches/fixture.rs", kind, &sf);
+        let v = check_file("examples/fixture.rs", kind, &sf);
         assert_eq!(rules_hit(&v), vec!["fixed-temp-dir"]);
         let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
         // The one-line join and the chained one; the pid-qualified name and

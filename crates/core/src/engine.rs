@@ -258,18 +258,6 @@ impl AmpedEngine {
         Ok(engine)
     }
 
-    /// The autotuned convenience constructor: [`AmpedEngine::new`] driven by
-    /// an [`amped_tune::Autotuner::from_env`] tuner (persistent cache at
-    /// `AMPED_TUNE_CACHE` when set, in-memory otherwise).
-    pub fn tuned(
-        tensor: &SparseTensor,
-        platform: PlatformSpec,
-        cfg: AmpedConfig,
-    ) -> Result<Self, SimError> {
-        let mut tuner = amped_tune::Autotuner::from_env();
-        Self::with_tuner(tensor, Box::new(SimRuntime::new(platform)), cfg, &mut tuner)
-    }
-
     /// Partitions `tensor` through an explicit runtime **and** an explicit
     /// [`Partitioner`] policy — the planner seam. The planner receives each
     /// mode's output-index histogram plus a [`PlatformCostQuery`] over the

@@ -138,25 +138,6 @@ impl OocEngine {
         Ok(engine)
     }
 
-    /// The autotuned convenience constructor: [`OocEngine::open`] driven by
-    /// an [`amped_tune::Autotuner::from_env`] tuner (persistent cache at
-    /// `AMPED_TUNE_CACHE` when set, in-memory otherwise).
-    pub fn tuned(
-        path: impl AsRef<Path>,
-        platform: PlatformSpec,
-        cfg: AmpedConfig,
-        stage_budget_bytes: u64,
-    ) -> Result<Self, SimError> {
-        let mut tuner = amped_tune::Autotuner::from_env();
-        Self::with_tuner(
-            path,
-            Box::new(SimRuntime::new(platform)),
-            cfg,
-            stage_budget_bytes,
-            &mut tuner,
-        )
-    }
-
     /// Opens a `.tnsb` tensor through an explicit runtime **and** an
     /// explicit [`Partitioner`] policy for the streaming plan's pass 1 —
     /// the out-of-core half of the planner seam (see

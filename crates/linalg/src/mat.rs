@@ -224,7 +224,8 @@ impl Mat {
     }
 
     /// Transposed copy.
-    pub fn transpose(&self) -> Mat {
+    #[cfg(test)]
+    fn transpose(&self) -> Mat {
         Mat::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 

@@ -3,7 +3,7 @@
 //! trait defined here.
 //!
 //! The layers above (the `amped-core` engines, every baseline system in
-//! `amped-baselines`, the benches) never touch the execution primitives
+//! `amped-baselines`) never touch the execution primitives
 //! directly; they hold a `Box<dyn DeviceRuntime>` and issue *ops*. That seam
 //! is what makes new platform scenarios — an NVLink node, multi-node rings,
 //! an eventual real-GPU backend — a matter of adding a `DeviceRuntime`

@@ -314,7 +314,7 @@ impl DeviceRuntime for SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amped_sim::AtomicMat;
+    use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 
     fn rt(m: usize) -> SimRuntime {
         SimRuntime::new(PlatformSpec::rtx6000_ada_node(m).scaled(1e-3))
@@ -324,9 +324,10 @@ mod tests {
     fn launch_grid_executes_and_times() {
         let mut r = rt(1);
         let sms = r.spec().gpus[0].sms;
-        let hits = AtomicMat::zeros(1, 64);
-        let t = r.launch_grid(0, &|b| hits.add(0, b, 1.0), &[0.5; 64]);
-        assert_eq!(hits.to_vec(), vec![1.0; 64]);
+        let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let count = |b: usize| assert_eq!(hits[b].fetch_add(1, SeqCst), 0);
+        let t = r.launch_grid(0, &count, &[0.5; 64]);
+        assert!(hits.iter().all(|h| h.load(SeqCst) == 1));
         assert_eq!(t.blocks, 64);
         // 64 equal blocks on `sms` SMs: ⌈64/sms⌉ rounds of 0.5.
         assert_eq!(t.makespan, 0.5 * 64usize.div_ceil(sms) as f64);

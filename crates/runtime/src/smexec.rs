@@ -186,7 +186,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amped_sim::AtomicMat;
+    use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 
     #[test]
     fn makespan_single_sm_is_sum() {
@@ -228,9 +228,10 @@ mod tests {
 
     #[test]
     fn run_grid_executes_every_block_exactly_once() {
-        let hits = AtomicMat::zeros(1, 64);
-        let timing = run_grid(4, host_workers(), |b| hits.add(0, b, 1.0), &[0.5; 64]);
-        assert_eq!(hits.to_vec(), vec![1.0; 64]);
+        let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let count = |b: usize| assert_eq!(hits[b].fetch_add(1, SeqCst), 0);
+        let timing = run_grid(4, host_workers(), count, &[0.5; 64]);
+        assert!(hits.iter().all(|h| h.load(SeqCst) == 1));
         // 64 blocks × 0.5 on 4 SMs = 8.0 simulated seconds.
         assert_eq!(timing.makespan, 8.0);
         assert_eq!(timing.busy_sum, 32.0);
@@ -250,9 +251,9 @@ mod tests {
     #[test]
     fn execute_blocks_runs_each_block_once_at_any_worker_count() {
         for workers in [1usize, 3, 200] {
-            let hits = AtomicMat::zeros(1, 37);
-            execute_blocks(workers, 37, |b| hits.add(0, b, 1.0));
-            assert_eq!(hits.to_vec(), vec![1.0; 37]);
+            let hits: Vec<AtomicU32> = (0..37).map(|_| AtomicU32::new(0)).collect();
+            execute_blocks(workers, 37, |b| assert_eq!(hits[b].fetch_add(1, SeqCst), 0));
+            assert!(hits.iter().all(|h| h.load(SeqCst) == 1));
         }
     }
 

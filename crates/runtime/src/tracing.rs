@@ -156,26 +156,6 @@ impl Timeline {
         self.spans.current()
     }
 
-    /// Per-device busy-time summary: total simulated seconds of recorded
-    /// ops of `kind` on each GPU (`num_gpus` entries; platform-wide ops
-    /// recorded on [`Device::Host`] are excluded). With
-    /// `OpKind::LaunchGrid` this is the per-device compute-time summary an
-    /// ALS-time rebalancer consumes when driving a traced run.
-    pub fn gpu_busy(&self, kind: OpKind, num_gpus: usize) -> Vec<f64> {
-        let mut busy = vec![0.0f64; num_gpus];
-        for r in self.records.lock().expect("timeline lock").iter() {
-            if r.kind != kind {
-                continue;
-            }
-            if let Device::Gpu(g) = r.device {
-                if g < num_gpus {
-                    busy[g] += r.end - r.start;
-                }
-            }
-        }
-        busy
-    }
-
     /// Renders the timeline as an aligned text table (one op per line).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -515,22 +495,6 @@ mod tests {
         assert_eq!(recs[0].span.render(), "iteration=0/mode=1");
         assert_eq!(recs[1].span.render(), "iteration=0");
         assert!(recs[2].span.is_root());
-    }
-
-    #[test]
-    fn gpu_busy_sums_per_device_durations() {
-        let (mut rt, tl) = traced(3);
-        rt.launch_grid(0, &|_| {}, &[0.5; 2]); // 2 blocks ≤ SMs: one round
-        rt.launch_grid(0, &|_| {}, &[0.5; 2]);
-        rt.launch_grid(2, &|_| {}, &[0.25; 4]);
-        rt.h2d_time(2, 1, 1_000_000); // not a launch: must not count
-        let busy = tl.gpu_busy(OpKind::LaunchGrid, 3);
-        assert_eq!(busy.len(), 3);
-        assert_eq!(busy[0], 1.0);
-        assert_eq!(busy[1], 0.0);
-        assert_eq!(busy[2], 0.25);
-        let h2d = tl.gpu_busy(OpKind::H2d, 3);
-        assert!(h2d[2] > 0.0 && h2d[0] == 0.0);
     }
 
     #[test]

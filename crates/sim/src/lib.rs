@@ -3,9 +3,9 @@
 //! The AMPED paper evaluates on a single node with four NVIDIA RTX 6000 Ada
 //! GPUs connected over PCIe with GPUDirect peer-to-peer. This crate stands in
 //! for that hardware (DESIGN.md §1 "substitutions"): kernels **execute for
-//! real** on host threads — real data, real `f32` atomics — while *simulated
-//! time* is produced by an analytic cost model that is deterministic given the
-//! workload statistics.
+//! real** on host threads, on real data, while *simulated time* is produced
+//! by an analytic cost model that is deterministic given the workload
+//! statistics (Algorithm 2's atomics are priced there, not performed).
 //!
 //! The pieces:
 //!
@@ -21,8 +21,6 @@
 //! * [`costmodel`] — the elementwise-computation kernel cost model
 //!   (bandwidth-bound, with L2 reuse and atomic-contention terms) and link
 //!   transfer times. Every calibration constant lives here.
-//! * [`atomics`] — lock-free `f32` accumulation ([`AtomicMat`]), the Rust
-//!   equivalent of the CUDA `atomicAdd` in Algorithm 2 lines 18–19.
 //! * [`metrics`] — per-GPU time breakdowns (Fig. 7) and run reports.
 //! * [`obs`] — the observability registry ([`MetricsRegistry`]): lock-cheap
 //!   counters/gauges/histograms components record into, a Prometheus-style
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomics;
 pub mod cluster;
 pub mod costmodel;
 pub mod memory;
@@ -48,7 +45,6 @@ pub mod spec;
 
 mod error;
 
-pub use atomics::{atomic_add_f32, AtomicMat};
 pub use cluster::ClusterSpec;
 pub use error::SimError;
 pub use memory::MemPool;

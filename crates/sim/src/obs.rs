@@ -434,8 +434,8 @@ pub fn warn_once(key: &str, message: &str) -> bool {
 /// is independent of this; it only bounds real CPU usage.
 ///
 /// Defaults to `min(available_parallelism, 8)`. The `AMPED_THREADS`
-/// environment variable overrides it (clamped to ≥ 1), so benches and CI
-/// runs are reproducible on any core count: `AMPED_THREADS=8 cargo bench`.
+/// environment variable overrides it (clamped to ≥ 1), so benchmark and CI
+/// runs are reproducible on any core count: `AMPED_THREADS=4 cargo test`.
 ///
 /// An unparsable or zero `AMPED_THREADS` falls back (to the default / to 1)
 /// and says so **once** through [`warn_once`] — silently ignoring a typo'd

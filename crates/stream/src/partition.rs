@@ -74,20 +74,6 @@ impl StreamModePlan {
             .map(|r| (r.end - r.start) as u64)
             .collect()
     }
-
-    /// GPU owning output index `i` (ranges are contiguous and ascending).
-    ///
-    /// # Panics
-    /// Panics if `i` lies outside the partitioned index space.
-    pub fn owner_of(&self, i: Idx) -> usize {
-        let g = self.device_ranges.partition_point(|r| r.end <= i);
-        assert!(
-            g < self.device_ranges.len() && self.device_ranges[g].contains(&i),
-            "output index {i} outside the partitioned index space of mode {}",
-            self.mode
-        );
-        g
-    }
 }
 
 /// All-mode streaming partition plan plus the measured preprocessing wall
@@ -400,20 +386,6 @@ mod tests {
                 in_core.gpu_loads(),
                 "mode {d} loads"
             );
-        }
-    }
-
-    #[test]
-    fn owner_lookup_matches_ranges() {
-        let t = tensor();
-        let plan = plan_of(&t, "owner.tnsb", 300, 4);
-        for mp in &plan.modes {
-            for (g, r) in mp.device_ranges.iter().enumerate() {
-                if r.start < r.end {
-                    assert_eq!(mp.owner_of(r.start), g);
-                    assert_eq!(mp.owner_of(r.end - 1), g);
-                }
-            }
         }
     }
 

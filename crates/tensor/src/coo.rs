@@ -203,7 +203,7 @@ impl SparseTensor {
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..nnz`.
-    pub fn permuted(&self, perm: &[usize]) -> SparseTensor {
+    fn permuted(&self, perm: &[usize]) -> SparseTensor {
         assert_eq!(perm.len(), self.nnz(), "permutation length mismatch");
         let mut indices = Vec::with_capacity(self.indices.len());
         let mut values = Vec::with_capacity(self.values.len());

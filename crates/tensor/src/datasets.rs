@@ -58,7 +58,7 @@ impl Dataset {
     }
 
     /// The full-scale shape from Table 3.
-    pub fn paper_shape(&self) -> Vec<u64> {
+    fn paper_shape(&self) -> Vec<u64> {
         match self {
             Dataset::Amazon => vec![4_800_000, 1_800_000, 1_800_000],
             Dataset::Patents => vec![46, 239_200, 239_200],

@@ -8,8 +8,8 @@
 //!
 //! Two consumption styles are provided:
 //!
-//! * [`read_tns`] / [`read_tns_file`] materialize the whole tensor — fine up
-//!   to host-memory scale;
+//! * [`read_tns`] materializes the whole tensor — fine up to host-memory
+//!   scale;
 //! * [`TnsLineParser`] parses one line at a time into a reused coordinate
 //!   buffer, so out-of-core consumers (the `amped-stream` `.tns` → `.tnsb`
 //!   converter) can stream a file of any size without materializing it.
@@ -21,9 +21,9 @@ use std::path::{Path, PathBuf};
 /// Errors from `.tns` parsing.
 #[derive(Debug)]
 pub enum TnsError {
-    /// Underlying I/O failure. `path` is the file being read when the failure
-    /// came from a file-based entry point ([`read_tns_file`]), so errors on
-    /// real FROSTT files name the file that caused them.
+    /// Underlying I/O failure. `path` is the file being read when the caller
+    /// attached one ([`TnsError::with_path`]), so errors on real FROSTT files
+    /// name the file that caused them.
     Io {
         /// File involved, when known.
         path: Option<PathBuf>,
@@ -220,13 +220,6 @@ pub fn read_tns(reader: impl BufRead) -> Result<SparseTensor, TnsError> {
     Ok(SparseTensor::from_parts(shape, coords, values))
 }
 
-/// Reads a `.tns` file from disk. I/O failures carry the file path.
-pub fn read_tns_file(path: impl AsRef<Path>) -> Result<SparseTensor, TnsError> {
-    let path = path.as_ref();
-    let f = std::fs::File::open(path).map_err(|e| TnsError::from(e).with_path(path))?;
-    read_tns(std::io::BufReader::new(f)).map_err(|e| e.with_path(path))
-}
-
 /// Writes a tensor as FROSTT `.tns` text (1-based coordinates).
 pub fn write_tns(t: &SparseTensor, writer: impl Write) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -299,7 +292,8 @@ mod tests {
 
     #[test]
     fn file_error_names_the_path() {
-        let err = read_tns_file("/nonexistent/amped_missing.tns").unwrap_err();
+        let path = "/nonexistent/amped_missing.tns";
+        let err = TnsError::from(std::fs::File::open(path).unwrap_err()).with_path(path);
         let msg = err.to_string();
         assert!(
             msg.contains("amped_missing.tns"),
@@ -330,7 +324,8 @@ mod tests {
         let dir = crate::common::ScratchDir::new("tns");
         let path = dir.join("t.tns");
         write_tns_file(&t, &path).unwrap();
-        let back = read_tns_file(&path).unwrap();
+        let f = std::fs::File::open(&path).unwrap();
+        let back = read_tns(std::io::BufReader::new(f)).unwrap();
         assert_eq!(back.nnz(), t.nnz());
     }
 }

@@ -198,15 +198,6 @@ impl Autotuner {
         }
     }
 
-    /// A tuner configured from the environment: backed by the file named by
-    /// `AMPED_TUNE_CACHE` when set, in-memory otherwise.
-    pub fn from_env() -> Self {
-        match std::env::var("AMPED_TUNE_CACHE") {
-            Ok(path) if !path.trim().is_empty() => Self::with_cache(path),
-            _ => Self::in_memory(),
-        }
-    }
-
     /// Binds the `tune_searches` / `tune_cache_hits` counters to `registry`
     /// so runs can assert "the warm run performed no search".
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {

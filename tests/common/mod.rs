@@ -1,8 +1,7 @@
 //! Shared helpers for the integration tests (`mod common;` in each binary)
 //! and, through a `#[path]` include, for the unit tests of `amped-stream`,
-//! `amped-core`, `amped-tune` and `amped-tensor` and for the benches and
-//! binaries of `amped-bench` (`amped_bench::ScratchDir`) — so keep this file
-//! free of `amped` paths.
+//! `amped-core`, `amped-tune` and `amped-tensor` — so keep this file free of
+//! `amped` paths.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
