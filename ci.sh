@@ -37,10 +37,22 @@ cargo clippy --all-targets -- -D warnings
 echo "=== 5/9 cargo doc --no-deps (warnings denied) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "=== 6/9 cluster example + figures fig10 (smoke) ==="
+echo "=== 6/9 cluster + stream_ooc examples + figures fig10 (smoke) ==="
 # The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
 # HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
 cargo run --release --example cluster
+# The out-of-core path end to end: TnsbWriter → sorted sections → StreamPlan
+# → streamed CP-ALS, verified against the in-core oracle by the example
+# itself. It works in a directory of its own under the temp directory and
+# must leave nothing there.
+ooc_tmp="$(mktemp -d)"
+TMPDIR="$ooc_tmp" cargo run --release --example stream_ooc
+if [ -n "$(ls -A "$ooc_tmp")" ]; then
+  echo "stream_ooc left files behind in its temp directory:" >&2
+  ls -A "$ooc_tmp" >&2
+  exit 1
+fi
+rmdir "$ooc_tmp"
 # Preprocessing wall against BLCO's linearization, with the wall split into
 # sort / statistics / pricing busy-seconds — the one bin that reports setup
 # next to an external preprocessor. Printed, not gated (wall time).

@@ -3,7 +3,10 @@
 //! Mirrors `amped_runtime::smexec::execute_blocks` line for line with the
 //! instrumented primitives from `crossbeam::check` (the `shims/interleave`
 //! explorer): `workers` threads share one atomic counter and claim block
-//! indices with `fetch_add` until the counter passes `num_blocks`. The
+//! indices with `fetch_add` until the counter passes `num_blocks`. In
+//! production one of those threads is the caller of `execute_blocks` and
+//! `workers − 1` are spawned; all run the same loop, so the protocol — and
+//! this mirror of it — is unchanged by who the threads are. The
 //! explorer runs every interleaving of the claim operations up to the bound
 //! and the asserts prove, for each schedule: no lost block, no
 //! double-execution, and (via the explorer's deadlock detector) no schedule

@@ -3,9 +3,10 @@
 //! Mirrors `pool_map` in `amped_partition::plan`, the pool under
 //! `PartitionPlan::build_priced` (it grew out of `plan_modes`, one job per
 //! mode; a "mode" below is any of its jobs — a mode's sort or one shard's
-//! statistics): workers claim job indices from a shared atomic counter and
-//! publish each result into a per-job once-slot (the production code's
-//! `OnceLock<Result<T, E>>`).
+//! statistics; out of core, one chunk of a sorted section): workers — the
+//! caller and the threads it spawns, all in the same loop — claim job
+//! indices from a shared atomic counter and publish each result into a
+//! per-job once-slot (the production code's `OnceLock<Result<T, E>>`).
 //! The worker-local scratch the production pool carries is private to its
 //! thread and takes no part in the protocol.
 //! The schedule-exhaustive asserts prove the two properties the production

@@ -548,27 +548,16 @@ impl AmpedEngine {
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
 
         for (g, shard_ids) in assignment.iter().enumerate() {
-            // Double-buffered streaming pipeline (§4.8): transfer k+1 overlaps
-            // compute k; transfer k must wait for buffer k−2 to free.
-            let mut transfer_end = vec![0.0f64; shard_ids.len()];
-            let mut transfer_time = vec![0.0f64; shard_ids.len()];
-            let mut compute_end = vec![0.0f64; shard_ids.len()];
-            let mut compute_busy = 0.0;
-            for (k, &sid) in shard_ids.iter().enumerate() {
+            // (transfer, compute) seconds of every shard this GPU streams.
+            let mut steps = Vec::with_capacity(shard_ids.len());
+            for &sid in shard_ids {
                 let su = &mode_shards[d][sid];
                 // The shard span wraps both the staged transfer and the grid
                 // launch, so traces nest `…/mode=d/shard=sid` around exactly
                 // the ops this shard issued. `tl` is `None` without a tracer.
                 let _shard = tl.as_ref().map(|t| t.span("shard", sid as u64));
                 let t_x = runtime.h2d_time(g, active, su.transfer_bytes);
-                let su_compute = reprice(su.compute, gpu_throughput, su.gpu, g);
-                let prev_transfer = if k > 0 { transfer_end[k - 1] } else { 0.0 };
-                let buffer_free = if k >= 2 { compute_end[k - 2] } else { 0.0 };
-                transfer_end[k] = prev_transfer.max(buffer_free) + t_x;
-                transfer_time[k] = t_x;
-                let prev_compute = if k > 0 { compute_end[k - 1] } else { 0.0 };
-                compute_end[k] = prev_compute.max(transfer_end[k]) + su_compute;
-                compute_busy += su_compute;
+                steps.push((t_x, reprice(su.compute, gpu_throughput, su.gpu, g)));
 
                 // --- Real execution of the grid (Algorithm 2) through the
                 // kernel layer: one threadblock per ISP. The mode-`d` copy
@@ -581,22 +570,7 @@ impl AmpedEngine {
                 nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
                 launch_mttkrp(runtime, g, &src, d, &fviews, &blocks, &costs, &out);
             }
-            let end = compute_end.last().copied().unwrap_or(0.0);
-            ends[g] = end;
-            per_gpu[g].compute = compute_busy;
-            // Exposed h2d is derived from the pipeline arrays, not inferred
-            // as `end − compute_busy`: each pre-compute stall counts as
-            // transfer time only while the link was actually busy (the
-            // trailing `t_x` window of the shard's transfer); the remainder
-            // — double-buffer and pipeline slack — is idle time.
-            let mut exposed = 0.0f64;
-            for k in 0..shard_ids.len() {
-                let prev_compute = if k > 0 { compute_end[k - 1] } else { 0.0 };
-                let stall = (transfer_end[k] - prev_compute).max(0.0);
-                exposed += stall.min(transfer_time[k]);
-            }
-            per_gpu[g].h2d = exposed;
-            per_gpu[g].idle += (end - compute_busy - exposed).max(0.0);
+            (ends[g], per_gpu[g]) = double_buffered(&steps);
         }
 
         obs.nnz_processed.add(nnz_done);
@@ -660,6 +634,40 @@ impl AmpedEngine {
         }
         Ok(report)
     }
+}
+
+/// One GPU's double-buffered stream (§4.8) over `steps` of `(transfer,
+/// compute)` seconds, in stream order: transfer `k + 1` overlaps compute
+/// `k`, and transfer `k` must wait for buffer `k − 2` to free. Returns when
+/// the GPU finishes and where its time went. Exposed h2d is derived from
+/// the pipeline, not inferred as `end − compute`: each pre-compute stall
+/// counts as transfer time only while the link was actually busy (the
+/// trailing window of that step's transfer); the remainder — double-buffer
+/// and pipeline slack — is idle time. Both engines price a mode through
+/// this one recurrence: shards of a sorted copy in core, a GPU's slices of
+/// the sorted section's chunks out of core.
+pub(crate) fn double_buffered(steps: &[(f64, f64)]) -> (f64, TimeBreakdown) {
+    let mut transfer_end = vec![0.0f64; steps.len()];
+    let mut compute_end = vec![0.0f64; steps.len()];
+    let (mut compute_busy, mut exposed) = (0.0f64, 0.0f64);
+    for (k, &(transfer, compute)) in steps.iter().enumerate() {
+        let prev_transfer = if k > 0 { transfer_end[k - 1] } else { 0.0 };
+        let buffer_free = if k >= 2 { compute_end[k - 2] } else { 0.0 };
+        transfer_end[k] = prev_transfer.max(buffer_free) + transfer;
+        let prev_compute = if k > 0 { compute_end[k - 1] } else { 0.0 };
+        compute_end[k] = prev_compute.max(transfer_end[k]) + compute;
+        compute_busy += compute;
+        let stall = (transfer_end[k] - prev_compute).max(0.0);
+        exposed += stall.min(transfer);
+    }
+    let end = compute_end.last().copied().unwrap_or(0.0);
+    let breakdown = TimeBreakdown {
+        compute: compute_busy,
+        h2d: exposed,
+        idle: (end - compute_busy - exposed).max(0.0),
+        ..TimeBreakdown::default()
+    };
+    (end, breakdown)
 }
 
 impl GatherAlgo {

@@ -2,31 +2,28 @@
 //!
 //! The in-core [`crate::engine::AmpedEngine`] keeps one mode-sorted tensor
 //! copy per mode in host memory. [`OocEngine`] instead drives the
-//! `amped-stream` pipeline: the tensor lives on disk as fixed-capacity
-//! chunks, a bounded host staging budget (an [`amped_sim::MemPool`]) holds
-//! the resident chunk — plus up to [`TuneParams::prefetch_depth`] chunks a
-//! background reader thread stages ahead while the current chunk computes —
-//! and each chunk is scattered host→GPU with every GPU
-//! pulling the slice whose output rows it owns (the streaming plan's CCP
-//! device ranges guarantee no output row spans two GPUs, so intra-GPU
-//! atomics still suffice).
+//! `amped-stream` pipeline: those copies live on disk as the `.tnsb` file's
+//! sorted sections (built once, by the writer — the paper's preprocessing,
+//! §3.1), cut into fixed-capacity chunks; a bounded host staging budget (an
+//! [`amped_sim::MemPool`]) holds the resident chunk — plus up to
+//! [`TuneParams::prefetch_depth`] chunks a background reader thread stages
+//! ahead while the current chunk computes — and every GPU streams, through
+//! its own double buffer, the slice of each chunk whose output rows it owns
+//! (the streaming plan's CCP device ranges guarantee no output row spans two
+//! GPUs, so intra-GPU atomics still suffice).
 //!
-//! Each streamed chunk is sorted by the mode it is about to be reduced along
-//! as the last step of its decode ([`ChunkReader::stage`] with that mode —
-//! a stable key sort, so the chunk is the same whichever thread read it and
-//! at every prefetch depth), which gives a chunk the shape of the in-core
-//! engine's mode-sorted copies (paper §3.1): a multi-ISP chunk runs the
-//! kernel layer's row-run path over a [`SortedCoo`] view, with no per-block
-//! output tile and no merge pass. The sort happens wherever the read does —
-//! on the prefetch thread, overlapped with the previous chunk's compute —
-//! and its wall is counted in `ooc_chunk_sort_us`.
+//! For output mode `d` the engine streams section `d`
+//! ([`ChunkReader::stage`] with that mode): a chunk is `chunk_capacity`
+//! consecutive elements of the mode-sorted tensor, the shape of the in-core
+//! engine's shards — long row runs, a GPU's slice one contiguous sub-range —
+//! and a multi-ISP chunk runs the kernel layer's row-run path over a
+//! [`SortedCoo`] view, with no per-block output tile and no merge pass.
+//! Nothing is sorted per visit; a chunk is the bytes the file holds,
+//! whichever thread read it and at every prefetch depth.
 //!
-//! Timing reuses the same cost model as the in-core engine plus the
-//! runtime's scatter stage ([`DeviceRuntime::scatter_time`]). The *modeled*
-//! GPU still receives its slice in file order — the host-side sort is not
-//! priced — so slices pay the atomic-serialization cost the in-core
-//! engine's sorted copies avoid: on the modeled clock out-of-core trades
-//! compute efficiency for the ability to run at all.
+//! Timing reuses the in-core engine's cost model and its per-GPU pipeline
+//! arithmetic (`engine::double_buffered`): a GPU's slices are
+//! priced as output-sorted blocks, exactly like the shards they are.
 //!
 //! Every chunk load and release goes through the staging [`MemPool`], so a
 //! tensor too large for the *budget* still decomposes (chunks rotate through
@@ -42,7 +39,9 @@
 //! device allocation goes through the [`DeviceRuntime`] seam.
 
 use crate::config::{AmpedConfig, SchedulePolicy};
-use crate::engine::{record_setup, validate_replan, EngineMeters, ModeTiming, MttkrpEngine};
+use crate::engine::{
+    double_buffered, record_setup, validate_replan, EngineMeters, ModeTiming, MttkrpEngine,
+};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ShardStats};
 use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery, WorkloadProfile};
@@ -82,9 +81,8 @@ impl OocEngine {
     /// loads are charged against it. Fails with
     /// [`SimError::OutOfMemory`] when a GPU cannot hold its factor copies
     /// plus the double-buffered chunk staging area, when the host cannot
-    /// hold the budget, or when the budget cannot hold one chunk plus its
-    /// partitioning scratch; I/O and format failures surface as
-    /// [`SimError::Unsupported`].
+    /// hold the budget, or when the budget cannot hold one chunk; I/O and
+    /// format failures surface as [`SimError::Unsupported`].
     pub fn open(
         path: impl AsRef<Path>,
         platform: PlatformSpec,
@@ -183,8 +181,8 @@ impl OocEngine {
         runtime.alloc(Device::Host, stage_budget_bytes, "chunk staging budget")?;
 
         // --- Streaming two-pass plan through the budget. Slice statistics
-        // use GPU 0's cache capacity (one payload scan serves all devices;
-        // per-device re-scans would multiply the I/O).
+        // use GPU 0's cache capacity (one scan of the sections serves all
+        // devices; per-device re-scans would multiply the I/O).
         let gpu = &spec.gpus[0];
         let cache_rows = (gpu.l2_bytes / (cfg.rank as u64 * 4)).max(1) as usize;
         let cost = PlatformCostQuery::new(
@@ -275,8 +273,8 @@ impl OocEngine {
     }
 
     /// Swaps mode `assignment.mode`'s device assignment: re-runs the
-    /// streaming plan's pass 2 for that mode (one bounded payload scan)
-    /// under the new output-index ranges. The ALS-time rebalancing path —
+    /// streaming plan's pass 2 for that mode (one bounded scan of its
+    /// sorted section) under the new output-index ranges. The ALS-time rebalancing path —
     /// out-of-core replanning costs real chunk I/O, which is exactly the
     /// trade the imbalance threshold gates.
     pub fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
@@ -293,9 +291,10 @@ impl OocEngine {
         Ok(())
     }
 
-    /// Runs MTTKRP for output mode `d` out of core: chunks stream from disk
-    /// through the staging budget, scatter host→GPU, and execute as grids of
-    /// ISP blocks; updated rows travel through the configured all-gather.
+    /// Runs MTTKRP for output mode `d` out of core: the chunks of section
+    /// `d` stream from disk through the staging budget, each GPU pulls the
+    /// slices it owns, and every chunk executes as a grid of ISP blocks;
+    /// updated rows travel through the configured all-gather.
     pub fn mttkrp_mode(
         &mut self,
         d: usize,
@@ -331,54 +330,34 @@ impl OocEngine {
         let loads = mp.gpu_loads();
         let active = loads.iter().filter(|&&l| l > 0).count().max(1);
 
-        // --- Per-chunk slice times and scatter times (cost model). Next to
-        // the stage cost (slowest slice in flight) we keep each GPU's *own*
-        // slice transfer time — the cap on how much of a stall can honestly
-        // be attributed to that GPU's link in the h2d bucket.
-        let mut scatter = Vec::with_capacity(num_chunks);
-        let mut compute = vec![vec![0.0f64; num_chunks]; m];
-        let mut own_xfer = vec![vec![0.0f64; num_chunks]; m];
-        let links: Vec<_> = (0..m).map(|g| runtime.h2d_link_for(g, active)).collect();
-        for (k, route) in mp.chunks.iter().enumerate() {
-            let slice_bytes: Vec<u64> = route.per_gpu.iter().map(|s| s.nnz * elem_bytes).collect();
-            scatter.push(runtime.scatter_time(active, &slice_bytes));
-            for (g, stats) in route.per_gpu.iter().enumerate() {
-                compute[g][k] = slice_time(cost, spec, g, cfg, stats, order, elem_bytes);
-                if slice_bytes[g] > 0 {
-                    own_xfer[g][k] = links[g].transfer_time(slice_bytes[g]);
-                }
-            }
+        // --- The model: GPU `g` streams its slice of every chunk that has
+        // one — host→GPU transfer, then a grid over the slice — through its
+        // own double buffer, like the in-core engine's shards.
+        let mut per_gpu = vec![TimeBreakdown::default(); m];
+        let mut ends = vec![0.0f64; m];
+        for g in 0..m {
+            let slices = mp.chunks.iter().map(|route| &route.per_gpu[g]);
+            let steps: Vec<(f64, f64)> = slices
+                .filter(|stats| stats.nnz > 0)
+                .map(|stats| {
+                    let transfer = runtime.h2d_time(g, active, stats.nnz * elem_bytes);
+                    let compute = slice_time(cost, spec, g, cfg, stats, order, elem_bytes);
+                    (transfer, compute)
+                })
+                .collect();
+            (ends[g], per_gpu[g]) = double_buffered(&steps);
         }
 
-        // --- Double-buffered pipeline: the scatter of chunk k+1 overlaps
-        // compute of chunk k; scatter k must wait until every GPU has
-        // finished chunk k−2 (its staging buffer frees then).
-        let mut scatter_end = vec![0.0f64; num_chunks];
-        let mut compute_end = vec![vec![0.0f64; num_chunks]; m];
-        for k in 0..num_chunks {
-            let prev_scatter = if k > 0 { scatter_end[k - 1] } else { 0.0 };
-            let buffer_free = if k >= 2 {
-                (0..m).map(|g| compute_end[g][k - 2]).fold(0.0f64, f64::max)
-            } else {
-                0.0
-            };
-            scatter_end[k] = prev_scatter.max(buffer_free) + scatter[k];
-            for g in 0..m {
-                let prev = if k > 0 { compute_end[g][k - 1] } else { 0.0 };
-                compute_end[g][k] = prev.max(scatter_end[k]) + compute[g][k];
-            }
-        }
-
-        // --- Real execution: stream every chunk once through the staging
-        // budget and run the elementwise computation (Algorithm 2) as a grid
-        // of ISP blocks through the kernel layer (the row-run path over the
-        // mode-sorted chunk when it spans several ISPs, direct accumulation
-        // otherwise).
+        // --- Real execution: stream every chunk of section `d` once through
+        // the staging budget and run the elementwise computation
+        // (Algorithm 2) as a grid of ISP blocks through the kernel layer
+        // (the row-run path over the sorted chunk when it spans several
+        // ISPs, direct accumulation otherwise).
         // The whole chunk executes as one zero-cost grid on device 0: a
         // host-side stand-in for functional output only — per-device
-        // placement and timing are carried by the scatter/compute arrays
-        // above, so a timeline of this engine shows compute placement in
-        // the scatter ops, not these launches.
+        // placement and timing are carried by the model above, so a
+        // timeline of this engine shows compute placement in the h2d ops,
+        // not these launches.
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         let tl = runtime.timeline();
 
@@ -409,7 +388,7 @@ impl OocEngine {
             assert_eq!(
                 chunk.sorted_mode(),
                 Some(d),
-                "chunk {} was not sorted for mode {d}",
+                "chunk {} was not read from section {d}",
                 chunk.index()
             );
             obs.nnz_processed.add(chunk.nnz() as u64);
@@ -440,32 +419,10 @@ impl OocEngine {
             )?;
         }
 
-        // --- Barrier + per-GPU breakdown.
-        let ends: Vec<f64> = (0..m)
-            .map(|g| compute_end[g].last().copied().unwrap_or(0.0))
-            .collect();
+        // --- Inter-GPU barrier.
         let barrier = ends.iter().cloned().fold(0.0f64, f64::max);
-        let mut per_gpu = vec![TimeBreakdown::default(); m];
-        for g in 0..m {
-            let busy: f64 = compute[g].iter().sum();
-            per_gpu[g].compute = busy;
-            // Exposed h2d is derived from the scatter/compute end arrays:
-            // a GPU's pre-compute stall counts as transfer time only up to
-            // its *own* slice's transfer time (scatters are concurrent
-            // per-GPU pulls — a GPU receiving almost nothing must not
-            // charge the slowest peer's window to its link). The rest of
-            // the stall is pipeline wait — the global double-buffer gate
-            // and the stage barrier — and lands in idle. GPUs with no
-            // slice of a chunk have `own_xfer = 0` and charge nothing.
-            let mut exposed = 0.0f64;
-            for k in 0..num_chunks {
-                let prev_compute = if k > 0 { compute_end[g][k - 1] } else { 0.0 };
-                let stall = (scatter_end[k] - prev_compute).max(0.0);
-                exposed += stall.min(own_xfer[g][k]);
-            }
-            per_gpu[g].h2d = exposed;
-            per_gpu[g].idle += (ends[g] - busy - exposed).max(0.0);
-            per_gpu[g].idle += barrier - ends[g];
+        for (g, b) in per_gpu.iter_mut().enumerate() {
+            b.idle += barrier - ends[g];
         }
 
         // --- All-gather of the updated output rows (Algorithm 1 line 11).
@@ -486,7 +443,7 @@ impl OocEngine {
     }
 }
 
-/// The one way the engine obtains chunk `k` for mode `d`: sorted by `d`
+/// The one way the engine obtains chunk `k` for mode `d`: from section `d`
 /// ([`ChunkReader::stage`]), settled against the staging budget on this
 /// thread. `staged_ahead` is the reservation and the prefetch thread's
 /// answer when the chunk was staged ahead; `None` stages and reads it here.
@@ -516,10 +473,10 @@ fn sorted_chunk(
     }
 }
 
-/// The double-buffered chunk loop: chunk reads — decode and the sort by
-/// mode `d` — run on one background thread while the main thread computes,
-/// with every budget decision staying on the main thread (the staging
-/// [`MemPool`] is not shared).
+/// The double-buffered chunk loop: the reads of section `d`'s chunks run on
+/// one background thread while the main thread computes, with every budget
+/// decision staying on the main thread (the staging [`MemPool`] is not
+/// shared).
 ///
 /// Protocol: [`ChunkReader::stage`] reserves budget here and hands the
 /// `Send`-able [`StagedRead`] to the reader thread over a channel; results
@@ -528,8 +485,9 @@ fn sorted_chunk(
 /// to execute; a budget stall narrows the window for that round (counted in
 /// `ooc_chunk_stalls`) and staging retries next iteration, so a mid-run
 /// squeeze degrades to the blocking cadence instead of failing. Chunks are
-/// executed strictly in index order and the sort is deterministic, so
-/// factors are bit-identical to the blocking loop at every depth.
+/// executed strictly in index order and a chunk is the same bytes whoever
+/// read it, so factors are bit-identical to the blocking loop at every
+/// depth.
 ///
 /// Mirrors the device-side `cp.async` double-buffer pattern (prefetch tile
 /// `i+1` while tile `i` computes) with a host thread standing in for the
@@ -626,8 +584,7 @@ where
         }
         // Settle any outstanding reservations (non-empty only on error):
         // close the request channel, then wait out each staged read so
-        // every reserved byte — payload and sort scratch — returns to the
-        // budget.
+        // every reserved byte returns to the budget.
         drop(req_tx);
         for (_, reserved) in in_flight.drain(..) {
             let _ = res_rx.recv();
@@ -642,10 +599,10 @@ where
 }
 
 /// Simulated grid time of one per-GPU chunk slice: the slice splits into
-/// `⌈nnz / isp_nnz⌉` equal ISP blocks (unsorted payload → per-element
-/// atomics), list-scheduled onto GPU `g`'s SMs and priced against *its*
-/// spec (heterogeneous platforms model slow devices slower; on the
-/// homogeneous default every spec is identical, bit for bit).
+/// `⌈nnz / isp_nnz⌉` equal ISP blocks of output-sorted elements,
+/// list-scheduled onto GPU `g`'s SMs and priced against *its* spec
+/// (heterogeneous platforms model slow devices slower; on the homogeneous
+/// default every spec is identical, bit for bit).
 fn slice_time(
     cost: &CostModel,
     spec: &PlatformSpec,
@@ -666,7 +623,7 @@ fn slice_time(
         max_out_run: stats.max_out_run.min(stats.nnz.div_ceil(blocks)),
         distinct_in_total: stats.distinct_in_total.div_ceil(blocks).max(1),
         dram_factor_reads: stats.dram_factor_reads.div_ceil(blocks),
-        sorted_by_output: false, // chunk payloads arrive in file order
+        sorted_by_output: true,
         order,
         rank: cfg.rank,
         elem_bytes,
@@ -755,9 +712,9 @@ mod tests {
         }
     }
 
-    /// Staging budget comfortably holding one chunk + partitioning scratch.
+    /// Staging budget comfortably holding a depth-2 prefetch window.
     fn budget_for(t: &SparseTensor, cap: usize) -> u64 {
-        cap as u64 * (t.elem_bytes() + t.order() as u64 * 4) * 2
+        cap as u64 * t.elem_bytes() * 3
     }
 
     #[test]
@@ -880,12 +837,9 @@ mod tests {
     #[test]
     fn pipeline_narrows_on_mid_run_stall_and_stays_exact() {
         // Chunks of 100/100/50 elements with a budget of 175 elements: the
-        // prefetch of chunk 1 next to chunk 0 stalls (200 elements), and so
-        // does the last pair once the sort's index scratch is charged
-        // beside the payloads (150 + 37.5) — the pipeline runs at the
-        // blocking cadence and the factors still match the blocking loop
-        // exactly. (`tests/prop_ooc_sorted.rs` squeezes a budget that
-        // narrows and recovers.)
+        // prefetch of chunk 1 next to chunk 0 stalls (200 elements), the
+        // last pair fits (150) — the window narrows, recovers, and the
+        // factors still match the blocking loop exactly.
         let t = GenSpec::uniform(vec![40, 30, 20], 250, 97).generate();
         let dir = ScratchDir::new("ooc");
         let path = dir.join("midrun.tnsb");
@@ -927,8 +881,7 @@ mod tests {
     #[test]
     fn single_buffer_budget_warns_once_and_falls_back() {
         // Three equal 100-element chunks and a budget of 185 elements
-        // (enough for one chunk plus planning scratch, never for two
-        // chunks): prefetch can never overlap — the engine warns once
+        // (enough for one chunk, never for two): prefetch can never overlap — the engine warns once
         // (process-wide) and runs the blocking loop.
         let t = GenSpec::uniform(vec![40, 30, 20], 300, 99).generate();
         let dir = ScratchDir::new("ooc");

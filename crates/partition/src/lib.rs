@@ -33,5 +33,5 @@ pub mod shard;
 
 pub use ccp::{chains_on_chains, check_index_space, try_chains_on_chains, CcpError};
 pub use equal::EqualPlan;
-pub use plan::{PartitionPlan, PlanBusy};
+pub use plan::{pool_map, PartitionPlan, PlanBusy};
 pub use shard::{assert_ranges_tile, isp_ranges, ModePlan, Shard, ShardStats, StatsScratch};

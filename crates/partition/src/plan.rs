@@ -10,11 +10,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// `run(state, j)` for every job `0..jobs` on up to `workers` threads, each
-/// holding one `init()` state for all the jobs it claims. Results land in
+/// `run(state, j)` for every job `0..jobs` on up to `workers` threads — the
+/// caller and `workers − 1` scoped threads — each holding one `init()` state
+/// for all the jobs it claims. Results land in
 /// job order whatever the completion order, so the parallel product is the
 /// serial one. Serial, in job order, when the pool or the job count is 1.
-fn pool_map<S, T, E>(
+/// The planning pool of both engines: (mode, shard) jobs here, (section,
+/// chunk) jobs in `amped-stream`'s pass 2.
+pub fn pool_map<S, T, E>(
     workers: usize,
     jobs: usize,
     init: impl Fn() -> S + Sync,
@@ -31,24 +34,26 @@ where
     }
     let slots: Vec<OnceLock<Result<T, E>>> = (0..jobs).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                let mut state = init();
-                loop {
-                    // relaxed: job indices are claimed by RMW atomicity
-                    // alone; the results are published through
-                    // OnceLock::set's internal Release/Acquire, then the
-                    // scope join.
-                    // (Interleaving-verified: tests/interleave_plan_modes.rs.)
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs {
-                        break;
-                    }
-                    let _ = slots[j].set(run(&mut state, j));
-                }
-            });
+    let claim_jobs = || {
+        let mut state = init();
+        loop {
+            // relaxed: job indices are claimed by RMW atomicity alone; the
+            // results are published through OnceLock::set's internal
+            // Release/Acquire, then the scope join.
+            // (Interleaving-verified: tests/interleave_plan_modes.rs.)
+            let j = next.fetch_add(1, Ordering::Relaxed);
+            if j >= jobs {
+                break;
+            }
+            let _ = slots[j].set(run(&mut state, j));
         }
+    };
+    // The caller is one of the workers (as in `smexec::execute_blocks`).
+    crossbeam::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|_| claim_jobs());
+        }
+        claim_jobs();
     })
     .unwrap_or_else(|p| std::panic::resume_unwind(p));
     slots

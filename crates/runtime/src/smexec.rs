@@ -90,13 +90,17 @@ pub fn list_schedule_makespan(sms: usize, costs: impl IntoIterator<Item = f64>) 
 pub use amped_sim::host_workers;
 
 /// Pure functional execution: runs `kernel(block_index)` for every block in
-/// `0..num_blocks` on up to `workers` crossbeam scoped threads (blocks are
-/// claimed with an atomic counter, like hardware block scheduling). No
-/// timing is computed here — this is the execution half of [`run_grid`].
+/// `0..num_blocks` on up to `workers` host threads — the calling thread and
+/// `workers − 1` crossbeam scoped threads, all in the same claim loop (blocks
+/// are claimed with an atomic counter, like hardware block scheduling). The
+/// caller is a worker because a launch is short: a thread that only spawns
+/// and joins idles for the whole grid while a spawned one is still starting.
+/// No timing is computed here — this is the execution half of [`run_grid`].
 ///
 /// `kernel` must be safe to call concurrently for distinct block indices —
-/// shared state must be `Sync`. A panic in any block propagates to the
-/// caller once all workers have stopped.
+/// shared state must be `Sync`. A panic in any block reaches the caller with
+/// its own payload, whichever thread ran the block, once every worker has
+/// stopped.
 pub fn execute_blocks<K>(workers: usize, num_blocks: usize, kernel: K)
 where
     K: Fn(usize) + Sync,
@@ -109,22 +113,26 @@ where
         return;
     }
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                // relaxed: the claim counter only partitions block indices —
-                // each fetch_add yields a unique b by RMW atomicity alone.
-                // Output visibility is ordered by the scope join, not here.
-                // (Interleaving-verified: tests/interleave_claim.rs.)
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= num_blocks {
-                    break;
-                }
-                kernel(b);
-            });
+    let claim_blocks = || loop {
+        // relaxed: the claim counter only partitions block indices —
+        // each fetch_add yields a unique b by RMW atomicity alone.
+        // Output visibility is ordered by the scope join, not here.
+        // (Interleaving-verified: tests/interleave_claim.rs.)
+        let b = next.fetch_add(1, Ordering::Relaxed);
+        if b >= num_blocks {
+            break;
         }
-    })
-    .expect("grid worker panicked");
+        kernel(b);
+    };
+    let joined = crossbeam::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|_| claim_blocks());
+        }
+        claim_blocks();
+    });
+    if let Err(payload) = joined {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// Runs `f(bounds[k], &mut data[bounds[k]..bounds[k + 1]])` for every
@@ -325,17 +333,46 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_a_block_propagates_to_the_caller() {
-        // The crossbeam scoped pool must surface worker panics, not swallow
-        // them: a poisoned kernel means the grid's output is garbage.
-        let r = std::panic::catch_unwind(|| {
-            execute_blocks(4, 16, |b| {
-                if b == 11 {
-                    panic!("block 11 exploded");
-                }
-            });
+    fn the_caller_is_one_of_the_workers() {
+        // Two blocks that each wait for the other: they need two threads,
+        // and a 2-worker launch spawns only one.
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        execute_blocks(2, 2, |_| {
+            both.wait();
+            ran_on.lock().unwrap().push(std::thread::current().id());
         });
-        assert!(r.is_err(), "worker panic must propagate");
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 2);
+        assert!(ran_on.contains(&caller), "the caller idled");
+        assert!(ran_on.iter().any(|&id| id != caller), "nothing was spawned");
+    }
+
+    #[test]
+    fn panic_in_a_block_propagates_to_the_caller() {
+        // A poisoned kernel means the grid's output is garbage, and the
+        // contract panics of the kernel layer are matched by message: the
+        // payload must survive whichever thread ran the block. The barrier
+        // puts one block on each thread; the panic picks its thread.
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let both = std::sync::Barrier::new(2);
+            let payload = std::panic::catch_unwind(|| {
+                execute_blocks(2, 2, |_| {
+                    both.wait();
+                    if (std::thread::current().id() == caller) == on_caller {
+                        panic!("a block exploded");
+                    }
+                });
+            })
+            .expect_err("a block's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"a block exploded"),
+                "on_caller = {on_caller}"
+            );
+        }
         // The sequential path propagates too.
         let r = std::panic::catch_unwind(|| {
             execute_blocks(1, 2, |b| {

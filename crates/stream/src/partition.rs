@@ -1,22 +1,27 @@
-//! Streaming two-pass partitioner: `.tnsb` metadata + one bounded payload
-//! scan → per-mode device ranges and per-chunk GPU routing.
+//! Streaming two-pass partitioner: `.tnsb` metadata + one bounded scan of
+//! the sorted sections → per-mode device ranges and per-chunk GPU routing.
 //!
 //! The in-core [`amped_partition::PartitionPlan`] materializes one
 //! mode-sorted tensor copy per mode — exactly what an out-of-core run cannot
-//! afford. The streaming plan keeps the same partitioning *decisions* while
-//! holding at most one chunk (plus its coordinate scratch) of nonzeros:
+//! afford in memory. A `.tnsb` file carries those copies on disk (its sorted
+//! sections), and the streaming plan keeps the same partitioning *decisions*
+//! while holding a few chunks of nonzeros:
 //!
 //! * **Pass 1 — metadata scan.** The `.tnsb` footer already carries the full
 //!   per-mode output-index histograms (accumulated by the writer, which sees
 //!   every element exactly once), so device ranges come from an
 //!   [`amped_plan::Partitioner`] over those histograms — by default the same
 //!   nnz-weighted CCP used in-core — without touching the payload.
-//! * **Pass 2 — bounded payload scan.** Each chunk is loaded once through
-//!   the reader's staging budget; for every mode, elements are routed to the
-//!   GPU owning their output index (ranges never split an index across
-//!   GPUs, preserving AMPED's no-inter-GPU-conflict invariant) and each
-//!   slice's [`ShardStats`] are computed for the simulator cost model. The
-//!   per-chunk index bounding boxes skip GPUs a chunk cannot touch.
+//! * **Pass 2 — bounded section scan.** For every mode `d`, each chunk of
+//!   section `d` is read once through the reader's staging budget. The
+//!   chunk is sorted by `d` and device ranges are contiguous, so the
+//!   elements of GPU `g` are one sub-range of the chunk, found by bisection
+//!   (ranges never split an index across GPUs, preserving AMPED's
+//!   no-inter-GPU-conflict invariant); each slice's [`ShardStats`] are
+//!   computed in place for the simulator cost model. The (section, chunk)
+//!   jobs run on the planning pool ([`amped_partition::pool_map`]), as many
+//!   at once as the budget holds chunks; every route depends on its chunk
+//!   alone, so the plan is the same for any pool size.
 //!
 //! The result is `O(modes × chunks × gpus)` metadata — independent of nnz —
 //! which is what lets the out-of-core engine decompose tensors larger than
@@ -24,18 +29,21 @@
 
 use crate::error::StreamError;
 use crate::reader::{Chunk, ChunkReader};
-use amped_partition::{assert_ranges_tile, PlanBusy, ShardStats, StatsScratch};
+use amped_partition::{assert_ranges_tile, pool_map, PlanBusy, ShardStats, StatsScratch};
 use amped_plan::{AssignmentSpace, CostQuery, NnzCcp, Partitioner, PlanStats, UniformCost};
+use amped_sim::host_workers;
 use amped_tensor::Idx;
 use serde::Serialize;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Routing of one chunk for one output mode: per-GPU slice statistics
-/// (`per_gpu[g].nnz` elements of this chunk update rows owned by GPU `g`).
-#[derive(Clone, Debug, Serialize)]
+/// Routing of one sorted-section chunk for its output mode: per-GPU slice
+/// statistics (`per_gpu[g].nnz` elements of this chunk update rows owned by
+/// GPU `g`).
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ChunkRoute {
-    /// Chunk index within the file.
+    /// Chunk index within the mode's sorted section.
     pub chunk: usize,
     /// Slice workload statistics, one entry per GPU.
     pub per_gpu: Vec<ShardStats>,
@@ -51,7 +59,7 @@ pub struct StreamModePlan {
     /// Contiguous output-index range owned by each GPU (CCP over the
     /// footer histogram — identical to the in-core plan's ranges).
     pub device_ranges: Vec<Range<Idx>>,
-    /// Per-chunk routing, in file order.
+    /// Per-chunk routing of the mode's sorted section, in section order.
     pub chunks: Vec<ChunkRoute>,
 }
 
@@ -84,8 +92,9 @@ pub struct StreamPlan {
     pub modes: Vec<StreamModePlan>,
     /// Real wall-clock seconds spent building the plan.
     pub preprocess_wall: f64,
-    /// The part of it spent on slice statistics (`stats_s`; pass 2 sorts
-    /// and prices nothing — the rest of the wall is chunk I/O and decode).
+    /// The part of it spent on slice statistics (`stats_s`, busy-seconds
+    /// summed over the pool; pass 2 sorts and prices nothing — the rest of
+    /// the wall is chunk I/O and decode).
     pub busy: PlanBusy,
 }
 
@@ -96,10 +105,10 @@ impl StreamPlan {
     /// when computing slice statistics (pass the GPU's L2 capacity in rows;
     /// `usize::MAX` disables the cache model).
     ///
-    /// Host memory held at any instant: one chunk payload + that chunk's
-    /// coordinate scratch, both charged to the reader's staging budget — a
-    /// budget smaller than `chunk payload + chunk coordinates` fails with
-    /// the staging pool's out-of-memory error rather than silently
+    /// Host memory held at any instant: one chunk per pool thread, and
+    /// never more chunks than the reader's staging budget holds — every
+    /// chunk is charged to it, and a budget smaller than one chunk fails
+    /// with the staging pool's out-of-memory error rather than silently
     /// overcommitting.
     pub fn build(
         reader: &mut ChunkReader,
@@ -113,7 +122,7 @@ impl StreamPlan {
     /// Builds the plan with an explicit [`Partitioner`] policy for pass 1 —
     /// the seam the `amped-plan` layer drives cost-guided and rebalanced
     /// out-of-core partitioning through. `cost.num_devices()` fixes the GPU
-    /// count. Pass 2 (the bounded payload scan) is identical for every
+    /// count. Pass 2 (the bounded section scan) is identical for every
     /// policy.
     ///
     /// # Panics
@@ -147,14 +156,14 @@ impl StreamPlan {
             device_ranges.push(a.index_ranges());
         }
 
-        // --- Pass 2: one bounded scan for per-chunk, per-mode slice stats.
+        // --- Pass 2: one bounded scan of every mode's sorted section.
         let all_modes: Vec<(usize, &[Range<Idx>])> = device_ranges
             .iter()
             .enumerate()
             .map(|(d, r)| (d, r.as_slice()))
             .collect();
         let mut busy = PlanBusy::default();
-        let routes = scan_chunks(reader, &all_modes, cache_rows, &mut busy)?;
+        let routes = scan_sections(reader, &all_modes, cache_rows, host_workers(), &mut busy)?;
         let modes = device_ranges
             .into_iter()
             .zip(routes)
@@ -174,9 +183,9 @@ impl StreamPlan {
     }
 
     /// Re-runs pass 2 for one mode under fresh `device_ranges` — the
-    /// engines' ALS-time replan path. Costs one more bounded payload scan
-    /// (for that mode only) through the reader's staging budget; every other
-    /// mode's routing is untouched.
+    /// engines' ALS-time replan path. Costs one more bounded scan of that
+    /// mode's sorted section through the reader's staging budget; every
+    /// other mode's routing is untouched.
     ///
     /// # Panics
     /// Panics if `d` is out of range or the ranges do not tile the mode's
@@ -197,7 +206,13 @@ impl StreamPlan {
         );
         assert_ranges_tile(&device_ranges, reader.meta().shape[d]);
         let start = Instant::now();
-        let mut routes = scan_chunks(reader, &[(d, &device_ranges)], cache_rows, &mut self.busy)?;
+        let mut routes = scan_sections(
+            reader,
+            &[(d, &device_ranges)],
+            cache_rows,
+            host_workers(),
+            &mut self.busy,
+        )?;
         self.modes[d] = StreamModePlan {
             mode: d,
             num_gpus,
@@ -214,105 +229,96 @@ impl StreamPlan {
     }
 }
 
-/// Pass 2 over `modes` (each with its device ranges): loads every chunk once
-/// through the reader's staging budget (payload plus its coordinate
-/// scratch, both released before the next chunk and on every error path)
-/// and routes it for each listed mode. Returns the routes per listed mode,
-/// in file order; the seconds spent on slice statistics are added to
+/// The values behind this lock stay valid whatever panicked while it was
+/// held (budget counters move in whole reservations).
+fn lock<'a, 'r>(reader: &'a Mutex<&'r mut ChunkReader>) -> MutexGuard<'a, &'r mut ChunkReader> {
+    reader.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Pass 2 over `modes` (each with its device ranges): reads every chunk of
+/// each listed mode's sorted section once through the reader's staging
+/// budget — on up to `workers` pool threads, and no more than the budget
+/// holds chunks; every reservation is returned before the job ends, on
+/// every error path — and routes it. Returns the routes per listed mode, in
+/// section order; the seconds spent on slice statistics are added to
 /// `busy.stats_s`. The full scan of [`StreamPlan::build_with_planner`] and
 /// the one-mode rescan of [`StreamPlan::rebuild_mode`] are this function.
-fn scan_chunks(
+fn scan_sections(
     reader: &mut ChunkReader,
     modes: &[(usize, &[Range<Idx>])],
     cache_rows: usize,
+    workers: usize,
     busy: &mut PlanBusy,
 ) -> Result<Vec<Vec<ChunkRoute>>, StreamError> {
-    let order = reader.meta().order();
-    let num_chunks = reader.meta().num_chunks();
-    let num_gpus = modes.first().map_or(0, |(_, ranges)| ranges.len());
-    let mut routes: Vec<Vec<ChunkRoute>> = modes
-        .iter()
-        .map(|_| Vec::with_capacity(num_chunks))
-        .collect();
-    let mut buckets: Vec<Vec<Idx>> = vec![Vec::new(); num_gpus];
-    let mut scratch = StatsScratch::new();
-    for c in 0..num_chunks {
-        let chunk = reader.load_chunk(c)?;
-        let scratch_bytes = (chunk.nnz() * order * 4) as u64;
-        if let Err(e) = reader.charge_scratch(scratch_bytes) {
-            reader.release(chunk);
-            return Err(e);
-        }
+    let meta = reader.meta();
+    let (order, num_chunks) = (meta.order(), meta.num_chunks());
+    // Chunk 0 is a full chunk, the largest there is.
+    let resident = reader.budget().capacity() / meta.chunk_bytes(0).max(1);
+    let workers = workers.min(resident as usize).max(1);
+    let reader = Mutex::new(reader);
+    let jobs = modes.len() * num_chunks;
+    let done = pool_map(workers, jobs, StatsScratch::new, |scratch, j| {
+        let ((d, ranges), c) = (modes[j / num_chunks], j % num_chunks);
+        let staged = lock(&reader).stage(c, Some(d))?;
+        let chunk = match staged.read() {
+            Ok(chunk) => chunk,
+            Err(e) => {
+                lock(&reader).fail_stage(staged.bytes());
+                return Err(e);
+            }
+        };
         let began = Instant::now();
-        let meta = &reader.meta().chunks[c];
-        for (&(d, ranges), routes) in modes.iter().zip(&mut routes) {
-            let bbox = meta.mode_min[d]..=meta.mode_max[d];
-            let per_gpu = route_chunk(
-                &chunk,
-                bbox,
-                order,
-                d,
-                ranges,
-                &mut buckets,
-                cache_rows,
-                &mut scratch,
-            );
-            routes.push(ChunkRoute { chunk: c, per_gpu });
-        }
-        busy.stats_s += began.elapsed().as_secs_f64();
-        reader.release_scratch(scratch_bytes);
+        let per_gpu = route_chunk(&chunk, order, d, ranges, cache_rows, scratch);
+        let stats_s = began.elapsed().as_secs_f64();
+        let mut reader = lock(&reader);
+        reader.finish_stage(&chunk);
         reader.release(chunk);
+        Ok((ChunkRoute { chunk: c, per_gpu }, stats_s))
+    })?;
+    let mut routes: Vec<Vec<ChunkRoute>> = Vec::with_capacity(modes.len());
+    for (j, (route, stats_s)) in done.into_iter().enumerate() {
+        if j % num_chunks == 0 {
+            routes.push(Vec::with_capacity(num_chunks));
+        }
+        routes[j / num_chunks].push(route);
+        busy.stats_s += stats_s;
     }
     Ok(routes)
 }
 
-/// Routes one loaded chunk for one output mode: per-GPU slice statistics
-/// under the mode's contiguous device ranges, with the bounding-box fast
-/// path when the whole chunk (`bbox` = its mode-`d` index bounds from the
-/// footer) lies inside one GPU's range.
-#[allow(clippy::too_many_arguments)]
+/// Routes one chunk of mode `d`'s sorted section: GPU `g`'s slice is the
+/// sub-range of elements whose mode-`d` coordinate lies in `ranges[g]`
+/// (contiguous, because the chunk is sorted and the ranges ascend), and its
+/// statistics are computed over that sub-range in place.
 fn route_chunk(
     chunk: &Chunk,
-    bbox: std::ops::RangeInclusive<Idx>,
     order: usize,
     d: usize,
     ranges: &[Range<Idx>],
-    buckets: &mut [Vec<Idx>],
     cache_rows: usize,
     scratch: &mut StatsScratch,
 ) -> Vec<ShardStats> {
-    let mut stats =
-        |coords: &[Idx]| ShardStats::compute_from_coords(coords, order, d, cache_rows, scratch);
-    // Bounding-box fast path from the chunk metadata: the whole chunk
-    // inside one GPU's range — stats over the raw payload, no routing.
-    let sole_owner = ranges
+    let coords = chunk.coords_flat();
+    // First element at or past row `row`, by bisection over the elements.
+    let first_at = |row: Idx| {
+        let (mut lo, mut hi) = (0, chunk.nnz());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if coords[mid * order + d] < row {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    ranges
         .iter()
-        .position(|r| *bbox.start() >= r.start && *bbox.end() < r.end);
-    if let Some(owner) = sole_owner {
-        (0..ranges.len())
-            .map(|g| {
-                if g == owner {
-                    stats(chunk.coords_flat())
-                } else {
-                    ShardStats::default()
-                }
-            })
-            .collect()
-    } else {
-        // One routing pass: bucket each element under its owner (ranges
-        // are contiguous and ascending), then compute stats per bucket.
-        // Total bucket size ≤ the chunk's own coordinates — within the
-        // charged bytes.
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
-        for e in 0..chunk.nnz() {
-            let coords = chunk.coords(e);
-            let g = ranges.partition_point(|r| r.end <= coords[d]);
-            buckets[g].extend_from_slice(coords);
-        }
-        buckets.iter().map(|b| stats(b)).collect()
-    }
+        .map(|r| {
+            let slice = &coords[first_at(r.start) * order..first_at(r.end) * order];
+            ShardStats::compute_from_coords(slice, order, d, cache_rows, scratch)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -339,8 +345,8 @@ mod tests {
         let dir = ScratchDir::new("streamplan");
         let path = dir.join(name);
         write_tnsb(t, &path, cap).unwrap();
-        // Budget: one chunk payload + its coordinate scratch.
-        let budget = cap as u64 * (t.elem_bytes() + t.order() as u64 * 4);
+        // Budget: one chunk per pool thread, at least one.
+        let budget = host_workers() as u64 * cap as u64 * t.elem_bytes();
         let mut r = ChunkReader::open(&path, MemPool::new("host-stage", budget)).unwrap();
         let plan = StreamPlan::build(&mut r, gpus, usize::MAX).unwrap();
         assert_eq!(
@@ -348,6 +354,7 @@ mod tests {
             0,
             "plan build must release all staging memory"
         );
+        assert!(r.budget().peak() <= budget);
         plan
     }
 
@@ -363,7 +370,8 @@ mod tests {
                 "mode {}",
                 mp.mode
             );
-            for route in &mp.chunks {
+            for (c, route) in mp.chunks.iter().enumerate() {
+                assert_eq!(route.chunk, c, "routes are in section order");
                 let chunk_total: u64 = route.per_gpu.iter().map(|s| s.nnz).sum();
                 let expected = 256.min(t.nnz() - route.chunk * 256) as u64;
                 assert_eq!(chunk_total, expected, "chunk {}", route.chunk);
@@ -393,16 +401,65 @@ mod tests {
     fn slice_stats_respect_ownership() {
         let t = tensor();
         let plan = plan_of(&t, "stats.tnsb", 200, 2);
-        // Recompute slice nnz directly and compare.
+        // Recompute every slice directly from the sorted tensor and compare:
+        // chunk `c` of section `d` is elements `200 c ..` of it.
         for mp in &plan.modes {
+            let sorted = t.sorted_by_mode(mp.mode);
             for route in &mp.chunks {
                 let lo = route.chunk * 200;
                 let hi = (lo + 200).min(t.nnz());
                 for (g, r) in mp.device_ranges.iter().enumerate() {
-                    let want = (lo..hi).filter(|&e| r.contains(&t.idx(e, mp.mode))).count() as u64;
-                    assert_eq!(route.per_gpu[g].nnz, want);
+                    let owned: Vec<usize> = (lo..hi)
+                        .filter(|&e| r.contains(&sorted.idx(e, mp.mode)))
+                        .collect();
+                    let want = match (owned.first(), owned.last()) {
+                        (Some(&a), Some(&b)) => {
+                            ShardStats::compute(&sorted, mp.mode, a..b + 1, usize::MAX)
+                        }
+                        _ => ShardStats::default(),
+                    };
+                    assert_eq!(owned.len() as u64, want.nnz, "a slice is one sub-range");
+                    assert_eq!(route.per_gpu[g], want, "chunk {} gpu {g}", route.chunk);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pass_two_is_the_same_plan_on_any_pool() {
+        let t = tensor();
+        let dir = ScratchDir::new("streamplan");
+        let path = dir.join("pool.tnsb");
+        write_tnsb(&t, &path, 128).unwrap();
+        let ranges: Vec<Vec<Range<Idx>>> = (0..t.order())
+            .map(|d| ModePlan::build(&t, d, 3, 128).device_ranges)
+            .collect();
+        let modes: Vec<(usize, &[Range<Idx>])> = ranges
+            .iter()
+            .enumerate()
+            .map(|(d, r)| (d, r.as_slice()))
+            .collect();
+        let scan = |workers: usize, resident_chunks: u64| {
+            let budget = resident_chunks * 128 * t.elem_bytes();
+            let mut r = ChunkReader::open(&path, MemPool::new("host-stage", budget)).unwrap();
+            let mut busy = PlanBusy::default();
+            let routes = scan_sections(&mut r, &modes, 40, workers, &mut busy).unwrap();
+            assert_eq!(r.budget().used(), 0);
+            assert!(
+                r.budget().peak() <= (workers as u64).min(resident_chunks) * 128 * t.elem_bytes(),
+                "{workers} workers held more than a chunk each"
+            );
+            assert!(busy.stats_s > 0.0);
+            routes
+        };
+        let serial = scan(1, 1);
+        assert_eq!(serial.len(), t.order());
+        for (workers, resident_chunks) in [(2, 2), (4, 4), (4, 1), (4, 3)] {
+            assert_eq!(
+                scan(workers, resident_chunks),
+                serial,
+                "{workers} workers, budget of {resident_chunks} chunks"
+            );
         }
     }
 
@@ -412,10 +469,11 @@ mod tests {
         let dir = ScratchDir::new("streamplan");
         let path = dir.join("oom.tnsb");
         write_tnsb(&t, &path, 512).unwrap();
-        // Payload fits but the gather scratch does not.
-        let mut r =
-            ChunkReader::open(&path, MemPool::new("host-stage", 512 * t.elem_bytes())).unwrap();
+        // One element short of a chunk.
+        let budget = MemPool::new("host-stage", 511 * t.elem_bytes());
+        let mut r = ChunkReader::open(&path, budget).unwrap();
         let err = StreamPlan::build(&mut r, 2, usize::MAX).unwrap_err();
         assert!(err.is_oom(), "expected staging OOM, got {err}");
+        assert_eq!(r.budget().used(), 0);
     }
 }

@@ -1,15 +1,20 @@
 //! Budgeted chunk reader: disk → bounded host staging memory.
+//!
+//! A chunk is read from one of the file's sections — the file-order section
+//! ([`ChunkReader::load_chunk`]) or a mode's sorted section
+//! ([`ChunkReader::stage`] with that mode) — and decoded with every
+//! coordinate checked against the shape; a sorted-section chunk is also held
+//! to its order and to the footer's bounding box, so what reaches a kernel
+//! as "sorted by mode `d`" is.
 
 use crate::error::StreamError;
-use crate::format::{read_tnsb_meta, TnsbMeta};
+use crate::format::{read_slabs, read_tnsb_meta, TnsbMeta};
 use amped_sim::obs::{Counter, Gauge, MetricsRegistry};
 use amped_sim::MemPool;
 use amped_tensor::{Idx, Val};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One resident tensor chunk: decoded coordinates and values plus the bytes
 /// it holds against the reader's staging budget.
@@ -21,12 +26,10 @@ pub struct Chunk {
     values: Vec<Val>,
     bytes: u64,
     sorted_mode: Option<usize>,
-    /// Wall microseconds the sort took inside [`StagedRead::read`].
-    sort_us: u64,
 }
 
 impl Chunk {
-    /// Chunk index within the file.
+    /// Chunk index within its section.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -56,8 +59,9 @@ impl Chunk {
         &self.values
     }
 
-    /// The mode this chunk's elements are sorted by (non-decreasing
-    /// coordinate, ties in file order), or `None` for a file-order chunk.
+    /// The mode whose sorted section this chunk was read from (its elements
+    /// are non-decreasing in that coordinate, ties in file order), or `None`
+    /// for a chunk of the file-order section.
     pub fn sorted_mode(&self) -> Option<usize> {
         self.sorted_mode
     }
@@ -68,126 +72,25 @@ impl Chunk {
     }
 }
 
-/// What a sorted read sorts by: the mode and the chunk's footer bounding box
-/// along it, which bounds the key range without a pass over the payload.
+/// The sorted section a read comes from: the mode, and the rows the footer
+/// says the chunk spans along it.
 #[derive(Clone, Copy, Debug)]
-struct SortKey {
+struct SectionKey {
     mode: usize,
     lo: Idx,
     hi: Idx,
-}
-
-/// Widest radix digit of the chunk sort: at most 2¹⁶ counters (256 KiB) per
-/// pass, whatever the mode's size.
-const SORT_DIGIT_BITS: u32 = 16;
-
-impl SortKey {
-    /// Radix passes and digit width that cover the key range `0..=hi - lo`.
-    /// A box up to 2¹⁶ rows wide — every chunk whose span is comparable to
-    /// its nonzero count — is one counting pass over the box itself.
-    fn radix(&self) -> (u32, u32) {
-        let bits = Idx::BITS - (self.hi - self.lo).leading_zeros();
-        let passes = bits.div_ceil(SORT_DIGIT_BITS).max(1);
-        (passes, bits.div_ceil(passes))
-    }
-
-    /// Bytes of index scratch [`sort_by_mode`] holds at its peak for `nnz`
-    /// elements: one `u32` order array per radix pass. This is what
-    /// [`ChunkReader::stage`] charges next to the payload.
-    fn scratch_bytes(&self, nnz: u64) -> u64 {
-        self.radix().0 as u64 * nnz * 4
-    }
-}
-
-/// A coordinate outside the bounding box its chunk's footer promised.
-struct OutsideBox(Idx);
-
-/// Stable sort of an element-major chunk by its mode-`key.mode` coordinate:
-/// a permutation of the elements, non-decreasing in that coordinate, ties in
-/// their original order. LSD radix over *element indices* (one or two
-/// counting passes, see [`SortKey::radix`]), then the permutation is applied
-/// to `coords` and `values` in place, cycle by cycle. Time is O(nnz); memory
-/// beyond the chunk is the index arrays ([`SortKey::scratch_bytes`]) plus at
-/// most 2¹⁶ counters — nothing scales with the mode's size.
-fn sort_by_mode(
-    coords: &mut [Idx],
-    values: &mut [Val],
-    order: usize,
-    key: SortKey,
-) -> Result<(), OutsideBox> {
-    let n = values.len();
-    let (passes, width) = key.radix();
-    let mask = (1u32 << width) - 1;
-    let coord = |e: usize| coords[e * order + key.mode];
-    // perm[p] = the element that belongs at position p; each pass refines
-    // the previous pass's order by the next digit.
-    let mut perm: Vec<u32> = Vec::new();
-    for pass in 0..passes {
-        let digit = |c: Idx| (((c - key.lo) >> (pass * width)) & mask) as usize;
-        let mut next = vec![0u32; (1usize << width) + 1];
-        for c in (0..n).map(coord) {
-            if !(key.lo..=key.hi).contains(&c) {
-                return Err(OutsideBox(c));
-            }
-            next[digit(c) + 1] += 1;
-        }
-        for i in 1..next.len() {
-            next[i] += next[i - 1];
-        }
-        let mut out = vec![0u32; n];
-        let mut place = |e: u32| {
-            let slot = &mut next[digit(coord(e as usize))];
-            out[*slot as usize] = e;
-            *slot += 1;
-        };
-        if pass == 0 {
-            // The first pass reads the elements in file order.
-            (0..n as u32).for_each(&mut place);
-        } else {
-            perm.iter().copied().for_each(&mut place);
-        }
-        perm = out;
-    }
-
-    // Apply `new[p] = old[perm[p]]` in place: each cycle lifts its first
-    // element out, pulls every later one into the slot before it, and drops
-    // the lifted one into the last. Visited slots are marked `DONE`, which
-    // is no element: `read()` refuses chunks of `u32::MAX` elements or more.
-    const DONE: u32 = u32::MAX;
-    let mut held = vec![0 as Idx; order];
-    for start in 0..n {
-        if perm[start] == DONE || perm[start] as usize == start {
-            continue;
-        }
-        held.copy_from_slice(&coords[start * order..(start + 1) * order]);
-        let held_value = values[start];
-        let mut dst = start;
-        loop {
-            let src = perm[dst] as usize;
-            perm[dst] = DONE;
-            if src == start {
-                coords[dst * order..(dst + 1) * order].copy_from_slice(&held);
-                values[dst] = held_value;
-                break;
-            }
-            coords.copy_within(src * order..(src + 1) * order, dst * order);
-            values[dst] = values[src];
-            dst = src;
-        }
-    }
-    Ok(())
 }
 
 /// A budget reservation for one chunk whose disk read has not happened yet.
 ///
 /// [`ChunkReader::stage`] charges the chunk's bytes to the staging budget on
 /// the calling thread and hands back this token; [`StagedRead::read`] then
-/// performs the seek + decode (+ sort) through its own file handle, so it is
-/// `Send` and can run on a prefetch thread while the owning reader keeps
-/// serving the main loop. The reservation itself is settled back on the
-/// owner's thread: [`ChunkReader::finish_stage`] on success (counts the
-/// read), [`ChunkReader::fail_stage`] on error (returns the bytes). Dropping
-/// a `StagedRead` without settling leaks budget, exactly like leaking a
+/// performs the seek + decode through its own file handle, so it is `Send`
+/// and can run on a prefetch thread while the owning reader keeps serving
+/// the main loop. The reservation itself is settled back on the owner's
+/// thread: [`ChunkReader::finish_stage`] on success (counts the read),
+/// [`ChunkReader::fail_stage`] on error (returns the bytes). Dropping a
+/// `StagedRead` without settling leaks budget, exactly like leaking a
 /// [`Chunk`].
 #[derive(Debug)]
 pub struct StagedRead {
@@ -196,9 +99,8 @@ pub struct StagedRead {
     offset: u64,
     nnz: usize,
     shape: Arc<[Idx]>,
-    /// Payload bytes — what the decoded [`Chunk`] keeps charged.
     bytes: u64,
-    sort: Option<SortKey>,
+    section: Option<SectionKey>,
 }
 
 impl StagedRead {
@@ -207,38 +109,84 @@ impl StagedRead {
         self.index
     }
 
-    /// Bytes charged to the staging budget for this reservation: the
-    /// chunk's payload plus, for a sorted read, the sort's index scratch.
+    /// Bytes charged to the staging budget for this reservation — the
+    /// chunk's payload, which the decoded [`Chunk`] keeps charged.
     pub fn bytes(&self) -> u64 {
-        self.bytes + self.sort.map_or(0, |k| k.scratch_bytes(self.nnz as u64))
+        self.bytes
     }
 
-    /// Reads and decodes the staged chunk through a private file handle
-    /// and, when it was staged for a mode, sorts it by that mode (see
-    /// [`ChunkReader::stage`]) — so the sort runs on whichever thread runs
-    /// the read. Thread-safe with respect to the owning [`ChunkReader`]; the
-    /// caller settles the budget reservation afterwards (`finish_stage` /
+    fn format_err(&self, what: String) -> StreamError {
+        let section = match self.section {
+            Some(key) => format!("sorted section {} ", key.mode),
+            None => String::new(),
+        };
+        StreamError::format(
+            &*self.path,
+            format!("{section}chunk {}: {what}", self.index),
+        )
+    }
+
+    /// Reads and decodes the staged chunk through a private file handle.
+    /// Thread-safe with respect to the owning [`ChunkReader`]; the caller
+    /// settles the budget reservation afterwards (`finish_stage` /
     /// `fail_stage`).
+    ///
+    /// Every coordinate is checked against the shape, and a sorted-section
+    /// chunk must never decrease along its mode and must span exactly the
+    /// rows its footer entry names — a corrupt file is a
+    /// [`StreamError::Format`] here, never a broken contract downstream.
+    /// The checks cost no branch per coordinate: a slab is converted in one
+    /// pass that only accumulates a verdict, and a failed slab is walked
+    /// again to name the offender. Slabs are 64 KiB, so transient memory
+    /// beyond the charged chunk bytes stays O(64 KiB) (reading the whole
+    /// payload into a buffer of its own first would silently double the
+    /// staging footprint the budget accounts for).
     pub fn read(&self) -> Result<Chunk, StreamError> {
-        let order = self.shape.len();
-        // The sort permutes `u32` element indices with `u32::MAX` reserved.
-        if self.sort.is_some() && self.nnz >= u32::MAX as usize {
-            return Err(self.format_err(format!(
-                "{} elements are too many for a sorted read",
-                self.nnz
-            )));
-        }
-        let (mut coords, mut values) = self.decode()?;
-        let mut sort_us = 0;
-        if let Some(key) = self.sort {
-            let start = Instant::now();
-            sort_by_mode(&mut coords, &mut values, order, key).map_err(|OutsideBox(idx)| {
-                self.format_err(format!(
-                    "mode-{} coordinate {idx} outside the footer's bounding box [{}, {}]",
-                    key.mode, key.lo, key.hi
-                ))
-            })?;
-            sort_us = start.elapsed().as_micros() as u64;
+        let (path, nnz, order) = (&*self.path, self.nnz, self.shape.len());
+        let mut file = File::open(path).map_err(|e| StreamError::io(path, e))?;
+        let elem = order * 4 + 4;
+        let mut coords = vec![0 as Idx; nnz * order];
+        let mut values = vec![0.0 as Val; nnz];
+        // The sorted mode's coordinate of the previous element (any mode's
+        // while the chunk is in file order: nothing is then compared).
+        let key_mode = self.section.map_or(0, |key| key.mode);
+        let mut prev_key: Idx = 0;
+        let mut done = 0usize;
+        read_slabs(&mut file, path, self.offset, nnz, elem, |slab| {
+            let n = slab.len() / elem;
+            let out = coords[done * order..(done + n) * order].chunks_exact_mut(order);
+            let slab_prev = prev_key;
+            let mut bad = false;
+            for ((rec, out), value) in slab.chunks_exact(elem).zip(out).zip(&mut values[done..]) {
+                for ((field, out), &dim) in
+                    rec.chunks_exact(4).zip(out.iter_mut()).zip(&*self.shape)
+                {
+                    *out = Idx::from_le_bytes([field[0], field[1], field[2], field[3]]);
+                    bad |= *out >= dim;
+                }
+                let v = &rec[order * 4..];
+                *value = Val::from_le_bytes([v[0], v[1], v[2], v[3]]);
+                if self.section.is_some() {
+                    bad |= out[key_mode] < prev_key;
+                    prev_key = out[key_mode];
+                }
+            }
+            if bad {
+                let decoded = &coords[done * order..(done + n) * order];
+                return Err(self.slab_fault(decoded, slab_prev));
+            }
+            done += n;
+            Ok(())
+        })?;
+        if let Some(key) = self.section {
+            // Non-decreasing, so the first and last elements are the box.
+            let spans = (coords[key.mode], prev_key);
+            if spans != (key.lo, key.hi) {
+                return Err(self.format_err(format!(
+                    "spans rows [{}, {}] of mode {} where the footer's bounding box says [{}, {}]",
+                    spans.0, spans.1, key.mode, key.lo, key.hi
+                )));
+            }
         }
         Ok(Chunk {
             index: self.index,
@@ -246,62 +194,34 @@ impl StagedRead {
             coords,
             values,
             bytes: self.bytes,
-            sorted_mode: self.sort.map(|k| k.mode),
-            sort_us,
+            sorted_mode: self.section.map(|key| key.mode),
         })
     }
 
-    fn format_err(&self, what: String) -> StreamError {
-        StreamError::format(&*self.path, format!("chunk {}: {what}", self.index))
-    }
-
-    /// Seeks to the chunk and decodes its elements in file order, validating
-    /// coordinates against the shape. Elements are read in 64 KiB slabs —
-    /// one `read` syscall per slab instead of per element — so transient
-    /// memory beyond the charged chunk bytes stays O(64 KiB) (reading the
-    /// whole payload into its own buffer first would silently double the
-    /// staging footprint the budget accounts for).
-    fn decode(&self) -> Result<(Vec<Idx>, Vec<Val>), StreamError> {
-        let (path, nnz, order) = (&*self.path, self.nnz, self.shape.len());
-        let mut file = File::open(path).map_err(|e| StreamError::io(path, e))?;
-        file.seek(SeekFrom::Start(self.offset))
-            .map_err(|e| StreamError::io(path, e))?;
-        let elem_sz = order * 4 + 4;
-        let batch = (64 * 1024 / elem_sz).max(1);
-        let mut slab = vec![0u8; batch * elem_sz];
-        let mut coords = Vec::with_capacity(nnz * order);
-        let mut values = Vec::with_capacity(nnz);
-        let mut done = 0usize;
-        while done < nnz {
-            let n = batch.min(nnz - done);
-            let buf = &mut slab[..n * elem_sz];
-            file.read_exact(buf).map_err(|e| StreamError::io(path, e))?;
-            for rec in buf.chunks_exact(elem_sz) {
-                for (m, &dim) in self.shape.iter().enumerate() {
-                    let idx = Idx::from_le_bytes(le4(path, rec, m * 4)?);
-                    if idx >= dim {
-                        return Err(self.format_err(format!(
-                            "coordinate {idx} out of bounds for mode {m} (size {dim})"
-                        )));
-                    }
-                    coords.push(idx);
+    /// Names what is wrong with a slab the decode loop rejected: `decoded`
+    /// are its coordinates, `prev_key` the sorted mode's coordinate before
+    /// its first element.
+    fn slab_fault(&self, decoded: &[Idx], mut prev_key: Idx) -> StreamError {
+        for coords in decoded.chunks_exact(self.shape.len()) {
+            for (m, (&idx, &dim)) in coords.iter().zip(&*self.shape).enumerate() {
+                if idx >= dim {
+                    return self.format_err(format!(
+                        "coordinate {idx} out of bounds for mode {m} (size {dim})"
+                    ));
                 }
-                values.push(Val::from_le_bytes(le4(path, rec, order * 4)?));
             }
-            done += n;
+            if let Some(key) = self.section {
+                if coords[key.mode] < prev_key {
+                    return self.format_err(format!(
+                        "not sorted by mode {}: row {} follows row {prev_key}",
+                        key.mode, coords[key.mode]
+                    ));
+                }
+                prev_key = coords[key.mode];
+            }
         }
-        Ok((coords, values))
+        self.format_err("rejected by the decoder".into())
     }
-}
-
-/// Four little-endian bytes of `rec` at `at`, as a typed error instead of a
-/// panic when the record is too short (unreachable for slabs cut by
-/// `chunks_exact`, but the decoder stays total either way).
-#[inline]
-fn le4(path: &Path, rec: &[u8], at: usize) -> Result<[u8; 4], StreamError> {
-    rec.get(at..at + 4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| StreamError::truncated(path, at, 4))
 }
 
 /// Reads `.tnsb` chunks from disk through a bounded host-memory budget.
@@ -328,15 +248,13 @@ pub struct ChunkReader {
     meters: ReaderMeters,
 }
 
-/// Out-of-core telemetry handles: chunk reads/bytes, time spent sorting
-/// chunks, budget stalls (loads refused because staging was full), and a
-/// resident-bytes gauge. Detached (free) until [`ChunkReader::set_metrics`]
-/// attaches a registry.
+/// Out-of-core telemetry handles: chunk reads/bytes, budget stalls (loads
+/// refused because staging was full), and a resident-bytes gauge. Detached
+/// (free) until [`ChunkReader::set_metrics`] attaches a registry.
 #[derive(Debug, Default)]
 struct ReaderMeters {
     chunk_reads: Counter,
     chunk_read_bytes: Counter,
-    chunk_sort_us: Counter,
     chunk_stalls: Counter,
     resident_bytes: Gauge,
 }
@@ -356,21 +274,19 @@ impl ChunkReader {
         })
     }
 
-    /// Attaches `registry`: chunk loads, staged bytes, sort time, budget
-    /// stalls, and the resident-bytes gauge (`ooc_*` metrics) record into it
-    /// from now on. Purely observational — loads succeed and fail exactly as
-    /// before.
+    /// Attaches `registry`: chunk loads, staged bytes, budget stalls, and
+    /// the resident-bytes gauge (`ooc_*` metrics) record into it from now
+    /// on. Purely observational — loads succeed and fail exactly as before.
     pub fn set_metrics(&mut self, registry: MetricsRegistry) {
         self.meters = ReaderMeters {
             chunk_reads: registry.counter("ooc_chunk_reads"),
             chunk_read_bytes: registry.counter("ooc_chunk_read_bytes"),
-            chunk_sort_us: registry.counter("ooc_chunk_sort_us"),
             chunk_stalls: registry.counter("ooc_chunk_stalls"),
             resident_bytes: registry.gauge("ooc_resident_bytes"),
         };
     }
 
-    /// File-level metadata (shape, histograms, chunk directory).
+    /// File-level metadata (shape, histograms, chunk directories).
     pub fn meta(&self) -> &TnsbMeta {
         &self.meta
     }
@@ -380,57 +296,44 @@ impl ChunkReader {
         &self.budget
     }
 
-    /// Charges scratch bytes (beyond chunk payloads) to the staging budget —
-    /// used by the streaming partitioner for its per-slice coordinate
-    /// gather, so *all* transient host memory is accounted.
-    pub fn charge_scratch(&mut self, bytes: u64) -> Result<(), StreamError> {
-        self.budget.alloc(bytes, "partitioning scratch")?;
-        Ok(())
-    }
-
-    /// Releases scratch bytes charged with [`ChunkReader::charge_scratch`].
-    pub fn release_scratch(&mut self, bytes: u64) {
-        self.budget.free(bytes);
-    }
-
-    /// The sort a read of chunk `c` staged with `sort_by` performs.
-    fn sort_key(&self, c: usize, sort_by: Option<usize>) -> Option<SortKey> {
-        let meta = &self.meta.chunks[c];
-        sort_by.map(|mode| SortKey {
-            mode,
-            lo: meta.mode_min[mode],
-            hi: meta.mode_max[mode],
-        })
-    }
-
     /// Reserves budget for chunk `c` without reading it: the returned
     /// [`StagedRead`] performs the actual disk read (possibly on another
     /// thread). Fails with a budget stall exactly like
     /// [`ChunkReader::load_chunk`] when resident + staged bytes already fill
     /// the budget.
     ///
-    /// With `sort_by = Some(d)` the read ends by sorting the chunk by its
-    /// mode-`d` coordinate — a deterministic stable sort, so the chunk is
-    /// the same whichever thread reads it — and the sort's index scratch
-    /// (4 B per element and radix pass: one pass for a bounding box up to
-    /// 2¹⁶ rows wide, two beyond) is reserved beside the payload until
-    /// [`ChunkReader::finish_stage`] returns it.
-    pub fn stage(&mut self, c: usize, sort_by: Option<usize>) -> Result<StagedRead, StreamError> {
+    /// `section = Some(d)` reads chunk `c` of mode `d`'s sorted section —
+    /// `c × chunk_capacity` elements into the tensor as
+    /// `SparseTensor::sorted_by_mode(d)` orders it; `None` reads chunk `c`
+    /// of the file-order section. Either way the chunk is what the file
+    /// holds: nothing is reordered, so it is the same whichever thread
+    /// reads it.
+    pub fn stage(&mut self, c: usize, section: Option<usize>) -> Result<StagedRead, StreamError> {
         assert!(c < self.meta.num_chunks(), "chunk {c} out of range");
         assert!(
-            sort_by.is_none_or(|d| d < self.meta.order()),
-            "sort mode {sort_by:?} out of range"
+            section.is_none_or(|d| d < self.meta.order()),
+            "section {section:?} out of range"
         );
         let staged = StagedRead {
             index: c,
             path: Arc::clone(&self.path),
-            offset: self.meta.chunk_offset(c),
+            offset: match section {
+                Some(d) => self.meta.section_chunk_offset(d, c),
+                None => self.meta.chunk_offset(c),
+            },
             nnz: self.meta.chunks[c].nnz as usize,
             shape: Arc::clone(&self.shape),
             bytes: self.meta.chunk_bytes(c),
-            sort: self.sort_key(c, sort_by),
+            section: section.map(|mode| {
+                let meta = &self.meta.sections[mode][c];
+                SectionKey {
+                    mode,
+                    lo: meta.mode_min[mode],
+                    hi: meta.mode_max[mode],
+                }
+            }),
         };
-        if let Err(e) = self.budget.alloc(staged.bytes(), "chunk staging") {
+        if let Err(e) = self.budget.alloc(staged.bytes, "chunk staging") {
             // A stall: the pipeline wanted a chunk the budget couldn't
             // hold. Prefetch pipelines fall back to their blocking path
             // when they see one.
@@ -441,17 +344,11 @@ impl ChunkReader {
         Ok(staged)
     }
 
-    /// Accounts a staged read that completed successfully: the sort scratch
-    /// goes back to the budget, the chunk keeps its payload reservation
-    /// until [`ChunkReader::release`].
+    /// Accounts a staged read that completed successfully; the chunk keeps
+    /// its reservation until [`ChunkReader::release`].
     pub fn finish_stage(&mut self, chunk: &Chunk) {
-        if let Some(key) = self.sort_key(chunk.index, chunk.sorted_mode) {
-            self.budget.free(key.scratch_bytes(chunk.nnz() as u64));
-            self.meters.resident_bytes.set(self.budget.used() as f64);
-        }
         self.meters.chunk_reads.inc();
         self.meters.chunk_read_bytes.add(chunk.bytes);
-        self.meters.chunk_sort_us.add(chunk.sort_us);
     }
 
     /// Returns a failed staged read's reservation (`bytes` as reported by
@@ -461,7 +358,7 @@ impl ChunkReader {
         self.meters.resident_bytes.set(self.budget.used() as f64);
     }
 
-    /// Loads chunk `c` from disk in file order, charging its bytes to the
+    /// Loads chunk `c` of the file-order section, charging its bytes to the
     /// staging budget. Fails with [`amped_sim::SimError::OutOfMemory`]
     /// (wrapped in [`StreamError::Sim`]) if resident chunks already fill the
     /// budget.
@@ -603,7 +500,7 @@ mod tests {
         assert_eq!(r.budget().used(), 0);
     }
 
-    /// `(coords, value)` records of an element-major chunk.
+    /// `(coords, value bits)` records of an element-major chunk.
     fn records(coords: &[Idx], values: &[Val], order: usize) -> Vec<(Vec<Idx>, u32)> {
         coords
             .chunks_exact(order)
@@ -612,176 +509,51 @@ mod tests {
             .collect()
     }
 
-    /// What a sort by mode `d` must produce: std's stable sort of the
-    /// records — a permutation, non-decreasing in `d`, ties in input order.
-    fn stably_sorted(
-        coords: &[Idx],
-        values: &[Val],
-        order: usize,
-        d: usize,
-    ) -> Vec<(Vec<Idx>, u32)> {
-        let mut want = records(coords, values, order);
-        want.sort_by_key(|(c, _)| c[d]);
-        want
-    }
-
-    /// Runs `sort_by_mode` on a copy over the tight bounding box and checks
-    /// it against [`stably_sorted`].
-    fn check_sort(coords: &[Idx], values: &[Val], order: usize, d: usize) {
-        let keys = || coords.iter().skip(d).step_by(order).copied();
-        let key = SortKey {
-            mode: d,
-            lo: keys().min().unwrap(),
-            hi: keys().max().unwrap(),
-        };
-        let (mut c, mut v) = (coords.to_vec(), values.to_vec());
-        assert!(sort_by_mode(&mut c, &mut v, order, key).is_ok());
-        assert_eq!(
-            records(&c, &v, order),
-            stably_sorted(coords, values, order, d),
-            "mode {d} of an order-{order} chunk of {} elements",
-            values.len()
-        );
-    }
-
-    /// `n` pseudo-random elements of `shape`; values are the element's
-    /// input position, so equal rows are told apart.
-    fn random_chunk(shape: &[Idx], n: usize, seed: u64) -> (Vec<Idx>, Vec<Val>) {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let coords = (0..n)
-            .flat_map(|_| {
-                shape
-                    .iter()
-                    .map(|&dim| (next() % dim as u64) as Idx)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        (coords, (0..n).map(|e| e as Val).collect())
-    }
-
-    #[test]
-    fn sort_is_a_stable_permutation_on_every_shape_of_chunk() {
-        // One element; every element in one row (`dim_d = 1` included).
-        check_sort(&[3, 1, 4], &[1.5], 3, 1);
-        let (c, v) = random_chunk(&[1, 9, 1], 200, 1);
-        for d in 0..3 {
-            check_sort(&c, &v, 3, d);
-        }
-        // Already sorted, reverse sorted (with ties), and a > 90 % hot row.
-        let ramp: Vec<Idx> = (0..300).flat_map(|e| [e / 3, 7]).collect();
-        let down: Vec<Idx> = (0..300).flat_map(|e| [99 - e / 3, 7]).collect();
-        let hot: Vec<Idx> = (0..300)
-            .flat_map(|e| [if e % 11 == 0 { e } else { 5 }, e])
-            .collect();
-        let vals: Vec<Val> = (0..300).map(|e| e as Val).collect();
-        for coords in [&ramp, &down, &hot] {
-            check_sort(coords, &vals, 2, 0);
-        }
-        // Random chunks: order 1 to 5, one radix pass (narrow modes) and two
-        // (the 2²⁰- and 2³⁰-row modes), every mode.
-        for seed in 0..20u64 {
-            let shape: &[Idx] = match seed % 5 {
-                0 => &[40],
-                1 => &[50, 3],
-                2 => &[7, 1 << 20, 300],
-                3 => &[5, 6, 1 << 30, 8],
-                _ => &[9, 70_000, 4, 2, 65_536],
-            };
-            let (c, v) = random_chunk(shape, 100 + 37 * seed as usize, seed);
-            for d in 0..shape.len() {
-                check_sort(&c, &v, shape.len(), d);
-            }
-        }
-    }
-
-    #[test]
-    fn sort_memory_follows_the_chunk_never_the_mode() {
-        // A few hundred nonzeros of a 2³⁰-row mode: two passes of 2¹⁵
-        // counters and two index arrays — 8 B per element, where counting
-        // over the mode itself would be 4 GiB.
-        let key = SortKey {
-            mode: 0,
-            lo: 0,
-            hi: (1 << 30) - 1,
-        };
-        assert_eq!(key.radix(), (2, 15));
-        assert_eq!(key.scratch_bytes(300), 2 * 300 * 4);
-        // Up to 2¹⁶ rows: one counting pass over the box, 4 B per element.
-        for (hi, radix) in [
-            (0, (1, 0)),
-            (1, (1, 1)),
-            (65_535, (1, 16)),
-            (65_536, (2, 9)),
-        ] {
-            let key = SortKey { mode: 0, lo: 0, hi };
-            assert_eq!(key.radix(), radix, "box 0..={hi}");
-            assert_eq!(key.scratch_bytes(1000), radix.0 as u64 * 4000);
-        }
-        // The widest box there is still sorts.
-        let key = SortKey {
-            mode: 0,
-            lo: 0,
-            hi: Idx::MAX,
-        };
-        assert_eq!(key.radix(), (2, 16));
-        let (mut c, mut v) = (
-            vec![Idx::MAX, 0, 7, Idx::MAX, 7],
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-        );
-        assert!(sort_by_mode(&mut c, &mut v, 1, key).is_ok());
-        assert_eq!(c, [0, 7, 7, Idx::MAX, Idx::MAX]);
-        assert_eq!(v, [1.0, 2.0, 4.0, 0.0, 3.0]);
-    }
-
-    /// Writes `t` with `cap`-element chunks and checks, for every chunk and
-    /// mode, that a sorted read is the stable sort of the unsorted read of
-    /// the same chunk — on this thread and on another — and that the budget
-    /// holds payload + scratch while staged, the payload while resident and
-    /// nothing afterwards.
+    /// Writes `t` with `cap`-element chunks and checks, for every mode, that
+    /// the sorted reads — on this thread and on another — concatenate to the
+    /// stable sort of the concatenated unsorted reads, and that the budget
+    /// holds exactly the staged and resident payloads, and nothing
+    /// afterwards.
     fn check_sorted_reads(t: &SparseTensor, cap: usize) {
         let dir = ScratchDir::new("chunkreader");
         let path = dir.join("sorted.tnsb");
         write_tnsb(t, &path, cap).unwrap();
         let order = t.order();
-        let budget = MemPool::new("host-stage", 4 * cap as u64 * t.elem_bytes());
+        let budget = MemPool::new("host-stage", 2 * cap as u64 * t.elem_bytes());
         let mut r = ChunkReader::open(&path, budget).unwrap();
-        for c in 0..r.meta().num_chunks() {
+        let chunks = r.meta().num_chunks();
+        let mut unsorted = Vec::new();
+        for c in 0..chunks {
             let plain = r.load_chunk(c).unwrap();
-            for d in 0..order {
-                let want = stably_sorted(plain.coords_flat(), plain.values(), order, d);
-                let key = r.sort_key(c, Some(d)).unwrap();
-                let scratch = key.scratch_bytes(plain.nnz() as u64);
+            unsorted.extend(records(plain.coords_flat(), plain.values(), order));
+            r.release(plain);
+        }
+        for d in 0..order {
+            let mut want = unsorted.clone();
+            want.sort_by_key(|(c, _)| c[d]);
+            let (mut here_all, mut there_all) = (Vec::new(), Vec::new());
+            for c in 0..chunks {
                 let here = r.stage(c, Some(d)).unwrap();
                 let there = r.stage(c, Some(d)).unwrap();
-                assert_eq!(here.bytes(), plain.bytes() + scratch);
-                assert_eq!(r.budget().used(), plain.bytes() + 2 * here.bytes());
+                assert_eq!(here.bytes(), r.meta().chunk_bytes(c), "payload, no scratch");
+                assert_eq!(r.budget().used(), 2 * here.bytes());
                 let here = here.read().unwrap();
                 let there = std::thread::spawn(move || there.read())
                     .join()
                     .expect("reader thread")
                     .unwrap();
-                for chunk in [here, there] {
+                for (chunk, all) in [(here, &mut here_all), (there, &mut there_all)] {
                     assert_eq!(chunk.sorted_mode(), Some(d));
-                    assert_eq!(chunk.bytes(), plain.bytes());
-                    assert_eq!(
-                        records(chunk.coords_flat(), chunk.values(), order),
-                        want,
-                        "chunk {c} mode {d}"
-                    );
+                    assert_eq!(chunk.index(), c);
+                    all.extend(records(chunk.coords_flat(), chunk.values(), order));
                     r.finish_stage(&chunk);
                     r.release(chunk);
                 }
-                assert_eq!(r.budget().used(), plain.bytes());
+                assert_eq!(r.budget().used(), 0);
             }
-            r.release(plain);
+            assert_eq!(here_all, want, "mode {d}");
+            assert_eq!(there_all, want, "mode {d}, read on another thread");
         }
-        assert_eq!(r.budget().used(), 0);
     }
 
     #[test]
@@ -797,7 +569,7 @@ mod tests {
         let five = GenSpec::uniform(vec![20, 1, 28, 16, 12], 900, 22).generate();
         check_sorted_reads(&five, 250);
         check_sorted_reads(&GenSpec::uniform(vec![6, 5], 9, 23).generate(), 1);
-        // A 2²⁰-row mode: 300-element chunks take the two-pass radix.
+        // A 2²⁰-row mode: nothing in a read scales with the mode's size.
         check_sorted_reads(
             &GenSpec::uniform(vec![1 << 20, 50, 40], 700, 24).generate(),
             300,
@@ -805,40 +577,9 @@ mod tests {
     }
 
     #[test]
-    fn sort_time_is_counted_beside_the_read() {
-        let t = GenSpec::uniform(vec![3000, 200, 100], 60_000, 25).generate();
-        let dir = ScratchDir::new("chunkreader");
-        let path = dir.join("sort_us.tnsb");
-        write_tnsb(&t, &path, 60_000).unwrap();
-        let reg = MetricsRegistry::new();
-        let mut r =
-            ChunkReader::open(&path, MemPool::new("host-stage", 4 * t.nnz() as u64 * 16)).unwrap();
-        r.set_metrics(reg.clone());
-        let plain = r.load_chunk(0).unwrap();
-        assert_eq!(reg.counter_value("ooc_chunk_sort_us", &[]), 0);
-        let staged = r.stage(0, Some(0)).unwrap();
-        let sorted = staged.read().unwrap();
-        r.finish_stage(&sorted);
-        assert!(reg.counter_value("ooc_chunk_sort_us", &[]) > 0);
-        // A sorted read is still one read of the same bytes.
-        assert_eq!(reg.counter_value("ooc_chunk_reads", &[]), 2);
-        assert_eq!(
-            reg.counter_value("ooc_chunk_read_bytes", &[]),
-            2 * plain.bytes()
-        );
-        assert_eq!(
-            reg.gauge("ooc_resident_bytes").get(),
-            2.0 * plain.bytes() as f64
-        );
-        r.release(sorted);
-        r.release(plain);
-    }
-
-    #[test]
     fn a_bounding_box_that_lies_is_a_typed_error() {
-        // Chunk 0 really spans rows 0..=9 of mode 0; patch its footer entry
-        // to claim 0..=4. Metadata validation cannot see the lie, the sort
-        // must: a key outside the box would index past the counters.
+        // Ten elements, one per row of mode 0, written in descending row
+        // order: chunk 0 of section 0 really spans rows 0..=9.
         let dir = ScratchDir::new("chunkreader");
         let path = dir.join("liar.tnsb");
         let mut w = TnsbWriter::create(&path, vec![10, 4], 16).unwrap();
@@ -846,22 +587,42 @@ mod tests {
             w.push(&[9 - e, e % 4], 1.0).unwrap();
         }
         let meta = w.finish().unwrap();
-        let footer = meta.header_bytes() + meta.payload_bytes();
-        let mode0_max = footer + 8 + (10 + 4) * 8 + 8 + 4;
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = mode0_max as usize;
-        assert_eq!(bytes[at..at + 4], 9u32.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        // Footer: norm, histograms, the file-order table (one entry), the
+        // section count, section 0's entry: nnz, then (min, max) of mode 0.
+        let entry = 8 + 2 * 8;
+        let footer = (meta.header_bytes() + 3 * meta.payload_bytes()) as usize;
+        let mode0_max = footer + 8 + (10 + 4) * 8 + entry + 4 + 8 + 4;
+        assert_eq!(pristine[mode0_max..mode0_max + 4], 9u32.to_le_bytes());
 
+        // The footer claims rows 0..=4: the histogram knows better, and the
+        // file does not open.
+        let mut bytes = pristine.clone();
+        bytes[mode0_max..mode0_max + 4].copy_from_slice(&4u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 12)).unwrap_err();
+        assert!(matches!(err, StreamError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("claims rows [0, 4]"), "{err}");
+
+        // The footer is honest but the section's last element was moved to
+        // row 8 (still sorted, still in the shape): the read holds the chunk
+        // to its box.
+        let mut bytes = pristine.clone();
+        let last = meta.section_chunk_offset(0, 0) as usize + 9 * 12;
+        assert_eq!(bytes[last..last + 4], 9u32.to_le_bytes());
+        bytes[last..last + 4].copy_from_slice(&8u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
         let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 12)).unwrap();
         let staged = r.stage(0, Some(0)).unwrap();
         let err = staged.read().unwrap_err();
         assert!(matches!(err, StreamError::Format { .. }), "{err}");
-        assert!(err.to_string().contains("bounding box [0, 4]"), "{err}");
+        assert!(
+            err.to_string().contains("bounding box says [0, 9]"),
+            "{err}"
+        );
         r.fail_stage(staged.bytes());
         assert_eq!(r.budget().used(), 0);
-        // The unsorted load and the honest mode are unaffected.
+        // The unsorted load and the honest section are unaffected.
         let plain = r.load_chunk(0).unwrap();
         r.release(plain);
         let staged = r.stage(0, Some(1)).unwrap();

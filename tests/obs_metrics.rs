@@ -165,23 +165,39 @@ fn ooc_run_records_chunk_metrics() {
         .iter()
         .map(|&d| Mat::random(d as usize, 8, &mut rng))
         .collect();
+    // Setup scanned the sections before the reader was metered: the
+    // counters start at the first iteration.
+    assert_eq!(reg.counter_value("ooc_chunk_reads", &[]), 0);
     e.mttkrp_mode(0, &factors).unwrap();
 
     let chunks = e.meta().num_chunks() as u64;
     assert_eq!(reg.counter_value("ooc_chunk_reads", &[]), chunks);
-    assert!(reg.counter_value("ooc_chunk_read_bytes", &[]) > 0);
+    assert_eq!(
+        reg.counter_value("ooc_chunk_read_bytes", &[]),
+        e.meta().payload_bytes(),
+        "a mode streams one section"
+    );
+    // The budget holds the default double buffer: every chunk came through
+    // the prefetch thread, nothing stalled.
     assert_eq!(reg.counter_value("ooc_chunk_stalls", &[]), 0);
-    // The chunk sort has a counter of its own beside the read's (its value
-    // is wall time, so only its presence is pinned here).
-    assert!(reg
-        .render_prometheus()
-        .contains("amped_ooc_chunk_sort_us_total"));
+    assert_eq!(reg.counter_value("ooc_prefetch_hits", &[]), chunks);
+    // Nothing is sorted per visit, and nothing claims to be.
+    assert!(!reg.render_prometheus().contains("chunk_sort"));
     assert_eq!(reg.counter_value("nnz_processed", &[]), t.nnz() as u64);
     assert_eq!(
         reg.gauge("ooc_resident_bytes").get(),
         0.0,
         "all chunks released after the mode"
     );
+    // An iteration streams every mode's section once: order × chunks reads.
+    for d in 1..t.order() {
+        e.mttkrp_mode(d, &factors).unwrap();
+    }
+    assert_eq!(
+        reg.counter_value("ooc_chunk_reads", &[]),
+        t.order() as u64 * chunks
+    );
+    assert_eq!(reg.counter_value("ooc_chunk_stalls", &[]), 0);
 }
 
 /// What both constructors publish about setup: the preprocessing wall (the

@@ -1,14 +1,15 @@
-//! The out-of-core engine on mode-sorted chunks: every chunk is sorted by the
-//! output mode as the last step of its decode and runs the kernel layer's
-//! row-run path. The sort is a deterministic stable key sort and the run
-//! path folds in block-index order, so the MTTKRP output is one set of
-//! **bits** — across prefetch depths, host worker counts and `rank_chunk`
-//! widths, whichever thread sorted a chunk, and equal to a host replay of
-//! the same sorted chunks through `mttkrp_host` — and stays within the usual
-//! tolerance of the `f64` oracle. Budgets tight enough to force the
-//! single-buffer fallback and a mid-run prefetch stall are part of the
-//! matrix, and every run must leave the staging budget empty with a peak no
-//! higher than its chunk window (payload plus the charged sort scratch).
+//! The out-of-core engine on the `.tnsb` file's sorted sections: for output
+//! mode `d` it streams the chunks of section `d` — the tensor sorted by `d`
+//! once, by the writer — and runs the kernel layer's row-run path on each. A
+//! chunk is the bytes the file holds and the run path folds in block-index
+//! order, so the MTTKRP output is one set of **bits** — across prefetch
+//! depths, host worker counts and `rank_chunk` widths, whichever thread read
+//! a chunk, and equal to a host replay of the same section chunks through
+//! `mttkrp_host` — and stays within the usual tolerance of the `f64` oracle.
+//! Budgets tight enough to force the single-buffer fallback and a mid-run
+//! prefetch stall are part of the matrix, and every run must leave the
+//! staging budget empty with a peak no higher than its chunk window —
+//! payloads only: nothing is sorted, so nothing is charged beside them.
 
 mod common;
 
@@ -119,7 +120,7 @@ fn engine_run(
     }
 }
 
-/// The same MTTKRP without the engine: every chunk read sorted by `d`
+/// The same MTTKRP without the engine: every chunk of section `d` read
 /// straight from the reader and launched over the engine's ISP blocks with
 /// `mttkrp_host`, all chunks accumulating into one output.
 fn host_replay(path: &Path, t: &SparseTensor, fs: &[Mat], d: usize) -> Vec<u32> {
@@ -138,13 +139,14 @@ fn host_replay(path: &Path, t: &SparseTensor, fs: &[Mat], d: usize) -> Vec<u32> 
     bits(&out.to_vec())
 }
 
-/// Payload bytes and charged sort scratch of the largest chunk window a
-/// run at `depth` may hold: `depth + 1` chunks, each with the scratch of its
-/// widest mode (4 B per element and radix pass — one pass up to 2¹⁶ rows).
-fn window_bytes(t: &SparseTensor, cap: usize, depth: usize) -> u64 {
-    let passes = |dim: Idx| if dim <= 1 << 16 { 1 } else { 2 };
-    let scratch = t.shape().iter().map(|&d| passes(d) * 4).max().unwrap();
-    (depth as u64 + 1) * cap as u64 * (t.elem_bytes() + scratch)
+/// Bytes of the most chunks a run at `depth` through a budget of `budget`
+/// bytes may hold at once: the `depth + 1` chunks of its prefetch window
+/// while it iterates, and one chunk per planning-pool thread — as far as
+/// the budget holds them — while its engine was built.
+fn window_bytes(t: &SparseTensor, cap: usize, depth: usize, budget: u64) -> u64 {
+    let chunk = cap as u64 * t.elem_bytes();
+    let setup = (amped::sim::host_workers() as u64).min(budget / chunk);
+    (depth as u64 + 1).max(setup) * chunk
 }
 
 /// The full matrix on one tensor with a roomy budget: one set of bits, equal
@@ -157,8 +159,8 @@ fn check_matrix(t: &SparseTensor, cap: usize, seed: u64) {
     let replay: Vec<Vec<u32>> = (0..t.order())
         .map(|d| host_replay(&path, t, &fs, d))
         .collect();
-    // Room for the planner's scan (chunk + coordinates) and a depth-2 window.
-    let budget = 4 * cap as u64 * (t.elem_bytes() + 8);
+    // Room for a depth-2 window.
+    let budget = 4 * cap as u64 * t.elem_bytes();
     for depth in DEPTHS {
         for workers in WORKERS {
             for rank_chunk in RANK_CHUNKS {
@@ -173,10 +175,7 @@ fn check_matrix(t: &SparseTensor, cap: usize, seed: u64) {
                 let oracle = workers == 1 && rank_chunk == 32;
                 let run = engine_run(&path, t, &fs, budget, tune, oracle);
                 assert_eq!(run.bits, replay, "{tune:?}");
-                // The planner's scan holds one chunk plus its coordinates;
-                // execution holds the chunk window.
-                let plan_scan = cap as u64 * (t.elem_bytes() + 4 * t.order() as u64);
-                let allowed = plan_scan.max(window_bytes(t, cap, depth));
+                let allowed = window_bytes(t, cap, depth, budget);
                 assert!(
                     run.stage_peak <= allowed,
                     "stage peak {} above {allowed} ({tune:?})",
@@ -192,8 +191,9 @@ fn check_matrix(t: &SparseTensor, cap: usize, seed: u64) {
 
 #[test]
 fn bits_are_one_set_on_a_skewed_3_mode_tensor_with_a_hot_row() {
-    // 93 % of the nonzeros in one row of mode 0: its run spans every block
-    // of every chunk, so the edge fold carries the whole row.
+    // 93 % of the nonzeros in one row of mode 0: in section 0 its run fills
+    // six whole chunks, so the row accumulates across launches and, inside
+    // each, the edge fold carries it across every block.
     let t = tensor(&[90, 40, 70], 2600, 0, 0.93, 5);
     let hot = (0..t.nnz()).filter(|&e| t.idx(e, 0) == 3).count();
     assert!(hot * 10 > t.nnz() * 9, "hot row holds only {hot} elements");
@@ -227,9 +227,8 @@ fn tight_budgets_change_the_cadence_never_the_bits() {
             workers,
             ..Default::default()
         };
-        // 185 elements: one chunk plus planning scratch, never two chunks
-        // (the smallest pair is 100 + 86) — the engine runs the blocking
-        // loop.
+        // 185 elements: one chunk, never two (the smallest pair is
+        // 100 + 86) — the engine runs the blocking loop.
         let single = engine_run(&path, &t, &fs, 185 * elem, tune, true);
         assert_eq!(
             single.bits, replay,
@@ -237,18 +236,17 @@ fn tight_budgets_change_the_cadence_never_the_bits() {
         );
         assert_eq!(single.prefetch_hits, 0, "fallback must not prefetch");
         assert!(single.stage_peak <= 185 * elem);
-        // 240 elements: two full chunks never fit beside their sort scratch
-        // (100 + 100 + 25 + 25), the last pair does (100 + 90 + 25 + 22.5)
-        // — every attempt to widen the window past a full chunk stalls,
-        // and the run ends overlapped.
-        let squeezed = engine_run(&path, &t, &fs, 240 * elem, tune, true);
+        // 195 elements: two full chunks never fit (100 + 100), the last
+        // pair does (100 + 90 at most) — every attempt to widen the window
+        // past a full chunk stalls, and the run ends overlapped.
+        let squeezed = engine_run(&path, &t, &fs, 195 * elem, tune, true);
         assert_eq!(squeezed.bits, replay, "mid-run stall, {workers} workers");
         assert!(squeezed.stalls > 0, "the squeezed budget never stalled");
         assert!(
             squeezed.prefetch_hits > 0,
             "the squeezed budget never prefetched"
         );
-        assert!(squeezed.stage_peak <= 240 * elem);
+        assert!(squeezed.stage_peak <= 195 * elem);
     }
 }
 
@@ -272,7 +270,7 @@ proptest! {
         let path = dir.join("p.tnsb");
         write_tnsb(&t, &path, cap).unwrap();
         let fs = factors(&t, seed ^ 0xabc);
-        let budget = 4 * cap as u64 * (t.elem_bytes() + 8);
+        let budget = 4 * cap as u64 * t.elem_bytes();
         let blocking = TuneParams { prefetch_depth: 0, workers: 1, rank_chunk: 1, ..Default::default() };
         let deep = TuneParams {
             prefetch_depth: 2,
