@@ -15,14 +15,15 @@
 //!   bit — this is what keeps `tests/runtime_equivalence.rs` golden.
 //! * **Run** (multi-block grids over a source sorted by the output mode —
 //!   the in-core engine's per-mode tensor copies, paper §3.1, the
-//!   out-of-core engine's chunks, sorted at decode, and
-//!   [`CompiledShard`] copies of anything else): a block walks its
-//!   element range as *runs* of equal output row over the raw element-major
-//!   arrays, accumulates each run in an `f64` register tile, rounds the rows
-//!   that lie strictly inside the block into the output itself, and hands
-//!   back at most two *edge partials* — the runs touching its first and last
-//!   element, the only rows another block can share. After the grid joins
-//!   the edge partials fold **in block-index order**. No span scan, no
+//!   out-of-core engine's chunks, read from the `.tnsb` file's sorted
+//!   sections, and [`CompiledShard`] copies of anything else): a block walks
+//!   its element range as *runs* of equal output row over the raw
+//!   element-major arrays, accumulates each run in an `f64` register tile,
+//!   rounds the rows that lie strictly inside the block into the output
+//!   itself, and hands back at most two *edge partials* — the runs touching
+//!   its first and last element, the only rows another block can share.
+//!   After the grid joins the edge partials fold **in block-index order**.
+//!   No span scan, no
 //!   zeroed tile, no read-modify-write of tile memory per nonzero, no merge
 //!   pass over untouched cells, and a hot row spanning many blocks is split
 //!   across them (Nisa et al.'s and Wijeratne et al.'s output-sorted
@@ -56,7 +57,11 @@
 //! [`TuneParams::rank_chunk`] so the per-element Hadamard partial stays in
 //! registers and the factor-row working set per pass shrinks at large rank.
 //! The run path cuts each chunk further into monomorphic fixed-width tiles
-//! (`column_tiles`). Rank blocking never reorders the per-cell
+//! (`column_tiles`), and for orders 3 and 5 also makes the tensor order a
+//! compile-time constant of its per-run loop (`RunGrid::tile_n`): the input
+//! modes and their factor slices are hoisted out of the element loop and no
+//! coordinate read is bounds-checked. Other orders run the same arithmetic
+//! at a runtime order. Rank blocking never reorders the per-cell
 //! accumulation over elements — each output cell still sums its elements in
 //! element order, whatever the tile width — so *every* `rank_chunk` is
 //! bit-transparent on all three paths, which is what lets the autotuner
@@ -204,6 +209,12 @@ impl<'a> FactorsView<'a> {
     #[inline]
     fn row(&self, m: usize, i: usize) -> &'a [f32] {
         &self.mats[m][i * self.rank..(i + 1) * self.rank]
+    }
+
+    /// All of factor `m`, row-major.
+    #[inline]
+    fn mat(&self, m: usize) -> &'a [f32] {
+        self.mats[m]
     }
 }
 
@@ -401,14 +412,13 @@ fn block_tile<S: EcSource + ?Sized>(
 /// rounding per cell per launch is what bounds the divergence from the
 /// sequential `f64` reference to one `f32` ulp.
 fn merge_tiles(out: &MttkrpOut, tiles: &[&BlockTile]) {
-    let Some(lo) = tiles.iter().map(|t| t.lo).min() else {
+    let span = tiles.iter().fold(None, |span: Option<(usize, usize)>, t| {
+        let (t_lo, t_hi) = (t.lo, t.lo + t.acc.len() / t.rank);
+        Some(span.map_or((t_lo, t_hi), |(lo, hi)| (lo.min(t_lo), hi.max(t_hi))))
+    });
+    let Some((lo, hi)) = span else {
         return;
     };
-    let hi = tiles
-        .iter()
-        .map(|t| t.lo + t.acc.len() / t.rank)
-        .max()
-        .expect("tiles is non-empty");
     let rank = tiles[0].rank;
     let mut stage = vec![0.0f64; (hi - lo) * rank];
     for t in tiles {
@@ -463,7 +473,7 @@ struct RunGrid<'a> {
     /// The source; its `sorted_mode` is the launch's output mode.
     coo: SortedCoo<'a>,
     /// All modes but the output mode, ascending — the Hadamard product
-    /// order.
+    /// order of [`Self::tile_any`].
     in_modes: Vec<usize>,
     factors: &'a FactorsView<'a>,
     tiles: Vec<Range<usize>>,
@@ -472,11 +482,62 @@ struct RunGrid<'a> {
 impl RunGrid<'_> {
     /// Accumulates columns `c0..c0 + W` of one run (elements `run`, all of
     /// one output row) into `dst`: per element the `f64` Hadamard product
-    /// over `in_modes`, summed from `+0.0` in element order — the tile
-    /// path's arithmetic for these cells, held in a register tile instead
-    /// of tile memory.
+    /// over the input modes in ascending order, summed from `+0.0` in
+    /// element order — the tile path's arithmetic for these cells, held in
+    /// a register tile instead of tile memory.
+    ///
+    /// Orders 3 and 5 — the orders of every dataset and workload — take
+    /// [`Self::tile_n`], whose order is a compile-time constant; stable
+    /// Rust cannot spell `ORDER - 1` as a const argument, so the input-mode
+    /// count `N` is a parameter too and this `match` pairs them. Any other
+    /// order takes [`Self::tile_any`].
     #[inline]
     fn tile<const W: usize>(&self, run: Range<usize>, c0: usize, dst: &mut [f64]) {
+        let acc = match self.coo.order {
+            3 => self.tile_n::<W, 2, 3>(run, c0),
+            5 => self.tile_n::<W, 4, 5>(run, c0),
+            _ => self.tile_any::<W>(run, c0),
+        };
+        dst[c0..c0 + W].copy_from_slice(&acc);
+    }
+
+    /// [`Self::tile`] at a fixed order: coordinates come as `[u32; ORDER]`
+    /// chunks, and the `N` input modes and their factor slices (already
+    /// offset to column `c0`) are hoisted into arrays once per call. Each
+    /// input mode is `k` or `k + 1` for `k < N`, so it is `< ORDER` by
+    /// construction and indexes the chunk without a check; the one check
+    /// left per element and mode is the factor row's, which a coordinate
+    /// past its factor's rows must fail.
+    #[inline]
+    fn tile_n<const W: usize, const N: usize, const ORDER: usize>(
+        &self,
+        run: Range<usize>,
+        c0: usize,
+    ) -> [f64; W] {
+        let d = self.coo.sorted_mode;
+        let modes: [usize; N] = std::array::from_fn(|k| k + usize::from(k >= d));
+        let mats: [&[f32]; N] = std::array::from_fn(|k| &self.factors.mat(modes[k])[c0..]);
+        let rank = self.factors.rank();
+        let (coords, _) = self.coo.indices[run.start * ORDER..run.end * ORDER].as_chunks::<ORDER>();
+        let mut acc = [0.0f64; W];
+        for (coords, &v) in coords.iter().zip(&self.coo.values[run]) {
+            let mut prod = [v as f64; W];
+            for (mat, &m) in mats.iter().zip(&modes) {
+                let base = coords[m] as usize * rank;
+                for (p, &x) in prod.iter_mut().zip(&mat[base..base + W]) {
+                    *p *= x as f64;
+                }
+            }
+            for (a, p) in acc.iter_mut().zip(prod) {
+                *a += p;
+            }
+        }
+        acc
+    }
+
+    /// [`Self::tile`] at any order: the input modes walked from
+    /// `in_modes` and every coordinate chunk of runtime length.
+    fn tile_any<const W: usize>(&self, run: Range<usize>, c0: usize) -> [f64; W] {
         let order = self.coo.order;
         let mut acc = [0.0f64; W];
         let coords = self.coo.indices[run.start * order..run.end * order].chunks_exact(order);
@@ -492,7 +553,7 @@ impl RunGrid<'_> {
                 *a += p;
             }
         }
-        dst[c0..c0 + W].copy_from_slice(&acc);
+        acc
     }
 
     /// Executes one block: walks `range` as runs of equal output row,

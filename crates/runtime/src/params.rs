@@ -21,7 +21,7 @@
 //!   block-index order, so results are worker-count independent by
 //!   construction.
 //! * `ooc_chunk_budget` / `prefetch_depth` only move chunk *reads* in time;
-//!   chunks are still computed in file order on the main thread.
+//!   chunks are still computed in section order on the main thread.
 
 use amped_sim::host_workers;
 

@@ -4,9 +4,11 @@
 //! `f64` tiles merged in block order) — for every order, rank, `rank_chunk`,
 //! worker count and block decomposition, including the shapes that stress
 //! the edge fold: one row spanning many blocks, empty blocks, empty rows,
-//! and signed-zero values. Equality here is equality of bits, not
-//! `approx_eq`: it is what lets the in-core engine switch paths without
-//! moving a golden, a fit trace or a modeled time.
+//! and signed-zero values. Orders 1–7 cover each order-specialized run loop
+//! (3, 5) and the runtime-order loop around them (1, 2, 4, 6, 7).
+//! Equality here is equality of bits, not `approx_eq`: it is what lets the
+//! in-core engine switch paths without moving a golden, a fit trace or a
+//! modeled time.
 
 use amped::partition::isp_ranges;
 use amped::prelude::*;
@@ -145,15 +147,15 @@ fn random_blocks(n: usize, max_len: usize, rng: &mut SmallRng) -> Vec<Range<usiz
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 112, ..ProptestConfig::default() })]
 
-    /// Random sorted tensors over orders 3–5 under random block
-    /// decompositions: block lengths from 1 element (every row spans ≥ 3
+    /// Random sorted tensors over orders 1–7 (≈ 16 cases per order) under
+    /// random block decompositions: block lengths from 1 element (every row spans ≥ 3
     /// boundaries) to longer than the tensor (rows span none), with empty
     /// blocks mixed in.
     #[test]
     fn run_path_is_bit_equal_to_tile_path(
-        order in 3usize..6,
+        order in 1usize..8,
         nnz in 0usize..400,
         rank_idx in 0usize..5,
         rc_idx in 0usize..4,
@@ -296,16 +298,29 @@ fn sorted_copy_of_an_unsorted_tensor_matches_the_tile_path() {
 /// shard) returns the bits the tile path produced before the switch. The
 /// expectation is captured here, not in a golden file: the engine's own
 /// plan is replayed shard by shard through the kernel layer with a closure
-/// source, which can only take the direct and tile paths.
+/// source, which can only take the direct and tile paths. An order-3 tensor
+/// and a Twitch-shaped order-5 one (two 64-row modes) drive the engine
+/// through both order-specialized run loops.
 #[test]
 fn engine_default_dispatch_keeps_the_tile_path_bits() {
-    let t = GenSpec {
+    let order_3 = GenSpec {
         shape: vec![300, 120, 90],
         nnz: 20_000,
         skew: vec![1.1, 0.4, 0.0],
         seed: 1212,
+    };
+    let twitch_shaped = GenSpec {
+        shape: vec![400, 250, 120, 64, 64],
+        nnz: 20_000,
+        skew: vec![1.4, 1.5, 1.3, 1.0, 1.0],
+        seed: 1214,
+    };
+    for spec in [order_3, twitch_shaped] {
+        engine_matches_its_plan_replayed_on_the_tile_path(&spec.generate());
     }
-    .generate();
+}
+
+fn engine_matches_its_plan_replayed_on_the_tile_path(t: &SparseTensor) {
     let rank = 16;
     let cfg = AmpedConfig {
         rank,
@@ -320,7 +335,7 @@ fn engine_default_dispatch_keeps_the_tile_path_bits() {
         .map(|&d| Mat::random(d as usize, rank, &mut rng))
         .collect();
     let platform = PlatformSpec::rtx6000_ada_node(3).scaled(1e-3);
-    let mut engine = AmpedEngine::new(&t, platform, cfg.clone()).unwrap();
+    let mut engine = AmpedEngine::new(t, platform, cfg.clone()).unwrap();
     let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
     for d in 0..t.order() {
         let mp = &engine.plan().modes[d];
@@ -340,6 +355,11 @@ fn engine_default_dispatch_keeps_the_tile_path_bits() {
         let (got, _) = engine.mttkrp_mode(d, &factors).unwrap();
         let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
         let want: Vec<u32> = want.to_vec().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "mode {d}: engine bits moved off the tile path's");
+        assert_eq!(
+            got,
+            want,
+            "order {}, mode {d}: engine bits moved off the tile path's",
+            t.order()
+        );
     }
 }
