@@ -11,7 +11,7 @@
 use crate::system::{Capabilities, MttkrpSystem, SystemRun};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, PartitionPlan, StatsScratch};
-use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
+use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -106,7 +106,8 @@ impl MttkrpSystem for FlycooSystem {
         let mut scratch = StatsScratch::new();
         for d in 0..order {
             let mp = &plan.modes[d];
-            let isps = isp_ranges(0..mp.tensor.nnz(), isp_nnz);
+            let copy = &mp.copy;
+            let isps = isp_ranges(0..copy.nnz(), isp_nnz);
             let costs: Vec<f64> = isps
                 .iter()
                 .map(|r| {
@@ -120,7 +121,7 @@ impl MttkrpSystem for FlycooSystem {
                         sorted_by_output: true, // remapped per mode
                         order,
                         rank,
-                        elem_bytes: mp.tensor.elem_bytes(),
+                        elem_bytes: copy.elem_bytes(),
                     };
                     cost.block_time(gpu, &bs, 1.0, isps.len())
                 })
@@ -129,10 +130,9 @@ impl MttkrpSystem for FlycooSystem {
             let mode_wall = makespan.max(remap_time);
 
             // Real execution over the mode-sorted resident copy, through the
-            // kernel layer.
+            // kernel layer's view of it.
             let out = MttkrpOut::zeros(tensor.dim(d) as usize, rank);
-            let tsr = &mp.tensor;
-            let src = FnSource::new(|e, m| tsr.idx(e, m), |e| tsr.value(e));
+            let src = SortedCoo::new(copy.inputs(), copy.values(), copy.row_ptr(), None, order, d);
             let fviews = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
             launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
             fs[d] = Mat::from_vec(tensor.dim(d) as usize, rank, out.to_vec());

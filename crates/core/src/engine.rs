@@ -316,8 +316,14 @@ impl AmpedEngine {
         let (mut plan, priced) =
             plan_and_price(tensor, planner, &spec, &cfg, plan_gpus, host_workers())?;
 
-        // --- Host memory: all per-mode tensor copies live there (§3.1).
+        // --- Host memory: all per-mode tensor copies live there (§3.1). The
+        // model charges the paper's COO copies; the gauge beside it is what
+        // ours hold.
         runtime.alloc(Device::Host, plan.host_bytes(), "per-mode tensor copies")?;
+        let registry = runtime.metrics();
+        registry
+            .gauge("host_copy_bytes")
+            .set(plan.copy_bytes() as f64);
 
         let mode_shards: Vec<Vec<ShardUnit>> = plan
             .modes
@@ -338,7 +344,6 @@ impl AmpedEngine {
         let gpu_throughput = (0..m)
             .map(|g| throughput_query.device_throughput(g))
             .collect();
-        let registry = runtime.metrics();
         let obs = EngineMeters::attach(&registry);
         record_setup(&registry, plan.preprocess_wall, plan.busy);
         Ok(Self {
@@ -411,7 +416,7 @@ impl AmpedEngine {
         }
         validate_replan(
             assignment,
-            self.plan.modes[0].tensor.shape(),
+            self.plan.modes[0].copy.shape(),
             self.spec.num_gpus(),
         )?;
         let d = assignment.mode;
@@ -525,7 +530,7 @@ impl AmpedEngine {
         let m = self.spec.num_gpus();
         let assignment = self.assignment(d);
         let active = assignment.iter().filter(|a| !a.is_empty()).count().max(1);
-        let rows_out = self.plan.modes[d].tensor.dim(d) as usize;
+        let rows_out = self.plan.modes[d].copy.dim(d) as usize;
         let out = MttkrpOut::zeros(rows_out, rank);
 
         let mut per_gpu = vec![TimeBreakdown::default(); m];
@@ -546,6 +551,17 @@ impl AmpedEngine {
         let runtime = runtime.as_mut();
         let mut nnz_done: u64 = 0;
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+        // The mode-`d` copy is sorted by output index, so multi-block grids
+        // walk it as row runs (no privatized tiles, no merge pass).
+        let copy = &plan.modes[d].copy;
+        let src = SortedCoo::new(
+            copy.inputs(),
+            copy.values(),
+            copy.row_ptr(),
+            None,
+            mp_order,
+            d,
+        );
 
         for (g, shard_ids) in assignment.iter().enumerate() {
             // (transfer, compute) seconds of every shard this GPU streams.
@@ -560,11 +576,7 @@ impl AmpedEngine {
                 steps.push((t_x, reprice(su.compute, gpu_throughput, su.gpu, g)));
 
                 // --- Real execution of the grid (Algorithm 2) through the
-                // kernel layer: one threadblock per ISP. The mode-`d` copy
-                // is sorted by output index, so multi-block grids walk it
-                // as row runs (no privatized tiles, no merge pass).
-                let tensor = &plan.modes[d].tensor;
-                let src = SortedCoo::new(tensor.indices_flat(), tensor.values(), mp_order, d);
+                // kernel layer: one threadblock per ISP.
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
                 nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
@@ -767,9 +779,9 @@ fn price_shard(
                 distinct_in_total: st.distinct_in_total,
                 dram_factor_reads: st.dram_factor_reads,
                 sorted_by_output: true, // per-mode sorted copies
-                order: mp.tensor.order(),
+                order: mp.copy.order(),
                 rank: cfg.rank,
-                elem_bytes: mp.tensor.elem_bytes(),
+                elem_bytes: mp.copy.elem_bytes(),
             };
             IspUnit {
                 range: r,
@@ -783,7 +795,7 @@ fn price_shard(
 /// grid makespan is the runtime's to say (`dyn DeviceRuntime` is not
 /// `Sync`, so this is the one planning step that stays on the caller).
 fn schedule_mode(runtime: &dyn DeviceRuntime, mp: &ModePlan, priced: ModeIsps) -> Vec<ShardUnit> {
-    let elem_bytes = mp.tensor.elem_bytes();
+    let elem_bytes = mp.copy.elem_bytes();
     mp.shards
         .iter()
         .zip(priced)
@@ -859,11 +871,11 @@ impl MttkrpEngine for AmpedEngine {
     }
 
     fn shape(&self) -> &[Idx] {
-        self.plan.modes[0].tensor.shape()
+        self.plan.modes[0].copy.shape()
     }
 
     fn tensor_norm_sq(&self) -> f64 {
-        self.plan.modes[0].tensor.norm_sq()
+        self.plan.modes[0].copy.norm_sq()
     }
 
     fn num_gpus(&self) -> usize {
@@ -1073,8 +1085,8 @@ mod tests {
         .generate();
         let mut e = AmpedEngine::new(&t, platform(4), cfg(16)).unwrap();
         let buffers = |e: &AmpedEngine| {
-            let copy = &e.plan.modes[0].tensor;
-            (copy.indices_flat().as_ptr(), copy.values().as_ptr())
+            let copy = &e.plan.modes[0].copy;
+            (copy.inputs().as_ptr(), copy.values().as_ptr())
         };
         let (before, wall) = (buffers(&e), e.preprocess_wall());
         let ranges = vec![0..3, 3..20, 20..50, 50..80];
@@ -1130,7 +1142,7 @@ mod tests {
                     format!("{:?}", mp.shards),
                     format!("{:?}", serial[d].shards)
                 );
-                assert_eq!(mp.tensor, serial[d].tensor);
+                assert_eq!(mp.copy, serial[d].copy);
                 assert_eq!(
                     format!("{:?}", schedule_mode(e.runtime.as_ref(), mp, isps)),
                     want[d],

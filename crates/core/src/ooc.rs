@@ -16,8 +16,10 @@
 //! ([`ChunkReader::stage`] with that mode): a chunk is `chunk_capacity`
 //! consecutive elements of the mode-sorted tensor, the shape of the in-core
 //! engine's shards — long row runs, a GPU's slice one contiguous sub-range —
-//! and a multi-ISP chunk runs the kernel layer's row-run path over a
-//! [`SortedCoo`] view, with no per-block output tile and no merge pass.
+//! and a multi-ISP chunk runs the kernel layer's row-run path over its
+//! [`SortedCoo`] view (input coordinates, values and row pointers, as the
+//! in-core copies hold them), with no per-block output tile and no merge
+//! pass.
 //! Nothing is sorted per visit; a chunk is the bytes the file holds,
 //! whichever thread read it and at every prefetch depth.
 //!
@@ -371,8 +373,9 @@ impl OocEngine {
             .min(num_chunks.saturating_sub(1));
         if depth > 0 {
             let capacity = reader.budget().capacity();
+            let meta = reader.meta();
             let can_double = (0..num_chunks - 1).any(|k| {
-                reader.meta().chunk_bytes(k) + reader.meta().chunk_bytes(k + 1) <= capacity
+                meta.section_chunk_bytes(d, k) + meta.section_chunk_bytes(d, k + 1) <= capacity
             });
             if !can_double {
                 warn_once(
@@ -393,7 +396,14 @@ impl OocEngine {
             );
             obs.nnz_processed.add(chunk.nnz() as u64);
             let isps = isp_ranges(0..chunk.nnz(), cfg.isp_nnz);
-            let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), order, d);
+            let src = SortedCoo::new(
+                chunk.input_coords(),
+                chunk.values(),
+                chunk.row_ptr(),
+                Some(chunk.row_ids()),
+                order,
+                d,
+            );
             // Zero costs: simulated time comes from the slice model above.
             let costs = vec![0.0f64; isps.len()];
             launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);

@@ -223,10 +223,19 @@ impl PartitionPlan {
         priced
     }
 
-    /// Host-memory bytes consumed by all tensor copies (charged to the host
-    /// memory pool; the paper stores all copies in CPU external memory).
+    /// Host-memory bytes the simulator charges for all tensor copies: the
+    /// paper's COO copies, stored in CPU external memory.
     pub fn host_bytes(&self) -> u64 {
-        self.modes.iter().map(|m| m.tensor.bytes()).sum()
+        self.modes
+            .iter()
+            .map(|m| m.copy.nnz() as u64 * m.copy.elem_bytes())
+            .sum()
+    }
+
+    /// Host-memory bytes the copies actually hold: input coordinates,
+    /// values and row pointers.
+    pub fn copy_bytes(&self) -> u64 {
+        self.modes.iter().map(|m| m.copy.resident_bytes()).sum()
     }
 
     /// Number of GPUs the plan was built for.
@@ -263,10 +272,13 @@ mod tests {
         assert_eq!(p.modes.len(), 3);
         for (d, mp) in p.modes.iter().enumerate() {
             assert_eq!(mp.mode, d);
-            assert_eq!(mp.tensor.nnz(), t.nnz());
+            assert_eq!(mp.copy.nnz(), t.nnz());
         }
         assert!(p.preprocess_wall >= 0.0);
         assert_eq!(p.host_bytes(), 3 * t.bytes());
+        // 12 B per nonzero per copy at order 3, plus one pointer per row.
+        let pointers: u64 = t.shape().iter().map(|&d| 8 * (d as u64 + 1)).sum();
+        assert_eq!(p.copy_bytes(), 3 * 12 * t.nnz() as u64 + pointers);
         assert_eq!(p.num_gpus(), 4);
     }
 
@@ -303,7 +315,7 @@ mod tests {
                 assert_eq!(a.elem_range, b.elem_range);
                 assert_eq!(a.stats, b.stats);
             }
-            assert_eq!(mp.tensor.indices_flat(), serial.tensor.indices_flat());
+            assert_eq!(mp.copy, serial.copy);
         }
     }
 
@@ -342,8 +354,7 @@ mod tests {
             assert_eq!(priced, serial_priced, "{workers} workers");
             for (a, b) in plan.modes.iter().zip(&serial.modes) {
                 assert_eq!(a.device_ranges, b.device_ranges);
-                assert_eq!(a.row_ptr, b.row_ptr);
-                assert_eq!(a.tensor, b.tensor);
+                assert_eq!(a.copy, b.copy);
                 assert_eq!(a.shards.len(), b.shards.len());
                 for (x, y) in a.shards.iter().zip(&b.shards) {
                     assert_eq!((x.gpu, &x.index_range), (y.gpu, &y.index_range));

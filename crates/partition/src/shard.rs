@@ -1,7 +1,7 @@
 //! Tensor shards and inter-shard partitions (paper §3.1–3.2).
 
 use crate::ccp::chains_on_chains;
-use amped_tensor::{Idx, SparseTensor};
+use amped_tensor::{Idx, SortedCopy, SparseTensor};
 use serde::Serialize;
 use std::ops::Range;
 
@@ -56,10 +56,8 @@ impl ShardStats {
 
     /// Computes the statistics of a raw element-major coordinate slice
     /// (`k × order`, the layout of [`SparseTensor::indices_flat`] and of
-    /// on-disk chunk payloads) without materializing a tensor. This is what
-    /// the out-of-core streaming partitioner calls on per-GPU chunk slices,
-    /// where building a `SparseTensor` copy would double the host-memory
-    /// footprint of the staging budget.
+    /// file-order chunk payloads) in any element order, without
+    /// materializing a tensor: the output mode is tallied like the others.
     pub fn compute_from_coords(
         coords: &[Idx],
         order: usize,
@@ -72,7 +70,43 @@ impl ShardStats {
             coords.len().is_multiple_of(order),
             "coords must be k × order"
         );
-        scratch.count(coords, order, d, cache_rows, None)
+        let nnz = coords.len() / order;
+        if nnz == 0 {
+            return Self::default();
+        }
+        let out_mode = scratch.tally(coords.chunks_exact(order).map(|c| c[d]), false);
+        scratch.count(nnz, coords, order, Some(d), out_mode, cache_rows)
+    }
+
+    /// Statistics of elements `range` of a mode-sorted copy in the
+    /// row-pointer layout (an [`amped_tensor::SortedCopy`], or a chunk of a
+    /// `.tnsb` sorted section): `inputs` holds `width` input coordinates per
+    /// element and row `i` owns elements `row_ptr[i]..row_ptr[i + 1]`. The
+    /// output-mode numbers come off the row pointers — the rows a range
+    /// touches are consecutive, so `distinct_out` is the non-empty ones
+    /// among them and `max_out_run` the longest overlap (the range may start
+    /// and end mid-row) — and only the input columns are tallied.
+    pub fn compute_sorted(
+        inputs: &[Idx],
+        width: usize,
+        row_ptr: &[usize],
+        range: Range<usize>,
+        cache_rows: usize,
+        scratch: &mut StatsScratch,
+    ) -> Self {
+        if range.is_empty() {
+            return Self::default();
+        }
+        let row_of = |e: usize| row_ptr.partition_point(|&p| p <= e) - 1;
+        let (mut distinct_out, mut max_out_run) = (0u64, 0usize);
+        for row in row_of(range.start)..=row_of(range.end - 1) {
+            let run = row_ptr[row + 1].min(range.end) - row_ptr[row].max(range.start);
+            distinct_out += (run > 0) as u64;
+            max_out_run = max_out_run.max(run);
+        }
+        let coords = &inputs[range.start * width..range.end * width];
+        let out_mode = (distinct_out, max_out_run as u64);
+        scratch.count(range.len(), coords, width, None, out_mode, cache_rows)
     }
 }
 
@@ -96,37 +130,31 @@ impl StatsScratch {
         Self::default()
     }
 
-    /// The one counting core: statistics of the element-major `coords`
-    /// (`k × order`) for output mode `d`. A distinct index's occurrence
-    /// count is its run length in sorted order, and
-    /// [`amped_sim::costmodel::dram_factor_reads_mut`] sorts the row counts
-    /// itself, so tallying in first-seen order loses nothing. `out_mode`
-    /// carries `(distinct_out, max_out_run)` when the caller already knows
-    /// them (a mode-sorted range reads them off its row pointers); `None`
-    /// tallies the output mode like any other.
+    /// The one counting core: statistics of `nnz` (> 0) elements whose
+    /// element-major `coords` have `width` columns, every column but `skip`
+    /// an input mode, given the output mode's `(distinct_out, max_out_run)`.
+    /// A distinct index's occurrence count is its run length in sorted
+    /// order, and [`amped_sim::costmodel::dram_factor_reads_mut`] sorts the
+    /// row counts itself, so tallying in first-seen order loses nothing.
     fn count(
         &mut self,
+        nnz: usize,
         coords: &[Idx],
-        order: usize,
-        d: usize,
+        width: usize,
+        skip: Option<usize>,
+        (distinct_out, max_out_run): (u64, u64),
         cache_rows: usize,
-        out_mode: Option<(u64, u64)>,
     ) -> ShardStats {
-        if coords.is_empty() {
-            return ShardStats::default();
-        }
-        let keys = |w: usize| coords.chunks_exact(order).map(move |c| c[w]);
-        let (distinct_out, max_out_run) = out_mode.unwrap_or_else(|| self.tally(keys(d), false));
         self.row_counts.clear();
         let mut distinct_in_total = 0u64;
-        for w in (0..order).filter(|&w| w != d) {
-            let (distinct, _) = self.tally(keys(w), true);
+        for w in (0..width).filter(|&w| Some(w) != skip) {
+            let (distinct, _) = self.tally(coords.chunks_exact(width).map(|c| c[w]), true);
             distinct_in_total += distinct;
         }
         let dram_factor_reads =
             amped_sim::costmodel::dram_factor_reads_mut(&mut self.row_counts, cache_rows);
         ShardStats {
-            nnz: (coords.len() / order) as u64,
+            nnz: nnz as u64,
             distinct_out,
             max_out_run,
             distinct_in_total,
@@ -200,9 +228,8 @@ impl Shard {
     }
 }
 
-/// The per-output-mode partitioning product: a mode-sorted tensor copy with
-/// its row pointers, the per-GPU contiguous device ranges, and the shard
-/// list.
+/// The per-output-mode partitioning product: a mode-sorted tensor copy, the
+/// per-GPU contiguous device ranges, and the shard list.
 #[derive(Clone, Debug)]
 pub struct ModePlan {
     /// Output mode this plan targets.
@@ -213,14 +240,11 @@ pub struct ModePlan {
     pub device_ranges: Vec<Range<Idx>>,
     /// Shards in stream order (grouped by GPU, ascending index ranges).
     pub shards: Vec<Shard>,
-    /// The tensor copy, counting-sorted by output-mode index. Stored in host
-    /// memory in the real system; shards reference element ranges within it.
-    pub tensor: SparseTensor,
-    /// Row pointers of the sorted copy (`dim + 1` entries): output index
-    /// `i` owns elements `row_ptr[i]..row_ptr[i + 1]`. The prefix sums of
-    /// the mode histogram — what shard cuts, the output-mode statistics of
-    /// any range and [`ModePlan::hist`] are read from.
-    pub row_ptr: Vec<usize>,
+    /// The tensor copy, counting-sorted by output-mode index, with its row
+    /// pointers — what shard cuts, the output-mode statistics of any range
+    /// and [`ModePlan::hist`] are read from. Stored in host memory in the
+    /// real system; shards reference element ranges within it.
+    pub copy: SortedCopy,
 }
 
 /// Checks that `device_ranges` tile the index space `0..dim` contiguously
@@ -294,21 +318,13 @@ impl ModePlan {
         shard_nnz_budget: usize,
     ) -> Self {
         assert_ranges_tile(&device_ranges, t.dim(d));
-        let tensor = t.sorted_by_mode_with_hist(d, hist);
-        let mut row_ptr = Vec::with_capacity(hist.len() + 1);
-        let mut at = 0usize;
-        row_ptr.push(at);
-        for &h in hist {
-            at += h as usize;
-            row_ptr.push(at);
-        }
+        let copy = t.sorted_copy(d, hist);
         Self {
             mode: d,
             num_gpus: device_ranges.len(),
-            shards: cut_shards(&row_ptr, &device_ranges, shard_nnz_budget),
+            shards: cut_shards(copy.row_ptr(), &device_ranges, shard_nnz_budget),
             device_ranges,
-            tensor,
-            row_ptr,
+            copy,
         }
     }
 
@@ -319,8 +335,8 @@ impl ModePlan {
     /// # Panics
     /// Panics if the ranges do not tile the mode's index space.
     pub(crate) fn recut(&mut self, device_ranges: Vec<Range<Idx>>, shard_nnz_budget: usize) {
-        assert_ranges_tile(&device_ranges, self.tensor.dim(self.mode));
-        self.shards = cut_shards(&self.row_ptr, &device_ranges, shard_nnz_budget);
+        assert_ranges_tile(&device_ranges, self.copy.dim(self.mode));
+        self.shards = cut_shards(self.copy.row_ptr(), &device_ranges, shard_nnz_budget);
         self.num_gpus = device_ranges.len();
         self.device_ranges = device_ranges;
     }
@@ -330,38 +346,29 @@ impl ModePlan {
         self.range_stats(self.shards[s].elem_range.clone(), usize::MAX, scratch)
     }
 
-    /// [`ShardStats::compute_scratch`] on a range of the sorted copy, with
-    /// the output-mode numbers read off the row pointers instead of
-    /// tallied: the rows a range touches are consecutive, so `distinct_out`
-    /// is the non-empty ones among them and `max_out_run` the longest
-    /// overlap (the range may start and end mid-row).
+    /// [`ShardStats::compute_sorted`] on a range of the sorted copy.
     pub fn range_stats(
         &self,
         elem_range: Range<usize>,
         cache_rows: usize,
         scratch: &mut StatsScratch,
     ) -> ShardStats {
-        if elem_range.is_empty() {
-            return ShardStats::default();
-        }
-        let (n, d) = (self.tensor.order(), self.mode);
-        let first = self.tensor.idx(elem_range.start, d) as usize;
-        let last = self.tensor.idx(elem_range.end - 1, d) as usize;
-        let (mut distinct_out, mut max_out_run) = (0u64, 0usize);
-        for row in first..=last {
-            let run =
-                self.row_ptr[row + 1].min(elem_range.end) - self.row_ptr[row].max(elem_range.start);
-            distinct_out += (run > 0) as u64;
-            max_out_run = max_out_run.max(run);
-        }
-        let coords = &self.tensor.indices_flat()[elem_range.start * n..elem_range.end * n];
-        let out_mode = Some((distinct_out, max_out_run as u64));
-        scratch.count(coords, n, d, cache_rows, out_mode)
+        let c = &self.copy;
+        let width = c.order() - 1;
+        ShardStats::compute_sorted(
+            c.inputs(),
+            width,
+            c.row_ptr(),
+            elem_range,
+            cache_rows,
+            scratch,
+        )
     }
 
     /// The output-index histogram of the mode: row-pointer differences.
     pub fn hist(&self) -> Vec<u64> {
-        self.row_ptr
+        self.copy
+            .row_ptr()
             .windows(2)
             .map(|w| (w[1] - w[0]) as u64)
             .collect()
@@ -472,7 +479,7 @@ mod tests {
     fn plan_covers_every_element_exactly_once() {
         let t = tensor();
         let p = ModePlan::build(&t, 0, 4, 256);
-        let mut covered = vec![false; p.tensor.nnz()];
+        let mut covered = vec![false; p.copy.nnz()];
         for s in &p.shards {
             for e in s.elem_range.clone() {
                 assert!(!covered[e], "element {e} in two shards");
@@ -490,10 +497,11 @@ mod tests {
         let t = tensor();
         for d in 0..3 {
             let p = ModePlan::build(&t, d, 3, 200);
+            let sorted = t.sorted_by_mode(d);
             let mut owner: Vec<Option<usize>> = vec![None; t.dim(d) as usize];
             for s in &p.shards {
                 for e in s.elem_range.clone() {
-                    let i = p.tensor.idx(e, d) as usize;
+                    let i = sorted.idx(e, d) as usize;
                     match owner[i] {
                         None => owner[i] = Some(s.gpu),
                         Some(g) => assert_eq!(g, s.gpu, "index {i} split across GPUs"),
@@ -507,9 +515,10 @@ mod tests {
     fn shard_elements_lie_in_its_index_range() {
         let t = tensor();
         let p = ModePlan::build(&t, 0, 4, 100);
+        let sorted = t.sorted_by_mode(0);
         for s in &p.shards {
             for e in s.elem_range.clone() {
-                let i = p.tensor.idx(e, 0);
+                let i = sorted.idx(e, 0);
                 assert!(s.index_range.contains(&i));
             }
         }
@@ -532,7 +541,7 @@ mod tests {
     fn shards_respect_budget_unless_single_hot_index() {
         let t = tensor();
         let p = ModePlan::build(&t, 0, 2, 128);
-        let hist = p.tensor.mode_hist(0);
+        let hist = p.hist();
         for s in &p.shards {
             let single_index = s.index_range.len() == 1;
             if !single_index {
@@ -637,6 +646,7 @@ mod tests {
         for d in 0..3 {
             let mp = ModePlan::build(&t, d, 3, 200);
             assert_eq!(mp.hist(), t.mode_hist(d));
+            let sorted = t.sorted_by_mode(d);
             let mut ranges = vec![0..t.nnz(), 100..900, 37..38, 5..5, t.nnz()..t.nnz()];
             ranges.extend(isp_ranges(0..t.nnz(), 77));
             ranges.extend(mp.shards.iter().map(|s| s.elem_range.clone()));
@@ -644,7 +654,7 @@ mod tests {
                 for cache_rows in [usize::MAX, 64, 3, 0] {
                     assert_eq!(
                         mp.range_stats(range.clone(), cache_rows, &mut scratch),
-                        sort_based_stats(&mp.tensor, d, range.clone(), cache_rows),
+                        sort_based_stats(&sorted, d, range.clone(), cache_rows),
                         "mode {d}, range {range:?}, cache {cache_rows}"
                     );
                 }
@@ -661,7 +671,7 @@ mod tests {
     fn recut_matches_a_fresh_build_and_keeps_the_copy() {
         let t = tensor();
         let mut mp = ModePlan::build(&t, 0, 3, 200);
-        let copy = mp.tensor.indices_flat().as_ptr();
+        let copy = mp.copy.inputs().as_ptr();
         let ranges = vec![0..5, 5..40, 40..64];
         mp.recut(ranges.clone(), 150);
         let fresh = ModePlan::build_with_ranges_hist(&t, 0, &t.mode_hist(0), ranges, 150);
@@ -673,7 +683,7 @@ mod tests {
             assert_eq!(a.elem_range, b.elem_range);
             assert_eq!(mp.shard_stats(s, &mut scratch), b.stats);
         }
-        assert_eq!(mp.tensor.indices_flat().as_ptr(), copy);
+        assert_eq!(mp.copy.inputs().as_ptr(), copy);
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //!   accumulate straight into the shared output in element order with plain
 //!   `f32` adds. One block means one writer, so no atomics are needed and
 //!   the value sequence reproduces the historical CAS-loop execution bit for
-//!   bit — this is what keeps `tests/runtime_equivalence.rs` golden.
-//! * **Run** (multi-block grids over a source sorted by the output mode —
-//!   the in-core engine's per-mode tensor copies, paper §3.1, the
-//!   out-of-core engine's chunks, read from the `.tnsb` file's sorted
+//!   bit — this is what keeps `tests/runtime_equivalence.rs` golden. Over a
+//!   [`SortedCoo`] view it walks the same elements as row runs, reading the
+//!   row off the run rather than the element.
+//! * **Run** (multi-block grids over a [`SortedCoo`] view sorted by the
+//!   output mode — the in-core engine's per-mode tensor copies, paper §3.1,
+//!   the out-of-core engine's chunks, read from the `.tnsb` file's sorted
 //!   sections, and [`CompiledShard`] copies of anything else): a block walks
-//!   its element range as *runs* of equal output row over the raw
-//!   element-major arrays, accumulates each run in an `f64` register tile,
+//!   its element range as *runs* of equal output row through the view's row
+//!   pointers, accumulates each run in an `f64` register tile,
 //!   rounds the rows that lie strictly inside the block into the output
 //!   itself, and hands back at most two *edge partials* — the runs touching
 //!   its first and last element, the only rows another block can share.
@@ -46,22 +48,24 @@
 //! equality of bits. Neither depends on the host worker count, because the
 //! fold/merge order is fixed by block index.
 //!
-//! The run path trusts [`SortedCoo::new`]'s sortedness claim only as far as
-//! it checks it: rows must strictly increase from run to run inside a block
-//! and must not decrease across blocks at the edge fold. Together those two
-//! checks cover the whole grid, so an unsorted source is a contract panic,
-//! never a silently wrong factor.
+//! Sortedness is the view's structure, not a claim: a [`SortedCoo`] stores
+//! each row once, as a pointer, and [`SortedCoo::new`] checks the pointers
+//! once (from 0, never decreasing, ending at nnz). A block finds its first
+//! row with one bisection and walks the pointers from there. The one order
+//! left to check is the blocks': the edge fold panics if rows decrease from
+//! one block to the next, so blocks out of element order are a contract
+//! panic, never a silently wrong factor.
 //!
 //! The inner loop is *rank-blocked* the way Tensor Toolbox chunks sptensor
 //! `mttkrp` (`nzchunk` × `rchunk`): the factor-column loop is tiled by
 //! [`TuneParams::rank_chunk`] so the per-element Hadamard partial stays in
 //! registers and the factor-row working set per pass shrinks at large rank.
 //! The run path cuts each chunk further into monomorphic fixed-width tiles
-//! (`column_tiles`), and for orders 3 and 5 also makes the tensor order a
-//! compile-time constant of its per-run loop (`RunGrid::tile_n`): the input
-//! modes and their factor slices are hoisted out of the element loop and no
-//! coordinate read is bounds-checked. Other orders run the same arithmetic
-//! at a runtime order. Rank blocking never reorders the per-cell
+//! (`column_tiles`), and for orders 3 and 5 also makes the input-mode count
+//! a compile-time constant of its per-run loop (`RunGrid::tile_n`): the
+//! input factors are hoisted out of the element loop and no coordinate read
+//! is bounds-checked. Other orders run the same arithmetic at a runtime
+//! order. Rank blocking never reorders the per-cell
 //! accumulation over elements — each output cell still sums its elements in
 //! element order, whatever the tile width — so *every* `rank_chunk` is
 //! bit-transparent on all three paths, which is what lets the autotuner
@@ -86,57 +90,131 @@ pub trait EcSource: Sync {
     fn coord(&self, e: usize, m: usize) -> u32;
     /// Value of element `e`.
     fn value(&self, e: usize) -> f32;
-    /// The source's raw element-major arrays, when it holds them with
-    /// elements sorted (non-decreasing) by their mode-`d` coordinate. This
-    /// is what selects the run path for a multi-block grid; the default —
-    /// closures, format adapters — has no such view and takes the tile
-    /// path.
+    /// The source as a [`SortedCoo`] view sorted by mode `d`, when it is
+    /// one. This is what selects the run path for a multi-block grid (and
+    /// the direct path's row-run walk); the default — closures, format
+    /// adapters — has no such view and takes the tile path.
     fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
         let _ = d;
         None
     }
 }
 
-/// Borrowed element-major COO arrays whose elements are sorted by one
-/// mode's coordinate — the shape of the engines' per-mode tensor copies
-/// (paper §3.1). As an [`EcSource`] it serves every path; for output mode
-/// `sorted_mode` it also lends itself as the run path's view.
+/// A borrowed mode-sorted tensor in the layout of CSF's root level — the
+/// shape of the engines' per-mode tensor copies (paper §3.1) and of a
+/// `.tnsb` sorted-section chunk: each nonzero's `order − 1` input
+/// coordinates (ascending modes, `sorted_mode` skipped) and value, and one
+/// pointer per row. Sortedness is the structure itself: segment `i`,
+/// elements `row_ptr[i]..row_ptr[i + 1]`, is row `i` — a pointer for every
+/// row of the mode, as an engine's copy has — or row `row_ids[i]` when the
+/// rows are listed (CSF's fiber ids), as a streamed chunk's are: it keeps a
+/// pointer only for the rows it holds, so it costs O(nnz) however far apart
+/// they lie. As an [`EcSource`] it serves every path; for output mode
+/// `sorted_mode` it also lends itself as the run and direct paths' view.
 #[derive(Clone, Copy)]
 pub struct SortedCoo<'a> {
-    indices: &'a [u32],
+    inputs: &'a [u32],
     values: &'a [f32],
+    row_ptr: &'a [usize],
+    row_ids: Option<&'a [u32]>,
     order: usize,
     sorted_mode: usize,
 }
 
 impl<'a> SortedCoo<'a> {
-    /// Wraps `indices` (`values.len() × order`, element-major) and `values`,
-    /// claiming the elements are sorted by their `sorted_mode` coordinate.
-    /// The claim is not verified here (that would cost a pass per launch);
-    /// the run path checks it as it walks and panics on a violation.
-    pub fn new(indices: &'a [u32], values: &'a [f32], order: usize, sorted_mode: usize) -> Self {
+    /// Wraps `inputs` (`values.len() × (order − 1)`, element-major),
+    /// `values`, the row pointers and, if the rows are listed, their ids,
+    /// checking them once: the pointers must start at 0, never decrease,
+    /// and end at `values.len()`; listed ids must be one per segment and
+    /// strictly ascending.
+    ///
+    /// # Panics
+    /// Panics if the arrays do not describe such a copy.
+    pub fn new(
+        inputs: &'a [u32],
+        values: &'a [f32],
+        row_ptr: &'a [usize],
+        row_ids: Option<&'a [u32]>,
+        order: usize,
+        sorted_mode: usize,
+    ) -> Self {
         assert!(
             sorted_mode < order,
             "sorted mode {sorted_mode} out of range for order {order}"
         );
         assert_eq!(
-            indices.len(),
-            values.len() * order,
+            inputs.len(),
+            values.len() * (order - 1),
             "coordinate array length mismatch"
         );
+        assert!(
+            row_ptr.first() == Some(&0) && row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row pointers must start at 0 and never decrease"
+        );
+        assert_eq!(
+            row_ptr.last(),
+            Some(&values.len()),
+            "row pointers must end at nnz"
+        );
+        if let Some(ids) = row_ids {
+            assert_eq!(ids.len() + 1, row_ptr.len(), "one row id per segment");
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "row ids must strictly ascend"
+            );
+        }
         Self {
-            indices,
+            inputs,
             values,
+            row_ptr,
+            row_ids,
             order,
             sorted_mode,
         }
     }
+
+    /// The row of segment `i`.
+    #[inline]
+    fn row(&self, i: usize) -> usize {
+        self.row_ids.map_or(i, |ids| ids[i] as usize)
+    }
+
+    /// The runs of equal row among elements `range`, ascending: `(row,
+    /// elements)`, empty rows skipped. One bisection finds the row of the
+    /// first element; the rest is a walk of the row pointers.
+    fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let mut r = self.row_ptr.partition_point(|&p| p <= range.start);
+        let mut e = range.start;
+        std::iter::from_fn(move || {
+            if e >= range.end {
+                return None;
+            }
+            while self.row_ptr[r] <= e {
+                r += 1;
+            }
+            let run = e..self.row_ptr[r].min(range.end);
+            e = run.end;
+            Some((self.row(r - 1), run))
+        })
+    }
+
+    /// Element `e`'s input coordinates, in ascending mode order.
+    #[inline]
+    fn inputs_of(&self, e: usize) -> &'a [u32] {
+        let k = self.order - 1;
+        &self.inputs[e * k..(e + 1) * k]
+    }
 }
 
 impl EcSource for SortedCoo<'_> {
-    #[inline]
+    /// The sorted mode's coordinate is a bisection of the row pointers;
+    /// the paths that walk this source as its own view never ask for it.
     fn coord(&self, e: usize, m: usize) -> u32 {
-        self.indices[e * self.order + m]
+        if m == self.sorted_mode {
+            assert!(e < self.values.len(), "element {e} out of range");
+            return self.row(self.row_ptr.partition_point(|&p| p <= e) - 1) as u32;
+        }
+        self.inputs_of(e)[m - usize::from(m > self.sorted_mode)]
     }
     #[inline]
     fn value(&self, e: usize) -> f32 {
@@ -468,12 +546,12 @@ struct EdgePartial {
     acc: Vec<f64>,
 }
 
-/// What the blocks of one run-path launch share.
+/// What the blocks of one launch over a [`SortedCoo`] view share.
 struct RunGrid<'a> {
     /// The source; its `sorted_mode` is the launch's output mode.
     coo: SortedCoo<'a>,
-    /// All modes but the output mode, ascending — the Hadamard product
-    /// order of [`Self::tile_any`].
+    /// All modes but the output mode, ascending — the modes of an
+    /// element's input coordinates, in the Hadamard product's order.
     in_modes: Vec<usize>,
     factors: &'a FactorsView<'a>,
     tiles: Vec<Range<usize>>,
@@ -487,43 +565,34 @@ impl RunGrid<'_> {
     /// a register tile instead of tile memory.
     ///
     /// Orders 3 and 5 — the orders of every dataset and workload — take
-    /// [`Self::tile_n`], whose order is a compile-time constant; stable
-    /// Rust cannot spell `ORDER - 1` as a const argument, so the input-mode
-    /// count `N` is a parameter too and this `match` pairs them. Any other
-    /// order takes [`Self::tile_any`].
+    /// [`Self::tile_n`], whose input-mode count is a compile-time constant.
+    /// Any other order takes [`Self::tile_any`].
     #[inline]
     fn tile<const W: usize>(&self, run: Range<usize>, c0: usize, dst: &mut [f64]) {
         let acc = match self.coo.order {
-            3 => self.tile_n::<W, 2, 3>(run, c0),
-            5 => self.tile_n::<W, 4, 5>(run, c0),
+            3 => self.tile_n::<W, 2>(run, c0),
+            5 => self.tile_n::<W, 4>(run, c0),
             _ => self.tile_any::<W>(run, c0),
         };
         dst[c0..c0 + W].copy_from_slice(&acc);
     }
 
-    /// [`Self::tile`] at a fixed order: coordinates come as `[u32; ORDER]`
-    /// chunks, and the `N` input modes and their factor slices (already
-    /// offset to column `c0`) are hoisted into arrays once per call. Each
-    /// input mode is `k` or `k + 1` for `k < N`, so it is `< ORDER` by
-    /// construction and indexes the chunk without a check; the one check
-    /// left per element and mode is the factor row's, which a coordinate
-    /// past its factor's rows must fail.
+    /// [`Self::tile`] at a fixed order: an element's input coordinates come
+    /// as one `[u32; N]` chunk, zipped with the `N` input modes' factor
+    /// slices (already offset to column `c0`), which are hoisted into an
+    /// array once per call — no coordinate read is bounds-checked; the one
+    /// check left per element and mode is the factor row's, which a
+    /// coordinate past its factor's rows must fail.
     #[inline]
-    fn tile_n<const W: usize, const N: usize, const ORDER: usize>(
-        &self,
-        run: Range<usize>,
-        c0: usize,
-    ) -> [f64; W] {
-        let d = self.coo.sorted_mode;
-        let modes: [usize; N] = std::array::from_fn(|k| k + usize::from(k >= d));
-        let mats: [&[f32]; N] = std::array::from_fn(|k| &self.factors.mat(modes[k])[c0..]);
+    fn tile_n<const W: usize, const N: usize>(&self, run: Range<usize>, c0: usize) -> [f64; W] {
+        let mats: [&[f32]; N] = std::array::from_fn(|k| &self.factors.mat(self.in_modes[k])[c0..]);
         let rank = self.factors.rank();
-        let (coords, _) = self.coo.indices[run.start * ORDER..run.end * ORDER].as_chunks::<ORDER>();
+        let (inputs, _) = self.coo.inputs[run.start * N..run.end * N].as_chunks::<N>();
         let mut acc = [0.0f64; W];
-        for (coords, &v) in coords.iter().zip(&self.coo.values[run]) {
+        for (coords, &v) in inputs.iter().zip(&self.coo.values[run]) {
             let mut prod = [v as f64; W];
-            for (mat, &m) in mats.iter().zip(&modes) {
-                let base = coords[m] as usize * rank;
+            for (mat, &i) in mats.iter().zip(coords) {
+                let base = i as usize * rank;
                 for (p, &x) in prod.iter_mut().zip(&mat[base..base + W]) {
                     *p *= x as f64;
                 }
@@ -536,15 +605,13 @@ impl RunGrid<'_> {
     }
 
     /// [`Self::tile`] at any order: the input modes walked from
-    /// `in_modes` and every coordinate chunk of runtime length.
+    /// `in_modes`, each element's coordinates a slice of runtime length.
     fn tile_any<const W: usize>(&self, run: Range<usize>, c0: usize) -> [f64; W] {
-        let order = self.coo.order;
         let mut acc = [0.0f64; W];
-        let coords = self.coo.indices[run.start * order..run.end * order].chunks_exact(order);
-        for (coords, &v) in coords.zip(&self.coo.values[run]) {
+        for (e, &v) in run.clone().zip(&self.coo.values[run]) {
             let mut prod = [v as f64; W];
-            for &m in &self.in_modes {
-                let row = &self.factors.row(m, coords[m] as usize)[c0..c0 + W];
+            for (&m, &i) in self.in_modes.iter().zip(self.coo.inputs_of(e)) {
+                let row = &self.factors.row(m, i as usize)[c0..c0 + W];
                 for (p, &x) in prod.iter_mut().zip(row) {
                     *p *= x as f64;
                 }
@@ -560,31 +627,13 @@ impl RunGrid<'_> {
     /// accumulates each run tile by tile, rounds interior rows into `out`,
     /// and returns the edge partials (first run, then last run if it is a
     /// different one) in element order. Empty blocks return none.
-    ///
-    /// Panics if the rows do not strictly increase from run to run — the
-    /// source broke [`SortedCoo::new`]'s claim.
     fn block(&self, range: Range<usize>, out: &MttkrpOut) -> Vec<EdgePartial> {
-        let (order, d) = (self.coo.order, self.coo.sorted_mode);
-        let coords = &self.coo.indices[range.start * order..range.end * order];
-        let row_at = |e: usize| coords[(e - range.start) * order + d];
         let mut edges = Vec::new();
         let mut acc = vec![0.0f64; self.factors.rank()];
-        let mut prev_row = None;
-        let mut e0 = range.start;
-        while e0 < range.end {
-            let row = row_at(e0);
-            assert!(
-                prev_row.is_none_or(|p| p < row),
-                "run path: source is not sorted by output mode {d} \
-                 (row {row} after {prev_row:?} at element {e0})"
-            );
-            prev_row = Some(row);
-            let mut e1 = e0 + 1;
-            while e1 < range.end && row_at(e1) == row {
-                e1 += 1;
-            }
+        for (row, run) in self.coo.runs(range.clone()) {
+            let edge = run.start == range.start || run.end == range.end;
             for t in &self.tiles {
-                let (run, c0) = (e0..e1, t.start);
+                let (run, c0) = (run.clone(), t.start);
                 match t.len() {
                     32 => self.tile::<32>(run, c0, &mut acc),
                     16 => self.tile::<16>(run, c0, &mut acc),
@@ -594,17 +643,44 @@ impl RunGrid<'_> {
                     _ => self.tile::<1>(run, c0, &mut acc),
                 }
             }
-            if e0 == range.start || e1 == range.end {
+            if edge {
                 edges.push(EdgePartial {
-                    row: row as usize,
+                    row,
                     acc: acc.clone(),
                 });
             } else {
-                out.merge_row(row as usize, &acc);
+                out.merge_row(row, &acc);
             }
-            e0 = e1;
         }
         edges
+    }
+
+    /// The direct path over the view: the same runs in element order, with
+    /// the `f32` products and per-element `f32` adds of [`ec_direct`] — the
+    /// legacy single-writer sequence, row read off the run instead of the
+    /// element.
+    fn direct(&self, range: Range<usize>, rank_chunk: usize, out: &MttkrpOut) {
+        let rank = self.factors.rank();
+        let mut prod = [0.0f32; MAX_RANK_CHUNK];
+        for c0 in (0..rank).step_by(rank_chunk) {
+            let cw = rank_chunk.min(rank - c0);
+            for (row, run) in self.coo.runs(range.clone()) {
+                let base = row * rank + c0;
+                for e in run {
+                    let prod = &mut prod[..cw];
+                    prod.fill(self.coo.values[e]);
+                    for (&m, &i) in self.in_modes.iter().zip(self.coo.inputs_of(e)) {
+                        let factor_row = &self.factors.row(m, i as usize)[c0..c0 + cw];
+                        for (p, &x) in prod.iter_mut().zip(factor_row) {
+                            *p *= x;
+                        }
+                    }
+                    for (c, &p) in prod.iter().enumerate() {
+                        out.add_f32(base + c, p);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -612,8 +688,8 @@ impl RunGrid<'_> {
 /// order within a block) into `out`: consecutive partials of one row sum
 /// from `+0.0`, and each row's totals are rounded once.
 ///
-/// Panics if the rows decrease from one partial to the next — with
-/// [`RunGrid::block`]'s in-block check this covers the whole grid's order.
+/// Panics if the rows decrease from one partial to the next: the rows of a
+/// view ascend, so the blocks were not in element order.
 fn fold_edges<'a>(out: &MttkrpOut, edges: impl Iterator<Item = &'a EdgePartial>) {
     let mut total = vec![0.0f64; out.rank()];
     let mut cur: Option<usize> = None;
@@ -658,13 +734,7 @@ where
     S: EcSource + ?Sized,
     E: FnOnce(&(dyn Fn(usize) + Sync)) -> GridTiming,
 {
-    if blocks.len() <= 1 {
-        execute(&|_b: usize| {
-            if let Some(r) = blocks.first() {
-                ec_direct(src, d, factors, r.clone(), rank_chunk, out);
-            }
-        })
-    } else if let Some(coo) = src.sorted_coo(d) {
+    if let Some(coo) = src.sorted_coo(d) {
         assert_eq!(coo.sorted_mode, d, "sorted view is for another mode");
         assert_eq!(coo.order, factors.order(), "one factor matrix per mode");
         let grid = RunGrid {
@@ -673,6 +743,13 @@ where
             factors,
             tiles: column_tiles(factors.rank(), rank_chunk),
         };
+        if blocks.len() <= 1 {
+            return execute(&|_b: usize| {
+                if let Some(r) = blocks.first() {
+                    grid.direct(r.clone(), rank_chunk, out);
+                }
+            });
+        }
         let edges: Vec<OnceLock<Vec<EdgePartial>>> =
             (0..blocks.len()).map(|_| OnceLock::new()).collect();
         let timing = execute(&|b: usize| {
@@ -682,6 +759,12 @@ where
         // worker ran which block and of the worker count.
         fold_edges(out, edges.iter().filter_map(OnceLock::get).flatten());
         timing
+    } else if blocks.len() <= 1 {
+        execute(&|_b: usize| {
+            if let Some(r) = blocks.first() {
+                ec_direct(src, d, factors, r.clone(), rank_chunk, out);
+            }
+        })
     } else {
         let tiles: Vec<OnceLock<BlockTile>> = (0..blocks.len()).map(|_| OnceLock::new()).collect();
         let timing = execute(&|b: usize| {
@@ -954,16 +1037,49 @@ mod tests {
         // block boundary, so the edge fold sums two partials.
         let (src, factors, rank) = tiny();
         let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
-        let flat: Vec<u32> = src.coords.iter().flatten().copied().collect();
-        let sorted = SortedCoo::new(&flat, &src.vals, 3, 0);
+        let inputs: Vec<u32> = src.coords.iter().flat_map(|c| [c[1], c[2]]).collect();
+        let sorted = SortedCoo::new(&inputs, &src.vals, &[0, 2, 3, 5], None, 3, 0);
         assert!(sorted.sorted_coo(0).is_some());
         assert!(sorted.sorted_coo(1).is_none(), "sorted by mode 0 only");
-        let blocks = vec![0..2, 2..4, 4..5];
-        let (tile, run) = (MttkrpOut::zeros(3, rank), MttkrpOut::zeros(3, rank));
-        mttkrp_host(&src, 0, &views, &blocks, &tp(2), &tile);
-        mttkrp_host(&sorted, 0, &views, &blocks, &tp(2), &run);
+        for e in 0..5 {
+            for m in 0..3 {
+                assert_eq!(sorted.coord(e, m), src.coord(e, m), "element {e} mode {m}");
+            }
+        }
         let bits = |o: &MttkrpOut| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&run), bits(&tile));
+        // Three blocks take the run path, one the direct path's row walk.
+        for blocks in [vec![0..2, 2..4, 4..5], even_blocks(5, 1)] {
+            let (want, got) = (MttkrpOut::zeros(3, rank), MttkrpOut::zeros(3, rank));
+            mttkrp_host(&src, 0, &views, &blocks, &tp(2), &want);
+            mttkrp_host(&sorted, 0, &views, &blocks, &tp(2), &got);
+            assert_eq!(bits(&got), bits(&want), "blocks {blocks:?}");
+        }
+    }
+
+    #[test]
+    fn runs_walk_the_row_pointers_and_skip_empty_rows() {
+        // Rows 0..=9: 4 holds two elements, 7 one, 9 three, the rest none —
+        // a pointer for every row, or for the three listed rows alone.
+        let vals = [1.0f32; 6];
+        let every = [0, 0, 0, 0, 0, 2, 2, 2, 3, 3, 6];
+        let (listed, ids) = ([0, 2, 3, 6], [4, 7, 9]);
+        for sorted in [
+            SortedCoo::new(&[], &vals, &every, None, 1, 0),
+            SortedCoo::new(&[], &vals, &listed, Some(&ids), 1, 0),
+        ] {
+            let runs = |r: Range<usize>| sorted.runs(r).collect::<Vec<_>>();
+            assert_eq!(runs(0..6), vec![(4, 0..2), (7, 2..3), (9, 3..6)]);
+            assert_eq!(runs(1..4), vec![(4, 1..2), (7, 2..3), (9, 3..4)]);
+            assert_eq!(runs(3..3), vec![]);
+            assert_eq!(runs(6..6), vec![]);
+            assert_eq!((sorted.coord(2, 0), sorted.coord(5, 0)), (7, 9));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row ids must strictly ascend")]
+    fn listed_rows_must_ascend() {
+        let _ = SortedCoo::new(&[], &[1.0; 3], &[0, 2, 3], Some(&[5, 5]), 1, 0);
     }
 
     #[test]

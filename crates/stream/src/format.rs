@@ -143,6 +143,24 @@ impl TnsbMeta {
         self.chunks[c].nnz * self.elem_bytes()
     }
 
+    /// Staging bytes of chunk `c` of mode `d`'s sorted section: its payload,
+    /// or what the decoded chunk can hold if that is more — `4 × order`
+    /// bytes per nonzero (input coordinates and value) plus a row id and a
+    /// row pointer for each row it can hold (no more than its nonzeros, nor
+    /// than the rows of its bounding box) and one pointer more. That is at
+    /// most `8 × nnz + 8` bytes past the payload, whatever the mode's size,
+    /// and within the payload when the box spans fewer rows than a third of
+    /// the nonzeros.
+    pub fn section_chunk_bytes(&self, d: usize, c: usize) -> u64 {
+        let chunk = &self.sections[d][c];
+        let box_rows = (chunk.mode_max[d] - chunk.mode_min[d]) as u64 + 1;
+        let rows = chunk.nnz.min(box_rows);
+        let id = std::mem::size_of::<Idx>() as u64;
+        let pointer = std::mem::size_of::<usize>() as u64;
+        let held = chunk.nnz * 4 * self.order() as u64 + rows * (id + pointer) + pointer;
+        held.max(self.chunk_bytes(c))
+    }
+
     /// Payload bytes of the tensor — one section; what an in-core load
     /// would cost.
     pub fn payload_bytes(&self) -> u64 {
@@ -205,7 +223,7 @@ impl ChunkCutter {
 
 /// Coordinate `m` of an encoded element.
 #[inline]
-fn coord_of(rec: &[u8], m: usize) -> Idx {
+pub(crate) fn coord_of(rec: &[u8], m: usize) -> Idx {
     Idx::from_le_bytes([rec[4 * m], rec[4 * m + 1], rec[4 * m + 2], rec[4 * m + 3]])
 }
 
@@ -968,16 +986,32 @@ mod tests {
         assert_eq!((meta.nnz, meta.hist[0][3], meta.hist[1][0]), (1, 1, 1));
     }
 
-    /// Every chunk of one section of the file behind `r`, concatenated.
+    /// Every chunk of one section of the file behind `r`, concatenated, with
+    /// every coordinate: a sorted-section chunk is reassembled from its
+    /// decoded view, each row put back between its elements' input
+    /// coordinates.
     fn read_section(r: &mut ChunkReader, section: Option<usize>) -> (Vec<Idx>, Vec<u32>) {
         let (mut coords, mut values) = (Vec::new(), Vec::new());
+        let k = r.meta().order() - 1;
         for c in 0..r.meta().num_chunks() {
             let staged = r.stage(c, section).unwrap();
             let chunk = staged.read().unwrap();
             r.finish_stage(&chunk);
             assert_eq!(chunk.sorted_mode(), section);
             assert_eq!(chunk.nnz() as u64, r.meta().chunks[c].nnz);
-            coords.extend_from_slice(chunk.coords_flat());
+            match section {
+                None => coords.extend_from_slice(chunk.coords_flat()),
+                Some(d) => {
+                    for (&row, w) in chunk.row_ids().iter().zip(chunk.row_ptr().windows(2)) {
+                        for e in w[0]..w[1] {
+                            let inputs = &chunk.input_coords()[e * k..(e + 1) * k];
+                            coords.extend_from_slice(&inputs[..d]);
+                            coords.push(row);
+                            coords.extend_from_slice(&inputs[d..]);
+                        }
+                    }
+                }
+            }
             values.extend(chunk.values().iter().map(|v| v.to_bits()));
             r.release(chunk);
         }
@@ -1173,6 +1207,29 @@ mod tests {
         assert!(matches!(err, StreamError::Format { .. }), "{err}");
         assert!(err.to_string().contains("not sorted by mode 0"), "{err}");
         restore();
+
+        // A row in the middle of chunk 4 moved just past either end of the
+        // chunk's box (still inside the shape): the decoder holds every row,
+        // not just the first and last, to the box.
+        let (lo, hi) = (
+            meta.sections[0][4].mode_min[0],
+            meta.sections[0][4].mode_max[0],
+        );
+        assert!(lo > 0 && hi + 1 < 40, "chunk 4 spans rows [{lo}, {hi}]");
+        for row in [hi + 1, lo - 1] {
+            corrupt(&path, |b| {
+                b[at + 50 * elem..at + 50 * elem + 4].copy_from_slice(&row.to_le_bytes())
+            });
+            let err = first_error(&path).unwrap();
+            assert!(matches!(err, StreamError::Format { .. }), "{err}");
+            assert!(
+                err.to_string().contains(&format!(
+                    "row {row} of mode 0 lies outside the footer's bounding box [{lo}, {hi}]"
+                )),
+                "{err}"
+            );
+            restore();
+        }
 
         // A coordinate of a section element out of the shape.
         corrupt(&path, |b| {

@@ -15,8 +15,8 @@
 //! * **Pass 2 — bounded section scan.** For every mode `d`, each chunk of
 //!   section `d` is read once through the reader's staging budget. The
 //!   chunk is sorted by `d` and device ranges are contiguous, so the
-//!   elements of GPU `g` are one sub-range of the chunk, found by bisection
-//!   (ranges never split an index across GPUs, preserving AMPED's
+//!   elements of GPU `g` are one sub-range of the chunk, cut at its row
+//!   pointers (ranges never split an index across GPUs, preserving AMPED's
 //!   no-inter-GPU-conflict invariant); each slice's [`ShardStats`] are
 //!   computed in place for the simulator cost model. The (section, chunk)
 //!   jobs run on the planning pool ([`amped_partition::pool_map`]), as many
@@ -252,8 +252,12 @@ fn scan_sections(
 ) -> Result<Vec<Vec<ChunkRoute>>, StreamError> {
     let meta = reader.meta();
     let (order, num_chunks) = (meta.order(), meta.num_chunks());
-    // Chunk 0 is a full chunk, the largest there is.
-    let resident = reader.budget().capacity() / meta.chunk_bytes(0).max(1);
+    let largest = modes
+        .iter()
+        .flat_map(|&(d, _)| (0..num_chunks).map(move |c| meta.section_chunk_bytes(d, c)))
+        .max()
+        .unwrap_or(0);
+    let resident = reader.budget().capacity() / largest.max(1);
     let workers = workers.min(resident as usize).max(1);
     let reader = Mutex::new(reader);
     let jobs = modes.len() * num_chunks;
@@ -268,7 +272,7 @@ fn scan_sections(
             }
         };
         let began = Instant::now();
-        let per_gpu = route_chunk(&chunk, order, d, ranges, cache_rows, scratch);
+        let per_gpu = route_chunk(&chunk, order, ranges, cache_rows, scratch);
         let stats_s = began.elapsed().as_secs_f64();
         let mut reader = lock(&reader);
         reader.finish_stage(&chunk);
@@ -286,37 +290,26 @@ fn scan_sections(
     Ok(routes)
 }
 
-/// Routes one chunk of mode `d`'s sorted section: GPU `g`'s slice is the
-/// sub-range of elements whose mode-`d` coordinate lies in `ranges[g]`
-/// (contiguous, because the chunk is sorted and the ranges ascend), and its
-/// statistics are computed over that sub-range in place.
+/// Routes one chunk of a sorted section: GPU `g`'s slice is the sub-range
+/// of elements whose row lies in `ranges[g]` (contiguous, because the chunk
+/// is sorted and the ranges ascend), cut at the chunk's row pointers, and
+/// its statistics are computed over that sub-range in place.
 fn route_chunk(
     chunk: &Chunk,
     order: usize,
-    d: usize,
     ranges: &[Range<Idx>],
     cache_rows: usize,
     scratch: &mut StatsScratch,
 ) -> Vec<ShardStats> {
-    let coords = chunk.coords_flat();
-    // First element at or past row `row`, by bisection over the elements.
-    let first_at = |row: Idx| {
-        let (mut lo, mut hi) = (0, chunk.nnz());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if coords[mid * order + d] < row {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
+    let (inputs, row_ptr, width) = (chunk.input_coords(), chunk.row_ptr(), order - 1);
+    // First element at or past row `row`: the pointer of the first row the
+    // chunk holds from `row` on.
+    let first_at = |row: Idx| row_ptr[chunk.row_ids().partition_point(|&r| r < row)];
     ranges
         .iter()
         .map(|r| {
-            let slice = &coords[first_at(r.start) * order..first_at(r.end) * order];
-            ShardStats::compute_from_coords(slice, order, d, cache_rows, scratch)
+            let slice = first_at(r.start)..first_at(r.end);
+            ShardStats::compute_sorted(inputs, width, row_ptr, slice, cache_rows, scratch)
         })
         .collect()
 }
@@ -397,29 +390,43 @@ mod tests {
         }
     }
 
+    /// Every route equals the full-coordinate statistics of its slice: the
+    /// oracle cuts the slice from the sorted tensor by each element's own
+    /// row and tallies it with `compute_from_coords`, output mode included.
     #[test]
     fn slice_stats_respect_ownership() {
         let t = tensor();
-        let plan = plan_of(&t, "stats.tnsb", 200, 2);
-        // Recompute every slice directly from the sorted tensor and compare:
-        // chunk `c` of section `d` is elements `200 c ..` of it.
-        for mp in &plan.modes {
-            let sorted = t.sorted_by_mode(mp.mode);
-            for route in &mp.chunks {
-                let lo = route.chunk * 200;
-                let hi = (lo + 200).min(t.nnz());
-                for (g, r) in mp.device_ranges.iter().enumerate() {
-                    let owned: Vec<usize> = (lo..hi)
-                        .filter(|&e| r.contains(&sorted.idx(e, mp.mode)))
-                        .collect();
-                    let want = match (owned.first(), owned.last()) {
-                        (Some(&a), Some(&b)) => {
-                            ShardStats::compute(&sorted, mp.mode, a..b + 1, usize::MAX)
-                        }
-                        _ => ShardStats::default(),
-                    };
-                    assert_eq!(owned.len() as u64, want.nnz, "a slice is one sub-range");
-                    assert_eq!(route.per_gpu[g], want, "chunk {} gpu {g}", route.chunk);
+        let mut scratch = StatsScratch::new();
+        for (cap, gpus) in [(200, 2), (64, 3), (3000, 4)] {
+            let plan = plan_of(&t, "stats.tnsb", cap, gpus);
+            // Chunk `c` of section `d` is elements `cap × c ..` of the
+            // sorted tensor.
+            for mp in &plan.modes {
+                let (d, order) = (mp.mode, t.order());
+                let sorted = t.sorted_by_mode(d);
+                for route in &mp.chunks {
+                    let lo = route.chunk * cap;
+                    let hi = (lo + cap).min(t.nnz());
+                    for (g, r) in mp.device_ranges.iter().enumerate() {
+                        let owned: Vec<usize> = (lo..hi)
+                            .filter(|&e| r.contains(&sorted.idx(e, d)))
+                            .collect();
+                        let want = match (owned.first(), owned.last()) {
+                            (Some(&a), Some(&b)) => {
+                                let slice = &sorted.indices_flat()[a * order..(b + 1) * order];
+                                ShardStats::compute_from_coords(
+                                    slice,
+                                    order,
+                                    d,
+                                    usize::MAX,
+                                    &mut scratch,
+                                )
+                            }
+                            _ => ShardStats::default(),
+                        };
+                        assert_eq!(owned.len() as u64, want.nnz, "a slice is one sub-range");
+                        assert_eq!(route.per_gpu[g], want, "chunk {} gpu {g}", route.chunk);
+                    }
                 }
             }
         }

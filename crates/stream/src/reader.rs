@@ -3,12 +3,15 @@
 //! A chunk is read from one of the file's sections — the file-order section
 //! ([`ChunkReader::load_chunk`]) or a mode's sorted section
 //! ([`ChunkReader::stage`] with that mode) — and decoded with every
-//! coordinate checked against the shape; a sorted-section chunk is also held
-//! to its order and to the footer's bounding box, so what reaches a kernel
-//! as "sorted by mode `d`" is.
+//! coordinate checked against the shape. A sorted-section chunk decodes into
+//! the layout of the in-core engine's copies (per element the input
+//! coordinates, per row one pointer) with its rows listed, so it holds
+//! O(nnz) bytes however far apart its rows lie, and every row is held to its
+//! order and to the footer's bounding box, so what reaches a kernel as
+//! "sorted by mode `d`" is.
 
 use crate::error::StreamError;
-use crate::format::{read_slabs, read_tnsb_meta, TnsbMeta};
+use crate::format::{coord_of, read_slabs, read_tnsb_meta, TnsbMeta};
 use amped_sim::obs::{Counter, Gauge, MetricsRegistry};
 use amped_sim::MemPool;
 use amped_tensor::{Idx, Val};
@@ -22,10 +25,23 @@ use std::sync::Arc;
 pub struct Chunk {
     index: usize,
     order: usize,
+    /// Per element, element-major: every coordinate (file order), or the
+    /// `order − 1` input coordinates in ascending mode order (a sorted
+    /// section, whose mode is stored per row in `rows`).
     coords: Vec<Idx>,
     values: Vec<Val>,
+    rows: Option<SectionRows>,
     bytes: u64,
-    sorted_mode: Option<usize>,
+}
+
+/// What a sorted-section chunk stores per row: its mode and, for each row
+/// it holds, the row's id and first element — row `ids[i]` owns elements
+/// `ptr[i]..ptr[i + 1]`. Rows the chunk does not hold cost nothing.
+#[derive(Debug)]
+struct SectionRows {
+    mode: usize,
+    ids: Vec<Idx>,
+    ptr: Vec<usize>,
 }
 
 impl Chunk {
@@ -39,9 +55,12 @@ impl Chunk {
         self.values.len()
     }
 
-    /// Coordinates of element `e`.
+    /// Coordinates of element `e` of a file-order chunk.
+    ///
+    /// # Panics
+    /// Panics on a sorted-section chunk (see [`Chunk::coords_flat`]).
     pub fn coords(&self, e: usize) -> &[Idx] {
-        &self.coords[e * self.order..(e + 1) * self.order]
+        &self.coords_flat()[e * self.order..(e + 1) * self.order]
     }
 
     /// Value of element `e`.
@@ -49,12 +68,48 @@ impl Chunk {
         self.values[e]
     }
 
-    /// The raw element-major coordinate array (`nnz × order`).
+    /// The raw element-major coordinate array of a file-order chunk
+    /// (`nnz × order`).
+    ///
+    /// # Panics
+    /// Panics on a sorted-section chunk, which stores its mode's coordinate
+    /// per row: read it through [`Chunk::input_coords`] and
+    /// [`Chunk::row_ptr`].
     pub fn coords_flat(&self) -> &[Idx] {
+        assert!(
+            self.rows.is_none(),
+            "a sorted-section chunk has no full coordinates: use input_coords and row_ptr"
+        );
         &self.coords
     }
 
-    /// The raw value array, element `e` beside `coords(e)`.
+    /// The input coordinates of a sorted-section chunk, element-major
+    /// (`nnz × (order − 1)`, ascending modes, the sorted mode skipped).
+    ///
+    /// # Panics
+    /// Panics on a file-order chunk.
+    pub fn input_coords(&self) -> &[Idx] {
+        assert!(
+            self.rows.is_some(),
+            "a file-order chunk stores every coordinate: use coords_flat"
+        );
+        &self.coords
+    }
+
+    /// The row pointers of a sorted-section chunk, one per row it holds
+    /// and one more: row [`Chunk::row_ids`]`[i]` owns elements
+    /// `row_ptr[i]..row_ptr[i + 1]`. Empty for a file-order chunk.
+    pub fn row_ptr(&self) -> &[usize] {
+        self.rows.as_ref().map_or(&[], |rows| &rows.ptr)
+    }
+
+    /// The rows a sorted-section chunk holds, strictly ascending. Empty for
+    /// a file-order chunk.
+    pub fn row_ids(&self) -> &[Idx] {
+        self.rows.as_ref().map_or(&[], |rows| &rows.ids)
+    }
+
+    /// The raw value array, in element order.
     pub fn values(&self) -> &[Val] {
         &self.values
     }
@@ -63,7 +118,7 @@ impl Chunk {
     /// are non-decreasing in that coordinate, ties in file order), or `None`
     /// for a chunk of the file-order section.
     pub fn sorted_mode(&self) -> Option<usize> {
-        self.sorted_mode
+        self.rows.as_ref().map(|rows| rows.mode)
     }
 
     /// Staging bytes this chunk charges while resident.
@@ -109,8 +164,10 @@ impl StagedRead {
         self.index
     }
 
-    /// Bytes charged to the staging budget for this reservation — the
-    /// chunk's payload, which the decoded [`Chunk`] keeps charged.
+    /// Bytes charged to the staging budget for this reservation, which the
+    /// decoded [`Chunk`] keeps charged: the chunk's payload, or what a
+    /// decoded sorted-section chunk holds if that is more
+    /// ([`TnsbMeta::section_chunk_bytes`]).
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -132,30 +189,43 @@ impl StagedRead {
     /// `fail_stage`).
     ///
     /// Every coordinate is checked against the shape, and a sorted-section
-    /// chunk must never decrease along its mode and must span exactly the
-    /// rows its footer entry names — a corrupt file is a
-    /// [`StreamError::Format`] here, never a broken contract downstream.
-    /// The checks cost no branch per coordinate: a slab is converted in one
-    /// pass that only accumulates a verdict, and a failed slab is walked
-    /// again to name the offender. Slabs are 64 KiB, so transient memory
-    /// beyond the charged chunk bytes stays O(64 KiB) (reading the whole
-    /// payload into a buffer of its own first would silently double the
-    /// staging footprint the budget accounts for).
+    /// chunk must never decrease along its mode, must keep every row inside
+    /// the footer's bounding box and must span exactly the rows that box
+    /// names — a corrupt file is a [`StreamError::Format`] here, never an
+    /// index panic or a broken contract downstream. The checks cost no
+    /// branch per coordinate: a slab is converted in one pass that only
+    /// accumulates a verdict, and a failed slab is walked again to name the
+    /// offender. Slabs are 64 KiB, so transient memory beyond the charged
+    /// chunk bytes stays O(64 KiB) (reading the whole payload into a buffer
+    /// of its own first would silently double the staging footprint the
+    /// budget accounts for).
     pub fn read(&self) -> Result<Chunk, StreamError> {
-        let (path, nnz, order) = (&*self.path, self.nnz, self.shape.len());
+        let path = &*self.path;
         let mut file = File::open(path).map_err(|e| StreamError::io(path, e))?;
+        let (coords, values, rows) = match self.section {
+            None => self.decode_file_order(&mut file)?,
+            Some(key) => self.decode_section(&mut file, key)?,
+        };
+        Ok(Chunk {
+            index: self.index,
+            order: self.shape.len(),
+            coords,
+            values,
+            rows,
+            bytes: self.bytes,
+        })
+    }
+
+    /// A file-order chunk: every coordinate of every element.
+    fn decode_file_order(&self, file: &mut File) -> Result<Decoded, StreamError> {
+        let (nnz, order) = (self.nnz, self.shape.len());
         let elem = order * 4 + 4;
         let mut coords = vec![0 as Idx; nnz * order];
         let mut values = vec![0.0 as Val; nnz];
-        // The sorted mode's coordinate of the previous element (any mode's
-        // while the chunk is in file order: nothing is then compared).
-        let key_mode = self.section.map_or(0, |key| key.mode);
-        let mut prev_key: Idx = 0;
         let mut done = 0usize;
-        read_slabs(&mut file, path, self.offset, nnz, elem, |slab| {
+        read_slabs(file, &self.path, self.offset, nnz, elem, |slab| {
             let n = slab.len() / elem;
             let out = coords[done * order..(done + n) * order].chunks_exact_mut(order);
-            let slab_prev = prev_key;
             let mut bad = false;
             for ((rec, out), value) in slab.chunks_exact(elem).zip(out).zip(&mut values[done..]) {
                 for ((field, out), &dim) in
@@ -164,46 +234,74 @@ impl StagedRead {
                     *out = Idx::from_le_bytes([field[0], field[1], field[2], field[3]]);
                     bad |= *out >= dim;
                 }
-                let v = &rec[order * 4..];
-                *value = Val::from_le_bytes([v[0], v[1], v[2], v[3]]);
-                if self.section.is_some() {
-                    bad |= out[key_mode] < prev_key;
-                    prev_key = out[key_mode];
-                }
+                *value = value_of(rec, order);
             }
             if bad {
-                let decoded = &coords[done * order..(done + n) * order];
-                return Err(self.slab_fault(decoded, slab_prev));
+                return Err(self.slab_fault(slab, 0));
             }
             done += n;
             Ok(())
         })?;
-        if let Some(key) = self.section {
-            // Non-decreasing, so the first and last elements are the box.
-            let spans = (coords[key.mode], prev_key);
-            if spans != (key.lo, key.hi) {
-                return Err(self.format_err(format!(
-                    "spans rows [{}, {}] of mode {} where the footer's bounding box says [{}, {}]",
-                    spans.0, spans.1, key.mode, key.lo, key.hi
-                )));
-            }
-        }
-        Ok(Chunk {
-            index: self.index,
-            order,
-            coords,
-            values,
-            bytes: self.bytes,
-            sorted_mode: self.section.map(|key| key.mode),
-        })
+        Ok((coords, values, None))
     }
 
-    /// Names what is wrong with a slab the decode loop rejected: `decoded`
-    /// are its coordinates, `prev_key` the sorted mode's coordinate before
-    /// its first element.
-    fn slab_fault(&self, decoded: &[Idx], mut prev_key: Idx) -> StreamError {
-        for coords in decoded.chunks_exact(self.shape.len()) {
-            for (m, (&idx, &dim)) in coords.iter().zip(&*self.shape).enumerate() {
+    /// A chunk of `key.mode`'s sorted section, decoded into input
+    /// coordinates, values, and the ids and pointers of the rows it holds.
+    fn decode_section(&self, file: &mut File, key: SectionKey) -> Result<Decoded, StreamError> {
+        let (nnz, order, d) = (self.nnz, self.shape.len(), key.mode);
+        let (elem, k) = (order * 4 + 4, order - 1);
+        let mut inputs = vec![0 as Idx; nnz * k];
+        let mut values = vec![0.0 as Val; nnz];
+        // As many rows as `section_chunk_bytes` charges for.
+        let held = nnz.min((key.hi - key.lo) as usize + 1);
+        let (mut ids, mut ptr) = (Vec::with_capacity(held), Vec::with_capacity(held + 1));
+        // The first element's row, and the previous element's (`lo` before
+        // the first).
+        let (mut first, mut prev) = (key.lo, key.lo);
+        let (mut done, mut rows) = (0usize, Vec::new());
+        read_slabs(file, &self.path, self.offset, nnz, elem, |slab| {
+            if done == 0 {
+                first = coord_of(slab, d);
+            }
+            let n = slab.len() / elem;
+            rows.resize(n, 0);
+            let out = &mut inputs[done * k..(done + n) * k];
+            let vals = &mut values[done..done + n];
+            let mut bad = split(slab, d, &self.shape, out, vals, &mut rows);
+            let slab_prev = prev;
+            for (e, &row) in (done..).zip(&rows) {
+                bad |= (row < prev) | (row > key.hi);
+                if e == 0 || row != prev {
+                    ids.push(row);
+                    ptr.push(e);
+                }
+                prev = row;
+            }
+            if bad {
+                return Err(self.slab_fault(slab, slab_prev));
+            }
+            done += n;
+            Ok(())
+        })?;
+        // Non-decreasing, so the first and last elements are the box.
+        if (first, prev) != (key.lo, key.hi) {
+            return Err(self.format_err(format!(
+                "spans rows [{first}, {prev}] of mode {d} where the footer's bounding box says \
+                 [{}, {}]",
+                key.lo, key.hi
+            )));
+        }
+        ptr.push(nnz);
+        let rows = SectionRows { mode: d, ids, ptr };
+        Ok((inputs, values, Some(rows)))
+    }
+
+    /// Names what is wrong with a slab the decode loop rejected; `prev` is
+    /// the sorted mode's coordinate before its first element.
+    fn slab_fault(&self, slab: &[u8], mut prev: Idx) -> StreamError {
+        for rec in slab.chunks_exact(self.shape.len() * 4 + 4) {
+            for (m, &dim) in self.shape.iter().enumerate() {
+                let idx = coord_of(rec, m);
                 if idx >= dim {
                     return self.format_err(format!(
                         "coordinate {idx} out of bounds for mode {m} (size {dim})"
@@ -211,17 +309,63 @@ impl StagedRead {
                 }
             }
             if let Some(key) = self.section {
-                if coords[key.mode] < prev_key {
+                let row = coord_of(rec, key.mode);
+                if row < key.lo || row > key.hi {
                     return self.format_err(format!(
-                        "not sorted by mode {}: row {} follows row {prev_key}",
-                        key.mode, coords[key.mode]
+                        "row {row} of mode {} lies outside the footer's bounding box [{}, {}]",
+                        key.mode, key.lo, key.hi
                     ));
                 }
-                prev_key = coords[key.mode];
+                if row < prev {
+                    return self.format_err(format!(
+                        "not sorted by mode {}: row {row} follows row {prev}",
+                        key.mode
+                    ));
+                }
+                prev = row;
             }
         }
         self.format_err("rejected by the decoder".into())
     }
+}
+
+/// Splits a slab of a section sorted by mode `d`: each element's input
+/// coordinates go to `inputs`, its row to `rows` and its value to
+/// `values`. Returns whether a coordinate lies outside `shape`.
+fn split(
+    slab: &[u8],
+    d: usize,
+    shape: &[Idx],
+    inputs: &mut [Idx],
+    values: &mut [Val],
+    rows: &mut [Idx],
+) -> bool {
+    let mut out = inputs.iter_mut();
+    let mut bad = false;
+    let elems = slab.chunks_exact(shape.len() * 4 + 4);
+    for ((rec, value), row) in elems.zip(values).zip(rows) {
+        for (m, (field, &dim)) in rec.chunks_exact(4).zip(shape).enumerate() {
+            let c = Idx::from_le_bytes([field[0], field[1], field[2], field[3]]);
+            bad |= c >= dim;
+            if m == d {
+                *row = c;
+            } else if let Some(out) = out.next() {
+                *out = c;
+            }
+        }
+        *value = value_of(rec, shape.len());
+    }
+    bad
+}
+
+/// A decoded chunk's coordinates, values and, for a sorted section, rows.
+type Decoded = (Vec<Idx>, Vec<Val>, Option<SectionRows>);
+
+/// The value of an encoded element of `order` coordinates.
+#[inline]
+fn value_of(rec: &[u8], order: usize) -> Val {
+    let v = &rec[order * 4..];
+    Val::from_le_bytes([v[0], v[1], v[2], v[3]])
 }
 
 /// Reads `.tnsb` chunks from disk through a bounded host-memory budget.
@@ -307,7 +451,8 @@ impl ChunkReader {
     /// `SparseTensor::sorted_by_mode(d)` orders it; `None` reads chunk `c`
     /// of the file-order section. Either way the chunk is what the file
     /// holds: nothing is reordered, so it is the same whichever thread
-    /// reads it.
+    /// reads it. A sorted-section chunk is charged
+    /// [`TnsbMeta::section_chunk_bytes`], a file-order one its payload.
     pub fn stage(&mut self, c: usize, section: Option<usize>) -> Result<StagedRead, StreamError> {
         assert!(c < self.meta.num_chunks(), "chunk {c} out of range");
         assert!(
@@ -323,7 +468,10 @@ impl ChunkReader {
             },
             nnz: self.meta.chunks[c].nnz as usize,
             shape: Arc::clone(&self.shape),
-            bytes: self.meta.chunk_bytes(c),
+            bytes: match section {
+                Some(d) => self.meta.section_chunk_bytes(d, c),
+                None => self.meta.chunk_bytes(c),
+            },
             section: section.map(|mode| {
                 let meta = &self.meta.sections[mode][c];
                 SectionKey {
@@ -348,7 +496,8 @@ impl ChunkReader {
     /// its reservation until [`ChunkReader::release`].
     pub fn finish_stage(&mut self, chunk: &Chunk) {
         self.meters.chunk_reads.inc();
-        self.meters.chunk_read_bytes.add(chunk.bytes);
+        let payload = chunk.nnz() as u64 * self.meta.elem_bytes();
+        self.meters.chunk_read_bytes.add(payload);
     }
 
     /// Returns a failed staged read's reservation (`bytes` as reported by
@@ -509,17 +658,37 @@ mod tests {
             .collect()
     }
 
+    /// `(coords, value bits)` records of a sorted-section chunk, every
+    /// coordinate spelled out again from its input coordinates and rows.
+    fn section_records(chunk: &Chunk, order: usize) -> Vec<(Vec<Idx>, u32)> {
+        let d = chunk.sorted_mode().unwrap();
+        let inputs = chunk.input_coords();
+        let mut out = Vec::new();
+        for (&row, w) in chunk.row_ids().iter().zip(chunk.row_ptr().windows(2)) {
+            for e in w[0]..w[1] {
+                let mut c = inputs[e * (order - 1)..(e + 1) * (order - 1)].to_vec();
+                c.insert(d, row);
+                out.push((c, chunk.value(e).to_bits()));
+            }
+        }
+        out
+    }
+
     /// Writes `t` with `cap`-element chunks and checks, for every mode, that
     /// the sorted reads — on this thread and on another — concatenate to the
-    /// stable sort of the concatenated unsorted reads, and that the budget
-    /// holds exactly the staged and resident payloads, and nothing
-    /// afterwards.
+    /// stable sort of the concatenated unsorted reads, with one row pointer
+    /// for each row a chunk holds and none for any other, and that the
+    /// budget holds exactly the staged and resident charges, and nothing
+    /// afterwards. Nothing in a read scales with the mode's size: every
+    /// charge is within `cap × (elem_bytes + 8) + 8`, and a budget of two
+    /// such charges stages every chunk twice over.
     fn check_sorted_reads(t: &SparseTensor, cap: usize) {
         let dir = ScratchDir::new("chunkreader");
         let path = dir.join("sorted.tnsb");
-        write_tnsb(t, &path, cap).unwrap();
+        let meta = write_tnsb(t, &path, cap).unwrap();
         let order = t.order();
-        let budget = MemPool::new("host-stage", 2 * cap as u64 * t.elem_bytes());
+        let bound = cap as u64 * (t.elem_bytes() + 8) + 8;
+        let budget = MemPool::new("host-stage", 2 * bound);
         let mut r = ChunkReader::open(&path, budget).unwrap();
         let chunks = r.meta().num_chunks();
         let mut unsorted = Vec::new();
@@ -535,17 +704,31 @@ mod tests {
             for c in 0..chunks {
                 let here = r.stage(c, Some(d)).unwrap();
                 let there = r.stage(c, Some(d)).unwrap();
-                assert_eq!(here.bytes(), r.meta().chunk_bytes(c), "payload, no scratch");
+                assert_eq!(here.bytes(), meta.section_chunk_bytes(d, c));
+                assert!(here.bytes() <= bound, "mode {d} chunk {c}");
                 assert_eq!(r.budget().used(), 2 * here.bytes());
                 let here = here.read().unwrap();
                 let there = std::thread::spawn(move || there.read())
                     .join()
                     .expect("reader thread")
                     .unwrap();
+                let (lo, hi) = (
+                    meta.sections[d][c].mode_min[d],
+                    meta.sections[d][c].mode_max[d],
+                );
                 for (chunk, all) in [(here, &mut here_all), (there, &mut there_all)] {
                     assert_eq!(chunk.sorted_mode(), Some(d));
                     assert_eq!(chunk.index(), c);
-                    all.extend(records(chunk.coords_flat(), chunk.values(), order));
+                    let (ids, ptr) = (chunk.row_ids(), chunk.row_ptr());
+                    assert_eq!((ids.first(), ids.last()), (Some(&lo), Some(&hi)));
+                    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+                    assert_eq!(ptr.len(), ids.len() + 1);
+                    assert!(ptr.windows(2).all(|w| w[0] < w[1]), "an empty row: {ptr:?}");
+                    // What the chunk holds is within what it is charged.
+                    let held =
+                        4 * (chunk.input_coords().len() + chunk.nnz() + ids.len()) + 8 * ptr.len();
+                    assert!(held as u64 <= chunk.bytes());
+                    all.extend(section_records(&chunk, order));
                     r.finish_stage(&chunk);
                     r.release(chunk);
                 }
@@ -569,7 +752,8 @@ mod tests {
         let five = GenSpec::uniform(vec![20, 1, 28, 16, 12], 900, 22).generate();
         check_sorted_reads(&five, 250);
         check_sorted_reads(&GenSpec::uniform(vec![6, 5], 9, 23).generate(), 1);
-        // A 2²⁰-row mode: nothing in a read scales with the mode's size.
+        // A 2²⁰-row mode, every chunk's box some 450 k rows wide: a chunk
+        // still holds, and is charged, O(nnz) bytes.
         check_sorted_reads(
             &GenSpec::uniform(vec![1 << 20, 50, 40], 700, 24).generate(),
             300,

@@ -221,54 +221,14 @@ impl SparseTensor {
         }
     }
 
-    /// Stable counting sort of elements by their mode-`d` coordinate.
-    /// Runs in `O(nnz + I_d)` — this is the per-mode preprocessing pass of the
-    /// AMPED partitioner.
+    /// The tensor with its elements stably sorted by their mode-`d`
+    /// coordinate, every coordinate kept: a `sort_by_key` over a permutation,
+    /// the plain statement of what [`SparseTensor::sorted_copy`] and the
+    /// `.tnsb` sorted sections hold, which tests compare them against.
     pub fn sorted_by_mode(&self, d: usize) -> SparseTensor {
-        self.sorted_by_mode_with_hist(d, &self.mode_hist(d))
-    }
-
-    /// [`SparseTensor::sorted_by_mode`] for callers that already hold the
-    /// mode-`d` histogram. One sequential read of the source and one
-    /// scattered write of the copy: each element goes straight to its
-    /// row's cursor, so there is no permutation to build or follow.
-    ///
-    /// # Panics
-    /// Panics if `hist` is not the mode-`d` histogram of this tensor.
-    pub fn sorted_by_mode_with_hist(&self, d: usize, hist: &[u64]) -> SparseTensor {
-        assert_eq!(
-            hist.len(),
-            self.shape[d] as usize,
-            "histogram/mode mismatch"
-        );
-        let mut cursor = Vec::with_capacity(hist.len());
-        let mut at = 0usize;
-        for &h in hist {
-            cursor.push(at);
-            at += h as usize;
-        }
-        assert_eq!(at, self.nnz(), "histogram does not sum to nnz");
-        let n = self.order();
-        let mut indices = vec![0 as Idx; self.indices.len()];
-        let mut values = vec![0.0 as Val; self.values.len()];
-        for (src, &val) in self.indices.chunks_exact(n).zip(&self.values) {
-            let at = &mut cursor[src[d] as usize];
-            indices[*at * n..(*at + 1) * n].copy_from_slice(src);
-            values[*at] = val;
-            *at += 1;
-        }
-        // Every cursor must have stopped at its row's end: a histogram with
-        // the right sum but the wrong counts spills one row into the next.
-        let mut end = 0usize;
-        for (&c, &h) in cursor.iter().zip(hist) {
-            end += h as usize;
-            assert_eq!(c, end, "histogram is not this tensor's mode-{d} histogram");
-        }
-        SparseTensor {
-            shape: self.shape.clone(),
-            indices,
-            values,
-        }
+        let mut perm: Vec<usize> = (0..self.nnz()).collect();
+        perm.sort_by_key(|&e| self.idx(e, d));
+        self.permuted(&perm)
     }
 
     /// Lexicographic sort of elements by the mode order given in `mode_order`
@@ -383,8 +343,10 @@ mod tests {
     }
 
     /// The direct scatter is a stable sort by the mode-`d` coordinate: on
-    /// every shape it must place elements exactly where `sort_by_key`
-    /// (stable) does — small dimensions make duplicates the rule.
+    /// every shape its copy must reassemble to exactly what `sort_by_key`
+    /// (stable) gives — small dimensions make duplicates the rule — with
+    /// row pointers that are the histogram's prefix sums and nothing but the
+    /// input coordinates stored per element.
     #[test]
     fn sorted_by_mode_equals_a_stable_sort_by_key() {
         let mut cases = vec![
@@ -392,28 +354,41 @@ mod tests {
             drawn(&[9, 6, 5], 150, 4..5),  // every nonzero in one row
             drawn(&[12, 6, 5], 150, 3..8), // empty rows at both ends
             drawn(&[1, 1], 20, 0..1),      // nothing but duplicates
+            drawn(&[9], 40, 0..9),         // order 1: no input coordinates
         ];
         for order in 2..=5 {
-            // A dimension of 1 in every tensor of order ≥ 2.
+            // A dimension of 1 in every tensor of order ≥ 2; order 5 last.
             cases.push(drawn(&[7, 1, 5, 3, 4][..order], 200, 0..7));
         }
         for t in &cases {
             for d in 0..t.order() {
-                let mut perm: Vec<usize> = (0..t.nnz()).collect();
-                perm.sort_by_key(|&e| t.idx(e, d));
-                let want = t.permuted(&perm);
-                assert_eq!(t.sorted_by_mode(d), want, "shape {:?} mode {d}", t.shape());
+                let want = t.sorted_by_mode(d);
                 let hist = t.mode_hist(d);
-                assert_eq!(t.sorted_by_mode_with_hist(d, &hist), want);
+                let copy = t.sorted_copy(d, &hist);
+                assert_eq!(copy.to_tensor(), want, "shape {:?} mode {d}", t.shape());
+                assert_eq!((copy.mode(), copy.nnz()), (d, t.nnz()));
+                assert_eq!(copy.inputs().len(), t.nnz() * (t.order() - 1));
+                let widths: Vec<u64> = copy
+                    .row_ptr()
+                    .windows(2)
+                    .map(|w| (w[1] - w[0]) as u64)
+                    .collect();
+                assert_eq!(widths, hist);
+                assert_eq!(copy.norm_sq().to_bits(), want.norm_sq().to_bits());
+                let pointers = 8 * (t.dim(d) as u64 + 1);
+                assert_eq!(
+                    copy.resident_bytes(),
+                    4 * t.order() as u64 * t.nnz() as u64 + pointers
+                );
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "is not this tensor's mode-0 histogram")]
-    fn sorted_by_mode_rejects_a_foreign_histogram() {
+    fn sorted_copy_rejects_a_foreign_histogram() {
         // Right length, right sum, wrong rows.
-        let _ = small().sorted_by_mode_with_hist(0, &[1, 2, 1]);
+        let _ = small().sorted_copy(0, &[1, 2, 1]);
     }
 
     #[test]

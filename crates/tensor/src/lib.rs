@@ -16,6 +16,9 @@
 //! * Element storage is array-of-structures: all coordinates of one nonzero
 //!   are adjacent, which is what the elementwise computation (paper §3.0.1)
 //!   reads together.
+//! * A mode-sorted copy ([`SortedCopy`]) stores per row what is per row: the
+//!   sorted mode's coordinate becomes one row pointer per index, and each
+//!   nonzero keeps only its input coordinates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +27,7 @@ mod coo;
 pub mod datasets;
 pub mod gen;
 pub mod io;
+mod sorted;
 pub mod stats;
 mod zipf;
 
@@ -34,6 +38,7 @@ mod zipf;
 mod common;
 
 pub use coo::{ElemRef, SparseTensor};
+pub use sorted::SortedCopy;
 pub use zipf::Zipf;
 
 /// Per-mode coordinate type.

@@ -19,8 +19,8 @@
 //! cargo run --release --example multi_gpu_scaling
 //! cargo run --release --example out_of_core
 //! cargo run --release --example stream_ooc
-//! cargo run --release --example timeline
 //! cargo run --release --example twitch_5mode
+//! cargo run --release --example cluster
 //! ```
 
 #![forbid(unsafe_code)]

@@ -200,6 +200,29 @@ fn ooc_run_records_chunk_metrics() {
     assert_eq!(reg.counter_value("ooc_chunk_stalls", &[]), 0);
 }
 
+/// The in-core engine publishes the bytes its copies hold beside the COO
+/// bytes the model charges for them: per copy (one per mode `d`),
+/// `4 × order` B per nonzero — `order − 1` input coordinates and a value —
+/// plus one 8 B row pointer per index of mode `d` and one more.
+#[test]
+fn host_copy_bytes_gauge_counts_inputs_values_and_row_pointers() {
+    let t = tensor();
+    let reg = MetricsRegistry::new();
+    let spec = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
+    let rt = SimRuntime::new(spec).with_metrics(reg.clone());
+    let e = AmpedEngine::with_runtime(&t, Box::new(rt), cfg()).unwrap();
+    let (nnz, order) = (t.nnz() as u64, t.order() as u64);
+    let held: u64 = t
+        .shape()
+        .iter()
+        .map(|&dim| nnz * 4 * order + (dim as u64 + 1) * 8)
+        .sum();
+    assert_eq!(reg.gauge("host_copy_bytes").get(), held as f64);
+    assert!(reg.render_prometheus().contains("amped_host_copy_bytes"));
+    // The model still charges the paper's COO copies, 4 B per nonzero more.
+    assert_eq!(e.host_mem_used(), order * t.bytes());
+}
+
 /// What both constructors publish about setup: the preprocessing wall (the
 /// Fig. 10 quantity) and its split into busy-seconds per phase.
 fn assert_setup_gauges(reg: &MetricsRegistry, preprocess_wall: f64, constructor_s: f64) {

@@ -23,10 +23,17 @@ const RANKS: [usize; 5] = [1, 7, 32, 40, 257];
 const RANK_CHUNKS: [usize; 4] = [1, 8, 32, 256];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// Element-major COO arrays sorted by `mode`, plus factors of rank `rank`.
+/// Nonzeros sorted by `mode` — element-major COO arrays for the tile path,
+/// input coordinates and row pointers for the run path's view, a pointer
+/// for every row or for the non-empty rows only, beside their ids — plus
+/// factors of rank `rank`.
 struct Case {
     shape: Vec<u32>,
     indices: Vec<u32>,
+    inputs: Vec<u32>,
+    row_ptr: Vec<usize>,
+    listed_ptr: Vec<usize>,
+    row_ids: Vec<u32>,
     values: Vec<f32>,
     mode: usize,
     factors: Vec<Mat>,
@@ -57,6 +64,23 @@ impl Case {
             })
             .collect();
         elems.sort_by_key(|(c, _)| c[mode]);
+        let mut row_ptr = vec![0usize; shape[mode] as usize + 1];
+        for (c, _) in &elems {
+            row_ptr[c[mode] as usize + 1] += 1;
+        }
+        for r in 1..row_ptr.len() {
+            row_ptr[r] += row_ptr[r - 1];
+        }
+        let (mut listed_ptr, mut row_ids) = (vec![0], Vec::new());
+        for (r, w) in row_ptr.windows(2).enumerate().filter(|(_, w)| w[0] < w[1]) {
+            listed_ptr.push(w[1]);
+            row_ids.push(r as u32);
+        }
+        let inputs = elems
+            .iter()
+            .flat_map(|(c, _)| c.iter().enumerate().filter(|&(m, _)| m != mode))
+            .map(|(_, &i)| i)
+            .collect();
         let factors = shape
             .iter()
             .map(|&d| {
@@ -69,6 +93,10 @@ impl Case {
         Self {
             shape: shape.to_vec(),
             indices: elems.iter().flat_map(|(c, _)| c.iter().copied()).collect(),
+            inputs,
+            row_ptr,
+            listed_ptr,
+            row_ids,
             values: elems.iter().map(|&(_, v)| v).collect(),
             mode,
             factors,
@@ -80,13 +108,14 @@ impl Case {
     }
 
     /// Two launches of `blocks` into one output (the second adds to
-    /// non-zero cells), through the run path (`sorted`) or the tile path.
+    /// non-zero cells), through the tile path or the run path over either
+    /// form of the view.
     fn run(
         &self,
         blocks: &[Range<usize>],
         workers: usize,
         rank_chunk: usize,
-        sorted: bool,
+        form: Form,
     ) -> Vec<u32> {
         let order = self.shape.len();
         let rank = self.factors[0].cols();
@@ -98,35 +127,59 @@ impl Case {
             ..Default::default()
         };
         for _ in 0..2 {
-            if sorted {
-                let src = SortedCoo::new(&self.indices, &self.values, order, self.mode);
-                mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
-            } else {
-                let src = FnSource::new(
-                    |e: usize, m: usize| self.indices[e * order + m],
-                    |e: usize| self.values[e],
-                );
-                mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
-            }
+            let (row_ptr, row_ids) = match form {
+                Form::Tile => {
+                    let src = FnSource::new(
+                        |e: usize, m: usize| self.indices[e * order + m],
+                        |e: usize| self.values[e],
+                    );
+                    mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
+                    continue;
+                }
+                Form::EveryRow => (&self.row_ptr, None),
+                Form::ListedRows => (&self.listed_ptr, Some(self.row_ids.as_slice())),
+            };
+            let src = SortedCoo::new(
+                &self.inputs,
+                &self.values,
+                row_ptr,
+                row_ids,
+                order,
+                self.mode,
+            );
+            mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
         }
         out.to_vec().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Asserts run ≡ tile on `blocks`, bit for bit.
+    /// Asserts run ≡ tile on `blocks`, bit for bit, over both view forms.
     fn assert_paths_agree(&self, blocks: &[Range<usize>], workers: usize, rank_chunk: usize) {
-        let tile = self.run(blocks, workers, rank_chunk, false);
-        let run = self.run(blocks, workers, rank_chunk, true);
-        for (i, (r, t)) in run.iter().zip(&tile).enumerate() {
-            assert_eq!(
-                r,
-                t,
-                "cell {i}: run {} vs tile {} (blocks {blocks:?}, workers {workers}, \
-                 rank_chunk {rank_chunk})",
-                f32::from_bits(*r),
-                f32::from_bits(*t),
-            );
+        let tile = self.run(blocks, workers, rank_chunk, Form::Tile);
+        for form in [Form::EveryRow, Form::ListedRows] {
+            let run = self.run(blocks, workers, rank_chunk, form);
+            for (i, (r, t)) in run.iter().zip(&tile).enumerate() {
+                assert_eq!(
+                    r,
+                    t,
+                    "cell {i}: run {} vs tile {} ({form:?}, blocks {blocks:?}, \
+                     workers {workers}, rank_chunk {rank_chunk})",
+                    f32::from_bits(*r),
+                    f32::from_bits(*t),
+                );
+            }
         }
     }
+}
+
+/// How a launch sees a [`Case`].
+#[derive(Clone, Copy, Debug)]
+enum Form {
+    /// Through a closure source: the tile path.
+    Tile,
+    /// A view with a pointer for every row of the mode.
+    EveryRow,
+    /// A view with pointers for the non-empty rows and their ids.
+    ListedRows,
 }
 
 /// Consecutive blocks covering `0..n` with lengths drawn from `0..=max_len`
@@ -213,22 +266,38 @@ fn single_row_and_all_empty_grids_match() {
     empty.assert_paths_agree(&[0..0, 0..0], 8, 32);
 }
 
-/// A source that claims sortedness it does not have must not produce a
-/// factor: rows decreasing inside a block trip the run walk's check.
+/// Sortedness is the view's structure, checked once: `SortedCoo::new`
+/// rejects row pointers that decrease and row pointers that do not end at
+/// nnz, so no unsorted source reaches a block.
 #[test]
-#[should_panic(expected = "not sorted by output mode")]
-fn unsorted_source_panics_inside_a_block() {
-    let mut case = Case::random(&[8, 5, 4], 60, 0, 0.0, 7, 7);
-    case.indices.swap(0, 59 * 3); // largest row first
-    let _ = case.run(&[0..30, 30..60], 1, 32, true);
+fn sorted_coo_rejects_row_pointers_that_decrease_or_miss_nnz() {
+    let case = Case::random(&[8, 5, 4], 60, 0, 0.0, 7, 7);
+    let rejection = |row_ptr: &[usize]| {
+        let view = || SortedCoo::new(&case.inputs, &case.values, row_ptr, None, 3, 0);
+        let err = std::panic::catch_unwind(view)
+            .err()
+            .expect("the view was accepted");
+        let text = err.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    };
+    let mut decreasing = case.row_ptr.clone();
+    decreasing[1] = 60;
+    assert!(decreasing[2] < 60, "{decreasing:?} does not decrease");
+    assert!(rejection(&decreasing).contains("never decrease"));
+    // Rows 0..6 only: row 6's elements fall off the end.
+    let short = &case.row_ptr[..7];
+    assert!(short[6] < 60, "{short:?} ends at nnz");
+    assert!(rejection(short).contains("end at nnz"));
 }
 
-/// …and rows decreasing only *between* blocks trip the edge fold's check.
+/// Blocks out of element order make rows decrease *between* blocks, which
+/// trips the edge fold's check.
 #[test]
 #[should_panic(expected = "not in output-row order")]
 fn blocks_out_of_row_order_panic_at_the_fold() {
     let case = Case::random(&[8, 5, 4], 60, 0, 0.0, 7, 8);
-    let _ = case.run(&[30..60, 0..30], 1, 32, true);
+    let _ = case.run(&[30..60, 0..30], 1, 32, Form::EveryRow);
 }
 
 /// Unsorted data reaches the run path through an owned sorted copy
@@ -339,7 +408,8 @@ fn engine_matches_its_plan_replayed_on_the_tile_path(t: &SparseTensor) {
     let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
     for d in 0..t.order() {
         let mp = &engine.plan().modes[d];
-        let sorted = &mp.tensor;
+        // The copy's element order, every coordinate spelled out.
+        let sorted = t.sorted_by_mode(d);
         let src = FnSource::new(|e, m| sorted.idx(e, m), |e| sorted.value(e));
         let want = MttkrpOut::zeros(t.dim(d) as usize, rank);
         let mut multi_isp = 0;

@@ -9,7 +9,9 @@
 //! Budgets tight enough to force the single-buffer fallback and a mid-run
 //! prefetch stall are part of the matrix, and every run must leave the
 //! staging budget empty with a peak no higher than its chunk window —
-//! payloads only: nothing is sorted, so nothing is charged beside them.
+//! payloads only: nothing is sorted, so nothing is charged beside them, and
+//! a decoded chunk whose box spans fewer rows than a third of its nonzeros
+//! holds less than its payload.
 
 mod common;
 
@@ -131,7 +133,14 @@ fn host_replay(path: &Path, t: &SparseTensor, fs: &[Mat], d: usize) -> Vec<u32> 
         let staged = reader.stage(k, Some(d)).unwrap();
         let chunk = staged.read().unwrap();
         reader.finish_stage(&chunk);
-        let src = SortedCoo::new(chunk.coords_flat(), chunk.values(), t.order(), d);
+        let src = SortedCoo::new(
+            chunk.input_coords(),
+            chunk.values(),
+            chunk.row_ptr(),
+            Some(chunk.row_ids()),
+            t.order(),
+            d,
+        );
         let blocks = isp_ranges(0..chunk.nnz(), ISP_NNZ);
         mttkrp_host(&src, d, &views, &blocks, &TuneParams::default(), &out);
         reader.release(chunk);
