@@ -12,12 +12,15 @@
 //!   Re-blessing is only legitimate when a PR *intentionally* changes
 //!   simulated timing (a cost-model change), never to silence a refactor.
 //! * Simulated timings are deterministic by construction (the cost model
-//!   sees only workload statistics). Factor bits are deterministic here
-//!   because every scenario that hashes factors uses `isp_nnz` at least as
-//!   large as the shard/chunk capacity, so each grid has exactly one block
-//!   and the real `f32` accumulation happens in one fixed order — the
-//!   multi-block scenario checks timing only, since concurrent `f32` atomics
-//!   accumulate in thread-dependent order.
+//!   sees only workload statistics). Every scenario that hashes factors
+//!   uses `isp_nnz` at least as large as the shard/chunk capacity, so each
+//!   grid has exactly one block and the kernel layer's direct path — the
+//!   legacy `f32` element-order accumulation — is what the hashes pin.
+//!   Multi-block grids are deterministic too (their partials fold in
+//!   block-index order, whatever the worker count), but their bits are the
+//!   kernel layer's contract, pinned by `tests/prop_kernel_runs.rs`; the
+//!   multi-block scenario and the baseline scenarios (`equal_nnz`, `blco`,
+//!   `parti`, `flycoo`) record modeled time and GPU memory peak only.
 
 mod common;
 
@@ -146,8 +149,8 @@ fn scenario_amped_dynamic_queue() -> Record {
     run_amped(cfg, 3, true)
 }
 
-/// Multi-ISP grids: concurrent atomics make factor bits thread-dependent,
-/// but simulated time must stay bit-identical — check timing only.
+/// Multi-ISP grids: simulated time must stay bit-identical — check timing
+/// only (see the module docs).
 fn scenario_amped_multi_isp_timing() -> Record {
     let cfg = AmpedConfig {
         rank: 8,
@@ -194,6 +197,45 @@ fn scenario_ooc() -> Record {
     rec
 }
 
+/// One baseline system over the test tensor: its modeled report and GPU
+/// memory peak, no factor bits. Grids are multi-block, so every baseline
+/// launch leaves the direct path.
+fn run_baseline(sys: &mut dyn MttkrpSystem) -> Record {
+    let t = test_tensor();
+    let factors = seeded_factors(t.shape(), 8, 82);
+    let run = sys.execute(&t, &factors).expect("baseline must run");
+    let mut rec = Record::new();
+    record_report(&mut rec, &run.report);
+    rec.insert("gpu_mem_peak".into(), run.gpu_mem_peak);
+    rec
+}
+
+fn scenario_equal_nnz() -> Record {
+    let mut sys = EqualNnzSystem::new(PlatformSpec::rtx6000_ada_node(4).scaled(1e-3));
+    sys.isp_nnz = 256;
+    sys.stream_nnz = 1024;
+    run_baseline(&mut sys)
+}
+
+fn scenario_blco() -> Record {
+    let mut sys = BlcoSystem::new(PlatformSpec::rtx6000_ada_node(1).scaled(1e-3));
+    sys.block_nnz = 1024;
+    sys.isp_nnz = 256;
+    run_baseline(&mut sys)
+}
+
+fn scenario_parti() -> Record {
+    let mut sys = PartiSystem::new(PlatformSpec::rtx6000_ada_node(1).scaled(1e-3));
+    sys.isp_nnz = 256;
+    run_baseline(&mut sys)
+}
+
+fn scenario_flycoo() -> Record {
+    let mut sys = FlycooSystem::new(PlatformSpec::rtx6000_ada_node(1).scaled(1e-3));
+    sys.isp_nnz = 256;
+    run_baseline(&mut sys)
+}
+
 fn all_scenarios() -> Vec<(&'static str, Record)> {
     vec![
         ("amped_ring", scenario_amped_ring()),
@@ -201,6 +243,10 @@ fn all_scenarios() -> Vec<(&'static str, Record)> {
         ("amped_dynamic_queue", scenario_amped_dynamic_queue()),
         ("amped_multi_isp_timing", scenario_amped_multi_isp_timing()),
         ("ooc", scenario_ooc()),
+        ("equal_nnz", scenario_equal_nnz()),
+        ("blco", scenario_blco()),
+        ("parti", scenario_parti()),
+        ("flycoo", scenario_flycoo()),
     ]
 }
 
@@ -223,7 +269,10 @@ fn render(scenarios: &[(&str, Record)]) -> String {
          slices through\n\
          # its own double buffer, priced as output-sorted blocks (every ooc \
          time moves). Every\n\
-         # amped_* key is unchanged.\n",
+         # amped_* key is unchanged.\n\
+         # The equal_nnz.*, blco.*, parti.* and flycoo.* keys were added \
+         later, modeled time and GPU\n\
+         # memory peak only; every key above them is unchanged.\n",
     );
     for (name, rec) in scenarios {
         for (key, bits) in rec {
