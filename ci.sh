@@ -37,7 +37,7 @@ cargo clippy --all-targets -- -D warnings
 echo "=== 5/9 cargo doc --no-deps (warnings denied) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "=== 6/9 cluster + stream_ooc examples + figures fig10 (smoke) ==="
+echo "=== 6/9 cluster + stream_ooc + out_of_core examples + figures fig10 (smoke) ==="
 # The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
 # HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
 cargo run --release --example cluster
@@ -53,6 +53,11 @@ if [ -n "$(ls -A "$ooc_tmp")" ]; then
   exit 1
 fi
 rmdir "$ooc_tmp"
+# Every baseline system on an 800 k-nnz tensor larger than one scaled GPU:
+# AMPED and BLCO stream it (BLCO launching over a sorted copy of each
+# linearized block), MM-CSF, ParTI and FLYCOO must fail with out-of-memory
+# rather than panic.
+cargo run --release --example out_of_core
 # Preprocessing wall against BLCO's linearization, with the wall split into
 # sort / statistics / pricing busy-seconds — the one bin that reports setup
 # next to an external preprocessor. Printed, not gated (wall time).

@@ -9,7 +9,7 @@
 use crate::system::{chunk_ranges, stats_from_coords, Capabilities, MttkrpSystem, SystemRun};
 use amped_formats::LinTensor;
 use amped_linalg::Mat;
-use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
+use amped_runtime::kernels::{launch_mttkrp, CompiledShard, FactorsView, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -112,14 +112,23 @@ impl MttkrpSystem for BlcoSystem {
                 // Per-threadblock chunking of the streamed block.
                 let n = lt.blocks()[b].elems.len();
                 let chunks = chunk_ranges(n, self.isp_nnz);
-                let elems: Vec<(Vec<u32>, f32)> = lt.block_iter(b).collect();
+                // The block decoded once into flat coordinate and value
+                // arrays.
+                let mut coords = Vec::with_capacity(n * order);
+                let mut vals = Vec::with_capacity(n);
+                for (c, v) in lt.block_iter(b) {
+                    coords.extend_from_slice(&c);
+                    vals.push(v);
+                }
                 let costs: Vec<f64> = chunks
                     .iter()
                     .map(|&(lo, hi)| {
                         let st = stats_from_coords(
                             d,
                             order,
-                            elems[lo..hi].iter().map(|(c, _)| c.clone()),
+                            coords[lo * order..hi * order]
+                                .chunks_exact(order)
+                                .map(<[u32]>::to_vec),
                             cache_rows,
                         );
                         let bs = BlockStats {
@@ -141,11 +150,12 @@ impl MttkrpSystem for BlcoSystem {
                 computes.push(runtime.makespan(0, &costs).makespan);
 
                 // Real execution of this block's grid through the kernel
-                // layer (all chunks of a streamed block share `out`).
+                // layer, over the block sorted by mode `d` (all chunks of a
+                // streamed block share `out`).
                 let isps: Vec<std::ops::Range<usize>> =
                     chunks.iter().map(|&(lo, hi)| lo..hi).collect();
-                let src = FnSource::new(|e, m| elems[e].0[m], |e| elems[e].1);
-                launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
+                let copy = CompiledShard::compile(&coords, &vals, order, d);
+                launch_mttkrp(runtime, 0, &copy.sorted_coo(), &fviews, &isps, &costs, &out);
             }
             // Out-of-memory BLCO synchronizes per streamed block: the
             // conflict-resolution sweep between blocks prevents the deep

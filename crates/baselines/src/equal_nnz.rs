@@ -12,7 +12,7 @@ use crate::system::{pipeline_time, Capabilities, MttkrpSystem, SystemRun};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, EqualPlan, ShardStats, StatsScratch};
 use amped_plan::{EqualSplit, Partitioner, PlanStats, UniformCost};
-use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
+use amped_runtime::kernels::{launch_mttkrp, CompiledShard, FactorsView, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -128,7 +128,6 @@ impl MttkrpSystem for EqualNnzSystem {
         for d in 0..order {
             let plan = &plans[d];
             let out = MttkrpOut::zeros(tensor.dim(d) as usize, rank);
-            let src = FnSource::new(|e, mm| tensor.idx(e, mm), |e| tensor.value(e));
             let fviews = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
             let mut ends = vec![0.0f64; m];
             for chunk in &plan.chunks {
@@ -173,8 +172,24 @@ impl MttkrpSystem for EqualNnzSystem {
                     // Real execution through the kernel layer into the
                     // shared output (the host merge is priced below;
                     // numerically the merge of partial sums equals direct
-                    // accumulation).
-                    launch_mttkrp(runtime, g, &src, d, &fviews, &isps, &costs, &out);
+                    // accumulation): the piece as a copy sorted by mode
+                    // `d`, the same ISP ranges rebased to its start.
+                    let copy = CompiledShard::compile(
+                        &tensor.indices_flat()[piece.start * order..piece.end * order],
+                        &tensor.values()[piece.clone()],
+                        order,
+                        d,
+                    );
+                    let blocks = isp_ranges(0..piece.len(), isp_nnz);
+                    launch_mttkrp(
+                        runtime,
+                        g,
+                        &copy.sorted_coo(),
+                        &fviews,
+                        &blocks,
+                        &costs,
+                        &out,
+                    );
                 }
                 let (end, busy) = pipeline_time(&transfers, &computes);
                 ends[g] = end;

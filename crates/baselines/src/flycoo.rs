@@ -134,7 +134,7 @@ impl MttkrpSystem for FlycooSystem {
             let out = MttkrpOut::zeros(tensor.dim(d) as usize, rank);
             let src = SortedCoo::new(copy.inputs(), copy.values(), copy.row_ptr(), None, order, d);
             let fviews = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
-            launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
+            launch_mttkrp(runtime, 0, &src, &fviews, &isps, &costs, &out);
             fs[d] = Mat::from_vec(tensor.dim(d) as usize, rank, out.to_vec());
             fs[d].normalize_cols(); // keep chained values in f32 range (ALS λ-normalization)
 

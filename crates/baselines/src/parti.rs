@@ -10,7 +10,7 @@
 use crate::system::{stats_from_coords, Capabilities, MttkrpSystem, SystemRun};
 use amped_formats::HicooTensor;
 use amped_linalg::Mat;
-use amped_runtime::kernels::{launch_mttkrp, FactorsView, FnSource, MttkrpOut};
+use amped_runtime::kernels::{launch_mttkrp, CompiledShard, FactorsView, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -119,11 +119,15 @@ impl MttkrpSystem for PartiSystem {
             }
         }
 
-        // Flattened element view of the HiCOO blocks (block order) plus each
-        // superblock unit's element range — the kernel layer addresses
-        // elements, not blocks.
-        let elems: Vec<(Vec<u32>, f32)> =
-            (0..h.num_blocks()).flat_map(|b| h.block_iter(b)).collect();
+        // The HiCOO blocks' elements flattened (block order) into coordinate
+        // and value arrays, plus each superblock unit's element range — the
+        // kernel layer addresses elements, not blocks.
+        let mut coords = Vec::with_capacity(tensor.nnz() * order);
+        let mut vals = Vec::with_capacity(tensor.nnz());
+        for (c, v) in (0..h.num_blocks()).flat_map(|b| h.block_iter(b)) {
+            coords.extend_from_slice(&c);
+            vals.push(v);
+        }
         let mut block_starts = Vec::with_capacity(h.num_blocks() + 1);
         block_starts.push(0usize);
         for b in 0..h.num_blocks() {
@@ -171,11 +175,19 @@ impl MttkrpSystem for PartiSystem {
             let makespan = runtime.makespan(0, &costs).makespan;
 
             // Real execution: grid over superblock units through the kernel
-            // layer.
+            // layer, over the flattened elements sorted by mode `d`.
             let out = MttkrpOut::zeros(tensor.dim(d) as usize, rank);
-            let src = FnSource::new(|e, m| elems[e].0[m], |e| elems[e].1);
+            let copy = CompiledShard::compile(&coords, &vals, order, d);
             let fviews = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
-            launch_mttkrp(runtime, 0, &src, d, &fviews, &eranges, &costs, &out);
+            launch_mttkrp(
+                runtime,
+                0,
+                &copy.sorted_coo(),
+                &fviews,
+                &eranges,
+                &costs,
+                &out,
+            );
             fs[d] = Mat::from_vec(tensor.dim(d) as usize, rank, out.to_vec());
             fs[d].normalize_cols(); // keep chained values in f32 range (ALS λ-normalization)
 

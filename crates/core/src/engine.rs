@@ -551,8 +551,8 @@ impl AmpedEngine {
         let runtime = runtime.as_mut();
         let mut nnz_done: u64 = 0;
         let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
-        // The mode-`d` copy is sorted by output index, so multi-block grids
-        // walk it as row runs (no privatized tiles, no merge pass).
+        // The mode-`d` copy is sorted by output index: it is the view every
+        // grid of this mode launches over.
         let copy = &plan.modes[d].copy;
         let src = SortedCoo::new(
             copy.inputs(),
@@ -580,7 +580,7 @@ impl AmpedEngine {
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
                 nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
-                launch_mttkrp(runtime, g, &src, d, &fviews, &blocks, &costs, &out);
+                launch_mttkrp(runtime, g, &src, &fviews, &blocks, &costs, &out);
             }
             (ends[g], per_gpu[g]) = double_buffered(&steps);
         }

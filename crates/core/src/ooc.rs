@@ -406,7 +406,7 @@ impl OocEngine {
             );
             // Zero costs: simulated time comes from the slice model above.
             let costs = vec![0.0f64; isps.len()];
-            launch_mttkrp(runtime, 0, &src, d, &fviews, &isps, &costs, &out);
+            launch_mttkrp(runtime, 0, &src, &fviews, &isps, &costs, &out);
         };
 
         if depth == 0 {

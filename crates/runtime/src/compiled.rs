@@ -1,17 +1,15 @@
-//! An owned mode-sorted copy of a shard — what is left of PR 9's *compiled
-//! dispatch*.
+//! An owned mode-sorted copy of any set of nonzeros: how data that is not
+//! sorted by the output mode yet reaches the kernel layer, which executes
+//! nothing but [`SortedCoo`] views (DESIGN.md §10, §13).
 //!
-//! PR 9 compiled each `(mode, shard)` pair into a second sorted layout (CSR
-//! segment pointers plus mode-major gathered coordinates) with its own
-//! segmented-reduction kernel, per-engine caches and a tuner axis. Since
-//! PRs 12–13 both engines hand the kernel layer data that is already sorted
-//! by the output mode and run it through the row-run path, which beat the
-//! compiled kernel on every workload, so the kernel, the caches and the
-//! option are gone (DESIGN.md §13). The one part that was not a duplicate
-//! stays: the stable sort by output coordinate into an owned copy in the
-//! layout [`SortedCoo`] borrows, for callers whose data is *not* sorted yet
-//! — the autotuner's probe subsample and the `reference::compile_mode`
-//! probe of the benchmark harness.
+//! The copy is a stable counting sort by the output coordinate into the
+//! layout [`SortedCoo`] borrows. Its callers are the three baselines whose
+//! formats keep another order — the equal-nnz strawman (each streamed
+//! piece), BLCO (each linearized block) and ParTI (the flattened HiCOO
+//! elements) — the autotuner's probe subsample, and
+//! `reference::compile_mode`, which the host reference and the benchmark
+//! harness use. The engines' and FLYCOO's per-mode copies are sorted
+//! already and are viewed in place.
 
 use crate::kernels::SortedCoo;
 
@@ -109,7 +107,6 @@ impl CompiledShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::EcSource;
 
     #[test]
     fn compile_builds_sorted_segments() {
@@ -122,8 +119,6 @@ mod tests {
         assert_eq!(cs.values, vec![-2.0, 3.0, 4.0, 1.0, 0.5]);
         assert_eq!(cs.row_ptr, vec![0, 2, 3, 5]);
         assert_eq!(cs.inputs, vec![1, 0, 0, 0, 1, 1, 0, 1, 1, 1]);
-        assert!(cs.sorted_coo().sorted_coo(0).is_some());
-        assert!(cs.sorted_coo().sorted_coo(1).is_none());
         // Along mode 2: rows 0 and 1, the input coordinates modes 0 and 1.
         let cs = CompiledShard::compile(&coords, &vals, 3, 2);
         assert_eq!(cs.row_ptr, vec![0, 2, 5]);

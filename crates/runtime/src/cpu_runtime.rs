@@ -14,12 +14,13 @@
 //!
 //! * Measured time covers block execution only (the grid join), matching
 //!   what `launch_grid` means on a device; kernel-layer post-processing
-//!   such as the privatized tile merge is outside the op, as a device-side
+//!   such as the run path's edge fold is outside the op, as a device-side
 //!   epilogue would be.
 //! * `busy_sum` cannot be attributed per-block without per-block probes, so
 //!   it equals the measured makespan (as if one SM had run the grid).
-//! * Results are **not** run-to-run bit-stable for multi-writer kernels the
-//!   way [`SimRuntime`] timings are; use it for measurement, not goldens.
+//! * Measured timings are **not** run-to-run stable the way [`SimRuntime`]
+//!   timings are; use it for measurement, not goldens. (The kernels' output
+//!   bits are: every launch folds in block-index order.)
 
 use crate::device::Device;
 use crate::params::TuneParams;

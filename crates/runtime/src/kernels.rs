@@ -1,52 +1,43 @@
-//! The kernel layer: rank-blocked MTTKRP with privatized accumulation.
+//! The kernel layer: rank-blocked MTTKRP over output-sorted row runs.
 //!
 //! Every execution path in the workspace — the AMPED engine, the OOC engine,
 //! the baseline systems, and the host reference kernels — funnels its
 //! elementwise computation (paper §3.0.1) through this module instead of
-//! hand-rolling per-element atomic updates. Three execution strategies sit
-//! behind one entry point; which one a launch takes follows from what the
-//! launch itself shows — its block count and whether the source can lend a
-//! sorted view ([`EcSource::sorted_coo`]) — never from an option:
+//! hand-rolling per-element atomic updates. What a launch executes is always
+//! a [`SortedCoo`] view, a tensor sorted by the launch's output mode (paper
+//! §3.1): the in-core engine's per-mode copies, the out-of-core engine's
+//! chunks read from the `.tnsb` file's sorted sections, FLYCOO's resident
+//! copy, and [`CompiledShard`] copies of everything else (the equal-nnz
+//! streamed pieces, BLCO blocks, ParTI's HiCOO elements, the host reference
+//! and the autotuner's probe). Which of its two paths a launch takes follows
+//! from its block count, never from an option:
 //!
-//! * **Direct** (single-block grids, any source): the block's nonzeros
-//!   accumulate straight into the shared output in element order with plain
-//!   `f32` adds. One block means one writer, so no atomics are needed and
-//!   the value sequence reproduces the historical CAS-loop execution bit for
-//!   bit — this is what keeps `tests/runtime_equivalence.rs` golden. Over a
-//!   [`SortedCoo`] view it walks the same elements as row runs, reading the
-//!   row off the run rather than the element.
-//! * **Run** (multi-block grids over a [`SortedCoo`] view sorted by the
-//!   output mode — the in-core engine's per-mode tensor copies, paper §3.1,
-//!   the out-of-core engine's chunks, read from the `.tnsb` file's sorted
-//!   sections, and [`CompiledShard`] copies of anything else): a block walks
-//!   its element range as *runs* of equal output row through the view's row
-//!   pointers, accumulates each run in an `f64` register tile,
-//!   rounds the rows that lie strictly inside the block into the output
-//!   itself, and hands back at most two *edge partials* — the runs touching
-//!   its first and last element, the only rows another block can share.
-//!   After the grid joins the edge partials fold **in block-index order**.
-//!   No span scan, no
-//!   zeroed tile, no read-modify-write of tile memory per nonzero, no merge
-//!   pass over untouched cells, and a hot row spanning many blocks is split
+//! * **Direct** (single-block grids): the block walks its elements as row
+//!   runs and accumulates straight into the shared output in element order
+//!   with `f32` products and plain `f32` adds. One block means one writer,
+//!   so no atomics are needed, and the value sequence reproduces the
+//!   historical CAS-loop execution bit for bit — this is what keeps
+//!   `tests/runtime_equivalence.rs` golden.
+//! * **Run** (multi-block grids): a block walks its element range as *runs*
+//!   of equal output row through the view's row pointers, accumulates each
+//!   run in an `f64` register tile, rounds the rows that lie strictly inside
+//!   the block into the output itself, and hands back at most two *edge
+//!   partials* — the runs touching its first and last element, the only
+//!   rows another block can share. After the grid joins the edge partials
+//!   fold **in block-index order**. A hot row spanning many blocks is split
 //!   across them (Nisa et al.'s and Wijeratne et al.'s output-sorted
 //!   formulation).
-//! * **Tile** (multi-block grids over any other source — format baselines,
-//!   closures): each block accumulates into its own `f64` tile spanning
-//!   only the output rows it touches, and tiles merge into the shared output
-//!   in block-index order after the grid joins.
 //!
-//! **Run and tile produce the same bits.** Cell by cell both compute: per
-//! block, an `f64` partial from `+0.0` over the block's elements of that
-//! row in element order; the partials of the blocks holding that row summed
-//! from `+0.0` in block-index order; an exact-zero total skipped, any other
-//! total added to the widened cell and rounded to `f32` once per launch. On
-//! a sorted source a row strictly inside a block has no other block's
-//! partial (a tile that merely *spans* the row contributes `+0.0`, which
-//! never changes an `f64` that started from `+0.0`), so the run path may
-//! round it on the spot; the rows at a block's ends are exactly the ones
-//! the fold handles. `tests/prop_kernel_runs.rs` holds the two paths to
-//! equality of bits. Neither depends on the host worker count, because the
-//! fold/merge order is fixed by block index.
+//! **The run path's arithmetic contract.** Cell by cell it computes: per
+//! block, an `f64` partial from `+0.0` over the block's elements of that row
+//! in element order; the partials of the blocks holding that row summed from
+//! `+0.0` in block-index order; an exact-zero total skipped, any other total
+//! added to the widened cell and rounded to `f32` once per launch. A row
+//! strictly inside a block has no other block's partial, so it is rounded on
+//! the spot; the rows at a block's ends are exactly the ones the fold
+//! handles. `tests/prop_kernel_runs.rs` holds the run path to a scalar
+//! oracle of this contract in bits. It does not depend on the host worker
+//! count, because the fold order is fixed by block index.
 //!
 //! Sortedness is the view's structure, not a claim: a [`SortedCoo`] stores
 //! each row once, as a pointer, and [`SortedCoo::new`] checks the pointers
@@ -68,10 +59,9 @@
 //! order. Rank blocking never reorders the per-cell
 //! accumulation over elements — each output cell still sums its elements in
 //! element order, whatever the tile width — so *every* `rank_chunk` is
-//! bit-transparent on all three paths, which is what lets the autotuner
-//! search it freely. (Direct accumulates in `f32` and owes the sequential
-//! `f64` reference only its legacy error; run and tile stay within one
-//! `f32` ulp of it.)
+//! bit-transparent on both paths, which is what lets the autotuner search
+//! it freely. (Direct accumulates in `f32` and owes the sequential `f64`
+//! reference only its legacy error; run stays within one `f32` ulp of it.)
 
 pub use crate::compiled::CompiledShard;
 use crate::params::{TuneParams, MAX_RANK_CHUNK};
@@ -80,25 +70,6 @@ use crate::smexec::{execute_blocks, GridTiming};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
-
-/// A source of sparse-tensor nonzeros for the kernel: anything that can map
-/// an element index to its per-mode coordinates and value. Blocks address
-/// elements by index range, so formats with materialized element vectors
-/// (BLCO, HiCOO superblocks) and in-place COO tensors adapt equally.
-pub trait EcSource: Sync {
-    /// Coordinate of element `e` along mode `m`.
-    fn coord(&self, e: usize, m: usize) -> u32;
-    /// Value of element `e`.
-    fn value(&self, e: usize) -> f32;
-    /// The source as a [`SortedCoo`] view sorted by mode `d`, when it is
-    /// one. This is what selects the run path for a multi-block grid (and
-    /// the direct path's row-run walk); the default — closures, format
-    /// adapters — has no such view and takes the tile path.
-    fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
-        let _ = d;
-        None
-    }
-}
 
 /// A borrowed mode-sorted tensor in the layout of CSF's root level — the
 /// shape of the engines' per-mode tensor copies (paper §3.1) and of a
@@ -109,8 +80,8 @@ pub trait EcSource: Sync {
 /// row of the mode, as an engine's copy has — or row `row_ids[i]` when the
 /// rows are listed (CSF's fiber ids), as a streamed chunk's are: it keeps a
 /// pointer only for the rows it holds, so it costs O(nnz) however far apart
-/// they lie. As an [`EcSource`] it serves every path; for output mode
-/// `sorted_mode` it also lends itself as the run and direct paths' view.
+/// they lie. It is what every launch executes, for output mode
+/// `sorted_mode`.
 #[derive(Clone, Copy)]
 pub struct SortedCoo<'a> {
     inputs: &'a [u32],
@@ -206,58 +177,6 @@ impl<'a> SortedCoo<'a> {
     }
 }
 
-impl EcSource for SortedCoo<'_> {
-    /// The sorted mode's coordinate is a bisection of the row pointers;
-    /// the paths that walk this source as its own view never ask for it.
-    fn coord(&self, e: usize, m: usize) -> u32 {
-        if m == self.sorted_mode {
-            assert!(e < self.values.len(), "element {e} out of range");
-            return self.row(self.row_ptr.partition_point(|&p| p <= e) - 1) as u32;
-        }
-        self.inputs_of(e)[m - usize::from(m > self.sorted_mode)]
-    }
-    #[inline]
-    fn value(&self, e: usize) -> f32 {
-        self.values[e]
-    }
-    fn sorted_coo(&self, d: usize) -> Option<SortedCoo<'_>> {
-        (d == self.sorted_mode).then_some(*self)
-    }
-}
-
-/// Adapts a pair of closures into an [`EcSource`] — the universal bridge
-/// that keeps this crate free of tensor-format dependencies.
-pub struct FnSource<C, V> {
-    coord: C,
-    value: V,
-}
-
-impl<C, V> FnSource<C, V>
-where
-    C: Fn(usize, usize) -> u32 + Sync,
-    V: Fn(usize) -> f32 + Sync,
-{
-    /// Wraps `coord(e, m)` and `value(e)` accessors.
-    pub fn new(coord: C, value: V) -> Self {
-        Self { coord, value }
-    }
-}
-
-impl<C, V> EcSource for FnSource<C, V>
-where
-    C: Fn(usize, usize) -> u32 + Sync,
-    V: Fn(usize) -> f32 + Sync,
-{
-    #[inline]
-    fn coord(&self, e: usize, m: usize) -> u32 {
-        (self.coord)(e, m)
-    }
-    #[inline]
-    fn value(&self, e: usize) -> f32 {
-        (self.value)(e)
-    }
-}
-
 /// Borrowed views of all factor matrices (row-major, equal rank): the kernel
 /// reads input-mode rows through this without depending on any matrix crate.
 pub struct FactorsView<'a> {
@@ -297,10 +216,11 @@ impl<'a> FactorsView<'a> {
 }
 
 /// The shared MTTKRP output buffer: a dense row-major `f32` matrix whose
-/// cells are `AtomicU32` bit patterns so joined grids and the merge phase
-/// can write through a shared reference without `unsafe`. Writes are
-/// single-writer by construction (one direct block, or the sequential tile
-/// merge), so plain load/add/store suffices — no compare-exchange loops.
+/// cells are `AtomicU32` bit patterns so the blocks of a grid and the edge
+/// fold can write through a shared reference without `unsafe`. Writes are
+/// single-writer by construction (one direct block, a row strictly inside
+/// one run-path block, or the sequential edge fold), so plain
+/// load/add/store suffices — no compare-exchange loops.
 #[derive(Debug)]
 pub struct MttkrpOut {
     rows: usize,
@@ -365,149 +285,19 @@ impl MttkrpOut {
         cell.store((cur + v).to_bits(), Ordering::Relaxed);
     }
 
-    /// Single-writer merge of an `f64` tile value at flat index `idx`: the
-    /// running cell is widened, added, and rounded once.
-    #[inline]
-    fn merge_f64(&self, idx: usize, v: f64) {
-        let cell = &self.cells[idx];
-        // relaxed: single-writer cell (the merge phase assigns each output
-        // row span to exactly one thread); joins publish the final value.
-        let cur = f32::from_bits(cell.load(Ordering::Relaxed)) as f64;
-        cell.store(((cur + v) as f32).to_bits(), Ordering::Relaxed);
-    }
-
     /// Single-writer merge of one row's `f64` totals: every nonzero total is
-    /// rounded into its cell once; exact-zero totals are skipped so cells
-    /// the launch never touched keep their bits (a `-0.0` stays `-0.0`).
+    /// added to its widened cell and rounded once; exact-zero totals are
+    /// skipped so cells the launch never touched keep their bits (a `-0.0`
+    /// stays `-0.0`).
     fn merge_row(&self, row: usize, totals: &[f64]) {
-        let base = row * self.rank;
-        for (c, &v) in totals.iter().enumerate() {
+        let cells = &self.cells[row * self.rank..(row + 1) * self.rank];
+        for (cell, &v) in cells.iter().zip(totals) {
             if v != 0.0 {
-                self.merge_f64(base + c, v);
+                // relaxed: single-writer cell (a row strictly inside one
+                // block, or the sequential edge fold); joins publish it.
+                let cur = f32::from_bits(cell.load(Ordering::Relaxed)) as f64;
+                cell.store(((cur + v) as f32).to_bits(), Ordering::Relaxed);
             }
-        }
-    }
-}
-
-/// One block's private accumulation tile: `f64` partials over the contiguous
-/// output-row span `[lo, lo + acc.len() / rank)` the block actually touches.
-struct BlockTile {
-    lo: usize,
-    rank: usize,
-    acc: Vec<f64>,
-}
-
-/// Direct-path execution of one block: `f32` products and per-element `f32`
-/// accumulation into `out`, in element order — bit-identical to the
-/// pre-kernel-layer CAS sequence when this is the grid's only block.
-fn ec_direct<S: EcSource + ?Sized>(
-    src: &S,
-    d: usize,
-    factors: &FactorsView<'_>,
-    range: Range<usize>,
-    rank_chunk: usize,
-    out: &MttkrpOut,
-) {
-    let rank = factors.rank();
-    let mut prod = [0.0f32; MAX_RANK_CHUNK];
-    for c0 in (0..rank).step_by(rank_chunk) {
-        let cw = rank_chunk.min(rank - c0);
-        for e in range.clone() {
-            let prod = &mut prod[..cw];
-            prod.fill(src.value(e));
-            for m in 0..factors.order() {
-                if m == d {
-                    continue;
-                }
-                let row = &factors.row(m, src.coord(e, m) as usize)[c0..c0 + cw];
-                for (p, &x) in prod.iter_mut().zip(row) {
-                    *p *= x;
-                }
-            }
-            let base = src.coord(e, d) as usize * rank + c0;
-            for (c, &p) in prod.iter().enumerate() {
-                out.add_f32(base + c, p);
-            }
-        }
-    }
-}
-
-/// Privatized-path execution of one block: scans the block's output-row
-/// span, then accumulates `f64` products into a private tile in element
-/// order. Returns `None` for empty blocks.
-fn block_tile<S: EcSource + ?Sized>(
-    src: &S,
-    d: usize,
-    factors: &FactorsView<'_>,
-    range: Range<usize>,
-    rank_chunk: usize,
-) -> Option<BlockTile> {
-    if range.is_empty() {
-        return None;
-    }
-    let (mut lo, mut hi) = (u32::MAX, 0u32);
-    for e in range.clone() {
-        let i = src.coord(e, d);
-        lo = lo.min(i);
-        hi = hi.max(i);
-    }
-    let rank = factors.rank();
-    let span = (hi - lo + 1) as usize;
-    let mut acc = vec![0.0f64; span * rank];
-    let mut prod = [0.0f64; MAX_RANK_CHUNK];
-    for c0 in (0..rank).step_by(rank_chunk) {
-        let cw = rank_chunk.min(rank - c0);
-        for e in range.clone() {
-            let prod = &mut prod[..cw];
-            prod.fill(src.value(e) as f64);
-            for m in 0..factors.order() {
-                if m == d {
-                    continue;
-                }
-                let row = &factors.row(m, src.coord(e, m) as usize)[c0..c0 + cw];
-                for (p, &x) in prod.iter_mut().zip(row) {
-                    *p *= x as f64;
-                }
-            }
-            let base = (src.coord(e, d) - lo) as usize * rank + c0;
-            let dst = &mut acc[base..base + cw];
-            for (a, &p) in dst.iter_mut().zip(prod.iter()) {
-                *a += p;
-            }
-        }
-    }
-    Some(BlockTile {
-        lo: lo as usize,
-        rank,
-        acc,
-    })
-}
-
-/// Merges all tiles into the shared output: per-cell `f64` totals are
-/// accumulated across tiles in block-index order, then each touched cell is
-/// rounded into `out` exactly once. Untouched cells (exact-zero totals) are
-/// skipped so rows outside the grid's footprint keep their bits. The single
-/// rounding per cell per launch is what bounds the divergence from the
-/// sequential `f64` reference to one `f32` ulp.
-fn merge_tiles(out: &MttkrpOut, tiles: &[&BlockTile]) {
-    let span = tiles.iter().fold(None, |span: Option<(usize, usize)>, t| {
-        let (t_lo, t_hi) = (t.lo, t.lo + t.acc.len() / t.rank);
-        Some(span.map_or((t_lo, t_hi), |(lo, hi)| (lo.min(t_lo), hi.max(t_hi))))
-    });
-    let Some((lo, hi)) = span else {
-        return;
-    };
-    let rank = tiles[0].rank;
-    let mut stage = vec![0.0f64; (hi - lo) * rank];
-    for t in tiles {
-        let base = (t.lo - lo) * rank;
-        for (j, &v) in t.acc.iter().enumerate() {
-            stage[base + j] += v;
-        }
-    }
-    for (j, &v) in stage.iter().enumerate() {
-        if v != 0.0 {
-            out.merge_f64(lo * rank + j, v);
         }
     }
 }
@@ -561,8 +351,7 @@ impl RunGrid<'_> {
     /// Accumulates columns `c0..c0 + W` of one run (elements `run`, all of
     /// one output row) into `dst`: per element the `f64` Hadamard product
     /// over the input modes in ascending order, summed from `+0.0` in
-    /// element order — the tile path's arithmetic for these cells, held in
-    /// a register tile instead of tile memory.
+    /// element order, held in a register tile.
     ///
     /// Orders 3 and 5 — the orders of every dataset and workload — take
     /// [`Self::tile_n`], whose input-mode count is a compile-time constant.
@@ -655,10 +444,10 @@ impl RunGrid<'_> {
         edges
     }
 
-    /// The direct path over the view: the same runs in element order, with
-    /// the `f32` products and per-element `f32` adds of [`ec_direct`] — the
-    /// legacy single-writer sequence, row read off the run instead of the
-    /// element.
+    /// The direct path: the runs of `range` in element order, `f32`
+    /// products over the input modes in ascending order and one `f32` add
+    /// per element and column — the legacy single-writer sequence,
+    /// bit-identical to the pre-kernel-layer CAS loop.
     fn direct(&self, range: Range<usize>, rank_chunk: usize, out: &MttkrpOut) {
         let rank = self.factors.rank();
         let mut prod = [0.0f32; MAX_RANK_CHUNK];
@@ -717,13 +506,11 @@ fn fold_edges<'a>(out: &MttkrpOut, edges: impl Iterator<Item = &'a EdgePartial>)
 
 /// Runs the block jobs of one MTTKRP grid through `execute` (which must call
 /// the given kernel closure once per block index, possibly concurrently),
-/// then folds edge partials or merges tiles deterministically. Picks the
-/// path from the block count and the source's own sorted view (see the
-/// module docs). Factored out so the runtime-launched and host-only entry
-/// points share one dispatch.
-fn dispatch<S, E>(
-    src: &S,
-    d: usize,
+/// then folds the edge partials deterministically. Picks the path from the
+/// block count (see the module docs). Factored out so the runtime-launched
+/// and host-only entry points share one dispatch.
+fn dispatch<E>(
+    src: &SortedCoo<'_>,
     factors: &FactorsView<'_>,
     blocks: &[Range<usize>],
     rank_chunk: usize,
@@ -731,77 +518,50 @@ fn dispatch<S, E>(
     execute: E,
 ) -> GridTiming
 where
-    S: EcSource + ?Sized,
     E: FnOnce(&(dyn Fn(usize) + Sync)) -> GridTiming,
 {
-    if let Some(coo) = src.sorted_coo(d) {
-        assert_eq!(coo.sorted_mode, d, "sorted view is for another mode");
-        assert_eq!(coo.order, factors.order(), "one factor matrix per mode");
-        let grid = RunGrid {
-            coo,
-            in_modes: (0..coo.order).filter(|&m| m != d).collect(),
-            factors,
-            tiles: column_tiles(factors.rank(), rank_chunk),
-        };
-        if blocks.len() <= 1 {
-            return execute(&|_b: usize| {
-                if let Some(r) = blocks.first() {
-                    grid.direct(r.clone(), rank_chunk, out);
-                }
-            });
-        }
-        let edges: Vec<OnceLock<Vec<EdgePartial>>> =
-            (0..blocks.len()).map(|_| OnceLock::new()).collect();
-        let timing = execute(&|b: usize| {
-            let _ = edges[b].set(grid.block(blocks[b].clone(), out));
-        });
-        // Deterministic fold: block-index order, independent of which
-        // worker ran which block and of the worker count.
-        fold_edges(out, edges.iter().filter_map(OnceLock::get).flatten());
-        timing
-    } else if blocks.len() <= 1 {
-        execute(&|_b: usize| {
+    assert_eq!(src.order, factors.order(), "one factor matrix per mode");
+    let grid = RunGrid {
+        coo: *src,
+        in_modes: (0..src.order).filter(|&m| m != src.sorted_mode).collect(),
+        factors,
+        tiles: column_tiles(factors.rank(), rank_chunk),
+    };
+    if blocks.len() <= 1 {
+        return execute(&|_b: usize| {
             if let Some(r) = blocks.first() {
-                ec_direct(src, d, factors, r.clone(), rank_chunk, out);
-            }
-        })
-    } else {
-        let tiles: Vec<OnceLock<BlockTile>> = (0..blocks.len()).map(|_| OnceLock::new()).collect();
-        let timing = execute(&|b: usize| {
-            if let Some(t) = block_tile(src, d, factors, blocks[b].clone(), rank_chunk) {
-                let _ = tiles[b].set(t);
+                grid.direct(r.clone(), rank_chunk, out);
             }
         });
-        // Deterministic merge: block-index order, independent of which
-        // worker computed which tile and of the worker count.
-        let touched: Vec<&BlockTile> = tiles.iter().filter_map(|slot| slot.get()).collect();
-        merge_tiles(out, &touched);
-        timing
     }
+    let edges: Vec<OnceLock<Vec<EdgePartial>>> =
+        (0..blocks.len()).map(|_| OnceLock::new()).collect();
+    let timing = execute(&|b: usize| {
+        let _ = edges[b].set(grid.block(blocks[b].clone(), out));
+    });
+    // Deterministic fold: block-index order, independent of which worker
+    // ran which block and of the worker count.
+    fold_edges(out, edges.iter().filter_map(OnceLock::get).flatten());
+    timing
 }
 
-/// Launches one MTTKRP grid for output mode `d` through a [`DeviceRuntime`]:
-/// `blocks[b]` is the element range of threadblock `b`, `costs[b]` its
-/// simulated cost. Single-block grids take the direct path (legacy `f32`
-/// element order); multi-block grids take the run path when `src` lends a
-/// view sorted by `d` and the tile path otherwise (see the module docs). The
-/// returned timing is whatever the runtime reports for the grid (pure model on
-/// [`crate::SimRuntime`], measured wall on [`crate::CpuParallelRuntime`]).
+/// Launches one MTTKRP grid over `src` through a [`DeviceRuntime`]; the
+/// output mode is the view's sorted mode. `blocks[b]` is the element range
+/// of threadblock `b`, `costs[b]` its simulated cost. Single-block grids
+/// take the direct path (legacy `f32` element order), multi-block grids the
+/// run path (see the module docs). The returned timing is whatever the
+/// runtime reports for the grid (pure model on [`crate::SimRuntime`],
+/// measured wall on [`crate::CpuParallelRuntime`]).
 ///
 /// Tunables come from the runtime's [`TuneParams`]
 /// ([`DeviceRuntime::tune`]): the kernel tiles factor columns by its
 /// `rank_chunk`, and the runtime's own `launch_grid` applies its worker
 /// count — so a tuned engine threads one `TuneParams` through both halves
 /// by setting it once on the runtime.
-// A launch mirrors a driver call: target + kernel inputs + grid shape +
-// output is inherently this wide, and a params struct would just rename
-// the positions.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_mttkrp<S: EcSource + ?Sized>(
+pub fn launch_mttkrp(
     rt: &mut dyn DeviceRuntime,
     gpu: usize,
-    src: &S,
-    d: usize,
+    src: &SortedCoo<'_>,
     factors: &FactorsView<'_>,
     blocks: &[Range<usize>],
     costs: &[f64],
@@ -809,7 +569,7 @@ pub fn launch_mttkrp<S: EcSource + ?Sized>(
 ) -> GridTiming {
     assert_eq!(blocks.len(), costs.len(), "one cost per block");
     let rank_chunk = rt.tune().effective_rank_chunk();
-    dispatch(src, d, factors, blocks, rank_chunk, out, |kernel| {
+    dispatch(src, factors, blocks, rank_chunk, out, |kernel| {
         rt.launch_grid(gpu, kernel, costs)
     })
 }
@@ -819,9 +579,8 @@ pub fn launch_mttkrp<S: EcSource + ?Sized>(
 /// `tune.effective_workers()` threads with `tune.effective_rank_chunk()`
 /// column tiles. Used by the host reference kernels, the kernel proptests,
 /// and the autotuner's search probes.
-pub fn mttkrp_host<S: EcSource + ?Sized>(
-    src: &S,
-    d: usize,
+pub fn mttkrp_host(
+    src: &SortedCoo<'_>,
     factors: &FactorsView<'_>,
     blocks: &[Range<usize>],
     tune: &TuneParams,
@@ -829,7 +588,6 @@ pub fn mttkrp_host<S: EcSource + ?Sized>(
 ) {
     dispatch(
         src,
-        d,
         factors,
         blocks,
         tune.effective_rank_chunk(),
@@ -857,14 +615,7 @@ pub fn mttkrp_host_compiled(
     out: &MttkrpOut,
 ) {
     let blocks = even_blocks(shard.nnz(), 4 * tune.effective_workers());
-    mttkrp_host(
-        &shard.sorted_coo(),
-        shard.mode(),
-        factors,
-        &blocks,
-        tune,
-        out,
-    );
+    mttkrp_host(&shard.sorted_coo(), factors, &blocks, tune, out);
 }
 
 /// Splits `0..n` into `parts` near-equal contiguous element ranges (at most
@@ -897,18 +648,16 @@ mod tests {
         }
     }
 
-    /// A tiny fixed COO tensor: coords flattened per element, one value each.
+    /// A tiny fixed COO tensor, unsorted along modes 1 and 2.
     struct Coo {
         coords: Vec<[u32; 3]>,
         vals: Vec<f32>,
     }
 
-    impl EcSource for Coo {
-        fn coord(&self, e: usize, m: usize) -> u32 {
-            self.coords[e][m]
-        }
-        fn value(&self, e: usize) -> f32 {
-            self.vals[e]
+    impl Coo {
+        /// The tensor stably sorted by mode `d`: the kernel's input.
+        fn sorted(&self, d: usize) -> CompiledShard {
+            CompiledShard::compile(self.coords.as_flattened(), &self.vals, 3, d)
         }
     }
 
@@ -926,16 +675,16 @@ mod tests {
 
     fn dense_ref(src: &Coo, factors: &[Vec<f32>], rank: usize, d: usize, rows: usize) -> Vec<f64> {
         let mut acc = vec![0.0f64; rows * rank];
-        for e in 0..src.vals.len() {
-            for c in 0..rank {
-                let mut p = src.vals[e] as f64;
+        for (c, &v) in src.coords.iter().zip(&src.vals) {
+            for col in 0..rank {
+                let mut p = v as f64;
                 for (m, f) in factors.iter().enumerate() {
                     if m == d {
                         continue;
                     }
-                    p *= f[src.coord(e, m) as usize * rank + c] as f64;
+                    p *= f[c[m] as usize * rank + col] as f64;
                 }
-                acc[src.coord(e, d) as usize * rank + c] += p;
+                acc[c[d] as usize * rank + col] += p;
             }
         }
         acc
@@ -943,12 +692,15 @@ mod tests {
 
     #[test]
     fn direct_and_privatized_match_dense_reference() {
+        // Mode-0 blocks 0..2 | 2..4 | 4..5 put row 2 on a block boundary,
+        // so the run path's edge fold sums two partials.
         let (src, factors, rank) = tiny();
         let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         let want = dense_ref(&src, &factors, rank, 0, 3);
+        let sorted = src.sorted(0);
         for blocks in [even_blocks(5, 1), vec![0..2, 2..4, 4..5]] {
             let out = MttkrpOut::zeros(3, rank);
-            mttkrp_host(&src, 0, &views, &blocks, &tp(4), &out);
+            mttkrp_host(&sorted.sorted_coo(), &views, &blocks, &tp(4), &out);
             for (j, &w) in want.iter().enumerate() {
                 let got = out.to_vec()[j] as f64;
                 assert!(
@@ -963,11 +715,12 @@ mod tests {
     fn privatized_result_is_independent_of_worker_count() {
         let (src, factors, rank) = tiny();
         let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+        let sorted = src.sorted(0);
         let blocks = vec![0..2, 2..3, 3..5];
         let mut bits = Vec::new();
         for workers in [1usize, 2, 8] {
             let out = MttkrpOut::zeros(3, rank);
-            mttkrp_host(&src, 0, &views, &blocks, &tp(workers), &out);
+            mttkrp_host(&sorted.sorted_coo(), &views, &blocks, &tp(workers), &out);
             bits.push(out.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
         assert_eq!(bits[0], bits[1]);
@@ -978,22 +731,15 @@ mod tests {
     fn launch_reports_runtime_timing_and_accumulates_across_grids() {
         let (src, factors, rank) = tiny();
         let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+        let sorted = src.sorted(0);
+        let view = sorted.sorted_coo();
         let mut rt = SimRuntime::new(PlatformSpec::rtx6000_ada_node(1).scaled(1e-3));
         let out = MttkrpOut::zeros(3, rank);
         // Two sequential grids over disjoint element ranges accumulate into
         // one shared output (the OOC chunk pattern).
         let single = even_blocks(3, 1);
-        let t1 = launch_mttkrp(&mut rt, 0, &src, 0, &views, &single, &[0.5], &out);
-        let t2 = launch_mttkrp(
-            &mut rt,
-            0,
-            &src,
-            0,
-            &views,
-            &[3..4, 4..5],
-            &[0.5, 0.5],
-            &out,
-        );
+        let t1 = launch_mttkrp(&mut rt, 0, &view, &views, &single, &[0.5], &out);
+        let t2 = launch_mttkrp(&mut rt, 0, &view, &views, &[3..4, 4..5], &[0.5, 0.5], &out);
         assert_eq!(t1.blocks, 1);
         assert_eq!(t2.blocks, 2);
         assert_eq!(t2.makespan, 0.5);
@@ -1021,38 +767,14 @@ mod tests {
             .collect();
         let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         let want = dense_ref(&src, &factors, rank, 1, 2);
+        let sorted = src.sorted(1);
         for blocks in [even_blocks(3, 1), vec![0..1, 1..3]] {
             let out = MttkrpOut::zeros(2, rank);
-            mttkrp_host(&src, 1, &views, &blocks, &tp(2), &out);
+            mttkrp_host(&sorted.sorted_coo(), &views, &blocks, &tp(2), &out);
             for (j, &w) in want.iter().enumerate() {
                 let got = out.to_vec()[j] as f64;
                 assert!((got - w).abs() <= 1e-5 * w.abs().max(1.0), "cell {j}");
             }
-        }
-    }
-
-    #[test]
-    fn run_path_matches_tile_path_on_the_sorted_tiny_tensor() {
-        // `tiny()` is sorted by mode 0; 0..2 | 2..4 | 4..5 puts row 2 on a
-        // block boundary, so the edge fold sums two partials.
-        let (src, factors, rank) = tiny();
-        let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
-        let inputs: Vec<u32> = src.coords.iter().flat_map(|c| [c[1], c[2]]).collect();
-        let sorted = SortedCoo::new(&inputs, &src.vals, &[0, 2, 3, 5], None, 3, 0);
-        assert!(sorted.sorted_coo(0).is_some());
-        assert!(sorted.sorted_coo(1).is_none(), "sorted by mode 0 only");
-        for e in 0..5 {
-            for m in 0..3 {
-                assert_eq!(sorted.coord(e, m), src.coord(e, m), "element {e} mode {m}");
-            }
-        }
-        let bits = |o: &MttkrpOut| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // Three blocks take the run path, one the direct path's row walk.
-        for blocks in [vec![0..2, 2..4, 4..5], even_blocks(5, 1)] {
-            let (want, got) = (MttkrpOut::zeros(3, rank), MttkrpOut::zeros(3, rank));
-            mttkrp_host(&src, 0, &views, &blocks, &tp(2), &want);
-            mttkrp_host(&sorted, 0, &views, &blocks, &tp(2), &got);
-            assert_eq!(bits(&got), bits(&want), "blocks {blocks:?}");
         }
     }
 
@@ -1072,7 +794,6 @@ mod tests {
             assert_eq!(runs(1..4), vec![(4, 1..2), (7, 2..3), (9, 3..4)]);
             assert_eq!(runs(3..3), vec![]);
             assert_eq!(runs(6..6), vec![]);
-            assert_eq!((sorted.coord(2, 0), sorted.coord(5, 0)), (7, 9));
         }
     }
 

@@ -40,10 +40,11 @@
 //!   histograms, Prometheus exposition) lives in [`amped_sim::obs`] so the
 //!   planning and streaming crates can record into it too; backends here
 //!   report through [`DeviceRuntime::metrics`].
-//! * [`kernels`] — the kernel layer: rank-blocked MTTKRP with privatized
-//!   per-block accumulation and a deterministic merge. Engines and
-//!   baselines launch through [`kernels::launch_mttkrp`] instead of writing
-//!   per-element atomic updates.
+//! * [`kernels`] — the kernel layer: rank-blocked MTTKRP over a
+//!   [`SortedCoo`] view, on one of two paths (direct for single-block
+//!   grids, row runs with a block-ordered edge fold for the rest). Engines
+//!   and baselines launch through [`kernels::launch_mttkrp`] instead of
+//!   writing per-element atomic updates.
 //! * [`compiled`] — an owned mode-sorted copy ([`CompiledShard`]) for
 //!   callers whose data is not sorted by the output mode yet; it lends the
 //!   kernel layer the same [`SortedCoo`] view the engines' copies do.
@@ -85,9 +86,7 @@ pub use compiled::CompiledShard;
 pub use cpu_runtime::CpuParallelRuntime;
 pub use device::{Device, Platform};
 pub use export::{chrome_trace, chrome_trace_string};
-pub use kernels::{
-    launch_mttkrp, mttkrp_host_compiled, EcSource, FactorsView, FnSource, MttkrpOut, SortedCoo,
-};
+pub use kernels::{launch_mttkrp, mttkrp_host_compiled, FactorsView, MttkrpOut, SortedCoo};
 pub use params::{TuneParams, MAX_RANK_CHUNK};
 pub use runtime::{Collective, DeviceRuntime, FactorBlock};
 pub use sim_runtime::SimRuntime;

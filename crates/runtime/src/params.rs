@@ -9,17 +9,16 @@
 //! caches the winner; everything here must therefore be *behaviorally
 //! transparent*: any valid `TuneParams` produces the same numerics, only
 //! different wall time. All four fields are, with no exception — which
-//! path a launch takes is decided by the launch (block count, sortedness),
-//! never by a field here.
+//! path a launch takes is decided by the launch (its block count), never by
+//! a field here.
 //!
 //! * `rank_chunk` is bit-transparent on every kernel path because rank
 //!   blocking tiles the factor-*column* loop while each output cell still
 //!   accumulates over elements in element order (see the kernel module
 //!   docs).
 //! * `workers` only changes how blocks are claimed; the direct path has one
-//!   block and the run and tile paths fold edge partials / merge tiles in
-//!   block-index order, so results are worker-count independent by
-//!   construction.
+//!   block and the run path folds its edge partials in block-index order,
+//!   so results are worker-count independent by construction.
 //! * `ooc_chunk_budget` / `prefetch_depth` only move chunk *reads* in time;
 //!   chunks are still computed in section order on the main thread.
 

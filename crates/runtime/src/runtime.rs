@@ -181,8 +181,8 @@ pub trait DeviceRuntime: std::fmt::Debug {
     /// ([`crate::CpuParallelRuntime`]) report real wall time instead.
     ///
     /// Engines do not write kernels against this directly — the MTTKRP entry
-    /// points in [`crate::kernels`] build the closures and handle output
-    /// privatization.
+    /// points in [`crate::kernels`] build the closures and fold the blocks'
+    /// shared output rows.
     fn launch_grid(
         &mut self,
         gpu: usize,

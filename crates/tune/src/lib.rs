@@ -449,7 +449,7 @@ fn search_grid(t: &SparseTensor, rank: usize) -> TuneParams {
         let blocks = even_blocks(k, 4 * cand.workers);
         for _ in 0..PROBE_RUNS {
             let t0 = Instant::now();
-            mttkrp_host(&src, 0, &views, &blocks, &cand, &out);
+            mttkrp_host(&src, &views, &blocks, &cand, &out);
             let elapsed = t0.elapsed().as_secs_f64();
             if elapsed < best_elapsed {
                 best_elapsed = elapsed;

@@ -45,7 +45,7 @@ pub mod prelude {
         PartiSystem, SystemRun,
     };
     pub use amped_core::als::{cp_als, AlsOptions, AlsResult, RebalanceOptions};
-    pub use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_privatized, mttkrp_ref};
+    pub use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_ref};
     pub use amped_core::{
         AmpedConfig, AmpedEngine, GatherAlgo, ModeTiming, MttkrpEngine, OocEngine, SchedulePolicy,
     };
@@ -58,8 +58,8 @@ pub mod prelude {
     };
     pub use amped_runtime::{
         chrome_trace, chrome_trace_string, launch_mttkrp, Collective, CompiledShard,
-        CpuParallelRuntime, Device, DeviceRuntime, FactorBlock, FactorsView, FnSource, GridTiming,
-        MttkrpOut, Platform, SimRuntime, SortedCoo, SpanPath, SpanScope, StragglerReport, Timeline,
+        CpuParallelRuntime, Device, DeviceRuntime, FactorBlock, FactorsView, GridTiming, MttkrpOut,
+        Platform, SimRuntime, SortedCoo, SpanPath, SpanScope, StragglerReport, Timeline,
         TracingRuntime, TuneParams,
     };
     pub use amped_sim::metrics::{geomean, RunReport};

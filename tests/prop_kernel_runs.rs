@@ -1,14 +1,20 @@
-//! Property tests: on a source sorted by the output mode, the kernel
-//! layer's **run path** (row runs, register tiles, edge partials folded in
-//! block order) produces exactly the bits of the **tile path** (privatized
-//! `f64` tiles merged in block order) — for every order, rank, `rank_chunk`,
-//! worker count and block decomposition, including the shapes that stress
-//! the edge fold: one row spanning many blocks, empty blocks, empty rows,
-//! and signed-zero values. Orders 1–7 cover each order-specialized run loop
-//! (3, 5) and the runtime-order loop around them (1, 2, 4, 6, 7).
-//! Equality here is equality of bits, not `approx_eq`: it is what lets the
-//! in-core engine switch paths without moving a golden, a fit trace or a
-//! modeled time.
+//! Property tests: the kernel layer's **run path** (row runs, register
+//! tiles, edge partials folded in block order) and its **direct path**
+//! produce exactly the bits of [`oracle`], a scalar loop of the arithmetic
+//! the kernel layer documents — for every order, rank, `rank_chunk`, worker
+//! count and block decomposition, including the shapes that stress the edge
+//! fold: one row spanning many blocks, empty blocks, empty rows, and
+//! signed-zero values. Orders 1–7 cover each order-specialized run loop
+//! (3, 5) and the runtime-order loop around them (1, 2, 4, 6, 7). Equality
+//! here is equality of bits, not `approx_eq`: it is what lets a launch
+//! change how it walks a view without moving a golden, a fit trace or a
+//! modeled time. The oracle's multi-block arithmetic is that of the
+//! privatized *tile path* — per-block `f64` tiles merged in block order —
+//! which the kernel layer executed beside the run path until every launch
+//! became a sorted view; the test names keep that name for it.
+//!
+//! The run path also stays within one `f32` ulp of the sequential `f64`
+//! reference `mttkrp_ref`.
 
 use amped::partition::isp_ranges;
 use amped::prelude::*;
@@ -23,9 +29,69 @@ const RANKS: [usize; 5] = [1, 7, 32, 40, 257];
 const RANK_CHUNKS: [usize; 4] = [1, 8, 32, 256];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// Nonzeros sorted by `mode` — element-major COO arrays for the tile path,
-/// input coordinates and row pointers for the run path's view, a pointer
-/// for every row or for the non-empty rows only, beside their ids — plus
+/// The kernel layer's arithmetic for one launch of `blocks` over the
+/// element-major COO arrays `indices`/`values`, added into `out`
+/// (`rows × rank`, row-major). One block: per element and column the `f32`
+/// product of the value and the input modes' factor entries in ascending
+/// mode order, added to the cell in element order. Several blocks: per
+/// block an `f64` partial per cell from `+0.0` over the block's elements in
+/// element order, the partials summed from `+0.0` in block order, an
+/// exact-zero total skipped and any other added to the widened cell and
+/// rounded once.
+fn oracle(
+    indices: &[u32],
+    values: &[f32],
+    mode: usize,
+    factors: &[Mat],
+    blocks: &[Range<usize>],
+    out: &mut [f32],
+) {
+    let (order, rank) = (factors.len(), factors[0].cols());
+    let coords = |e: usize| &indices[e * order..(e + 1) * order];
+    let entry = |c: &[u32], m: usize, col: usize| factors[m].row(c[m] as usize)[col];
+    let in_modes: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
+    if blocks.len() <= 1 {
+        for e in blocks.iter().flat_map(Range::clone) {
+            let c = coords(e);
+            for col in 0..rank {
+                let p = in_modes
+                    .iter()
+                    .fold(values[e], |p, &m| p * entry(c, m, col));
+                out[c[mode] as usize * rank + col] += p;
+            }
+        }
+        return;
+    }
+    let mut total = vec![0.0f64; out.len()];
+    for block in blocks {
+        let mut partial = vec![0.0f64; out.len()];
+        for e in block.clone() {
+            let c = coords(e);
+            for col in 0..rank {
+                let p = in_modes
+                    .iter()
+                    .fold(values[e] as f64, |p, &m| p * entry(c, m, col) as f64);
+                partial[c[mode] as usize * rank + col] += p;
+            }
+        }
+        for (t, p) in total.iter_mut().zip(&partial) {
+            *t += p;
+        }
+    }
+    for (cell, &t) in out.iter_mut().zip(&total) {
+        if t != 0.0 {
+            *cell = (*cell as f64 + t) as f32;
+        }
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Nonzeros sorted by `mode` — element-major COO arrays for the oracle,
+/// input coordinates and row pointers for the kernel's view, a pointer for
+/// every row or for the non-empty rows only, beside their ids — plus
 /// factors of rank `rank`.
 struct Case {
     shape: Vec<u32>,
@@ -108,8 +174,8 @@ impl Case {
     }
 
     /// Two launches of `blocks` into one output (the second adds to
-    /// non-zero cells), through the tile path or the run path over either
-    /// form of the view.
+    /// non-zero cells) through the kernel layer, over either form of the
+    /// view.
     fn run(
         &self,
         blocks: &[Range<usize>],
@@ -117,7 +183,6 @@ impl Case {
         rank_chunk: usize,
         form: Form,
     ) -> Vec<u32> {
-        let order = self.shape.len();
         let rank = self.factors[0].cols();
         let out = MttkrpOut::zeros(self.shape[self.mode] as usize, rank);
         let views = FactorsView::new(self.factors.iter().map(|f| f.as_slice()).collect(), rank);
@@ -126,45 +191,56 @@ impl Case {
             rank_chunk,
             ..Default::default()
         };
+        let (row_ptr, row_ids) = match form {
+            Form::EveryRow => (&self.row_ptr, None),
+            Form::ListedRows => (&self.listed_ptr, Some(self.row_ids.as_slice())),
+        };
+        let order = self.shape.len();
+        let src = SortedCoo::new(
+            &self.inputs,
+            &self.values,
+            row_ptr,
+            row_ids,
+            order,
+            self.mode,
+        );
         for _ in 0..2 {
-            let (row_ptr, row_ids) = match form {
-                Form::Tile => {
-                    let src = FnSource::new(
-                        |e: usize, m: usize| self.indices[e * order + m],
-                        |e: usize| self.values[e],
-                    );
-                    mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
-                    continue;
-                }
-                Form::EveryRow => (&self.row_ptr, None),
-                Form::ListedRows => (&self.listed_ptr, Some(self.row_ids.as_slice())),
-            };
-            let src = SortedCoo::new(
-                &self.inputs,
-                &self.values,
-                row_ptr,
-                row_ids,
-                order,
-                self.mode,
-            );
-            mttkrp_host(&src, self.mode, &views, blocks, &tune, &out);
+            mttkrp_host(&src, &views, blocks, &tune, &out);
         }
-        out.to_vec().iter().map(|v| v.to_bits()).collect()
+        bits(&out.to_vec())
     }
 
-    /// Asserts run ≡ tile on `blocks`, bit for bit, over both view forms.
+    /// The same two launches through [`oracle`].
+    fn expected(&self, blocks: &[Range<usize>]) -> Vec<u32> {
+        let rank = self.factors[0].cols();
+        let mut out = vec![0.0f32; self.shape[self.mode] as usize * rank];
+        for _ in 0..2 {
+            oracle(
+                &self.indices,
+                &self.values,
+                self.mode,
+                &self.factors,
+                blocks,
+                &mut out,
+            );
+        }
+        bits(&out)
+    }
+
+    /// Asserts kernel ≡ oracle on `blocks`, bit for bit, over both view
+    /// forms.
     fn assert_paths_agree(&self, blocks: &[Range<usize>], workers: usize, rank_chunk: usize) {
-        let tile = self.run(blocks, workers, rank_chunk, Form::Tile);
+        let want = self.expected(blocks);
         for form in [Form::EveryRow, Form::ListedRows] {
-            let run = self.run(blocks, workers, rank_chunk, form);
-            for (i, (r, t)) in run.iter().zip(&tile).enumerate() {
+            let got = self.run(blocks, workers, rank_chunk, form);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
-                    r,
-                    t,
-                    "cell {i}: run {} vs tile {} ({form:?}, blocks {blocks:?}, \
+                    g,
+                    w,
+                    "cell {i}: kernel {} vs oracle {} ({form:?}, blocks {blocks:?}, \
                      workers {workers}, rank_chunk {rank_chunk})",
-                    f32::from_bits(*r),
-                    f32::from_bits(*t),
+                    f32::from_bits(*g),
+                    f32::from_bits(*w),
                 );
             }
         }
@@ -174,8 +250,6 @@ impl Case {
 /// How a launch sees a [`Case`].
 #[derive(Clone, Copy, Debug)]
 enum Form {
-    /// Through a closure source: the tile path.
-    Tile,
     /// A view with a pointer for every row of the mode.
     EveryRow,
     /// A view with pointers for the non-empty rows and their ids.
@@ -226,6 +300,59 @@ proptest! {
         let blocks = random_blocks(case.nnz(), max_len, &mut rng);
         case.assert_paths_agree(&blocks, WORKERS[w_idx], RANK_CHUNKS[rc_idx]);
     }
+
+    /// On the run path every output cell is a sum of per-block `f64`
+    /// partials rounded once, so over a `compile_mode` copy it matches the
+    /// sequential `f64` reference bit for bit or lands one `f32` ulp away
+    /// (when `f64` reassociation crosses a rounding boundary), at orders 3
+    /// and 5, any worker count and any `rank_chunk`.
+    #[test]
+    fn run_path_is_within_one_ulp_of_the_sequential_reference(
+        order_idx in 0usize..2,
+        nnz in 1usize..500,
+        rank in 1usize..20,
+        parts in 2usize..12,
+        w_idx in 0usize..3,
+        rc_idx in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x51DE);
+        let order = [3, 5][order_idx];
+        let shape: Vec<u32> = (0..order).map(|_| rng.gen_range(2..40u32)).collect();
+        let mode = rng.gen_range(0..order);
+        let t = GenSpec::uniform(shape, nnz, seed).generate();
+        let fs: Vec<Mat> =
+            t.shape().iter().map(|&d| Mat::random(d as usize, rank, &mut rng)).collect();
+        let blocks = even_blocks(t.nnz(), parts);
+        // `even_blocks` collapses tiny inputs into fewer ranges; the run
+        // path needs at least two.
+        prop_assume!(blocks.len() > 1);
+        let tune = TuneParams {
+            workers: WORKERS[w_idx],
+            rank_chunk: RANK_CHUNKS[rc_idx],
+            ..Default::default()
+        };
+        let out = MttkrpOut::zeros(t.dim(mode) as usize, rank);
+        let views = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
+        mttkrp_host(&compile_mode(&t, mode).sorted_coo(), &views, &blocks, &tune, &out);
+        let want = mttkrp_ref(&t, &fs, mode);
+        for (i, (g, w)) in out.to_vec().iter().zip(want.as_slice()).enumerate() {
+            prop_assert!(
+                within_one_ulp(*g, *w),
+                "cell {}: kernel {} vs reference {} (more than one ulp apart)", i, g, w
+            );
+        }
+    }
+}
+
+/// `a` and `b` are the same bits, or adjacent finite `f32` values of one
+/// sign (one ulp apart).
+fn within_one_ulp(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits()
+        || (a.is_finite()
+            && b.is_finite()
+            && (a < 0.0) == (b < 0.0)
+            && a.to_bits().abs_diff(b.to_bits()) <= 1)
 }
 
 /// The full rank × `rank_chunk` × workers grid on one tensor whose hottest
@@ -301,10 +428,10 @@ fn blocks_out_of_row_order_panic_at_the_fold() {
 }
 
 /// Unsorted data reaches the run path through an owned sorted copy
-/// (`compile_mode` + `mttkrp_compiled` / `mttkrp_host_compiled` — the tuner
-/// probe's and the benchmark probe's path). It must produce the bits of the
-/// tile path over the same stably-sorted element order, at every worker
-/// count and `rank_chunk`.
+/// (`compile_mode` + `mttkrp_compiled` / `mttkrp_host_compiled` — the
+/// baselines', the tuner probe's and the benchmark probe's path). It must
+/// produce the oracle's bits over the same stably-sorted element order, at
+/// every worker count and `rank_chunk`.
 #[test]
 fn sorted_copy_of_an_unsorted_tensor_matches_the_tile_path() {
     let t = GenSpec {
@@ -322,17 +449,20 @@ fn sorted_copy_of_an_unsorted_tensor_matches_the_tile_path() {
         .map(|&d| Mat::random(d as usize, rank, &mut rng))
         .collect();
     let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
-    let bits = |o: &MttkrpOut| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for d in 0..t.order() {
         assert!(
             (1..t.nnz()).any(|e| t.idx(e - 1, d) > t.idx(e, d)),
             "mode {d}: the generated tensor is already sorted, nothing tested"
         );
         let shard = compile_mode(&t, d);
-        // The same element order, from a closure: tile path only.
-        let mut perm: Vec<usize> = (0..t.nnz()).collect();
-        perm.sort_by_key(|&e| t.idx(e, d));
-        let tile_src = FnSource::new(|e, m| t.idx(perm[e], m), |e| t.value(perm[e]));
+        // The same element order, every coordinate spelled out.
+        let sorted = t.sorted_by_mode(d);
+        let expected = |blocks: &[Range<usize>]| {
+            let mut out = vec![0.0f32; t.dim(d) as usize * rank];
+            let (indices, values) = (sorted.indices_flat(), sorted.values());
+            oracle(indices, values, d, &factors, blocks, &mut out);
+            bits(&out)
+        };
         let rows = t.dim(d) as usize;
         for workers in [1usize, 2, 4] {
             let blocks = even_blocks(t.nnz(), 4 * workers);
@@ -342,32 +472,31 @@ fn sorted_copy_of_an_unsorted_tensor_matches_the_tile_path() {
                     rank_chunk,
                     ..Default::default()
                 };
-                let (want, got) = (MttkrpOut::zeros(rows, rank), MttkrpOut::zeros(rows, rank));
-                mttkrp_host(&tile_src, d, &views, &blocks, &tune, &want);
+                let got = MttkrpOut::zeros(rows, rank);
                 mttkrp_host_compiled(&shard, &views, &tune, &got);
                 assert_eq!(
-                    bits(&got),
-                    bits(&want),
+                    bits(&got.to_vec()),
+                    expected(&blocks),
                     "mode {d}, workers {workers}, rank_chunk {rank_chunk}"
                 );
             }
         }
         // `mttkrp_compiled` is the same launch at the host pool's size.
-        let tune = TuneParams::default();
-        let blocks = even_blocks(t.nnz(), 4 * tune.effective_workers());
-        let want = MttkrpOut::zeros(rows, rank);
-        mttkrp_host(&tile_src, d, &views, &blocks, &tune, &want);
+        let blocks = even_blocks(t.nnz(), 4 * TuneParams::default().effective_workers());
         let got = mttkrp_compiled(&shard, &t, &factors);
-        let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, bits(&want), "mode {d}: mttkrp_compiled");
+        assert_eq!(
+            bits(got.as_slice()),
+            expected(&blocks),
+            "mode {d}: mttkrp_compiled"
+        );
     }
 }
 
 /// The in-core engine under default dispatch (run path on every multi-ISP
 /// shard) returns the bits the tile path produced before the switch. The
 /// expectation is captured here, not in a golden file: the engine's own
-/// plan is replayed shard by shard through the kernel layer with a closure
-/// source, which can only take the direct and tile paths. An order-3 tensor
+/// plan is replayed shard by shard through [`oracle`], one launch per
+/// shard. An order-3 tensor
 /// and a Twitch-shaped order-5 one (two 64-row modes) drive the engine
 /// through both order-specialized run loops.
 #[test]
@@ -405,29 +534,26 @@ fn engine_matches_its_plan_replayed_on_the_tile_path(t: &SparseTensor) {
         .collect();
     let platform = PlatformSpec::rtx6000_ada_node(3).scaled(1e-3);
     let mut engine = AmpedEngine::new(t, platform, cfg.clone()).unwrap();
-    let views = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
     for d in 0..t.order() {
         let mp = &engine.plan().modes[d];
         // The copy's element order, every coordinate spelled out.
         let sorted = t.sorted_by_mode(d);
-        let src = FnSource::new(|e, m| sorted.idx(e, m), |e| sorted.value(e));
-        let want = MttkrpOut::zeros(t.dim(d) as usize, rank);
+        let mut want = vec![0.0f32; t.dim(d) as usize * rank];
         let mut multi_isp = 0;
         for shard in &mp.shards {
             let blocks = isp_ranges(shard.elem_range.clone(), cfg.isp_nnz);
             multi_isp += (blocks.len() > 1) as usize;
-            mttkrp_host(&src, d, &views, &blocks, &engine.tune(), &want);
+            let (indices, values) = (sorted.indices_flat(), sorted.values());
+            oracle(indices, values, d, &factors, &blocks, &mut want);
         }
         assert!(
             multi_isp > 0,
             "mode {d}: no multi-ISP shard, nothing tested"
         );
         let (got, _) = engine.mttkrp_mode(d, &factors).unwrap();
-        let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = want.to_vec().iter().map(|v| v.to_bits()).collect();
         assert_eq!(
-            got,
-            want,
+            bits(got.as_slice()),
+            bits(&want),
             "order {}, mode {d}: engine bits moved off the tile path's",
             t.order()
         );

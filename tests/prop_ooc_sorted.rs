@@ -142,7 +142,7 @@ fn host_replay(path: &Path, t: &SparseTensor, fs: &[Mat], d: usize) -> Vec<u32> 
             d,
         );
         let blocks = isp_ranges(0..chunk.nnz(), ISP_NNZ);
-        mttkrp_host(&src, d, &views, &blocks, &TuneParams::default(), &out);
+        mttkrp_host(&src, &views, &blocks, &TuneParams::default(), &out);
         reader.release(chunk);
     }
     bits(&out.to_vec())
