@@ -37,7 +37,15 @@ cargo clippy --all-targets -- -D warnings
 echo "=== 5/9 cargo doc --no-deps (warnings denied) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "=== 6/9 cluster + stream_ooc + out_of_core examples + figures fig10 (smoke) ==="
+echo "=== 6/9 every example + figures fig10 (smoke) ==="
+# The single-node examples, each through the in-core engine's public
+# constructor: quickstart checks mode 0 against the reference MTTKRP and
+# runs a full iteration, cpd_als checks CP-ALS recovers a planted rank-6 tensor,
+# twitch_5mode runs every system on a five-mode tensor and
+# multi_gpu_scaling times 1 to 4 GPUs. None writes a file.
+for example in quickstart cpd_als twitch_5mode multi_gpu_scaling; do
+  cargo run --release --example "$example"
+done
 # The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
 # HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
 cargo run --release --example cluster

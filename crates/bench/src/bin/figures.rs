@@ -9,7 +9,7 @@
 use amped_baselines::MttkrpSystem;
 use amped_bench::reportio::{emit, Table};
 use amped_bench::{run_system, ExpContext, Outcome};
-use amped_core::{AmpedConfig, AmpedEngine, GatherAlgo, SchedulePolicy};
+use amped_core::{AmpedConfig, AmpedEngine, GatherAlgo, MttkrpEngine, SchedulePolicy};
 use amped_formats::LinTensor;
 use amped_sim::metrics::geomean;
 use amped_tensor::datasets::{self, Dataset};

@@ -1,7 +1,8 @@
-//! Trace export harness: run a small CP-ALS on both engines with tracing
-//! and metrics attached, write the Chrome trace-event JSON (Perfetto /
-//! `chrome://tracing` loadable) and the Prometheus text exposition, and
-//! print the modeled-vs-measured calibration report.
+//! Trace export harness: run a small CP-ALS on the engine over each of its
+//! two sources with tracing and metrics attached, write the Chrome
+//! trace-event JSON (Perfetto / `chrome://tracing` loadable) and the
+//! Prometheus text exposition, and print the modeled-vs-measured
+//! calibration report.
 //!
 //! Usage: `cargo run -p amped-bench --bin trace_export [out_dir]`
 //! (default `target/trace_export`). Artifacts:

@@ -13,7 +13,7 @@
 //! backends price them with the same model), which doubles as a self-check
 //! that the two runs issued identical op streams.
 
-use amped_core::{AmpedConfig, AmpedEngine};
+use amped_core::{AmpedConfig, AmpedEngine, MttkrpEngine};
 use amped_linalg::Mat;
 use amped_runtime::{
     CpuParallelRuntime, DeviceRuntime, OpKind, SimRuntime, StragglerReport, TracingRuntime,

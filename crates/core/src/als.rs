@@ -14,7 +14,8 @@
 //! (DESIGN.md §15).
 //!
 //! The loop is generic over [`MttkrpEngine`], so the same ALS drives the
-//! in-core [`crate::engine::AmpedEngine`] and the out-of-core
+//! one [`crate::engine::Engine`] over either source: the in-core
+//! [`crate::engine::AmpedEngine`] and the out-of-core
 //! [`crate::ooc::OocEngine`].
 
 use crate::engine::MttkrpEngine;
@@ -207,7 +208,8 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
 
     for iter in 0..opts.max_iters {
         let _iter_span = tl.as_ref().map(|t| t.span("iteration", iter as u64));
-        let mut last_m: Option<Mat> = None;
+        // The last mode's MTTKRP result, which the fit below reads again.
+        let mut m_last = Mat::zeros(0, rank);
         let mut iter_report = RunReport {
             per_gpu: vec![Default::default(); engine.num_gpus()],
             ..Default::default()
@@ -235,7 +237,8 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             // Only the last mode's MTTKRP result is read again (by the fit
             // below); every other mode's becomes its factor in place.
             let mut a = if d == n - 1 {
-                last_m.insert(m).clone()
+                m_last = m;
+                m_last.clone()
             } else {
                 m
             };
@@ -247,7 +250,6 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
 
         // Fit via the standard CP-ALS shortcut: ⟨X, X̂⟩ folds the last
         // MTTKRP result against the newest factor and λ.
-        let m_last = last_m.expect("n ≥ 1 modes");
         let a_last = &factors[n - 1];
         let mut inner = 0.0f64;
         for row in 0..a_last.rows() {

@@ -1,5 +1,6 @@
 //! Engine configuration (the paper's §5.1.5 default configuration).
 
+use amped_plan::WorkloadProfile;
 use serde::Serialize;
 
 /// How tensor shards are assigned to GPUs.
@@ -78,6 +79,17 @@ impl AmpedConfig {
             return Err("shard budget must be at least one ISP".into());
         }
         Ok(())
+    }
+
+    /// The workload the cost model prices: an order-`order` tensor of
+    /// `elem_bytes`-byte elements decomposed at this rank and ISP size.
+    pub(crate) fn workload(&self, order: usize, elem_bytes: u64) -> WorkloadProfile {
+        WorkloadProfile {
+            order,
+            rank: self.rank,
+            elem_bytes,
+            isp_nnz: self.isp_nnz,
+        }
     }
 }
 

@@ -1,19 +1,28 @@
-//! The AMPED multi-GPU MTTKRP engine (Algorithms 1–3).
+//! The AMPED multi-GPU MTTKRP engine (Algorithms 1–3), one engine over two
+//! sources.
 //!
-//! The engine is pure orchestration: partitioning, schedule preparation, and
-//! the double-buffered pipeline arithmetic live here, while every kernel
-//! launch, transfer, collective, and device allocation goes through the
-//! [`DeviceRuntime`] it holds — by default the simulated
-//! [`amped_runtime::SimRuntime`], but any backend (e.g. a tracing decorator,
-//! or eventually a real-GPU runtime) slots in via
-//! [`AmpedEngine::with_runtime`].
+//! [`Engine`] is Algorithm 1's loop, written once: argument checks, the
+//! per-GPU pipelines a [`Source`] reports, the inter-GPU barrier, the timed
+//! all-gather of the updated rows, and the construction, replanning and
+//! accessor shell around them. What differs between running in core and
+//! out of core is only where a mode-sorted element comes from, so that is
+//! all a source owns: [`Resident`] (this module, [`AmpedEngine`]) keeps one
+//! mode-sorted copy per mode in host memory and streams its shards;
+//! [`crate::ooc::Streamed`] ([`crate::ooc::OocEngine`]) reads the same
+//! layout chunk by chunk from a `.tnsb` file's sorted sections.
+//!
+//! The engine is pure orchestration: every kernel launch, transfer,
+//! collective, and device allocation goes through the [`DeviceRuntime`] it
+//! holds — by default the simulated [`amped_runtime::SimRuntime`], but any
+//! backend (e.g. a tracing decorator, or eventually a real-GPU runtime)
+//! slots in via [`AmpedEngine::with_runtime`].
 
 use crate::config::{AmpedConfig, GatherAlgo, SchedulePolicy};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
 use amped_plan::{
     AssignmentSpace, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
-    UniformCost, WorkloadProfile,
+    UniformCost,
 };
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{
@@ -38,10 +47,10 @@ pub struct ModeTiming {
 }
 
 /// The engine interface CP-ALS drives: one MTTKRP per output mode plus the
-/// tensor and platform facts the outer loop needs. Implemented by the
-/// in-core [`AmpedEngine`] and the out-of-core [`crate::ooc::OocEngine`], so
-/// [`crate::als::cp_als`] runs unchanged on tensors that fit in host memory
-/// and on tensors that only exist as `.tnsb` chunks on disk.
+/// tensor and platform facts the outer loop needs. Implemented once, by
+/// [`Engine`], so [`crate::als::cp_als`] runs unchanged on tensors that fit
+/// in host memory ([`AmpedEngine`]) and on tensors that only exist as
+/// `.tnsb` chunks on disk ([`crate::ooc::OocEngine`]).
 pub trait MttkrpEngine {
     /// Runs MTTKRP for output mode `d`: returns the updated output factor
     /// `Ŷ_d` and the mode's simulated timing.
@@ -88,6 +97,427 @@ pub trait MttkrpEngine {
     }
 }
 
+/// Where an [`Engine`]'s mode-sorted elements live, and the little only that
+/// place knows: the tensor facts, how a mode is re-cut, how a mode's grids
+/// are priced and launched, and how the gathered output is assembled.
+/// Sealed — [`Resident`] and [`crate::ooc::Streamed`] are the only sources,
+/// and everything else the engine does is written once over them.
+pub trait Source: sealed::Sealed {
+    /// Mode sizes of the decomposed tensor.
+    fn shape(&self) -> &[Idx];
+
+    /// `‖X‖²` of the decomposed tensor.
+    fn norm_sq(&self) -> f64;
+
+    /// Output-index histogram of mode `d`.
+    fn mode_hist(&self, d: usize) -> Vec<u64>;
+
+    /// Nonzeros each GPU owns under mode `d`'s current assignment.
+    fn mode_loads(&self, d: usize) -> Vec<u64>;
+
+    /// Preprocessing wall so far, and its split into busy-seconds.
+    fn setup(&self) -> (f64, PlanBusy);
+
+    /// Moves mode `assignment.mode` to the assignment's output-index ranges
+    /// (already validated against the tensor and the platform).
+    fn recut(
+        &mut self,
+        runtime: &dyn DeviceRuntime,
+        cfg: &AmpedConfig,
+        assignment: &ModeAssignment,
+    ) -> Result<(), SimError>;
+
+    /// Prices every GPU's stream of mode `d` as `(transfer, compute)` steps
+    /// and runs the mode's grids into `out`, in the source's own op order.
+    fn launch(
+        &mut self,
+        runtime: &mut dyn DeviceRuntime,
+        spec: &PlatformSpec,
+        cfg: &AmpedConfig,
+        d: usize,
+        factors: &FactorsView,
+        out: &MttkrpOut,
+    ) -> Result<sealed::ModeRun, SimError>;
+
+    /// The output factor, once the timed all-gather has been charged: by
+    /// default what the launches wrote to `out`.
+    fn assemble(
+        &self,
+        _runtime: &mut dyn DeviceRuntime,
+        _rows: &[Vec<Range<Idx>>],
+        out: &MttkrpOut,
+    ) -> Mat {
+        Mat::from_vec(out.rows(), out.rank(), out.to_vec())
+    }
+}
+
+pub(crate) mod sealed {
+    use super::{Idx, Range};
+
+    /// Implemented by exactly the sources of this crate.
+    pub trait Sealed {}
+
+    /// What a source's launches leave for the engine's pipeline model,
+    /// barrier and all-gather.
+    pub struct ModeRun {
+        /// Each GPU's stream: `(transfer, compute)` seconds per step.
+        pub steps: Vec<Vec<(f64, f64)>>,
+        /// Each GPU's output rows, as index ranges in stream order.
+        pub rows: Vec<Vec<Range<Idx>>>,
+    }
+}
+
+/// The AMPED engine over a [`Source`]: the device runtime it executes
+/// through, the configuration, the engine's own meters, and where the
+/// mode-sorted elements come from.
+#[derive(Debug)]
+pub struct Engine<S> {
+    runtime: Box<dyn DeviceRuntime>,
+    /// Cached copy of the runtime's spec for borrow-free planning reads.
+    spec: PlatformSpec,
+    cfg: AmpedConfig,
+    obs: EngineMeters,
+    pub(crate) source: S,
+}
+
+/// The in-core engine: every mode-sorted copy lives in host memory.
+pub type AmpedEngine = Engine<Resident>;
+
+/// The engine's own telemetry handles (runtime-level counters live in the
+/// backend), resolved once at construction: nonzeros processed per mode and
+/// replans applied. Detached — free — unless the runtime carries an
+/// attached registry.
+#[derive(Debug, Default)]
+struct EngineMeters {
+    nnz_processed: Counter,
+    replans: Counter,
+}
+
+/// Publishes where setup went, after construction and after every replan:
+/// `preprocess_wall` and its split into busy-seconds per phase (summed over
+/// pool jobs), as gauges of the runtime's registry.
+fn record_setup(registry: &MetricsRegistry, (wall, busy): (f64, PlanBusy)) {
+    for (name, seconds) in [
+        ("setup_wall_s", wall),
+        ("setup_sort_busy_s", busy.sort_s),
+        ("setup_stats_busy_s", busy.stats_s),
+        ("setup_pricing_busy_s", busy.pricing_s),
+    ] {
+        registry.gauge(name).set(seconds);
+    }
+}
+
+/// Charges GPU `g` a local copy of every factor matrix (§4.4). Each source
+/// calls it at its own point of its allocation order.
+pub(crate) fn charge_factors(
+    runtime: &mut dyn DeviceRuntime,
+    g: usize,
+    shape: &[Idx],
+    rank: usize,
+) -> Result<(), SimError> {
+    let bytes: u64 = shape.iter().map(|&d| d as u64 * rank as u64 * 4).sum();
+    runtime.alloc(Device::Gpu(g), bytes, "factor-matrix copies")
+}
+
+impl<S: Source> Engine<S> {
+    /// The construction core: validates `cfg`, lets `open` charge the
+    /// devices and build the source, then binds the engine's meters and
+    /// publishes setup.
+    pub(crate) fn build(
+        mut runtime: Box<dyn DeviceRuntime>,
+        mut cfg: AmpedConfig,
+        open: impl FnOnce(
+            &mut dyn DeviceRuntime,
+            &PlatformSpec,
+            &mut AmpedConfig,
+        ) -> Result<S, SimError>,
+    ) -> Result<Self, SimError> {
+        cfg.validate().map_err(SimError::Unsupported)?;
+        let spec = runtime.spec().clone();
+        let source = open(runtime.as_mut(), &spec, &mut cfg)?;
+        let registry = runtime.metrics();
+        let obs = EngineMeters {
+            nnz_processed: registry.counter("nnz_processed"),
+            replans: registry.counter("replans"),
+        };
+        record_setup(&registry, source.setup());
+        Ok(Self {
+            runtime,
+            spec,
+            cfg,
+            obs,
+            source,
+        })
+    }
+
+    /// The autotuning tail of `with_tuner`: binds the tuner's
+    /// `tune_searches` / `tune_cache_hits` counters to the runtime's
+    /// registry, lets `resolve` pick [`TuneParams`] for this backend, and
+    /// installs them on the runtime.
+    pub(crate) fn tuned(
+        mut self,
+        tuner: &mut amped_tune::Autotuner,
+        resolve: impl FnOnce(&mut amped_tune::Autotuner, &str, &Self) -> TuneParams,
+    ) -> Self {
+        tuner.attach_metrics(&self.runtime.metrics());
+        let backend = amped_tune::backend_fingerprint(self.runtime.name());
+        let params = resolve(tuner, &backend, &self);
+        self.set_tune(params);
+        self
+    }
+
+    /// The platform specification.
+    pub fn spec(&self) -> &PlatformSpec {
+        &self.spec
+    }
+
+    /// The device runtime the engine executes through.
+    pub fn runtime(&self) -> &dyn DeviceRuntime {
+        self.runtime.as_ref()
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &AmpedConfig {
+        &self.cfg
+    }
+
+    /// The runtime's tunable execution parameters.
+    pub fn tune(&self) -> TuneParams {
+        self.runtime.tune()
+    }
+
+    /// Sets the runtime's tunable execution parameters. Every setting is
+    /// numerics-transparent (see `amped_runtime::params`): factors are
+    /// bit-identical across prefetch depths and rank tiles; only wall time
+    /// and overlap change.
+    pub fn set_tune(&mut self, params: TuneParams) {
+        self.runtime.set_tune(params);
+    }
+
+    /// Peak GPU memory charged, in bytes (max over GPUs).
+    pub fn gpu_mem_peak(&self) -> u64 {
+        self.runtime.gpu_mem_peak()
+    }
+
+    /// Host memory charged, in bytes: the per-mode tensor copies in core,
+    /// the staging budget's reservation out of core.
+    pub fn host_mem_used(&self) -> u64 {
+        self.runtime.mem(Device::Host).used()
+    }
+
+    /// Algorithm 1 in full: MTTKRP along every mode of one decomposition
+    /// iteration. Each mode's gathered output replaces that factor before
+    /// the next mode runs (line 11), as in the paper.
+    pub fn mttkrp_all_modes(&mut self, factors: &mut [Mat]) -> Result<RunReport, SimError> {
+        let mut report = RunReport {
+            preprocess_wall: self.preprocess_wall(),
+            per_gpu: vec![TimeBreakdown::default(); self.spec.num_gpus()],
+            ..Default::default()
+        };
+        for d in 0..self.source.shape().len() {
+            let (out, timing) = self.mttkrp_mode(d, factors)?;
+            factors[d] = out;
+            // λ-normalize the fresh factor (as ALS does) so chained values
+            // stay within f32 range across modes; timing is value-independent.
+            factors[d].normalize_cols();
+            for (acc, g) in report.per_gpu.iter_mut().zip(&timing.per_gpu) {
+                acc.add(g);
+            }
+            report.per_mode.push(timing.wall);
+            report.total_time += timing.wall;
+        }
+        Ok(report)
+    }
+}
+
+impl<S: Source> MttkrpEngine for Engine<S> {
+    /// Runs MTTKRP for output mode `d` (Algorithm 1 loop body): returns the
+    /// updated output factor `Ŷ_d` and the mode timing.
+    ///
+    /// Real execution: every ISP's elementwise computation (Algorithm 2) runs
+    /// as one block of a [`DeviceRuntime::launch_grid`] grid through the
+    /// kernel layer over a mode-sorted view — no atomic read-modify-write
+    /// anywhere: multi-ISP grids walk the view as row runs with `f64`
+    /// accumulation and one rounding per cell (see `amped_runtime::kernels`),
+    /// single-ISP grids keep the single-writer `f32` order. The source
+    /// prices and launches the grids; the engine then closes the mode with
+    /// the inter-GPU barrier and the configured all-gather (Algorithm 3).
+    fn mttkrp_mode(&mut self, d: usize, factors: &[Mat]) -> Result<(Mat, ModeTiming), SimError> {
+        let order = self.source.shape().len();
+        assert!(d < order, "mode {d} out of range");
+        assert_eq!(factors.len(), order, "one factor matrix per mode");
+        let rank = self.cfg.rank;
+        assert!(
+            factors.iter().all(|f| f.cols() == rank),
+            "factor rank must match engine configuration"
+        );
+        let out = MttkrpOut::zeros(self.source.shape()[d] as usize, rank);
+        let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
+        let runtime = self.runtime.as_mut();
+        let run = self
+            .source
+            .launch(runtime, &self.spec, &self.cfg, d, &fviews, &out)?;
+        // Every nonzero some GPU owns ran this mode.
+        let nnz: u64 = self.source.mode_loads(d).iter().sum();
+        self.obs.nnz_processed.add(nnz);
+
+        // --- Each GPU's double-buffered stream, then the inter-GPU barrier
+        // (Algorithm 1 line 9).
+        let (ends, mut per_gpu): (Vec<f64>, Vec<TimeBreakdown>) =
+            run.steps.iter().map(|s| double_buffered(s)).unzip();
+        let barrier = ends.iter().cloned().fold(0.0f64, f64::max);
+        for (b, end) in per_gpu.iter_mut().zip(&ends) {
+            b.idle += barrier - end;
+        }
+
+        // --- All-gather of the updated output rows (Algorithm 1 line 11).
+        let row_bytes = rank as u64 * 4;
+        let block_bytes: Vec<u64> = run
+            .rows
+            .iter()
+            .map(|ranges| {
+                ranges
+                    .iter()
+                    .map(|r| (r.end - r.start) as u64 * row_bytes)
+                    .sum()
+            })
+            .collect();
+        let gather_time = runtime.allgather_time(self.cfg.gather.collective(), &block_bytes);
+        for b in per_gpu.iter_mut() {
+            b.p2p += gather_time;
+        }
+
+        let result = self.source.assemble(runtime, &run.rows, &out);
+        let timing = ModeTiming {
+            mode: d,
+            wall: barrier + gather_time,
+            per_gpu,
+        };
+        Ok((result, timing))
+    }
+
+    fn rank(&self) -> usize {
+        self.cfg.rank
+    }
+
+    fn shape(&self) -> &[Idx] {
+        self.source.shape()
+    }
+
+    fn tensor_norm_sq(&self) -> f64 {
+        self.source.norm_sq()
+    }
+
+    fn num_gpus(&self) -> usize {
+        self.spec.num_gpus()
+    }
+
+    /// Real preprocessing wall time (Fig. 10), replans included.
+    fn preprocess_wall(&self) -> f64 {
+        self.source.setup().0
+    }
+
+    fn mode_hist(&self, d: usize) -> Vec<u64> {
+        self.source.mode_hist(d)
+    }
+
+    fn mode_loads(&self, d: usize) -> Vec<u64> {
+        self.source.mode_loads(d)
+    }
+
+    /// Swaps mode `assignment.mode`'s device assignment, leaving every other
+    /// mode (and all device memory) untouched. This is the ALS-time
+    /// rebalancing path — [`crate::als::cp_als`] calls it between
+    /// iterations when a [`amped_plan::RebalancingPlanner`] triggers. In
+    /// core the shards of the stored sorted copy are re-cut in place (no
+    /// sort, no second copy); out of core the streaming plan's pass 2
+    /// re-scans that mode's sorted section — real chunk I/O, which is
+    /// exactly the trade the imbalance threshold gates.
+    fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
+        // `assignment` must name a mode, own output indices, target every
+        // device and cover that mode's index space.
+        let (shape, m, d) = (self.source.shape(), self.spec.num_gpus(), assignment.mode);
+        if d >= shape.len() {
+            return Err(SimError::Unsupported(format!(
+                "replan mode {d} out of range for order {}",
+                shape.len()
+            )));
+        }
+        if assignment.space != AssignmentSpace::OutputIndex {
+            return Err(SimError::Unsupported(
+                "engine replan requires an output-index assignment".into(),
+            ));
+        }
+        if assignment.num_devices() != m {
+            return Err(SimError::Unsupported(format!(
+                "assignment targets {} devices, platform has {m}",
+                assignment.num_devices(),
+            )));
+        }
+        assignment
+            .validate(shape[d] as u64)
+            .map_err(SimError::Unsupported)?;
+        self.source
+            .recut(self.runtime.as_ref(), &self.cfg, assignment)?;
+        record_setup(&self.runtime.metrics(), self.source.setup());
+        self.obs.replans.inc();
+        Ok(())
+    }
+
+    fn timeline(&self) -> Option<Timeline> {
+        self.runtime.timeline()
+    }
+
+    fn metrics(&self) -> MetricsRegistry {
+        self.runtime.metrics()
+    }
+}
+
+/// One GPU's double-buffered stream (§4.8) over `steps` of `(transfer,
+/// compute)` seconds, in stream order: transfer `k + 1` overlaps compute
+/// `k`, and transfer `k` must wait for buffer `k − 2` to free. Returns when
+/// the GPU finishes and where its time went. Exposed h2d is derived from
+/// the pipeline, not inferred as `end − compute`: each pre-compute stall
+/// counts as transfer time only while the link was actually busy (the
+/// trailing window of that step's transfer); the remainder — double-buffer
+/// and pipeline slack — is idle time. The engine runs every source's steps
+/// through this one recurrence: shards of a sorted copy in core, a GPU's
+/// slices of the sorted section's chunks out of core.
+fn double_buffered(steps: &[(f64, f64)]) -> (f64, TimeBreakdown) {
+    let mut transfer_end = vec![0.0f64; steps.len()];
+    let mut compute_end = vec![0.0f64; steps.len()];
+    let (mut compute_busy, mut exposed) = (0.0f64, 0.0f64);
+    for (k, &(transfer, compute)) in steps.iter().enumerate() {
+        let prev_transfer = if k > 0 { transfer_end[k - 1] } else { 0.0 };
+        let buffer_free = if k >= 2 { compute_end[k - 2] } else { 0.0 };
+        transfer_end[k] = prev_transfer.max(buffer_free) + transfer;
+        let prev_compute = if k > 0 { compute_end[k - 1] } else { 0.0 };
+        compute_end[k] = prev_compute.max(transfer_end[k]) + compute;
+        compute_busy += compute;
+        let stall = (transfer_end[k] - prev_compute).max(0.0);
+        exposed += stall.min(transfer);
+    }
+    let end = compute_end.last().copied().unwrap_or(0.0);
+    let breakdown = TimeBreakdown {
+        compute: compute_busy,
+        h2d: exposed,
+        idle: (end - compute_busy - exposed).max(0.0),
+        ..TimeBreakdown::default()
+    };
+    (end, breakdown)
+}
+
+impl GatherAlgo {
+    /// The runtime collective this configuration selects.
+    pub fn collective(self) -> Collective {
+        match self {
+            GatherAlgo::Ring => Collective::Ring,
+            GatherAlgo::HostStaged => Collective::HostStaged,
+            GatherAlgo::Hierarchical => Collective::HierarchicalRing,
+        }
+    }
+}
+
 /// One inter-shard partition prepared for execution.
 #[derive(Clone, Debug)]
 struct IspUnit {
@@ -106,20 +536,16 @@ struct ShardUnit {
     isps: Vec<IspUnit>,
     transfer_bytes: u64,
     compute: f64,
-    /// Output rows this shard owns (for all-gather sizing).
-    rows: u64,
-    /// First/last output index (static schedule keeps these contiguous).
-    index_range: Range<u32>,
+    /// The output rows this shard owns (static schedule keeps these
+    /// contiguous).
+    index_range: Range<Idx>,
 }
 
-/// The AMPED engine: owns the partition plan, the device runtime it executes
-/// through, and the prepared per-mode execution schedules.
+/// The in-core source: the partition plan — one mode-sorted copy per mode in
+/// host memory, cut into shards — and the prepared per-mode execution
+/// schedules.
 #[derive(Debug)]
-pub struct AmpedEngine {
-    runtime: Box<dyn DeviceRuntime>,
-    /// Cached copy of the runtime's spec for borrow-free planning reads.
-    spec: PlatformSpec,
-    cfg: AmpedConfig,
+pub struct Resident {
     plan: PartitionPlan,
     mode_shards: Vec<Vec<ShardUnit>>,
     /// Modeled per-GPU MTTKRP throughput (from [`PlatformCostQuery`]): the
@@ -128,77 +554,9 @@ pub struct AmpedEngine {
     /// dynamic-queue schedule needs on heterogeneous platforms. All entries
     /// are equal on a homogeneous spec, making every ratio exactly 1.
     gpu_throughput: Vec<f64>,
-    obs: EngineMeters,
 }
 
-/// Both engines' own telemetry handles (runtime-level counters live in the
-/// backend), resolved once at construction: nonzeros processed per executed
-/// shard or chunk, replans applied, and — out of core only — chunks the
-/// prefetch pipeline had staged ahead. Detached — free — unless the runtime
-/// carries an attached registry.
-#[derive(Debug, Default)]
-pub(crate) struct EngineMeters {
-    pub(crate) nnz_processed: Counter,
-    pub(crate) replans: Counter,
-    /// Left detached by [`EngineMeters::attach`]; the out-of-core engine
-    /// binds it.
-    pub(crate) ooc_prefetch_hits: Counter,
-}
-
-impl EngineMeters {
-    pub(crate) fn attach(registry: &MetricsRegistry) -> Self {
-        Self {
-            nnz_processed: registry.counter("nnz_processed"),
-            replans: registry.counter("replans"),
-            ooc_prefetch_hits: Counter::default(),
-        }
-    }
-}
-
-/// Publishes where setup went, after construction and after every replan:
-/// `preprocess_wall` and its split into busy-seconds per phase (summed over
-/// pool jobs), as gauges of the runtime's registry.
-pub(crate) fn record_setup(registry: &MetricsRegistry, wall: f64, busy: PlanBusy) {
-    for (name, seconds) in [
-        ("setup_wall_s", wall),
-        ("setup_sort_busy_s", busy.sort_s),
-        ("setup_stats_busy_s", busy.stats_s),
-        ("setup_pricing_busy_s", busy.pricing_s),
-    ] {
-        registry.gauge(name).set(seconds);
-    }
-}
-
-/// The argument checks both engines' `replan` share: `assignment` must name
-/// a mode of `shape`, own output indices, target `num_gpus` devices and
-/// cover that mode's index space.
-pub(crate) fn validate_replan(
-    assignment: &ModeAssignment,
-    shape: &[Idx],
-    num_gpus: usize,
-) -> Result<(), SimError> {
-    let d = assignment.mode;
-    let order = shape.len();
-    if d >= order {
-        return Err(SimError::Unsupported(format!(
-            "replan mode {d} out of range for order {order}"
-        )));
-    }
-    if assignment.space != AssignmentSpace::OutputIndex {
-        return Err(SimError::Unsupported(
-            "engine replan requires an output-index assignment".into(),
-        ));
-    }
-    if assignment.num_devices() != num_gpus {
-        return Err(SimError::Unsupported(format!(
-            "assignment targets {} devices, platform has {num_gpus}",
-            assignment.num_devices(),
-        )));
-    }
-    assignment
-        .validate(shape[d] as u64)
-        .map_err(SimError::Unsupported)
-}
+impl sealed::Sealed for Resident {}
 
 /// Re-prices a shard's compute time (prepared against GPU `owner`'s spec)
 /// onto GPU `g` using modeled throughput ratios. The homogeneous ratio is
@@ -241,21 +599,18 @@ impl AmpedEngine {
     /// [`AmpedEngine::with_runtime`] plus autotuning: after construction the
     /// [`amped_tune::Autotuner`] resolves [`TuneParams`] for this tensor and
     /// backend (a persistent-cache hit, or a subsampled grid search) and
-    /// installs them on the runtime. The tuner's `tune_searches` /
-    /// `tune_cache_hits` counters bind to the runtime's metrics registry.
+    /// installs them on the runtime.
     pub fn with_tuner(
         tensor: &SparseTensor,
         runtime: Box<dyn DeviceRuntime>,
         cfg: AmpedConfig,
         tuner: &mut amped_tune::Autotuner,
     ) -> Result<Self, SimError> {
-        let rank = cfg.rank;
-        let mut engine = Self::with_runtime(tensor, runtime, cfg)?;
-        tuner.attach_metrics(&engine.runtime.metrics());
-        let backend = amped_tune::backend_fingerprint(engine.runtime.name());
-        let params = tuner.params_for_tensor(&backend, tensor, rank);
-        engine.set_tune(params);
-        Ok(engine)
+        Ok(
+            Self::with_runtime(tensor, runtime, cfg)?.tuned(tuner, |t, backend, e| {
+                t.params_for_tensor(backend, tensor, e.config().rank)
+            }),
+        )
     }
 
     /// Partitions `tensor` through an explicit runtime **and** an explicit
@@ -270,13 +625,32 @@ impl AmpedEngine {
     /// element-space or malformed assignment.
     pub fn with_planner(
         tensor: &SparseTensor,
-        mut runtime: Box<dyn DeviceRuntime>,
+        runtime: Box<dyn DeviceRuntime>,
         cfg: AmpedConfig,
         planner: &dyn Partitioner,
     ) -> Result<Self, SimError> {
-        let mut cfg = cfg;
-        cfg.validate().map_err(SimError::Unsupported)?;
-        let spec = runtime.spec().clone();
+        Self::build(runtime, cfg, |rt, spec, cfg| {
+            Resident::open(rt, spec, cfg, tensor, planner)
+        })
+    }
+
+    /// The partition plan (for experiments that inspect shard structure).
+    pub fn plan(&self) -> &PartitionPlan {
+        &self.source.plan
+    }
+}
+
+impl Resident {
+    /// Charges the devices in the in-core order — factor copies on every
+    /// GPU, then the shard buffers, then the host copies — and builds the
+    /// plan and every mode's schedule.
+    fn open(
+        runtime: &mut dyn DeviceRuntime,
+        spec: &PlatformSpec,
+        cfg: &mut AmpedConfig,
+        tensor: &SparseTensor,
+        planner: &dyn Partitioner,
+    ) -> Result<Self, SimError> {
         let m = spec.num_gpus();
 
         // --- GPU memory: local copy of every factor matrix (§4.4) plus two
@@ -284,13 +658,8 @@ impl AmpedEngine {
         // shard budget adapts to the device: like the real implementation,
         // streaming buffers are sized to the memory left after the factor
         // copies (at most half of it, two buffers).
-        let factor_bytes: u64 = tensor
-            .shape()
-            .iter()
-            .map(|&d| d as u64 * cfg.rank as u64 * 4)
-            .sum();
         for g in 0..m {
-            runtime.alloc(Device::Gpu(g), factor_bytes, "factor-matrix copies")?;
+            charge_factors(runtime, g, tensor.shape(), cfg.rank)?;
         }
         let avail = (0..m)
             .map(|g| runtime.mem(Device::Gpu(g)).available())
@@ -314,14 +683,14 @@ impl AmpedEngine {
         };
         let start = std::time::Instant::now();
         let (mut plan, priced) =
-            plan_and_price(tensor, planner, &spec, &cfg, plan_gpus, host_workers())?;
+            plan_and_price(tensor, planner, spec, cfg, plan_gpus, host_workers())?;
 
         // --- Host memory: all per-mode tensor copies live there (§3.1). The
         // model charges the paper's COO copies; the gauge beside it is what
         // ours hold.
         runtime.alloc(Device::Host, plan.host_bytes(), "per-mode tensor copies")?;
-        let registry = runtime.metrics();
-        registry
+        runtime
+            .metrics()
             .gauge("host_copy_bytes")
             .set(plan.copy_bytes() as f64);
 
@@ -329,126 +698,33 @@ impl AmpedEngine {
             .modes
             .iter()
             .zip(priced)
-            .map(|(mp, isps)| schedule_mode(runtime.as_ref(), mp, isps))
+            .map(|(mp, isps)| schedule_mode(runtime, mp, isps))
             .collect();
         plan.preprocess_wall = start.elapsed().as_secs_f64();
-        let throughput_query = PlatformCostQuery::new(
-            &spec,
-            WorkloadProfile {
-                order: tensor.order(),
-                rank: cfg.rank,
-                elem_bytes: tensor.elem_bytes(),
-                isp_nnz: cfg.isp_nnz,
-            },
-        );
+        let throughput_query =
+            PlatformCostQuery::new(spec, cfg.workload(tensor.order(), tensor.elem_bytes()));
         let gpu_throughput = (0..m)
             .map(|g| throughput_query.device_throughput(g))
             .collect();
-        let obs = EngineMeters::attach(&registry);
-        record_setup(&registry, plan.preprocess_wall, plan.busy);
         Ok(Self {
-            runtime,
-            spec,
-            cfg,
             plan,
             mode_shards,
             gpu_throughput,
-            obs,
         })
-    }
-
-    /// The partition plan (for experiments that inspect shard structure).
-    pub fn plan(&self) -> &PartitionPlan {
-        &self.plan
-    }
-
-    /// The platform specification.
-    pub fn spec(&self) -> &PlatformSpec {
-        &self.spec
-    }
-
-    /// The device runtime the engine executes through.
-    pub fn runtime(&self) -> &dyn DeviceRuntime {
-        self.runtime.as_ref()
-    }
-
-    /// The runtime's tunable execution parameters.
-    pub fn tune(&self) -> TuneParams {
-        self.runtime.tune()
-    }
-
-    /// Sets the runtime's tunable execution parameters. Every setting is
-    /// numerics-transparent (see `amped_runtime::params`); only wall time
-    /// changes.
-    pub fn set_tune(&mut self, params: TuneParams) {
-        self.runtime.set_tune(params);
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &AmpedConfig {
-        &self.cfg
-    }
-
-    /// Real preprocessing wall time (Fig. 10).
-    pub fn preprocess_wall(&self) -> f64 {
-        self.plan.preprocess_wall
-    }
-
-    /// Peak GPU memory charged, in bytes (max over GPUs).
-    pub fn gpu_mem_peak(&self) -> u64 {
-        self.runtime.gpu_mem_peak()
-    }
-
-    /// Swaps mode `assignment.mode`'s device assignment: re-cuts the shards
-    /// of the stored mode-sorted copy under the new output-index ranges
-    /// (in place — no sort, no second copy) and recomputes the mode's
-    /// execution schedule, leaving every other mode (and all device
-    /// memory) untouched. This is the ALS-time rebalancing
-    /// path — [`crate::als::cp_als`] calls it between iterations when a
-    /// [`amped_plan::RebalancingPlanner`] triggers.
-    pub fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
-        if self.cfg.schedule != SchedulePolicy::StaticCcp {
-            return Err(SimError::Unsupported(
-                "replanning requires the static CCP schedule: dynamic-queue ownership is \
-                 decided per run"
-                    .into(),
-            ));
-        }
-        validate_replan(
-            assignment,
-            self.plan.modes[0].copy.shape(),
-            self.spec.num_gpus(),
-        )?;
-        let d = assignment.mode;
-        let start = std::time::Instant::now();
-        let (spec, cfg, cost) = (&self.spec, &self.cfg, CostModel::default());
-        let isps = self.plan.recut_priced(
-            d,
-            assignment.index_ranges(),
-            cfg.shard_nnz_budget,
-            host_workers(),
-            |mp, shard, scratch| price_shard(spec, &cost, cfg, mp, shard, scratch),
-        );
-        self.mode_shards[d] = schedule_mode(self.runtime.as_ref(), &self.plan.modes[d], isps);
-        self.plan.preprocess_wall += start.elapsed().as_secs_f64();
-        let plan = &self.plan;
-        record_setup(&self.runtime.metrics(), plan.preprocess_wall, plan.busy);
-        self.obs.replans.inc();
-        Ok(())
-    }
-
-    /// Host memory charged for tensor copies, in bytes.
-    pub fn host_mem_used(&self) -> u64 {
-        self.runtime.mem(Device::Host).used()
     }
 
     /// Resolves the shard→GPU assignment for mode `d` under the configured
     /// policy. Returns shard indices per GPU, in stream order.
-    fn assignment(&self, d: usize) -> Vec<Vec<usize>> {
-        let m = self.spec.num_gpus();
+    fn assignment(
+        &self,
+        runtime: &dyn DeviceRuntime,
+        cfg: &AmpedConfig,
+        d: usize,
+        m: usize,
+    ) -> Vec<Vec<usize>> {
         let shards = &self.mode_shards[d];
         let mut per_gpu: Vec<Vec<usize>> = vec![Vec::new(); m];
-        match self.cfg.schedule {
+        match cfg.schedule {
             SchedulePolicy::StaticCcp => {
                 for (i, s) in shards.iter().enumerate() {
                     per_gpu[s.gpu].push(i);
@@ -456,21 +732,22 @@ impl AmpedEngine {
             }
             SchedulePolicy::DynamicQueue => {
                 // Greedy earliest-finish: the next shard (in index order)
-                // goes to the GPU that would finish it first. The shard's
-                // precomputed compute time is priced against its planning
-                // owner's spec, so each candidate GPU re-prices it through
-                // the modeled throughput ratio — on a heterogeneous spec a
-                // fast GPU's finish estimate must not carry a slow GPU's
-                // cost (or vice versa). Uniform throughputs make both the
-                // estimates and the selection identical to the historical
-                // `min finish[g]` rule, preserving the homogeneous goldens.
-                // Per-candidate links: on a cluster runtime each GPU's h2d
-                // tier is its own node's, matching what `h2d_time` charges
-                // at execution; single-node backends return one link for
-                // every GPU, preserving the historical arithmetic.
+                // goes to the GPU that would finish it first (the first such
+                // GPU on a tie). The shard's precomputed compute time is
+                // priced against its planning owner's spec, so each
+                // candidate GPU re-prices it through the modeled throughput
+                // ratio — on a heterogeneous spec a fast GPU's finish
+                // estimate must not carry a slow GPU's cost (or vice
+                // versa). Uniform throughputs make both the estimates and
+                // the selection identical to the historical `min finish[g]`
+                // rule, preserving the homogeneous goldens. Per-candidate
+                // links: on a cluster runtime each GPU's h2d tier is its own
+                // node's, matching what `h2d_time` charges at execution;
+                // single-node backends return one link for every GPU,
+                // preserving the historical arithmetic.
                 let active_est = m.min(shards.len().max(1));
                 let links: Vec<_> = (0..m)
-                    .map(|g| self.runtime.h2d_link_for(g, active_est))
+                    .map(|g| runtime.h2d_link_for(g, active_est))
                     .collect();
                 let tp = &self.gpu_throughput;
                 let uniform = tp.windows(2).all(|w| w[0] == w[1])
@@ -484,17 +761,20 @@ impl AmpedEngine {
                             .transfer_time(s.transfer_bytes)
                             .max(reprice(s.compute, tp, s.gpu, g))
                     };
-                    let g = if uniform {
-                        (0..m)
-                            .min_by(|&a, &b| finish[a].total_cmp(&finish[b]))
-                            .expect("at least one GPU")
-                    } else {
-                        (0..m)
-                            .min_by(|&a, &b| {
-                                (finish[a] + step(a)).total_cmp(&(finish[b] + step(b)))
-                            })
-                            .expect("at least one GPU")
+                    let eta = |g: usize| {
+                        if uniform {
+                            finish[g]
+                        } else {
+                            finish[g] + step(g)
+                        }
                     };
+                    let g = (1..m).fold(0, |best, g| {
+                        if eta(g).total_cmp(&eta(best)).is_lt() {
+                            g
+                        } else {
+                            best
+                        }
+                    });
                     finish[g] += step(g);
                     per_gpu[g].push(i);
                 }
@@ -502,194 +782,152 @@ impl AmpedEngine {
         }
         per_gpu
     }
+}
 
-    /// Runs MTTKRP for output mode `d` (Algorithm 1 loop body): returns the
-    /// updated output factor `Ŷ_d` and the mode timing.
-    ///
-    /// Real execution: every ISP's elementwise computation (Algorithm 2) runs
-    /// as one block of a [`DeviceRuntime::launch_grid`] grid through the
-    /// kernel layer — no atomic read-modify-write anywhere: multi-ISP shards
-    /// walk the output-sorted copy as row runs with `f64` accumulation and
-    /// one rounding per cell (see `amped_runtime::kernels`), single-ISP
-    /// shards keep the legacy single-writer `f32` order. The ring all-gather
-    /// (Algorithm 3) actually moves the produced rows between per-GPU blocks
-    /// via [`DeviceRuntime::allgather_blocks`].
-    pub fn mttkrp_mode(
+impl Source for Resident {
+    fn shape(&self) -> &[Idx] {
+        self.plan.modes[0].copy.shape()
+    }
+
+    fn norm_sq(&self) -> f64 {
+        self.plan.modes[0].copy.norm_sq()
+    }
+
+    fn mode_hist(&self, d: usize) -> Vec<u64> {
+        self.plan.modes[d].hist()
+    }
+
+    fn mode_loads(&self, d: usize) -> Vec<u64> {
+        self.plan.modes[d].gpu_loads()
+    }
+
+    fn setup(&self) -> (f64, PlanBusy) {
+        (self.plan.preprocess_wall, self.plan.busy)
+    }
+
+    /// Re-cuts the shards of the stored mode-sorted copy under the new
+    /// output-index ranges (in place — no sort, no second copy) and
+    /// recomputes the mode's execution schedule.
+    fn recut(
         &mut self,
-        d: usize,
-        factors: &[Mat],
-    ) -> Result<(Mat, ModeTiming), SimError> {
-        let mp_order = self.plan.modes.len();
-        assert!(d < mp_order, "mode {d} out of range");
-        assert_eq!(factors.len(), mp_order, "one factor matrix per mode");
-        let rank = self.cfg.rank;
-        assert!(
-            factors.iter().all(|f| f.cols() == rank),
-            "factor rank must match engine configuration"
+        runtime: &dyn DeviceRuntime,
+        cfg: &AmpedConfig,
+        assignment: &ModeAssignment,
+    ) -> Result<(), SimError> {
+        if cfg.schedule != SchedulePolicy::StaticCcp {
+            return Err(SimError::Unsupported(
+                "replanning requires the static CCP schedule: dynamic-queue ownership is \
+                 decided per run"
+                    .into(),
+            ));
+        }
+        let d = assignment.mode;
+        let start = std::time::Instant::now();
+        let (spec, cost) = (runtime.spec(), CostModel::default());
+        let isps = self.plan.recut_priced(
+            d,
+            assignment.index_ranges(),
+            cfg.shard_nnz_budget,
+            host_workers(),
+            |mp, shard, scratch| price_shard(spec, &cost, cfg, mp, shard, scratch),
         );
-        let m = self.spec.num_gpus();
-        let assignment = self.assignment(d);
+        self.mode_shards[d] = schedule_mode(runtime, &self.plan.modes[d], isps);
+        self.plan.preprocess_wall += start.elapsed().as_secs_f64();
+        Ok(())
+    }
+
+    /// Every GPU streams its shards in order: each shard's staged transfer
+    /// and grid launch sit inside its `shard` span, so traces nest
+    /// `…/mode=d/shard=sid` around exactly the ops it issued.
+    fn launch(
+        &mut self,
+        runtime: &mut dyn DeviceRuntime,
+        spec: &PlatformSpec,
+        cfg: &AmpedConfig,
+        d: usize,
+        factors: &FactorsView,
+        out: &MttkrpOut,
+    ) -> Result<sealed::ModeRun, SimError> {
+        let assignment = self.assignment(runtime, cfg, d, spec.num_gpus());
         let active = assignment.iter().filter(|a| !a.is_empty()).count().max(1);
-        let rows_out = self.plan.modes[d].copy.dim(d) as usize;
-        let out = MttkrpOut::zeros(rows_out, rank);
-
-        let mut per_gpu = vec![TimeBreakdown::default(); m];
-        let mut ends = vec![0.0f64; m];
-
-        // Split borrows: the runtime takes ops (&mut) while the plan and
-        // prepared shards feed the kernels (&).
-        let Self {
-            runtime,
-            plan,
-            mode_shards,
-            cfg,
-            gpu_throughput,
-            obs,
-            ..
-        } = self;
         let tl = runtime.timeline();
-        let runtime = runtime.as_mut();
-        let mut nnz_done: u64 = 0;
-        let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         // The mode-`d` copy is sorted by output index: it is the view every
         // grid of this mode launches over.
-        let copy = &plan.modes[d].copy;
+        let copy = &self.plan.modes[d].copy;
         let src = SortedCoo::new(
             copy.inputs(),
             copy.values(),
             copy.row_ptr(),
             None,
-            mp_order,
+            copy.order(),
             d,
         );
-
+        let shards = &self.mode_shards[d];
+        let mut steps = Vec::with_capacity(assignment.len());
         for (g, shard_ids) in assignment.iter().enumerate() {
-            // (transfer, compute) seconds of every shard this GPU streams.
-            let mut steps = Vec::with_capacity(shard_ids.len());
+            let mut gpu_steps = Vec::with_capacity(shard_ids.len());
             for &sid in shard_ids {
-                let su = &mode_shards[d][sid];
-                // The shard span wraps both the staged transfer and the grid
-                // launch, so traces nest `…/mode=d/shard=sid` around exactly
-                // the ops this shard issued. `tl` is `None` without a tracer.
+                let su = &shards[sid];
                 let _shard = tl.as_ref().map(|t| t.span("shard", sid as u64));
                 let t_x = runtime.h2d_time(g, active, su.transfer_bytes);
-                steps.push((t_x, reprice(su.compute, gpu_throughput, su.gpu, g)));
-
-                // --- Real execution of the grid (Algorithm 2) through the
-                // kernel layer: one threadblock per ISP.
+                gpu_steps.push((t_x, reprice(su.compute, &self.gpu_throughput, su.gpu, g)));
+                // One threadblock per ISP.
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
-                nnz_done += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
-                launch_mttkrp(runtime, g, &src, &fviews, &blocks, &costs, &out);
+                launch_mttkrp(runtime, g, &src, factors, &blocks, &costs, out);
             }
-            (ends[g], per_gpu[g]) = double_buffered(&steps);
+            steps.push(gpu_steps);
         }
+        let rows = assignment
+            .iter()
+            .map(|ids| ids.iter().map(|&s| shards[s].index_range.clone()).collect())
+            .collect();
+        Ok(sealed::ModeRun { steps, rows })
+    }
 
-        obs.nnz_processed.add(nnz_done);
-
-        // --- Inter-GPU barrier (Algorithm 1 line 9).
-        let barrier = ends.iter().cloned().fold(0.0f64, f64::max);
-        for (g, b) in per_gpu.iter_mut().enumerate() {
-            b.idle += barrier - ends[g];
-        }
-
-        // --- All-gather of the updated output rows (Algorithm 1 line 11).
-        let row_bytes = rank as u64 * 4;
-        let block_bytes: Vec<u64> = (0..m)
-            .map(|g| {
-                assignment[g]
-                    .iter()
-                    .map(|&sid| mode_shards[d][sid].rows * row_bytes)
-                    .sum()
+    /// Functionally runs the ring: extracts each GPU's produced rows, passes
+    /// them around the ring through [`DeviceRuntime::allgather_blocks`], and
+    /// reassembles GPU 0's copy — verifying Algorithm 3 moves exactly the
+    /// right data (checked against the direct snapshot).
+    fn assemble(
+        &self,
+        runtime: &mut dyn DeviceRuntime,
+        rows: &[Vec<Range<Idx>>],
+        out: &MttkrpOut,
+    ) -> Mat {
+        let (rows_out, rank) = (out.rows(), out.rank());
+        let blocks: Vec<FactorBlock> = rows
+            .iter()
+            .map(|ranges| {
+                let n: usize = ranges.iter().map(|r| (r.end - r.start) as usize).sum();
+                let mut rows = Vec::with_capacity(n);
+                let mut data = Vec::with_capacity(n * rank);
+                for r in ranges {
+                    out.extend_rows(r.start as usize..r.end as usize, &mut data);
+                    rows.extend(r.clone());
+                }
+                FactorBlock {
+                    rows,
+                    data: data.into(),
+                }
             })
             .collect();
-        let gather_time = runtime.allgather_time(cfg.gather.collective(), &block_bytes);
-        for b in per_gpu.iter_mut() {
-            b.p2p += gather_time;
-        }
-
-        // Functionally run the ring: extract each GPU's produced rows, pass
-        // them around the ring, and reassemble — verifying Algorithm 3 moves
-        // exactly the right data (checked against the direct snapshot).
-        let result = gather_rows(runtime, &mode_shards[d], &assignment, &out, rank, rows_out);
-
-        let timing = ModeTiming {
-            mode: d,
-            wall: barrier + gather_time,
-            per_gpu,
-        };
-        Ok((result, timing))
-    }
-
-    /// Algorithm 1 in full: MTTKRP along every mode of one decomposition
-    /// iteration. Each mode's gathered output replaces that factor before
-    /// the next mode runs (line 11), as in the paper.
-    pub fn mttkrp_all_modes(&mut self, factors: &mut [Mat]) -> Result<RunReport, SimError> {
-        let n = self.plan.modes.len();
-        let m = self.spec.num_gpus();
-        let mut report = RunReport {
-            preprocess_wall: self.plan.preprocess_wall,
-            per_gpu: vec![TimeBreakdown::default(); m],
-            ..Default::default()
-        };
-        for d in 0..n {
-            let (out, timing) = self.mttkrp_mode(d, factors)?;
-            factors[d] = out;
-            // λ-normalize the fresh factor (as ALS does) so chained values
-            // stay within f32 range across modes; timing is value-independent.
-            factors[d].normalize_cols();
-            for (acc, g) in report.per_gpu.iter_mut().zip(&timing.per_gpu) {
-                acc.add(g);
+        let gathered = runtime.allgather_blocks(&blocks);
+        let mut full = Mat::zeros(rows_out, rank);
+        for block in &gathered[0] {
+            for (k, &i) in block.rows.iter().enumerate() {
+                full.row_mut(i as usize)
+                    .copy_from_slice(&block.data[k * rank..(k + 1) * rank]);
             }
-            report.per_mode.push(timing.wall);
-            report.total_time += timing.wall;
         }
-        Ok(report)
-    }
-}
-
-/// One GPU's double-buffered stream (§4.8) over `steps` of `(transfer,
-/// compute)` seconds, in stream order: transfer `k + 1` overlaps compute
-/// `k`, and transfer `k` must wait for buffer `k − 2` to free. Returns when
-/// the GPU finishes and where its time went. Exposed h2d is derived from
-/// the pipeline, not inferred as `end − compute`: each pre-compute stall
-/// counts as transfer time only while the link was actually busy (the
-/// trailing window of that step's transfer); the remainder — double-buffer
-/// and pipeline slack — is idle time. Both engines price a mode through
-/// this one recurrence: shards of a sorted copy in core, a GPU's slices of
-/// the sorted section's chunks out of core.
-pub(crate) fn double_buffered(steps: &[(f64, f64)]) -> (f64, TimeBreakdown) {
-    let mut transfer_end = vec![0.0f64; steps.len()];
-    let mut compute_end = vec![0.0f64; steps.len()];
-    let (mut compute_busy, mut exposed) = (0.0f64, 0.0f64);
-    for (k, &(transfer, compute)) in steps.iter().enumerate() {
-        let prev_transfer = if k > 0 { transfer_end[k - 1] } else { 0.0 };
-        let buffer_free = if k >= 2 { compute_end[k - 2] } else { 0.0 };
-        transfer_end[k] = prev_transfer.max(buffer_free) + transfer;
-        let prev_compute = if k > 0 { compute_end[k - 1] } else { 0.0 };
-        compute_end[k] = prev_compute.max(transfer_end[k]) + compute;
-        compute_busy += compute;
-        let stall = (transfer_end[k] - prev_compute).max(0.0);
-        exposed += stall.min(transfer);
-    }
-    let end = compute_end.last().copied().unwrap_or(0.0);
-    let breakdown = TimeBreakdown {
-        compute: compute_busy,
-        h2d: exposed,
-        idle: (end - compute_busy - exposed).max(0.0),
-        ..TimeBreakdown::default()
-    };
-    (end, breakdown)
-}
-
-impl GatherAlgo {
-    /// The runtime collective this configuration selects.
-    pub fn collective(self) -> Collective {
-        match self {
-            GatherAlgo::Ring => Collective::Ring,
-            GatherAlgo::HostStaged => Collective::HostStaged,
-            GatherAlgo::Hierarchical => Collective::HierarchicalRing,
-        }
+        debug_assert!(
+            {
+                let direct = Mat::from_vec(rows_out, rank, out.to_vec());
+                full.approx_eq(&direct, 0.0, 0.0)
+            },
+            "ring all-gather must reproduce the direct snapshot exactly"
+        );
+        full
     }
 }
 
@@ -711,15 +949,8 @@ fn plan_and_price(
     // dynamic-queue ablation plans one global pool, where device throughput
     // is meaningless.
     let cost: Box<dyn CostQuery> = if plan_gpus == spec.num_gpus() {
-        Box::new(PlatformCostQuery::new(
-            spec,
-            WorkloadProfile {
-                order: tensor.order(),
-                rank: cfg.rank,
-                elem_bytes: tensor.elem_bytes(),
-                isp_nnz: cfg.isp_nnz,
-            },
-        ))
+        let workload = cfg.workload(tensor.order(), tensor.elem_bytes());
+        Box::new(PlatformCostQuery::new(spec, workload))
     } else {
         Box::new(UniformCost::new(plan_gpus))
     };
@@ -807,120 +1038,29 @@ fn schedule_mode(runtime: &dyn DeviceRuntime, mp: &ModePlan, priced: ModeIsps) -
                 isps,
                 transfer_bytes: s.bytes(elem_bytes),
                 compute,
-                rows: (s.index_range.end - s.index_range.start) as u64,
                 index_range: s.index_range.clone(),
             }
         })
         .collect()
 }
 
-/// Extracts per-GPU row blocks, runs the functional ring all-gather through
-/// the runtime, and reassembles the full output factor matrix.
-fn gather_rows(
-    runtime: &mut dyn DeviceRuntime,
-    shards: &[ShardUnit],
-    assignment: &[Vec<usize>],
-    out: &MttkrpOut,
-    rank: usize,
-    rows_out: usize,
-) -> Mat {
-    // Each GPU's block: (row ids, packed row data).
-    let blocks: Vec<FactorBlock> = assignment
-        .iter()
-        .map(|shard_ids| {
-            let n: usize = shard_ids.iter().map(|&sid| shards[sid].rows as usize).sum();
-            let mut rows = Vec::with_capacity(n);
-            let mut data = Vec::with_capacity(n * rank);
-            for &sid in shard_ids {
-                let r = shards[sid].index_range.clone();
-                out.extend_rows(r.start as usize..r.end as usize, &mut data);
-                rows.extend(r);
-            }
-            FactorBlock {
-                rows,
-                data: data.into(),
-            }
-        })
-        .collect();
-    let gathered = runtime.allgather_blocks(&blocks);
-    // Every GPU now holds all blocks; assemble GPU 0's copy.
-    let mut full = Mat::zeros(rows_out, rank);
-    for block in &gathered[0] {
-        for (k, &i) in block.rows.iter().enumerate() {
-            full.row_mut(i as usize)
-                .copy_from_slice(&block.data[k * rank..(k + 1) * rank]);
-        }
-    }
-    debug_assert!(
-        {
-            let direct = Mat::from_vec(rows_out, rank, out.to_vec());
-            full.approx_eq(&direct, 0.0, 0.0)
-        },
-        "ring all-gather must reproduce the direct snapshot exactly"
-    );
-    full
-}
-
-impl MttkrpEngine for AmpedEngine {
-    fn mttkrp_mode(&mut self, d: usize, factors: &[Mat]) -> Result<(Mat, ModeTiming), SimError> {
-        AmpedEngine::mttkrp_mode(self, d, factors)
-    }
-
-    fn rank(&self) -> usize {
-        self.cfg.rank
-    }
-
-    fn shape(&self) -> &[Idx] {
-        self.plan.modes[0].copy.shape()
-    }
-
-    fn tensor_norm_sq(&self) -> f64 {
-        self.plan.modes[0].copy.norm_sq()
-    }
-
-    fn num_gpus(&self) -> usize {
-        self.spec.num_gpus()
-    }
-
-    fn preprocess_wall(&self) -> f64 {
-        self.plan.preprocess_wall
-    }
-
-    fn mode_hist(&self, d: usize) -> Vec<u64> {
-        self.plan.modes[d].hist()
-    }
-
-    fn mode_loads(&self, d: usize) -> Vec<u64> {
-        self.plan.modes[d].gpu_loads()
-    }
-
-    fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
-        AmpedEngine::replan(self, assignment)
-    }
-
-    fn timeline(&self) -> Option<Timeline> {
-        self.runtime.timeline()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        self.runtime.metrics()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::common::ScratchDir;
+    use crate::ooc::OocEngine;
     use crate::reference::mttkrp_ref;
     use amped_runtime::TracingRuntime;
+    use amped_stream::write_tnsb;
     use amped_tensor::gen::GenSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn platform(m: usize) -> PlatformSpec {
+    pub(crate) fn platform(m: usize) -> PlatformSpec {
         PlatformSpec::rtx6000_ada_node(m).scaled(1e-3)
     }
 
-    fn factors(t: &SparseTensor, r: usize, seed: u64) -> Vec<Mat> {
+    pub(crate) fn factors(t: &SparseTensor, r: usize, seed: u64) -> Vec<Mat> {
         let mut rng = SmallRng::seed_from_u64(seed);
         t.shape()
             .iter()
@@ -928,7 +1068,7 @@ mod tests {
             .collect()
     }
 
-    fn cfg(r: usize) -> AmpedConfig {
+    pub(crate) fn cfg(r: usize) -> AmpedConfig {
         AmpedConfig {
             rank: r,
             isp_nnz: 256,
@@ -937,8 +1077,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_matches_reference_all_modes() {
+    /// Staging budget of three `cap`-element chunks: room for a depth-2
+    /// prefetch window.
+    pub(crate) fn budget_for(t: &SparseTensor, cap: usize) -> u64 {
+        cap as u64 * t.elem_bytes() * 3
+    }
+
+    /// Builds the in-core engine over `t` on `gpus` GPUs; the chunk capacity
+    /// only shapes the streamed source.
+    pub(crate) fn in_core(
+        t: &SparseTensor,
+        gpus: usize,
+        cfg: AmpedConfig,
+        _chunk: usize,
+    ) -> AmpedEngine {
+        AmpedEngine::new(t, platform(gpus), cfg).unwrap()
+    }
+
+    /// Builds the streamed engine over `t` on `gpus` GPUs: each call writes
+    /// its own `.tnsb` file of `chunk`-element chunks into `dir` and stages
+    /// it through [`budget_for`].
+    pub(crate) fn streamed(
+        dir: &ScratchDir,
+    ) -> impl Fn(&SparseTensor, usize, AmpedConfig, usize) -> OocEngine + '_ {
+        let files = std::cell::Cell::new(0);
+        move |t, gpus, cfg, chunk| {
+            let path = dir.join(&format!("t{}.tnsb", files.replace(files.get() + 1)));
+            write_tnsb(t, &path, chunk).unwrap();
+            OocEngine::open(&path, platform(gpus), cfg, budget_for(t, chunk)).unwrap()
+        }
+    }
+
+    /// Every mode of a skewed 3-mode tensor on 4 GPUs matches the reference.
+    /// `make` builds the engine over one source (tensor, GPUs, config, chunk
+    /// capacity); the engine is handed back for checks of that source.
+    pub(crate) fn check_matches_reference_all_modes<E: MttkrpEngine>(
+        make: impl Fn(&SparseTensor, usize, AmpedConfig, usize) -> E,
+    ) -> E {
         let t = GenSpec {
             shape: vec![80, 60, 70],
             nnz: 5000,
@@ -947,7 +1122,7 @@ mod tests {
         }
         .generate();
         let fs = factors(&t, 16, 82);
-        let mut e = AmpedEngine::new(&t, platform(4), cfg(16)).unwrap();
+        let mut e = make(&t, 4, cfg(16), 512);
         for d in 0..3 {
             let (out, timing) = e.mttkrp_mode(d, &fs).unwrap();
             let want = mttkrp_ref(&t, &fs, d);
@@ -959,18 +1134,49 @@ mod tests {
             assert!(timing.wall > 0.0);
             assert_eq!(timing.per_gpu.len(), 4);
         }
+        e
     }
 
-    #[test]
-    fn engine_matches_reference_5mode() {
+    /// Every mode of a 5-mode tensor on 3 GPUs matches the reference.
+    pub(crate) fn check_matches_reference_5mode<E: MttkrpEngine>(
+        make: impl Fn(&SparseTensor, usize, AmpedConfig, usize) -> E,
+    ) {
         let t = GenSpec::uniform(vec![20, 24, 28, 16, 12], 2000, 83).generate();
         let fs = factors(&t, 8, 84);
-        let mut e = AmpedEngine::new(&t, platform(3), cfg(8)).unwrap();
+        let mut e = make(&t, 3, cfg(8), 300);
         for d in 0..5 {
             let (out, _) = e.mttkrp_mode(d, &fs).unwrap();
             let want = mttkrp_ref(&t, &fs, d);
             assert!(out.approx_eq(&want, 1e-3, 1e-4), "mode {d}");
         }
+    }
+
+    /// Two engines built alike report the same positive simulated time.
+    pub(crate) fn check_simulated_time_is_deterministic<E: MttkrpEngine>(
+        make: impl Fn(&SparseTensor, usize, AmpedConfig, usize) -> E,
+    ) {
+        let t = GenSpec::uniform(vec![50, 50, 50], 3000, 91).generate();
+        let fs = factors(&t, 8, 92);
+        let mut e1 = make(&t, 4, cfg(8), 256);
+        let mut e2 = make(&t, 4, cfg(8), 256);
+        let (_, t1) = e1.mttkrp_mode(0, &fs).unwrap();
+        let (_, t2) = e2.mttkrp_mode(0, &fs).unwrap();
+        assert_eq!(t1.wall, t2.wall);
+        assert!(t1.wall > 0.0);
+        for (a, b) in t1.per_gpu.iter().zip(&t2.per_gpu) {
+            assert_eq!(a.compute, b.compute);
+            assert_eq!(a.h2d, b.h2d);
+        }
+    }
+
+    #[test]
+    fn engine_matches_reference_all_modes() {
+        check_matches_reference_all_modes(in_core);
+    }
+
+    #[test]
+    fn engine_matches_reference_5mode() {
+        check_matches_reference_5mode(in_core);
     }
 
     #[test]
@@ -1004,29 +1210,25 @@ mod tests {
     #[test]
     fn all_modes_runs_algorithm1() {
         let t = GenSpec::uniform(vec![40, 40, 40], 2000, 89).generate();
+        let dir = ScratchDir::new("engine");
+        let mut incore = in_core(&t, 2, cfg(8), 256);
+        let mut ooc = streamed(&dir)(&t, 2, cfg(8), 256);
+        let check = |report: RunReport, fs: &[Mat]| {
+            assert_eq!(report.per_mode.len(), 3);
+            assert!(report.total_time > 0.0);
+            assert!((report.per_mode.iter().sum::<f64>() - report.total_time).abs() < 1e-12);
+            // Factors were replaced by MTTKRP outputs.
+            assert_eq!(fs[0].rows(), 40);
+        };
         let mut fs = factors(&t, 8, 90);
-        let mut e = AmpedEngine::new(&t, platform(2), cfg(8)).unwrap();
-        let report = e.mttkrp_all_modes(&mut fs).unwrap();
-        assert_eq!(report.per_mode.len(), 3);
-        assert!(report.total_time > 0.0);
-        assert!((report.per_mode.iter().sum::<f64>() - report.total_time).abs() < 1e-12);
-        // Factors were replaced by MTTKRP outputs.
-        assert_eq!(fs[0].rows(), 40);
+        check(incore.mttkrp_all_modes(&mut fs).unwrap(), &fs);
+        let mut fs = factors(&t, 8, 90);
+        check(ooc.mttkrp_all_modes(&mut fs).unwrap(), &fs);
     }
 
     #[test]
     fn simulated_time_is_deterministic() {
-        let t = GenSpec::uniform(vec![50, 50, 50], 3000, 91).generate();
-        let fs = factors(&t, 8, 92);
-        let mut e1 = AmpedEngine::new(&t, platform(4), cfg(8)).unwrap();
-        let mut e2 = AmpedEngine::new(&t, platform(4), cfg(8)).unwrap();
-        let (_, t1) = e1.mttkrp_mode(0, &fs).unwrap();
-        let (_, t2) = e2.mttkrp_mode(0, &fs).unwrap();
-        assert_eq!(t1.wall, t2.wall);
-        for (a, b) in t1.per_gpu.iter().zip(&t2.per_gpu) {
-            assert_eq!(a.compute, b.compute);
-            assert_eq!(a.h2d, b.h2d);
-        }
+        check_simulated_time_is_deterministic(in_core);
     }
 
     #[test]
@@ -1085,7 +1287,7 @@ mod tests {
         .generate();
         let mut e = AmpedEngine::new(&t, platform(4), cfg(16)).unwrap();
         let buffers = |e: &AmpedEngine| {
-            let copy = &e.plan.modes[0].copy;
+            let copy = &e.plan().modes[0].copy;
             (copy.inputs().as_ptr(), copy.values().as_ptr())
         };
         let (before, wall) = (buffers(&e), e.preprocess_wall());
@@ -1101,11 +1303,11 @@ mod tests {
             ranges,
             e.cfg.shard_nnz_budget,
         );
-        let mp = &e.plan.modes[0];
+        let mp = &e.plan().modes[0];
         assert_eq!(mp.device_ranges, fresh.device_ranges);
         assert_eq!(format!("{:?}", mp.shards), format!("{:?}", fresh.shards));
         assert_eq!(
-            format!("{:?}", e.mode_shards[0]),
+            format!("{:?}", e.source.mode_shards[0]),
             format!("{:?}", schedule_serially(&e, &fresh))
         );
         assert_eq!(MttkrpEngine::mode_hist(&e, 0), t.mode_hist(0));
@@ -1132,7 +1334,7 @@ mod tests {
             .map(|mp| format!("{:?}", schedule_serially(&e, mp)))
             .collect();
         for (d, want) in want.iter().enumerate() {
-            assert_eq!(&format!("{:?}", e.mode_shards[d]), want, "mode {d}");
+            assert_eq!(&format!("{:?}", e.source.mode_shards[d]), want, "mode {d}");
         }
         for workers in [1, 2, 4] {
             let (plan, priced) = plan_and_price(&t, &NnzCcp, &e.spec, &e.cfg, 3, workers).unwrap();

@@ -7,13 +7,16 @@
 //!
 //! The crate implements the paper's parallel algorithm end to end:
 //!
-//! * [`engine::AmpedEngine`] — Algorithm 1's mode-by-mode loop: tensor
-//!   shards stream from host memory to their owning GPUs, grids of
-//!   threadblocks execute the elementwise computation (Algorithm 2) with
-//!   intra-GPU atomics, GPUs synchronize at an inter-GPU barrier, and the
-//!   updated output-factor rows travel through the ring all-gather of
-//!   Algorithm 3 — producing both *real* factor matrices and *simulated*
-//!   per-GPU time breakdowns.
+//! * [`engine::Engine`] — Algorithm 1's mode-by-mode loop, written once over
+//!   a [`engine::Source`] of mode-sorted elements: shards of each mode's
+//!   sorted copy stream to their owning GPUs, grids of threadblocks execute
+//!   the elementwise computation (Algorithm 2) over output-sorted row runs
+//!   with no atomic read-modify-write, GPUs synchronize at an inter-GPU
+//!   barrier, and the updated output-factor rows travel through the ring
+//!   all-gather of Algorithm 3 — producing both *real* factor matrices and
+//!   *simulated* per-GPU time breakdowns. [`AmpedEngine`] holds the sorted
+//!   copies in host memory; [`OocEngine`] streams them from a `.tnsb` file's
+//!   sorted sections through a bounded staging budget.
 //! * [`als`] — CP-ALS on top of the engine (the decomposition whose inner
 //!   loop the paper accelerates), with λ-normalization and fit tracking.
 //! * [`mod@reference`] — sequential and multithreaded COO MTTKRP oracles used by
@@ -22,7 +25,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use amped_core::{config::AmpedConfig, engine::AmpedEngine, reference};
+//! use amped_core::{config::AmpedConfig, engine::AmpedEngine, reference, MttkrpEngine};
 //! use amped_sim::PlatformSpec;
 //! use amped_tensor::gen::GenSpec;
 //! use amped_linalg::Mat;

@@ -1,31 +1,31 @@
-//! Out-of-core execution mode: MTTKRP/ALS over `.tnsb` chunks on disk.
+//! The streamed source: MTTKRP/ALS over `.tnsb` chunks on disk.
 //!
-//! The in-core [`crate::engine::AmpedEngine`] keeps one mode-sorted tensor
-//! copy per mode in host memory. [`OocEngine`] instead drives the
-//! `amped-stream` pipeline: those copies live on disk as the `.tnsb` file's
-//! sorted sections (built once, by the writer — the paper's preprocessing,
-//! §3.1), cut into fixed-capacity chunks; a bounded host staging budget (an
+//! [`OocEngine`] is the [`Engine`] over [`Streamed`]: the loop, the barrier,
+//! the all-gather, construction, replanning and the accessors are the ones
+//! the in-core [`crate::engine::AmpedEngine`] runs. Only where a mode-sorted
+//! element comes from differs. In core it is one copy per mode in host
+//! memory; here those copies live on disk as the `.tnsb` file's sorted
+//! sections (built once, by the writer — the paper's preprocessing, §3.1),
+//! cut into fixed-capacity chunks. A bounded host staging budget (an
 //! [`amped_sim::MemPool`]) holds the resident chunk — plus up to
-//! [`TuneParams::prefetch_depth`] chunks a background reader thread stages
-//! ahead while the current chunk computes — and every GPU streams, through
-//! its own double buffer, the slice of each chunk whose output rows it owns
-//! (the streaming plan's CCP device ranges guarantee no output row spans two
-//! GPUs, so intra-GPU atomics still suffice).
+//! [`TuneParams::prefetch_depth`](amped_runtime::TuneParams::prefetch_depth)
+//! chunks a background reader thread stages ahead while the current chunk
+//! computes.
 //!
-//! For output mode `d` the engine streams section `d`
+//! For output mode `d` the source streams section `d`
 //! ([`ChunkReader::stage`] with that mode): a chunk is `chunk_capacity`
 //! consecutive elements of the mode-sorted tensor, the shape of the in-core
-//! engine's shards — long row runs, a GPU's slice one contiguous sub-range —
-//! and a multi-ISP chunk runs the kernel layer's row-run path over its
-//! [`SortedCoo`] view (input coordinates, values and row pointers, as the
-//! in-core copies hold them), with no per-block output tile and no merge
-//! pass.
-//! Nothing is sorted per visit; a chunk is the bytes the file holds,
-//! whichever thread read it and at every prefetch depth.
+//! shards — long row runs, a GPU's slice one contiguous sub-range — and it
+//! launches as the kernel layer's [`SortedCoo`] view (input coordinates,
+//! values and row pointers, as the in-core copies hold them). Nothing is
+//! sorted per visit; a chunk is the bytes the file holds, whichever thread
+//! read it and at every prefetch depth.
 //!
-//! Timing reuses the in-core engine's cost model and its per-GPU pipeline
-//! arithmetic (`engine::double_buffered`): a GPU's slices are
-//! priced as output-sorted blocks, exactly like the shards they are.
+//! Timing is a per-GPU model beside that execution: every GPU streams, through
+//! its own double buffer (`engine::double_buffered`, the recurrence the
+//! in-core shards use), the slice of each chunk whose output rows it owns,
+//! priced as output-sorted blocks. The streaming plan's CCP device ranges
+//! guarantee no output row spans two GPUs.
 //!
 //! Every chunk load and release goes through the staging [`MemPool`], so a
 //! tensor too large for the *budget* still decomposes (chunks rotate through
@@ -36,43 +36,37 @@
 //! that narrows the prefetch window for that round, and a budget that can
 //! never hold two consecutive chunks warns once and runs the blocking loop
 //! — overlap is a perf upgrade, never a correctness or capacity change.
-//!
-//! Like the in-core engine, every kernel launch, transfer, collective, and
-//! device allocation goes through the [`DeviceRuntime`] seam.
 
 use crate::config::{AmpedConfig, SchedulePolicy};
-use crate::engine::{
-    double_buffered, record_setup, validate_replan, EngineMeters, ModeTiming, MttkrpEngine,
-};
-use amped_linalg::Mat;
-use amped_partition::{isp_ranges, ShardStats};
-use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery, WorkloadProfile};
+use crate::engine::{charge_factors, sealed, Engine, Source};
+use amped_partition::{isp_ranges, PlanBusy, ShardStats};
+use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
-use amped_runtime::{Device, DeviceRuntime, SimRuntime, Timeline, TuneParams};
+use amped_runtime::{Device, DeviceRuntime, SimRuntime, Timeline};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::obs::{warn_once, Counter};
-use amped_sim::{MemPool, PlatformSpec, SimError, TimeBreakdown};
+use amped_sim::{MemPool, PlatformSpec, SimError};
 use amped_stream::{Chunk, ChunkReader, StagedRead, StreamPlan, TnsbMeta};
 use amped_tensor::Idx;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc;
 
-/// The out-of-core AMPED engine: same algorithmic skeleton as the in-core
-/// engine (mode loop → scatter/stream → grids → barrier → all-gather), but
-/// the tensor is a `.tnsb` file and host memory holds at most the staging
-/// budget's worth of nonzeros.
+/// The out-of-core source: the `.tnsb` reader with its staging budget, the
+/// streaming plan, and the prefetch pipeline's hit counter. Host memory
+/// holds at most the staging budget's worth of nonzeros.
 #[derive(Debug)]
-pub struct OocEngine {
-    runtime: Box<dyn DeviceRuntime>,
-    /// Cached copy of the runtime's spec for borrow-free planning reads.
-    spec: PlatformSpec,
-    cost: CostModel,
-    cfg: AmpedConfig,
+pub struct Streamed {
     reader: ChunkReader,
     plan: StreamPlan,
-    obs: EngineMeters,
+    /// Chunks the prefetch pipeline had staged ahead (`ooc_prefetch_hits`).
+    prefetch_hits: Counter,
 }
+
+/// The out-of-core engine: the tensor is a `.tnsb` file.
+pub type OocEngine = Engine<Streamed>;
+
+impl sealed::Sealed for Streamed {}
 
 impl OocEngine {
     /// Opens a `.tnsb` tensor for out-of-core decomposition on `platform`
@@ -91,12 +85,8 @@ impl OocEngine {
         cfg: AmpedConfig,
         stage_budget_bytes: u64,
     ) -> Result<Self, SimError> {
-        Self::with_runtime(
-            path,
-            Box::new(SimRuntime::new(platform)),
-            cfg,
-            stage_budget_bytes,
-        )
+        let runtime = Box::new(SimRuntime::new(platform));
+        Self::with_runtime(path, runtime, cfg, stage_budget_bytes)
     }
 
     /// Opens a `.tnsb` tensor for out-of-core decomposition through an
@@ -112,8 +102,9 @@ impl OocEngine {
     }
 
     /// [`OocEngine::with_runtime`] plus autotuning: the
-    /// [`amped_tune::Autotuner`] resolves [`TuneParams`] from the `.tnsb`
-    /// footer statistics alone (a cache hit, or a grid search on a probe
+    /// [`amped_tune::Autotuner`] resolves
+    /// [`TuneParams`](amped_runtime::TuneParams) from the `.tnsb` footer
+    /// statistics alone (a cache hit, or a grid search on a probe
     /// synthesized to those statistics — the payload itself may not fit in
     /// memory) and installs them on the runtime.
     pub fn with_tuner(
@@ -123,19 +114,13 @@ impl OocEngine {
         stage_budget_bytes: u64,
         tuner: &mut amped_tune::Autotuner,
     ) -> Result<Self, SimError> {
-        let rank = cfg.rank;
-        let mut engine = Self::with_runtime(path, runtime, cfg, stage_budget_bytes)?;
-        tuner.attach_metrics(&engine.runtime.metrics());
-        let backend = amped_tune::backend_fingerprint(engine.runtime.name());
-        let meta = engine.reader.meta();
-        let stats = amped_tune::TensorStats {
-            dims: meta.shape.clone(),
-            nnz: meta.nnz,
-            rank,
-        };
-        let params = tuner.params_for_stats(&backend, &stats);
-        engine.set_tune(params);
-        Ok(engine)
+        Ok(
+            Self::with_runtime(path, runtime, cfg, stage_budget_bytes)?.tuned(tuner, |t, b, e| {
+                let (meta, rank) = (e.meta(), e.config().rank);
+                let (dims, nnz) = (meta.shape.clone(), meta.nnz);
+                t.params_for_stats(b, &amped_tune::TensorStats { dims, nnz, rank })
+            }),
+        )
     }
 
     /// Opens a `.tnsb` tensor through an explicit runtime **and** an
@@ -146,12 +131,57 @@ impl OocEngine {
     /// spec.
     pub fn with_planner(
         path: impl AsRef<Path>,
-        mut runtime: Box<dyn DeviceRuntime>,
+        runtime: Box<dyn DeviceRuntime>,
         cfg: AmpedConfig,
         stage_budget_bytes: u64,
         planner: &dyn Partitioner,
     ) -> Result<Self, SimError> {
-        cfg.validate().map_err(SimError::Unsupported)?;
+        Self::build(runtime, cfg, |rt, spec, cfg| {
+            Streamed::open(rt, spec, cfg, path.as_ref(), stage_budget_bytes, planner)
+        })
+    }
+
+    /// The streaming partition plan.
+    pub fn plan(&self) -> &StreamPlan {
+        &self.source.plan
+    }
+
+    /// The on-disk tensor's metadata.
+    pub fn meta(&self) -> &TnsbMeta {
+        self.source.reader.meta()
+    }
+
+    /// High-water mark of the staging budget actually used by chunk loads.
+    pub fn stage_peak(&self) -> u64 {
+        self.source.reader.budget().peak()
+    }
+
+    /// Bytes of the staging budget chunk loads hold right now.
+    #[cfg(test)]
+    pub(crate) fn staged_bytes(&self) -> u64 {
+        self.source.reader.budget().used()
+    }
+}
+
+/// Cache rows of a slice's statistics: GPU 0's L2 in factor rows (one scan
+/// of the sections serves all devices; per-device re-scans would multiply
+/// the I/O).
+fn cache_rows(spec: &PlatformSpec, rank: usize) -> usize {
+    (spec.gpus[0].l2_bytes / (rank as u64 * 4)).max(1) as usize
+}
+
+impl Streamed {
+    /// Opens the reader and charges the devices in the out-of-core order —
+    /// factor copies and the chunk buffers per GPU, then the staging budget
+    /// — and builds the streaming plan through that budget.
+    fn open(
+        runtime: &mut dyn DeviceRuntime,
+        spec: &PlatformSpec,
+        cfg: &AmpedConfig,
+        path: &Path,
+        stage_budget_bytes: u64,
+        planner: &dyn Partitioner,
+    ) -> Result<Self, SimError> {
         if cfg.schedule != SchedulePolicy::StaticCcp {
             return Err(SimError::Unsupported(
                 "out-of-core execution requires the static CCP schedule: chunk routing is \
@@ -160,21 +190,14 @@ impl OocEngine {
             ));
         }
         let stage = MemPool::new("host-stage", stage_budget_bytes);
-        let mut reader = ChunkReader::open(path.as_ref(), stage).map_err(|e| e.into_sim())?;
-        let spec = runtime.spec().clone();
+        let mut reader = ChunkReader::open(path, stage).map_err(|e| e.into_sim())?;
         let meta = reader.meta();
-        let m = spec.num_gpus();
 
         // --- GPU memory: factor copies (§4.4) plus a double-buffered chunk
         // staging area — a GPU may receive a whole chunk in the worst case.
-        let factor_bytes: u64 = meta
-            .shape
-            .iter()
-            .map(|&d| d as u64 * cfg.rank as u64 * 4)
-            .sum();
         let chunk_buffer = 2 * meta.chunk_capacity * meta.elem_bytes();
-        for g in 0..m {
-            runtime.alloc(Device::Gpu(g), factor_bytes, "factor-matrix copies")?;
+        for g in 0..spec.num_gpus() {
+            charge_factors(runtime, g, &meta.shape, cfg.rank)?;
             runtime.alloc(Device::Gpu(g), chunk_buffer, "chunk streaming buffers")?;
         }
 
@@ -182,187 +205,100 @@ impl OocEngine {
         // point), charged so a budget larger than the host fails loudly.
         runtime.alloc(Device::Host, stage_budget_bytes, "chunk staging budget")?;
 
-        // --- Streaming two-pass plan through the budget. Slice statistics
-        // use GPU 0's cache capacity (one scan of the sections serves all
-        // devices; per-device re-scans would multiply the I/O).
-        let gpu = &spec.gpus[0];
-        let cache_rows = (gpu.l2_bytes / (cfg.rank as u64 * 4)).max(1) as usize;
-        let cost = PlatformCostQuery::new(
-            &spec,
-            WorkloadProfile {
-                order: meta.order(),
-                rank: cfg.rank,
-                elem_bytes: meta.elem_bytes(),
-                isp_nnz: cfg.isp_nnz,
-            },
-        );
-        let plan = StreamPlan::build_with_planner(&mut reader, planner, &cost, cache_rows)
+        // --- Streaming two-pass plan through the budget.
+        let cost = PlatformCostQuery::new(spec, cfg.workload(meta.order(), meta.elem_bytes()));
+        let rows = cache_rows(spec, cfg.rank);
+        let plan = StreamPlan::build_with_planner(&mut reader, planner, &cost, rows)
             .map_err(|e| e.into_sim())?;
 
-        // Chunk I/O telemetry (`ooc_*` counters) and the engine's own meters
-        // record into the runtime's registry; detached registries make this
-        // free.
+        // Chunk I/O telemetry (`ooc_*` counters) records into the runtime's
+        // registry; a detached registry makes this free.
         let registry = runtime.metrics();
-        let obs = EngineMeters {
-            ooc_prefetch_hits: registry.counter("ooc_prefetch_hits"),
-            ..EngineMeters::attach(&registry)
-        };
-        record_setup(&registry, plan.preprocess_wall, plan.busy);
+        let prefetch_hits = registry.counter("ooc_prefetch_hits");
         reader.set_metrics(registry);
-
         Ok(Self {
-            runtime,
-            spec,
-            cost: CostModel::default(),
-            cfg,
             reader,
             plan,
-            obs,
+            prefetch_hits,
         })
     }
+}
 
-    /// The streaming partition plan.
-    pub fn plan(&self) -> &StreamPlan {
-        &self.plan
+impl Source for Streamed {
+    fn shape(&self) -> &[Idx] {
+        &self.reader.meta().shape
     }
 
-    /// The on-disk tensor's metadata.
-    pub fn meta(&self) -> &TnsbMeta {
-        self.reader.meta()
+    fn norm_sq(&self) -> f64 {
+        self.reader.meta().norm_sq
     }
 
-    /// The platform specification.
-    pub fn spec(&self) -> &PlatformSpec {
-        &self.spec
+    fn mode_hist(&self, d: usize) -> Vec<u64> {
+        self.reader.meta().hist[d].clone()
     }
 
-    /// The device runtime the engine executes through.
-    pub fn runtime(&self) -> &dyn DeviceRuntime {
-        self.runtime.as_ref()
+    fn mode_loads(&self, d: usize) -> Vec<u64> {
+        self.plan.modes[d].gpu_loads()
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &AmpedConfig {
-        &self.cfg
+    fn setup(&self) -> (f64, PlanBusy) {
+        (self.plan.preprocess_wall, self.plan.busy)
     }
 
-    /// The runtime's tunable execution parameters (prefetch depth, rank
-    /// tile, worker count).
-    pub fn tune(&self) -> TuneParams {
-        self.runtime.tune()
-    }
-
-    /// Sets the runtime's tunable execution parameters. Every setting is
-    /// numerics-transparent: factors are bit-identical across prefetch
-    /// depths and rank tiles; only wall time and overlap change.
-    pub fn set_tune(&mut self, params: TuneParams) {
-        self.runtime.set_tune(params);
-    }
-
-    /// Peak GPU memory charged, in bytes (max over GPUs).
-    pub fn gpu_mem_peak(&self) -> u64 {
-        self.runtime.gpu_mem_peak()
-    }
-
-    /// Host memory charged (the staging budget reservation).
-    pub fn host_mem_used(&self) -> u64 {
-        self.runtime.mem(Device::Host).used()
-    }
-
-    /// High-water mark of the staging budget actually used by chunk loads.
-    pub fn stage_peak(&self) -> u64 {
-        self.reader.budget().peak()
-    }
-
-    /// Swaps mode `assignment.mode`'s device assignment: re-runs the
-    /// streaming plan's pass 2 for that mode (one bounded scan of its
-    /// sorted section) under the new output-index ranges. The ALS-time rebalancing path —
-    /// out-of-core replanning costs real chunk I/O, which is exactly the
-    /// trade the imbalance threshold gates.
-    pub fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
-        validate_replan(assignment, &self.reader.meta().shape, self.spec.num_gpus())?;
-        let d = assignment.mode;
-        let gpu = &self.spec.gpus[0];
-        let cache_rows = (gpu.l2_bytes / (self.cfg.rank as u64 * 4)).max(1) as usize;
-        self.plan
-            .rebuild_mode(&mut self.reader, d, assignment.index_ranges(), cache_rows)
-            .map_err(|e| e.into_sim())?;
-        let plan = &self.plan;
-        record_setup(&self.runtime.metrics(), plan.preprocess_wall, plan.busy);
-        self.obs.replans.inc();
-        Ok(())
-    }
-
-    /// Runs MTTKRP for output mode `d` out of core: the chunks of section
-    /// `d` stream from disk through the staging budget, each GPU pulls the
-    /// slices it owns, and every chunk executes as a grid of ISP blocks;
-    /// updated rows travel through the configured all-gather.
-    pub fn mttkrp_mode(
+    /// Re-runs the streaming plan's pass 2 for the mode: one bounded scan
+    /// of its sorted section under the new output-index ranges.
+    fn recut(
         &mut self,
+        runtime: &dyn DeviceRuntime,
+        cfg: &AmpedConfig,
+        assignment: &ModeAssignment,
+    ) -> Result<(), SimError> {
+        let (d, ranges) = (assignment.mode, assignment.index_ranges());
+        let rows = cache_rows(runtime.spec(), cfg.rank);
+        let reader = &mut self.reader;
+        self.plan
+            .rebuild_mode(reader, d, ranges, rows)
+            .map_err(|e| e.into_sim())
+    }
+
+    /// The model first — GPU `g` streams its slice of every chunk that has
+    /// one: host→GPU transfer, then a grid over the slice — then the
+    /// execution: every chunk of section `d`
+    /// streams once through the staging budget and runs as one zero-cost
+    /// grid on device 0, a host-side stand-in for functional output only.
+    /// Per-device placement and timing are carried by the model, so a
+    /// timeline of this engine shows compute placement in the h2d ops, not
+    /// these launches.
+    fn launch(
+        &mut self,
+        runtime: &mut dyn DeviceRuntime,
+        spec: &PlatformSpec,
+        cfg: &AmpedConfig,
         d: usize,
-        factors: &[Mat],
-    ) -> Result<(Mat, ModeTiming), SimError> {
-        let order = self.reader.meta().order();
-        assert!(d < order, "mode {d} out of range");
-        assert_eq!(factors.len(), order, "one factor matrix per mode");
-        let rank = self.cfg.rank;
-        assert!(
-            factors.iter().all(|f| f.cols() == rank),
-            "factor rank must match engine configuration"
-        );
-        let m = self.spec.num_gpus();
-        let elem_bytes = self.reader.meta().elem_bytes();
-        let rows_out = self.reader.meta().shape[d] as usize;
-        let num_chunks = self.reader.meta().num_chunks();
-        let out = MttkrpOut::zeros(rows_out, rank);
+        factors: &FactorsView,
+        out: &MttkrpOut,
+    ) -> Result<sealed::ModeRun, SimError> {
+        let (reader, cost) = (&mut self.reader, CostModel::default());
+        let meta = reader.meta();
+        let (order, elem_bytes, num_chunks) = (meta.order(), meta.elem_bytes(), meta.num_chunks());
+        let mp = &self.plan.modes[d];
+        let active = mp.gpu_loads().iter().filter(|&&l| l > 0).count().max(1);
 
-        // Split borrows: the runtime and the chunk reader both take ops
-        // (&mut) while the plan feeds routing (&).
-        let Self {
-            runtime,
-            spec,
-            cost,
-            cfg,
-            reader,
-            plan,
-            obs,
-        } = self;
-        let runtime = runtime.as_mut();
-        let mp = &plan.modes[d];
-        let loads = mp.gpu_loads();
-        let active = loads.iter().filter(|&&l| l > 0).count().max(1);
+        let steps = (0..spec.num_gpus())
+            .map(|g| {
+                let slices = mp.chunks.iter().map(|route| &route.per_gpu[g]);
+                slices
+                    .filter(|stats| stats.nnz > 0)
+                    .map(|stats| {
+                        let transfer = runtime.h2d_time(g, active, stats.nnz * elem_bytes);
+                        let compute = slice_time(&cost, spec, g, cfg, stats, order, elem_bytes);
+                        (transfer, compute)
+                    })
+                    .collect()
+            })
+            .collect();
 
-        // --- The model: GPU `g` streams its slice of every chunk that has
-        // one — host→GPU transfer, then a grid over the slice — through its
-        // own double buffer, like the in-core engine's shards.
-        let mut per_gpu = vec![TimeBreakdown::default(); m];
-        let mut ends = vec![0.0f64; m];
-        for g in 0..m {
-            let slices = mp.chunks.iter().map(|route| &route.per_gpu[g]);
-            let steps: Vec<(f64, f64)> = slices
-                .filter(|stats| stats.nnz > 0)
-                .map(|stats| {
-                    let transfer = runtime.h2d_time(g, active, stats.nnz * elem_bytes);
-                    let compute = slice_time(cost, spec, g, cfg, stats, order, elem_bytes);
-                    (transfer, compute)
-                })
-                .collect();
-            (ends[g], per_gpu[g]) = double_buffered(&steps);
-        }
-
-        // --- Real execution: stream every chunk of section `d` once through
-        // the staging budget and run the elementwise computation
-        // (Algorithm 2) as a grid of ISP blocks through the kernel layer
-        // (the row-run path over the sorted chunk when it spans several
-        // ISPs, direct accumulation otherwise).
-        // The whole chunk executes as one zero-cost grid on device 0: a
-        // host-side stand-in for functional output only — per-device
-        // placement and timing are carried by the model above, so a
-        // timeline of this engine shows compute placement in the h2d ops,
-        // not these launches.
-        let fviews = FactorsView::new(factors.iter().map(|f| f.as_slice()).collect(), rank);
         let tl = runtime.timeline();
-
         // Prefetch policy: the runtime's tunables ask for up to
         // `effective_prefetch()` chunks staged ahead of the one computing. A
         // budget that can never hold two consecutive chunks at once would
@@ -373,7 +309,6 @@ impl OocEngine {
             .min(num_chunks.saturating_sub(1));
         if depth > 0 {
             let capacity = reader.budget().capacity();
-            let meta = reader.meta();
             let can_double = (0..num_chunks - 1).any(|k| {
                 meta.section_chunk_bytes(d, k) + meta.section_chunk_bytes(d, k + 1) <= capacity
             });
@@ -394,7 +329,6 @@ impl OocEngine {
                 "chunk {} was not read from section {d}",
                 chunk.index()
             );
-            obs.nnz_processed.add(chunk.nnz() as u64);
             let isps = isp_ranges(0..chunk.nnz(), cfg.isp_nnz);
             let src = SortedCoo::new(
                 chunk.input_coords(),
@@ -406,7 +340,7 @@ impl OocEngine {
             );
             // Zero costs: simulated time comes from the slice model above.
             let costs = vec![0.0f64; isps.len()];
-            launch_mttkrp(runtime, 0, &src, &fviews, &isps, &costs, &out);
+            launch_mttkrp(runtime, 0, &src, factors, &isps, &costs, out);
         };
 
         if depth == 0 {
@@ -424,32 +358,12 @@ impl OocEngine {
                 d,
                 depth,
                 tl.as_ref(),
-                &obs.ooc_prefetch_hits,
+                &self.prefetch_hits,
                 exec_chunk,
             )?;
         }
-
-        // --- Inter-GPU barrier.
-        let barrier = ends.iter().cloned().fold(0.0f64, f64::max);
-        for (g, b) in per_gpu.iter_mut().enumerate() {
-            b.idle += barrier - ends[g];
-        }
-
-        // --- All-gather of the updated output rows (Algorithm 1 line 11).
-        let row_bytes = rank as u64 * 4;
-        let block_bytes: Vec<u64> = mp.gpu_rows().iter().map(|&r| r * row_bytes).collect();
-        let gather_time = runtime.allgather_time(cfg.gather.collective(), &block_bytes);
-        for b in per_gpu.iter_mut() {
-            b.p2p += gather_time;
-        }
-
-        let result = Mat::from_vec(rows_out, rank, out.to_vec());
-        let timing = ModeTiming {
-            mode: d,
-            wall: barrier + gather_time,
-            per_gpu,
-        };
-        Ok((result, timing))
+        let rows = mp.device_ranges.iter().map(|r| vec![r.clone()]).collect();
+        Ok(sealed::ModeRun { steps, rows })
     }
 }
 
@@ -481,6 +395,12 @@ fn sorted_chunk(
             Err(e)
         }
     }
+}
+
+/// The error both ends of the prefetch channel report when the reader thread
+/// is gone.
+fn reader_disconnected() -> SimError {
+    SimError::Unsupported("prefetch reader thread disconnected".into())
 }
 
 /// The double-buffered chunk loop: the reads of section `d`'s chunks run on
@@ -538,8 +458,13 @@ where
             while next_stage < num_chunks && next_stage <= k + depth {
                 match reader.stage(next_stage, Some(d)) {
                     Ok(staged) => {
+                        // In flight before it is sent, so the drain below
+                        // settles its reservation if the send fails.
                         in_flight.push_back((next_stage, staged.bytes()));
-                        req_tx.send(staged).expect("prefetch reader thread alive");
+                        if req_tx.send(staged).is_err() {
+                            outcome = Err(reader_disconnected());
+                            break 'chunks;
+                        }
                         next_stage += 1;
                     }
                     Err(e) => {
@@ -557,17 +482,13 @@ where
             }
             // Chunk `k` was staged ahead iff it heads the in-flight queue;
             // otherwise it is staged and read here, this round only.
-            let staged_ahead = if in_flight.front().map(|f| f.0) == Some(k) {
-                let (_, reserved) = in_flight.pop_front().expect("front checked");
-                let read = match res_rx.recv() {
-                    Ok(read) => read.map_err(|e| e.into_sim()),
-                    Err(_) => Err(SimError::Unsupported(
-                        "prefetch reader thread disconnected".into(),
-                    )),
-                };
-                Some((reserved, read))
-            } else {
-                None
+            let staged_ahead = match in_flight.front() {
+                Some(&(c, reserved)) if c == k => {
+                    in_flight.pop_front();
+                    let read = res_rx.recv().map_err(|_| reader_disconnected());
+                    Some((reserved, read.and_then(|r| r.map_err(|e| e.into_sim()))))
+                }
+                _ => None,
             };
             let prefetched = staged_ahead.is_some();
             let chunk = match sorted_chunk(reader, k, d, staged_ahead) {
@@ -644,152 +565,37 @@ fn slice_time(
     block_cost * (blocks as usize).div_ceil(gpu.sms) as f64
 }
 
-impl MttkrpEngine for OocEngine {
-    fn mttkrp_mode(&mut self, d: usize, factors: &[Mat]) -> Result<(Mat, ModeTiming), SimError> {
-        OocEngine::mttkrp_mode(self, d, factors)
-    }
-
-    fn rank(&self) -> usize {
-        self.cfg.rank
-    }
-
-    fn shape(&self) -> &[Idx] {
-        &self.reader.meta().shape
-    }
-
-    fn tensor_norm_sq(&self) -> f64 {
-        self.reader.meta().norm_sq
-    }
-
-    fn num_gpus(&self) -> usize {
-        self.spec.num_gpus()
-    }
-
-    fn preprocess_wall(&self) -> f64 {
-        self.plan.preprocess_wall
-    }
-
-    fn mode_hist(&self, d: usize) -> Vec<u64> {
-        self.reader.meta().hist[d].clone()
-    }
-
-    fn mode_loads(&self, d: usize) -> Vec<u64> {
-        self.plan.modes[d].gpu_loads()
-    }
-
-    fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
-        OocEngine::replan(self, assignment)
-    }
-
-    fn timeline(&self) -> Option<amped_runtime::Timeline> {
-        self.runtime.timeline()
-    }
-
-    fn metrics(&self) -> amped_sim::obs::MetricsRegistry {
-        self.runtime.metrics()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::ScratchDir;
+    use crate::engine::tests::{
+        budget_for, cfg, check_matches_reference_5mode, check_matches_reference_all_modes,
+        check_simulated_time_is_deterministic, factors, platform, streamed,
+    };
+    use crate::engine::MttkrpEngine;
     use crate::reference::mttkrp_ref;
+    use amped_runtime::TuneParams;
     use amped_stream::write_tnsb;
     use amped_tensor::gen::GenSpec;
-    use amped_tensor::SparseTensor;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn platform(m: usize) -> PlatformSpec {
-        PlatformSpec::rtx6000_ada_node(m).scaled(1e-3)
-    }
-
-    fn factors(t: &SparseTensor, r: usize, seed: u64) -> Vec<Mat> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        t.shape()
-            .iter()
-            .map(|&d| Mat::random(d as usize, r, &mut rng))
-            .collect()
-    }
-
-    fn cfg(r: usize) -> AmpedConfig {
-        AmpedConfig {
-            rank: r,
-            isp_nnz: 256,
-            shard_nnz_budget: 1024,
-            ..Default::default()
-        }
-    }
-
-    /// Staging budget comfortably holding a depth-2 prefetch window.
-    fn budget_for(t: &SparseTensor, cap: usize) -> u64 {
-        cap as u64 * t.elem_bytes() * 3
-    }
 
     #[test]
     fn ooc_matches_reference_all_modes() {
-        let t = GenSpec {
-            shape: vec![80, 60, 70],
-            nnz: 5000,
-            skew: vec![0.8, 0.0, 0.4],
-            seed: 81,
-        }
-        .generate();
         let dir = ScratchDir::new("ooc");
-        let path = dir.join("ref.tnsb");
-        write_tnsb(&t, &path, 512).unwrap();
-        let fs = factors(&t, 16, 82);
-        let mut e = OocEngine::open(&path, platform(4), cfg(16), budget_for(&t, 512)).unwrap();
-        for d in 0..3 {
-            let (out, timing) = e.mttkrp_mode(d, &fs).unwrap();
-            let want = mttkrp_ref(&t, &fs, d);
-            assert!(
-                out.approx_eq(&want, 1e-3, 1e-4),
-                "mode {d}: max diff {}",
-                out.max_abs_diff(&want)
-            );
-            assert!(timing.wall > 0.0);
-            assert_eq!(timing.per_gpu.len(), 4);
-        }
-        assert_eq!(e.reader.budget().used(), 0, "all chunks must be released");
+        let e = check_matches_reference_all_modes(streamed(&dir));
+        assert_eq!(e.staged_bytes(), 0, "all chunks must be released");
     }
 
     #[test]
     fn ooc_matches_reference_5mode() {
-        let t = GenSpec::uniform(vec![20, 24, 28, 16, 12], 2000, 83).generate();
         let dir = ScratchDir::new("ooc");
-        let path = dir.join("ref5.tnsb");
-        write_tnsb(&t, &path, 300).unwrap();
-        let fs = factors(&t, 8, 84);
-        let mut e = OocEngine::open(&path, platform(3), cfg(8), budget_for(&t, 300)).unwrap();
-        for d in 0..5 {
-            let (out, _) = e.mttkrp_mode(d, &fs).unwrap();
-            assert!(
-                out.approx_eq(&mttkrp_ref(&t, &fs, d), 1e-3, 1e-4),
-                "mode {d}"
-            );
-        }
+        check_matches_reference_5mode(streamed(&dir));
     }
 
     #[test]
     fn simulated_time_is_deterministic_and_positive() {
-        let t = GenSpec::uniform(vec![50, 50, 50], 3000, 91).generate();
         let dir = ScratchDir::new("ooc");
-        let path = dir.join("det.tnsb");
-        write_tnsb(&t, &path, 256).unwrap();
-        let fs = factors(&t, 8, 92);
-        let b = budget_for(&t, 256);
-        let mut e1 = OocEngine::open(&path, platform(4), cfg(8), b).unwrap();
-        let mut e2 = OocEngine::open(&path, platform(4), cfg(8), b).unwrap();
-        let (_, t1) = e1.mttkrp_mode(0, &fs).unwrap();
-        let (_, t2) = e2.mttkrp_mode(0, &fs).unwrap();
-        assert_eq!(t1.wall, t2.wall);
-        assert!(t1.wall > 0.0);
-        for (a, b) in t1.per_gpu.iter().zip(&t2.per_gpu) {
-            assert_eq!(a.compute, b.compute);
-            assert_eq!(a.h2d, b.h2d);
-        }
+        check_simulated_time_is_deterministic(streamed(&dir));
     }
 
     #[test]
@@ -825,7 +631,7 @@ mod tests {
                 );
                 bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
             }
-            assert_eq!(e.reader.budget().used(), 0, "depth {depth} leaked budget");
+            assert_eq!(e.staged_bytes(), 0, "depth {depth} leaked budget");
             if depth > 0 {
                 assert!(
                     e.metrics().counter_value("ooc_prefetch_hits", &[]) > 0,
@@ -878,11 +684,7 @@ mod tests {
             e.metrics().counter_value("ooc_chunk_stalls", &[]) > stalls_before,
             "the squeezed budget must record at least one prefetch stall"
         );
-        assert_eq!(
-            e.reader.budget().used(),
-            0,
-            "stalled pipeline leaked budget"
-        );
+        assert_eq!(e.staged_bytes(), 0, "stalled pipeline leaked budget");
         for (a, b) in base.as_slice().iter().zip(out.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -917,7 +719,7 @@ mod tests {
             "fallback must not route chunks through the pipeline"
         );
         assert!(out.approx_eq(&mttkrp_ref(&t, &fs, 0), 1e-3, 1e-4));
-        assert_eq!(e.reader.budget().used(), 0);
+        assert_eq!(e.staged_bytes(), 0);
     }
 
     #[test]

@@ -1,7 +1,12 @@
-//! Property test: for random tensors, shapes, GPU counts, and shard/ISP
-//! granularities, the multi-GPU engine agrees with the sequential reference.
+//! Property test: for random tensors, shapes, GPU counts, shard/ISP
+//! granularities and chunk capacities, the engine over either source agrees
+//! with the sequential reference, and every GPU's time buckets add up to
+//! the mode's wall.
+
+mod common;
 
 use amped::prelude::*;
+use amped::stream::read_tnsb_meta;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -19,6 +24,8 @@ proptest! {
         isp in 16usize..512,
         skew in 0.0f64..1.2,
         seed in 0u64..10_000,
+        chunk in 16usize..1024,
+        budget_chunks in 2u64..5,
     ) {
         prop_assume!(shard_budget >= isp);
         let t = GenSpec {
@@ -38,19 +45,42 @@ proptest! {
             ..AmpedConfig::default()
         };
         let platform = PlatformSpec::rtx6000_ada_node(gpus).scaled(1e-3);
-        let mut engine = AmpedEngine::new(&t, platform, cfg).unwrap();
+        let mut engine = AmpedEngine::new(&t, platform.clone(), cfg.clone()).unwrap();
+        // The streamed source over the same tensor, through a staging budget
+        // of at least two of its largest section chunks.
+        let dir = common::ScratchDir::new("prop_engine");
+        let path = dir.join("t.tnsb");
+        write_tnsb(&t, &path, chunk).unwrap();
+        let meta = &read_tnsb_meta(&path).unwrap();
+        let largest = (0..3)
+            .flat_map(|d| (0..meta.num_chunks()).map(move |c| meta.section_chunk_bytes(d, c)))
+            .max()
+            .unwrap();
+        let mut ooc = OocEngine::open(&path, platform, cfg, budget_chunks * largest).unwrap();
         let mode = (seed % 3) as usize;
-        let (out, timing) = engine.mttkrp_mode(mode, &factors).unwrap();
         let want = mttkrp_ref(&t, &factors, mode);
-        prop_assert!(
-            out.approx_eq(&want, 2e-3, 1e-3),
-            "max diff {} (gpus={gpus}, budget={shard_budget}, isp={isp})",
-            out.max_abs_diff(&want)
-        );
-        prop_assert!(timing.wall > 0.0);
-        // Breakdown sanity: every component non-negative.
-        for g in &timing.per_gpu {
-            prop_assert!(g.compute >= 0.0 && g.h2d >= 0.0 && g.p2p >= 0.0 && g.idle >= 0.0);
+        let runs = [
+            ("in core", engine.mttkrp_mode(mode, &factors).unwrap()),
+            ("streamed", ooc.mttkrp_mode(mode, &factors).unwrap()),
+        ];
+        for (source, (out, timing)) in runs {
+            prop_assert!(
+                out.approx_eq(&want, 2e-3, 1e-3),
+                "{source}: max diff {} (gpus={gpus}, budget={shard_budget}, isp={isp}, \
+                 chunk={chunk})",
+                out.max_abs_diff(&want)
+            );
+            prop_assert!(timing.wall > 0.0);
+            // Every component non-negative, and together they are the wall.
+            for (g, b) in timing.per_gpu.iter().enumerate() {
+                prop_assert!(b.compute >= 0.0 && b.h2d >= 0.0 && b.p2p >= 0.0 && b.idle >= 0.0);
+                let total = b.compute + b.h2d + b.idle + b.p2p;
+                prop_assert!(
+                    (total - timing.wall).abs() <= 1e-9 * timing.wall.max(1e-30),
+                    "{source}: GPU {g} buckets {total:e} against wall {:e}",
+                    timing.wall
+                );
+            }
         }
     }
 }
