@@ -46,9 +46,6 @@ echo "=== 6/9 every example + figures fig10 (smoke) ==="
 for example in quickstart cpd_als twitch_5mode multi_gpu_scaling; do
   cargo run --release --example "$example"
 done
-# The multi-node path end to end: ClusterSpec → SimRuntime::cluster →
-# HierarchicalCcp → hierarchical all-gather, through the unchanged engine.
-cargo run --release --example cluster
 # The out-of-core path end to end: TnsbWriter → sorted sections → StreamPlan
 # → streamed CP-ALS, verified against the in-core oracle by the example
 # itself. It works in a directory of its own under the temp directory and

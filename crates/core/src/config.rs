@@ -20,16 +20,10 @@ pub enum SchedulePolicy {
 /// Which all-gather algorithm redistributes output-factor rows (§4.9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum GatherAlgo {
-    /// Ring over GPUDirect P2P (the paper's choice, Algorithm 3). On a
-    /// multi-node cluster runtime this is the *flat* ring across the
-    /// inter-node link.
+    /// Ring over GPUDirect P2P (the paper's choice, Algorithm 3).
     Ring,
     /// Staged through host memory over PCIe (the `abl-gather` ablation).
     HostStaged,
-    /// Hierarchical ring for multi-node clusters: intra-node ring per node,
-    /// inter-node exchange of node-aggregated blocks, intra-node
-    /// distribution. Degenerates to [`GatherAlgo::Ring`] on one node.
-    Hierarchical,
 }
 
 /// AMPED engine configuration.

@@ -513,7 +513,6 @@ impl GatherAlgo {
         match self {
             GatherAlgo::Ring => Collective::Ring,
             GatherAlgo::HostStaged => Collective::HostStaged,
-            GatherAlgo::Hierarchical => Collective::HierarchicalRing,
         }
     }
 }
@@ -740,25 +739,15 @@ impl Resident {
                 // estimate must not carry a slow GPU's cost (or vice
                 // versa). Uniform throughputs make both the estimates and
                 // the selection identical to the historical `min finish[g]`
-                // rule, preserving the homogeneous goldens. Per-candidate
-                // links: on a cluster runtime each GPU's h2d tier is its own
-                // node's, matching what `h2d_time` charges at execution;
-                // single-node backends return one link for every GPU,
-                // preserving the historical arithmetic.
-                let active_est = m.min(shards.len().max(1));
-                let links: Vec<_> = (0..m)
-                    .map(|g| runtime.h2d_link_for(g, active_est))
-                    .collect();
+                // rule, preserving the homogeneous goldens. Every GPU
+                // streams from the one host over the same link.
+                let link = runtime.h2d_link(m.min(shards.len().max(1)));
                 let tp = &self.gpu_throughput;
-                let uniform = tp.windows(2).all(|w| w[0] == w[1])
-                    && links
-                        .windows(2)
-                        .all(|w| w[0].gbps == w[1].gbps && w[0].latency_s == w[1].latency_s);
+                let uniform = tp.windows(2).all(|w| w[0] == w[1]);
                 let mut finish = vec![0.0f64; m];
                 for (i, s) in shards.iter().enumerate() {
                     let step = |g: usize| {
-                        links[g]
-                            .transfer_time(s.transfer_bytes)
+                        link.transfer_time(s.transfer_bytes)
                             .max(reprice(s.compute, tp, s.gpu, g))
                     };
                     let eta = |g: usize| {

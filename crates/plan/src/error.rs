@@ -6,9 +6,9 @@ use amped_partition::CcpError;
 ///
 /// Planning failures must be *recoverable*: at the billion-scale element
 /// spaces this repository targets, an index space overflowing the `u32`
-/// range type is an expected operating condition (fall back to hierarchical
-/// or element-space planning), not a programming bug — so it surfaces here
-/// instead of panicking inside CCP.
+/// range type is an expected operating condition (fall back to element-space
+/// planning), not a programming bug — so it surfaces here instead of
+/// panicking inside CCP.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// The mode's output-index space exceeds the `u32` range bounds every
@@ -17,15 +17,6 @@ pub enum PlanError {
     IndexSpaceTooLarge {
         /// Number of output indices in the mode.
         indices: u64,
-    },
-    /// The planner's device topology does not match the cost query's device
-    /// count (e.g. a hierarchical planner built for 2×4 GPUs asked to plan
-    /// for 6 devices).
-    TopologyMismatch {
-        /// Devices the planner was built for.
-        planner_devices: usize,
-        /// Devices the cost query exposes.
-        cost_devices: usize,
     },
 }
 
@@ -36,14 +27,6 @@ impl std::fmt::Display for PlanError {
                 f,
                 "planner: index space of {indices} indices exceeds the u32 range limit ({})",
                 CcpError::INDEX_LIMIT
-            ),
-            PlanError::TopologyMismatch {
-                planner_devices,
-                cost_devices,
-            } => write!(
-                f,
-                "planner topology covers {planner_devices} devices but the cost query \
-                 prices {cost_devices}"
             ),
         }
     }
@@ -76,15 +59,5 @@ mod tests {
             }
         );
         assert!(e.to_string().contains("5000000000"));
-    }
-
-    #[test]
-    fn topology_mismatch_names_both_counts() {
-        let e = PlanError::TopologyMismatch {
-            planner_devices: 8,
-            cost_devices: 6,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains('8') && msg.contains('6'), "{msg}");
     }
 }

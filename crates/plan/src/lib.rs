@@ -27,10 +27,6 @@
 //!   and re-runs heterogeneity-aware CCP when the imbalance overhead
 //!   crosses a threshold; the engines' `replan` path swaps the resulting
 //!   assignment in between ALS iterations without rebuilding the engine.
-//! * [`HierarchicalCcp`] — two-level cluster planning: CCP over *nodes*
-//!   weighted by aggregate node throughput, then per-GPU CCP inside each
-//!   node's slice. Produces an ordinary [`ModeAssignment`] over the
-//!   flattened GPU list, so the engines execute cluster plans unchanged.
 //!
 //! Every policy plans through one fallible surface: [`Partitioner::plan_mode`]
 //! returns [`PlanError`] instead of panicking — in particular
@@ -48,14 +44,12 @@
 pub mod assignment;
 pub mod cost;
 pub mod error;
-pub mod hierarchical;
 pub mod partitioner;
 pub mod rebalance;
 
 pub use assignment::{AssignmentSpace, ModeAssignment};
 pub use cost::{modeled_makespan, CostQuery, PlatformCostQuery, UniformCost, WorkloadProfile};
 pub use error::PlanError;
-pub use hierarchical::HierarchicalCcp;
 pub use partitioner::{
     hetero_chains, try_hetero_chains, CostGuidedCcp, EqualSplit, NnzCcp, Partitioner, PlanStats,
 };

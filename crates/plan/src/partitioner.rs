@@ -32,9 +32,7 @@ pub trait Partitioner: std::fmt::Debug + Sync {
     ///
     /// Fails with [`PlanError::IndexSpaceTooLarge`] when the index space
     /// exceeds the `u32` range bounds (the billion-scale operating
-    /// condition CCP used to panic on) and
-    /// [`PlanError::TopologyMismatch`] when a topology-bound planner is
-    /// asked to plan for a different device count.
+    /// condition CCP used to panic on).
     fn plan_mode(
         &self,
         mode: usize,

@@ -16,8 +16,7 @@
 //! run through [`crate::DeviceRuntime::allgather_time`] and
 //! [`crate::DeviceRuntime::allgather_blocks`].
 
-use amped_sim::{ClusterSpec, LinkSpec};
-use std::ops::Range;
+use amped_sim::LinkSpec;
 
 /// Functional ring all-gather over arbitrary per-GPU blocks.
 ///
@@ -85,174 +84,6 @@ pub fn ring_allgather_time(link: &LinkSpec, block_bytes: &[u64]) -> f64 {
     total
 }
 
-/// Simulated time of the *flat* ring all-gather on a multi-node cluster:
-/// the same synchronized ring schedule as [`ring_allgather_time`], but each
-/// hop `g → g+1` pays the link tier of that device pair — the node's P2P
-/// link inside a node, the inter-node link at node boundaries. Because some
-/// block crosses a node boundary in (almost) every step, every step is
-/// bottlenecked by the slow tier: this is the baseline the hierarchical
-/// schedule beats.
-///
-/// On a one-node cluster every hop resolves to the node's P2P link and the
-/// result is bit-identical to [`ring_allgather_time`].
-pub fn ring_allgather_time_cluster(cluster: &ClusterSpec, block_bytes: &[u64]) -> f64 {
-    let m = block_bytes.len();
-    assert_eq!(m, cluster.num_gpus(), "one block per cluster GPU");
-    if m <= 1 {
-        return 0.0;
-    }
-    let node_of: Vec<usize> = (0..m).map(|g| cluster.node_of(g)).collect();
-    let mut total = 0.0;
-    for z in 0..m - 1 {
-        let step = (0..m)
-            .map(|g| {
-                let src = (g + m - z % m) % m;
-                let dst = (g + 1) % m;
-                let link = if node_of[g] == node_of[dst] {
-                    &cluster.nodes[node_of[g]].p2p
-                } else {
-                    &cluster.internode
-                };
-                link.transfer_time(block_bytes[src])
-            })
-            .fold(0.0f64, f64::max);
-        total += step;
-    }
-    total
-}
-
-/// Functional *hierarchical* all-gather over a cluster topology.
-///
-/// Three stages, each of which really moves the data:
-///
-/// 1. **Intra-node ring** — every node runs [`ring_allgather`] over its own
-///    GPUs' blocks, so each GPU holds its node's full block set.
-/// 2. **Inter-node exchange** — node leaders (first GPU of each node) ring
-///    the *node-aggregated* block sets over the inter-node link.
-/// 3. **Intra-node distribution** — every GPU receives the remote
-///    aggregates its leader gathered (own-node blocks come from the GPU's
-///    stage-1 result, so only remote data moves in this stage; the stage's
-///    cost model lives in [`hierarchical_allgather_time`]).
-///
-/// `node_ranges` are the contiguous global-GPU ranges per node (e.g. from
-/// [`ClusterSpec::node_ranges`]). Returns, for each global GPU, all blocks
-/// indexed by global source GPU — the exact layout of [`ring_allgather`]
-/// over the flattened block list (`tests/prop_hierarchical_gather.rs` pins
-/// this for arbitrary shapes). With one node the schedule *is* the flat
-/// ring.
-pub fn hierarchical_allgather<T: Clone>(blocks: &[T], node_ranges: &[Range<usize>]) -> Vec<Vec<T>> {
-    let m = blocks.len();
-    assert!(!node_ranges.is_empty(), "need at least one node");
-    assert_eq!(node_ranges[0].start, 0, "node ranges must start at GPU 0");
-    assert_eq!(
-        node_ranges.last().unwrap().end,
-        m,
-        "node ranges must cover all GPUs"
-    );
-    for w in node_ranges.windows(2) {
-        assert_eq!(w[0].end, w[1].start, "node ranges must be contiguous");
-    }
-    assert!(
-        node_ranges.iter().all(|r| !r.is_empty()),
-        "every node needs at least one GPU"
-    );
-
-    // Stage 1: intra-node rings. intra[n][local_gpu][local_src].
-    let intra: Vec<Vec<Vec<T>>> = node_ranges
-        .iter()
-        .map(|r| ring_allgather(&blocks[r.clone()]))
-        .collect();
-
-    // Stage 2: leaders ring the node-aggregated block sets between nodes.
-    let aggs: Vec<Vec<T>> = intra.iter().map(|node| node[0].clone()).collect();
-    let node_gathered = ring_allgather(&aggs); // [node][src_node] -> Vec<T>
-
-    // Stage 3: forward remote aggregates down each node's chain, then
-    // assemble every GPU's result in global source order.
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(m);
-    for (n, r) in node_ranges.iter().enumerate() {
-        let carried: Vec<(usize, &Vec<T>)> = node_gathered[n]
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| s != n)
-            .collect();
-        for own in &intra[n] {
-            let mut row: Vec<Option<T>> = (0..m).map(|_| None).collect();
-            for &(s, v) in &carried {
-                let sr = &node_ranges[s];
-                for (j, b) in v.iter().enumerate() {
-                    row[sr.start + j] = Some(b.clone());
-                }
-            }
-            // Own-node blocks come from this GPU's stage-1 gather, not from
-            // the leader — only remote data travels the chain.
-            for (j, b) in own.iter().enumerate() {
-                row[r.start + j] = Some(b.clone());
-            }
-            out.push(
-                row.into_iter()
-                    .map(|o| o.expect("hierarchical gather covers every source"))
-                    .collect(),
-            );
-        }
-    }
-    out
-}
-
-/// Simulated time of the hierarchical all-gather on a cluster.
-///
-/// Stage costs mirror the functional schedule:
-///
-/// 1. intra-node rings run concurrently across nodes → max over nodes of
-///    [`ring_allgather_time`] on the node's P2P link;
-/// 2. the inter-node ring exchanges node-aggregated blocks → one
-///    [`ring_allgather_time`] over the node aggregates on the inter-node
-///    link;
-/// 3. each node distributes the received remote bytes internally, split
-///    into per-GPU slices and ring-gathered over the node's P2P link →
-///    max over nodes.
-///
-/// A one-node cluster costs exactly stage 1 = the flat ring. The win over
-/// [`ring_allgather_time_cluster`] comes from inter-node traffic: the flat
-/// ring pushes every block across each node boundary (`M − 1` slow-tier
-/// steps), the hierarchy pushes each node aggregate exactly once.
-pub fn hierarchical_allgather_time(cluster: &ClusterSpec, block_bytes: &[u64]) -> f64 {
-    assert_eq!(
-        block_bytes.len(),
-        cluster.num_gpus(),
-        "one block per cluster GPU"
-    );
-    let ranges = cluster.node_ranges();
-    let stage1 = ranges
-        .iter()
-        .enumerate()
-        .map(|(n, r)| ring_allgather_time(&cluster.nodes[n].p2p, &block_bytes[r.clone()]))
-        .fold(0.0f64, f64::max);
-    if cluster.num_nodes() == 1 {
-        return stage1;
-    }
-    let aggs: Vec<u64> = ranges
-        .iter()
-        .map(|r| block_bytes[r.clone()].iter().sum())
-        .collect();
-    let stage2 = ring_allgather_time(&cluster.internode, &aggs);
-    let total: u64 = aggs.iter().sum();
-    let stage3 = ranges
-        .iter()
-        .enumerate()
-        .map(|(n, r)| {
-            let remote = total - aggs[n];
-            let mn = r.len() as u64;
-            if remote == 0 || mn <= 1 {
-                return 0.0;
-            }
-            let slice = remote.div_ceil(mn);
-            ring_allgather_time(&cluster.nodes[n].p2p, &vec![slice; r.len()])
-        })
-        .fold(0.0f64, f64::max);
-    stage1 + stage2 + stage3
-}
-
 /// Simulated time of a host-staged gather (ablation `abl-gather`): every GPU
 /// uploads its block to the host, which then broadcasts the concatenation
 /// back to every GPU over the per-GPU PCIe links. Uploads are concurrent
@@ -269,53 +100,6 @@ pub fn host_staged_gather_time(pcie: &LinkSpec, block_bytes: &[u64]) -> f64 {
         .fold(0.0f64, f64::max);
     let download = pcie.transfer_time(total);
     upload + download
-}
-
-/// Simulated time of a host-staged gather on a multi-node cluster: every
-/// GPU uploads its block to *its own node's* host over PCIe, the hosts
-/// exchange node aggregates over the inter-node fabric (ring schedule),
-/// and each host broadcasts the full concatenation back to its GPUs.
-/// Without the middle stage a multi-node ablation would price as if one
-/// host served every GPU, skipping the inter-node cost entirely. One node
-/// has no exchange stage and the result is bit-identical to
-/// [`host_staged_gather_time`].
-pub fn host_staged_gather_time_cluster(cluster: &ClusterSpec, block_bytes: &[u64]) -> f64 {
-    let m = block_bytes.len();
-    assert_eq!(m, cluster.num_gpus(), "one block per cluster GPU");
-    if m <= 1 {
-        return 0.0;
-    }
-    let ranges = cluster.node_ranges();
-    let total: u64 = block_bytes.iter().sum();
-    // Uploads run concurrently on every GPU's own PCIe link.
-    let upload = ranges
-        .iter()
-        .enumerate()
-        .flat_map(|(n, r)| {
-            block_bytes[r.clone()]
-                .iter()
-                .map(move |&b| (n, b))
-                .collect::<Vec<_>>()
-        })
-        .map(|(n, b)| cluster.nodes[n].pcie.transfer_time(b))
-        .fold(0.0f64, f64::max);
-    // Hosts ring the node aggregates over the inter-node link.
-    let exchange = if cluster.num_nodes() > 1 {
-        let aggs: Vec<u64> = ranges
-            .iter()
-            .map(|r| block_bytes[r.clone()].iter().sum())
-            .collect();
-        ring_allgather_time(&cluster.internode, &aggs)
-    } else {
-        0.0
-    };
-    // Each host broadcasts the concatenation down its GPUs' links.
-    let download = ranges
-        .iter()
-        .enumerate()
-        .map(|(n, _)| cluster.nodes[n].pcie.transfer_time(total))
-        .fold(0.0f64, f64::max);
-    upload + exchange + download
 }
 
 /// Simulated time of a host-staged *scatter* — the mirror image of
@@ -335,6 +119,7 @@ pub fn host_staged_scatter_time(pcie: &LinkSpec, block_bytes: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::FactorBlock;
 
     #[test]
     fn allgather_delivers_all_blocks_to_all_gpus() {
@@ -344,6 +129,24 @@ mod tests {
             assert_eq!(gathered.len(), m);
             for (g, row) in gathered.iter().enumerate() {
                 assert_eq!(row, &blocks, "GPU {g} missing blocks for M={m}");
+            }
+        }
+        // Factor blocks, about one in three empty: out[g][src] must be
+        // src's own block on every GPU.
+        for m in 1..=16 {
+            let blocks: Vec<FactorBlock> = (0..m)
+                .map(|g| {
+                    let rows = if g % 3 == 1 { 0 } else { g % 4 + 1 };
+                    FactorBlock {
+                        rows: (0..rows as u32).map(|r| r + 100 * g as u32).collect(),
+                        data: (0..rows * 8).map(|i| (g * 1000 + i) as f32).collect(),
+                    }
+                })
+                .collect();
+            let gathered = ring_allgather(&blocks);
+            assert_eq!(gathered.len(), m);
+            for (g, row) in gathered.iter().enumerate() {
+                assert_eq!(row, &blocks, "GPU {g} misplaced blocks for M={m}");
             }
         }
     }
@@ -407,115 +210,6 @@ mod tests {
             ring < staged,
             "ring {ring} should beat host-staged {staged}"
         );
-    }
-
-    fn test_cluster(nodes: usize, gpus: usize) -> ClusterSpec {
-        ClusterSpec::rtx6000_ada_cluster(nodes, gpus)
-    }
-
-    #[test]
-    fn cluster_flat_ring_matches_single_link_on_one_node() {
-        let c = test_cluster(1, 4);
-        let blocks = [1_000_000u64, 2_000_000, 0, 500_000];
-        let tiered = ring_allgather_time_cluster(&c, &blocks);
-        let flat = ring_allgather_time(&c.nodes[0].p2p, &blocks);
-        assert_eq!(
-            tiered, flat,
-            "one node must be bit-identical to the flat ring"
-        );
-    }
-
-    #[test]
-    fn cluster_flat_ring_pays_the_slow_tier_every_step() {
-        let c = test_cluster(2, 4);
-        let b = 64_000_000u64;
-        let blocks = [b; 8];
-        let t = ring_allgather_time_cluster(&c, &blocks);
-        // Every one of the 7 steps forwards some block over a node
-        // boundary, so each step costs the inter-node transfer.
-        let want = 7.0 * c.internode.transfer_time(b);
-        assert!((t - want).abs() < 1e-12, "got {t}, want {want}");
-    }
-
-    #[test]
-    fn hierarchical_gather_delivers_all_blocks_in_source_order() {
-        let ranges = vec![0..3, 3..5, 5..6];
-        let blocks: Vec<u32> = (0..6u32).map(|g| g * 100).collect();
-        let gathered = hierarchical_allgather(&blocks, &ranges);
-        assert_eq!(gathered.len(), 6);
-        for (g, row) in gathered.iter().enumerate() {
-            assert_eq!(row, &blocks, "GPU {g} missing blocks");
-        }
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // the range IS the topology
-    fn hierarchical_gather_on_one_node_is_the_flat_ring() {
-        let blocks: Vec<Vec<f32>> = (0..4).map(|g| vec![g as f32; 3]).collect();
-        let hier = hierarchical_allgather(&blocks, &[0..4]);
-        let flat = ring_allgather(&blocks);
-        assert_eq!(hier, flat);
-    }
-
-    #[test]
-    fn hierarchical_time_beats_flat_ring_across_the_slow_link() {
-        let c = test_cluster(2, 4);
-        let blocks = [64_000_000u64; 8];
-        let flat = ring_allgather_time_cluster(&c, &blocks);
-        let hier = hierarchical_allgather_time(&c, &blocks);
-        assert!(
-            hier <= 0.8 * flat,
-            "hierarchical {hier} should cut ≥20% off the flat ring {flat}"
-        );
-    }
-
-    #[test]
-    fn hierarchical_time_on_one_node_equals_flat_ring() {
-        let c = test_cluster(1, 4);
-        let blocks = [1_000_000u64, 0, 3_000_000, 2_000_000];
-        assert_eq!(
-            hierarchical_allgather_time(&c, &blocks),
-            ring_allgather_time(&c.nodes[0].p2p, &blocks)
-        );
-    }
-
-    #[test]
-    fn cluster_host_staged_charges_the_internode_exchange() {
-        let c = test_cluster(2, 2);
-        let blocks = [8_000_000u64; 4];
-        let clustered = host_staged_gather_time_cluster(&c, &blocks);
-        let one_host = host_staged_gather_time(&c.nodes[0].pcie, &blocks);
-        let aggs = [16_000_000u64, 16_000_000];
-        let exchange = ring_allgather_time(&c.internode, &aggs);
-        assert!(
-            (clustered - (one_host + exchange)).abs() < 1e-12,
-            "cluster staging must add the host↔host exchange: {clustered} vs {one_host} + {exchange}"
-        );
-        // One node degenerates bit-identically.
-        let single = test_cluster(1, 4);
-        assert_eq!(
-            host_staged_gather_time_cluster(&single, &blocks),
-            host_staged_gather_time(&single.nodes[0].pcie, &blocks)
-        );
-    }
-
-    #[test]
-    fn hierarchical_time_empty_remote_costs_no_distribution() {
-        // All bytes on node 0: stage 3 on node 0 has remote = 0; node 1
-        // still pays distribution of node 0's aggregate.
-        let c = test_cluster(2, 2);
-        let blocks = [1_000_000u64, 1_000_000, 0, 0];
-        let t = hierarchical_allgather_time(&c, &blocks);
-        let stage1 = ring_allgather_time(&c.nodes[0].p2p, &blocks[0..2]);
-        let stage2 = ring_allgather_time(&c.internode, &[2_000_000, 0]);
-        let stage3 = ring_allgather_time(&c.nodes[1].p2p, &[1_000_000, 1_000_000]);
-        assert!((t - (stage1 + stage2 + stage3)).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguous")]
-    fn hierarchical_gather_rejects_gapped_ranges() {
-        hierarchical_allgather(&[1u32, 2, 3], &[0..1, 2..3]);
     }
 
     #[test]

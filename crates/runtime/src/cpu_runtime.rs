@@ -29,7 +29,7 @@ use crate::sim_runtime::SimRuntime;
 use crate::smexec::{execute_blocks, GridTiming};
 use crate::tracing::Timeline;
 use amped_sim::obs::MetricsRegistry;
-use amped_sim::{ClusterSpec, LinkSpec, MemPool, PlatformSpec, SimError};
+use amped_sim::{MemPool, PlatformSpec, SimError};
 use std::time::Instant;
 
 /// [`DeviceRuntime`] that executes launches on host cores and reports
@@ -48,14 +48,6 @@ impl CpuParallelRuntime {
     pub fn new(spec: PlatformSpec) -> Self {
         Self {
             inner: SimRuntime::new(spec),
-            launch_calibration: 1.0,
-        }
-    }
-
-    /// A measured runtime over a multi-node `cluster`.
-    pub fn cluster(cluster: ClusterSpec) -> Self {
-        Self {
-            inner: SimRuntime::cluster(cluster),
             launch_calibration: 1.0,
         }
     }
@@ -173,14 +165,6 @@ impl DeviceRuntime for CpuParallelRuntime {
             busy_sum: wall,
             blocks: costs.len(),
         }
-    }
-
-    fn h2d_link_for(&self, gpu: usize, active: usize) -> LinkSpec {
-        self.inner.h2d_link_for(gpu, active)
-    }
-
-    fn p2p_link(&self, a: usize, b: usize) -> LinkSpec {
-        self.inner.p2p_link(a, b)
     }
 
     fn h2d_time(&mut self, gpu: usize, active: usize, bytes: u64) -> f64 {

@@ -1,17 +1,13 @@
 //! Device identities and the per-device state a runtime backend owns.
 
-use amped_sim::{ClusterSpec, LinkSpec, MemPool, PlatformSpec, SimError};
+use amped_sim::{LinkSpec, MemPool, PlatformSpec, SimError};
 
 /// A memory/execution site on the platform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Device {
-    /// The host CPU and its memory. On a multi-node cluster this addresses
-    /// *every* node's host: host allocations (per-mode tensor copies, chunk
-    /// staging) are replicated, since each node's host must stage the data
-    /// its own GPUs stream.
+    /// The host CPU and its memory.
     Host,
-    /// GPU `g` (global index into the flattened [`PlatformSpec::gpus`];
-    /// clusters number GPUs node by node).
+    /// GPU `g` (index into [`PlatformSpec::gpus`]).
     Gpu(usize),
 }
 
@@ -24,173 +20,77 @@ impl std::fmt::Display for Device {
     }
 }
 
-/// The device set a runtime backend owns: the cluster specification plus
-/// one tracked [`MemPool`] per GPU and one per node host, built from a
-/// [`ClusterSpec`] (or a [`PlatformSpec`], the one-node degenerate case).
+/// The device set a runtime backend owns: the node's [`PlatformSpec`], one
+/// tracked [`MemPool`] for the host and one per GPU.
 ///
-/// Capacity limits come straight from the specs, so out-of-memory outcomes
+/// Capacity limits come straight from the spec, so out-of-memory outcomes
 /// keep emerging from allocation arithmetic (DESIGN.md §1) no matter which
-/// backend drives execution. The platform also answers the two *tier*
-/// queries of the cluster model — [`Platform::h2d_link`] (which node host
-/// feeds this GPU, under how much local contention) and [`Platform::p2p`]
-/// (intra-node P2P vs inter-node link per device pair).
+/// backend drives execution.
 #[derive(Clone, Debug)]
 pub struct Platform {
-    cluster: ClusterSpec,
-    /// Flattened spec: all GPUs in node order (node-0 host/link facts).
     spec: PlatformSpec,
-    hosts: Vec<MemPool>,
+    host: MemPool,
     gpus: Vec<MemPool>,
-    node_of: Vec<usize>,
 }
 
 impl Platform {
-    /// Builds the device set for a single node: pool `gpu{g}` per GPU,
-    /// `host` for the CPU side. Identical to the pre-cluster platform.
+    /// Builds the device set: pool `gpu{g}` per GPU, `host` for the CPU side.
     pub fn new(spec: PlatformSpec) -> Self {
-        Self::from_cluster(ClusterSpec::single(spec))
-    }
-
-    /// Builds the device set for a multi-node cluster: GPU pools in global
-    /// (node-by-node) order plus one host pool per node.
-    ///
-    /// # Panics
-    /// Panics on a structurally invalid cluster ([`ClusterSpec::validate`])
-    /// — simulating hardware that cannot exist is a bug in the experiment.
-    pub fn from_cluster(cluster: ClusterSpec) -> Self {
-        cluster.validate().expect("valid cluster spec");
-        let spec = cluster.flatten();
         let gpus = spec
             .gpus
             .iter()
             .enumerate()
             .map(|(g, gs)| MemPool::new(format!("gpu{g}"), gs.mem_bytes))
             .collect();
-        let single = cluster.num_nodes() == 1;
-        let hosts = cluster
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(n, node)| {
-                let label = if single {
-                    "host".to_string()
-                } else {
-                    format!("node{n}:host")
-                };
-                MemPool::new(label, node.host.mem_bytes)
-            })
-            .collect();
-        let node_of = (0..cluster.num_gpus())
-            .map(|g| cluster.node_of(g))
-            .collect();
-        Self {
-            cluster,
-            spec,
-            hosts,
-            gpus,
-            node_of,
-        }
+        let host = MemPool::new("host", spec.host.mem_bytes);
+        Self { spec, host, gpus }
     }
 
-    /// The flattened hardware specification (all GPUs, node-0 host facts).
+    /// The hardware specification.
     pub fn spec(&self) -> &PlatformSpec {
         &self.spec
     }
 
-    /// The cluster specification this platform was built from.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
-    }
-
-    /// Number of nodes (1 for the single-node platform).
-    pub fn num_nodes(&self) -> usize {
-        self.cluster.num_nodes()
-    }
-
-    /// The node owning global GPU `g`.
-    pub fn node_of(&self, g: usize) -> usize {
-        self.node_of[g]
-    }
-
-    /// The effective host→device link of GPU `g` when `active` GPUs stream
-    /// concurrently cluster-wide: each node's host serves only its own
-    /// GPUs, so the aggregate-bandwidth contention caps at the node's GPU
-    /// count. On a single node this is exactly the platform-wide effective
-    /// link.
-    pub fn h2d_link(&self, gpu: usize, active: usize) -> LinkSpec {
-        let node = &self.cluster.nodes[self.node_of[gpu]];
-        let active_on_node = active.min(node.num_gpus());
+    /// The effective host→device link when `active` GPUs stream
+    /// concurrently. The host serves only this node's GPUs, so the
+    /// aggregate-bandwidth contention caps at the GPU count.
+    pub fn h2d_link(&self, active: usize) -> LinkSpec {
         LinkSpec {
-            gbps: node.h2d_effective_gbps(active_on_node),
-            latency_s: node.pcie.latency_s,
+            gbps: self
+                .spec
+                .h2d_effective_gbps(active.min(self.spec.num_gpus())),
+            latency_s: self.spec.pcie.latency_s,
         }
     }
 
-    /// The GPU↔GPU link tier of device pair `(a, b)`: the owning node's
-    /// P2P link when both are on one node, the inter-node link otherwise.
-    pub fn p2p(&self, a: usize, b: usize) -> &LinkSpec {
-        self.cluster.p2p(a, b)
-    }
-
-    /// The memory pool of `device` ([`Device::Host`] addresses node 0's
-    /// host pool; per-node pools via [`Platform::node_host_mem`]).
+    /// The memory pool of `device`.
     ///
     /// # Panics
     /// Panics on a GPU index outside the platform — addressing a device that
     /// does not exist is a bug in the system under simulation.
     pub fn mem(&self, device: Device) -> &MemPool {
         match device {
-            Device::Host => &self.hosts[0],
+            Device::Host => &self.host,
             Device::Gpu(g) => &self.gpus[g],
         }
     }
 
-    /// The host memory pool of node `n`.
-    pub fn node_host_mem(&self, n: usize) -> &MemPool {
-        &self.hosts[n]
-    }
-
-    /// Mutable access to the memory pool of `device` (for backends). Host
-    /// mutations through this accessor touch node 0 only; use
-    /// [`Platform::alloc`]/[`Platform::free`] for replicated host charges.
+    /// Mutable access to the memory pool of `device` (for backends).
     pub fn mem_mut(&mut self, device: Device) -> &mut MemPool {
         match device {
-            Device::Host => &mut self.hosts[0],
+            Device::Host => &mut self.host,
             Device::Gpu(g) => &mut self.gpus[g],
         }
     }
 
     /// Allocates on `device`, tagging the allocation purpose for OOM errors.
-    /// Host allocations are charged against every node's host pool
-    /// (replication); on failure, nodes already charged are rolled back so
-    /// the error leaves no partial reservation.
     pub fn alloc(&mut self, device: Device, bytes: u64, purpose: &str) -> Result<(), SimError> {
-        match device {
-            Device::Host => {
-                for i in 0..self.hosts.len() {
-                    if let Err(e) = self.hosts[i].alloc(bytes, purpose) {
-                        for h in &mut self.hosts[..i] {
-                            h.free(bytes);
-                        }
-                        return Err(e);
-                    }
-                }
-                Ok(())
-            }
-            Device::Gpu(g) => self.gpus[g].alloc(bytes, purpose),
-        }
+        self.mem_mut(device).alloc(bytes, purpose)
     }
 
-    /// Frees on `device` (host frees release every node's replica).
+    /// Frees on `device`.
     pub fn free(&mut self, device: Device, bytes: u64) {
-        match device {
-            Device::Host => {
-                for h in &mut self.hosts {
-                    h.free(bytes);
-                }
-            }
-            Device::Gpu(g) => self.gpus[g].free(bytes),
-        }
+        self.mem_mut(device).free(bytes);
     }
 
     /// Peak GPU memory charged, in bytes (max over GPUs).
@@ -202,9 +102,7 @@ impl Platform {
     /// the start of a fresh run (baseline systems call this between
     /// `execute` invocations).
     pub fn reset_mem(&mut self) {
-        for h in &mut self.hosts {
-            h.clear();
-        }
+        self.host.clear();
         for p in &mut self.gpus {
             p.clear();
         }
@@ -219,7 +117,6 @@ mod tests {
     fn platform_builds_one_pool_per_gpu() {
         let p = Platform::new(PlatformSpec::rtx6000_ada_node(3));
         assert_eq!(p.spec().num_gpus(), 3);
-        assert_eq!(p.num_nodes(), 1);
         assert_eq!(p.mem(Device::Gpu(2)).label(), "gpu2");
         assert_eq!(p.mem(Device::Host).label(), "host");
         assert_eq!(p.mem(Device::Gpu(0)).capacity(), p.spec().gpus[0].mem_bytes);
@@ -260,47 +157,5 @@ mod tests {
     fn out_of_range_gpu_panics() {
         let p = Platform::new(PlatformSpec::rtx6000_ada_node(1));
         let _ = p.mem(Device::Gpu(5));
-    }
-
-    #[test]
-    fn cluster_platform_owns_per_node_host_pools() {
-        let mut p = Platform::from_cluster(ClusterSpec::rtx6000_ada_cluster(2, 2).scaled(1e-3));
-        assert_eq!(p.num_nodes(), 2);
-        assert_eq!(p.spec().num_gpus(), 4);
-        assert_eq!(p.node_of(0), 0);
-        assert_eq!(p.node_of(3), 1);
-        assert_eq!(p.node_host_mem(1).label(), "node1:host");
-        // Host allocations replicate to every node.
-        p.alloc(Device::Host, 1000, "tensor copies").unwrap();
-        assert_eq!(p.node_host_mem(0).used(), 1000);
-        assert_eq!(p.node_host_mem(1).used(), 1000);
-        p.free(Device::Host, 1000);
-        assert_eq!(p.node_host_mem(1).used(), 0);
-    }
-
-    #[test]
-    fn cluster_host_alloc_rolls_back_on_partial_failure() {
-        let mut c = ClusterSpec::rtx6000_ada_cluster(2, 1).scaled(1e-6);
-        // Node 1's host is far smaller: the replicated charge must fail
-        // there and release node 0's reservation.
-        c.nodes[1].host.mem_bytes = 10;
-        let mut p = Platform::from_cluster(c);
-        let err = p.alloc(Device::Host, 1000, "tensor copies").unwrap_err();
-        assert!(err.is_oom());
-        assert_eq!(p.node_host_mem(0).used(), 0, "partial charge rolled back");
-    }
-
-    #[test]
-    fn tier_queries_resolve_per_device_pair() {
-        let c = ClusterSpec::rtx6000_ada_cluster(2, 4);
-        let p = Platform::from_cluster(c.clone());
-        assert_eq!(p.p2p(0, 3).gbps, c.nodes[0].p2p.gbps);
-        assert_eq!(p.p2p(3, 4).gbps, c.internode.gbps);
-        // h2d contention caps at the node's own GPU count: 8 cluster-wide
-        // active streams still mean only 4 per node host.
-        let link8 = p.h2d_link(0, 8);
-        let link4 = p.h2d_link(0, 4);
-        assert_eq!(link8.gbps, link4.gbps);
-        assert_eq!(link8.gbps, c.nodes[0].h2d_effective_gbps(4));
     }
 }

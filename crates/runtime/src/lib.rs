@@ -5,9 +5,9 @@
 //! The layers above (the `amped-core` engines, every baseline system in
 //! `amped-baselines`) never touch the execution primitives
 //! directly; they hold a `Box<dyn DeviceRuntime>` and issue *ops*. That seam
-//! is what makes new platform scenarios — an NVLink node, multi-node rings,
-//! an eventual real-GPU backend — a matter of adding a `DeviceRuntime`
-//! implementation instead of editing six call sites.
+//! is what makes new platform scenarios — an NVLink node, an eventual
+//! real-GPU backend — a matter of adding a `DeviceRuntime` implementation
+//! instead of editing six call sites.
 //!
 //! The pieces:
 //!
@@ -53,17 +53,9 @@
 //!   carries and the `amped-tune` autotuner searches. Every setting is
 //!   bit-transparent.
 //! * [`smexec`] / [`collective`] — the execution primitives themselves
-//!   (grid executor, flat and hierarchical ring all-gathers), moved here
-//!   from `amped-sim` so that no caller outside this crate reaches them
+//!   (grid executor, ring and host-staged all-gathers), moved here from
+//!   `amped-sim` so that no caller outside this crate reaches them
 //!   directly.
-//!
-//! Multi-node clusters slot in through the same seam:
-//! [`SimRuntime::cluster`] builds the per-node device/host pools from a
-//! [`ClusterSpec`](amped_sim::ClusterSpec), transfers resolve the link tier
-//! per device pair ([`DeviceRuntime::p2p_link`]), and
-//! [`Collective::HierarchicalRing`] swaps the flat ring for the
-//! intra-node-ring + inter-node-exchange schedule — the engines above run
-//! unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

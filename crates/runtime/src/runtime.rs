@@ -13,17 +13,10 @@ use amped_sim::{LinkSpec, MemPool, PlatformSpec, SimError};
 /// GPUDirect P2P) and the `abl-gather` ablation (host-staged).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Collective {
-    /// Ring all-gather over the GPU↔GPU links (Algorithm 3). On a
-    /// multi-node cluster this is the *flat* ring: node-boundary hops pay
-    /// the inter-node tier on (almost) every step.
+    /// Ring all-gather over the GPU↔GPU links (Algorithm 3).
     Ring,
     /// Upload to the host, broadcast the concatenation back (ablation).
     HostStaged,
-    /// Hierarchical ring: intra-node ring per node, inter-node exchange of
-    /// node-aggregated blocks, intra-node distribution. Crosses the slow
-    /// inter-node link once per node aggregate instead of once per block;
-    /// on a single node it degenerates to [`Collective::Ring`] exactly.
-    HierarchicalRing,
 }
 
 /// One GPU's contribution to a factor all-gather: the output-row ids it owns
@@ -120,20 +113,15 @@ pub trait DeviceRuntime: std::fmt::Debug {
     }
 
     /// The effective host→device link of GPU `gpu` when `active` GPUs
-    /// stream concurrently — the per-GPU form of
-    /// [`DeviceRuntime::h2d_link`]. Single-node backends have one host, so
-    /// the default defers to the platform-wide link; cluster backends
-    /// resolve the GPU's own node host (contention capped at the node's
-    /// GPU count), matching what the transfer ops will actually charge —
-    /// schedule *estimates* must price against the same tier as execution.
+    /// stream concurrently. Every GPU shares the node's one host, so this
+    /// is [`DeviceRuntime::h2d_link`].
     fn h2d_link_for(&self, gpu: usize, active: usize) -> LinkSpec {
         let _ = gpu;
         self.h2d_link(active)
     }
 
-    /// The GPU↔GPU link tier of device pair `(a, b)`. Single-node backends
-    /// have one tier (the platform's P2P link, the default); cluster
-    /// backends resolve the intra-node vs inter-node tier per pair.
+    /// The GPU↔GPU link of device pair `(a, b)`: the platform's one P2P
+    /// link.
     fn p2p_link(&self, a: usize, b: usize) -> LinkSpec {
         let _ = (a, b);
         self.spec().p2p.clone()

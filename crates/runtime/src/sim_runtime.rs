@@ -1,21 +1,19 @@
 //! The default backend: deterministic simulation on host threads.
 
 use crate::collective::{
-    hierarchical_allgather, hierarchical_allgather_time, host_staged_gather_time,
-    host_staged_gather_time_cluster, ring_allgather, ring_allgather_time,
-    ring_allgather_time_cluster,
+    host_staged_gather_time, host_staged_scatter_time, ring_allgather, ring_allgather_time,
 };
 use crate::device::{Device, Platform};
 use crate::params::TuneParams;
 use crate::runtime::{Collective, DeviceRuntime, FactorBlock};
 use crate::smexec::{list_schedule_makespan, run_grid, GridTiming};
 use amped_sim::obs::{Counter, Histogram, MetricsRegistry};
-use amped_sim::{ClusterSpec, LinkSpec, MemPool, PlatformSpec, SimError};
+use amped_sim::{MemPool, PlatformSpec, SimError};
 
 /// Pre-registered metric handles for the runtime's hot ops — one relaxed
 /// atomic per recording when attached, one branch when detached (the
 /// default). Byte counters are split per link tier: host↔device PCIe in
-/// each direction, and intra- vs inter-node GPU↔GPU traffic.
+/// each direction, and GPU↔GPU traffic.
 #[derive(Clone, Debug, Default)]
 struct RtMeters {
     registry: MetricsRegistry,
@@ -23,8 +21,7 @@ struct RtMeters {
     launch_blocks: Histogram,
     bytes_h2d: Counter,
     bytes_d2h: Counter,
-    bytes_p2p_intra: Counter,
-    bytes_p2p_inter: Counter,
+    bytes_p2p: Counter,
     scatters: Counter,
     allgathers: Counter,
     allocs: Counter,
@@ -38,8 +35,7 @@ impl RtMeters {
             launch_blocks: registry.histogram("launch_blocks"),
             bytes_h2d: registry.counter_with("link_bytes", &[("tier", "h2d")]),
             bytes_d2h: registry.counter_with("link_bytes", &[("tier", "d2h")]),
-            bytes_p2p_intra: registry.counter_with("link_bytes", &[("tier", "p2p_intra")]),
-            bytes_p2p_inter: registry.counter_with("link_bytes", &[("tier", "p2p_inter")]),
+            bytes_p2p: registry.counter_with("link_bytes", &[("tier", "p2p")]),
             scatters: registry.counter("scatters"),
             allgathers: registry.counter("allgathers"),
             allocs: registry.counter("allocs"),
@@ -53,12 +49,8 @@ impl RtMeters {
 /// execute for real on host threads, time comes from the `amped-sim` cost
 /// model, memory is tracked in the owned [`Platform`] pools.
 ///
-/// Works on a single node ([`SimRuntime::new`]) or a multi-node cluster
-/// ([`SimRuntime::cluster`]): transfers and collectives resolve the link
-/// tier per device pair through the platform, so the same engine code runs
-/// on both. On a single node this backend reproduces the pre-extraction
-/// behavior of the engines and baselines bit for bit
-/// (`tests/runtime_equivalence.rs`).
+/// This backend reproduces the pre-extraction behavior of the engines and
+/// baselines bit for bit (`tests/runtime_equivalence.rs`).
 #[derive(Clone, Debug)]
 pub struct SimRuntime {
     platform: Platform,
@@ -71,17 +63,6 @@ impl SimRuntime {
     pub fn new(spec: PlatformSpec) -> Self {
         Self {
             platform: Platform::new(spec),
-            meters: RtMeters::default(),
-            tune: TuneParams::default(),
-        }
-    }
-
-    /// A simulated runtime for a multi-node `cluster`. Engines see the
-    /// flattened GPU list through [`DeviceRuntime::spec`]; tier resolution
-    /// happens inside the transfer and collective ops.
-    pub fn cluster(cluster: ClusterSpec) -> Self {
-        Self {
-            platform: Platform::from_cluster(cluster),
             meters: RtMeters::default(),
             tune: TuneParams::default(),
         }
@@ -105,46 +86,6 @@ impl SimRuntime {
         &self.platform
     }
 
-    /// Modeled wire bytes of an all-gather, split `(intra_node,
-    /// inter_node)`. Ring: every block traverses every edge except the one
-    /// "behind" its source, so edge `e → e+1` carries `total −
-    /// block[(e+1) % m]` bytes and each edge is billed to its tier.
-    /// Hierarchical: node aggregates cross the inter-node fabric
-    /// `(nodes − 1)` times while each node's local ring circulates the full
-    /// payload. These are cost-model totals (what the timing formulas
-    /// charge), not per-step event counts.
-    fn ring_byte_split(&self, block_bytes: &[u64], hierarchical: bool) -> (u64, u64) {
-        let m = block_bytes.len();
-        let total: u64 = block_bytes.iter().sum();
-        if m <= 1 || total == 0 {
-            return (0, 0);
-        }
-        if self.platform.num_nodes() == 1 {
-            return ((m as u64 - 1) * total, 0);
-        }
-        let cluster = self.platform.cluster();
-        if hierarchical {
-            let nodes = cluster.num_nodes() as u64;
-            let intra: u64 = cluster
-                .node_ranges()
-                .iter()
-                .map(|r| (r.len().saturating_sub(1)) as u64 * total)
-                .sum();
-            return (intra, (nodes - 1) * total);
-        }
-        let (mut intra, mut inter) = (0u64, 0u64);
-        for e in 0..m {
-            let dst = (e + 1) % m;
-            let edge_bytes = total - block_bytes[dst];
-            if cluster.node_of(e) == cluster.node_of(dst) {
-                intra += edge_bytes;
-            } else {
-                inter += edge_bytes;
-            }
-        }
-        (intra, inter)
-    }
-
     /// Records the modeled byte movement of `allgather_time`/
     /// `allgather_blocks` into the tier counters.
     fn meter_allgather(&self, algo: Collective, block_bytes: &[u64]) {
@@ -152,14 +93,12 @@ impl SimRuntime {
         let total: u64 = block_bytes.iter().sum();
         match algo {
             Collective::Ring => {
-                let (intra, inter) = self.ring_byte_split(block_bytes, false);
-                self.meters.bytes_p2p_intra.add(intra);
-                self.meters.bytes_p2p_inter.add(inter);
-            }
-            Collective::HierarchicalRing => {
-                let (intra, inter) = self.ring_byte_split(block_bytes, true);
-                self.meters.bytes_p2p_intra.add(intra);
-                self.meters.bytes_p2p_inter.add(inter);
+                // Every block traverses every ring edge except the one
+                // "behind" its source: (m − 1) × total wire bytes. A cost-
+                // model total (what the timing formula charges), not a
+                // per-step event count.
+                let m = block_bytes.len() as u64;
+                self.meters.bytes_p2p.add(m.saturating_sub(1) * total);
             }
             Collective::HostStaged => {
                 // Every block goes up once; the concatenation comes back
@@ -242,72 +181,34 @@ impl DeviceRuntime for SimRuntime {
         )
     }
 
-    fn h2d_link_for(&self, gpu: usize, active: usize) -> LinkSpec {
-        self.platform.h2d_link(gpu, active)
-    }
-
-    fn p2p_link(&self, a: usize, b: usize) -> LinkSpec {
-        self.platform.p2p(a, b).clone()
-    }
-
-    fn h2d_time(&mut self, gpu: usize, active: usize, bytes: u64) -> f64 {
+    fn h2d_time(&mut self, _gpu: usize, active: usize, bytes: u64) -> f64 {
         self.meters.bytes_h2d.add(bytes);
-        self.platform.h2d_link(gpu, active).transfer_time(bytes)
+        self.platform.h2d_link(active).transfer_time(bytes)
     }
 
-    fn d2h_time(&mut self, gpu: usize, active: usize, bytes: u64) -> f64 {
+    fn d2h_time(&mut self, _gpu: usize, active: usize, bytes: u64) -> f64 {
         self.meters.bytes_d2h.add(bytes);
-        self.platform.h2d_link(gpu, active).transfer_time(bytes)
+        self.platform.h2d_link(active).transfer_time(bytes)
     }
 
     fn scatter_time(&mut self, active: usize, slice_bytes: &[u64]) -> f64 {
-        // Each GPU pulls its slice from its own node's host concurrently;
-        // the stage costs the slowest slice in flight, and empty slices are
-        // free. On one node this is exactly `host_staged_scatter_time`.
         self.meters.scatters.inc();
         self.meters.bytes_h2d.add(slice_bytes.iter().sum());
-        slice_bytes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b > 0)
-            .map(|(g, &b)| self.platform.h2d_link(g, active).transfer_time(b))
-            .fold(0.0f64, f64::max)
+        host_staged_scatter_time(&self.platform.h2d_link(active), slice_bytes)
     }
 
     fn allgather_time(&mut self, algo: Collective, block_bytes: &[u64]) -> f64 {
         self.meter_allgather(algo, block_bytes);
         match algo {
-            Collective::Ring => {
-                if self.platform.num_nodes() == 1 {
-                    ring_allgather_time(&self.spec().p2p, block_bytes)
-                } else {
-                    ring_allgather_time_cluster(self.platform.cluster(), block_bytes)
-                }
-            }
-            Collective::HostStaged => {
-                if self.platform.num_nodes() == 1 {
-                    host_staged_gather_time(&self.spec().pcie, block_bytes)
-                } else {
-                    // Each node stages through its own host; hosts exchange
-                    // node aggregates over the inter-node fabric.
-                    host_staged_gather_time_cluster(self.platform.cluster(), block_bytes)
-                }
-            }
-            Collective::HierarchicalRing => {
-                hierarchical_allgather_time(self.platform.cluster(), block_bytes)
-            }
+            Collective::Ring => ring_allgather_time(&self.spec().p2p, block_bytes),
+            Collective::HostStaged => host_staged_gather_time(&self.spec().pcie, block_bytes),
         }
     }
 
     fn allgather_blocks(&mut self, blocks: &[FactorBlock]) -> Vec<Vec<FactorBlock>> {
         let block_bytes: Vec<u64> = blocks.iter().map(|b| b.data.len() as u64 * 4).collect();
-        if self.platform.num_nodes() == 1 {
-            self.meter_allgather(Collective::Ring, &block_bytes);
-            ring_allgather(blocks)
-        } else {
-            self.meter_allgather(Collective::HierarchicalRing, &block_bytes);
-            hierarchical_allgather(blocks, &self.platform.cluster().node_ranges())
-        }
+        self.meter_allgather(Collective::Ring, &block_bytes);
+        ring_allgather(blocks)
     }
 }
 
@@ -350,6 +251,8 @@ mod tests {
         let crowded = r.h2d_time(0, 8, 1_000_000_000);
         assert!(crowded > alone, "{crowded} vs {alone}");
         assert_eq!(alone, r.h2d_link(1).transfer_time(1_000_000_000));
+        // More streams than GPUs contend like all eight GPUs, no worse.
+        assert_eq!(r.h2d_time(0, 64, 1_000_000_000), crowded);
         // d2h is symmetric on this platform.
         assert_eq!(r.d2h_time(3, 4, 12345), r.h2d_time(3, 4, 12345));
     }
@@ -391,43 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_runtime_resolves_tiers_and_gathers_hierarchically() {
-        let c = ClusterSpec::rtx6000_ada_cluster(2, 2).scaled(1e-3);
-        let mut r = SimRuntime::cluster(c.clone());
-        assert_eq!(r.spec().num_gpus(), 4);
-        // p2p tier per pair.
-        assert_eq!(r.p2p_link(0, 1).gbps, c.nodes[0].p2p.gbps);
-        assert_eq!(r.p2p_link(1, 2).gbps, c.internode.gbps);
-        // Functional all-gather still delivers every block to every GPU.
-        let blocks: Vec<FactorBlock> = (0..4)
-            .map(|g| FactorBlock {
-                rows: vec![g as u32],
-                data: vec![g as f32; 8].into(),
-            })
-            .collect();
-        let gathered = r.allgather_blocks(&blocks);
-        assert_eq!(gathered.len(), 4);
-        for row in &gathered {
-            assert_eq!(row, &blocks);
-        }
-        // Hierarchical timing beats the flat ring across the slow link.
-        let bytes = [8_000_000u64; 4];
-        let flat = r.allgather_time(Collective::Ring, &bytes);
-        let hier = r.allgather_time(Collective::HierarchicalRing, &bytes);
-        assert!(hier < flat, "hier {hier} should beat flat {flat}");
-    }
-
-    #[test]
-    fn single_node_hierarchical_equals_flat_ring() {
-        let mut r = rt(4);
-        let bytes = [1_000_000u64, 0, 2_000_000, 500_000];
-        assert_eq!(
-            r.allgather_time(Collective::HierarchicalRing, &bytes),
-            r.allgather_time(Collective::Ring, &bytes)
-        );
-    }
-
-    #[test]
     fn attached_metrics_count_ops_per_tier() {
         let reg = MetricsRegistry::new();
         let mut r = SimRuntime::new(PlatformSpec::rtx6000_ada_node(2).scaled(1e-3))
@@ -441,12 +307,8 @@ mod tests {
         assert_eq!(reg.counter_value("link_bytes", &[("tier", "h2d")]), 1000);
         assert_eq!(reg.counter_value("link_bytes", &[("tier", "d2h")]), 500);
         // Two-GPU ring: each block crosses the other's edge once —
-        // (m−1) × total = 400 bytes, all intra-node.
-        assert_eq!(
-            reg.counter_value("link_bytes", &[("tier", "p2p_intra")]),
-            400
-        );
-        assert_eq!(reg.counter_value("link_bytes", &[("tier", "p2p_inter")]), 0);
+        // (m−1) × total = 400 bytes.
+        assert_eq!(reg.counter_value("link_bytes", &[("tier", "p2p")]), 400);
         assert_eq!(
             reg.counter_value("alloc_bytes", &[("purpose", "factor matrices")]),
             64
@@ -457,31 +319,6 @@ mod tests {
         assert_eq!(r.h2d_time(0, 2, 12345), plain.h2d_time(0, 2, 12345));
         // And the trait exposes the attached registry.
         assert!(DeviceRuntime::metrics(&r).is_attached());
-    }
-
-    #[test]
-    fn cluster_ring_split_bills_the_internode_tier() {
-        let reg = MetricsRegistry::new();
-        let c = ClusterSpec::rtx6000_ada_cluster(2, 2).scaled(1e-3);
-        let mut r = SimRuntime::cluster(c).with_metrics(reg.clone());
-        r.allgather_time(Collective::Ring, &[100; 4]);
-        // Flat ring, 2×2: edges 1→2 and 3→0 cross nodes, each carrying
-        // total − 100 = 300 bytes.
-        assert_eq!(
-            reg.counter_value("link_bytes", &[("tier", "p2p_inter")]),
-            600
-        );
-        assert_eq!(
-            reg.counter_value("link_bytes", &[("tier", "p2p_intra")]),
-            600
-        );
-        // Hierarchical: node aggregates cross once.
-        let before = reg.counter_value("link_bytes", &[("tier", "p2p_inter")]);
-        r.allgather_time(Collective::HierarchicalRing, &[100; 4]);
-        assert_eq!(
-            reg.counter_value("link_bytes", &[("tier", "p2p_inter")]) - before,
-            400
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::runtime::{Collective, DeviceRuntime, FactorBlock};
 use crate::smexec::GridTiming;
 use crate::spans::{SpanPath, SpanScope, SpanState};
 use amped_sim::obs::MetricsRegistry;
-use amped_sim::{LinkSpec, MemPool, PlatformSpec, SimError};
+use amped_sim::{MemPool, PlatformSpec, SimError};
 use std::sync::{Arc, Mutex};
 
 /// What kind of op a timeline record describes.
@@ -321,20 +321,6 @@ impl<R: DeviceRuntime> DeviceRuntime for TracingRuntime<R> {
     fn makespan(&self, gpu: usize, costs: &[f64]) -> GridTiming {
         // Pure planning query: pass through unrecorded.
         self.inner.makespan(gpu, costs)
-    }
-
-    fn h2d_link(&self, active: usize) -> LinkSpec {
-        // Planning queries forward to the inner backend (a cluster inner
-        // resolves tiers the trait defaults cannot), unrecorded.
-        self.inner.h2d_link(active)
-    }
-
-    fn h2d_link_for(&self, gpu: usize, active: usize) -> LinkSpec {
-        self.inner.h2d_link_for(gpu, active)
-    }
-
-    fn p2p_link(&self, a: usize, b: usize) -> LinkSpec {
-        self.inner.p2p_link(a, b)
     }
 
     fn alloc(&mut self, device: Device, bytes: u64, purpose: &str) -> Result<(), SimError> {

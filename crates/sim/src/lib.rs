@@ -13,10 +13,6 @@
 //!   [`PlatformSpec`]) with an RTX-6000-Ada-node preset and capacity scaling
 //!   (memory capacities shrink with the dataset scale so out-of-memory
 //!   behaviour matches the paper's full-scale runs).
-//! * [`cluster`] — multi-node descriptions ([`ClusterSpec`]): nodes of
-//!   [`PlatformSpec`]s joined by a slower inter-node link, with tier
-//!   resolution per device pair. A one-node cluster degenerates exactly to
-//!   its node spec.
 //! * [`memory`] — allocation tracking with real out-of-memory errors.
 //! * [`costmodel`] — the elementwise-computation kernel cost model
 //!   (bandwidth-bound, with L2 reuse and atomic-contention terms) and link
@@ -36,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod costmodel;
 pub mod memory;
 pub mod metrics;
@@ -45,7 +40,6 @@ pub mod spec;
 
 mod error;
 
-pub use cluster::ClusterSpec;
 pub use error::SimError;
 pub use memory::MemPool;
 pub use metrics::TimeBreakdown;

@@ -330,7 +330,7 @@ impl MetricsRegistry {
         // All metric loads below are relaxed: the exposition is a racy
         // point-in-time snapshot by design — each cell is read once and no
         // cross-metric consistency is promised (Prometheus scrapes tolerate
-        // this; see DESIGN.md §9).
+        // this; see DESIGN.md §11).
         let map = inner.metrics.lock().expect("metrics lock");
         let mut out = String::new();
         let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();

@@ -20,7 +20,6 @@
 //! cargo run --release --example out_of_core
 //! cargo run --release --example stream_ooc
 //! cargo run --release --example twitch_5mode
-//! cargo run --release --example cluster
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,9 +51,9 @@ pub mod prelude {
     pub use amped_linalg::Mat;
     pub use amped_partition::{EqualPlan, ModePlan, PartitionPlan};
     pub use amped_plan::{
-        modeled_makespan, AssignmentSpace, CostGuidedCcp, CostQuery, EqualSplit, HierarchicalCcp,
-        ModeAssignment, NnzCcp, Partitioner, PlanError, PlanStats, PlatformCostQuery,
-        RebalancingPlanner, UniformCost, WorkloadProfile,
+        modeled_makespan, AssignmentSpace, CostGuidedCcp, CostQuery, EqualSplit, ModeAssignment,
+        NnzCcp, Partitioner, PlanError, PlanStats, PlatformCostQuery, RebalancingPlanner,
+        UniformCost, WorkloadProfile,
     };
     pub use amped_runtime::{
         chrome_trace, chrome_trace_string, launch_mttkrp, Collective, CompiledShard,
@@ -64,7 +63,7 @@ pub mod prelude {
     };
     pub use amped_sim::metrics::{geomean, RunReport};
     pub use amped_sim::obs::MetricsRegistry;
-    pub use amped_sim::{ClusterSpec, MemPool, PlatformSpec, SimError, TimeBreakdown};
+    pub use amped_sim::{MemPool, PlatformSpec, SimError, TimeBreakdown};
     pub use amped_stream::{
         convert_tns_to_tnsb, write_tnsb, ChunkReader, StreamError, StreamPlan, TnsbMeta, TnsbWriter,
     };

@@ -19,7 +19,7 @@ proptest! {
         dim1 in 8u32..60,
         dim2 in 8u32..60,
         nnz in 50usize..1500,
-        gpus in 1usize..5,
+        gpus in 1usize..9,
         shard_budget in 64usize..2048,
         isp in 16usize..512,
         skew in 0.0f64..1.2,
