@@ -9,7 +9,7 @@
 use amped_baselines::MttkrpSystem;
 use amped_bench::reportio::{emit, Table};
 use amped_bench::{run_system, ExpContext, Outcome};
-use amped_core::{AmpedConfig, AmpedEngine, GatherAlgo, MttkrpEngine, SchedulePolicy};
+use amped_core::{AmpedConfig, AmpedEngine, MttkrpEngine};
 use amped_formats::LinTensor;
 use amped_sim::metrics::geomean;
 use amped_tensor::datasets::{self, Dataset};
@@ -21,9 +21,9 @@ fn main() {
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => ctx.scale = expect_num(&mut it, "--scale"),
-            "--gpus" => ctx.gpus = expect_num::<f64>(&mut it, "--gpus") as usize,
-            "--rank" => ctx.rank = expect_num::<f64>(&mut it, "--rank") as usize,
+            "--scale" => ctx.scale = flag_value(&mut it, "--scale", parse_scale),
+            "--gpus" => ctx.gpus = flag_value(&mut it, "--gpus", parse_positive),
+            "--rank" => ctx.rank = flag_value(&mut it, "--rank", parse_positive),
             "--out" => {
                 ctx.out_dir = it
                     .next()
@@ -46,8 +46,6 @@ fn main() {
         "fig8",
         "fig9",
         "fig10",
-        "abl-sched",
-        "abl-gather",
         "abl-block",
     ];
     let selected: Vec<&str> = if cmds.iter().any(|c| c == "all") {
@@ -69,28 +67,46 @@ fn main() {
             "fig8" => fig8(&mut ctx),
             "fig9" => fig9(&mut ctx),
             "fig10" => fig10(&mut ctx),
-            "abl-sched" => abl_sched(&mut ctx),
-            "abl-gather" => abl_gather(&mut ctx),
             "abl-block" => abl_block(&mut ctx),
             other => usage(&format!("unknown command '{other}'")),
         }
     }
 }
 
-fn expect_num<T: std::str::FromStr>(
+/// The value after `flag`, read by `parse`; a missing or invalid one is a
+/// usage error.
+fn flag_value<T>(
     it: &mut std::iter::Peekable<std::slice::Iter<String>>,
     flag: &str,
+    parse: fn(&str) -> Result<T, &'static str>,
 ) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a numeric argument")))
+    let v = it
+        .next()
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+    parse(v).unwrap_or_else(|why| usage(&format!("{flag} {v}: {why}")))
+}
+
+/// A GPU count or a rank: a positive integer.
+fn parse_positive(v: &str) -> Result<usize, &'static str> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err("needs a positive integer"),
+    }
+}
+
+/// A dataset scale: a finite number in (0, 1].
+fn parse_scale(v: &str) -> Result<f64, &'static str> {
+    match v.parse() {
+        Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
+        _ => Err("needs a number in (0, 1]"),
+    }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: figures [--scale S] [--gpus M] [--rank R] [--out DIR] \
-         <table1|table3|fig5|fig6|fig7|fig8|fig9|fig10|abl-sched|abl-gather|abl-block|all>..."
+         <table1|table3|fig5|fig6|fig7|fig8|fig9|fig10|abl-block|all>..."
     );
     std::process::exit(2);
 }
@@ -405,78 +421,6 @@ fn fig10(ctx: &mut ExpContext) {
     );
 }
 
-/// Ablation: static CCP vs dynamic queue scheduling.
-fn abl_sched(ctx: &mut ExpContext) {
-    let mut t = Table::new(&["Tensor", "Static CCP", "Dynamic queue", "Static/Dynamic"]);
-    for d in datasets::ALL {
-        let tensor = ctx.dataset(d).clone();
-        let factors = ctx.factors(&tensor, 0xAB1_0000 + d.seed());
-        let mut times = Vec::new();
-        for policy in [SchedulePolicy::StaticCcp, SchedulePolicy::DynamicQueue] {
-            let cfg = AmpedConfig {
-                rank: ctx.rank,
-                schedule: policy,
-                ..AmpedConfig::default()
-            };
-            let mut sys = amped_baselines::AmpedSystem::new(ctx.platform(ctx.gpus), cfg);
-            times.push(
-                run_system(&mut sys, &tensor, &factors)
-                    .time()
-                    .expect("runs"),
-            );
-        }
-        t.push(vec![
-            d.name().into(),
-            format!("{:.3} ms", times[0] * 1e3),
-            format!("{:.3} ms", times[1] * 1e3),
-            format!("{:.2}×", times[0] / times[1]),
-        ]);
-    }
-    emit(
-        &ctx.out_dir,
-        "abl-sched",
-        "Ablation — shard scheduling policy",
-        &t,
-        (),
-    );
-}
-
-/// Ablation: ring vs host-staged all-gather.
-fn abl_gather(ctx: &mut ExpContext) {
-    let mut t = Table::new(&["Tensor", "Ring (P2P)", "Host-staged", "Ring advantage"]);
-    for d in datasets::ALL {
-        let tensor = ctx.dataset(d).clone();
-        let factors = ctx.factors(&tensor, 0xAB2_0000 + d.seed());
-        let mut times = Vec::new();
-        for gather in [GatherAlgo::Ring, GatherAlgo::HostStaged] {
-            let cfg = AmpedConfig {
-                rank: ctx.rank,
-                gather,
-                ..AmpedConfig::default()
-            };
-            let mut sys = amped_baselines::AmpedSystem::new(ctx.platform(ctx.gpus), cfg);
-            times.push(
-                run_system(&mut sys, &tensor, &factors)
-                    .time()
-                    .expect("runs"),
-            );
-        }
-        t.push(vec![
-            d.name().into(),
-            format!("{:.3} ms", times[0] * 1e3),
-            format!("{:.3} ms", times[1] * 1e3),
-            format!("{:.2}×", times[1] / times[0]),
-        ]);
-    }
-    emit(
-        &ctx.out_dir,
-        "abl-gather",
-        "Ablation — all-gather algorithm",
-        &t,
-        (),
-    );
-}
-
 /// Ablation: threadblock work granularity (the θ/P knob of §5.1.5 mapped to
 /// ISP size in this implementation).
 fn abl_block(ctx: &mut ExpContext) {
@@ -535,5 +479,27 @@ fn format_bytes(b: u64) -> String {
         format!("{:.2} MiB", b as f64 / (1u64 << 20) as f64)
     } else {
         format!("{:.1} KiB", b as f64 / 1024.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counts_are_positive_integers() {
+        assert_eq!(parse_positive("4"), Ok(4));
+        for bad in ["0", "-1", "2.5", "nan", "", "four"] {
+            assert!(parse_positive(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn scales_are_finite_and_in_the_unit_interval() {
+        assert_eq!(parse_scale("1e-3"), Ok(1e-3));
+        assert_eq!(parse_scale("1"), Ok(1.0));
+        for bad in ["0", "-1", "nan", "inf", "1.5", "", "big"] {
+            assert!(parse_scale(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -33,7 +33,6 @@ fn cfg() -> AmpedConfig {
         rank: 8,
         isp_nnz: 256,
         shard_nnz_budget: 2048,
-        ..AmpedConfig::default()
     }
 }
 

@@ -214,7 +214,6 @@ mod tests {
             rank: 8,
             isp_nnz: 256,
             shard_nnz_budget: 2048,
-            ..AmpedConfig::default()
         };
         let spec = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
         let rep = calibrate(&t, spec, cfg, 22).unwrap();

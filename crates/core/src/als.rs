@@ -286,11 +286,12 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
                 let loads = engine.mode_loads(d);
                 let computes: Vec<f64> = timing.per_gpu.iter().map(|b| b.compute).collect();
                 if loads.len() != computes.len() {
-                    // e.g. the dynamic-queue ablation plans one global pool:
-                    // there is no per-GPU ownership to rebalance.
+                    // The rebalancer pairs each GPU's compute time with the
+                    // load it owns: an engine whose accounting disagrees
+                    // with its timing has nothing it can rebalance.
                     return Err(SimError::Unsupported(format!(
                         "ALS-time rebalancing needs per-GPU load accounting: mode {d} reports \
-                         {} owned loads for {} GPUs (dynamic-queue schedules cannot rebalance)",
+                         {} owned loads for {} GPU timings",
                         loads.len(),
                         computes.len()
                     )));
@@ -339,7 +340,6 @@ mod tests {
             rank,
             isp_nnz: 512,
             shard_nnz_budget: 4096,
-            ..AmpedConfig::default()
         };
         AmpedEngine::new(t, PlatformSpec::rtx6000_ada_node(2).scaled(1e-3), cfg).unwrap()
     }
@@ -442,7 +442,6 @@ mod tests {
             rank: 2,
             isp_nnz: 512,
             shard_nnz_budget: 4096,
-            ..AmpedConfig::default()
         };
         let rt = TracingRuntime::new(SimRuntime::new(
             PlatformSpec::rtx6000_ada_node(2).scaled(1e-3),

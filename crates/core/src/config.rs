@@ -1,58 +1,30 @@
-//! Engine configuration (the paper's §5.1.5 default configuration).
+//! Engine configuration: the paper's default configuration (rank 32,
+//! threadblock work units of `isp_nnz` nonzeros, shards sized to the GPU's
+//! staging buffers).
 
 use amped_plan::WorkloadProfile;
 use serde::Serialize;
 
-/// How tensor shards are assigned to GPUs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum SchedulePolicy {
-    /// Static contiguous device ranges balanced by nonzero count
-    /// (chains-on-chains over the output-index histogram). This is AMPED's
-    /// scheme: ownership is decided at preprocessing time, so no scheduling
-    /// work happens during execution (§2.2 contrasts this with HPSPTM).
-    StaticCcp,
-    /// Shards are pulled from a global queue by whichever GPU goes idle
-    /// first (earliest-finish greedy). Evaluated as the `abl-sched`
-    /// ablation; costs irregular all-gather blocks.
-    DynamicQueue,
-}
-
-/// Which all-gather algorithm redistributes output-factor rows (§4.9).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum GatherAlgo {
-    /// Ring over GPUDirect P2P (the paper's choice, Algorithm 3).
-    Ring,
-    /// Staged through host memory over PCIe (the `abl-gather` ablation).
-    HostStaged,
-}
-
-/// AMPED engine configuration.
+/// AMPED engine configuration. Shards are owned by the GPU whose contiguous,
+/// nnz-balanced output-row range holds them, decided at preprocessing time
+/// (§3), and the updated rows are redistributed with the ring all-gather
+/// (Algorithm 3); neither is a setting.
 #[derive(Clone, Debug, Serialize)]
 pub struct AmpedConfig {
     /// Factor-matrix rank `R` (paper default 32).
     pub rank: usize,
-    /// Threadblock width `P` = nonzeros loaded per block iteration
-    /// (paper's θ = 32). Affects the block-launch overhead amortization.
-    pub block_p: usize,
     /// Elements per inter-shard partition (threadblock work unit).
     pub isp_nnz: usize,
     /// Maximum nonzeros per tensor shard (host→GPU streaming granularity).
     pub shard_nnz_budget: usize,
-    /// Shard→GPU assignment policy.
-    pub schedule: SchedulePolicy,
-    /// All-gather algorithm.
-    pub gather: GatherAlgo,
 }
 
 impl Default for AmpedConfig {
     fn default() -> Self {
         Self {
             rank: 32,
-            block_p: 32,
             isp_nnz: 8192,
             shard_nnz_budget: 1 << 20, // 1 Mi elements ≈ 16 MB COO per shard
-            schedule: SchedulePolicy::StaticCcp,
-            gather: GatherAlgo::Ring,
         }
     }
 }
@@ -62,9 +34,6 @@ impl AmpedConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.rank == 0 {
             return Err("rank must be positive".into());
-        }
-        if self.block_p == 0 {
-            return Err("block width P must be positive".into());
         }
         if self.isp_nnz == 0 {
             return Err("ISP size must be positive".into());
@@ -95,9 +64,6 @@ mod tests {
     fn default_matches_paper() {
         let c = AmpedConfig::default();
         assert_eq!(c.rank, 32);
-        assert_eq!(c.block_p, 32);
-        assert_eq!(c.schedule, SchedulePolicy::StaticCcp);
-        assert_eq!(c.gather, GatherAlgo::Ring);
         assert!(c.validate().is_ok());
     }
 
@@ -105,12 +71,6 @@ mod tests {
     fn validation_catches_bad_configs() {
         assert!(AmpedConfig {
             rank: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(AmpedConfig {
-            block_p: 0,
             ..Default::default()
         }
         .validate()

@@ -17,12 +17,11 @@
 //! backend (e.g. a tracing decorator, or eventually a real-GPU runtime)
 //! slots in via [`AmpedEngine::with_runtime`].
 
-use crate::config::{AmpedConfig, GatherAlgo, SchedulePolicy};
+use crate::config::AmpedConfig;
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
 use amped_plan::{
-    AssignmentSpace, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
-    UniformCost,
+    AssignmentSpace, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
 };
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{
@@ -341,7 +340,7 @@ impl<S: Source> MttkrpEngine for Engine<S> {
     /// accumulation and one rounding per cell (see `amped_runtime::kernels`),
     /// single-ISP grids keep the single-writer `f32` order. The source
     /// prices and launches the grids; the engine then closes the mode with
-    /// the inter-GPU barrier and the configured all-gather (Algorithm 3).
+    /// the inter-GPU barrier and the ring all-gather (Algorithm 3).
     fn mttkrp_mode(&mut self, d: usize, factors: &[Mat]) -> Result<(Mat, ModeTiming), SimError> {
         let order = self.source.shape().len();
         assert!(d < order, "mode {d} out of range");
@@ -382,7 +381,7 @@ impl<S: Source> MttkrpEngine for Engine<S> {
                     .sum()
             })
             .collect();
-        let gather_time = runtime.allgather_time(self.cfg.gather.collective(), &block_bytes);
+        let gather_time = runtime.allgather_time(Collective::Ring, &block_bytes);
         for b in per_gpu.iter_mut() {
             b.p2p += gather_time;
         }
@@ -507,16 +506,6 @@ fn double_buffered(steps: &[(f64, f64)]) -> (f64, TimeBreakdown) {
     (end, breakdown)
 }
 
-impl GatherAlgo {
-    /// The runtime collective this configuration selects.
-    pub fn collective(self) -> Collective {
-        match self {
-            GatherAlgo::Ring => Collective::Ring,
-            GatherAlgo::HostStaged => Collective::HostStaged,
-        }
-    }
-}
-
 /// One inter-shard partition prepared for execution.
 #[derive(Clone, Debug)]
 struct IspUnit {
@@ -535,8 +524,8 @@ struct ShardUnit {
     isps: Vec<IspUnit>,
     transfer_bytes: u64,
     compute: f64,
-    /// The output rows this shard owns (static schedule keeps these
-    /// contiguous).
+    /// The output rows this shard owns: a contiguous piece of its GPU's
+    /// range.
     index_range: Range<Idx>,
 }
 
@@ -547,26 +536,9 @@ struct ShardUnit {
 pub struct Resident {
     plan: PartitionPlan,
     mode_shards: Vec<Vec<ShardUnit>>,
-    /// Modeled per-GPU MTTKRP throughput (from [`PlatformCostQuery`]): the
-    /// ratio `gpu_throughput[owner] / gpu_throughput[g]` re-prices a
-    /// shard's precomputed compute time onto candidate GPU `g` — what the
-    /// dynamic-queue schedule needs on heterogeneous platforms. All entries
-    /// are equal on a homogeneous spec, making every ratio exactly 1.
-    gpu_throughput: Vec<f64>,
 }
 
 impl sealed::Sealed for Resident {}
-
-/// Re-prices a shard's compute time (prepared against GPU `owner`'s spec)
-/// onto GPU `g` using modeled throughput ratios. The homogeneous ratio is
-/// exactly `1.0`, and `x * 1.0 == x` bit for bit, so the default platform's
-/// schedule arithmetic is unchanged.
-fn reprice(compute: f64, gpu_throughput: &[f64], owner: usize, g: usize) -> f64 {
-    if owner == g {
-        return compute;
-    }
-    compute * (gpu_throughput[owner] / gpu_throughput[g])
-}
 
 impl AmpedEngine {
     /// Partitions `tensor` for `platform` on the default simulated runtime
@@ -674,15 +646,8 @@ impl Resident {
             runtime.alloc(Device::Gpu(g), shard_buffer, "shard streaming buffers")?;
         }
 
-        // Under the dynamic-queue ablation, shards are built without device
-        // ownership (one global range) and assigned greedily at "runtime".
-        let plan_gpus = match cfg.schedule {
-            SchedulePolicy::StaticCcp => m,
-            SchedulePolicy::DynamicQueue => 1,
-        };
         let start = std::time::Instant::now();
-        let (mut plan, priced) =
-            plan_and_price(tensor, planner, spec, cfg, plan_gpus, host_workers())?;
+        let (mut plan, priced) = plan_and_price(tensor, planner, spec, cfg, host_workers())?;
 
         // --- Host memory: all per-mode tensor copies live there (§3.1). The
         // model charges the paper's COO copies; the gauge beside it is what
@@ -700,76 +665,7 @@ impl Resident {
             .map(|(mp, isps)| schedule_mode(runtime, mp, isps))
             .collect();
         plan.preprocess_wall = start.elapsed().as_secs_f64();
-        let throughput_query =
-            PlatformCostQuery::new(spec, cfg.workload(tensor.order(), tensor.elem_bytes()));
-        let gpu_throughput = (0..m)
-            .map(|g| throughput_query.device_throughput(g))
-            .collect();
-        Ok(Self {
-            plan,
-            mode_shards,
-            gpu_throughput,
-        })
-    }
-
-    /// Resolves the shard→GPU assignment for mode `d` under the configured
-    /// policy. Returns shard indices per GPU, in stream order.
-    fn assignment(
-        &self,
-        runtime: &dyn DeviceRuntime,
-        cfg: &AmpedConfig,
-        d: usize,
-        m: usize,
-    ) -> Vec<Vec<usize>> {
-        let shards = &self.mode_shards[d];
-        let mut per_gpu: Vec<Vec<usize>> = vec![Vec::new(); m];
-        match cfg.schedule {
-            SchedulePolicy::StaticCcp => {
-                for (i, s) in shards.iter().enumerate() {
-                    per_gpu[s.gpu].push(i);
-                }
-            }
-            SchedulePolicy::DynamicQueue => {
-                // Greedy earliest-finish: the next shard (in index order)
-                // goes to the GPU that would finish it first (the first such
-                // GPU on a tie). The shard's precomputed compute time is
-                // priced against its planning owner's spec, so each
-                // candidate GPU re-prices it through the modeled throughput
-                // ratio — on a heterogeneous spec a fast GPU's finish
-                // estimate must not carry a slow GPU's cost (or vice
-                // versa). Uniform throughputs make both the estimates and
-                // the selection identical to the historical `min finish[g]`
-                // rule, preserving the homogeneous goldens. Every GPU
-                // streams from the one host over the same link.
-                let link = runtime.h2d_link(m.min(shards.len().max(1)));
-                let tp = &self.gpu_throughput;
-                let uniform = tp.windows(2).all(|w| w[0] == w[1]);
-                let mut finish = vec![0.0f64; m];
-                for (i, s) in shards.iter().enumerate() {
-                    let step = |g: usize| {
-                        link.transfer_time(s.transfer_bytes)
-                            .max(reprice(s.compute, tp, s.gpu, g))
-                    };
-                    let eta = |g: usize| {
-                        if uniform {
-                            finish[g]
-                        } else {
-                            finish[g] + step(g)
-                        }
-                    };
-                    let g = (1..m).fold(0, |best, g| {
-                        if eta(g).total_cmp(&eta(best)).is_lt() {
-                            g
-                        } else {
-                            best
-                        }
-                    });
-                    finish[g] += step(g);
-                    per_gpu[g].push(i);
-                }
-            }
-        }
-        per_gpu
+        Ok(Self { plan, mode_shards })
     }
 }
 
@@ -803,13 +699,6 @@ impl Source for Resident {
         cfg: &AmpedConfig,
         assignment: &ModeAssignment,
     ) -> Result<(), SimError> {
-        if cfg.schedule != SchedulePolicy::StaticCcp {
-            return Err(SimError::Unsupported(
-                "replanning requires the static CCP schedule: dynamic-queue ownership is \
-                 decided per run"
-                    .into(),
-            ));
-        }
         let d = assignment.mode;
         let start = std::time::Instant::now();
         let (spec, cost) = (runtime.spec(), CostModel::default());
@@ -825,19 +714,23 @@ impl Source for Resident {
         Ok(())
     }
 
-    /// Every GPU streams its shards in order: each shard's staged transfer
-    /// and grid launch sit inside its `shard` span, so traces nest
+    /// Every GPU streams the shards it owns in order: each shard's staged
+    /// transfer and grid launch sit inside its `shard` span, so traces nest
     /// `…/mode=d/shard=sid` around exactly the ops it issued.
     fn launch(
         &mut self,
         runtime: &mut dyn DeviceRuntime,
         spec: &PlatformSpec,
-        cfg: &AmpedConfig,
+        _cfg: &AmpedConfig,
         d: usize,
         factors: &FactorsView,
         out: &MttkrpOut,
     ) -> Result<sealed::ModeRun, SimError> {
-        let assignment = self.assignment(runtime, cfg, d, spec.num_gpus());
+        let shards = &self.mode_shards[d];
+        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); spec.num_gpus()];
+        for (i, s) in shards.iter().enumerate() {
+            assignment[s.gpu].push(i);
+        }
         let active = assignment.iter().filter(|a| !a.is_empty()).count().max(1);
         let tl = runtime.timeline();
         // The mode-`d` copy is sorted by output index: it is the view every
@@ -851,7 +744,6 @@ impl Source for Resident {
             copy.order(),
             d,
         );
-        let shards = &self.mode_shards[d];
         let mut steps = Vec::with_capacity(assignment.len());
         for (g, shard_ids) in assignment.iter().enumerate() {
             let mut gpu_steps = Vec::with_capacity(shard_ids.len());
@@ -859,7 +751,7 @@ impl Source for Resident {
                 let su = &shards[sid];
                 let _shard = tl.as_ref().map(|t| t.span("shard", sid as u64));
                 let t_x = runtime.h2d_time(g, active, su.transfer_bytes);
-                gpu_steps.push((t_x, reprice(su.compute, &self.gpu_throughput, su.gpu, g)));
+                gpu_steps.push((t_x, su.compute));
                 // One threadblock per ISP.
                 let blocks: Vec<_> = su.isps.iter().map(|u| u.range.clone()).collect();
                 let costs: Vec<f64> = su.isps.iter().map(|u| u.cost).collect();
@@ -931,18 +823,10 @@ fn plan_and_price(
     planner: &dyn Partitioner,
     spec: &PlatformSpec,
     cfg: &AmpedConfig,
-    plan_gpus: usize,
     workers: usize,
 ) -> Result<(PartitionPlan, Vec<ModeIsps>), SimError> {
-    // Cost-aware policies see the platform through the cost facade; the
-    // dynamic-queue ablation plans one global pool, where device throughput
-    // is meaningless.
-    let cost: Box<dyn CostQuery> = if plan_gpus == spec.num_gpus() {
-        let workload = cfg.workload(tensor.order(), tensor.elem_bytes());
-        Box::new(PlatformCostQuery::new(spec, workload))
-    } else {
-        Box::new(UniformCost::new(plan_gpus))
-    };
+    // Cost-aware policies see the platform through the cost facade.
+    let cost = PlatformCostQuery::new(spec, cfg.workload(tensor.order(), tensor.elem_bytes()));
     let stats = PlanStats {
         nnz: tensor.nnz() as u64,
     };
@@ -953,7 +837,7 @@ fn plan_and_price(
         workers,
         |d, hist| {
             let a = planner
-                .plan_mode(d, hist, &stats, cost.as_ref())
+                .plan_mode(d, hist, &stats, &cost)
                 .map_err(|e| SimError::Unsupported(format!("planner '{}': {e}", planner.name())))?;
             if a.space != AssignmentSpace::OutputIndex {
                 return Err(SimError::Unsupported(format!(
@@ -1062,7 +946,6 @@ pub(crate) mod tests {
             rank: r,
             isp_nnz: 256,
             shard_nnz_budget: 1024,
-            ..Default::default()
         }
     }
 
@@ -1166,34 +1049,6 @@ pub(crate) mod tests {
     #[test]
     fn engine_matches_reference_5mode() {
         check_matches_reference_5mode(in_core);
-    }
-
-    #[test]
-    fn dynamic_queue_matches_reference() {
-        let t = GenSpec::uniform(vec![64, 32, 32], 3000, 85).generate();
-        let fs = factors(&t, 8, 86);
-        let c = AmpedConfig {
-            schedule: SchedulePolicy::DynamicQueue,
-            ..cfg(8)
-        };
-        let mut e = AmpedEngine::new(&t, platform(4), c).unwrap();
-        let (out, _) = e.mttkrp_mode(0, &fs).unwrap();
-        let want = mttkrp_ref(&t, &fs, 0);
-        assert!(out.approx_eq(&want, 1e-3, 1e-4));
-    }
-
-    #[test]
-    fn host_staged_gather_matches_reference() {
-        let t = GenSpec::uniform(vec![64, 32, 32], 2000, 87).generate();
-        let fs = factors(&t, 8, 88);
-        let c = AmpedConfig {
-            gather: GatherAlgo::HostStaged,
-            ..cfg(8)
-        };
-        let mut e = AmpedEngine::new(&t, platform(2), c).unwrap();
-        let (out, timing) = e.mttkrp_mode(0, &fs).unwrap();
-        assert!(out.approx_eq(&mttkrp_ref(&t, &fs, 0), 1e-3, 1e-4));
-        assert!(timing.per_gpu[0].p2p > 0.0);
     }
 
     #[test]
@@ -1326,7 +1181,7 @@ pub(crate) mod tests {
             assert_eq!(&format!("{:?}", e.source.mode_shards[d]), want, "mode {d}");
         }
         for workers in [1, 2, 4] {
-            let (plan, priced) = plan_and_price(&t, &NnzCcp, &e.spec, &e.cfg, 3, workers).unwrap();
+            let (plan, priced) = plan_and_price(&t, &NnzCcp, &e.spec, &e.cfg, workers).unwrap();
             for (d, (mp, isps)) in plan.modes.iter().zip(priced).enumerate() {
                 assert_eq!(mp.device_ranges, serial[d].device_ranges);
                 assert_eq!(

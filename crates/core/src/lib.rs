@@ -61,6 +61,6 @@ pub mod reference;
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 
-pub use config::{AmpedConfig, GatherAlgo, SchedulePolicy};
+pub use config::AmpedConfig;
 pub use engine::{AmpedEngine, ModeTiming, MttkrpEngine};
 pub use ooc::OocEngine;

@@ -37,7 +37,7 @@
 //! never hold two consecutive chunks warns once and runs the blocking loop
 //! — overlap is a perf upgrade, never a correctness or capacity change.
 
-use crate::config::{AmpedConfig, SchedulePolicy};
+use crate::config::AmpedConfig;
 use crate::engine::{charge_factors, sealed, Engine, Source};
 use amped_partition::{isp_ranges, PlanBusy, ShardStats};
 use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery};
@@ -182,13 +182,6 @@ impl Streamed {
         stage_budget_bytes: u64,
         planner: &dyn Partitioner,
     ) -> Result<Self, SimError> {
-        if cfg.schedule != SchedulePolicy::StaticCcp {
-            return Err(SimError::Unsupported(
-                "out-of-core execution requires the static CCP schedule: chunk routing is \
-                 fixed by output-row ownership"
-                    .into(),
-            ));
-        }
         let stage = MemPool::new("host-stage", stage_budget_bytes);
         let mut reader = ChunkReader::open(path, stage).map_err(|e| e.into_sim())?;
         let meta = reader.meta();
@@ -734,20 +727,6 @@ mod tests {
             err.to_string().contains("chunk staging"),
             "staging OOM should carry its purpose: {err}"
         );
-    }
-
-    #[test]
-    fn dynamic_queue_schedule_is_unsupported() {
-        let t = GenSpec::uniform(vec![20, 20, 20], 500, 94).generate();
-        let dir = ScratchDir::new("ooc");
-        let path = dir.join("sched.tnsb");
-        write_tnsb(&t, &path, 256).unwrap();
-        let c = AmpedConfig {
-            schedule: SchedulePolicy::DynamicQueue,
-            ..cfg(8)
-        };
-        let err = OocEngine::open(&path, platform(2), c, budget_for(&t, 256)).unwrap_err();
-        assert!(matches!(err, SimError::Unsupported(_)));
     }
 
     #[test]

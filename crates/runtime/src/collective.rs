@@ -84,27 +84,9 @@ pub fn ring_allgather_time(link: &LinkSpec, block_bytes: &[u64]) -> f64 {
     total
 }
 
-/// Simulated time of a host-staged gather (ablation `abl-gather`): every GPU
-/// uploads its block to the host, which then broadcasts the concatenation
-/// back to every GPU over the per-GPU PCIe links. Uploads are concurrent
-/// (bounded by `h2d_gbps` each), downloads likewise.
-pub fn host_staged_gather_time(pcie: &LinkSpec, block_bytes: &[u64]) -> f64 {
-    let m = block_bytes.len();
-    if m <= 1 {
-        return 0.0;
-    }
-    let total: u64 = block_bytes.iter().sum();
-    let upload = block_bytes
-        .iter()
-        .map(|&b| pcie.transfer_time(b))
-        .fold(0.0f64, f64::max);
-    let download = pcie.transfer_time(total);
-    upload + download
-}
-
-/// Simulated time of a host-staged *scatter* — the mirror image of
-/// [`host_staged_gather_time`], used by the out-of-core streaming pipeline:
-/// the host holds one tensor chunk and each GPU pulls its slice
+/// Simulated time of a host-staged scatter, used by the out-of-core
+/// streaming pipeline: the host holds one tensor chunk and each GPU pulls
+/// its slice
 /// (`block_bytes[g]`) over its own PCIe link concurrently, so the stage
 /// costs the slowest slice in flight. GPUs with nothing to receive from this
 /// chunk cost nothing (they do not even pay link latency).
@@ -189,27 +171,6 @@ mod tests {
         // somewhere, so every step costs 2 s.
         let t = ring_allgather_time(&link, &[2_000_000_000, 0, 0, 0]);
         assert!((t - 6.0).abs() < 1e-9, "got {t}");
-    }
-
-    #[test]
-    fn host_staged_slower_than_ring_for_bulk() {
-        // The paper picks the ring because it suits bulk transfers on
-        // bandwidth-limited links; verify the model agrees for equal blocks.
-        let pcie = LinkSpec {
-            gbps: 64.0,
-            latency_s: 1e-5,
-        };
-        let p2p = LinkSpec {
-            gbps: 50.0,
-            latency_s: 1e-5,
-        };
-        let blocks = [64_000_000u64; 4]; // 64 MB each
-        let ring = ring_allgather_time(&p2p, &blocks);
-        let staged = host_staged_gather_time(&pcie, &blocks);
-        assert!(
-            ring < staged,
-            "ring {ring} should beat host-staged {staged}"
-        );
     }
 
     #[test]

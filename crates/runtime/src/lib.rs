@@ -53,7 +53,7 @@
 //!   carries and the `amped-tune` autotuner searches. Every setting is
 //!   bit-transparent.
 //! * [`smexec`] / [`collective`] — the execution primitives themselves
-//!   (grid executor, ring and host-staged all-gathers), moved here from
+//!   (grid executor, ring all-gather, host-staged scatter), moved here from
 //!   `amped-sim` so that no caller outside this crate reaches them
 //!   directly.
 

@@ -9,14 +9,12 @@ use amped_sim::obs::MetricsRegistry;
 use amped_sim::{LinkSpec, MemPool, PlatformSpec, SimError};
 
 /// Which collective algorithm redistributes output-factor rows after a mode
-/// (Algorithm 1 line 11). Mirrors the paper's main design (ring over
-/// GPUDirect P2P) and the `abl-gather` ablation (host-staged).
+/// (Algorithm 1 line 11): the paper's ring over GPUDirect P2P is the only
+/// one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Collective {
     /// Ring all-gather over the GPU↔GPU links (Algorithm 3).
     Ring,
-    /// Upload to the host, broadcast the concatenation back (ablation).
-    HostStaged,
 }
 
 /// One GPU's contribution to a factor all-gather: the output-row ids it owns
@@ -197,7 +195,7 @@ pub trait DeviceRuntime: std::fmt::Debug {
     // --- Collectives -------------------------------------------------------
 
     /// Simulated time of the all-gather of per-GPU blocks sized
-    /// `block_bytes` under `algo`.
+    /// `block_bytes` under `algo` (the ring).
     fn allgather_time(&mut self, algo: Collective, block_bytes: &[u64]) -> f64;
 
     /// Functionally runs the ring all-gather over per-GPU factor blocks:

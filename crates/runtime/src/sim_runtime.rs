@@ -1,8 +1,6 @@
 //! The default backend: deterministic simulation on host threads.
 
-use crate::collective::{
-    host_staged_gather_time, host_staged_scatter_time, ring_allgather, ring_allgather_time,
-};
+use crate::collective::{host_staged_scatter_time, ring_allgather, ring_allgather_time};
 use crate::device::{Device, Platform};
 use crate::params::TuneParams;
 use crate::runtime::{Collective, DeviceRuntime, FactorBlock};
@@ -87,26 +85,15 @@ impl SimRuntime {
     }
 
     /// Records the modeled byte movement of `allgather_time`/
-    /// `allgather_blocks` into the tier counters.
-    fn meter_allgather(&self, algo: Collective, block_bytes: &[u64]) {
+    /// `allgather_blocks` into the p2p tier: every block traverses every
+    /// ring edge except the one "behind" its source, (m − 1) × total wire
+    /// bytes. A cost-model total (what the timing formula charges), not a
+    /// per-step event count.
+    fn meter_allgather(&self, block_bytes: &[u64]) {
         self.meters.allgathers.inc();
         let total: u64 = block_bytes.iter().sum();
-        match algo {
-            Collective::Ring => {
-                // Every block traverses every ring edge except the one
-                // "behind" its source: (m − 1) × total wire bytes. A cost-
-                // model total (what the timing formula charges), not a
-                // per-step event count.
-                let m = block_bytes.len() as u64;
-                self.meters.bytes_p2p.add(m.saturating_sub(1) * total);
-            }
-            Collective::HostStaged => {
-                // Every block goes up once; the concatenation comes back
-                // down to each of the m GPUs.
-                self.meters.bytes_d2h.add(total);
-                self.meters.bytes_h2d.add(total * block_bytes.len() as u64);
-            }
-        }
+        let m = block_bytes.len() as u64;
+        self.meters.bytes_p2p.add(m.saturating_sub(1) * total);
     }
 }
 
@@ -198,16 +185,14 @@ impl DeviceRuntime for SimRuntime {
     }
 
     fn allgather_time(&mut self, algo: Collective, block_bytes: &[u64]) -> f64 {
-        self.meter_allgather(algo, block_bytes);
-        match algo {
-            Collective::Ring => ring_allgather_time(&self.spec().p2p, block_bytes),
-            Collective::HostStaged => host_staged_gather_time(&self.spec().pcie, block_bytes),
-        }
+        let Collective::Ring = algo;
+        self.meter_allgather(block_bytes);
+        ring_allgather_time(&self.spec().p2p, block_bytes)
     }
 
     fn allgather_blocks(&mut self, blocks: &[FactorBlock]) -> Vec<Vec<FactorBlock>> {
         let block_bytes: Vec<u64> = blocks.iter().map(|b| b.data.len() as u64 * 4).collect();
-        self.meter_allgather(Collective::Ring, &block_bytes);
+        self.meter_allgather(&block_bytes);
         ring_allgather(blocks)
     }
 }
@@ -279,18 +264,6 @@ mod tests {
         for row in &gathered {
             assert_eq!(row, &blocks);
         }
-    }
-
-    #[test]
-    fn ring_beats_host_staged_for_bulk() {
-        let mut r = SimRuntime::new(PlatformSpec::rtx6000_ada_node(4));
-        let blocks = [64_000_000u64; 4];
-        let ring = r.allgather_time(Collective::Ring, &blocks);
-        let staged = r.allgather_time(Collective::HostStaged, &blocks);
-        assert!(
-            ring < staged,
-            "ring {ring} should beat host-staged {staged}"
-        );
     }
 
     #[test]

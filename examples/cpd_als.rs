@@ -22,7 +22,6 @@ fn main() {
         rank: 6,
         isp_nnz: 2048,
         shard_nnz_budget: 16384,
-        ..Default::default()
     };
     let mut engine = AmpedEngine::new(&tensor, platform, cfg).expect("fits");
 

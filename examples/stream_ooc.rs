@@ -37,7 +37,6 @@ fn main() {
         rank: 8,
         isp_nnz: 1024,
         shard_nnz_budget: 8192,
-        ..AmpedConfig::default()
     };
 
     // --- In-core: the host pool cannot hold the per-mode copies.

@@ -45,9 +45,7 @@ pub mod prelude {
     };
     pub use amped_core::als::{cp_als, AlsOptions, AlsResult, RebalanceOptions};
     pub use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_ref};
-    pub use amped_core::{
-        AmpedConfig, AmpedEngine, GatherAlgo, ModeTiming, MttkrpEngine, OocEngine, SchedulePolicy,
-    };
+    pub use amped_core::{AmpedConfig, AmpedEngine, ModeTiming, MttkrpEngine, OocEngine};
     pub use amped_linalg::Mat;
     pub use amped_partition::{EqualPlan, ModePlan, PartitionPlan};
     pub use amped_plan::{

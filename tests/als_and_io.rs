@@ -11,7 +11,6 @@ fn cp_als_end_to_end_recovers_structure() {
         rank: 5,
         isp_nnz: 1024,
         shard_nnz_budget: 8192,
-        ..Default::default()
     };
     let mut engine = AmpedEngine::new(&t, platform, cfg).unwrap();
     let res = cp_als(

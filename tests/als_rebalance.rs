@@ -26,7 +26,6 @@ fn cfg() -> AmpedConfig {
         rank: 16,
         isp_nnz: 1024,
         shard_nnz_budget: 8192,
-        ..Default::default()
     }
 }
 
@@ -146,7 +145,6 @@ fn ooc_engine_replans_between_iterations_too() {
         rank: 16,
         isp_nnz: 8192,
         shard_nnz_budget: 32_768,
-        ..Default::default()
     };
     let mut e = OocEngine::open(&path, spec, c, budget).unwrap();
     let res = cp_als(
@@ -182,34 +180,6 @@ fn ooc_engine_replans_between_iterations_too() {
             < res.per_iteration.first().unwrap().total_time,
         "rebalanced ooc iterations should be faster"
     );
-}
-
-#[test]
-fn dynamic_queue_with_rebalance_errors_cleanly() {
-    // The dynamic-queue ablation plans one global pool, so there is no
-    // per-GPU ownership to rebalance — cp_als must say so, not panic.
-    let t = GenSpec::uniform(vec![60, 40, 40], 3000, 17).generate();
-    let c = AmpedConfig {
-        schedule: SchedulePolicy::DynamicQueue,
-        ..cfg()
-    };
-    let spec = PlatformSpec::hetero_2fast_2slow().scaled(1e-3);
-    let mut e = AmpedEngine::new(&t, spec, c).unwrap();
-    let err = cp_als(
-        &mut e,
-        &AlsOptions {
-            max_iters: 2,
-            tol: 0.0,
-            seed: 1,
-            rebalance: Some(RebalanceOptions { threshold: 0.2 }),
-        },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, SimError::Unsupported(_)),
-        "expected Unsupported, got {err}"
-    );
-    assert!(err.to_string().contains("rebalancing"), "{err}");
 }
 
 #[test]

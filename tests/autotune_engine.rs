@@ -27,7 +27,6 @@ fn cfg() -> AmpedConfig {
         rank: 16,
         isp_nnz: 256,
         shard_nnz_budget: 2048,
-        ..AmpedConfig::default()
     }
 }
 

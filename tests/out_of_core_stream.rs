@@ -37,7 +37,6 @@ fn ooc_succeeds_where_in_core_hits_host_oom() {
         rank: 8,
         isp_nnz: 1024,
         shard_nnz_budget: 8192,
-        ..AmpedConfig::default()
     };
 
     // In-core: out-of-memory on the host pool.
@@ -82,7 +81,6 @@ fn ooc_matches_in_core_factors_on_small_tensor() {
         rank: 4,
         isp_nnz: 128,
         shard_nnz_budget: 512,
-        ..AmpedConfig::default()
     };
     let opts = AlsOptions {
         max_iters: 1,
@@ -133,7 +131,6 @@ fn tns_conversion_feeds_the_ooc_engine() {
         rank: 4,
         isp_nnz: 128,
         shard_nnz_budget: 512,
-        ..AmpedConfig::default()
     };
     let mut e = OocEngine::open(
         &tnsb,

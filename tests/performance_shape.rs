@@ -141,7 +141,6 @@ fn time_breakdown_reconciles_with_wall_time() {
         rank: 32,
         isp_nnz: 1024,
         shard_nnz_budget: 4096,
-        ..Default::default()
     };
     let check = |timing: &ModeTiming, label: &str| {
         for (g, b) in timing.per_gpu.iter().enumerate() {

@@ -188,7 +188,6 @@ fn engine_with_nnz_planner_equals_default_engine_assignments() {
         rank: 8,
         isp_nnz: 256,
         shard_nnz_budget: 512,
-        ..Default::default()
     };
     let spec = PlatformSpec::rtx6000_ada_node(p.gpus).scaled(1e-3);
     let via_default = AmpedEngine::new(&t, spec.clone(), cfg.clone()).unwrap();

@@ -95,7 +95,6 @@ fn engine_runs_cost_guided_plan_faster_and_correct_on_hetero_node() {
         rank: 32,
         isp_nnz: 2048,
         shard_nnz_budget: 16_384,
-        ..Default::default()
     };
     let spec = PlatformSpec::hetero_2fast_2slow().scaled(1e-3);
     let mut by_nnz = AmpedEngine::with_planner(
@@ -136,53 +135,6 @@ fn engine_runs_cost_guided_plan_faster_and_correct_on_hetero_node() {
 }
 
 #[test]
-fn dynamic_queue_prices_candidates_correctly_on_hetero_node() {
-    // Regression: the earliest-finish greedy used each shard's precomputed
-    // compute time, which is priced against the shard's *planning owner* —
-    // on a heterogeneous spec that estimated a fast GPU's finish with a
-    // slow GPU's cost (and vice versa). With per-candidate re-pricing the
-    // dynamic schedule's modeled makespan must be no worse than static
-    // nnz-balanced CCP, which leaves the slow pair on the critical path.
-    let t = zipf_tensor();
-    let cfg = AmpedConfig {
-        rank: 32,
-        isp_nnz: 2048,
-        shard_nnz_budget: 16_384,
-        ..Default::default()
-    };
-    let spec = PlatformSpec::hetero_2fast_2slow().scaled(1e-3);
-    let mut dynamic = AmpedEngine::new(
-        &t,
-        spec.clone(),
-        AmpedConfig {
-            schedule: SchedulePolicy::DynamicQueue,
-            ..cfg.clone()
-        },
-    )
-    .unwrap();
-    let mut static_ccp = AmpedEngine::new(&t, spec, cfg.clone()).unwrap();
-
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(79);
-    let factors: Vec<Mat> = t
-        .shape()
-        .iter()
-        .map(|&d| Mat::random(d as usize, cfg.rank, &mut rng))
-        .collect();
-    let want = mttkrp_ref(&t, &factors, 0);
-    let (out_dyn, t_dyn) = dynamic.mttkrp_mode(0, &factors).unwrap();
-    let (out_static, t_static) = static_ccp.mttkrp_mode(0, &factors).unwrap();
-    assert!(out_dyn.approx_eq(&want, 1e-3, 1e-4));
-    assert!(out_static.approx_eq(&want, 1e-3, 1e-4));
-    assert!(
-        t_dyn.wall <= t_static.wall * 1.0001,
-        "dynamic earliest-finish ({:.6}s) must not lose to static nnz-CCP ({:.6}s) \
-         on the 2-fast-2-slow node",
-        t_dyn.wall,
-        t_static.wall
-    );
-}
-
-#[test]
 fn ooc_engine_accepts_cost_guided_planner_on_hetero_node() {
     let t = GenSpec {
         shape: vec![600, 200, 200],
@@ -198,7 +150,6 @@ fn ooc_engine_accepts_cost_guided_planner_on_hetero_node() {
         rank: 16,
         isp_nnz: 1024,
         shard_nnz_budget: 2048,
-        ..Default::default()
     };
     let spec = PlatformSpec::hetero_2fast_2slow().scaled(1e-3);
     let budget = 2048 * (t.elem_bytes() + t.order() as u64 * 4) * 2;

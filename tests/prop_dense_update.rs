@@ -233,7 +233,6 @@ fn cp_als_is_one_set_of_bits_across_amped_threads() {
         rank,
         isp_nnz: 512,
         shard_nnz_budget: 4096,
-        ..AmpedConfig::default()
     };
     let platform = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
     let opts = AlsOptions {

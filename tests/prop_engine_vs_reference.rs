@@ -42,7 +42,6 @@ proptest! {
             rank: 8,
             isp_nnz: isp,
             shard_nnz_budget: shard_budget,
-            ..AmpedConfig::default()
         };
         let platform = PlatformSpec::rtx6000_ada_node(gpus).scaled(1e-3);
         let mut engine = AmpedEngine::new(&t, platform.clone(), cfg.clone()).unwrap();

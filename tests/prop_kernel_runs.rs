@@ -524,7 +524,6 @@ fn engine_matches_its_plan_replayed_on_the_tile_path(t: &SparseTensor) {
         rank,
         isp_nnz: 256,
         shard_nnz_budget: 2048,
-        ..Default::default()
     };
     let mut rng = SmallRng::seed_from_u64(1213);
     let factors: Vec<Mat> = t

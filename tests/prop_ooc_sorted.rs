@@ -38,7 +38,6 @@ fn config() -> AmpedConfig {
         rank: RANK,
         isp_nnz: ISP_NNZ,
         shard_nnz_budget: 1024,
-        ..Default::default()
     }
 }
 
