@@ -64,8 +64,8 @@ rmdir "$ooc_tmp"
 # rather than panic.
 cargo run --release --example out_of_core
 # Preprocessing wall against BLCO's linearization, with the wall split into
-# sort / statistics / pricing busy-seconds — the one bin that reports setup
-# next to an external preprocessor. Printed, not gated (wall time).
+# sort / pricing busy-seconds — the one bin that reports setup next to an
+# external preprocessor. Printed, not gated (wall time).
 cargo run --release -p amped-bench --bin figures -- --out target/figures fig10
 
 echo "=== 7/9 trace_export (observability artifacts, self-validating) ==="

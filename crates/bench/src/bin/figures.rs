@@ -387,7 +387,7 @@ fn fig10(ctx: &mut ExpContext) {
     let mut t = Table::new(&[
         "Tensor",
         "AMPED preprocessing",
-        "sort / statistics / pricing (busy)",
+        "sort / pricing (busy)",
         "BLCO preprocessing",
         "Ratio",
     ]);
@@ -404,10 +404,7 @@ fn fig10(ctx: &mut ExpContext) {
         t.push(vec![
             d.name().into(),
             format!("{:.3} s", a),
-            format!(
-                "{:.3} / {:.3} / {:.3} s",
-                busy.sort_s, busy.stats_s, busy.pricing_s
-            ),
+            format!("{:.3} / {:.3} s", busy.sort_s, busy.pricing_s),
             format!("{:.3} s", b),
             format!("{:.2}×", a / b.max(1e-12)),
         ]);

@@ -1157,8 +1157,8 @@ pub(crate) mod tests {
         assert_eq!(MttkrpEngine::mode_hist(&e, 0), t.mode_hist(0));
     }
 
-    /// The whole construction product — device ranges, shards and their
-    /// statistics, ISP ranges and cost bits, shard makespans — is the same
+    /// The whole construction product — device ranges, shards, ISP ranges
+    /// and cost bits, shard makespans — is the same
     /// whatever the pool size, and is the serial loop's.
     #[test]
     fn construction_is_identical_on_any_pool_size() {

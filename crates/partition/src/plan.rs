@@ -1,7 +1,7 @@
 //! All-mode partition plans and preprocessing measurement (Fig. 10).
 
 use crate::ccp::chains_on_chains;
-use crate::shard::{ModePlan, Shard, ShardStats, StatsScratch};
+use crate::shard::{ModePlan, Shard, StatsScratch};
 use amped_sim::host_workers;
 use amped_tensor::{Idx, SparseTensor};
 use serde::Serialize;
@@ -68,7 +68,8 @@ where
 pub struct PlanBusy {
     /// Histogram, device ranges and the counting-sort scatter.
     pub sort_s: f64,
-    /// Shard (in core) or chunk-slice (out of core) statistics.
+    /// Chunk-slice statistics, out of core. The in-core build has no
+    /// statistics phase, so it leaves this at 0.
     pub stats_s: f64,
     /// The caller's per-shard pricing (ISP statistics and block times).
     pub pricing_s: f64,
@@ -82,16 +83,14 @@ pub struct PartitionPlan {
     /// Per-mode plans, index = output mode.
     pub modes: Vec<ModePlan>,
     /// Real wall-clock seconds spent building the plan (histograms, CCP,
-    /// counting sorts, shard statistics, pricing) — the quantity Fig. 10
-    /// reports.
+    /// counting sorts, pricing) — the quantity Fig. 10 reports.
     pub preprocess_wall: f64,
     /// The same time split by phase, in busy-seconds.
     pub busy: PlanBusy,
 }
 
 /// One unit of planning work on the pool: a mode's histogram, device
-/// ranges, counting sort and shard cuts, or one shard's statistics and
-/// price.
+/// ranges, counting sort and shard cuts, or one shard's price.
 enum Job {
     Sort(usize),
     Shard(usize, usize),
@@ -100,7 +99,7 @@ enum Job {
 /// What a [`Job`] hands back, with the seconds it was busy.
 enum Done<P> {
     Sorted(Box<ModePlan>, f64),
-    Priced(usize, usize, ShardStats, P, [f64; 2]),
+    Priced(usize, P, f64),
 }
 
 impl PartitionPlan {
@@ -157,12 +156,13 @@ impl PartitionPlan {
                         let began = Instant::now();
                         let hist = t.mode_hist(d);
                         let cuts = ranges(d, &hist)?;
-                        let mp = ModePlan::sort_and_cut(t, d, &hist, cuts, shard_nnz_budget);
+                        let mp =
+                            ModePlan::build_with_ranges_hist(t, d, &hist, cuts, shard_nnz_budget);
                         Done::Sorted(Box::new(mp), began.elapsed().as_secs_f64())
                     }
                     Job::Shard(d, s) => {
-                        let (stats, p, secs) = shard_job(&modes[d], s, &price, scratch);
-                        Done::Priced(d, s, stats, p, secs)
+                        let (p, secs) = shard_job(&modes[d], s, &price, scratch);
+                        Done::Priced(d, p, secs)
                     }
                 })
             })?;
@@ -173,11 +173,9 @@ impl PartitionPlan {
                         priced.push(Vec::new());
                         busy.sort_s += secs;
                     }
-                    Done::Priced(d, s, stats, p, [stats_s, pricing_s]) => {
-                        modes[d].shards[s].stats = stats;
+                    Done::Priced(d, p, secs) => {
                         priced[d].push(p);
-                        busy.stats_s += stats_s;
-                        busy.pricing_s += pricing_s;
+                        busy.pricing_s += secs;
                     }
                 }
             }
@@ -193,9 +191,9 @@ impl PartitionPlan {
     }
 
     /// Moves mode `d` to new device ranges in place: the sorted copy stays
-    /// where it is, the shards are re-cut from its row pointers and their
-    /// statistics and prices recomputed on the pool. Adds the work to
-    /// `busy`; the wall clock is the caller's to keep.
+    /// where it is, the shards are re-cut from its row pointers and
+    /// re-priced on the pool. Adds the pricing to `busy`; the wall clock is
+    /// the caller's to keep.
     ///
     /// # Panics
     /// Panics if the ranges do not tile the mode's index space.
@@ -214,11 +212,9 @@ impl PartitionPlan {
         });
         let done = done.unwrap_or_else(|e: std::convert::Infallible| match e {});
         let mut priced = Vec::with_capacity(done.len());
-        for (shard, (stats, p, [stats_s, pricing_s])) in mp.shards.iter_mut().zip(done) {
-            shard.stats = stats;
+        for (p, secs) in done {
             priced.push(p);
-            self.busy.stats_s += stats_s;
-            self.busy.pricing_s += pricing_s;
+            self.busy.pricing_s += secs;
         }
         priced
     }
@@ -244,20 +240,16 @@ impl PartitionPlan {
     }
 }
 
-/// Statistics and price of shard `s` of a sorted mode, and the seconds
-/// each took.
+/// The price of shard `s` of a sorted mode, and the seconds it took.
 fn shard_job<P>(
     mp: &ModePlan,
     s: usize,
     price: &impl Fn(&ModePlan, &Shard, &mut StatsScratch) -> P,
     scratch: &mut StatsScratch,
-) -> (ShardStats, P, [f64; 2]) {
+) -> (P, f64) {
     let began = Instant::now();
-    let stats = mp.shard_stats(s, scratch);
-    let stats_s = began.elapsed().as_secs_f64();
     let p = price(mp, &mp.shards[s], scratch);
-    let pricing_s = began.elapsed().as_secs_f64() - stats_s;
-    (stats, p, [stats_s, pricing_s])
+    (p, began.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
@@ -291,8 +283,8 @@ mod tests {
 
     /// The pool-parallel all-modes build must be indistinguishable from
     /// calling [`ModePlan::build`] serially per mode — same ranges, same
-    /// shards, same statistics, same sorted tensor copies — on any worker
-    /// count this host happens to run.
+    /// shards, same sorted tensor copies — on any worker count this host
+    /// happens to run.
     #[test]
     fn parallel_build_matches_serial_mode_builds() {
         let t = GenSpec {
@@ -313,7 +305,6 @@ mod tests {
                 assert_eq!(a.gpu, b.gpu);
                 assert_eq!(a.index_range, b.index_range);
                 assert_eq!(a.elem_range, b.elem_range);
-                assert_eq!(a.stats, b.stats);
             }
             assert_eq!(mp.copy, serial.copy);
         }
@@ -359,7 +350,6 @@ mod tests {
                 for (x, y) in a.shards.iter().zip(&b.shards) {
                     assert_eq!((x.gpu, &x.index_range), (y.gpu, &y.index_range));
                     assert_eq!(x.elem_range, y.elem_range);
-                    assert_eq!(x.stats, y.stats);
                 }
             }
         }

@@ -208,7 +208,9 @@ impl StatsScratch {
 }
 
 /// One tensor shard: the unit of host→GPU streaming and of grid execution.
-#[derive(Clone, Debug, Serialize)]
+/// Its nonzero count is `elem_range.len()`; the statistics the cost model
+/// prices are taken per ISP, when the shard is priced.
+#[derive(Clone, Debug)]
 pub struct Shard {
     /// Owning GPU.
     pub gpu: usize,
@@ -217,8 +219,6 @@ pub struct Shard {
     pub index_range: Range<Idx>,
     /// Element range within the mode-sorted tensor copy.
     pub elem_range: Range<usize>,
-    /// Shard-level workload statistics.
-    pub stats: ShardStats,
 }
 
 impl Shard {
@@ -285,32 +285,13 @@ impl ModePlan {
     /// ranges — the seam the `amped-plan` partitioner layer materializes
     /// assignments through (cost-guided or rebalanced ranges instead of the
     /// nnz-balanced CCP of [`ModePlan::build`]) — given the mode-`d`
-    /// histogram the planner was run on. One mode, start to finish, on the
-    /// calling thread; [`crate::PartitionPlan`] runs the same two steps as
-    /// pool jobs.
+    /// histogram the planner was run on: the counting sort, then the shard
+    /// cuts. [`crate::PartitionPlan`] runs it as one pool job per mode.
     ///
     /// # Panics
     /// Panics if `hist` is not the mode-`d` histogram of `t` or the ranges
     /// do not tile `0..t.dim(d)` contiguously in order.
     pub fn build_with_ranges_hist(
-        t: &SparseTensor,
-        d: usize,
-        hist: &[u64],
-        device_ranges: Vec<Range<Idx>>,
-        shard_nnz_budget: usize,
-    ) -> Self {
-        let mut mp = Self::sort_and_cut(t, d, hist, device_ranges, shard_nnz_budget);
-        let mut scratch = StatsScratch::new();
-        for s in 0..mp.shards.len() {
-            mp.shards[s].stats = mp.shard_stats(s, &mut scratch);
-        }
-        mp
-    }
-
-    /// The counting sort and the shard cuts of a mode, with every shard's
-    /// statistics left at their default for the caller to fill in from
-    /// [`ModePlan::shard_stats`].
-    pub(crate) fn sort_and_cut(
         t: &SparseTensor,
         d: usize,
         hist: &[u64],
@@ -329,8 +310,7 @@ impl ModePlan {
     }
 
     /// Re-cuts the shards of the (already sorted) copy under new device
-    /// ranges: no sort, no copy, statistics left at their default like
-    /// [`ModePlan::sort_and_cut`].
+    /// ranges: no sort, no copy.
     ///
     /// # Panics
     /// Panics if the ranges do not tile the mode's index space.
@@ -339,11 +319,6 @@ impl ModePlan {
         self.shards = cut_shards(self.copy.row_ptr(), &device_ranges, shard_nnz_budget);
         self.num_gpus = device_ranges.len();
         self.device_ranges = device_ranges;
-    }
-
-    /// Statistics of shard `s` (cache model off, as the planner wants them).
-    pub fn shard_stats(&self, s: usize, scratch: &mut StatsScratch) -> ShardStats {
-        self.range_stats(self.shards[s].elem_range.clone(), usize::MAX, scratch)
     }
 
     /// [`ShardStats::compute_sorted`] on a range of the sorted copy.
@@ -378,14 +353,14 @@ impl ModePlan {
     pub fn gpu_loads(&self) -> Vec<u64> {
         let mut loads = vec![0u64; self.num_gpus];
         for s in &self.shards {
-            loads[s.gpu] += s.stats.nnz;
+            loads[s.gpu] += s.elem_range.len() as u64;
         }
         loads
     }
 }
 
 /// Cuts each device range into shards of at most `shard_nnz_budget`
-/// elements, grown by whole output indices (statistics left at default).
+/// elements, grown by whole output indices.
 fn cut_shards(
     row_ptr: &[usize],
     device_ranges: &[Range<Idx>],
@@ -412,7 +387,6 @@ fn cut_shards(
                 gpu,
                 index_range: shard_start_idx..idx,
                 elem_range: elem_start..elem_end,
-                stats: ShardStats::default(),
             });
         }
         // GPUs with empty ranges contribute no shards.
@@ -462,7 +436,6 @@ mod tests {
             assert_eq!(direct.gpu_loads(), via_ranges.gpu_loads());
             assert_eq!(direct.shards.len(), via_ranges.shards.len());
             for (a, b) in direct.shards.iter().zip(&via_ranges.shards) {
-                assert_eq!(a.stats, b.stats);
                 assert_eq!(a.elem_range, b.elem_range);
             }
         }
@@ -546,14 +519,14 @@ mod tests {
             let single_index = s.index_range.len() == 1;
             if !single_index {
                 assert!(
-                    s.stats.nnz <= 2 * 128,
+                    s.elem_range.len() <= 2 * 128,
                     "multi-index shard grossly over budget: {}",
-                    s.stats.nnz
+                    s.elem_range.len()
                 );
             } else {
                 // Oversized shards must match their index's full count.
                 let idx = s.index_range.start as usize;
-                assert_eq!(s.stats.nnz, hist[idx]);
+                assert_eq!(s.elem_range.len() as u64, hist[idx]);
             }
         }
     }
@@ -659,9 +632,6 @@ mod tests {
                     );
                 }
             }
-            for (s, shard) in mp.shards.iter().enumerate() {
-                assert_eq!(shard.stats, mp.shard_stats(s, &mut scratch));
-            }
         }
     }
 
@@ -677,11 +647,9 @@ mod tests {
         let fresh = ModePlan::build_with_ranges_hist(&t, 0, &t.mode_hist(0), ranges, 150);
         assert_eq!(mp.device_ranges, fresh.device_ranges);
         assert_eq!(mp.shards.len(), fresh.shards.len());
-        let mut scratch = StatsScratch::new();
-        for (s, (a, b)) in mp.shards.iter().zip(&fresh.shards).enumerate() {
+        for (a, b) in mp.shards.iter().zip(&fresh.shards) {
             assert_eq!((a.gpu, &a.index_range), (b.gpu, &b.index_range));
             assert_eq!(a.elem_range, b.elem_range);
-            assert_eq!(mp.shard_stats(s, &mut scratch), b.stats);
         }
         assert_eq!(mp.copy.inputs().as_ptr(), copy);
     }
@@ -730,8 +698,8 @@ mod tests {
             let t = GenSpec::uniform(vec![dim0, 16, 16], nnz, seed).generate();
             let p = ModePlan::build(&t, 0, m, budget);
             // Every element covered exactly once.
-            let total: u64 = p.shards.iter().map(|s| s.stats.nnz).sum();
-            prop_assert_eq!(total as usize, t.nnz());
+            let total: usize = p.shards.iter().map(|s| s.elem_range.len()).sum();
+            prop_assert_eq!(total, t.nnz());
             // Device ranges cover the index space contiguously.
             prop_assert_eq!(p.device_ranges.first().unwrap().start, 0);
             prop_assert_eq!(p.device_ranges.last().unwrap().end, dim0);

@@ -157,7 +157,7 @@ pub fn dram_factor_reads(mut row_counts: Vec<u32>, cache_rows: usize) -> u64 {
 }
 
 /// [`dram_factor_reads`] over a caller-owned buffer (sorted in place, no
-/// allocation) — the form the shard-statistics counting path uses with its
+/// allocation) — the form the `ShardStats` counting core uses with its
 /// reusable scratch.
 pub fn dram_factor_reads_mut(row_counts: &mut [u32], cache_rows: usize) -> u64 {
     if cache_rows >= row_counts.len() {

@@ -210,3 +210,35 @@ fn manual_replan_preserves_mttkrp_correctness() {
         .replan(&ModeAssignment::from_index_ranges(9, whole))
         .is_err());
 }
+
+/// After a replan both engines report the new ranges' loads: each GPU's
+/// share is the sum of the mode histogram over the indices it now owns,
+/// and in core that is also what its shards' element ranges hold.
+#[test]
+fn replanned_loads_are_the_histogram_sums_on_both_engines() {
+    let t = tensor();
+    let spec = PlatformSpec::rtx6000_ada_node(3).scaled(1e-3);
+    let dir = common::ScratchDir::new("als_rebalance");
+    let path = dir.join("loads.tnsb");
+    write_tnsb(&t, &path, 16_384).unwrap();
+    let mut incore = AmpedEngine::new(&t, spec.clone(), cfg()).unwrap();
+    let mut ooc = OocEngine::open(&path, spec, cfg(), t.bytes()).unwrap();
+
+    let (ranges, hist) = (vec![0..2, 2..9, 9..300], t.mode_hist(1));
+    let want: Vec<u64> = ranges
+        .iter()
+        .map(|r| hist[r.start as usize..r.end as usize].iter().sum())
+        .collect();
+    assert_eq!(want.iter().sum::<u64>(), t.nnz() as u64);
+    let assignment = ModeAssignment::from_index_ranges(1, ranges);
+    for e in [&mut incore as &mut dyn MttkrpEngine, &mut ooc] {
+        e.replan(&assignment).unwrap();
+        assert_eq!(e.mode_hist(1), hist);
+        assert_eq!(e.mode_loads(1), want);
+    }
+    let mut from_shards = vec![0u64; want.len()];
+    for s in &incore.plan().modes[1].shards {
+        from_shards[s.gpu] += s.elem_range.len() as u64;
+    }
+    assert_eq!(from_shards, want);
+}

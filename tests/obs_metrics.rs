@@ -258,13 +258,11 @@ fn setup_gauges_split_the_preprocessing_wall() {
     let began = std::time::Instant::now();
     let mut e = AmpedEngine::with_runtime(&t, Box::new(rt), cfg()).unwrap();
     assert_setup_gauges(&reg, e.preprocess_wall(), began.elapsed().as_secs_f64());
-    for phase in [
-        "setup_sort_busy_s",
-        "setup_stats_busy_s",
-        "setup_pricing_busy_s",
-    ] {
+    for phase in ["setup_sort_busy_s", "setup_pricing_busy_s"] {
         assert!(reg.gauge(phase).get() > 0.0, "{phase}");
     }
+    // In core there is no statistics phase: shards are priced per ISP.
+    assert_eq!(reg.gauge("setup_stats_busy_s").get(), 0.0);
     // A replan is preprocessing too: the gauges follow `preprocess_wall`.
     let built = e.preprocess_wall();
     e.replan(&ModeAssignment::from_index_ranges(0, vec![0..10, 10..80]))
