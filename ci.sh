@@ -59,9 +59,9 @@ if [ -n "$(ls -A "$ooc_tmp")" ]; then
 fi
 rmdir "$ooc_tmp"
 # Every baseline system on an 800 k-nnz tensor larger than one scaled GPU:
-# AMPED and BLCO stream it (BLCO launching over a sorted copy of each
-# linearized block), MM-CSF, ParTI and FLYCOO must fail with out-of-memory
-# rather than panic.
+# AMPED and BLCO stream it (BLCO pricing each linearized block; the
+# baselines are models and run no MTTKRP), MM-CSF, ParTI and FLYCOO must
+# fail with out-of-memory rather than panic.
 cargo run --release --example out_of_core
 # Preprocessing wall against BLCO's linearization, with the wall split into
 # sort / pricing busy-seconds — the one bin that reports setup next to an

@@ -8,11 +8,11 @@
 //! 5.3–10.3× gap to AMPED's partitioning in Fig. 6 is the price of that
 //! round trip.
 
-use crate::system::{pipeline_time, Capabilities, MttkrpSystem, SystemRun};
+use crate::system::{
+    cache_rows, factor_bytes, pipeline_time, Capabilities, MttkrpSystem, SystemRun,
+};
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, EqualPlan, ShardStats, StatsScratch};
-use amped_plan::{EqualSplit, Partitioner, PlanStats, UniformCost};
-use amped_runtime::kernels::{launch_mttkrp, CompiledShard, FactorsView, MttkrpOut};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -22,7 +22,7 @@ use amped_tensor::SparseTensor;
 /// Equal-nnz distribution across all GPUs of the platform.
 #[derive(Debug)]
 pub struct EqualNnzSystem {
-    runtime: Box<dyn DeviceRuntime>,
+    runtime: SimRuntime,
     /// Elements per threadblock work unit.
     pub isp_nnz: usize,
     /// Streaming granularity per GPU (elements).
@@ -30,16 +30,10 @@ pub struct EqualNnzSystem {
 }
 
 impl EqualNnzSystem {
-    /// Creates the system using every GPU of `spec` on the default
-    /// simulated runtime.
+    /// Creates the system using every GPU of `spec`.
     pub fn new(spec: PlatformSpec) -> Self {
-        Self::with_runtime(Box::new(SimRuntime::new(spec)))
-    }
-
-    /// Creates the system executing through an explicit device runtime.
-    pub fn with_runtime(runtime: Box<dyn DeviceRuntime>) -> Self {
         Self {
-            runtime,
+            runtime: SimRuntime::new(spec),
             isp_nnz: 8192,
             stream_nnz: 1 << 20,
         }
@@ -64,9 +58,9 @@ impl MttkrpSystem for EqualNnzSystem {
     }
 
     fn execute(&mut self, tensor: &SparseTensor, factors: &[Mat]) -> Result<SystemRun, SimError> {
-        self.runtime.reset_mem();
-        let spec = self.runtime.spec().clone();
-        let runtime = self.runtime.as_mut();
+        let runtime = &mut self.runtime;
+        runtime.reset_mem();
+        let spec = runtime.spec().clone();
         let rank = factors[0].cols();
         let order = tensor.order();
         let m = spec.num_gpus();
@@ -75,37 +69,22 @@ impl MttkrpSystem for EqualNnzSystem {
         let row_bytes = rank as u64 * 4;
 
         // --- Preprocess: none beyond chunk bookkeeping (that is the
-        // scheme's one advantage — no sorted copies needed). The split goes
-        // through the planner layer's [`EqualSplit`] policy, which consumes
-        // only the nonzero total (the empty histogram keeps the
-        // no-preprocessing property honest).
+        // scheme's one advantage — no sorted copies needed).
         let pre_start = std::time::Instant::now();
-        let planner = EqualSplit;
-        let plan_stats = PlanStats {
-            nnz: tensor.nnz() as u64,
-        };
-        let split_cost = UniformCost::new(m);
-        let mut plans: Vec<EqualPlan> = Vec::with_capacity(order);
-        for d in 0..order {
-            let a = planner
-                .plan_mode(d, &[], &plan_stats, &split_cost)
-                .map_err(|e| SimError::Unsupported(format!("equal-nnz split: {e}")))?;
-            plans.push(EqualPlan::build_from_ranges(tensor, d, &a.element_ranges()));
-        }
+        let plans: Vec<EqualPlan> = (0..order).map(|d| EqualPlan::build(tensor, d, m)).collect();
         let preprocess_wall = pre_start.elapsed().as_secs_f64();
 
         // --- Memory: one host copy; per GPU factors + stream buffers (sized
         // to the memory left after factors, as in the AMPED engine).
         runtime.alloc(Device::Host, tensor.bytes(), "tensor copy")?;
-        let factor_bytes: u64 = tensor
-            .shape()
-            .iter()
-            .map(|&d| d as u64 * rank as u64 * 4)
-            .sum();
         let isp_nnz = self.isp_nnz;
         let mut stream_nnz = self.stream_nnz;
         for g in 0..m {
-            runtime.alloc(Device::Gpu(g), factor_bytes, "factor-matrix copies")?;
+            runtime.alloc(
+                Device::Gpu(g),
+                factor_bytes(tensor, rank),
+                "factor-matrix copies",
+            )?;
             let mem_budget =
                 (runtime.mem(Device::Gpu(g)).available() / (4 * tensor.elem_bytes())) as usize;
             stream_nnz = stream_nnz.min(mem_budget.max(isp_nnz));
@@ -116,19 +95,16 @@ impl MttkrpSystem for EqualNnzSystem {
             )?;
         }
 
-        let cache_rows = (gpu.l2_bytes / (rank as u64 * 4)).max(1) as usize;
+        let cache_rows = cache_rows(gpu, rank);
         let mut scratch = StatsScratch::new();
-        let mut fs = factors.to_vec();
+        let mut priced_nnz = vec![0u64; order];
         let mut report = RunReport {
             preprocess_wall,
             per_gpu: vec![TimeBreakdown::default(); m],
             ..Default::default()
         };
 
-        for d in 0..order {
-            let plan = &plans[d];
-            let out = MttkrpOut::zeros(tensor.dim(d) as usize, rank);
-            let fviews = FactorsView::new(fs.iter().map(|f| f.as_slice()).collect(), rank);
+        for (d, plan) in plans.iter().enumerate() {
             let mut ends = vec![0.0f64; m];
             for chunk in &plan.chunks {
                 let g = chunk.gpu;
@@ -153,6 +129,7 @@ impl MttkrpSystem for EqualNnzSystem {
                                 cache_rows,
                                 &mut scratch,
                             );
+                            priced_nnz[d] += st.nnz;
                             let bs = BlockStats {
                                 nnz: st.nnz,
                                 distinct_out: st.distinct_out,
@@ -168,28 +145,6 @@ impl MttkrpSystem for EqualNnzSystem {
                         })
                         .collect();
                     computes.push(runtime.makespan(g, &costs).makespan);
-
-                    // Real execution through the kernel layer into the
-                    // shared output (the host merge is priced below;
-                    // numerically the merge of partial sums equals direct
-                    // accumulation): the piece as a copy sorted by mode
-                    // `d`, the same ISP ranges rebased to its start.
-                    let copy = CompiledShard::compile(
-                        &tensor.indices_flat()[piece.start * order..piece.end * order],
-                        &tensor.values()[piece.clone()],
-                        order,
-                        d,
-                    );
-                    let blocks = isp_ranges(0..piece.len(), isp_nnz);
-                    launch_mttkrp(
-                        runtime,
-                        g,
-                        &copy.sorted_coo(),
-                        &fviews,
-                        &blocks,
-                        &costs,
-                        &out,
-                    );
                 }
                 let (end, busy) = pipeline_time(&transfers, &computes);
                 ends[g] = end;
@@ -227,53 +182,12 @@ impl MttkrpSystem for EqualNnzSystem {
             let wall = barrier + d2h + merge + bcast;
             report.per_mode.push(wall);
             report.total_time += wall;
-            fs[d] = Mat::from_vec(tensor.dim(d) as usize, rank, out.to_vec());
-            fs[d].normalize_cols(); // keep chained values in f32 range (ALS λ-normalization)
         }
 
         Ok(SystemRun {
             report,
-            factors: fs,
+            priced_nnz,
             gpu_mem_peak: runtime.gpu_mem_peak(),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use amped_core::reference::mttkrp_ref;
-    use amped_tensor::gen::GenSpec;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn equal_nnz_matches_reference_chain() {
-        let t = GenSpec::uniform(vec![30, 30, 30], 1500, 251).generate();
-        let mut rng = SmallRng::seed_from_u64(252);
-        let factors: Vec<Mat> = t
-            .shape()
-            .iter()
-            .map(|&d| Mat::random(d as usize, 8, &mut rng))
-            .collect();
-        let mut sys = EqualNnzSystem::new(PlatformSpec::rtx6000_ada_node(4).scaled(1e-3));
-        sys.isp_nnz = 128;
-        sys.stream_nnz = 256;
-        let run = sys.execute(&t, &factors).unwrap();
-        let mut want = factors.clone();
-        for d in 0..3 {
-            want[d] = mttkrp_ref(&t, &want, d);
-            want[d].normalize_cols();
-        }
-        for (d, w) in want.iter().enumerate() {
-            assert!(
-                run.factors[d].approx_eq(w, 2e-3, 1e-3),
-                "mode {d}: max diff {}",
-                run.factors[d].max_abs_diff(w)
-            );
-        }
-        // The merge round trip must be visible in the breakdown.
-        assert!(run.report.per_gpu[0].d2h > 0.0);
-        assert!(run.report.per_gpu[0].host > 0.0);
     }
 }

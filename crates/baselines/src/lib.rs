@@ -16,10 +16,13 @@
 //! | FLYCOO-GPU (CF'24) | [`flycoo`] | 2 × COO copies | GPU-resident (1 GPU) | 2 tensor copies |
 //! | equal-nnz (Fig. 6) | [`equal_nnz`] | COO chunks | streamed to `m` GPUs | host merge per mode |
 //!
-//! Every system produces *real* factor matrices (validated against the
-//! reference MTTKRP) and a simulated [`amped_sim::metrics::RunReport`];
-//! out-of-memory outcomes arise from capacity accounting against the scaled
-//! platform, not from hard-coded tables.
+//! The baselines are models, not executors: each one is its format's
+//! partition into blocks, its memory charges and its per-block pricing,
+//! producing a simulated [`amped_sim::metrics::RunReport`] and the nonzeros
+//! it priced per mode ([`SystemRun::priced_nnz`]). No baseline computes
+//! factors; AMPED, the system under test, runs its engine. Out-of-memory
+//! outcomes arise from capacity accounting against the scaled platform, not
+//! from hard-coded tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

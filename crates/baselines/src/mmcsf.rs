@@ -7,9 +7,10 @@
 //! mode at the fiber root are atomic-free. Supports 3- and 4-mode tensors
 //! only, which is why the paper reports no Twitch number for it.
 
-use crate::system::{stats_from_coords, Capabilities, MttkrpSystem, SystemRun};
+use crate::system::{cache_rows, factor_bytes, Capabilities, MttkrpSystem, SystemRun};
 use amped_formats::CsfTensor;
 use amped_linalg::Mat;
+use amped_partition::{ShardStats, StatsScratch};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime};
 use amped_sim::costmodel::{BlockStats, CostModel};
 use amped_sim::metrics::RunReport;
@@ -22,23 +23,17 @@ const DECODE_FACTOR: f64 = 1.1;
 /// MM-CSF on one simulated GPU.
 #[derive(Debug)]
 pub struct MmCsfSystem {
-    runtime: Box<dyn DeviceRuntime>,
+    runtime: SimRuntime,
     /// Target elements per threadblock work unit (root fibers are grouped
     /// until this many leaves accumulate).
     pub isp_nnz: usize,
 }
 
 impl MmCsfSystem {
-    /// Creates the system on the default simulated runtime (only GPU 0 of
-    /// the platform is used).
+    /// Creates the system (only GPU 0 of the platform is used).
     pub fn new(spec: PlatformSpec) -> Self {
-        Self::with_runtime(Box::new(SimRuntime::new(spec)))
-    }
-
-    /// Creates the system executing through an explicit device runtime.
-    pub fn with_runtime(runtime: Box<dyn DeviceRuntime>) -> Self {
         Self {
-            runtime,
+            runtime: SimRuntime::new(spec),
             isp_nnz: 8192,
         }
     }
@@ -68,45 +63,45 @@ impl MttkrpSystem for MmCsfSystem {
                 "MM-CSF supports 3- and 4-mode tensors, got {order} modes"
             )));
         }
-        self.runtime.reset_mem();
-        let spec = self.runtime.spec().clone();
+        let runtime = &mut self.runtime;
+        runtime.reset_mem();
+        let gpu = runtime.spec().gpus[0].clone();
         let rank = factors[0].cols();
-        let gpu = &spec.gpus[0];
         let cost = CostModel::default();
 
+        // --- Memory, build phase: GPU-side construction stages the COO
+        // input plus a sort scratch array. Charged before the trees are
+        // built, so a tensor that cannot be staged fails without building
+        // them.
+        let (coo_staging, sort_scratch) = (tensor.bytes(), tensor.nnz() as u64 * 8);
+        runtime.alloc(Device::Gpu(0), coo_staging, "COO build staging")?;
+        runtime.alloc(Device::Gpu(0), sort_scratch, "sort scratch")?;
+
         // --- Preprocess: per-output-mode CSF trees (the real system derives
-        // all-mode kernels from one mixed tree; per-mode trees compute the
-        // same result — memory is charged per the published footprint below).
+        // all-mode kernels from one mixed tree; per-mode trees have the same
+        // fiber structure — memory is charged per the published footprint
+        // below).
         let csfs: Vec<CsfTensor> = (0..order)
             .map(|d| CsfTensor::build(tensor, &CsfTensor::order_for_output(tensor, d)))
             .collect();
         let preprocess_wall: f64 = csfs.iter().map(|c| c.preprocess_wall).sum();
 
-        // --- Memory: GPU-side construction stages the COO input plus a sort
-        // scratch array; afterwards the resident footprint is the (largest)
-        // CSF representation plus factor matrices.
-        let factor_bytes: u64 = tensor
-            .shape()
-            .iter()
-            .map(|&d| d as u64 * rank as u64 * 4)
-            .sum();
-        let coo_staging = tensor.bytes();
-        let sort_scratch = tensor.nnz() as u64 * 8;
-        let csf_resident = csfs.iter().map(|c| c.bytes()).max().unwrap_or(0);
-        let runtime = self.runtime.as_mut();
-        // Build phase: COO + sort scratch live on the device…
-        runtime.alloc(Device::Gpu(0), coo_staging, "COO build staging")?;
-        runtime.alloc(Device::Gpu(0), sort_scratch, "sort scratch")?;
-        // …and are released before the resident structures are installed
-        // (peak = max of the two phases, matching the published system's
-        // observed footprint on the paper's datasets).
+        // --- Memory, resident phase: the staging is released before the
+        // (largest) CSF representation and the factor matrices are
+        // installed (peak = max of the two phases, matching the published
+        // system's observed footprint on the paper's datasets).
         runtime.free(Device::Gpu(0), coo_staging + sort_scratch);
+        let csf_resident = csfs.iter().map(|c| c.bytes()).max().unwrap_or(0);
         runtime.alloc(Device::Gpu(0), csf_resident, "CSF resident tensor")?;
-        runtime.alloc(Device::Gpu(0), factor_bytes, "factor-matrix copies")?;
+        runtime.alloc(
+            Device::Gpu(0),
+            factor_bytes(tensor, rank),
+            "factor-matrix copies",
+        )?;
 
-        let isp_nnz = self.isp_nnz;
-        let cache_rows = (gpu.l2_bytes / (rank as u64 * 4)).max(1) as usize;
-        let mut fs = factors.to_vec();
+        let cache_rows = cache_rows(&gpu, rank);
+        let mut scratch = StatsScratch::new();
+        let mut priced_nnz = vec![0u64; order];
         let mut report = RunReport {
             preprocess_wall,
             per_gpu: vec![TimeBreakdown::default()],
@@ -115,68 +110,38 @@ impl MttkrpSystem for MmCsfSystem {
 
         for (d, csf) in csfs.iter().enumerate() {
             // Group root fibers into threadblock work units of ~isp_nnz
-            // leaves. Each unit owns its output rows — no atomics.
-            let roots = csf.root_fibers();
-            let counts = csf.root_leaf_counts();
-            let mut units: Vec<std::ops::Range<usize>> = Vec::new();
-            {
-                let mut start = 0usize;
-                let mut leaves = 0usize;
-                for (f, &c) in counts.iter().enumerate() {
-                    leaves += c;
-                    if leaves >= isp_nnz || f + 1 == roots {
-                        units.push(start..f + 1);
-                        start = f + 1;
-                        leaves = 0;
-                    }
-                }
-            }
-            // Costs per unit from the unit's element statistics.
+            // leaves, as element ranges of the tensor in the tree's
+            // lexicographic order. Each unit owns its output rows — no
+            // atomics.
             let sorted = tensor.sorted_lex(csf.mode_order());
-            let mut elem_offset = vec![0usize; roots + 1];
-            for f in 0..roots {
-                elem_offset[f + 1] = elem_offset[f] + counts[f];
+            let mut units: Vec<std::ops::Range<usize>> = Vec::new();
+            let (mut start, mut end) = (0usize, 0usize);
+            let counts = csf.root_leaf_counts();
+            for (f, &c) in counts.iter().enumerate() {
+                end += c;
+                if end - start >= self.isp_nnz || f + 1 == counts.len() {
+                    units.push(start..end);
+                    start = end;
+                }
             }
             let costs: Vec<f64> = units
                 .iter()
                 .map(|u| {
-                    let lo = elem_offset[u.start];
-                    let hi = elem_offset[u.end];
-                    let st = stats_from_coords(
-                        d,
-                        order,
-                        (lo..hi).map(|e| sorted.coords(e).to_vec()),
-                        cache_rows,
-                    );
+                    let unit = &sorted.indices_flat()[u.start * order..u.end * order];
+                    let st =
+                        ShardStats::compute_from_coords(unit, order, d, cache_rows, &mut scratch);
+                    priced_nnz[d] += st.nnz;
                     let bs = BlockStats {
-                        nnz: st.nnz,
-                        distinct_out: st.distinct_out,
                         max_out_run: 1, // atomic-free at the root
-                        distinct_in_total: st.distinct_in,
-                        dram_factor_reads: st.dram_factor_reads,
-                        sorted_by_output: true, // fiber roots own their rows
-                        order,
-                        rank,
-                        // CSF streams ~8 B per leaf (fid + value); internal
-                        // levels amortize across leaves.
-                        elem_bytes: 8,
+                        // Fiber roots own their rows; CSF streams ~8 B per
+                        // leaf (fid + value), internal levels amortize
+                        // across leaves.
+                        ..st.block(order, rank, 8, true)
                     };
-                    cost.block_time(gpu, &bs, DECODE_FACTOR, units.len())
+                    cost.block_time(&gpu, &bs, DECODE_FACTOR, units.len())
                 })
                 .collect();
             let makespan = runtime.makespan(0, &costs).makespan;
-
-            // Real execution: tensor is resident, so there is no per-mode
-            // streaming; units write disjoint output rows and run
-            // sequentially here (simulated parallel time comes from the
-            // list schedule above).
-            let mut out = Mat::zeros(tensor.dim(d) as usize, rank);
-            for u in &units {
-                csf.mttkrp_root_range(u.clone(), &fs, &mut out);
-            }
-            fs[d] = out;
-            fs[d].normalize_cols(); // keep chained values in f32 range
-
             report.per_gpu[0].compute += makespan;
             report.per_mode.push(makespan);
             report.total_time += makespan;
@@ -184,7 +149,7 @@ impl MttkrpSystem for MmCsfSystem {
 
         Ok(SystemRun {
             report,
-            factors: fs,
+            priced_nnz,
             gpu_mem_peak: runtime.mem(Device::Gpu(0)).peak(),
         })
     }
@@ -193,39 +158,7 @@ impl MttkrpSystem for MmCsfSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amped_core::reference::mttkrp_ref;
     use amped_tensor::gen::GenSpec;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn mmcsf_matches_reference_chain() {
-        let t = GenSpec::uniform(vec![25, 35, 30], 1800, 221).generate();
-        let mut rng = SmallRng::seed_from_u64(222);
-        let factors: Vec<Mat> = t
-            .shape()
-            .iter()
-            .map(|&d| Mat::random(d as usize, 8, &mut rng))
-            .collect();
-        let mut sys = MmCsfSystem::new(PlatformSpec::rtx6000_ada_node(1).scaled(1e-3));
-        sys.isp_nnz = 128;
-        let run = sys.execute(&t, &factors).unwrap();
-        let mut want = factors.clone();
-        for d in 0..3 {
-            want[d] = mttkrp_ref(&t, &want, d);
-            want[d].normalize_cols();
-        }
-        for (d, w) in want.iter().enumerate() {
-            assert!(
-                run.factors[d].approx_eq(w, 2e-3, 1e-3),
-                "mode {d}: max diff {}",
-                run.factors[d].max_abs_diff(w)
-            );
-        }
-        // Resident: no streaming, no p2p.
-        assert_eq!(run.report.per_gpu[0].h2d, 0.0);
-        assert_eq!(run.report.per_gpu[0].p2p, 0.0);
-    }
 
     #[test]
     fn mmcsf_rejects_five_modes() {

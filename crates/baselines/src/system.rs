@@ -1,8 +1,8 @@
-//! The common baseline interface and shared execution helpers.
+//! The common baseline interface and shared pricing helpers.
 
 use amped_linalg::Mat;
 use amped_sim::metrics::RunReport;
-use amped_sim::SimError;
+use amped_sim::{GpuSpec, SimError};
 use amped_tensor::SparseTensor;
 use serde::Serialize;
 
@@ -31,14 +31,16 @@ pub struct Capabilities {
 pub struct SystemRun {
     /// Simulated timing (includes real preprocessing wall time).
     pub report: RunReport,
-    /// Final factor matrices (each mode's MTTKRP output replaces the factor
-    /// before the next mode, as in Algorithm 1).
-    pub factors: Vec<Mat>,
+    /// Per mode, the nonzeros the modeled time covers: the sum of
+    /// [`amped_sim::costmodel::BlockStats::nnz`] over the blocks the system
+    /// priced. Every element lands in exactly one block, so each entry is
+    /// the tensor's nonzero count.
+    pub priced_nnz: Vec<u64>,
     /// Peak simulated GPU memory across devices, bytes.
     pub gpu_mem_peak: u64,
 }
 
-/// A system under evaluation: preprocesses a tensor and executes MTTKRP
+/// A system under evaluation: preprocesses a tensor and models MTTKRP
 /// along all modes on the simulated platform.
 pub trait MttkrpSystem {
     /// System name (Figure 5 x-axis labels).
@@ -47,10 +49,12 @@ pub trait MttkrpSystem {
     /// Qualitative characteristics (Table 1).
     fn capabilities(&self) -> Capabilities;
 
-    /// Preprocesses `tensor`, charges memory, and runs MTTKRP along all
-    /// modes starting from `factors`. Errors with
-    /// [`SimError::OutOfMemory`] / [`SimError::Unsupported`] reproduce the
-    /// paper's "runtime error" bars.
+    /// Preprocesses `tensor` into the system's format, charges its memory
+    /// and prices MTTKRP along all modes at the rank of `factors`. The
+    /// baselines are models: they read only the rank and compute no
+    /// factors. AMPED, the system under test, runs its engine on `factors`.
+    /// Errors with [`SimError::OutOfMemory`] / [`SimError::Unsupported`]
+    /// reproduce the paper's "runtime error" bars.
     fn execute(&mut self, tensor: &SparseTensor, factors: &[Mat]) -> Result<SystemRun, SimError>;
 }
 
@@ -90,100 +94,39 @@ pub fn chunk_ranges(total: usize, per_chunk: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Cost-model statistics of a chunk of elements, computed from coordinate
-/// vectors — works for any format's block iteration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChunkStats {
-    /// Element count.
-    pub nnz: u64,
-    /// Distinct output-mode indices.
-    pub distinct_out: u64,
-    /// Longest same-output-index run (atomic serialization depth).
-    pub max_out_run: u64,
-    /// Sum over input modes of distinct indices touched.
-    pub distinct_in: u64,
-    /// Factor-row reads reaching DRAM with `cache_rows` hot rows resident.
-    pub dram_factor_reads: u64,
+/// Bytes of one `f32` copy of every factor matrix at `rank`.
+pub fn factor_bytes(tensor: &SparseTensor, rank: usize) -> u64 {
+    tensor
+        .shape()
+        .iter()
+        .map(|&d| d as u64 * rank as u64 * 4)
+        .sum()
 }
 
-/// Computes [`ChunkStats`] for output mode `mode`; `cache_rows` is the L2
-/// capacity in factor rows (see [`amped_sim::costmodel::dram_factor_reads`]).
-pub fn stats_from_coords(
-    mode: usize,
-    order: usize,
-    coords: impl Iterator<Item = Vec<amped_tensor::Idx>>,
-    cache_rows: usize,
-) -> ChunkStats {
-    let mut per_mode: Vec<Vec<amped_tensor::Idx>> = vec![Vec::new(); order];
-    let mut nnz = 0u64;
-    for c in coords {
-        debug_assert_eq!(c.len(), order);
-        for (m, &i) in c.iter().enumerate() {
-            per_mode[m].push(i);
-        }
-        nnz += 1;
-    }
-    let out = &mut per_mode[mode];
-    out.sort_unstable();
-    let mut distinct_out = 0u64;
-    let mut max_out_run = 0u64;
-    let mut run = 0u64;
-    let mut prev = None;
-    for &i in out.iter() {
-        if prev == Some(i) {
-            run += 1;
-        } else {
-            distinct_out += 1;
-            run = 1;
-            prev = Some(i);
-        }
-        max_out_run = max_out_run.max(run);
-    }
-    let mut distinct_in = 0u64;
-    let mut row_counts: Vec<u32> = Vec::new();
-    for (m, v) in per_mode.iter_mut().enumerate() {
-        if m == mode {
-            continue;
-        }
-        v.sort_unstable();
-        let mut i = 0;
-        while i < v.len() {
-            let mut j = i + 1;
-            while j < v.len() && v[j] == v[i] {
-                j += 1;
-            }
-            distinct_in += 1;
-            row_counts.push((j - i) as u32);
-            i = j;
-        }
-    }
-    let dram_factor_reads = amped_sim::costmodel::dram_factor_reads(row_counts, cache_rows);
-    ChunkStats {
-        nnz,
-        distinct_out,
-        max_out_run,
-        distinct_in,
-        dram_factor_reads,
-    }
+/// L2 capacity of `gpu` in factor rows at `rank`.
+pub fn cache_rows(gpu: &GpuSpec, rank: usize) -> usize {
+    (gpu.l2_bytes / (rank as u64 * 4)).max(1) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amped_partition::{ShardStats, StatsScratch};
+
+    /// The statistics every baseline prices a chunk with: output mode 0 of
+    /// a 3-mode chunk given as row-major coordinates.
+    fn stats_from_coords(coords: &[u32], cache_rows: usize) -> ShardStats {
+        ShardStats::compute_from_coords(coords, 3, 0, cache_rows, &mut StatsScratch::new())
+    }
 
     #[test]
     fn stats_from_coords_basics() {
-        let elems = vec![
-            vec![1u32, 0, 0],
-            vec![1, 1, 2],
-            vec![1, 1, 3],
-            vec![2, 3, 3],
-        ];
-        let st = stats_from_coords(0, 3, elems.into_iter(), usize::MAX);
+        let coords = [1u32, 0, 0, 1, 1, 2, 1, 1, 3, 2, 3, 3];
+        let st = stats_from_coords(&coords, usize::MAX);
         assert_eq!(st.nnz, 4);
         assert_eq!(st.distinct_out, 2);
         assert_eq!(st.max_out_run, 3);
-        assert_eq!(st.distinct_in, 3 + 3);
+        assert_eq!(st.distinct_in_total, 3 + 3);
         // Infinite cache: DRAM reads = one cold fill per distinct row.
         assert_eq!(st.dram_factor_reads, 6);
     }
@@ -191,13 +134,13 @@ mod tests {
     #[test]
     fn stats_cache_capacity_bounds_reads() {
         // One row accessed 5×, four rows once each (mode-1 inputs).
-        let elems: Vec<Vec<u32>> = (0..9u32)
-            .map(|i| vec![0, if i < 5 { 7 } else { 8 + i }, 0])
+        let coords: Vec<u32> = (0..9u32)
+            .flat_map(|i| [0, if i < 5 { 7 } else { 8 + i }, 0])
             .collect();
-        let all = stats_from_coords(0, 3, elems.clone().into_iter(), usize::MAX);
+        let all = stats_from_coords(&coords, usize::MAX);
         // mode1: {7×5, 13,14,15,16}; mode2: {0×9}.
         assert_eq!(all.dram_factor_reads, 5 + 1);
-        let one = stats_from_coords(0, 3, elems.into_iter(), 1);
+        let one = stats_from_coords(&coords, 1);
         // Only the hottest row is cached (mode2's index 0, 9 accesses → one
         // fill); everything else misses: 1 + (5 + 4) = 10.
         assert_eq!(one.dram_factor_reads, 10);
@@ -205,7 +148,7 @@ mod tests {
 
     #[test]
     fn stats_empty_chunk() {
-        let st = stats_from_coords(0, 3, std::iter::empty(), 8);
+        let st = stats_from_coords(&[], 8);
         assert_eq!(st.nnz, 0);
         assert_eq!(st.dram_factor_reads, 0);
     }

@@ -20,14 +20,12 @@
 use crate::config::AmpedConfig;
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
-use amped_plan::{
-    AssignmentSpace, ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery,
-};
+use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{
     Collective, Device, DeviceRuntime, FactorBlock, SimRuntime, Timeline, TuneParams,
 };
-use amped_sim::costmodel::{BlockStats, CostModel};
+use amped_sim::costmodel::CostModel;
 use amped_sim::metrics::RunReport;
 use amped_sim::obs::{Counter, MetricsRegistry};
 use amped_sim::{host_workers, PlatformSpec, SimError, TimeBreakdown};
@@ -433,19 +431,14 @@ impl<S: Source> MttkrpEngine for Engine<S> {
     /// re-scans that mode's sorted section — real chunk I/O, which is
     /// exactly the trade the imbalance threshold gates.
     fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
-        // `assignment` must name a mode, own output indices, target every
-        // device and cover that mode's index space.
+        // `assignment` must name a mode, target every device and cover that
+        // mode's index space.
         let (shape, m, d) = (self.source.shape(), self.spec.num_gpus(), assignment.mode);
         if d >= shape.len() {
             return Err(SimError::Unsupported(format!(
                 "replan mode {d} out of range for order {}",
                 shape.len()
             )));
-        }
-        if assignment.space != AssignmentSpace::OutputIndex {
-            return Err(SimError::Unsupported(
-                "engine replan requires an output-index assignment".into(),
-            ));
         }
         if assignment.num_devices() != m {
             return Err(SimError::Unsupported(format!(
@@ -454,7 +447,7 @@ impl<S: Source> MttkrpEngine for Engine<S> {
             )));
         }
         assignment
-            .validate(shape[d] as u64)
+            .validate(shape[d])
             .map_err(SimError::Unsupported)?;
         self.source
             .recut(self.runtime.as_ref(), &self.cfg, assignment)?;
@@ -592,8 +585,8 @@ impl AmpedEngine {
     /// with [`NnzCcp`] this is bit-identical to the pre-planner engine
     /// (`tests/runtime_equivalence.rs`).
     ///
-    /// Fails with [`SimError::Unsupported`] if the planner produces an
-    /// element-space or malformed assignment.
+    /// Fails with [`SimError::Unsupported`] if the planner produces a
+    /// malformed assignment.
     pub fn with_planner(
         tensor: &SparseTensor,
         runtime: Box<dyn DeviceRuntime>,
@@ -704,7 +697,7 @@ impl Source for Resident {
         let (spec, cost) = (runtime.spec(), CostModel::default());
         let isps = self.plan.recut_priced(
             d,
-            assignment.index_ranges(),
+            assignment.ranges.clone(),
             cfg.shard_nnz_budget,
             host_workers(),
             |mp, shard, scratch| price_shard(spec, &cost, cfg, mp, shard, scratch),
@@ -839,16 +832,8 @@ fn plan_and_price(
             let a = planner
                 .plan_mode(d, hist, &stats, &cost)
                 .map_err(|e| SimError::Unsupported(format!("planner '{}': {e}", planner.name())))?;
-            if a.space != AssignmentSpace::OutputIndex {
-                return Err(SimError::Unsupported(format!(
-                    "planner '{}' produced an element-space assignment; the AMPED engine \
-                     requires output-index ownership",
-                    planner.name()
-                )));
-            }
-            a.validate(tensor.dim(d) as u64)
-                .map_err(SimError::Unsupported)?;
-            Ok(a.index_ranges())
+            a.validate(tensor.dim(d)).map_err(SimError::Unsupported)?;
+            Ok(a.ranges)
         },
         |mp, shard, scratch| price_shard(spec, &block_cost, cfg, mp, shard, scratch),
     )
@@ -876,17 +861,8 @@ fn price_shard(
         .into_iter()
         .map(|r| {
             let st = mp.range_stats(r.clone(), cache_rows, scratch);
-            let bs = BlockStats {
-                nnz: st.nnz,
-                distinct_out: st.distinct_out,
-                max_out_run: st.max_out_run,
-                distinct_in_total: st.distinct_in_total,
-                dram_factor_reads: st.dram_factor_reads,
-                sorted_by_output: true, // per-mode sorted copies
-                order: mp.copy.order(),
-                rank: cfg.rank,
-                elem_bytes: mp.copy.elem_bytes(),
-            };
+            // Per-mode sorted copies: output indices arrive clustered.
+            let bs = st.block(mp.copy.order(), cfg.rank, mp.copy.elem_bytes(), true);
             IspUnit {
                 range: r,
                 cost: cost.block_time(gpu, &bs, 1.0, concurrency),
@@ -1136,8 +1112,11 @@ pub(crate) mod tests {
         };
         let (before, wall) = (buffers(&e), e.preprocess_wall());
         let ranges = vec![0..3, 3..20, 20..50, 50..80];
-        e.replan(&ModeAssignment::from_index_ranges(0, ranges.clone()))
-            .unwrap();
+        e.replan(&ModeAssignment {
+            mode: 0,
+            ranges: ranges.clone(),
+        })
+        .unwrap();
         assert_eq!(buffers(&e), before, "the sorted copy must not move");
         assert!(e.preprocess_wall() > wall, "replanning is preprocessing");
         let fresh = ModePlan::build_with_ranges_hist(

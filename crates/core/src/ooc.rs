@@ -246,7 +246,7 @@ impl Source for Streamed {
         cfg: &AmpedConfig,
         assignment: &ModeAssignment,
     ) -> Result<(), SimError> {
-        let (d, ranges) = (assignment.mode, assignment.index_ranges());
+        let (d, ranges) = (assignment.mode, assignment.ranges.clone());
         let rows = cache_rows(runtime.spec(), cfg.rank);
         let reader = &mut self.reader;
         self.plan

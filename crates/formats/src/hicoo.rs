@@ -34,34 +34,19 @@ impl HicooTensor {
         assert!((1..=8).contains(&block_bits), "block bits must be in 1..=8");
         let start = std::time::Instant::now();
         let n = t.order();
-        // Sort elements by block coordinate tuple (grouping equal blocks).
-        let mut perm: Vec<usize> = (0..t.nnz()).collect();
-        let block_of = |e: usize, m: usize| t.idx(e, m) >> block_bits;
-        perm.sort_unstable_by(|&a, &b| {
-            for m in 0..n {
-                match block_of(a, m).cmp(&block_of(b, m)) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        let (keys, perm) = Self::block_order(t, block_bits);
+        let key = |e: usize| &keys[e * n..(e + 1) * n];
         let mut bptr = Vec::new();
         let mut bindex = Vec::new();
         let mut eindex = Vec::with_capacity(t.nnz() * n);
         let mut values = Vec::with_capacity(t.nnz());
         let mask = (1u32 << block_bits) - 1;
-        let mut prev_block: Option<Vec<Idx>> = None;
         for (pos, &e) in perm.iter().enumerate() {
-            let blk: Vec<Idx> = (0..n).map(|m| block_of(e, m)).collect();
-            if prev_block.as_ref() != Some(&blk) {
+            if pos == 0 || key(perm[pos - 1]) != key(e) {
                 bptr.push(pos);
-                bindex.extend(blk.iter().map(|&b| b << block_bits));
-                prev_block = Some(blk);
+                bindex.extend(key(e).iter().map(|&b| b << block_bits));
             }
-            for m in 0..n {
-                eindex.push((t.idx(e, m) & mask) as u8);
-            }
+            eindex.extend(t.coords(e).iter().map(|&i| (i & mask) as u8));
             values.push(t.value(e));
         }
         bptr.push(t.nnz());
@@ -76,17 +61,27 @@ impl HicooTensor {
         }
     }
 
+    /// Every element's block coordinates at `block_bits` (`nnz × order`,
+    /// row-major) and the element order that sorts them lexicographically,
+    /// grouping each block's elements together.
+    fn block_order(t: &SparseTensor, block_bits: u32) -> (Vec<Idx>, Vec<usize>) {
+        let n = t.order();
+        let keys: Vec<Idx> = t.indices_flat().iter().map(|&i| i >> block_bits).collect();
+        let mut perm: Vec<usize> = (0..t.nnz()).collect();
+        perm.sort_unstable_by(|&a, &b| keys[a * n..(a + 1) * n].cmp(&keys[b * n..(b + 1) * n]));
+        (keys, perm)
+    }
+
     /// Picks the smallest block size (in 2..=8 bits) whose nonempty blocks
     /// average at least `min_avg` elements, falling back to 8 bits; this is
     /// the "recommended configuration" knob of the ParTI repository.
     pub fn auto_block_bits(t: &SparseTensor, min_avg: f64) -> u32 {
+        let n = t.order();
         for bits in 2..=8u32 {
-            let mut keys: Vec<Vec<Idx>> = (0..t.nnz())
-                .map(|e| (0..t.order()).map(|m| t.idx(e, m) >> bits).collect())
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let nonempty = keys.len().max(1);
+            let (keys, perm) = Self::block_order(t, bits);
+            let key = |e: usize| &keys[e * n..(e + 1) * n];
+            // Distinct adjacent keys in sorted order (1 on an empty tensor).
+            let nonempty = 1 + perm.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
             if t.nnz() as f64 / nonempty as f64 >= min_avg {
                 return bits;
             }
@@ -272,6 +267,49 @@ mod tests {
         assert!(HicooTensor::auto_block_bits(&clustered, 8.0) <= 3);
         let scattered = GenSpec::uniform(vec![1 << 20, 1 << 20, 1 << 20], 300, 56).generate();
         assert_eq!(HicooTensor::auto_block_bits(&scattered, 8.0), 8);
+    }
+
+    /// Six dense 24³ clusters scattered over a 4096³ index space.
+    fn six_clusters() -> SparseTensor {
+        let mut t = SparseTensor::new(vec![4096, 4096, 4096]);
+        let mut x = 7u64;
+        for b in 0..6u32 {
+            let base = [b * 600 + 11, 4000 - b * 500, b * 300 + 900];
+            for _ in 0..500 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let c = [(x >> 20) as u32, (x >> 30) as u32, (x >> 40) as u32].map(|c| c % 24);
+                t.push(&[base[0] + c[0], base[1] - c[1], base[2] + c[2]], 1.0);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn auto_block_bits_and_layout_are_pinned() {
+        // Widths for min_avg 2 / 8 / 32, and the block count and bytes at
+        // the min_avg-8 width: the choice and the layout ParTI's modeled
+        // time and memory are built on.
+        let uniform = GenSpec::uniform(vec![256, 256, 256], 40_000, 41).generate();
+        let zipf = GenSpec {
+            shape: vec![1000, 1000, 1000],
+            nnz: 30_000,
+            skew: vec![1.0, 1.0, 1.0],
+            seed: 42,
+        }
+        .generate();
+        let cases = [
+            (uniform, [4, 4, 5], 4096, 361_920),
+            (zipf, [5, 6, 7], 3370, 277_400),
+            (six_clusters(), [2, 3, 4], 316, 27_320),
+        ];
+        for (t, bits, blocks, bytes) in cases {
+            let got = [2.0, 8.0, 32.0].map(|a| HicooTensor::auto_block_bits(&t, a));
+            assert_eq!(got, bits);
+            let h = HicooTensor::build(&t, bits[1]);
+            assert_eq!((h.num_blocks(), h.bytes()), (blocks, bytes));
+        }
     }
 
     #[test]

@@ -43,38 +43,12 @@ impl EqualPlan {
         assert!(num_gpus > 0, "need at least one GPU");
         let nnz = t.nnz();
         let per = nnz.div_ceil(num_gpus);
-        let ranges: Vec<Range<usize>> = (0..num_gpus)
-            .map(|g| (g * per).min(nnz)..((g + 1) * per).min(nnz))
-            .collect();
-        Self::build_from_ranges(t, d, &ranges)
-    }
-
-    /// Builds the plan for externally supplied contiguous element ranges —
-    /// the seam the `amped-plan` partitioner layer materializes element-space
-    /// assignments through. The chunk statistics and conflict accounting are
-    /// byte-for-byte the wiring [`EqualPlan::build`] uses.
-    ///
-    /// # Panics
-    /// Panics if the ranges do not tile `0..t.nnz()` contiguously in order.
-    pub fn build_from_ranges(t: &SparseTensor, d: usize, ranges: &[Range<usize>]) -> Self {
-        let num_gpus = ranges.len();
-        assert!(num_gpus > 0, "need at least one GPU");
-        assert_eq!(ranges[0].start, 0, "ranges must start at element 0");
-        assert_eq!(
-            ranges[num_gpus - 1].end,
-            t.nnz(),
-            "ranges must cover every element"
-        );
-        assert!(
-            ranges.windows(2).all(|w| w[0].end == w[1].start),
-            "element ranges must be contiguous and in order"
-        );
         let mut chunks = Vec::with_capacity(num_gpus);
         let mut touched = vec![0u8; t.dim(d) as usize]; // count of GPUs touching each row (saturating at 2)
         let mut total_touched_rows = 0u64;
         let mut scratch = StatsScratch::new();
-        for (g, range) in ranges.iter().enumerate() {
-            let (lo, hi) = (range.start, range.end);
+        for g in 0..num_gpus {
+            let (lo, hi) = ((g * per).min(nnz), ((g + 1) * per).min(nnz));
             let stats = ShardStats::compute_scratch(t, d, lo..hi, usize::MAX, &mut scratch);
             total_touched_rows += stats.distinct_out;
             // Mark the rows this GPU touches (distinct per GPU).
@@ -142,28 +116,6 @@ mod tests {
             "expected conflicted rows on random data"
         );
         assert!(p.total_touched_rows >= p.conflicted_rows);
-    }
-
-    #[test]
-    fn build_from_ranges_matches_build() {
-        let t = GenSpec::uniform(vec![20, 100, 100], 4000, 5).generate();
-        let direct = EqualPlan::build(&t, 0, 4);
-        let ranges: Vec<std::ops::Range<usize>> =
-            direct.chunks.iter().map(|c| c.elem_range.clone()).collect();
-        let via = EqualPlan::build_from_ranges(&t, 0, &ranges);
-        assert_eq!(direct.conflicted_rows, via.conflicted_rows);
-        assert_eq!(direct.total_touched_rows, via.total_touched_rows);
-        for (a, b) in direct.chunks.iter().zip(&via.chunks) {
-            assert_eq!(a.elem_range, b.elem_range);
-            assert_eq!(a.stats, b.stats);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every element")]
-    fn build_from_ranges_rejects_partial_cover() {
-        let t = GenSpec::uniform(vec![8, 8], 100, 7).generate();
-        EqualPlan::build_from_ranges(&t, 0, &[0..10, 10..50]);
     }
 
     #[test]

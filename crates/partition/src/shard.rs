@@ -1,6 +1,7 @@
 //! Tensor shards and inter-shard partitions (paper §3.1–3.2).
 
 use crate::ccp::chains_on_chains;
+use amped_sim::costmodel::BlockStats;
 use amped_tensor::{Idx, SortedCopy, SparseTensor};
 use serde::Serialize;
 use std::ops::Range;
@@ -107,6 +108,29 @@ impl ShardStats {
         let coords = &inputs[range.start * width..range.end * width];
         let out_mode = (distinct_out, max_out_run as u64);
         scratch.count(range.len(), coords, width, None, out_mode, cache_rows)
+    }
+
+    /// The cost model's view of these elements for a kernel at `rank` that
+    /// streams `elem_bytes` per element; `sorted_by_output` says whether
+    /// equal output indices arrive clustered.
+    pub fn block(
+        &self,
+        order: usize,
+        rank: usize,
+        elem_bytes: u64,
+        sorted_by_output: bool,
+    ) -> BlockStats {
+        BlockStats {
+            nnz: self.nnz,
+            distinct_out: self.distinct_out,
+            max_out_run: self.max_out_run,
+            distinct_in_total: self.distinct_in_total,
+            dram_factor_reads: self.dram_factor_reads,
+            sorted_by_output,
+            order,
+            rank,
+            elem_bytes,
+        }
     }
 }
 

@@ -142,8 +142,7 @@ impl CostQuery for PlatformCostQuery {
 
 /// Modeled makespan of `assignment` under `cost`: the slowest device's
 /// [`CostQuery::work_time`] over its assigned nonzeros (`hist` is the
-/// output-index histogram of the assignment's mode; ignored for
-/// element-space assignments). This is the objective cost-guided CCP
+/// output-index histogram of the assignment's mode). This is the objective cost-guided CCP
 /// minimizes and the quantity the heterogeneous-scenario tests compare.
 pub fn modeled_makespan(assignment: &ModeAssignment, hist: &[u64], cost: &dyn CostQuery) -> f64 {
     assignment
@@ -157,7 +156,6 @@ pub fn modeled_makespan(assignment: &ModeAssignment, hist: &[u64], cost: &dyn Co
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::AssignmentSpace;
 
     fn profile() -> WorkloadProfile {
         WorkloadProfile {
@@ -199,7 +197,6 @@ mod tests {
     fn makespan_is_slowest_device() {
         let a = ModeAssignment {
             mode: 0,
-            space: AssignmentSpace::OutputIndex,
             ranges: vec![0..2, 2..4],
         };
         let hist = [10u64, 10, 5, 5];

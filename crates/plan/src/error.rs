@@ -6,9 +6,8 @@ use amped_partition::CcpError;
 ///
 /// Planning failures must be *recoverable*: at the billion-scale element
 /// spaces this repository targets, an index space overflowing the `u32`
-/// range type is an expected operating condition (fall back to element-space
-/// planning), not a programming bug — so it surfaces here instead of
-/// panicking inside CCP.
+/// range type is an expected operating condition, not a programming bug —
+/// so it surfaces here instead of panicking inside CCP.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// The mode's output-index space exceeds the `u32` range bounds every

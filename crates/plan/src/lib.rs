@@ -3,20 +3,17 @@
 //! AMPED's headline property is load balance: chains-on-chains partitioning
 //! (CCP) over the per-output-index histogram keeps per-GPU work even, which
 //! is what makes the conflict-free sharding and the ring all-gather pay off
-//! (paper §3). Before this crate, three disjoint code paths each rebuilt the
-//! same histogram → CCP ranges → shard-statistics wiring — the in-core
-//! [`amped_partition::ModePlan`], the equal-nnz baseline
-//! [`amped_partition::EqualPlan`], and the streaming plan's pass 1 — and all
-//! three weighed work by raw nonzero counts, so none could model
+//! (paper §3). The in-core [`amped_partition::ModePlan`] and the streaming
+//! plan's pass 1 both plan through this crate, so either can model
 //! heterogeneous devices or react to observed imbalance.
 //!
 //! This crate gives planning the same seam PR 3 gave execution:
 //!
 //! * [`Partitioner`] — one object-safe trait: histogram + workload stats +
 //!   a [`CostQuery`] in, a [`ModeAssignment`] out.
-//! * [`NnzCcp`], [`EqualSplit`] — the two classic policies, producing
-//!   bit-identical assignments to the pre-refactor implementations (pinned
-//!   by `tests/planner_equivalence.rs` at the workspace root).
+//! * [`NnzCcp`] — the classic policy, producing bit-identical assignments
+//!   to the pre-refactor implementations (pinned by
+//!   `tests/planner_equivalence.rs` at the workspace root).
 //! * [`CostGuidedCcp`] — CCP over *modeled per-slice execution time*: the
 //!   [`PlatformCostQuery`] facade prices nonzeros through
 //!   [`amped_sim::costmodel`] per device, so a platform mixing fast and slow
@@ -47,10 +44,10 @@ pub mod error;
 pub mod partitioner;
 pub mod rebalance;
 
-pub use assignment::{AssignmentSpace, ModeAssignment};
+pub use assignment::ModeAssignment;
 pub use cost::{modeled_makespan, CostQuery, PlatformCostQuery, UniformCost, WorkloadProfile};
 pub use error::PlanError;
 pub use partitioner::{
-    hetero_chains, try_hetero_chains, CostGuidedCcp, EqualSplit, NnzCcp, Partitioner, PlanStats,
+    hetero_chains, try_hetero_chains, CostGuidedCcp, NnzCcp, Partitioner, PlanStats,
 };
 pub use rebalance::RebalancingPlanner;

@@ -5,13 +5,12 @@ use std::ops::Range;
 use amped_partition::{check_index_space, try_chains_on_chains};
 use amped_tensor::Idx;
 
-use crate::assignment::{AssignmentSpace, ModeAssignment};
+use crate::assignment::ModeAssignment;
 use crate::cost::CostQuery;
 use crate::error::PlanError;
 
-/// Per-mode workload facts planners consume alongside the histogram —
-/// currently just the nonzero total (element-space planners split it
-/// without touching the histogram).
+/// Per-mode workload facts planners may consume alongside the histogram —
+/// currently just the nonzero total.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanStats {
     /// Total nonzeros of the tensor.
@@ -27,8 +26,7 @@ pub trait Partitioner: std::fmt::Debug + Sync {
     fn name(&self) -> &'static str;
 
     /// Plans output mode `mode`. `hist` is the per-output-index nonzero
-    /// histogram (planners that partition the element space may be handed an
-    /// empty slice); `cost.num_devices()` is the device count to plan for.
+    /// histogram; `cost.num_devices()` is the device count to plan for.
     ///
     /// Fails with [`PlanError::IndexSpaceTooLarge`] when the index space
     /// exceeds the `u32` range bounds (the billion-scale operating
@@ -62,39 +60,7 @@ impl Partitioner for NnzCcp {
         cost: &dyn CostQuery,
     ) -> Result<ModeAssignment, PlanError> {
         let ranges = try_chains_on_chains(hist, cost.num_devices())?;
-        Ok(ModeAssignment::from_index_ranges(mode, ranges))
-    }
-}
-
-/// The equal-nnz strawman (paper §5.3, Fig. 6): equal contiguous element
-/// chunks in original element order, ignoring output-index boundaries.
-/// Consumes only `stats.nnz`; the histogram may be empty (the scheme's one
-/// advantage is that it needs no preprocessing).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EqualSplit;
-
-impl Partitioner for EqualSplit {
-    fn name(&self) -> &'static str {
-        "equal-nnz"
-    }
-
-    fn plan_mode(
-        &self,
-        mode: usize,
-        _hist: &[u64],
-        stats: &PlanStats,
-        cost: &dyn CostQuery,
-    ) -> Result<ModeAssignment, PlanError> {
-        let m = cost.num_devices() as u64;
-        let nnz = stats.nnz;
-        let per = nnz.div_ceil(m);
-        Ok(ModeAssignment {
-            mode,
-            space: AssignmentSpace::Element,
-            ranges: (0..m)
-                .map(|g| (g * per).min(nnz)..((g + 1) * per).min(nnz))
-                .collect(),
-        })
+        Ok(ModeAssignment { mode, ranges })
     }
 }
 
@@ -123,7 +89,7 @@ impl Partitioner for CostGuidedCcp {
             .map(|g| cost.device_throughput(g))
             .collect();
         let ranges = try_hetero_chains(hist, &speeds)?;
-        Ok(ModeAssignment::from_index_ranges(mode, ranges))
+        Ok(ModeAssignment { mode, ranges })
     }
 }
 
@@ -266,21 +232,7 @@ mod tests {
             .plan_mode(2, &hist, &PlanStats { nnz: 31 }, &UniformCost::new(3))
             .unwrap();
         assert_eq!(a.mode, 2);
-        assert_eq!(a.space, AssignmentSpace::OutputIndex);
-        assert_eq!(a.index_ranges(), chains_on_chains(&hist, 3));
-    }
-
-    #[test]
-    fn equal_split_matches_div_ceil_chunks() {
-        let a = EqualSplit
-            .plan_mode(0, &[], &PlanStats { nnz: 1001 }, &UniformCost::new(4))
-            .unwrap();
-        assert_eq!(a.space, AssignmentSpace::Element);
-        assert_eq!(
-            a.element_ranges(),
-            vec![0..251, 251..502, 502..753, 753..1001]
-        );
-        assert!(a.validate(1001).is_ok());
+        assert_eq!(a.ranges, chains_on_chains(&hist, 3));
     }
 
     #[test]
@@ -353,10 +305,7 @@ mod tests {
         let q = UniformCost::new(4);
         let a = CostGuidedCcp.plan_mode(0, &hist, &stats, &q).unwrap();
         let b = NnzCcp.plan_mode(0, &hist, &stats, &q).unwrap();
-        assert_eq!(
-            max_load(&hist, &a.index_ranges()),
-            max_load(&hist, &b.index_ranges())
-        );
+        assert_eq!(max_load(&hist, &a.ranges), max_load(&hist, &b.ranges));
     }
 
     proptest! {

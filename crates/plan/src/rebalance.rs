@@ -142,7 +142,7 @@ impl Partitioner for RebalancingPlanner {
         match self.observed.get(&mode) {
             Some(speeds) => {
                 let ranges = try_hetero_chains(hist, speeds)?;
-                Ok(ModeAssignment::from_index_ranges(mode, ranges))
+                Ok(ModeAssignment { mode, ranges })
             }
             None => self.inner.plan_mode(mode, hist, stats, cost),
         }

@@ -30,7 +30,7 @@
 use crate::error::StreamError;
 use crate::reader::{Chunk, ChunkReader};
 use amped_partition::{assert_ranges_tile, pool_map, PlanBusy, ShardStats, StatsScratch};
-use amped_plan::{AssignmentSpace, CostQuery, NnzCcp, Partitioner, PlanStats, UniformCost};
+use amped_plan::{CostQuery, NnzCcp, Partitioner, PlanStats, UniformCost};
 use amped_sim::host_workers;
 use amped_tensor::Idx;
 use serde::Serialize;
@@ -124,11 +124,6 @@ impl StreamPlan {
     /// out-of-core partitioning through. `cost.num_devices()` fixes the GPU
     /// count. Pass 2 (the bounded section scan) is identical for every
     /// policy.
-    ///
-    /// # Panics
-    /// Panics if the planner produces an element-space assignment: chunk
-    /// routing requires output-index ownership (the
-    /// no-inter-GPU-conflict invariant).
     pub fn build_with_planner(
         reader: &mut ChunkReader,
         planner: &dyn Partitioner,
@@ -146,14 +141,7 @@ impl StreamPlan {
         let mut device_ranges: Vec<Vec<Range<Idx>>> = Vec::with_capacity(order);
         for d in 0..order {
             let a = planner.plan_mode(d, &reader.meta().hist[d], &stats, cost)?;
-            assert_eq!(
-                a.space,
-                AssignmentSpace::OutputIndex,
-                "streaming plans need output-index assignments ({} produced {:?})",
-                planner.name(),
-                a.space
-            );
-            device_ranges.push(a.index_ranges());
+            device_ranges.push(a.ranges);
         }
 
         // --- Pass 2: one bounded scan of every mode's sorted section.

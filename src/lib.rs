@@ -49,9 +49,8 @@ pub mod prelude {
     pub use amped_linalg::Mat;
     pub use amped_partition::{EqualPlan, ModePlan, PartitionPlan};
     pub use amped_plan::{
-        modeled_makespan, AssignmentSpace, CostGuidedCcp, CostQuery, EqualSplit, ModeAssignment,
-        NnzCcp, Partitioner, PlanError, PlanStats, PlatformCostQuery, RebalancingPlanner,
-        UniformCost, WorkloadProfile,
+        modeled_makespan, CostGuidedCcp, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanError,
+        PlanStats, PlatformCostQuery, RebalancingPlanner, UniformCost, WorkloadProfile,
     };
     pub use amped_runtime::{
         chrome_trace, chrome_trace_string, launch_mttkrp, Collective, CompiledShard,

@@ -196,18 +196,27 @@ fn manual_replan_preserves_mttkrp_correctness() {
         .map(|&d| Mat::random(d as usize, 16, &mut rng))
         .collect();
     let dim = t.dim(0);
-    let a = ModeAssignment::from_index_ranges(0, vec![0..5, 5..10, 10..dim]);
+    let a = ModeAssignment {
+        mode: 0,
+        ranges: vec![0..5, 5..10, 10..dim],
+    };
     e.replan(&a).unwrap();
     assert_eq!(e.plan().modes[0].device_ranges, vec![0..5, 5..10, 10..dim]);
     let (out, _) = e.mttkrp_mode(0, &factors).unwrap();
     assert!(out.approx_eq(&mttkrp_ref(&t, &factors, 0), 1e-3, 1e-4));
     // Malformed assignments are rejected, not absorbed.
     assert!(e
-        .replan(&ModeAssignment::from_index_ranges(0, vec![0..5, 6..dim]))
+        .replan(&ModeAssignment {
+            mode: 0,
+            ranges: vec![0..5, 6..dim],
+        })
         .is_err());
     let whole = std::iter::once(0..dim).collect();
     assert!(e
-        .replan(&ModeAssignment::from_index_ranges(9, whole))
+        .replan(&ModeAssignment {
+            mode: 9,
+            ranges: whole,
+        })
         .is_err());
 }
 
@@ -230,7 +239,7 @@ fn replanned_loads_are_the_histogram_sums_on_both_engines() {
         .map(|r| hist[r.start as usize..r.end as usize].iter().sum())
         .collect();
     assert_eq!(want.iter().sum::<u64>(), t.nnz() as u64);
-    let assignment = ModeAssignment::from_index_ranges(1, ranges);
+    let assignment = ModeAssignment { mode: 1, ranges };
     for e in [&mut incore as &mut dyn MttkrpEngine, &mut ooc] {
         e.replan(&assignment).unwrap();
         assert_eq!(e.mode_hist(1), hist);

@@ -265,8 +265,11 @@ fn setup_gauges_split_the_preprocessing_wall() {
     assert_eq!(reg.gauge("setup_stats_busy_s").get(), 0.0);
     // A replan is preprocessing too: the gauges follow `preprocess_wall`.
     let built = e.preprocess_wall();
-    e.replan(&ModeAssignment::from_index_ranges(0, vec![0..10, 10..80]))
-        .unwrap();
+    e.replan(&ModeAssignment {
+        mode: 0,
+        ranges: vec![0..10, 10..80],
+    })
+    .unwrap();
     assert!(e.preprocess_wall() > built);
     assert_eq!(reg.gauge("setup_wall_s").get(), e.preprocess_wall());
 

@@ -111,8 +111,7 @@ fn nnz_ccp_planner_matches_pre_refactor_assignments() {
             let hist = t.mode_hist(d);
             let a = NnzCcp.plan_mode(d, &hist, &stats, &cost).unwrap();
             assert_eq!(
-                a.index_ranges(),
-                p.ccp_ranges[d],
+                a.ranges, p.ccp_ranges[d],
                 "shape {:?} mode {d}: planner ranges diverged from pre-refactor capture",
                 p.shape
             );
@@ -153,26 +152,15 @@ fn mode_plan_build_matches_pre_refactor_assignments() {
 fn equal_split_planner_matches_pre_refactor_chunks() {
     for p in pinned_cases() {
         let t = tensor_of(&p);
-        let stats = PlanStats { nnz: p.nnz as u64 };
-        let cost = UniformCost::new(p.gpus);
         for d in 0..t.order() {
-            let a = EqualSplit.plan_mode(d, &[], &stats, &cost).unwrap();
-            assert_eq!(
-                a.element_ranges(),
-                p.equal_ranges,
-                "shape {:?} mode {d}",
-                p.shape
-            );
-            let ep = EqualPlan::build_from_ranges(&t, d, &a.element_ranges());
+            let ep = EqualPlan::build(&t, d, p.gpus);
+            let ranges: Vec<_> = ep.chunks.iter().map(|c| c.elem_range.clone()).collect();
+            assert_eq!(ranges, p.equal_ranges, "shape {:?} mode {d}", p.shape);
             assert_eq!(
                 ep.conflicted_rows, p.equal_conflicted[d],
                 "shape {:?} mode {d}",
                 p.shape
             );
-            // And the legacy constructor agrees with the planner path.
-            let legacy = EqualPlan::build(&t, d, p.gpus);
-            assert_eq!(legacy.conflicted_rows, ep.conflicted_rows);
-            assert_eq!(legacy.total_touched_rows, ep.total_touched_rows);
         }
     }
 }

@@ -19,8 +19,9 @@
 //!   Multi-block grids are deterministic too (their partials fold in
 //!   block-index order, whatever the worker count), but their bits are the
 //!   kernel layer's contract, pinned by `tests/prop_kernel_runs.rs`; the
-//!   multi-block scenario and the baseline scenarios (`equal_nnz`, `blco`,
-//!   `parti`, `flycoo`) record modeled time and GPU memory peak only.
+//!   multi-block scenario records modeled time only. The baseline
+//!   scenarios (`equal_nnz`, `blco`, `parti`, `flycoo`) record modeled time
+//!   and GPU memory peak: the baselines are models and compute no factors.
 
 mod common;
 
@@ -192,8 +193,7 @@ fn scenario_ooc() -> Record {
 }
 
 /// One baseline system over the test tensor: its modeled report and GPU
-/// memory peak, no factor bits. Grids are multi-block, so every baseline
-/// launch leaves the direct path.
+/// memory peak. The baselines are models and compute no factors.
 fn run_baseline(sys: &mut dyn MttkrpSystem) -> Record {
     let t = test_tensor();
     let factors = seeded_factors(t.shape(), 8, 82);
