@@ -105,8 +105,8 @@ impl MttkrpSystem for BlcoSystem {
             for b in 0..nblocks {
                 transfers.push(runtime.h2d_time(0, 1, lt.block_bytes(b)));
                 // The block decoded into flat coordinates.
-                coords.clear();
-                coords.extend(lt.block_iter(b).flat_map(|(c, _)| c));
+                coords.resize(lt.blocks()[b].elems.len() * order, 0);
+                lt.decode_block_into(b, &mut coords);
                 // Per-threadblock chunking of the streamed block.
                 let chunks = chunk_ranges(coords.len() / order, self.isp_nnz);
                 let costs: Vec<f64> = chunks

@@ -78,21 +78,25 @@ impl MttkrpSystem for PartiSystem {
         let rank = factors[0].cols();
         let cost = CostModel::default();
 
-        // --- Preprocess on the host: block-size selection + conversion.
+        // --- Preprocess on the host: block-size selection + conversion. The
+        // selection counts the blocks, which is all the footprint needs, so
+        // the GPU memory — HiCOO resident + factors + segmented-scan
+        // workspace — is charged between the two: a tensor the GPU cannot
+        // hold fails without the conversion.
         let pre_start = std::time::Instant::now();
-        let bits = HicooTensor::auto_block_bits(tensor, self.min_avg_per_block);
-        let h = HicooTensor::build(tensor, bits);
-        let preprocess_wall = pre_start.elapsed().as_secs_f64();
-
-        // --- Memory: HiCOO resident + factors + segmented-scan workspace.
-        let workspace = tensor.nnz() as u64 * 4;
-        runtime.alloc(Device::Gpu(0), h.bytes(), "HiCOO resident tensor")?;
+        let (bits, blocks) = HicooTensor::auto_block_bits(tensor, self.min_avg_per_block);
+        let resident = HicooTensor::footprint(order, tensor.nnz(), blocks);
+        runtime.alloc(Device::Gpu(0), resident, "HiCOO resident tensor")?;
         runtime.alloc(
             Device::Gpu(0),
             factor_bytes(tensor, rank),
             "factor-matrix copies",
         )?;
+        let workspace = tensor.nnz() as u64 * 4;
         runtime.alloc(Device::Gpu(0), workspace, "segmented-scan workspace")?;
+        let h = HicooTensor::build(tensor, bits);
+        let preprocess_wall = pre_start.elapsed().as_secs_f64();
+        debug_assert_eq!(h.bytes(), resident);
 
         // --- Superblock work units: consecutive HiCOO blocks totalling
         // ~isp_nnz elements, as element ranges of the blocks' coordinates

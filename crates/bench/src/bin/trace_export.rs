@@ -41,7 +41,6 @@ fn als_opts() -> AlsOptions {
         max_iters: 2,
         tol: 0.0,
         seed: 11,
-        ..Default::default()
     }
 }
 

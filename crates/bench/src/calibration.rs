@@ -73,8 +73,7 @@ pub struct CalibrationReport {
     pub modeled_wall: f64,
     /// Measured makespan of the `CpuParallelRuntime` run.
     pub measured_wall: f64,
-    /// Per-device busy statistics of the measured run — the same report
-    /// the rebalancing experiments consume.
+    /// Per-device busy statistics of the measured run.
     pub straggler: StragglerReport,
 }
 

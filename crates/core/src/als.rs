@@ -22,30 +22,12 @@ use crate::engine::MttkrpEngine;
 use amped_linalg::{
     cholesky, div_cols, hadamard_grams, model_norm_sq, norms_from_sq_sums, CholFactor, Mat,
 };
-use amped_plan::{NnzCcp, Partitioner, PlanStats, RebalancingPlanner, UniformCost};
 use amped_runtime::smexec::{for_each_part_mut, host_workers};
 use amped_sim::metrics::RunReport;
 use amped_sim::SimError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-
-/// ALS-time rebalancing options: between iterations, any mode whose
-/// per-GPU compute imbalance overhead `(max − min)/max` exceeds
-/// `threshold` is replanned with CCP over *observed* per-device throughput
-/// (see [`RebalancingPlanner`]) and swapped into the engine via
-/// [`MttkrpEngine::replan`].
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct RebalanceOptions {
-    /// Imbalance overhead fraction that triggers a replan.
-    pub threshold: f64,
-}
-
-impl Default for RebalanceOptions {
-    fn default() -> Self {
-        Self { threshold: 0.15 }
-    }
-}
 
 /// CP-ALS options.
 #[derive(Clone, Debug, Serialize)]
@@ -56,9 +38,6 @@ pub struct AlsOptions {
     pub tol: f64,
     /// Seed for the random factor initialization.
     pub seed: u64,
-    /// ALS-time rebalancing; `None` (the default) keeps the static plan for
-    /// the whole decomposition — the paper's configuration.
-    pub rebalance: Option<RebalanceOptions>,
 }
 
 impl Default for AlsOptions {
@@ -67,7 +46,6 @@ impl Default for AlsOptions {
             max_iters: 25,
             tol: 1e-5,
             seed: 0,
-            rebalance: None,
         }
     }
 }
@@ -86,13 +64,6 @@ pub struct AlsResult {
     pub iterations: usize,
     /// Simulated time report accumulated over all MTTKRP calls.
     pub report: RunReport,
-    /// Per-iteration reports (the trace the rebalancing experiments plot:
-    /// `per_iteration[i].compute_overhead_fraction()` should fall once a
-    /// replan lands).
-    pub per_iteration: Vec<RunReport>,
-    /// Replans actually applied to the engine (0 without
-    /// [`AlsOptions::rebalance`]).
-    pub rebalances: usize,
 }
 
 /// The `rows × rank²` multiply-adds of a [`dense_update`] that repay one
@@ -192,7 +163,6 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
     };
     let mut fits = Vec::new();
     let mut iterations = 0;
-    let mut per_iteration: Vec<RunReport> = Vec::new();
     // Observability: when the engine's runtime carries a tracer, every
     // iteration/mode region opens a span so op records (and the Chrome
     // trace exported from them) nest `iteration=i/mode=d/shard=s`. With no
@@ -201,20 +171,11 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
     let workers = host_workers();
     let registry = engine.metrics();
     let als_iterations = registry.counter("als_iterations");
-    let mut rebalancer = opts
-        .rebalance
-        .map(|r| RebalancingPlanner::new(Box::new(NnzCcp), r.threshold).with_metrics(registry));
-    let mut rebalances = 0usize;
 
     for iter in 0..opts.max_iters {
         let _iter_span = tl.as_ref().map(|t| t.span("iteration", iter as u64));
         // The last mode's MTTKRP result, which the fit below reads again.
         let mut m_last = Mat::zeros(0, rank);
-        let mut iter_report = RunReport {
-            per_gpu: vec![Default::default(); engine.num_gpus()],
-            ..Default::default()
-        };
-        let mut iter_timings = Vec::with_capacity(n);
         for d in 0..n {
             let _mode_span = tl.as_ref().map(|t| t.span("mode", d as u64));
             let (m, timing) = engine.mttkrp_mode(d, &factors)?;
@@ -223,12 +184,6 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             }
             report.total_time += timing.wall;
             report.per_mode.push(timing.wall);
-            for (acc, g) in iter_report.per_gpu.iter_mut().zip(&timing.per_gpu) {
-                acc.add(g);
-            }
-            iter_report.total_time += timing.wall;
-            iter_report.per_mode.push(timing.wall);
-            iter_timings.push(timing);
 
             let _dense_span = tl.as_ref().map(|t| t.span("dense", d as u64));
             let v = hadamard_grams(&grams, Some(d));
@@ -267,54 +222,10 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             .map(|&prev: &f64| (fit - prev).abs() < opts.tol)
             .unwrap_or(false);
         fits.push(fit);
-        per_iteration.push(iter_report);
         if done {
             break;
         }
-
-        // --- ALS-time rebalancing (between iterations): any mode whose
-        // observed per-GPU compute times are imbalanced beyond the
-        // threshold gets replanned with observed-throughput CCP and swapped
-        // into the engine — the factors are untouched, only the shard→GPU
-        // assignment changes. Skipped after the final iteration: a replan
-        // nothing will run under is pure waste (out of core it would even
-        // rescan every chunk).
-        let last_iter = iterations == opts.max_iters;
-        if let (Some(rb), false) = (rebalancer.as_mut(), last_iter) {
-            for timing in &iter_timings {
-                let d = timing.mode;
-                let loads = engine.mode_loads(d);
-                let computes: Vec<f64> = timing.per_gpu.iter().map(|b| b.compute).collect();
-                if loads.len() != computes.len() {
-                    // The rebalancer pairs each GPU's compute time with the
-                    // load it owns: an engine whose accounting disagrees
-                    // with its timing has nothing it can rebalance.
-                    return Err(SimError::Unsupported(format!(
-                        "ALS-time rebalancing needs per-GPU load accounting: mode {d} reports \
-                         {} owned loads for {} GPU timings",
-                        loads.len(),
-                        computes.len()
-                    )));
-                }
-                if rb.observe(d, &computes, &loads) {
-                    let hist = engine.mode_hist(d);
-                    let stats = PlanStats {
-                        nnz: hist.iter().sum(),
-                    };
-                    let a = rb
-                        .plan_mode(d, &hist, &stats, &UniformCost::new(engine.num_gpus()))
-                        .map_err(|e| SimError::Unsupported(format!("ALS-time rebalancing: {e}")))?;
-                    engine.replan(&a)?;
-                    rebalances += 1;
-                }
-            }
-        }
     }
-
-    // Replans add real preprocessing wall time to the engine; refresh the
-    // snapshot taken before the loop so the report carries the full cost
-    // the rebalance threshold traded against.
-    report.preprocess_wall = engine.preprocess_wall();
 
     Ok(AlsResult {
         factors,
@@ -322,8 +233,6 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
         fits,
         iterations,
         report,
-        per_iteration,
-        rebalances,
     })
 }
 
@@ -354,7 +263,6 @@ mod tests {
                 max_iters: 60,
                 tol: 1e-9,
                 seed: 5,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -376,7 +284,6 @@ mod tests {
                 max_iters: 15,
                 tol: 0.0,
                 seed: 6,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -401,7 +308,6 @@ mod tests {
                 max_iters: 3,
                 tol: 0.0,
                 seed: 7,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -481,7 +387,6 @@ mod tests {
                 max_iters: 50,
                 tol: 1e-3,
                 seed: 8,
-                ..Default::default()
             },
         )
         .unwrap();

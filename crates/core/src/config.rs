@@ -2,7 +2,6 @@
 //! threadblock work units of `isp_nnz` nonzeros, shards sized to the GPU's
 //! staging buffers).
 
-use amped_plan::WorkloadProfile;
 use serde::Serialize;
 
 /// AMPED engine configuration. Shards are owned by the GPU whose contiguous,
@@ -42,17 +41,6 @@ impl AmpedConfig {
             return Err("shard budget must be at least one ISP".into());
         }
         Ok(())
-    }
-
-    /// The workload the cost model prices: an order-`order` tensor of
-    /// `elem_bytes`-byte elements decomposed at this rank and ISP size.
-    pub(crate) fn workload(&self, order: usize, elem_bytes: u64) -> WorkloadProfile {
-        WorkloadProfile {
-            order,
-            rank: self.rank,
-            elem_bytes,
-            isp_nnz: self.isp_nnz,
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::config::AmpedConfig;
 use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
-use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlanStats, PlatformCostQuery};
+use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlanStats, UniformCost};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{
     Collective, Device, DeviceRuntime, FactorBlock, SimRuntime, Timeline, TuneParams,
@@ -68,16 +68,14 @@ pub trait MttkrpEngine {
     /// Real wall-clock seconds spent in preprocessing (partition planning).
     fn preprocess_wall(&self) -> f64;
 
-    /// Output-index histogram of mode `d` — the planner input ALS-time
-    /// rebalancing re-runs CCP over.
+    /// Output-index histogram of mode `d` — the planner input.
     fn mode_hist(&self, d: usize) -> Vec<u64>;
 
     /// Nonzeros owned by each GPU under the current mode-`d` assignment.
     fn mode_loads(&self, d: usize) -> Vec<u64>;
 
     /// Swaps mode `assignment.mode`'s device assignment in place —
-    /// re-shards under the new ranges without rebuilding the engine, so
-    /// [`crate::als::cp_als`] can rebalance between iterations.
+    /// re-shards under the new ranges without rebuilding the engine.
     fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError>;
 
     /// The op timeline of the engine's runtime, when a tracing backend is
@@ -423,13 +421,10 @@ impl<S: Source> MttkrpEngine for Engine<S> {
     }
 
     /// Swaps mode `assignment.mode`'s device assignment, leaving every other
-    /// mode (and all device memory) untouched. This is the ALS-time
-    /// rebalancing path — [`crate::als::cp_als`] calls it between
-    /// iterations when a [`amped_plan::RebalancingPlanner`] triggers. In
-    /// core the shards of the stored sorted copy are re-cut in place (no
-    /// sort, no second copy); out of core the streaming plan's pass 2
-    /// re-scans that mode's sorted section — real chunk I/O, which is
-    /// exactly the trade the imbalance threshold gates.
+    /// mode (and all device memory) untouched. In core the shards of the
+    /// stored sorted copy are re-cut in place (no sort, no second copy); out
+    /// of core the streaming plan's pass 2 re-scans that mode's sorted
+    /// section — real chunk I/O.
     fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
         // `assignment` must name a mode, target every device and cover that
         // mode's index space.
@@ -551,13 +546,15 @@ impl AmpedEngine {
     /// Partitions `tensor` for execution through an explicit `runtime` —
     /// the seam that lets the same engine run on the plain simulator, a
     /// [`amped_runtime::TracingRuntime`], or any future backend. Planning
-    /// uses the default nnz-weighted CCP policy ([`NnzCcp`]).
+    /// is nnz-weighted CCP ([`NnzCcp`]).
     pub fn with_runtime(
         tensor: &SparseTensor,
         runtime: Box<dyn DeviceRuntime>,
         cfg: AmpedConfig,
     ) -> Result<Self, SimError> {
-        Self::with_planner(tensor, runtime, cfg, &NnzCcp)
+        Self::build(runtime, cfg, |rt, spec, cfg| {
+            Resident::open(rt, spec, cfg, tensor)
+        })
     }
 
     /// [`AmpedEngine::with_runtime`] plus autotuning: after construction the
@@ -577,27 +574,6 @@ impl AmpedEngine {
         )
     }
 
-    /// Partitions `tensor` through an explicit runtime **and** an explicit
-    /// [`Partitioner`] policy — the planner seam. The planner receives each
-    /// mode's output-index histogram plus a [`PlatformCostQuery`] over the
-    /// runtime's spec, so cost-guided policies
-    /// ([`amped_plan::CostGuidedCcp`]) see modeled per-device throughput;
-    /// with [`NnzCcp`] this is bit-identical to the pre-planner engine
-    /// (`tests/runtime_equivalence.rs`).
-    ///
-    /// Fails with [`SimError::Unsupported`] if the planner produces a
-    /// malformed assignment.
-    pub fn with_planner(
-        tensor: &SparseTensor,
-        runtime: Box<dyn DeviceRuntime>,
-        cfg: AmpedConfig,
-        planner: &dyn Partitioner,
-    ) -> Result<Self, SimError> {
-        Self::build(runtime, cfg, |rt, spec, cfg| {
-            Resident::open(rt, spec, cfg, tensor, planner)
-        })
-    }
-
     /// The partition plan (for experiments that inspect shard structure).
     pub fn plan(&self) -> &PartitionPlan {
         &self.source.plan
@@ -613,7 +589,6 @@ impl Resident {
         spec: &PlatformSpec,
         cfg: &mut AmpedConfig,
         tensor: &SparseTensor,
-        planner: &dyn Partitioner,
     ) -> Result<Self, SimError> {
         let m = spec.num_gpus();
 
@@ -640,7 +615,7 @@ impl Resident {
         }
 
         let start = std::time::Instant::now();
-        let (mut plan, priced) = plan_and_price(tensor, planner, spec, cfg, host_workers())?;
+        let (mut plan, priced) = plan_and_price(tensor, spec, cfg, host_workers())?;
 
         // --- Host memory: all per-mode tensor copies live there (§3.1). The
         // model charges the paper's COO copies; the gauge beside it is what
@@ -805,21 +780,18 @@ impl Source for Resident {
     }
 }
 
-/// Runs the planner for every mode, materializes the assignments into a
+/// Runs nnz-CCP for every mode, materializes the assignments into a
 /// [`PartitionPlan`] and prices every shard's ISPs — the histogram →
-/// [`Partitioner`] → ranges → sorted copy → shards → block costs wiring
-/// shared by every in-core planning policy, all of it on a pool of
-/// `workers` threads (see [`PartitionPlan::build_priced`]). Nothing here
-/// needs the runtime; [`schedule_mode`] is the part that does.
+/// [`NnzCcp`] → ranges → sorted copy → shards → block costs wiring, all of
+/// it on a pool of `workers` threads (see [`PartitionPlan::build_priced`]).
+/// Nothing here needs the runtime; [`schedule_mode`] is the part that does.
 fn plan_and_price(
     tensor: &SparseTensor,
-    planner: &dyn Partitioner,
     spec: &PlatformSpec,
     cfg: &AmpedConfig,
     workers: usize,
 ) -> Result<(PartitionPlan, Vec<ModeIsps>), SimError> {
-    // Cost-aware policies see the platform through the cost facade.
-    let cost = PlatformCostQuery::new(spec, cfg.workload(tensor.order(), tensor.elem_bytes()));
+    let cost = UniformCost::new(spec.num_gpus());
     let stats = PlanStats {
         nnz: tensor.nnz() as u64,
     };
@@ -829,9 +801,9 @@ fn plan_and_price(
         cfg.shard_nnz_budget,
         workers,
         |d, hist| {
-            let a = planner
+            let a = NnzCcp
                 .plan_mode(d, hist, &stats, &cost)
-                .map_err(|e| SimError::Unsupported(format!("planner '{}': {e}", planner.name())))?;
+                .map_err(|e| SimError::Unsupported(e.to_string()))?;
             a.validate(tensor.dim(d)).map_err(SimError::Unsupported)?;
             Ok(a.ranges)
         },
@@ -841,10 +813,7 @@ fn plan_and_price(
 
 /// ISP splits and per-block costs of one shard. Costs depend only on
 /// workload statistics, so they are computed once and reused by every run.
-/// The shard is priced against its *owning* GPU's spec, so heterogeneous
-/// platforms model slow devices slower (on the homogeneous default spec
-/// every `GpuSpec` is identical and the numbers are bit-for-bit those of
-/// the former `gpus[0]`-only pricing).
+/// The shard is priced against its owning GPU's spec.
 fn price_shard(
     spec: &PlatformSpec,
     cost: &CostModel,
@@ -1160,7 +1129,7 @@ pub(crate) mod tests {
             assert_eq!(&format!("{:?}", e.source.mode_shards[d]), want, "mode {d}");
         }
         for workers in [1, 2, 4] {
-            let (plan, priced) = plan_and_price(&t, &NnzCcp, &e.spec, &e.cfg, workers).unwrap();
+            let (plan, priced) = plan_and_price(&t, &e.spec, &e.cfg, workers).unwrap();
             for (d, (mp, isps)) in plan.modes.iter().zip(priced).enumerate() {
                 assert_eq!(mp.device_ranges, serial[d].device_ranges);
                 assert_eq!(

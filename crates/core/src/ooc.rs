@@ -40,7 +40,7 @@
 use crate::config::AmpedConfig;
 use crate::engine::{charge_factors, sealed, Engine, Source};
 use amped_partition::{isp_ranges, PlanBusy, ShardStats};
-use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlatformCostQuery};
+use amped_plan::ModeAssignment;
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
 use amped_runtime::{Device, DeviceRuntime, SimRuntime, Timeline};
 use amped_sim::costmodel::{BlockStats, CostModel};
@@ -91,14 +91,16 @@ impl OocEngine {
 
     /// Opens a `.tnsb` tensor for out-of-core decomposition through an
     /// explicit `runtime` (see [`crate::engine::AmpedEngine::with_runtime`]).
-    /// Planning uses the default nnz-weighted CCP policy ([`NnzCcp`]).
+    /// Planning is nnz-weighted CCP ([`amped_plan::NnzCcp`]).
     pub fn with_runtime(
         path: impl AsRef<Path>,
         runtime: Box<dyn DeviceRuntime>,
         cfg: AmpedConfig,
         stage_budget_bytes: u64,
     ) -> Result<Self, SimError> {
-        Self::with_planner(path, runtime, cfg, stage_budget_bytes, &NnzCcp)
+        Self::build(runtime, cfg, |rt, spec, cfg| {
+            Streamed::open(rt, spec, cfg, path.as_ref(), stage_budget_bytes)
+        })
     }
 
     /// [`OocEngine::with_runtime`] plus autotuning: the
@@ -121,24 +123,6 @@ impl OocEngine {
                 t.params_for_stats(b, &amped_tune::TensorStats { dims, nnz, rank })
             }),
         )
-    }
-
-    /// Opens a `.tnsb` tensor through an explicit runtime **and** an
-    /// explicit [`Partitioner`] policy for the streaming plan's pass 1 —
-    /// the out-of-core half of the planner seam (see
-    /// [`crate::engine::AmpedEngine::with_planner`]). The planner sees the
-    /// footer histograms plus a [`PlatformCostQuery`] over the runtime's
-    /// spec.
-    pub fn with_planner(
-        path: impl AsRef<Path>,
-        runtime: Box<dyn DeviceRuntime>,
-        cfg: AmpedConfig,
-        stage_budget_bytes: u64,
-        planner: &dyn Partitioner,
-    ) -> Result<Self, SimError> {
-        Self::build(runtime, cfg, |rt, spec, cfg| {
-            Streamed::open(rt, spec, cfg, path.as_ref(), stage_budget_bytes, planner)
-        })
     }
 
     /// The streaming partition plan.
@@ -180,7 +164,6 @@ impl Streamed {
         cfg: &AmpedConfig,
         path: &Path,
         stage_budget_bytes: u64,
-        planner: &dyn Partitioner,
     ) -> Result<Self, SimError> {
         let stage = MemPool::new("host-stage", stage_budget_bytes);
         let mut reader = ChunkReader::open(path, stage).map_err(|e| e.into_sim())?;
@@ -199,10 +182,9 @@ impl Streamed {
         runtime.alloc(Device::Host, stage_budget_bytes, "chunk staging budget")?;
 
         // --- Streaming two-pass plan through the budget.
-        let cost = PlatformCostQuery::new(spec, cfg.workload(meta.order(), meta.elem_bytes()));
         let rows = cache_rows(spec, cfg.rank);
-        let plan = StreamPlan::build_with_planner(&mut reader, planner, &cost, rows)
-            .map_err(|e| e.into_sim())?;
+        let plan =
+            StreamPlan::build(&mut reader, spec.num_gpus(), rows).map_err(|e| e.into_sim())?;
 
         // Chunk I/O telemetry (`ooc_*` counters) records into the runtime's
         // registry; a detached registry makes this free.
@@ -524,9 +506,7 @@ where
 
 /// Simulated grid time of one per-GPU chunk slice: the slice splits into
 /// `⌈nnz / isp_nnz⌉` equal ISP blocks of output-sorted elements,
-/// list-scheduled onto GPU `g`'s SMs and priced against *its* spec
-/// (heterogeneous platforms model slow devices slower; on the homogeneous
-/// default every spec is identical, bit for bit).
+/// list-scheduled onto GPU `g`'s SMs and priced against its spec.
 fn slice_time(
     cost: &CostModel,
     spec: &PlatformSpec,

@@ -75,18 +75,23 @@ impl HicooTensor {
     /// Picks the smallest block size (in 2..=8 bits) whose nonempty blocks
     /// average at least `min_avg` elements, falling back to 8 bits; this is
     /// the "recommended configuration" knob of the ParTI repository.
-    pub fn auto_block_bits(t: &SparseTensor, min_avg: f64) -> u32 {
+    /// Returns the width and the number of nonempty blocks at it — what
+    /// [`HicooTensor::build`] at that width will hold, so its
+    /// [`HicooTensor::footprint`] is known before the build.
+    pub fn auto_block_bits(t: &SparseTensor, min_avg: f64) -> (u32, usize) {
         let n = t.order();
+        let mut blocks = 0;
         for bits in 2..=8u32 {
             let (keys, perm) = Self::block_order(t, bits);
             let key = |e: usize| &keys[e * n..(e + 1) * n];
-            // Distinct adjacent keys in sorted order (1 on an empty tensor).
-            let nonempty = 1 + perm.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
-            if t.nnz() as f64 / nonempty as f64 >= min_avg {
-                return bits;
+            // One block per run of equal keys in sorted order.
+            let changes = perm.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
+            blocks = if perm.is_empty() { 0 } else { 1 + changes };
+            if t.nnz() as f64 / blocks.max(1) as f64 >= min_avg {
+                return (bits, blocks);
             }
         }
-        8
+        (8, blocks)
     }
 
     /// Mode sizes.
@@ -117,8 +122,14 @@ impl HicooTensor {
     /// Payload bytes: per element `N` locals + 4-byte value; per block `N`
     /// 4-byte base coords + 8-byte offset.
     pub fn bytes(&self) -> u64 {
-        let n = self.order() as u64;
-        self.nnz() as u64 * (n + 4) + self.num_blocks() as u64 * (n * 4 + 8)
+        Self::footprint(self.order(), self.nnz(), self.num_blocks())
+    }
+
+    /// [`HicooTensor::bytes`] of an order-`order` tensor of `nnz` elements
+    /// in `blocks` nonempty blocks.
+    pub fn footprint(order: usize, nnz: usize, blocks: usize) -> u64 {
+        let n = order as u64;
+        nnz as u64 * (n + 4) + blocks as u64 * (n * 4 + 8)
     }
 
     /// Iterates `(coords, value)` over block `b`, reconstructing full
@@ -264,9 +275,9 @@ mod tests {
     #[test]
     fn auto_block_bits_monotone_with_clustering() {
         let clustered = GenSpec::uniform(vec![32, 32, 32], 4000, 55).generate();
-        assert!(HicooTensor::auto_block_bits(&clustered, 8.0) <= 3);
+        assert!(HicooTensor::auto_block_bits(&clustered, 8.0).0 <= 3);
         let scattered = GenSpec::uniform(vec![1 << 20, 1 << 20, 1 << 20], 300, 56).generate();
-        assert_eq!(HicooTensor::auto_block_bits(&scattered, 8.0), 8);
+        assert_eq!(HicooTensor::auto_block_bits(&scattered, 8.0).0, 8);
     }
 
     /// Six dense 24³ clusters scattered over a 4096³ index space.
@@ -290,7 +301,8 @@ mod tests {
     fn auto_block_bits_and_layout_are_pinned() {
         // Widths for min_avg 2 / 8 / 32, and the block count and bytes at
         // the min_avg-8 width: the choice and the layout ParTI's modeled
-        // time and memory are built on.
+        // time and memory are built on. The count the choice reports is
+        // the count the build holds.
         let uniform = GenSpec::uniform(vec![256, 256, 256], 40_000, 41).generate();
         let zipf = GenSpec {
             shape: vec![1000, 1000, 1000],
@@ -306,9 +318,14 @@ mod tests {
         ];
         for (t, bits, blocks, bytes) in cases {
             let got = [2.0, 8.0, 32.0].map(|a| HicooTensor::auto_block_bits(&t, a));
-            assert_eq!(got, bits);
+            assert_eq!(got.map(|(b, _)| b), bits);
+            assert_eq!(got[1].1, blocks);
             let h = HicooTensor::build(&t, bits[1]);
             assert_eq!((h.num_blocks(), h.bytes()), (blocks, bytes));
+            assert_eq!(HicooTensor::footprint(3, t.nnz(), blocks), bytes);
+            for (b, n) in got {
+                assert_eq!(HicooTensor::build(&t, b).num_blocks(), n);
+            }
         }
     }
 

@@ -163,13 +163,31 @@ impl LinTensor {
     }
 
     fn decode_key(&self, key: u128) -> Vec<Idx> {
-        self.shape
-            .iter()
-            .enumerate()
-            .map(|(m, _)| {
-                ((key >> self.shifts[m]) as u64 & ((1u64 << self.bits[m]) - 1).max(1)) as Idx
-            })
-            .collect()
+        let mut coords = vec![0; self.order()];
+        self.decode_key_into(key, &mut coords);
+        coords
+    }
+
+    /// Decodes `key` into `out`, one coordinate per mode.
+    fn decode_key_into(&self, key: u128, out: &mut [Idx]) {
+        for (m, c) in out.iter_mut().enumerate() {
+            *c = ((key >> self.shifts[m]) as u64 & ((1u64 << self.bits[m]) - 1).max(1)) as Idx;
+        }
+    }
+
+    /// Writes the coordinates of block `b`'s elements into `out`, `order`
+    /// per element in block order — [`LinTensor::block_iter`]'s coordinates
+    /// without a `Vec` per element.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` is not the block's element count × order.
+    pub fn decode_block_into(&self, b: usize, out: &mut [Idx]) {
+        let (block, n) = (&self.blocks[b], self.order());
+        assert_eq!(out.len(), block.elems.len() * n, "block {b} output length");
+        let high = (block.high as u128) << 64;
+        for (e, c) in block.elems.clone().zip(out.chunks_exact_mut(n)) {
+            self.decode_key_into(high | self.low[e] as u128, c);
+        }
     }
 
     /// Iterates `(coords, value)` over one block, decoding on the fly — the
@@ -284,6 +302,20 @@ mod tests {
             }
         }
         assert_eq!(e, lt.nnz());
+    }
+
+    #[test]
+    fn decode_block_into_matches_block_iter() {
+        // Five modes past 64 index bits, so the high word takes part.
+        let t = GenSpec::uniform(vec![1 << 20, 1 << 20, 1 << 20, 64, 64], 2000, 36).generate();
+        let lt = LinTensor::build(&t, 300);
+        let mut out = Vec::new();
+        for b in 0..lt.blocks().len() {
+            out.resize(lt.blocks()[b].elems.len() * t.order(), 0);
+            lt.decode_block_into(b, &mut out);
+            let want: Vec<Idx> = lt.block_iter(b).flat_map(|(c, _)| c).collect();
+            assert_eq!(out, want, "block {b}");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod balance;
 pub mod ccp;
 pub mod equal;
 pub mod plan;

@@ -307,10 +307,8 @@ impl ModePlan {
 
     /// Builds the mode-`d` plan for externally supplied contiguous device
     /// ranges — the seam the `amped-plan` partitioner layer materializes
-    /// assignments through (cost-guided or rebalanced ranges instead of the
-    /// nnz-balanced CCP of [`ModePlan::build`]) — given the mode-`d`
-    /// histogram the planner was run on: the counting sort, then the shard
-    /// cuts. [`crate::PartitionPlan`] runs it as one pool job per mode.
+    /// its assignments through — given the mode-`d` histogram the planner
+    /// was run on: the counting sort, then the shard cuts. [`crate::PartitionPlan`] runs it as one pool job per mode.
     ///
     /// # Panics
     /// Panics if `hist` is not the mode-`d` histogram of `t` or the ranges

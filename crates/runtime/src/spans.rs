@@ -13,8 +13,7 @@
 //!
 //! [`StragglerReport`] is the consumer side: per-device busy statistics
 //! (mean/p95/total over kernel launches, grouped from a traced timeline)
-//! with an imbalance ratio in the shape `RebalancingPlanner::observe`
-//! expects — the hook the ROADMAP's fault-tolerance item needs.
+//! and the imbalance ratio between them.
 
 use crate::tracing::{OpKind, Timeline};
 use std::sync::{Arc, Mutex};
@@ -163,9 +162,7 @@ pub struct DeviceBusyStats {
 }
 
 /// Straggler diagnosis from per-device span stats: who is busiest, by how
-/// much, and how skewed the launch distribution is. The `total_busy`
-/// vector is exactly the per-GPU compute signal
-/// `RebalancingPlanner::observe` consumes.
+/// much, and how skewed the launch distribution is.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StragglerReport {
     /// One entry per GPU, index-aligned.
@@ -215,14 +212,12 @@ impl StragglerReport {
         Self { per_gpu }
     }
 
-    /// Per-GPU total busy time — the signal to feed
-    /// `RebalancingPlanner::observe`.
+    /// Per-GPU total busy time.
     pub fn total_busy(&self) -> Vec<f64> {
         self.per_gpu.iter().map(|s| s.total_busy).collect()
     }
 
-    /// `max(total_busy) / mean(total_busy)`: 1.0 is perfectly balanced;
-    /// the rebalancer's trigger threshold speaks this unit.
+    /// `max(total_busy) / mean(total_busy)`: 1.0 is perfectly balanced.
     pub fn imbalance_ratio(&self) -> f64 {
         let busy = self.total_busy();
         let mean = busy.iter().sum::<f64>() / busy.len().max(1) as f64;

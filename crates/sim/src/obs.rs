@@ -1,7 +1,7 @@
 //! Lock-cheap metrics: counters, gauges, and log-scale histograms.
 //!
 //! The observability layer's registry. Components that produce telemetry —
-//! runtime backends, engines, the chunk reader, the rebalancing planner —
+//! runtime backends, engines, the chunk reader —
 //! hold a [`MetricsRegistry`] handle and record through it; a detached
 //! handle (the default everywhere) makes every recording call a single
 //! branch, so the zero-observer path stays bit-identical and near-free.

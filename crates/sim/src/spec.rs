@@ -125,63 +125,6 @@ impl PlatformSpec {
         }
     }
 
-    /// Turns this platform heterogeneous: GPU `g`'s compute clock and DRAM
-    /// bandwidth are scaled by `multipliers[g]` (capacities and links stay
-    /// untouched, so memory arithmetic and transfer costs are unchanged).
-    /// A multiplier of `1.0` leaves a device bit-identical to the base spec;
-    /// `0.5` models a device sustaining half the MTTKRP throughput.
-    ///
-    /// Rejects multiplier vectors whose length does not match the GPU count
-    /// and any multiplier that is zero, negative, or non-finite.
-    pub fn with_throughput_multipliers(mut self, multipliers: &[f64]) -> Result<Self, String> {
-        if multipliers.len() != self.gpus.len() {
-            return Err(format!(
-                "need one throughput multiplier per GPU: {} multipliers for {} GPUs",
-                multipliers.len(),
-                self.gpus.len()
-            ));
-        }
-        for (g, &x) in multipliers.iter().enumerate() {
-            if !(x.is_finite() && x > 0.0) {
-                return Err(format!(
-                    "throughput multiplier for GPU {g} must be finite and positive, got {x}"
-                ));
-            }
-        }
-        for (gpu, &x) in self.gpus.iter_mut().zip(multipliers) {
-            if x != 1.0 {
-                gpu.clock_ghz *= x;
-                gpu.dram_gbps *= x;
-                gpu.name = format!("{} ×{x:.2}", gpu.name);
-            }
-        }
-        Ok(self)
-    }
-
-    /// The heterogeneous scenario preset: a 4-GPU node where GPUs 0–1 run at
-    /// full RTX 6000 Ada throughput and GPUs 2–3 sustain 40% of it (an aged
-    /// or power-capped pair). Used by the cost-guided-planner experiments:
-    /// nnz-equal CCP leaves the slow pair on the critical path, while
-    /// cost-guided CCP shifts work toward the fast pair.
-    pub fn hetero_2fast_2slow() -> Self {
-        Self::rtx6000_ada_node(4)
-            .with_throughput_multipliers(&[1.0, 1.0, 0.4, 0.4])
-            .expect("preset multipliers are valid")
-    }
-
-    /// True when every GPU of the platform has identical compute and memory
-    /// rates (the paper's testbed; the regime in which planning by raw nnz
-    /// and planning by modeled time coincide).
-    pub fn is_homogeneous(&self) -> bool {
-        self.gpus.windows(2).all(|w| {
-            w[0].sms == w[1].sms
-                && w[0].cores_per_sm == w[1].cores_per_sm
-                && w[0].clock_ghz == w[1].clock_ghz
-                && w[0].dram_gbps == w[1].dram_gbps
-                && w[0].l2_bytes == w[1].l2_bytes
-        })
-    }
-
     /// Scales all *capacities* (GPU memory, host memory, L2) and *fixed
     /// latencies* by `scale` while leaving bandwidths and compute rates
     /// untouched.
@@ -264,49 +207,6 @@ mod tests {
         assert_eq!(p.h2d_effective_gbps(1), 64.0);
         // 8 GPUs: limited by aggregate host bandwidth, 460/8 = 57.5.
         assert!((p.h2d_effective_gbps(8) - 57.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn heterogeneous_multipliers_scale_rates_only() {
-        let p = PlatformSpec::rtx6000_ada_node(2)
-            .with_throughput_multipliers(&[1.0, 0.5])
-            .unwrap();
-        assert!(!p.is_homogeneous());
-        assert_eq!(p.gpus[0].clock_ghz, 2.5);
-        assert_eq!(p.gpus[1].clock_ghz, 1.25);
-        assert_eq!(p.gpus[1].dram_gbps, 480.0);
-        // Capacities and links untouched: memory arithmetic is unchanged.
-        assert_eq!(p.gpus[1].mem_bytes, p.gpus[0].mem_bytes);
-        assert_eq!(p.gpus[1].l2_bytes, p.gpus[0].l2_bytes);
-        assert_eq!(p.pcie.gbps, 64.0);
-        // Identity multiplier leaves the device name untouched.
-        assert_eq!(p.gpus[0].name, "RTX 6000 Ada");
-        assert!(p.gpus[1].name.contains("×0.50"));
-    }
-
-    #[test]
-    fn heterogeneous_rejects_invalid_multipliers() {
-        let base = || PlatformSpec::rtx6000_ada_node(2);
-        assert!(base().with_throughput_multipliers(&[1.0]).is_err());
-        assert!(base().with_throughput_multipliers(&[1.0, 0.0]).is_err());
-        assert!(base().with_throughput_multipliers(&[-1.0, 1.0]).is_err());
-        assert!(base()
-            .with_throughput_multipliers(&[f64::NAN, 1.0])
-            .is_err());
-        assert!(base()
-            .with_throughput_multipliers(&[1.0, f64::INFINITY])
-            .is_err());
-    }
-
-    #[test]
-    fn hetero_preset_is_two_fast_two_slow() {
-        let p = PlatformSpec::hetero_2fast_2slow();
-        assert_eq!(p.num_gpus(), 4);
-        assert!(!p.is_homogeneous());
-        assert_eq!(p.gpus[0].clock_ghz, p.gpus[1].clock_ghz);
-        assert_eq!(p.gpus[2].clock_ghz, p.gpus[3].clock_ghz);
-        assert!((p.gpus[2].clock_ghz - 1.0).abs() < 1e-12); // 2.5 × 0.4
-        assert!(PlatformSpec::rtx6000_ada_node(4).is_homogeneous());
     }
 
     #[test]

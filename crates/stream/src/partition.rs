@@ -9,9 +9,9 @@
 //!
 //! * **Pass 1 — metadata scan.** The `.tnsb` footer already carries the full
 //!   per-mode output-index histograms (accumulated by the writer, which sees
-//!   every element exactly once), so device ranges come from an
-//!   [`amped_plan::Partitioner`] over those histograms — by default the same
-//!   nnz-weighted CCP used in-core — without touching the payload.
+//!   every element exactly once), so device ranges come from the same
+//!   nnz-weighted CCP used in core ([`amped_plan::NnzCcp`]) over those
+//!   histograms, without touching the payload.
 //! * **Pass 2 — bounded section scan.** For every mode `d`, each chunk of
 //!   section `d` is read once through the reader's staging budget. The
 //!   chunk is sorted by `d` and device ranges are contiguous, so the
@@ -30,7 +30,7 @@
 use crate::error::StreamError;
 use crate::reader::{Chunk, ChunkReader};
 use amped_partition::{assert_ranges_tile, pool_map, PlanBusy, ShardStats, StatsScratch};
-use amped_plan::{CostQuery, NnzCcp, Partitioner, PlanStats, UniformCost};
+use amped_plan::{NnzCcp, Partitioner, PlanStats, UniformCost};
 use amped_sim::host_workers;
 use amped_tensor::Idx;
 use serde::Serialize;
@@ -116,21 +116,7 @@ impl StreamPlan {
         cache_rows: usize,
     ) -> Result<Self, StreamError> {
         assert!(num_gpus > 0, "need at least one GPU");
-        Self::build_with_planner(reader, &NnzCcp, &UniformCost::new(num_gpus), cache_rows)
-    }
-
-    /// Builds the plan with an explicit [`Partitioner`] policy for pass 1 —
-    /// the seam the `amped-plan` layer drives cost-guided and rebalanced
-    /// out-of-core partitioning through. `cost.num_devices()` fixes the GPU
-    /// count. Pass 2 (the bounded section scan) is identical for every
-    /// policy.
-    pub fn build_with_planner(
-        reader: &mut ChunkReader,
-        planner: &dyn Partitioner,
-        cost: &dyn CostQuery,
-        cache_rows: usize,
-    ) -> Result<Self, StreamError> {
-        let num_gpus = cost.num_devices();
+        let cost = UniformCost::new(num_gpus);
         let start = Instant::now();
         let order = reader.meta().order();
         let stats = PlanStats {
@@ -140,7 +126,7 @@ impl StreamPlan {
         // --- Pass 1: device ranges from the footer histograms (no payload I/O).
         let mut device_ranges: Vec<Vec<Range<Idx>>> = Vec::with_capacity(order);
         for d in 0..order {
-            let a = planner.plan_mode(d, &reader.meta().hist[d], &stats, cost)?;
+            let a = NnzCcp.plan_mode(d, &reader.meta().hist[d], &stats, &cost)?;
             device_ranges.push(a.ranges);
         }
 
@@ -171,7 +157,7 @@ impl StreamPlan {
     }
 
     /// Re-runs pass 2 for one mode under fresh `device_ranges` — the
-    /// engines' ALS-time replan path. Costs one more bounded scan of that
+    /// engines' replan path. Costs one more bounded scan of that
     /// mode's sorted section through the reader's staging budget; every
     /// other mode's routing is untouched.
     ///
@@ -229,7 +215,7 @@ fn lock<'a, 'r>(reader: &'a Mutex<&'r mut ChunkReader>) -> MutexGuard<'a, &'r mu
 /// holds chunks; every reservation is returned before the job ends, on
 /// every error path — and routes it. Returns the routes per listed mode, in
 /// section order; the seconds spent on slice statistics are added to
-/// `busy.stats_s`. The full scan of [`StreamPlan::build_with_planner`] and
+/// `busy.stats_s`. The full scan of [`StreamPlan::build`] and
 /// the one-mode rescan of [`StreamPlan::rebuild_mode`] are this function.
 fn scan_sections(
     reader: &mut ChunkReader,

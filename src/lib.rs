@@ -43,15 +43,12 @@ pub mod prelude {
         AmpedSystem, BlcoSystem, EqualNnzSystem, FlycooSystem, MmCsfSystem, MttkrpSystem,
         PartiSystem, SystemRun,
     };
-    pub use amped_core::als::{cp_als, AlsOptions, AlsResult, RebalanceOptions};
+    pub use amped_core::als::{cp_als, AlsOptions, AlsResult};
     pub use amped_core::reference::{compile_mode, mttkrp_compiled, mttkrp_ref};
     pub use amped_core::{AmpedConfig, AmpedEngine, ModeTiming, MttkrpEngine, OocEngine};
     pub use amped_linalg::Mat;
     pub use amped_partition::{EqualPlan, ModePlan, PartitionPlan};
-    pub use amped_plan::{
-        modeled_makespan, CostGuidedCcp, CostQuery, ModeAssignment, NnzCcp, Partitioner, PlanError,
-        PlanStats, PlatformCostQuery, RebalancingPlanner, UniformCost, WorkloadProfile,
-    };
+    pub use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlanError, PlanStats, UniformCost};
     pub use amped_runtime::{
         chrome_trace, chrome_trace_string, launch_mttkrp, Collective, CompiledShard,
         CpuParallelRuntime, Device, DeviceRuntime, FactorBlock, FactorsView, GridTiming, MttkrpOut,

@@ -1,6 +1,6 @@
 //! End-to-end observability: the metrics registry and span-scoped tracing
 //! threaded through a real CP-ALS run, the Prometheus exposition, the
-//! straggler report feeding the rebalancing planner — and the contract that
+//! straggler report on a hand-built imbalanced timeline — and the contract that
 //! none of it changes a single computed bit when no observer is attached.
 
 mod common;
@@ -34,7 +34,6 @@ fn opts() -> AlsOptions {
         max_iters: 3,
         tol: 0.0,
         seed: 62,
-        ..Default::default()
     }
 }
 
@@ -120,7 +119,7 @@ fn observed_als_is_bit_identical_to_unobserved() {
 }
 
 #[test]
-fn straggler_report_feeds_the_rebalancing_planner() {
+fn straggler_report_flags_a_slow_gpu() {
     // Hand-build an imbalanced timeline: GPU 1's launches take 3× longer.
     let mut rt = TracingRuntime::new(SimRuntime::new(
         PlatformSpec::rtx6000_ada_node(2).scaled(1e-3),
@@ -132,18 +131,6 @@ fn straggler_report_feeds_the_rebalancing_planner() {
     }
     let report = StragglerReport::from_timeline(&tl, 2);
     assert!(report.imbalance_ratio() > 1.2, "{}", report.render());
-
-    // The busy totals drive RebalancingPlanner::observe directly.
-    let reg = MetricsRegistry::new();
-    let mut rb = RebalancingPlanner::new(Box::new(NnzCcp), 0.2).with_metrics(reg.clone());
-    let triggered = rb.observe(0, &report.total_busy(), &[100, 100]);
-    assert!(triggered, "3× imbalance must cross a 20% threshold");
-    assert_eq!(reg.counter_value("rebalance_triggers", &[]), 1);
-    let speeds = rb.observed_speeds(0).unwrap();
-    assert!(
-        speeds[0] > 2.0 * speeds[1],
-        "observed speeds should reflect the 3× gap: {speeds:?}"
-    );
 }
 
 #[test]

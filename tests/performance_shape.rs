@@ -164,15 +164,6 @@ fn time_breakdown_reconciles_with_wall_time() {
         let (_, timing) = e.mttkrp_mode(d, &factors).unwrap();
         check(&timing, "in-core");
     }
-    // Heterogeneous spec: stalls differ per GPU, buckets must still tile.
-    let mut h = AmpedEngine::new(
-        &t,
-        PlatformSpec::hetero_2fast_2slow().scaled(1e-3),
-        cfg.clone(),
-    )
-    .unwrap();
-    let (_, timing) = h.mttkrp_mode(0, &factors).unwrap();
-    check(&timing, "in-core hetero");
     // Out of core: the scatter pipeline gates all GPUs globally, which is
     // exactly where stall time used to masquerade as transfer time.
     let dir = common::ScratchDir::new("perf_shape");

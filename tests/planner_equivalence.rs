@@ -166,10 +166,9 @@ fn equal_split_planner_matches_pre_refactor_chunks() {
 }
 
 #[test]
-fn engine_with_nnz_planner_equals_default_engine_assignments() {
-    // The engine's planner-driven construction with `NnzCcp` must produce
-    // the same plan as the default constructor (which now routes through
-    // it) — and both must pin to the captured ranges.
+fn default_engine_matches_pre_refactor_assignments() {
+    // The engine plans every mode with `NnzCcp`: its materialized ranges
+    // and loads must pin to the captured ones.
     let p = &pinned_cases()[0];
     let t = tensor_of(p);
     let cfg = AmpedConfig {
@@ -178,22 +177,10 @@ fn engine_with_nnz_planner_equals_default_engine_assignments() {
         shard_nnz_budget: 512,
     };
     let spec = PlatformSpec::rtx6000_ada_node(p.gpus).scaled(1e-3);
-    let via_default = AmpedEngine::new(&t, spec.clone(), cfg.clone()).unwrap();
-    let via_planner =
-        AmpedEngine::with_planner(&t, Box::new(SimRuntime::new(spec)), cfg, &NnzCcp).unwrap();
+    let engine = AmpedEngine::new(&t, spec, cfg).unwrap();
     for d in 0..t.order() {
-        assert_eq!(
-            via_default.plan().modes[d].device_ranges,
-            p.ccp_ranges[d],
-            "mode {d}"
-        );
-        assert_eq!(
-            via_default.plan().modes[d].device_ranges,
-            via_planner.plan().modes[d].device_ranges
-        );
-        assert_eq!(
-            via_default.plan().modes[d].gpu_loads(),
-            via_planner.plan().modes[d].gpu_loads()
-        );
+        let mp = &engine.plan().modes[d];
+        assert_eq!(mp.device_ranges, p.ccp_ranges[d], "mode {d}");
+        assert_eq!(mp.gpu_loads(), p.ccp_loads[d], "mode {d}");
     }
 }

@@ -1,11 +1,9 @@
 //! Property test: `chains_on_chains` is an *exact* contiguous-partition
 //! bottleneck minimizer, checked against brute-force dynamic programming on
-//! small random weight vectors; `hetero_chains` achieves the optimal
-//! bottleneck *time* to bisection tolerance on heterogeneous device speeds.
+//! small random weight vectors.
 
 use amped::partition::ccp::max_load;
 use amped::partition::chains_on_chains;
-use amped::plan::hetero_chains;
 use proptest::prelude::*;
 
 /// Optimal contiguous max-load by DP: `opt[k][i]` = minimal bottleneck
@@ -26,29 +24,6 @@ fn brute_force_optimal_load(weights: &[u64], m: usize) -> u64 {
         for i in 0..=n {
             for j in 0..=i {
                 next[i] = next[i].min(opt[j].max(sum(j, i)));
-            }
-        }
-        opt = next;
-    }
-    opt[n]
-}
-
-/// Optimal contiguous bottleneck *time* with per-device speeds (device
-/// order fixed, as in `hetero_chains`).
-#[allow(clippy::needless_range_loop)] // index loops are the clearest DP form
-fn brute_force_optimal_time(weights: &[u64], speeds: &[f64]) -> f64 {
-    let n = weights.len();
-    let mut prefix = vec![0u64; n + 1];
-    for (i, &w) in weights.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + w;
-    }
-    let sum = |a: usize, b: usize| (prefix[b] - prefix[a]) as f64;
-    let mut opt: Vec<f64> = (0..=n).map(|i| sum(0, i) / speeds[0]).collect();
-    for &s in &speeds[1..] {
-        let mut next = vec![f64::INFINITY; n + 1];
-        for i in 0..=n {
-            for j in 0..=i {
-                next[i] = next[i].min(opt[j].max(sum(j, i) / s));
             }
         }
         opt = next;
@@ -84,28 +59,5 @@ proptest! {
         let achieved = max_load(&w, &ranges);
         let optimal = brute_force_optimal_load(&w, m);
         prop_assert_eq!(achieved, optimal, "weights {:?}, m={}", w, m);
-    }
-
-    /// Heterogeneous CCP must achieve the optimal bottleneck time within
-    /// the bisection tolerance.
-    #[test]
-    fn prop_hetero_ccp_matches_brute_force_time(
-        w in proptest::collection::vec(0u64..40, 1..12),
-        speeds in proptest::collection::vec(0.25f64..4.0, 1..4),
-    ) {
-        let ranges = hetero_chains(&w, &speeds);
-        let achieved = ranges
-            .iter()
-            .zip(&speeds)
-            .map(|(r, &s)| {
-                w[r.start as usize..r.end as usize].iter().sum::<u64>() as f64 / s
-            })
-            .fold(0.0f64, f64::max);
-        let optimal = brute_force_optimal_time(&w, &speeds);
-        prop_assert!(
-            achieved <= optimal * (1.0 + 1e-6) + 1e-12,
-            "achieved {} vs optimal {} (weights {:?}, speeds {:?})",
-            achieved, optimal, w, speeds
-        );
     }
 }
