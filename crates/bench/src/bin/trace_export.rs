@@ -41,6 +41,7 @@ fn als_opts() -> AlsOptions {
         max_iters: 2,
         tol: 0.0,
         seed: 11,
+        ..Default::default()
     }
 }
 

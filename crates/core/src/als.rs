@@ -38,6 +38,11 @@ pub struct AlsOptions {
     pub tol: f64,
     /// Seed for the random factor initialization.
     pub seed: u64,
+    /// Carries nothing: it makes a literal of these options outside this
+    /// crate end in `..AlsOptions::default()`, so that a field added later
+    /// breaks no caller. (`#[non_exhaustive]` would forbid such literals.)
+    #[doc(hidden)]
+    pub _non_exhaustive: (),
 }
 
 impl Default for AlsOptions {
@@ -46,6 +51,7 @@ impl Default for AlsOptions {
             max_iters: 25,
             tol: 1e-5,
             seed: 0,
+            _non_exhaustive: (),
         }
     }
 }
@@ -263,6 +269,7 @@ mod tests {
                 max_iters: 60,
                 tol: 1e-9,
                 seed: 5,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -284,6 +291,7 @@ mod tests {
                 max_iters: 15,
                 tol: 0.0,
                 seed: 6,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -308,6 +316,7 @@ mod tests {
                 max_iters: 3,
                 tol: 0.0,
                 seed: 7,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -387,6 +396,7 @@ mod tests {
                 max_iters: 50,
                 tol: 1e-3,
                 seed: 8,
+                ..Default::default()
             },
         )
         .unwrap();

@@ -49,9 +49,9 @@ impl std::error::Error for CcpError {}
 
 /// Checks that an index space of `indices` entries fits the `u32` range
 /// bounds every partition product uses. This is the single guard behind
-/// every fallible CCP entry point; it is exposed so the `u32::MAX` boundary
-/// is testable without materializing a 32 GiB histogram.
-pub fn check_index_space(indices: u64) -> Result<(), CcpError> {
+/// both CCP entry points; it takes a count so the `u32::MAX` boundary is
+/// testable without materializing a 32 GiB histogram.
+fn check_index_space(indices: u64) -> Result<(), CcpError> {
     if indices > CcpError::INDEX_LIMIT {
         Err(CcpError::IndexSpaceTooLarge { indices })
     } else {

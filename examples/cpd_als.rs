@@ -29,6 +29,7 @@ fn main() {
         max_iters: 40,
         tol: 1e-7,
         seed: 3,
+        ..Default::default()
     };
     let result = cp_als(&mut engine, &opts).expect("ALS runs");
 

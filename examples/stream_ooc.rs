@@ -89,6 +89,7 @@ fn main() {
         max_iters: 2,
         tol: 0.0,
         seed: 9,
+        ..Default::default()
     };
     let res = cp_als(&mut engine, &opts).unwrap();
     println!(

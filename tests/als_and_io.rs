@@ -19,6 +19,7 @@ fn cp_als_end_to_end_recovers_structure() {
             max_iters: 50,
             tol: 1e-8,
             seed: 502,
+            ..Default::default()
         },
     )
     .unwrap();

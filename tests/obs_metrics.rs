@@ -34,6 +34,7 @@ fn opts() -> AlsOptions {
         max_iters: 3,
         tol: 0.0,
         seed: 62,
+        ..Default::default()
     }
 }
 

@@ -59,6 +59,7 @@ fn ooc_succeeds_where_in_core_hits_host_oom() {
         max_iters: 1,
         tol: 0.0,
         seed: 9,
+        ..Default::default()
     };
     let res = cp_als(&mut ooc, &opts).unwrap();
     assert_eq!(res.iterations, 1);
@@ -85,6 +86,7 @@ fn ooc_matches_in_core_factors_on_small_tensor() {
         max_iters: 1,
         tol: 0.0,
         seed: 3,
+        ..Default::default()
     };
 
     let mut in_core = AmpedEngine::new(&t, platform.clone(), cfg.clone()).unwrap();
@@ -143,6 +145,7 @@ fn tns_conversion_feeds_the_ooc_engine() {
             max_iters: 2,
             tol: 0.0,
             seed: 1,
+            ..Default::default()
         },
     )
     .unwrap();

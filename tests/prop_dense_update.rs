@@ -239,6 +239,7 @@ fn cp_als_is_one_set_of_bits_across_amped_threads() {
         max_iters: 4,
         tol: 0.0,
         seed: 3,
+        ..Default::default()
     };
     let dir = common::ScratchDir::new("prop_dense_update");
     let path = dir.join("t.tnsb");
