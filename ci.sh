@@ -22,7 +22,7 @@ cargo metadata --offline --locked --format-version 1 \
 echo "=== 2/9 cargo build --release ==="
 cargo build --release
 
-echo "=== 3/9 cargo test -q at AMPED_THREADS in {1, 2, 4} ==="
+echo "=== 3/9 cargo test -q at AMPED_THREADS in {1, 2, 4}, bit contracts portable ==="
 # The whole suite, three times: every bit contract (kernel paths, OOC engine
 # on sorted chunks, dense update, cp_als on both engines) and everything
 # else must hold whatever the host worker pool is, not just at this host's
@@ -30,6 +30,15 @@ echo "=== 3/9 cargo test -q at AMPED_THREADS in {1, 2, 4} ==="
 for threads in 1 2 4; do
   AMPED_THREADS=$threads cargo test -q
 done
+# .cargo/config.toml builds for x86-64-v3 (AVX2 + FMA). The bit contracts
+# must not depend on it: the goldens, the kernel paths and the dense update
+# once more at the portable x86-64 baseline (SSE2), in a target directory of
+# their own so the two builds do not evict each other.
+if [ "$(uname -m)" = x86_64 ]; then
+  RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --test runtime_equivalence --test prop_kernel_runs \
+    --test prop_dense_update
+fi
 
 echo "=== 4/9 cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets -- -D warnings

@@ -24,6 +24,7 @@ use amped_linalg::{
 };
 use amped_runtime::smexec::{for_each_part_mut, host_workers};
 use amped_sim::metrics::RunReport;
+use amped_sim::obs::warn_once;
 use amped_sim::SimError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -177,6 +178,7 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
     let workers = host_workers();
     let registry = engine.metrics();
     let als_iterations = registry.counter("als_iterations");
+    let residual_clamped = registry.counter("als_residual_clamped");
 
     for iter in 0..opts.max_iters {
         let _iter_span = tl.as_ref().map(|t| t.span("iteration", iter as u64));
@@ -221,7 +223,22 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             }
         }
         let norm_model_sq = model_norm_sq(&lambda, &hadamard_grams(&grams, None));
-        let resid_sq = (norm_x_sq + norm_model_sq - 2.0 * inner).max(0.0);
+        // A negative (or NaN) squared residual means the shortcut lost to
+        // rounding or the engine's ‖X‖² is off. It is clamped to 0, which
+        // reports fit 1, so every clamp is counted and the first one said.
+        let mut resid_sq = norm_x_sq + norm_model_sq - 2.0 * inner;
+        if resid_sq.is_nan() || resid_sq < 0.0 {
+            residual_clamped.inc();
+            warn_once(
+                "als-residual-clamped",
+                &format!(
+                    "cp_als iteration {iter}: squared residual {resid_sq:e} \
+                     clamped to 0, so the reported fit is 1 \
+                     (als_residual_clamped counts every clamp)"
+                ),
+            );
+            resid_sq = 0.0;
+        }
         let fit = 1.0 - resid_sq.sqrt() / norm_x;
         let done = fits
             .last()
@@ -246,9 +263,12 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
 mod tests {
     use super::*;
     use crate::config::AmpedConfig;
-    use crate::engine::AmpedEngine;
+    use crate::engine::{AmpedEngine, ModeTiming};
+    use amped_plan::ModeAssignment;
+    use amped_sim::obs::MetricsRegistry;
     use amped_sim::PlatformSpec;
     use amped_tensor::gen::{low_rank, low_rank_dense};
+    use amped_tensor::Idx;
 
     fn engine(t: &amped_tensor::SparseTensor, rank: usize) -> AmpedEngine {
         let cfg = AmpedConfig {
@@ -384,6 +404,79 @@ mod tests {
             assert!(!keys.contains(&"dense"), "{}", r.span.render());
         }
         assert!(tl.current_span().is_root());
+    }
+
+    /// An engine that reports `‖X‖²` times `norm_scale` and records into a
+    /// registry of its own; everything else is the wrapped engine's.
+    struct MisreportedNorm {
+        inner: AmpedEngine,
+        norm_scale: f64,
+        metrics: MetricsRegistry,
+    }
+
+    impl MttkrpEngine for MisreportedNorm {
+        fn mttkrp_mode(
+            &mut self,
+            d: usize,
+            factors: &[Mat],
+        ) -> Result<(Mat, ModeTiming), SimError> {
+            self.inner.mttkrp_mode(d, factors)
+        }
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn shape(&self) -> &[Idx] {
+            self.inner.shape()
+        }
+        fn tensor_norm_sq(&self) -> f64 {
+            self.inner.tensor_norm_sq() * self.norm_scale
+        }
+        fn num_gpus(&self) -> usize {
+            self.inner.num_gpus()
+        }
+        fn preprocess_wall(&self) -> f64 {
+            self.inner.preprocess_wall()
+        }
+        fn mode_hist(&self, d: usize) -> Vec<u64> {
+            self.inner.mode_hist(d)
+        }
+        fn mode_loads(&self, d: usize) -> Vec<u64> {
+            self.inner.mode_loads(d)
+        }
+        fn replan(&mut self, assignment: &ModeAssignment) -> Result<(), SimError> {
+            self.inner.replan(assignment)
+        }
+        fn metrics(&self) -> MetricsRegistry {
+            self.metrics.clone()
+        }
+    }
+
+    #[test]
+    fn a_negative_residual_is_counted_not_hidden() {
+        let (t, _) = low_rank(&[15, 15, 15], 2, 800, 0.05, 106);
+        let opts = AlsOptions {
+            max_iters: 4,
+            tol: 0.0,
+            seed: 9,
+            ..Default::default()
+        };
+        let run = |norm_scale| {
+            let mut e = MisreportedNorm {
+                inner: engine(&t, 2),
+                norm_scale,
+                metrics: MetricsRegistry::new(),
+            };
+            let fits = cp_als(&mut e, &opts).unwrap().fits;
+            (fits, e.metrics.counter("als_residual_clamped").get())
+        };
+        let (fits, clamped) = run(1.0);
+        assert_eq!(clamped, 0, "an honest ‖X‖² clamps nothing: {fits:?}");
+        assert!(fits.iter().all(|&f| f < 1.0), "{fits:?}");
+        // A hundredth of ‖X‖²: every residual is negative, and each clamp is
+        // counted while the reported fit stays what the clamp gives.
+        let (fits, clamped) = run(0.01);
+        assert_eq!(clamped, fits.len() as u64, "{fits:?}");
+        assert!(fits.iter().all(|&f| f == 1.0), "{fits:?}");
     }
 
     #[test]

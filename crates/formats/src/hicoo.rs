@@ -78,14 +78,30 @@ impl HicooTensor {
     /// Returns the width and the number of nonempty blocks at it — what
     /// [`HicooTensor::build`] at that width will hold, so its
     /// [`HicooTensor::footprint`] is known before the build.
+    ///
+    /// One sort serves every width: in Morton (bit-interleaved) order the
+    /// elements of each width-`b` block are contiguous for every `b`, so the
+    /// blocks at `b` are 1 + the adjacent pairs that differ in some
+    /// `coord >> b`, i.e. whose highest differing coordinate bit is `≥ b`.
     pub fn auto_block_bits(t: &SparseTensor, min_avg: f64) -> (u32, usize) {
         let n = t.order();
+        let coords = t.indices_flat();
+        let mut perm: Vec<usize> = (0..t.nnz()).collect();
+        perm.sort_unstable_by(|&a, &b| {
+            morton_cmp(&coords[a * n..(a + 1) * n], &coords[b * n..(b + 1) * n])
+        });
+        // `splits[k]`: adjacent pairs whose highest differing bit is bit
+        // `k − 1` (`k = 0`: equal coordinates), so they differ at width `b`
+        // exactly when `k > b`.
+        let mut splits = [0usize; Idx::BITS as usize + 1];
+        for w in perm.windows(2) {
+            let (a, b) = (&coords[w[0] * n..][..n], &coords[w[1] * n..][..n]);
+            let diff = a.iter().zip(b).fold(0, |acc, (&x, &y)| acc | (x ^ y));
+            splits[(Idx::BITS - diff.leading_zeros()) as usize] += 1;
+        }
         let mut blocks = 0;
         for bits in 2..=8u32 {
-            let (keys, perm) = Self::block_order(t, bits);
-            let key = |e: usize| &keys[e * n..(e + 1) * n];
-            // One block per run of equal keys in sorted order.
-            let changes = perm.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
+            let changes: usize = splits[bits as usize + 1..].iter().sum();
             blocks = if perm.is_empty() { 0 } else { 1 + changes };
             if t.nnz() as f64 / blocks.max(1) as f64 >= min_avg {
                 return (bits, blocks);
@@ -174,6 +190,22 @@ impl HicooTensor {
             }
         }
     }
+}
+
+/// Morton order of two coordinate tuples: compare them on the mode whose
+/// coordinates differ in the highest bit (the lowest such mode on a tie),
+/// which orders them by their bit-interleaved keys without forming any.
+fn morton_cmp(a: &[Idx], b: &[Idx]) -> std::cmp::Ordering {
+    let mut top = 0;
+    let mut top_diff: Idx = 0;
+    for (m, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let diff = x ^ y;
+        // `diff` has a higher set bit than `top_diff`.
+        if top_diff < diff && top_diff < (top_diff ^ diff) {
+            (top, top_diff) = (m, diff);
+        }
+    }
+    a[top].cmp(&b[top])
 }
 
 #[cfg(test)]
@@ -327,6 +359,39 @@ mod tests {
                 assert_eq!(HicooTensor::build(&t, b).num_blocks(), n);
             }
         }
+    }
+
+    #[test]
+    fn one_morton_sort_counts_the_blocks_of_every_width() {
+        // Every width in 2..=8 gets chosen by some `min_avg` on some tensor
+        // (orders 3 and 5, skewed, clustered, with repeated coordinates);
+        // the count returned is the count the build at that width holds.
+        let mut with_repeats = six_clusters();
+        for e in 0..200 {
+            let c = with_repeats.coords(e * 7).to_vec();
+            with_repeats.push(&c, 2.0);
+        }
+        let tensors = [
+            GenSpec::uniform(vec![300, 200, 100], 20_000, 43).generate(),
+            GenSpec {
+                shape: vec![700, 90, 4000],
+                nnz: 25_000,
+                skew: vec![1.2, 0.0, 0.8],
+                seed: 44,
+            }
+            .generate(),
+            GenSpec::uniform(vec![40, 60, 30, 20, 50], 6_000, 45).generate(),
+            with_repeats,
+        ];
+        let mut widths = std::collections::BTreeSet::new();
+        for t in &tensors {
+            for min_avg in [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 16.0, 40.0, 1e9] {
+                let (bits, blocks) = HicooTensor::auto_block_bits(t, min_avg);
+                assert_eq!(HicooTensor::build(t, bits).num_blocks(), blocks);
+                widths.insert(bits);
+            }
+        }
+        assert!(widths.len() >= 5, "widths exercised: {widths:?}");
     }
 
     #[test]

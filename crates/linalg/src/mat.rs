@@ -132,31 +132,52 @@ impl Mat {
     /// `f64` down the rows of `self` in row order and rounded once, so
     /// cutting the triangle into bands of `i` computed separately gives the
     /// bits of [`Mat::gram`]; [`Mat::mirror_upper`] completes the matrix.
+    ///
+    /// Register-blocked: the cells are held in `4 × 4` tiles, and each tile
+    /// takes the products of four factor rows (`GRAM_BLOCK`) per load and
+    /// store, added to every cell one row after another in ascending row
+    /// order. That is the sequence of `f64` additions of one row at a time,
+    /// so the blocking moves no bit. Leftover rows go through the same
+    /// tiles one at a time.
     pub fn gram_band(&self, i0: usize, out: &mut [f32]) {
         let n = self.cols;
         if n == 0 {
             return;
         }
         assert_eq!(out.len() % n, 0, "out must pack whole Gram rows");
-        assert!(i0 + out.len() / n <= n, "band runs past the last Gram row");
-        let mut acc = vec![0.0f64; out.len()];
-        // The row widened once, not once per `i`.
-        let mut row = vec![0.0f64; n];
-        for r in 0..self.rows {
-            for (w, &v) in row[i0..].iter_mut().zip(&self.row(r)[i0..]) {
-                *w = v as f64;
-            }
-            for (acc_i, i) in acc.chunks_exact_mut(n).zip(i0..) {
-                let ri = row[i];
-                // Symmetric: accumulate the upper triangle only.
-                for (a, &rj) in acc_i[i..].iter_mut().zip(&row[i..]) {
-                    *a += ri * rj;
-                }
-            }
+        let i1 = i0 + out.len() / n;
+        assert!(i1 <= n, "band runs past the last Gram row");
+        if i1 == i0 {
+            return;
         }
-        for ((out_i, acc_i), i) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)).zip(i0..) {
-            for (o, &a) in out_i[i..].iter_mut().zip(&acc_i[i..]) {
-                *o = a as f32;
+        // The Gram's rows and columns in chunks of 4: the band's rows
+        // `i0..i1` lie in chunks `a0..a1`, and tile `(a, b)` holds rows
+        // `4a..4a + 4` by columns `4b..4b + 4`. Only tiles with `b ≥ a` are
+        // summed; their cells left of the diagonal, outside the band or
+        // past the last column are summed too and never read.
+        let chunks = n.div_ceil(4);
+        let (a0, a1) = (i0 / 4, i1.div_ceil(4));
+        let mut acc = vec![[[0.0f64; 4]; 4]; (a1 - a0) * chunks];
+        let tiles: Vec<(usize, usize)> = (a0..a1)
+            .flat_map(|a| (a..chunks).map(move |b| (a, b)))
+            .collect();
+        // The rows widened once, in 4-column chunks, the last zero-padded.
+        let mut rows = [(); GRAM_BLOCK].map(|_| vec![[0.0f64; 4]; chunks]);
+        let blocked = self.rows - self.rows % GRAM_BLOCK;
+        for r in (0..blocked).step_by(GRAM_BLOCK) {
+            for (k, w) in rows.iter_mut().enumerate() {
+                widen_row(self.row(r + k), w);
+            }
+            add_to_tiles::<GRAM_BLOCK>(&rows, &tiles, a0, &mut acc);
+        }
+        for r in blocked..self.rows {
+            widen_row(self.row(r), &mut rows[0]);
+            add_to_tiles::<1>(&rows, &tiles, a0, &mut acc);
+        }
+        for (out_i, i) in out.chunks_exact_mut(n).zip(i0..) {
+            let tiles = &acc[(i / 4 - a0) * chunks..][..chunks];
+            for (o, j) in out_i[i..].iter_mut().zip(i..) {
+                *o = tiles[j / 4][i % 4][j % 4] as f32;
             }
         }
     }
@@ -271,6 +292,50 @@ impl Mat {
             for (o, &v) in out.iter_mut().zip(&self.row(r)[cols.clone()]) {
                 *o += (v as f64) * (v as f64);
             }
+        }
+    }
+}
+
+/// Factor rows [`Mat::gram_band`] adds to each Gram tile per load and store.
+/// A `4 × 4` tile of `f64` cells is four ymm registers of an x86-64-v3
+/// build; the four rows' column operands are four more.
+const GRAM_BLOCK: usize = 4;
+
+/// Writes `row` widened to `f64` into 4-column chunks (a short last chunk
+/// keeps its padding).
+fn widen_row(row: &[f32], chunks: &mut [[f64; 4]]) {
+    for (chunk, values) in chunks.iter_mut().zip(row.chunks(4)) {
+        for (w, &v) in chunk.iter_mut().zip(values) {
+            *w = v as f64;
+        }
+    }
+}
+
+/// Adds the products of the first `K` widened rows to each listed tile
+/// `(a, b)`, stored at `(a − a0) · chunks + b` in `acc`. Each cell takes its
+/// `K` products one after another in row order, so a tile is loaded and
+/// stored once per `K` rows.
+fn add_to_tiles<const K: usize>(
+    rows: &[Vec<[f64; 4]>; GRAM_BLOCK],
+    tiles: &[(usize, usize)],
+    a0: usize,
+    acc: &mut [[[f64; 4]; 4]],
+) {
+    let chunks = rows[0].len();
+    for &(a, b) in tiles {
+        let xi: [[f64; 4]; K] = std::array::from_fn(|k| rows[k][a]);
+        let xj: [[f64; 4]; K] = std::array::from_fn(|k| rows[k][b]);
+        let tile = &mut acc[(a - a0) * chunks + b];
+        for (ii, cells) in tile.iter_mut().enumerate() {
+            // Four cells of a tile row as one vector; each takes one
+            // addition per factor row, in row order: the unblocked sum.
+            let mut s = *cells;
+            for (xi, xj) in xi.iter().zip(&xj) {
+                for (s, &x) in s.iter_mut().zip(xj) {
+                    *s += xi[ii] * x;
+                }
+            }
+            *cells = s;
         }
     }
 }

@@ -208,6 +208,96 @@ fn dense_update_leaves_a_zero_column_untouched() {
     assert!(lambda.iter().enumerate().all(|(c, &l)| c == 5 || l > 0.0));
 }
 
+/// The Gram oracle: cell `(i, j)` as one `f64` sum down the rows in row
+/// order, rounded once — what `Mat::gram_band` computes, without its
+/// four-row register blocking.
+fn gram_cell(m: &Mat, i: usize, j: usize) -> f32 {
+    let mut s = 0.0f64;
+    for r in 0..m.rows() {
+        s += m.get(r, i) as f64 * m.get(r, j) as f64;
+    }
+    s as f32
+}
+
+fn assert_gram_is_the_oracle(m: &Mat, gram: &Mat, what: &str) {
+    for i in 0..m.cols() {
+        for j in 0..m.cols() {
+            let want = gram_cell(m, i.min(j), i.max(j));
+            let got = gram.get(i, j);
+            assert!(
+                same_bits(got, want),
+                "{what}: ({i}, {j}): {got:e} != {want:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn blocked_gram_is_the_per_cell_oracle_in_bits() {
+    let mut rng = SmallRng::seed_from_u64(16);
+    // Every remainder of the four-row blocking, from no block at all up to
+    // two blocks and a tail, and one tall matrix with a three-row tail.
+    let row_counts = (0..=9).chain([2051]);
+    for (rows, n) in row_counts.flat_map(|r| [1usize, 7, 32].map(|n| (r, n))) {
+        let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
+        let what = format!("{rows} × {n}");
+        assert_gram_is_the_oracle(&m, &m.gram(), &what);
+        // Bands starting past row 0, one of them empty; cells left of the
+        // diagonal keep the sentinel.
+        let cuts = [0, n / 3, n / 3, 2 * n / 3, n];
+        let mut banded = Mat::from_fn(n, n, |_, _| 7.0);
+        for w in cuts.windows(2) {
+            m.gram_band(w[0], &mut banded.as_mut_slice()[w[0] * n..w[1] * n]);
+        }
+        for i in 0..n {
+            for j in 0..n {
+                let want = if j < i { 7.0 } else { gram_cell(&m, i, j) };
+                let got = banded.get(i, j);
+                assert!(same_bits(got, want), "{what} banded: ({i}, {j})");
+            }
+        }
+    }
+    // The Gram `dense_update` returns, cut into one band and into two.
+    for (rows, n) in [(2051usize, 32usize), (9, 7), (6, 1)] {
+        let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
+        let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
+        for workers in [1, 2] {
+            let mut a = m.clone();
+            let (_, gram) = dense_update(&chol, &mut a, workers);
+            let what = format!("dense_update {rows} × {n}, {workers} workers");
+            assert_gram_is_the_oracle(&a, &gram, &what);
+        }
+    }
+}
+
+#[test]
+fn gram_cells_sum_in_row_order_wherever_the_blocks_fall() {
+    // Cell (0, 1) sums `2^30`, then `−2^30` and `2^-30` `gap` rows later:
+    // in row order that is `2^-30`, but summing `−2^30` and `2^-30` before
+    // they meet the `2^30` (a block's products summed apart from the cell,
+    // or any other grouping) loses the `2^-30` and gives 0. Every start row
+    // and gap, across and within the four-row blocks and into the tail.
+    let mut rng = SmallRng::seed_from_u64(17);
+    for rows in 3..=13usize {
+        for start in 0..rows - 2 {
+            for gap in 1..rows - 1 - start {
+                let mut col = vec![0.0f32; rows];
+                col[start] = 2f32.powi(30);
+                col[start + gap] = -(2f32.powi(30));
+                col[start + gap + 1] = 2f32.powi(-30);
+                let m = Mat::from_fn(rows, 3, |r, c| match c {
+                    0 => 1.0,
+                    1 => col[r],
+                    _ => rng.gen::<f32>(),
+                });
+                assert_eq!(gram_cell(&m, 0, 1), 2f32.powi(-30));
+                let what = format!("{rows} rows, 2^30 at {start}, gap {gap}");
+                assert_gram_is_the_oracle(&m, &m.gram(), &what);
+            }
+        }
+    }
+}
+
 /// Factors, λ and fit trace of one run, as bits.
 fn als_bits(res: &AlsResult) -> (Vec<Vec<u32>>, Vec<u32>, Vec<u64>) {
     (
