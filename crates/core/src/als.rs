@@ -5,13 +5,15 @@
 //! accelerates), then solve the normal equations
 //! `Â_d = M (⊛_{w≠d} A_wᵀA_w)⁻¹`, normalize columns into λ, and continue.
 //!
-//! Only the `R × R` factorization of that system is small. Applying it is one
-//! triangular solve per factor row, and the column norms and the new Gram
-//! matrix are sweeps over the same `I_d` rows — on a tall tensor with few
-//! nonzeros per row that is as much host work as the MTTKRP itself. So the
-//! whole dense half of a mode update is one blocked step, [`dense_update`],
-//! split across the host workers in a way that keeps every output bit
-//! (DESIGN.md §15).
+//! Only the `R × R` part of that system is small: `V`, the Grams, the
+//! Cholesky factor and `W = V⁻¹` are `f64`, and so is everything the fit is
+//! computed from. Applying `W` to every factor row, the column norms and the
+//! new Gram matrix are sweeps over the same `I_d` rows — on a tall tensor
+//! with few nonzeros per row that is as much host work as the MTTKRP itself.
+//! So the whole dense half of a mode update is one pass over fixed row
+//! blocks, [`dense_update`], whose bits do not depend on how many host
+//! workers claim the blocks (DESIGN.md §15). The MTTKRP result becomes the
+//! factor in place.
 //!
 //! The loop is generic over [`MttkrpEngine`], so the same ALS drives the
 //! one [`crate::engine::Engine`] over either source: the in-core
@@ -19,9 +21,7 @@
 //! [`crate::ooc::OocEngine`].
 
 use crate::engine::MttkrpEngine;
-use amped_linalg::{
-    cholesky, div_cols, hadamard_grams, model_norm_sq, norms_from_sq_sums, CholFactor, Mat,
-};
+use amped_linalg::{cholesky, div_cols, hadamard_grams, model_norm_sq, CholFactor, Mat, RowSums};
 use amped_runtime::smexec::{for_each_part_mut, host_workers};
 use amped_sim::metrics::RunReport;
 use amped_sim::obs::warn_once;
@@ -29,6 +29,7 @@ use amped_sim::SimError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::sync::OnceLock;
 
 /// CP-ALS options.
 #[derive(Clone, Debug, Serialize)]
@@ -73,77 +74,51 @@ pub struct AlsResult {
     pub report: RunReport,
 }
 
-/// The `rows × rank²` multiply-adds of a [`dense_update`] that repay one
-/// thread: a matrix is cut into as many parts as it has this much work for
-/// (and no more than there are workers), so one under twice this stays on
-/// the calling thread. Measured on a 2-vCPU host at rank 8 and rank 32: two
-/// parts break even with one at about 2¹⁹–2²⁰ in total, four scopes of
-/// roughly 40 µs each against 0.4 ns per multiply-add.
-const DENSE_PART_MIN_WORK: usize = 1 << 19;
-
-/// `parts + 1` ascending bounds cutting `0..units` into `parts` near-equal
-/// ranges (some empty when `parts > units`).
-fn even_bounds(units: usize, parts: usize) -> Vec<usize> {
-    (0..=parts).map(|k| units * k / parts).collect()
-}
-
-/// Bounds cutting the rows `0..n` of an upper triangle into `parts` bands of
-/// near-equal area: row `i` holds `n − i` cells, so the bands widen downwards.
-fn triangle_bounds(n: usize, parts: usize) -> Vec<usize> {
-    let area = n * (n + 1) / 2;
-    let mut bounds = vec![0];
-    let (mut i, mut above) = (0, 0);
-    for k in 1..parts {
-        while i < n && above < area * k / parts {
-            above += n - i;
-            i += 1;
-        }
-        bounds.push(i);
-    }
-    bounds.push(n);
-    bounds
-}
+/// Rows per block of [`dense_update`]'s grid. The grid is a function of the
+/// row count alone, so it fixes the order in which the blocks' sums fold,
+/// whatever the worker count. A block at rank 32 is 128 KiB of factor rows
+/// and ≈ 1.6 M multiply-adds: long enough to repay a claim, short enough
+/// that two workers share a 7 839-row factor.
+const DENSE_BLOCK_ROWS: usize = 1024;
 
 /// The dense half of one ALS mode update, in place on the MTTKRP result
-/// `a`: solve the normal equations for every row (`Â = M V⁻¹` through
-/// `chol`), normalize the columns, and form the new Gram matrix. Returns
-/// `(λ, ÂᵀÂ)` and leaves the unit-column factor in `a`.
+/// `a`: returns `(λ, Ĝ, ⟨M, X⟩)` and leaves the unit-column factor in `a`.
 ///
-/// Each of the four passes is cut into at most `workers` parts that run
-/// side by side, and every cut keeps each output cell's arithmetic whole:
-/// the solve and the divide go by row ranges (rows are independent), the
-/// column norms by bands of columns and the Gram triangle by bands of its
-/// rows `i` (each cell still sums the factor rows in row order). The result
-/// is therefore the bits of `solve_mat_rows → normalize_cols → gram` at any
-/// worker count. How many parts a matrix is worth is read off its size
-/// (`DENSE_PART_MIN_WORK`); a small one is not cut at all.
-pub fn dense_update(chol: &CholFactor, a: &mut Mat, workers: usize) -> (Vec<f32>, Mat) {
+/// One pass over fixed blocks of `DENSE_BLOCK_ROWS` rows, claimed by up to
+/// `workers` host threads: every row `m` becomes `x = m W` in place
+/// (`W = V⁻¹` from `chol`, rounded to `f32` once), and in the same pass the
+/// block adds `xᵀx` to an `f64` Gram and `m∘x` to per-column dots
+/// ([`CholFactor::solve_rows_summed`]). The blocks' sums then fold in block
+/// order. `λ = √diag G`; `Ĝ = D⁻¹GD⁻¹` with `D = diag λ` (1 where λ is 0) is
+/// the Gram of the normalized factor, kept in `f64`; `⟨M, X⟩ = Σ` of the
+/// dots is the fit's `⟨M, A diag λ⟩`. The `1/λ` column scaling is the only
+/// second touch of the rows; a zero column is left untouched. Every cell's
+/// arithmetic is fixed by the row count, so the result has the same bits at
+/// any worker count.
+pub fn dense_update(chol: &CholFactor, a: &mut Mat, workers: usize) -> (Vec<f64>, Mat<f64>, f64) {
     let (rows, rank) = (a.rows(), a.cols());
     assert_eq!(rank, chol.n(), "matrix width must match factor dimension");
-    let parts = (rows * rank * rank / DENSE_PART_MIN_WORK).clamp(1, workers.max(1));
-    let row_bounds: Vec<usize> = even_bounds(rows, parts).iter().map(|r| r * rank).collect();
-
-    for_each_part_mut(a.as_mut_slice(), &row_bounds, |_, part| {
-        chol.solve_rows(part)
-    });
-    let mut sq_sums = vec![0.0f64; rank];
-    for_each_part_mut(&mut sq_sums, &even_bounds(rank, parts), |c0, band| {
-        a.col_sq_sums(c0, band)
-    });
-    let lambda = norms_from_sq_sums(&sq_sums);
-    for_each_part_mut(a.as_mut_slice(), &row_bounds, |_, part| {
-        div_cols(part, &lambda)
-    });
-    let mut gram = Mat::zeros(rank, rank);
-    let gram_bounds: Vec<usize> = triangle_bounds(rank, parts)
-        .iter()
-        .map(|i| i * rank)
+    let block = DENSE_BLOCK_ROWS * rank.max(1);
+    let bounds: Vec<usize> = (0..=rows.div_ceil(DENSE_BLOCK_ROWS))
+        .map(|b| (b * block).min(rows * rank))
         .collect();
-    for_each_part_mut(gram.as_mut_slice(), &gram_bounds, |at, band| {
-        a.gram_band(at / rank, band)
+    let partials: Vec<OnceLock<RowSums>> = bounds[1..].iter().map(|_| OnceLock::new()).collect();
+    for_each_part_mut(a.as_mut_slice(), &bounds, workers, |at, part| {
+        let _ = partials[at / block].set(chol.solve_rows_summed(part));
     });
-    gram.mirror_upper();
-    (lambda, gram)
+    let mut sums = RowSums::new(rank);
+    for p in partials.iter().filter_map(OnceLock::get) {
+        sums.add(p);
+    }
+    let gram = sums.gram();
+    let lambda: Vec<f64> = (0..rank).map(|c| gram.get(c, c).sqrt()).collect();
+    let norms: Vec<f32> = lambda.iter().map(|&l| l as f32).collect();
+    for_each_part_mut(a.as_mut_slice(), &bounds, workers, |_, part| {
+        div_cols(part, &norms)
+    });
+    let d = |c: usize| if lambda[c] > 0.0 { lambda[c] } else { 1.0 };
+    let normalized = Mat::from_fn(rank, rank, |i, j| gram.get(i, j) / (d(i) * d(j)));
+    (lambda, normalized, sums.dot().iter().sum())
 }
 
 /// Runs CP-ALS using `engine` for every MTTKRP. The tensor and rank are the
@@ -160,8 +135,8 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
         .iter()
         .map(|&d| Mat::random(d as usize, rank, &mut rng))
         .collect();
-    let mut lambda = vec![1.0f32; rank];
-    let mut grams: Vec<Mat> = factors.iter().map(|f| f.gram()).collect();
+    let mut lambda = vec![1.0f64; rank];
+    let mut grams: Vec<Mat<f64>> = factors.iter().map(Mat::gram_f64).collect();
 
     let mut report = RunReport {
         preprocess_wall: engine.preprocess_wall(),
@@ -182,11 +157,11 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
 
     for iter in 0..opts.max_iters {
         let _iter_span = tl.as_ref().map(|t| t.span("iteration", iter as u64));
-        // The last mode's MTTKRP result, which the fit below reads again.
-        let mut m_last = Mat::zeros(0, rank);
+        // ⟨M, A diag λ⟩ of the last mode, which the fit below reads.
+        let mut inner = 0.0f64;
         for d in 0..n {
             let _mode_span = tl.as_ref().map(|t| t.span("mode", d as u64));
-            let (m, timing) = engine.mttkrp_mode(d, &factors)?;
+            let (mut a, timing) = engine.mttkrp_mode(d, &factors)?;
             for (acc, g) in report.per_gpu.iter_mut().zip(&timing.per_gpu) {
                 acc.add(g);
             }
@@ -197,31 +172,16 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
             let v = hadamard_grams(&grams, Some(d));
             let chol = cholesky(&v, 1e-12)
                 .ok_or_else(|| SimError::Unsupported("degenerate ALS normal equations".into()))?;
-            // Only the last mode's MTTKRP result is read again (by the fit
-            // below); every other mode's becomes its factor in place.
-            let mut a = if d == n - 1 {
-                m_last = m;
-                m_last.clone()
-            } else {
-                m
-            };
-            (lambda, grams[d]) = dense_update(&chol, &mut a, workers);
+            // The MTTKRP result becomes the factor in place.
+            (lambda, grams[d], inner) = dense_update(&chol, &mut a, workers);
             factors[d] = a;
         }
         iterations += 1;
         als_iterations.inc();
 
-        // Fit via the standard CP-ALS shortcut: ⟨X, X̂⟩ folds the last
-        // MTTKRP result against the newest factor and λ.
-        let a_last = &factors[n - 1];
-        let mut inner = 0.0f64;
-        for row in 0..a_last.rows() {
-            let mr = m_last.row(row);
-            let ar = a_last.row(row);
-            for c in 0..rank {
-                inner += mr[c] as f64 * ar[c] as f64 * lambda[c] as f64;
-            }
-        }
+        // Fit via the standard CP-ALS shortcut: ⟨X, X̂⟩ is the last MTTKRP
+        // result against the newest factor and λ, which the dense pass
+        // summed while it solved.
         let norm_model_sq = model_norm_sq(&lambda, &hadamard_grams(&grams, None));
         // A negative (or NaN) squared residual means the shortcut lost to
         // rounding or the engine's ‖X‖² is off. It is clamped to 0, which
@@ -252,7 +212,7 @@ pub fn cp_als(engine: &mut impl MttkrpEngine, opts: &AlsOptions) -> Result<AlsRe
 
     Ok(AlsResult {
         factors,
-        lambda,
+        lambda: lambda.iter().map(|&l| l as f32).collect(),
         fits,
         iterations,
         report,
@@ -345,28 +305,6 @@ mod tests {
         assert!(res.report.total_time > 0.0);
         assert_eq!(res.factors.len(), 3);
         assert_eq!(res.lambda.len(), 2);
-    }
-
-    #[test]
-    fn bounds_cover_their_range_and_triangle_bands_balance() {
-        assert_eq!(even_bounds(10, 3), vec![0, 3, 6, 10]);
-        assert_eq!(even_bounds(2, 4), vec![0, 0, 1, 1, 2]);
-        assert_eq!(triangle_bounds(32, 1), vec![0, 32]);
-        assert_eq!(triangle_bounds(0, 3), vec![0, 0, 0, 0]);
-        for (n, parts) in [(32usize, 2usize), (32, 8), (7, 3), (3, 8)] {
-            let b = triangle_bounds(n, parts);
-            assert_eq!((b.len(), b[0], b[parts]), (parts + 1, 0, n));
-            let areas: Vec<usize> = b
-                .windows(2)
-                .map(|w| (w[0]..w[1]).map(|i| n - i).sum())
-                .collect();
-            // No band is more than one triangle row over its share.
-            let share = n * (n + 1) / 2 / parts;
-            assert!(
-                areas.iter().all(|&a| a <= share + n),
-                "{n}/{parts}: {areas:?}"
-            );
-        }
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! [`Engine`] is Algorithm 1's loop, written once: argument checks, the
 //! per-GPU pipelines a [`Source`] reports, the inter-GPU barrier, the timed
 //! all-gather of the updated rows, and the construction, replanning and
-//! accessor shell around them. What differs between running in core and
-//! out of core is only where a mode-sorted element comes from, so that is
-//! all a source owns: [`Resident`] (this module, [`AmpedEngine`]) keeps one
-//! mode-sorted copy per mode in host memory and streams its shards;
-//! [`crate::ooc::Streamed`] ([`crate::ooc::OocEngine`]) reads the same
-//! layout chunk by chunk from a `.tnsb` file's sorted sections.
+//! accessor shell around them. Every GPU's kernels write their rows into one
+//! host output buffer, so after the modeled gather that buffer becomes the
+//! mode's factor in place: nothing is copied or reassembled. What differs
+//! between running in core and out of core is only where a mode-sorted
+//! element comes from, so that is all a source owns: [`Resident`] (this
+//! module, [`AmpedEngine`]) keeps one mode-sorted copy per mode in host
+//! memory and streams its shards; [`crate::ooc::Streamed`]
+//! ([`crate::ooc::OocEngine`]) reads the same layout chunk by chunk from a
+//! `.tnsb` file's sorted sections.
 //!
 //! The engine is pure orchestration: every kernel launch, transfer,
 //! collective, and device allocation goes through the [`DeviceRuntime`] it
@@ -22,9 +25,7 @@ use amped_linalg::Mat;
 use amped_partition::{isp_ranges, ModePlan, PartitionPlan, PlanBusy, Shard, StatsScratch};
 use amped_plan::{ModeAssignment, NnzCcp, Partitioner, PlanStats, UniformCost};
 use amped_runtime::kernels::{launch_mttkrp, FactorsView, MttkrpOut, SortedCoo};
-use amped_runtime::{
-    Collective, Device, DeviceRuntime, FactorBlock, SimRuntime, Timeline, TuneParams,
-};
+use amped_runtime::{Collective, Device, DeviceRuntime, SimRuntime, Timeline, TuneParams};
 use amped_sim::costmodel::CostModel;
 use amped_sim::metrics::RunReport;
 use amped_sim::obs::{Counter, MetricsRegistry};
@@ -93,8 +94,8 @@ pub trait MttkrpEngine {
 }
 
 /// Where an [`Engine`]'s mode-sorted elements live, and the little only that
-/// place knows: the tensor facts, how a mode is re-cut, how a mode's grids
-/// are priced and launched, and how the gathered output is assembled.
+/// place knows: the tensor facts, how a mode is re-cut, and how a mode's
+/// grids are priced and launched.
 /// Sealed — [`Resident`] and [`crate::ooc::Streamed`] are the only sources,
 /// and everything else the engine does is written once over them.
 pub trait Source: sealed::Sealed {
@@ -133,17 +134,6 @@ pub trait Source: sealed::Sealed {
         factors: &FactorsView,
         out: &MttkrpOut,
     ) -> Result<sealed::ModeRun, SimError>;
-
-    /// The output factor, once the timed all-gather has been charged: by
-    /// default what the launches wrote to `out`.
-    fn assemble(
-        &self,
-        _runtime: &mut dyn DeviceRuntime,
-        _rows: &[Vec<Range<Idx>>],
-        out: &MttkrpOut,
-    ) -> Mat {
-        Mat::from_vec(out.rows(), out.rank(), out.to_vec())
-    }
 }
 
 pub(crate) mod sealed {
@@ -336,7 +326,9 @@ impl<S: Source> MttkrpEngine for Engine<S> {
     /// accumulation and one rounding per cell (see `amped_runtime::kernels`),
     /// single-ISP grids keep the single-writer `f32` order. The source
     /// prices and launches the grids; the engine then closes the mode with
-    /// the inter-GPU barrier and the ring all-gather (Algorithm 3).
+    /// the inter-GPU barrier and the ring all-gather (Algorithm 3), timed
+    /// and metered once through [`DeviceRuntime::allgather_time`]; the
+    /// output buffer the grids wrote is returned as the factor, in place.
     fn mttkrp_mode(&mut self, d: usize, factors: &[Mat]) -> Result<(Mat, ModeTiming), SimError> {
         let order = self.source.shape().len();
         assert!(d < order, "mode {d} out of range");
@@ -382,7 +374,9 @@ impl<S: Source> MttkrpEngine for Engine<S> {
             b.p2p += gather_time;
         }
 
-        let result = self.source.assemble(runtime, &run.rows, &out);
+        // Every GPU's rows are in `out` already; after the modeled gather
+        // they become the factor in place.
+        let result = Mat::from_vec(out.rows(), rank, out.into_vec());
         let timing = ModeTiming {
             mode: d,
             wall: barrier + gather_time,
@@ -733,51 +727,6 @@ impl Source for Resident {
             .collect();
         Ok(sealed::ModeRun { steps, rows })
     }
-
-    /// Functionally runs the ring: extracts each GPU's produced rows, passes
-    /// them around the ring through [`DeviceRuntime::allgather_blocks`], and
-    /// reassembles GPU 0's copy — verifying Algorithm 3 moves exactly the
-    /// right data (checked against the direct snapshot).
-    fn assemble(
-        &self,
-        runtime: &mut dyn DeviceRuntime,
-        rows: &[Vec<Range<Idx>>],
-        out: &MttkrpOut,
-    ) -> Mat {
-        let (rows_out, rank) = (out.rows(), out.rank());
-        let blocks: Vec<FactorBlock> = rows
-            .iter()
-            .map(|ranges| {
-                let n: usize = ranges.iter().map(|r| (r.end - r.start) as usize).sum();
-                let mut rows = Vec::with_capacity(n);
-                let mut data = Vec::with_capacity(n * rank);
-                for r in ranges {
-                    out.extend_rows(r.start as usize..r.end as usize, &mut data);
-                    rows.extend(r.clone());
-                }
-                FactorBlock {
-                    rows,
-                    data: data.into(),
-                }
-            })
-            .collect();
-        let gathered = runtime.allgather_blocks(&blocks);
-        let mut full = Mat::zeros(rows_out, rank);
-        for block in &gathered[0] {
-            for (k, &i) in block.rows.iter().enumerate() {
-                full.row_mut(i as usize)
-                    .copy_from_slice(&block.data[k * rank..(k + 1) * rank]);
-            }
-        }
-        debug_assert!(
-            {
-                let direct = Mat::from_vec(rows_out, rank, out.to_vec());
-                full.approx_eq(&direct, 0.0, 0.0)
-            },
-            "ring all-gather must reproduce the direct snapshot exactly"
-        );
-        full
-    }
 }
 
 /// Runs nnz-CCP for every mode, materializes the assignments into a
@@ -1047,7 +996,7 @@ pub(crate) mod tests {
         );
         assert!(timeline.count(OpKind::LaunchGrid) > 0);
         assert!(timeline.count(OpKind::H2d) > 0);
-        assert!(timeline.count(OpKind::Allgather) >= 2, "timed + functional");
+        assert_eq!(timeline.count(OpKind::Allgather), 1, "one timed gather");
     }
 
     /// The serial reading of construction: one mode's schedule from its

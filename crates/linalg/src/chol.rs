@@ -1,36 +1,43 @@
-//! Cholesky factorization and SPD solves for the ALS normal equations.
+//! Cholesky factorization and the ALS normal-equation solve `X = M V⁻¹`.
 
-use crate::Mat;
+use crate::{Mat, RowSums};
 
-/// Rows the panel kernel solves side by side. Eight `f64` lanes are four
-/// SSE2 (two AVX2) registers per operand: enough independent subtract
-/// chains to hide the latency a single row's chain is bound by.
-const PANEL: usize = 8;
+/// Rows the solve kernel applies `W` to side by side: each step of `k`
+/// loads one lane group of `W`'s row `k` and feeds it to this many rows.
+const GROUP: usize = 4;
 
-/// A lower-triangular Cholesky factor `L` with `V = L Lᵀ`, stored in `f64`
-/// for numerical stability (the `R × R` Hadamard-of-Grams matrix in ALS can be
-/// poorly conditioned once factors become collinear).
+/// Columns of `x` one sweep of the solve kernel produces: with `GROUP` rows,
+/// 8 independent ymm vectors of sums, enough to hide their adds' latency.
+const LANES: usize = 8;
+
+/// A Cholesky factor `L` of `V = L Lᵀ` and the inverse `W = V⁻¹ = L⁻ᵀL⁻¹`
+/// formed from it, both in `f64` (the `R × R` Hadamard-of-Grams matrix in
+/// ALS can be poorly conditioned once factors become collinear).
 #[derive(Clone, Debug)]
 pub struct CholFactor {
     n: usize,
-    l: Vec<f64>,  // row-major lower triangle, full n×n storage
-    lt: Vec<f64>, // `Lᵀ`, row-major: back substitution reads rows, not columns
+    l: Vec<f64>, // row-major lower triangle, full n×n storage
+    /// `W` in lane groups of `LANES` columns, group-major: columns
+    /// `8b..8b + 8` of row `k` at `b · n + k`, the last group zero-padded.
+    w: Vec<[f64; LANES]>,
 }
 
-/// Factorizes the symmetric positive (semi-)definite matrix `v`.
+/// Factorizes the symmetric positive (semi-)definite matrix `v` and forms
+/// its inverse.
 ///
 /// If the factorization encounters a non-positive pivot, it is retried with a
 /// ridge term `ridge * trace(v)/n * I` added, doubling the ridge up to a few
 /// times. Returns `None` only if the matrix stays non-factorizable, which for
 /// ALS would indicate completely degenerate factors.
-pub fn cholesky(v: &Mat, ridge: f64) -> Option<CholFactor> {
+pub fn cholesky<T: Copy + Default + Into<f64>>(v: &Mat<T>, ridge: f64) -> Option<CholFactor> {
     assert_eq!(v.rows(), v.cols(), "cholesky requires a square matrix");
     let n = v.rows();
-    let mean_diag: f64 = (0..n).map(|i| v.get(i, i) as f64).sum::<f64>() / n.max(1) as f64;
+    let mean_diag: f64 = (0..n).map(|i| v.get(i, i).into()).sum::<f64>() / n.max(1) as f64;
     let mut jitter = ridge * mean_diag.max(f64::MIN_POSITIVE);
     for _attempt in 0..8 {
-        if let Some(f) = try_cholesky(v, jitter) {
-            return Some(f);
+        if let Some(l) = try_cholesky(v, jitter) {
+            let w = inverse_chunks(&l, n);
+            return Some(CholFactor { n, l, w });
         }
         jitter = if jitter == 0.0 {
             1e-12 * mean_diag.max(1.0)
@@ -41,12 +48,12 @@ pub fn cholesky(v: &Mat, ridge: f64) -> Option<CholFactor> {
     None
 }
 
-fn try_cholesky(v: &Mat, jitter: f64) -> Option<CholFactor> {
+fn try_cholesky<T: Copy + Default + Into<f64>>(v: &Mat<T>, jitter: f64) -> Option<Vec<f64>> {
     let n = v.rows();
     let mut l = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..=i {
-            let mut sum = v.get(i, j) as f64;
+            let mut sum: f64 = v.get(i, j).into();
             if i == j {
                 sum += jitter;
             }
@@ -63,13 +70,36 @@ fn try_cholesky(v: &Mat, jitter: f64) -> Option<CholFactor> {
             }
         }
     }
-    let mut lt = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            lt[j * n + i] = l[i * n + j];
+    Some(l)
+}
+
+/// `W = L⁻ᵀL⁻¹` in the lane-group layout of [`CholFactor`]. `L⁻¹` comes from
+/// forward substitution against the identity, one column at a time, and
+/// `W_ij = Σ_{k ≥ max(i, j)} L⁻¹_ki L⁻¹_kj` with the same products in the
+/// same order for `(i, j)` and `(j, i)`, so `W` is symmetric in bits.
+fn inverse_chunks(l: &[f64], n: usize) -> Vec<[f64; LANES]> {
+    let mut li = vec![0.0f64; n * n];
+    for j in 0..n {
+        li[j * n + j] = 1.0 / l[j * n + j];
+        for i in j + 1..n {
+            let mut sum = 0.0;
+            for k in j..i {
+                sum += l[i * n + k] * li[k * n + j];
+            }
+            li[i * n + j] = -sum / l[i * n + i];
         }
     }
-    Some(CholFactor { n, l, lt })
+    let mut w = vec![[0.0f64; LANES]; n * n.div_ceil(LANES)];
+    for i in 0..n {
+        for j in 0..n {
+            let mut sum = 0.0;
+            for k in i.max(j)..n {
+                sum += li[k * n + i] * li[k * n + j];
+            }
+            w[j / LANES * n + i][j % LANES] = sum;
+        }
+    }
+    w
 }
 
 impl CholFactor {
@@ -81,6 +111,12 @@ impl CholFactor {
     /// The factor `L`, row-major `n × n` with the strict upper triangle zero.
     pub fn l(&self) -> &[f64] {
         &self.l
+    }
+
+    /// The inverse `W = V⁻¹` the solves apply.
+    pub fn inverse(&self) -> Mat<f64> {
+        let n = self.n;
+        Mat::from_fn(n, n, |k, j| self.w[j / LANES * n + k][j % LANES])
     }
 
     /// Solves `V x = b` in place (`b` holds the solution on return).
@@ -99,74 +135,82 @@ impl CholFactor {
     }
 
     /// Solves every `n`-wide row packed in `rows`, in place: the one solve
-    /// this crate has. Rows are independent, so any split of a matrix into
-    /// row ranges solved separately gives the same bits as one call.
-    ///
-    /// Full groups of `PANEL` (8) rows go through the kernel side by side, the
-    /// rest one at a time through the same kernel at one lane. One scratch
-    /// panel is allocated per call, none per row.
+    /// this crate has. Each row `m` becomes `x = m W`, every `x_j` the sum
+    /// `Σ_k m_k W_kj` in `f64` with `k` ascending from `+0.0`, rounded to
+    /// `f32` once. Rows are independent, so any split of a matrix into row
+    /// ranges solved separately gives the same bits as one call.
     pub fn solve_rows(&self, rows: &mut [f32]) {
+        self.solve_groups(rows, |_, _| {});
+    }
+
+    /// [`CholFactor::solve_rows`], adding each group of solved rows to their
+    /// [`RowSums`] (Gram and column dots) while it is still in cache.
+    pub fn solve_rows_summed(&self, rows: &mut [f32]) -> RowSums {
+        let mut sums = RowSums::new(self.n);
+        self.solve_groups(rows, |x, m| {
+            sums.add_rows(x);
+            for (x, m) in x.chunks_exact(self.n).zip(m.chunks_exact(self.n)) {
+                for ((d, &x), &m) in sums.dot.iter_mut().zip(x).zip(m) {
+                    *d += m as f64 * x as f64;
+                }
+            }
+        });
+        sums
+    }
+
+    /// Solves `rows` a `GROUP` at a time and hands `then` each group's solved
+    /// rows with a copy of their inputs. The leftover rows are solved as a
+    /// group padded with zero rows: rows never mix.
+    fn solve_groups(&self, rows: &mut [f32], mut then: impl FnMut(&[f32], &[f32])) {
         let n = self.n;
         if n == 0 {
             assert!(rows.is_empty(), "a 0 × 0 factor solves no rows");
             return;
         }
         assert_eq!(rows.len() % n, 0, "rows must pack whole n-wide rows");
-        let mut y = vec![0.0f64; n * PANEL];
-        let mut panels = rows.chunks_exact_mut(n * PANEL);
-        for panel in &mut panels {
-            self.solve_panel::<PANEL>(panel, &mut y);
+        let (mut input, mut m) = (vec![0.0f32; GROUP * n], vec![0.0f64; GROUP * n]);
+        let mut groups = rows.chunks_exact_mut(GROUP * n);
+        for group in &mut groups {
+            input.copy_from_slice(group);
+            self.apply(group, &mut m);
+            then(group, &input);
         }
-        for row in panels.into_remainder().chunks_exact_mut(n) {
-            self.solve_panel::<1>(row, &mut y[..n]);
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            let mut padded = vec![0.0f32; GROUP * n];
+            padded[..tail.len()].copy_from_slice(tail);
+            input.copy_from_slice(&padded);
+            self.apply(&mut padded, &mut m);
+            tail.copy_from_slice(&padded[..tail.len()]);
+            then(tail, &input);
         }
     }
 
-    /// Forward then back substitution on `P` packed rows at once. `y` is the
-    /// `n × P` scratch panel, column `i` of all `P` rows adjacent, so each
-    /// substitution step is one multiply-subtract across the rows — which
-    /// vectorises — instead of a chain within one. Lanes never mix, and each
-    /// lane does what the scalar textbook loop does in the same order: start
-    /// from `b_i`, subtract the `k` terms ascending, divide; back
-    /// substitution reads the `x_k` already rounded to `f32` and widened
-    /// again. So the result is that loop's, bit for bit, at any `P`.
-    fn solve_panel<const P: usize>(&self, rows: &mut [f32], y: &mut [f64]) {
+    /// `x = m W` for the `GROUP` rows in `rows`, in place, from their copy
+    /// widened and transposed into `m`: one sweep over `k` per lane group,
+    /// the `GROUP × LANES` sums in registers. No `mul_add`: a build without
+    /// FMA would call a software fma, and `s += m·w` rounds alike on both.
+    fn apply(&self, rows: &mut [f32], m: &mut [f64]) {
         let n = self.n;
-        // Forward substitution: L y = b.
-        for i in 0..n {
-            let mut sum = [0.0f64; P];
-            for (p, s) in sum.iter_mut().enumerate() {
-                *s = rows[p * n + i] as f64;
-            }
-            let l_row = &self.l[i * n..i * n + i];
-            for (&lik, yk) in l_row.iter().zip(y.chunks_exact(P)) {
-                for (s, &ykp) in sum.iter_mut().zip(yk) {
-                    *s -= lik * ykp;
-                }
-            }
-            let diag = self.l[i * n + i];
-            for (yi, s) in y[i * P..(i + 1) * P].iter_mut().zip(sum) {
-                *yi = s / diag;
+        for (r, row) in rows.chunks_exact(n).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[c * GROUP + r] = v as f64;
             }
         }
-        // Backward substitution: Lᵀ x = y, with x overwriting y from the
-        // bottom up.
-        for i in (0..n).rev() {
-            let (head, solved) = y.split_at_mut((i + 1) * P);
-            let yi = &mut head[i * P..];
-            let mut sum = [0.0f64; P];
-            sum.copy_from_slice(yi);
-            let lt_row = &self.lt[i * n + i + 1..(i + 1) * n];
-            for (&lki, xk) in lt_row.iter().zip(solved.chunks_exact(P)) {
-                for (s, &xkp) in sum.iter_mut().zip(xk) {
-                    *s -= lki * xkp;
+        let (m, _) = m.as_chunks::<GROUP>();
+        for (b, w) in self.w.chunks_exact(n).enumerate() {
+            let mut s = [[0.0f64; LANES]; GROUP];
+            for (mk, wk) in m.iter().zip(w) {
+                for r in 0..GROUP {
+                    for l in 0..LANES {
+                        s[r][l] += mk[r] * wk[l];
+                    }
                 }
             }
-            let diag = self.l[i * n + i];
-            for (p, (yip, s)) in yi.iter_mut().zip(sum).enumerate() {
-                let x = (s / diag) as f32;
-                rows[p * n + i] = x;
-                *yip = x as f64;
+            for (row, s) in rows.chunks_exact_mut(n).zip(&s) {
+                for (x, &v) in row[LANES * b..].iter_mut().zip(s) {
+                    *x = v as f32;
+                }
             }
         }
     }
@@ -222,8 +266,8 @@ mod tests {
 
     #[test]
     fn row_ranges_solve_to_the_bits_of_one_call() {
-        // 21 rows: two full panels and a five-row tail in one call; the
-        // split at row 3 moves every row to a different lane or to the tail.
+        // 21 rows: five groups of four and a one-row tail in one call; the
+        // split at row 3 moves every row to another slot or into a tail.
         let v = spd(7, 3);
         let mut rng = SmallRng::seed_from_u64(4);
         let m = Mat::random(21, 7, &mut rng);

@@ -10,12 +10,13 @@
 //! evaluated in the paper) with `f64` internal accumulation where it matters
 //! for stability.
 //!
-//! The row-proportional kernels work on packed rows and on bands
-//! ([`CholFactor::solve_rows`], [`Mat::col_sq_sums`], [`div_cols`],
-//! [`Mat::gram_band`]), each documented with the split under which its
-//! output bits do not change, so a caller may run the parts side by side;
-//! the crate itself starts no thread. Scratch is allocated once per call,
-//! never per row.
+//! The row-proportional kernels work on packed rows
+//! ([`CholFactor::solve_rows`], [`CholFactor::solve_rows_summed`],
+//! [`div_cols`]), each documented with the split under which its output
+//! bits do not change, so a caller may run the parts side by side; the
+//! crate itself starts no thread. Scratch is allocated once per call, never
+//! per row. The `R × R` matrices are `Mat<f64>`; the factors are `Mat`
+//! (`f32`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,5 +26,5 @@ mod mat;
 mod ops;
 
 pub use chol::{cholesky, CholFactor};
-pub use mat::{div_cols, norms_from_sq_sums, Mat};
+pub use mat::{div_cols, norms_from_sq_sums, Mat, RowSums};
 pub use ops::{hadamard_grams, khatri_rao, model_norm_sq};

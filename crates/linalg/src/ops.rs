@@ -1,15 +1,19 @@
 //! CP-decomposition specific dense operations.
 
 use crate::Mat;
+use std::ops::MulAssign;
 
 /// Hadamard product of Gram matrices `⊛_{m ≠ skip} grams[m]`.
 ///
 /// This is the `V` matrix of the ALS normal equations for the mode `skip`
 /// (Equation 1 of the paper rewritten as `Â = X₍d₎ KRP · V⁻¹`). When `skip` is
 /// `None` all Grams are multiplied, which is what the CP fit computation needs.
-pub fn hadamard_grams(grams: &[Mat], skip: Option<usize>) -> Mat {
+pub fn hadamard_grams<T>(grams: &[Mat<T>], skip: Option<usize>) -> Mat<T>
+where
+    T: Copy + Default + From<u8> + MulAssign,
+{
     let r = grams.first().expect("at least one gram matrix").rows();
-    let mut v = Mat::from_fn(r, r, |_, _| 1.0);
+    let mut v = Mat::from_fn(r, r, |_, _| T::from(1));
     for (m, g) in grams.iter().enumerate() {
         if Some(m) == skip {
             continue;
@@ -20,13 +24,13 @@ pub fn hadamard_grams(grams: &[Mat], skip: Option<usize>) -> Mat {
 }
 
 /// Squared norm of the CP model `‖⟦λ; A₀,…,A_{N−1}⟧‖² = λᵀ (⊛ₘ AₘᵀAₘ) λ`.
-pub fn model_norm_sq(lambda: &[f32], gram_had_all: &Mat) -> f64 {
+pub fn model_norm_sq(lambda: &[f64], gram_had_all: &Mat<f64>) -> f64 {
     let r = lambda.len();
     assert_eq!(gram_had_all.rows(), r);
     let mut acc = 0.0f64;
     for i in 0..r {
         for j in 0..r {
-            acc += lambda[i] as f64 * gram_had_all.get(i, j) as f64 * lambda[j] as f64;
+            acc += lambda[i] * gram_had_all.get(i, j) * lambda[j];
         }
     }
     acc
@@ -71,7 +75,7 @@ mod tests {
     fn model_norm_matches_direct_computation() {
         // Rank-1 model with a single factor: ‖λ a‖² = λ² ‖a‖².
         let a = Mat::from_vec(3, 1, vec![1.0, 2.0, 2.0]);
-        let g = a.gram(); // [[9]]
+        let g = a.gram_f64(); // [[9]]
         let n = model_norm_sq(&[2.0], &g);
         assert!((n - 36.0).abs() < 1e-9);
     }

@@ -274,6 +274,16 @@ impl MttkrpOut {
         v
     }
 
+    /// The cells as a plain row-major vector, in place: std's in-place
+    /// collect reuses the `AtomicU32` buffer for the `f32`s (same size and
+    /// alignment), so nothing is copied or allocated.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.cells
+            .into_iter()
+            .map(|cell| f32::from_bits(cell.into_inner()))
+            .collect()
+    }
+
     /// Single-writer `f32` add at flat index `idx` — the legacy accumulation
     /// order of the direct path.
     #[inline]

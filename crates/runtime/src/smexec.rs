@@ -19,6 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Timing summary of one simulated grid launch.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -136,16 +137,16 @@ where
 }
 
 /// Runs `f(bounds[k], &mut data[bounds[k]..bounds[k + 1]])` for every
-/// non-empty part `k`, each part on a host thread of its own: the last on the
-/// calling thread, the others on scoped threads that are joined before this
-/// returns. One part (or none) spawns nothing. The caller sizes the pool by
-/// how many parts it cuts — at most [`host_workers`], for work long enough
-/// to repay a spawn — and `f` is handed its part's offset so it can find
-/// the matching range of whatever it reads beside `data`.
+/// non-empty part `k` on up to `workers` host threads, which claim the
+/// parts as [`execute_blocks`] claims blocks (the calling thread among
+/// them; one part, or one worker, spawns nothing). `f` is handed its part's
+/// offset so it can find the matching range of whatever it reads or writes
+/// beside `data`; which thread ran a part is not observable in the result
+/// when `f` writes only through its part and the offset.
 ///
 /// `bounds` must ascend from 0 to `data.len()`. A panic in any part
-/// propagates to the caller once every part has stopped.
-pub fn for_each_part_mut<T, F>(data: &mut [T], bounds: &[usize], f: F)
+/// propagates to the caller once every worker has stopped.
+pub fn for_each_part_mut<T, F>(data: &mut [T], bounds: &[usize], workers: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -158,22 +159,21 @@ where
         let (part, tail) = rest.split_at_mut(w[1] - w[0]);
         rest = tail;
         if !part.is_empty() {
-            parts.push((w[0], part));
+            parts.push(Mutex::new(Some((w[0], part))));
         }
     }
-    let Some((last_at, last)) = parts.pop() else {
-        return;
-    };
-    let f = &f;
-    let joined = crossbeam::thread::scope(|s| {
-        for (at, part) in parts {
-            s.spawn(move |_| f(at, part));
+    // Each part is claimed exactly once, so its lock is never contended;
+    // it only hands the `&mut` part to whichever thread claimed it. No code
+    // runs while it is held, so it cannot be poisoned.
+    execute_blocks(workers, parts.len(), |k| {
+        let claimed = parts[k]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some((at, part)) = claimed {
+            f(at, part);
         }
-        f(last_at, last);
     });
-    if let Err(payload) = joined {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Executes a grid: runs `kernel(block_index)` for every block of the grid
@@ -269,27 +269,33 @@ mod tests {
     fn for_each_part_mut_covers_every_part_once_with_its_offset() {
         // Uneven parts, empty parts at either end and in the middle.
         let bounds = [0usize, 0, 3, 3, 10, 37, 37];
-        let mut data = vec![0u32; 37];
-        for_each_part_mut(&mut data, &bounds, |at, part| {
-            for (k, v) in part.iter_mut().enumerate() {
-                *v += (at + k) as u32 + 1;
-            }
-        });
-        let want: Vec<u32> = (1..=37).collect();
-        assert_eq!(data, want);
-        // One part and no part run on the caller.
+        for workers in [1usize, 2, 3, 200] {
+            let mut data = vec![0u32; 37];
+            for_each_part_mut(&mut data, &bounds, workers, |at, part| {
+                for (k, v) in part.iter_mut().enumerate() {
+                    *v += (at + k) as u32 + 1;
+                }
+            });
+            let want: Vec<u32> = (1..=37).collect();
+            assert_eq!(data, want, "{workers} workers");
+        }
+        // One part, or one worker, runs on the caller; no part runs nothing.
         let caller = std::thread::current().id();
-        for_each_part_mut(&mut data, &[0, 37], |_, _| {
+        let mut data = vec![0u32; 37];
+        for_each_part_mut(&mut data, &[0, 37], 4, |_, _| {
             assert_eq!(std::thread::current().id(), caller);
         });
-        for_each_part_mut(&mut [0u8; 0], &[0, 0], |_, _| panic!("no part to run"));
+        for_each_part_mut(&mut data, &bounds, 1, |_, _| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        for_each_part_mut(&mut [0u8; 0], &[0, 0], 4, |_, _| panic!("no part to run"));
     }
 
     #[test]
     fn panic_in_a_part_propagates_to_the_caller() {
         let r = std::panic::catch_unwind(|| {
             let mut data = [0u8; 4];
-            for_each_part_mut(&mut data, &[0, 2, 4], |at, _| {
+            for_each_part_mut(&mut data, &[0, 2, 4], 2, |at, _| {
                 if at == 0 {
                     panic!("part 0 exploded");
                 }

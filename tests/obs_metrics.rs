@@ -120,6 +120,43 @@ fn observed_als_is_bit_identical_to_unobserved() {
 }
 
 #[test]
+fn every_mode_is_gathered_once_on_both_engines() {
+    // One ring all-gather per mode per iteration, metered once: every
+    // output row (rank × 4 B) crosses the m − 1 ring edges ahead of its GPU.
+    let t = tensor();
+    let dir = common::ScratchDir::new("obs_metrics");
+    let path = dir.join("gather.tnsb");
+    write_tnsb(&t, &path, 512).unwrap();
+    let (m, iters) = (4u64, opts().max_iters as u64);
+    let spec = PlatformSpec::rtx6000_ada_node(m as usize).scaled(1e-3);
+    let rows: u64 = t.shape().iter().map(|&d| d as u64).sum();
+    let block_bytes = rows * cfg().rank as u64 * 4 * iters;
+    for ooc in [false, true] {
+        let reg = MetricsRegistry::new();
+        let rt = Box::new(SimRuntime::new(spec.clone()).with_metrics(reg.clone()));
+        let res = if ooc {
+            let mut e = OocEngine::with_runtime(&path, rt, cfg(), 1 << 20).unwrap();
+            cp_als(&mut e, &opts()).unwrap()
+        } else {
+            let mut e = AmpedEngine::with_runtime(&t, rt, cfg()).unwrap();
+            cp_als(&mut e, &opts()).unwrap()
+        };
+        assert_eq!(res.iterations as u64, iters);
+        let what = if ooc { "OocEngine" } else { "AmpedEngine" };
+        assert_eq!(
+            reg.counter_value("allgathers", &[]),
+            t.order() as u64 * iters,
+            "{what}: gathers"
+        );
+        assert_eq!(
+            reg.counter_value("link_bytes", &[("tier", "p2p")]),
+            (m - 1) * block_bytes,
+            "{what}: p2p bytes"
+        );
+    }
+}
+
+#[test]
 fn straggler_report_flags_a_slow_gpu() {
     // Hand-build an imbalanced timeline: GPU 1's launches take 3× longer.
     let mut rt = TracingRuntime::new(SimRuntime::new(

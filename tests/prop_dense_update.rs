@@ -1,9 +1,12 @@
-//! The dense half of an ALS mode update keeps its bits: the panel Cholesky
-//! solve is the scalar textbook substitution lane by lane, `dense_update`
-//! (solve → column norms → divide → Gram, each pass cut across the host
-//! workers) is the sequential `solve_mat_rows → normalize_cols → gram` at any
-//! worker count, and so a whole `cp_als` run — factors, λ and fit trace — is
-//! one set of bits whatever `AMPED_THREADS` says, on both engines.
+//! The dense half of an ALS mode update keeps one set of bits: the solve is
+//! `x = m·W` with `W = V⁻¹`, each `x_j` one ascending `f64` sum rounded
+//! once (a scalar oracle of that contract is matched in bits, and the
+//! result is within one `f32` ulp of the row maximum of an `f64`
+//! triangular-solve oracle); `dense_update` (that solve, the `f64` Gram and
+//! the column dots in one pass over fixed 1024-row blocks whose sums fold
+//! in block order) is the scalar oracle of the same contract at any worker
+//! count; and so a whole `cp_als` run — factors, λ and fit trace — is one
+//! set of bits whatever `AMPED_THREADS` says, on both engines.
 
 mod common;
 
@@ -15,18 +18,33 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const RANKS: [usize; 5] = [1, 2, 7, 32, 40];
-const ROWS: [usize; 6] = [0, 1, 7, 8, 9, 1003];
-const WORKERS: [usize; 3] = [1, 2, 8];
+const ROWS: [usize; 9] = [0, 1, 3, 4, 5, 7, 8, 9, 1003];
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
+/// The dense update's block grid, as its contract states it.
+const BLOCK_ROWS: usize = 1024;
 
-/// The oracle: one row, forward then back substitution as the textbook
-/// writes them — the loop `CholFactor::solve_row` was before the panel
-/// kernel, kept here so the kernel has something that is not itself to
-/// equal.
-fn solve_row_scalar(chol: &CholFactor, b: &mut [f32]) {
+/// The solve oracle: one row as the contract writes it, `x_j = Σ_k m_k W_kj`
+/// summed in `f64` from `+0.0` with `k` ascending, rounded to `f32` once.
+fn solve_row_scalar(w: &Mat<f64>, m: &[f32]) -> Vec<f32> {
+    let n = m.len();
+    (0..n)
+        .map(|j| {
+            let mut sum = 0.0f64;
+            for (k, &mk) in m.iter().enumerate() {
+                sum += mk as f64 * w.get(k, j);
+            }
+            sum as f32
+        })
+        .collect()
+}
+
+/// The accuracy oracle: `V x = m` by forward then back substitution on the
+/// factor `L`, entirely in `f64` (no intermediate rounding).
+fn solve_row_f64(chol: &CholFactor, m: &[f32]) -> Vec<f64> {
     let (n, l) = (chol.n(), chol.l());
     let mut y = vec![0.0f64; n];
     for i in 0..n {
-        let mut sum = b[i] as f64;
+        let mut sum = m[i] as f64;
         for (k, &yk) in y[..i].iter().enumerate() {
             sum -= l[i * n + k] * yk;
         }
@@ -34,26 +52,35 @@ fn solve_row_scalar(chol: &CholFactor, b: &mut [f32]) {
     }
     for i in (0..n).rev() {
         let mut sum = y[i];
-        for (k, &bk) in b.iter().enumerate().skip(i + 1) {
-            sum -= l[k * n + i] * (bk as f64);
+        for k in i + 1..n {
+            sum -= l[k * n + i] * y[k];
         }
-        b[i] = (sum / l[i * n + i]) as f32;
+        y[i] = sum / l[i * n + i];
     }
+    y
 }
 
 /// Bit equality, except that any NaN equals any NaN: which payload a NaN
-/// carries out of a subtraction is the instruction's choice, not the
+/// carries out of an addition is the instruction's choice, not the
 /// algorithm's.
 fn same_bits(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits64(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 fn assert_rows_match_oracle(chol: &CholFactor, m: &Mat, what: &str) {
+    let w = chol.inverse();
     let mut got = m.clone();
     chol.solve_mat_rows(&mut got);
     for r in 0..m.rows() {
-        let mut want = m.row(r).to_vec();
-        solve_row_scalar(chol, &mut want);
+        let want = solve_row_scalar(&w, m.row(r));
         for (c, (&g, &w)) in got.row(r).iter().zip(&want).enumerate() {
             assert!(same_bits(g, w), "{what}: row {r} col {c}: {g:e} != {w:e}");
         }
@@ -68,16 +95,31 @@ fn assert_rows_match_oracle(chol: &CholFactor, m: &Mat, what: &str) {
 }
 
 /// A well-conditioned SPD matrix: a random Gram plus a diagonal shift.
-fn spd(n: usize, rng: &mut SmallRng) -> Mat {
-    let mut g = Mat::random(n + 3, n, rng).gram();
+fn spd(n: usize, rng: &mut SmallRng) -> Mat<f64> {
+    let mut g = Mat::random(n + 3, n, rng).gram_f64();
     for i in 0..n {
         g.set(i, i, g.get(i, i) + 0.5);
     }
     g
 }
 
+/// A matrix the plain factorization rejects, so that `cholesky` takes the
+/// ridge path: a well-conditioned SPD matrix whose last pivot `L_nn²` is
+/// taken off its diagonal and a little more, `5·10⁻⁶` of the mean diagonal.
+/// The retries stop at a ridge of `10⁻⁵` of it, leaving a condition number
+/// near 10⁷. (At rank 1 the ridge path has no such matrix: the ridge is
+/// relative to a mean diagonal that would be negative.)
+fn ridge_path(n: usize, rng: &mut SmallRng) -> Mat<f64> {
+    let mut v = spd(n, rng);
+    let last = n - 1;
+    let l = cholesky(&v, 0.0).expect("SPD").l()[last * n + last];
+    let mean = (0..n).map(|i| v.get(i, i)).sum::<f64>() / n as f64;
+    v.set(last, last, v.get(last, last) - l * l - 5e-6 * mean);
+    v
+}
+
 #[test]
-fn panel_solve_is_the_scalar_oracle_in_bits() {
+fn solve_is_the_scalar_oracle_in_bits() {
     let mut rng = SmallRng::seed_from_u64(11);
     for n in RANKS {
         let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
@@ -86,17 +128,41 @@ fn panel_solve_is_the_scalar_oracle_in_bits() {
             assert_rows_match_oracle(&chol, &m, &format!("rank {n}, {rows} rows"));
         }
     }
-}
-
-#[test]
-fn panel_solve_matches_on_ridge_fallback_factors() {
-    let mut rng = SmallRng::seed_from_u64(12);
     for n in [2usize, 7, 32] {
         // Rank one: plain Cholesky hits a zero pivot and the ridge retries.
-        let ones = Mat::from_fn(n, n, |_, _| 1.0);
+        let ones = Mat::from_fn(n, n, |_, _| 1.0f32);
         let chol = cholesky(&ones, 1e-12).expect("ridge fallback factorizes");
         let m = Mat::random(19, n, &mut rng);
         assert_rows_match_oracle(&chol, &m, &format!("ridge factor, rank {n}"));
+    }
+}
+
+#[test]
+fn solve_is_within_an_ulp_of_the_f64_oracle() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    for n in [1usize, 7, 32] {
+        let mut cases = vec![("SPD", spd(n, &mut rng))];
+        if n > 1 {
+            cases.push(("ridge", ridge_path(n, &mut rng)));
+        }
+        for (kind, v) in cases {
+            let chol = cholesky(&v, 1e-12).expect("factorizes");
+            let mut m = Mat::from_fn(37, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
+            let input = m.clone();
+            chol.solve_mat_rows(&mut m);
+            for r in 0..m.rows() {
+                let want = solve_row_f64(&chol, input.row(r));
+                let max = want.iter().fold(0.0f64, |a, &x| a.max(x.abs())) as f32;
+                let ulp = f32::from_bits(max.to_bits() + 1) - max;
+                for (c, (&g, &w)) in m.row(r).iter().zip(&want).enumerate() {
+                    let err = (g as f64 - w).abs();
+                    assert!(
+                        err <= ulp as f64,
+                        "{kind} rank {n}, row {r} col {c}: {g:e} vs {w:e}, error {err:e} > ulp {ulp:e}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -108,9 +174,9 @@ fn a_poisoned_row_stays_in_its_lane() {
         let clean = Mat::random(21, n, &mut rng);
         let mut solved_clean = clean.clone();
         chol.solve_mat_rows(&mut solved_clean);
-        // Rows 2, 9, 12 and 20 sit in three different panels and the
-        // one-lane tail; every other row must come out as if they were not
-        // there.
+        // Rows 2, 9, 12 and 20 sit in three different four-row groups and
+        // the one-row tail; every other row must come out as if they were
+        // not there.
         let poison = [
             (2usize, f32::NAN),
             (9, f32::INFINITY),
@@ -141,54 +207,133 @@ fn a_poisoned_row_stays_in_its_lane() {
     }
 }
 
-fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
+/// `dense_update`'s contract, one scalar step at a time: every row solved by
+/// the solve oracle; per 1024-row block, each Gram cell `Σ x_ri x_rj` and
+/// each dot `Σ m_rc x_rc` summed in `f64` from `+0.0` in row order; the
+/// blocks' sums added from `+0.0` in `block_order`; then `λ = √G_cc`, the
+/// factor divided by `λ` rounded to `f32` (a zero column untouched), the
+/// Gram normalized by `λ_i λ_j` (1 in place of a zero λ) and the dots summed
+/// in column order. Returns `(factor, λ, Ĝ, ⟨M, X⟩)`.
+fn update_oracle(
+    chol: &CholFactor,
+    m: &Mat,
+    block_order: &[usize],
+) -> (Mat, Vec<f64>, Mat<f64>, f64) {
+    let (rows, n) = (m.rows(), m.cols());
+    let w = chol.inverse();
+    let mut x = Mat::from_fn(rows, n, |_, _| 0.0f32);
+    for r in 0..rows {
+        x.row_mut(r)
+            .copy_from_slice(&solve_row_scalar(&w, m.row(r)));
+    }
+    let block_sums = |b: usize| {
+        let (mut g, mut dot) = (vec![0.0f64; n * n], vec![0.0f64; n]);
+        for r in b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(rows) {
+            for i in 0..n {
+                for j in 0..n {
+                    g[i * n + j] += x.get(r, i) as f64 * x.get(r, j) as f64;
+                }
+                dot[i] += m.get(r, i) as f64 * x.get(r, i) as f64;
+            }
+        }
+        (g, dot)
+    };
+    let (mut g, mut dot) = (vec![0.0f64; n * n], vec![0.0f64; n]);
+    for &b in block_order {
+        let (bg, bd) = block_sums(b);
+        g.iter_mut().zip(&bg).for_each(|(s, v)| *s += v);
+        dot.iter_mut().zip(&bd).for_each(|(s, v)| *s += v);
+    }
+    let lambda: Vec<f64> = (0..n).map(|c| g[c * n + c].sqrt()).collect();
+    for (c, &norm) in lambda.iter().enumerate() {
+        let norm = norm as f32;
+        if norm > 0.0 {
+            for r in 0..rows {
+                x.set(r, c, x.get(r, c) / norm);
+            }
+        }
+    }
+    let d = |c: usize| if lambda[c] > 0.0 { lambda[c] } else { 1.0 };
+    let gram = Mat::from_fn(n, n, |i, j| g[i * n + j] / (d(i) * d(j)));
+    (x, lambda, gram, dot.iter().sum())
 }
 
-/// What `cp_als` did for one mode before `dense_update`.
-fn sequential_update(chol: &CholFactor, m: &Mat) -> (Mat, Vec<f32>, Mat) {
-    let mut a = m.clone();
-    chol.solve_mat_rows(&mut a);
-    let lambda = a.normalize_cols();
-    let gram = a.gram();
-    (a, lambda, gram)
-}
-
-fn assert_dense_update_is_sequential(chol: &CholFactor, m: &Mat, what: &str) {
-    let (a, lambda, gram) = sequential_update(chol, m);
-    for workers in WORKERS {
+fn assert_dense_update_is_the_oracle(chol: &CholFactor, m: &Mat, workers: &[usize], what: &str) {
+    let blocks: Vec<usize> = (0..m.rows().div_ceil(BLOCK_ROWS)).collect();
+    let (x, lambda, gram, inner) = update_oracle(chol, m, &blocks);
+    for &workers in workers {
         let mut got = m.clone();
-        let (got_lambda, got_gram) = dense_update(chol, &mut got, workers);
+        let (got_lambda, got_gram, got_inner) = dense_update(chol, &mut got, workers);
         let what = format!("{what}, {workers} workers");
-        assert_eq!(bits(got.as_slice()), bits(a.as_slice()), "{what}: factor");
-        assert_eq!(bits(&got_lambda), bits(&lambda), "{what}: lambda");
+        assert_eq!(bits(got.as_slice()), bits(x.as_slice()), "{what}: factor");
+        assert_eq!(bits64(&got_lambda), bits64(&lambda), "{what}: lambda");
         assert_eq!(
-            bits(got_gram.as_slice()),
-            bits(gram.as_slice()),
+            bits64(got_gram.as_slice()),
+            bits64(gram.as_slice()),
             "{what}: gram"
         );
+        assert_eq!(got_inner.to_bits(), inner.to_bits(), "{what}: inner");
     }
 }
 
 #[test]
 fn dense_update_is_the_sequential_update_in_bits() {
     let mut rng = SmallRng::seed_from_u64(14);
-    // rows × rank² on both sides of the small-matrix threshold (2²⁰): the
-    // first is worth eight parts, the next three two, the last three are not
-    // cut at all.
-    for (rows, n) in [
-        (4200usize, 32usize),
-        (1500, 32),
-        (22_000, 7),
-        (700, 40),
-        (1003, 7),
-        (9, 32),
-        (0, 5),
-    ] {
+    // Up to a block and into the tail, at and across the block edges, and
+    // three blocks with a tail of three rows.
+    let row_counts = (0..=9).chain([1023, 1024, 1025, 2051]);
+    for (rows, n) in row_counts.flat_map(|r| [1usize, 7, 32].map(|n| (r, n))) {
         let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
         let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
-        assert_dense_update_is_sequential(&chol, &m, &format!("{rows} × {n}"));
+        assert_dense_update_is_the_oracle(&chol, &m, &WORKERS, &format!("{rows} × {n}"));
     }
+}
+
+#[test]
+fn the_oracle_sees_the_block_fold_order() {
+    // The contract pins the order the blocks' sums fold in: on three blocks
+    // the reversed order is another set of bits, so the oracle (and the
+    // test above) would catch a fold in completion or reverse order.
+    let mut rng = SmallRng::seed_from_u64(18);
+    let n = 7;
+    let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
+    let m = Mat::from_fn(2051, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
+    let (_, lambda, gram, inner) = update_oracle(&chol, &m, &[0, 1, 2]);
+    let (_, lambda_r, gram_r, inner_r) = update_oracle(&chol, &m, &[2, 1, 0]);
+    assert!(
+        bits64(&lambda) != bits64(&lambda_r)
+            || bits64(gram.as_slice()) != bits64(gram_r.as_slice())
+            || inner.to_bits() != inner_r.to_bits(),
+        "reversing the fold moved no bit: the data cannot tell the orders apart"
+    );
+}
+
+/// FNV-1a over the bits of everything `dense_update` returns.
+fn update_hash(a: &Mat, lambda: &[f64], gram: &Mat<f64>, inner: f64) -> u64 {
+    let words = a.as_slice().iter().map(|v| v.to_bits() as u64);
+    let words = words.chain(lambda.iter().chain(gram.as_slice()).map(|v| v.to_bits()));
+    words
+        .chain([inner.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn dense_update_bits_are_pinned_across_builds() {
+    // The same bits in every build: ci.sh runs this suite once more at the
+    // portable x86-64 baseline, where the pinned hash must still come out.
+    let mut rng = SmallRng::seed_from_u64(19);
+    let n = 32;
+    let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
+    let mut a = Mat::from_fn(2051, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
+    let (lambda, gram, inner) = dense_update(&chol, &mut a, 2);
+    assert_eq!(
+        update_hash(&a, &lambda, &gram, inner),
+        4_093_907_606_486_743_602,
+        "dense_update's bits moved"
+    );
 }
 
 #[test]
@@ -196,12 +341,12 @@ fn dense_update_leaves_a_zero_column_untouched() {
     let mut rng = SmallRng::seed_from_u64(15);
     let (rows, n) = (2000usize, 32usize);
     // Under the identity the solve maps a zero column to a zero column.
-    let identity = Mat::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 });
+    let identity = Mat::from_fn(n, n, |r, c| if r == c { 1.0f32 } else { 0.0 });
     let chol = cholesky(&identity, 0.0).expect("identity");
     let m = Mat::from_fn(rows, n, |_, c| if c == 5 { 0.0 } else { rng.gen::<f32>() });
-    assert_dense_update_is_sequential(&chol, &m, "zero column");
+    assert_dense_update_is_the_oracle(&chol, &m, &WORKERS, "zero column");
     let mut a = m.clone();
-    let (lambda, gram) = dense_update(&chol, &mut a, 2);
+    let (lambda, gram, _) = dense_update(&chol, &mut a, 2);
     assert_eq!(lambda[5], 0.0);
     assert!((0..rows).all(|r| a.get(r, 5).to_bits() == 0));
     assert!((0..n).all(|c| gram.get(5, c) == 0.0 && gram.get(c, 5) == 0.0));
@@ -209,24 +354,30 @@ fn dense_update_leaves_a_zero_column_untouched() {
 }
 
 /// The Gram oracle: cell `(i, j)` as one `f64` sum down the rows in row
-/// order, rounded once — what `Mat::gram_band` computes, without its
-/// four-row register blocking.
-fn gram_cell(m: &Mat, i: usize, j: usize) -> f32 {
+/// order — what the Gram tiles compute, without their four-row register
+/// blocking.
+fn gram_cell(m: &Mat, i: usize, j: usize) -> f64 {
     let mut s = 0.0f64;
     for r in 0..m.rows() {
         s += m.get(r, i) as f64 * m.get(r, j) as f64;
     }
-    s as f32
+    s
 }
 
-fn assert_gram_is_the_oracle(m: &Mat, gram: &Mat, what: &str) {
+fn assert_gram_is_the_oracle(m: &Mat, what: &str) {
+    let (gram, gram64) = (m.gram(), m.gram_f64());
     for i in 0..m.cols() {
         for j in 0..m.cols() {
             let want = gram_cell(m, i.min(j), i.max(j));
             let got = gram.get(i, j);
             assert!(
-                same_bits(got, want),
+                same_bits(got, want as f32),
                 "{what}: ({i}, {j}): {got:e} != {want:e}"
+            );
+            assert_eq!(
+                gram64.get(i, j).to_bits(),
+                want.to_bits(),
+                "{what}: f64 ({i}, {j})"
             );
         }
     }
@@ -240,33 +391,7 @@ fn blocked_gram_is_the_per_cell_oracle_in_bits() {
     let row_counts = (0..=9).chain([2051]);
     for (rows, n) in row_counts.flat_map(|r| [1usize, 7, 32].map(|n| (r, n))) {
         let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
-        let what = format!("{rows} × {n}");
-        assert_gram_is_the_oracle(&m, &m.gram(), &what);
-        // Bands starting past row 0, one of them empty; cells left of the
-        // diagonal keep the sentinel.
-        let cuts = [0, n / 3, n / 3, 2 * n / 3, n];
-        let mut banded = Mat::from_fn(n, n, |_, _| 7.0);
-        for w in cuts.windows(2) {
-            m.gram_band(w[0], &mut banded.as_mut_slice()[w[0] * n..w[1] * n]);
-        }
-        for i in 0..n {
-            for j in 0..n {
-                let want = if j < i { 7.0 } else { gram_cell(&m, i, j) };
-                let got = banded.get(i, j);
-                assert!(same_bits(got, want), "{what} banded: ({i}, {j})");
-            }
-        }
-    }
-    // The Gram `dense_update` returns, cut into one band and into two.
-    for (rows, n) in [(2051usize, 32usize), (9, 7), (6, 1)] {
-        let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
-        let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 4.0 - 2.0);
-        for workers in [1, 2] {
-            let mut a = m.clone();
-            let (_, gram) = dense_update(&chol, &mut a, workers);
-            let what = format!("dense_update {rows} × {n}, {workers} workers");
-            assert_gram_is_the_oracle(&a, &gram, &what);
-        }
+        assert_gram_is_the_oracle(&m, &format!("{rows} × {n}"));
     }
 }
 
@@ -290,9 +415,9 @@ fn gram_cells_sum_in_row_order_wherever_the_blocks_fall() {
                     1 => col[r],
                     _ => rng.gen::<f32>(),
                 });
-                assert_eq!(gram_cell(&m, 0, 1), 2f32.powi(-30));
+                assert_eq!(gram_cell(&m, 0, 1), 2f64.powi(-30));
                 let what = format!("{rows} rows, 2^30 at {start}, gap {gap}");
-                assert_gram_is_the_oracle(&m, &m.gram(), &what);
+                assert_gram_is_the_oracle(&m, &what);
             }
         }
     }
@@ -309,8 +434,8 @@ fn als_bits(res: &AlsResult) -> (Vec<Vec<u32>>, Vec<u32>, Vec<u64>) {
 
 #[test]
 fn cp_als_is_one_set_of_bits_across_amped_threads() {
-    // Mode 0 is tall enough (5000 × 16² > 2²⁰) that its dense update is cut
-    // across the workers; modes 1 and 2 stay on the calling thread.
+    // Mode 0 is five blocks of the dense update's grid, which the workers
+    // claim; modes 1 and 2 are one block each.
     let rank = 16;
     let t = GenSpec {
         shape: vec![5000, 40, 30],
@@ -366,9 +491,8 @@ fn cp_als_is_one_set_of_bits_across_amped_threads() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Random shapes, ranks and worker counts on both sides of the
-    /// threshold: the blocked update is the sequential one, and the panel
-    /// solve inside it is the oracle's.
+    /// Random shapes, ranks and worker counts: the one-pass update is its
+    /// contract's scalar oracle.
     #[test]
     fn dense_update_equals_sequential_for_any_shape(
         rows in 0usize..3000,
@@ -379,14 +503,6 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
         let m = Mat::from_fn(rows, n, |_, _| rng.gen::<f32>() * 2.0 - 1.0);
-        let (a, lambda, gram) = sequential_update(&chol, &m);
-        let mut got = m.clone();
-        let (got_lambda, got_gram) = dense_update(&chol, &mut got, workers);
-        prop_assert_eq!(bits(got.as_slice()), bits(a.as_slice()));
-        prop_assert_eq!(bits(&got_lambda), bits(&lambda));
-        prop_assert_eq!(bits(got_gram.as_slice()), bits(gram.as_slice()));
-        // The first rows against the scalar oracle (a full panel and a tail).
-        let head = Mat::from_fn(rows.min(11), n, |r, c| m.get(r, c));
-        assert_rows_match_oracle(&chol, &head, "proptest head");
+        assert_dense_update_is_the_oracle(&chol, &m, &[workers], "proptest");
     }
 }
