@@ -118,8 +118,10 @@ fn ridge_path(n: usize, rng: &mut SmallRng) -> Mat<f64> {
     v
 }
 
+/// A panel of rows (`solve_mat_rows` over a whole `Mat`, and each row
+/// through `solve_row`) is the scalar oracle in bits.
 #[test]
-fn solve_is_the_scalar_oracle_in_bits() {
+fn panel_solve_is_the_scalar_oracle_in_bits() {
     let mut rng = SmallRng::seed_from_u64(11);
     for n in RANKS {
         let chol = cholesky(&spd(n, &mut rng), 1e-12).expect("SPD");
@@ -128,6 +130,11 @@ fn solve_is_the_scalar_oracle_in_bits() {
             assert_rows_match_oracle(&chol, &m, &format!("rank {n}, {rows} rows"));
         }
     }
+}
+
+#[test]
+fn panel_solve_matches_on_ridge_fallback_factors() {
+    let mut rng = SmallRng::seed_from_u64(12);
     for n in [2usize, 7, 32] {
         // Rank one: plain Cholesky hits a zero pivot and the ridge retries.
         let ones = Mat::from_fn(n, n, |_, _| 1.0f32);
