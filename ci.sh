@@ -31,13 +31,14 @@ for threads in 1 2 4; do
   AMPED_THREADS=$threads cargo test -q
 done
 # .cargo/config.toml builds for x86-64-v3 (AVX2 + FMA). The bit contracts
-# must not depend on it: the goldens, the kernel paths and the dense update
-# once more at the portable x86-64 baseline (SSE2), in a target directory of
-# their own so the two builds do not evict each other.
+# must not depend on it: the goldens, the kernel paths, the dense update and
+# every searched TuneParams candidate once more at the portable x86-64
+# baseline (SSE2), in a target directory of their own so the two builds do
+# not evict each other.
 if [ "$(uname -m)" = x86_64 ]; then
   RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q --test runtime_equivalence --test prop_kernel_runs \
-    --test prop_dense_update
+    --test prop_dense_update --test autotune_engine
 fi
 
 echo "=== 4/9 cargo clippy --all-targets -- -D warnings ==="

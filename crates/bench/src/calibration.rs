@@ -53,10 +53,8 @@ impl CalibrationRow {
     }
 
     /// Whether this row's ratio falls outside [`Self::CALIBRATED_BAND`].
-    /// Rows with no measurable ratio are not flagged. A flagged `launch`
-    /// row is the cue to feed the ratio into
-    /// `CpuParallelRuntime::set_launch_calibration` so modeled predictions
-    /// for that backend are rescaled to the observed clock.
+    /// Rows with no measurable ratio are not flagged. A flagged row says
+    /// the modeled clock misprices that op kind on the measured backend.
     pub fn flagged(&self) -> bool {
         let (lo, hi) = Self::CALIBRATED_BAND;
         self.ratio().is_some_and(|x| x < lo || x > hi)

@@ -235,22 +235,6 @@ impl<S: Source> Engine<S> {
         })
     }
 
-    /// The autotuning tail of `with_tuner`: binds the tuner's
-    /// `tune_searches` / `tune_cache_hits` counters to the runtime's
-    /// registry, lets `resolve` pick [`TuneParams`] for this backend, and
-    /// installs them on the runtime.
-    pub(crate) fn tuned(
-        mut self,
-        tuner: &mut amped_tune::Autotuner,
-        resolve: impl FnOnce(&mut amped_tune::Autotuner, &str, &Self) -> TuneParams,
-    ) -> Self {
-        tuner.attach_metrics(&self.runtime.metrics());
-        let backend = amped_tune::backend_fingerprint(self.runtime.name());
-        let params = resolve(tuner, &backend, &self);
-        self.set_tune(params);
-        self
-    }
-
     /// The platform specification.
     pub fn spec(&self) -> &PlatformSpec {
         &self.spec
@@ -549,23 +533,6 @@ impl AmpedEngine {
         Self::build(runtime, cfg, |rt, spec, cfg| {
             Resident::open(rt, spec, cfg, tensor)
         })
-    }
-
-    /// [`AmpedEngine::with_runtime`] plus autotuning: after construction the
-    /// [`amped_tune::Autotuner`] resolves [`TuneParams`] for this tensor and
-    /// backend (a persistent-cache hit, or a subsampled grid search) and
-    /// installs them on the runtime.
-    pub fn with_tuner(
-        tensor: &SparseTensor,
-        runtime: Box<dyn DeviceRuntime>,
-        cfg: AmpedConfig,
-        tuner: &mut amped_tune::Autotuner,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::with_runtime(tensor, runtime, cfg)?.tuned(tuner, |t, backend, e| {
-                t.params_for_tensor(backend, tensor, e.config().rank)
-            }),
-        )
     }
 
     /// The partition plan (for experiments that inspect shard structure).

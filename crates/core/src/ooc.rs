@@ -103,28 +103,6 @@ impl OocEngine {
         })
     }
 
-    /// [`OocEngine::with_runtime`] plus autotuning: the
-    /// [`amped_tune::Autotuner`] resolves
-    /// [`TuneParams`](amped_runtime::TuneParams) from the `.tnsb` footer
-    /// statistics alone (a cache hit, or a grid search on a probe
-    /// synthesized to those statistics — the payload itself may not fit in
-    /// memory) and installs them on the runtime.
-    pub fn with_tuner(
-        path: impl AsRef<Path>,
-        runtime: Box<dyn DeviceRuntime>,
-        cfg: AmpedConfig,
-        stage_budget_bytes: u64,
-        tuner: &mut amped_tune::Autotuner,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::with_runtime(path, runtime, cfg, stage_budget_bytes)?.tuned(tuner, |t, b, e| {
-                let (meta, rank) = (e.meta(), e.config().rank);
-                let (dims, nnz) = (meta.shape.clone(), meta.nnz);
-                t.params_for_stats(b, &amped_tune::TensorStats { dims, nnz, rank })
-            }),
-        )
-    }
-
     /// The streaming partition plan.
     pub fn plan(&self) -> &StreamPlan {
         &self.source.plan

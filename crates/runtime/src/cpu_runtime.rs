@@ -37,10 +37,6 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct CpuParallelRuntime {
     inner: SimRuntime,
-    /// Observed `modeled / measured` launch-time ratio used to rescale
-    /// [`Self::modeled_makespan`]; `1.0` (the default) leaves the GPU-model
-    /// numbers untouched.
-    launch_calibration: f64,
 }
 
 impl CpuParallelRuntime {
@@ -48,44 +44,7 @@ impl CpuParallelRuntime {
     pub fn new(spec: PlatformSpec) -> Self {
         Self {
             inner: SimRuntime::new(spec),
-            launch_calibration: 1.0,
         }
-    }
-
-    /// The modeled timing of the same grid on the simulated platform,
-    /// rescaled by the observed launch calibration ratio (see
-    /// [`Self::set_launch_calibration`]) — convenience for calibration
-    /// reports and for predicting wall time on *this* backend. At the
-    /// default ratio of `1.0` this is the raw GPU-model timing.
-    pub fn modeled_makespan(&self, gpu: usize, costs: &[f64]) -> GridTiming {
-        let t = self.inner.makespan(gpu, costs);
-        GridTiming {
-            makespan: t.makespan / self.launch_calibration,
-            busy_sum: t.busy_sum / self.launch_calibration,
-            blocks: t.blocks,
-        }
-    }
-
-    /// Sets the observed `modeled / measured` launch ratio (e.g. a
-    /// `CalibrationRow::ratio` from a calibration run — `0.0122` was
-    /// measured for this backend at PR 8, i.e. the GPU model is ~80×
-    /// optimistic about host launches). Subsequent [`Self::modeled_makespan`]
-    /// calls divide modeled time by this ratio so predictions land near the
-    /// measured clock instead of silently reporting GPU-model numbers.
-    ///
-    /// The trait-level [`DeviceRuntime::makespan`] intentionally stays
-    /// *unscaled*: planners compare candidate partitions under one
-    /// consistent cost model, and a uniform rescale never changes which
-    /// candidate wins.
-    ///
-    /// `CalibrationRow::ratio` is in `amped-bench`, which depends on this
-    /// crate — hence a plain `f64` here.
-    pub fn set_launch_calibration(&mut self, modeled_over_measured: f64) {
-        assert!(
-            modeled_over_measured.is_finite() && modeled_over_measured > 0.0,
-            "calibration ratio must be a positive finite modeled/measured quotient"
-        );
-        self.launch_calibration = modeled_over_measured;
     }
 
     /// Attaches `registry` to the shared inner backend: transfer/collective
@@ -215,7 +174,10 @@ mod tests {
         let mut r = rt();
         let costs = [0.5; 8];
         let modeled = r.makespan(0, &costs);
-        assert_eq!(modeled, r.modeled_makespan(0, &costs));
+        assert_eq!(
+            modeled,
+            SimRuntime::new(PlatformSpec::rtx6000_ada_node(2).scaled(1e-3)).makespan(0, &costs)
+        );
         assert!(modeled.makespan > 0.0);
         // Transfers and collectives keep simulated time too.
         let h2d = r.h2d_time(0, 1, 1_000_000);
@@ -225,31 +187,6 @@ mod tests {
             SimRuntime::new(PlatformSpec::rtx6000_ada_node(2).scaled(1e-3))
                 .allgather_time(Collective::Ring, &[4096, 4096])
         );
-    }
-
-    #[test]
-    fn launch_calibration_rescales_modeled_makespan_only() {
-        let mut r = rt();
-        let costs = [0.5; 8];
-        let raw = r.makespan(0, &costs);
-        // A ratio of 0.0122 (modeled / measured, the pr8 observation) means
-        // the model is ~80× optimistic; the rescaled prediction stretches
-        // modeled time back toward the measured clock.
-        r.set_launch_calibration(0.0122);
-        let scaled = r.modeled_makespan(0, &costs);
-        assert!((scaled.makespan - raw.makespan / 0.0122).abs() < 1e-12);
-        assert!((scaled.busy_sum - raw.busy_sum / 0.0122).abs() < 1e-12);
-        assert_eq!(scaled.blocks, raw.blocks);
-        // The planning-side trait query is deliberately untouched.
-        assert_eq!(r.makespan(0, &costs), raw);
-    }
-
-    #[test]
-    fn launch_calibration_rejects_garbage_ratios() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let r = std::panic::catch_unwind(|| rt().set_launch_calibration(bad));
-            assert!(r.is_err(), "ratio {bad} must be rejected");
-        }
     }
 
     #[test]

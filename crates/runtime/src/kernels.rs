@@ -254,24 +254,14 @@ impl MttkrpOut {
         f32::from_bits(self.cells[r * self.rank + c].load(Ordering::Relaxed))
     }
 
-    /// Appends rows `rows` (row-major, whole rows) to `dst` (valid once all
-    /// writers are joined) — the bulk reader for row-proportional consumers
-    /// like the engines' all-gather packing.
-    pub fn extend_rows(&self, rows: Range<usize>, dst: &mut Vec<f32>) {
-        let cells = &self.cells[rows.start * self.rank..rows.end * self.rank];
-        // relaxed: same post-join contract as `get`.
-        dst.extend(
-            cells
-                .iter()
-                .map(|a| f32::from_bits(a.load(Ordering::Relaxed))),
-        );
-    }
-
-    /// Snapshot into a plain row-major vector.
+    /// Snapshot into a plain row-major vector (valid once all writers are
+    /// joined).
     pub fn to_vec(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.cells.len());
-        self.extend_rows(0..self.rows, &mut v);
-        v
+        // relaxed: same post-join contract as `get`.
+        self.cells
+            .iter()
+            .map(|a| f32::from_bits(a.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// The cells as a plain row-major vector, in place: std's in-place
@@ -831,14 +821,11 @@ mod tests {
     }
 
     #[test]
-    fn extend_rows_appends_whole_rows() {
+    fn to_vec_reads_whole_rows_in_order() {
         let out = MttkrpOut::zeros(3, 2);
         for (idx, v) in [(2, 1.5), (3, -2.0), (5, 4.0)] {
             out.add_f32(idx, v);
         }
-        let mut got = vec![9.0];
-        out.extend_rows(1..3, &mut got);
-        assert_eq!(got, vec![9.0, 1.5, -2.0, 0.0, 4.0]);
         assert_eq!(out.to_vec(), vec![0.0, 0.0, 1.5, -2.0, 0.0, 4.0]);
     }
 

@@ -50,7 +50,7 @@
 //!   kernel layer the same [`SortedCoo`] view the engines' copies do.
 //! * [`params`] — the tunable execution parameters ([`TuneParams`]: rank
 //!   tile, worker count, OOC chunk budget and prefetch depth) a runtime
-//!   carries and the `amped-tune` autotuner searches. Every setting is
+//!   carries and the `amped-tune` probe searches. Every setting is
 //!   bit-transparent.
 //! * [`smexec`] / [`collective`] — the execution primitives themselves
 //!   (grid executor, ring all-gather, host-staged scatter), moved here from

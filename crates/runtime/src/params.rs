@@ -1,16 +1,15 @@
-//! Tunable execution parameters: the knobs the autotuner searches.
+//! Execution parameters: the knobs a caller may set and the `amped-tune`
+//! probe searches.
 //!
-//! Until PR 8 every one of these was a hardcoded constant (`RANK_CHUNK =
-//! 32`, `host_workers()` everywhere, a strictly blocking OOC loop). They now
-//! travel as one [`TuneParams`] value carried by a
+//! They travel as one [`TuneParams`] value carried by a
 //! [`crate::DeviceRuntime`] (see [`crate::DeviceRuntime::set_tune`]) and
-//! consulted by the kernel layer and the engines. The `amped-tune` crate
-//! searches a small candidate grid per (backend, tensor-stats bucket) and
-//! caches the winner; everything here must therefore be *behaviorally
-//! transparent*: any valid `TuneParams` produces the same numerics, only
-//! different wall time. All four fields are, with no exception — which
-//! path a launch takes is decided by the launch (its block count), never by
-//! a field here.
+//! consulted by the kernel layer and the engines. The engines run with
+//! [`TuneParams::default`] unless a caller installs other parameters, and
+//! nothing installs the probe's winner; everything here must still be
+//! *behaviorally transparent*: any valid `TuneParams` produces the same
+//! numerics, only different wall time. All four fields are, with no
+//! exception — which path a launch takes is decided by the launch (its
+//! block count), never by a field here.
 //!
 //! * `rank_chunk` is bit-transparent on every kernel path because rank
 //!   blocking tiles the factor-*column* loop while each output cell still

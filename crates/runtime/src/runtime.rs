@@ -49,10 +49,9 @@ pub struct FactorBlock {
 pub trait DeviceRuntime: std::fmt::Debug {
     // --- Introspection -----------------------------------------------------
 
-    /// A stable backend identifier (`"sim"`, `"cpu-parallel"`, …) — one half
-    /// of the autotuner's cache key, so winners searched on one backend are
-    /// never replayed on another. Decorators forward to the inner backend:
-    /// they change observation, not execution.
+    /// A stable backend identifier (`"sim"`, `"cpu-parallel"`, …), e.g. for
+    /// labelling reports by the backend that ran them. Decorators forward to
+    /// the inner backend: they change observation, not execution.
     fn name(&self) -> &'static str {
         "device"
     }

@@ -289,8 +289,8 @@ impl<R: DeviceRuntime> TracingRuntime<R> {
 
 impl<R: DeviceRuntime> DeviceRuntime for TracingRuntime<R> {
     fn name(&self) -> &'static str {
-        // The decorator changes observation, not execution — autotune cache
-        // entries must match the backend that actually runs the kernels.
+        // The decorator changes observation, not execution: report the
+        // backend that actually runs the kernels.
         self.inner.name()
     }
 

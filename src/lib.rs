@@ -64,5 +64,4 @@ pub mod prelude {
     pub use amped_tensor::datasets::Dataset;
     pub use amped_tensor::gen::{low_rank, low_rank_dense, GenSpec};
     pub use amped_tensor::{io, Idx, SparseTensor, Val};
-    pub use amped_tune::{backend_fingerprint, Autotuner, TensorStats, TuneError};
 }

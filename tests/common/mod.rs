@@ -1,6 +1,6 @@
 //! Shared helpers for the integration tests (`mod common;` in each binary)
 //! and, through a `#[path]` include, for the unit tests of `amped-stream`,
-//! `amped-core`, `amped-tune` and `amped-tensor` — so keep this file free of
+//! `amped-core` and `amped-tensor` — so keep this file free of
 //! `amped` paths.
 
 use std::path::PathBuf;
