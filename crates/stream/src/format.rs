@@ -230,19 +230,21 @@ pub(crate) fn coord_of(rec: &[u8], m: usize) -> Idx {
 /// Hands `body` the `nnz` elements of `elem_bytes` each that start at byte
 /// `offset` of `file`, in slabs of whole elements (64 KiB, or one element if
 /// that is larger) — one `read` call per slab instead of per element, and
-/// never more than a slab resident beyond what `body` keeps.
+/// never more than a slab resident beyond what `body` keeps. The slabs are
+/// read into `slab`, which keeps its capacity for the next call.
 pub(crate) fn read_slabs(
     file: &mut File,
     path: &Path,
     offset: u64,
     nnz: usize,
     elem_bytes: usize,
+    slab: &mut Vec<u8>,
     mut body: impl FnMut(&[u8]) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
     file.seek(SeekFrom::Start(offset))
         .map_err(|e| StreamError::io(path, e))?;
     let batch = (SLAB_BYTES / elem_bytes).max(1);
-    let mut slab = vec![0u8; batch.min(nnz) * elem_bytes];
+    slab.resize(batch.min(nnz) * elem_bytes, 0);
     let mut done = 0usize;
     while done < nnz {
         let n = batch.min(nnz - done);
@@ -388,7 +390,7 @@ impl TnsbWriter {
         }
         let changed = || StreamError::format(path, "the payload changed while it was being sorted");
         let mut cutter = ChunkCutter::new(self.chunks.capacity, order);
-        let mut cursor = Vec::new();
+        let (mut cursor, mut slab) = (Vec::new(), Vec::new());
         for w0 in (0..nnz).step_by(self.window_elems) {
             let len = self.window_elems.min(nnz - w0);
             window.resize(len * elem, 0u8);
@@ -399,6 +401,7 @@ impl TnsbWriter {
                 FIXED_HEADER_BYTES + 4 * order as u64,
                 nnz,
                 elem,
+                &mut slab,
                 |slab| {
                     for rec in slab.chunks_exact(elem) {
                         let next = cursor
@@ -1134,13 +1137,14 @@ mod tests {
         for d in 0..r.meta().order() {
             for c in 0..r.meta().num_chunks() {
                 let staged = r.stage(c, Some(d)).unwrap();
+                let bytes = staged.bytes();
                 match staged.read() {
                     Ok(chunk) => {
                         r.finish_stage(&chunk);
                         r.release(chunk);
                     }
                     Err(e) => {
-                        r.fail_stage(staged.bytes());
+                        r.fail_stage(bytes);
                         assert_eq!(r.budget().used(), 0, "the failed read leaked budget");
                         return Some(e);
                     }
@@ -1279,6 +1283,95 @@ mod tests {
         );
         restore();
         assert!(first_error(&path).is_none());
+    }
+
+    /// Corrupts one chunk of section `d` of the file at `path` in each way
+    /// the decoder names — rows out of order, a row past either end of the
+    /// chunk's box, a coordinate outside the shape in an input mode and in
+    /// the sorted mode — and checks each error, restoring the file after.
+    fn check_section_corruptions(path: &Path, meta: &TnsbMeta, d: usize) {
+        let pristine = std::fs::read(path).unwrap();
+        let (elem, order) = (meta.elem_bytes() as usize, meta.order());
+        let bbox = |c: usize| {
+            let entry = &meta.sections[d][c];
+            (entry.mode_min[d], entry.mode_max[d])
+        };
+        // A chunk of two or more rows whose box has room on both sides.
+        let c = (0..meta.num_chunks())
+            .find(|&c| {
+                let (lo, hi) = bbox(c);
+                lo > 0 && lo < hi && hi + 1 < meta.shape[d]
+            })
+            .expect("an inner chunk of two rows");
+        let (lo, hi) = bbox(c);
+        let at = meta.section_chunk_offset(d, c) as usize;
+        let nnz = meta.chunks[c].nnz as usize;
+        let field = |e: usize, m: usize| at + e * elem + 4 * m;
+        let expect = |edit: &dyn Fn(&mut Vec<u8>), what: String| {
+            corrupt(path, edit);
+            let err = first_error(path).unwrap();
+            assert!(matches!(err, StreamError::Format { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("sorted section {d} chunk {c}: {what}")),
+                "section {d}: {msg}"
+            );
+            std::fs::write(path, &pristine).unwrap();
+        };
+
+        // Two elements swapped across a row boundary.
+        let row = |e: usize| coord_of(&pristine[field(e, 0)..], d);
+        let e = (1..nnz).find(|&e| row(e - 1) < row(e)).unwrap();
+        expect(
+            &|b| {
+                for k in 0..elem {
+                    b.swap(field(e - 1, 0) + k, field(e, 0) + k);
+                }
+            },
+            format!("not sorted by mode {d}"),
+        );
+        // A row in the middle moved just past either end of the box, and
+        // the last row moved past its end, still in order.
+        let mid = nnz / 2;
+        for (e, row) in [(mid, hi + 1), (mid, lo - 1), (nnz - 1, hi + 1)] {
+            expect(
+                &|b| b[field(e, d)..field(e, d) + 4].copy_from_slice(&row.to_le_bytes()),
+                format!(
+                    "row {row} of mode {d} lies outside the footer's bounding box [{lo}, {hi}]"
+                ),
+            );
+        }
+        // A coordinate outside the shape, in an input mode and in mode `d`.
+        for m in [(d + 1) % order, d] {
+            let size = meta.shape[m];
+            expect(
+                &|b| b[field(mid, m)..field(mid, m) + 4].copy_from_slice(&size.to_le_bytes()),
+                format!("coordinate {size} out of bounds for mode {m} (size {size})"),
+            );
+        }
+        assert!(first_error(path).is_none());
+    }
+
+    #[test]
+    fn every_sorted_mode_names_its_corruption() {
+        let dir = ScratchDir::new("tnsb");
+        let (path, meta) = victim(&dir);
+        // Section 0 is `corrupt_files_are_typed_errors_never_panics`'s.
+        for d in 1..3 {
+            check_section_corruptions(&path, &meta, d);
+        }
+        let t = GenSpec {
+            shape: vec![16, 14, 12, 10, 9],
+            nnz: 1200,
+            skew: vec![0.5, 0.0, 0.3, 0.0, 0.0],
+            seed: 32,
+        }
+        .generate();
+        let path = dir.join("victim5.tnsb");
+        let meta = write_tnsb(&t, &path, 100).unwrap();
+        for d in 0..5 {
+            check_section_corruptions(&path, &meta, d);
+        }
     }
 
     #[test]

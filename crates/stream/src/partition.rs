@@ -238,10 +238,11 @@ fn scan_sections(
     let done = pool_map(workers, jobs, StatsScratch::new, |scratch, j| {
         let ((d, ranges), c) = (modes[j / num_chunks], j % num_chunks);
         let staged = lock(&reader).stage(c, Some(d))?;
+        let bytes = staged.bytes();
         let chunk = match staged.read() {
             Ok(chunk) => chunk,
             Err(e) => {
-                lock(&reader).fail_stage(staged.bytes());
+                lock(&reader).fail_stage(bytes);
                 return Err(e);
             }
         };
@@ -253,6 +254,12 @@ fn scan_sections(
         reader.release(chunk);
         Ok((ChunkRoute { chunk: c, per_gpu }, stats_s))
     })?;
+    // The scan's chunk arrays were allocated beside the plan's scratch on
+    // the planning pool; a built plan holds none of them.
+    reader
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .drop_spares();
     let mut routes: Vec<Vec<ChunkRoute>> = Vec::with_capacity(modes.len());
     for (j, (route, stats_s)) in done.into_iter().enumerate() {
         if j % num_chunks == 0 {

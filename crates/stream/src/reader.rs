@@ -9,12 +9,20 @@
 //! O(nnz) bytes however far apart its rows lie, and every row is held to its
 //! order and to the footer's bounding box, so what reaches a kernel as
 //! "sorted by mode `d`" is.
+//!
+//! The decode is one pass per 64 KiB slab. At orders 3 and 5 it reads each
+//! record as a fixed-width array, so the shape check, the stores and the row
+//! bookkeeping compile to straight-line code; other orders take the same
+//! loop over runtime-width records. Its arrays are recycled: a released
+//! chunk hands them back to the reader and the next [`ChunkReader::stage`]
+//! decodes into them, so a steady-state read allocates nothing.
 
 use crate::error::StreamError;
 use crate::format::{coord_of, read_slabs, read_tnsb_meta, TnsbMeta};
 use amped_sim::obs::{Counter, Gauge, MetricsRegistry};
 use amped_sim::MemPool;
 use amped_tensor::{Idx, Val};
+use std::fmt;
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -25,23 +33,41 @@ use std::sync::Arc;
 pub struct Chunk {
     index: usize,
     order: usize,
-    /// Per element, element-major: every coordinate (file order), or the
-    /// `order − 1` input coordinates in ascending mode order (a sorted
-    /// section, whose mode is stored per row in `rows`).
-    coords: Vec<Idx>,
-    values: Vec<Val>,
-    rows: Option<SectionRows>,
+    /// The mode whose sorted section the chunk was read from.
+    mode: Option<usize>,
+    /// What the chunk holds.
+    bufs: Buffers,
     bytes: u64,
+    /// Decoded into a released chunk's arrays (`ooc_chunk_reuses`).
+    reused: bool,
 }
 
-/// What a sorted-section chunk stores per row: its mode and, for each row
-/// it holds, the row's id and first element — row `ids[i]` owns elements
-/// `ptr[i]..ptr[i + 1]`. Rows the chunk does not hold cost nothing.
-#[derive(Debug)]
-struct SectionRows {
-    mode: usize,
+/// The arrays one chunk decodes into, handed from a released chunk to the
+/// next staged read.
+///
+/// `coords` holds per element, element-major, every coordinate (file order)
+/// or the `order − 1` input coordinates in ascending mode order (a sorted
+/// section). A sorted-section chunk lists the rows it holds: row `ids[i]`
+/// owns elements `ptr[i]..ptr[i + 1]`, and rows it does not hold cost
+/// nothing; a file-order chunk leaves both empty. `slab` is the read buffer
+/// the payload passes through.
+#[derive(Default)]
+struct Buffers {
+    coords: Vec<Idx>,
+    values: Vec<Val>,
     ids: Vec<Idx>,
     ptr: Vec<usize>,
+    slab: Vec<u8>,
+}
+
+impl fmt::Debug for Buffers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Buffers")
+            .field("coords", &self.coords.len())
+            .field("values", &self.values.len())
+            .field("rows", &self.ids.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Chunk {
@@ -52,7 +78,7 @@ impl Chunk {
 
     /// Nonzeros in this chunk.
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.bufs.values.len()
     }
 
     /// Coordinates of element `e` of a file-order chunk.
@@ -65,7 +91,7 @@ impl Chunk {
 
     /// Value of element `e`.
     pub fn value(&self, e: usize) -> Val {
-        self.values[e]
+        self.bufs.values[e]
     }
 
     /// The raw element-major coordinate array of a file-order chunk
@@ -77,10 +103,10 @@ impl Chunk {
     /// [`Chunk::row_ptr`].
     pub fn coords_flat(&self) -> &[Idx] {
         assert!(
-            self.rows.is_none(),
+            self.mode.is_none(),
             "a sorted-section chunk has no full coordinates: use input_coords and row_ptr"
         );
-        &self.coords
+        &self.bufs.coords
     }
 
     /// The input coordinates of a sorted-section chunk, element-major
@@ -90,35 +116,35 @@ impl Chunk {
     /// Panics on a file-order chunk.
     pub fn input_coords(&self) -> &[Idx] {
         assert!(
-            self.rows.is_some(),
+            self.mode.is_some(),
             "a file-order chunk stores every coordinate: use coords_flat"
         );
-        &self.coords
+        &self.bufs.coords
     }
 
     /// The row pointers of a sorted-section chunk, one per row it holds
     /// and one more: row [`Chunk::row_ids`]`[i]` owns elements
     /// `row_ptr[i]..row_ptr[i + 1]`. Empty for a file-order chunk.
     pub fn row_ptr(&self) -> &[usize] {
-        self.rows.as_ref().map_or(&[], |rows| &rows.ptr)
+        &self.bufs.ptr
     }
 
     /// The rows a sorted-section chunk holds, strictly ascending. Empty for
     /// a file-order chunk.
     pub fn row_ids(&self) -> &[Idx] {
-        self.rows.as_ref().map_or(&[], |rows| &rows.ids)
+        &self.bufs.ids
     }
 
     /// The raw value array, in element order.
     pub fn values(&self) -> &[Val] {
-        &self.values
+        &self.bufs.values
     }
 
     /// The mode whose sorted section this chunk was read from (its elements
     /// are non-decreasing in that coordinate, ties in file order), or `None`
     /// for a chunk of the file-order section.
     pub fn sorted_mode(&self) -> Option<usize> {
-        self.rows.as_ref().map(|rows| rows.mode)
+        self.mode
     }
 
     /// Staging bytes this chunk charges while resident.
@@ -156,6 +182,8 @@ pub struct StagedRead {
     shape: Arc<[Idx]>,
     bytes: u64,
     section: Option<SectionKey>,
+    /// A released chunk's arrays, if the reader had one to spare.
+    spare: Option<Buffers>,
 }
 
 impl StagedRead {
@@ -186,114 +214,103 @@ impl StagedRead {
     /// Reads and decodes the staged chunk through a private file handle.
     /// Thread-safe with respect to the owning [`ChunkReader`]; the caller
     /// settles the budget reservation afterwards (`finish_stage` /
-    /// `fail_stage`).
+    /// `fail_stage` with the [`StagedRead::bytes`] it read first).
     ///
     /// Every coordinate is checked against the shape, and a sorted-section
     /// chunk must never decrease along its mode, must keep every row inside
     /// the footer's bounding box and must span exactly the rows that box
     /// names — a corrupt file is a [`StreamError::Format`] here, never an
     /// index panic or a broken contract downstream. The checks cost no
-    /// branch per coordinate: a slab is converted in one pass that only
-    /// accumulates a verdict, and a failed slab is walked again to name the
-    /// offender. Slabs are 64 KiB, so transient memory beyond the charged
-    /// chunk bytes stays O(64 KiB) (reading the whole payload into a buffer
-    /// of its own first would silently double the staging footprint the
-    /// budget accounts for).
-    pub fn read(&self) -> Result<Chunk, StreamError> {
+    /// branch per coordinate: each 64 KiB slab is decoded in one pass that
+    /// stores the element and only accumulates a verdict, and a failed slab
+    /// is walked again to name the offender. The chunk decodes into the
+    /// arrays of a released one when the reader had them to spare. Transient
+    /// memory beyond the charged chunk bytes is the slab, which travels
+    /// with the chunk (reading the whole payload into a buffer of its own
+    /// first would silently double the staging footprint the budget
+    /// accounts for).
+    pub fn read(mut self) -> Result<Chunk, StreamError> {
         let path = &*self.path;
         let mut file = File::open(path).map_err(|e| StreamError::io(path, e))?;
-        let (coords, values, rows) = match self.section {
-            None => self.decode_file_order(&mut file)?,
-            Some(key) => self.decode_section(&mut file, key)?,
-        };
+        let reused = self.spare.is_some();
+        let mut bufs = self.spare.take().unwrap_or_default();
+        self.decode(&mut file, &mut bufs)?;
         Ok(Chunk {
             index: self.index,
             order: self.shape.len(),
-            coords,
-            values,
-            rows,
+            mode: self.section.map(|key| key.mode),
+            bufs,
             bytes: self.bytes,
+            reused,
         })
     }
 
-    /// A file-order chunk: every coordinate of every element.
-    fn decode_file_order(&self, file: &mut File) -> Result<Decoded, StreamError> {
+    /// Decodes the chunk into `bufs`: every coordinate of a file-order
+    /// chunk, or the input coordinates and the rows of a section chunk.
+    fn decode(&self, file: &mut File, bufs: &mut Buffers) -> Result<(), StreamError> {
         let (nnz, order) = (self.nnz, self.shape.len());
+        let Buffers {
+            coords,
+            values,
+            ids,
+            ptr,
+            slab,
+        } = bufs;
+        ids.clear();
+        ptr.clear();
+        // A file-order chunk lists no rows: its cursor's mode lies past the
+        // last, so every coordinate is stored and the cursor is never asked.
+        let mut rows = RowCursor {
+            mode: order,
+            hi: 0,
+            prev: 0,
+            next: 0,
+        };
+        if let Some(key) = self.section {
+            // As many rows as `section_chunk_bytes` charges for.
+            let held = nnz.min((key.hi - key.lo) as usize + 1);
+            ids.reserve(held);
+            ptr.reserve(held + 1);
+            rows = RowCursor::new(key, ids, ptr);
+        }
+        // Sized up front: recycled arrays are overwritten, not zeroed again.
+        coords.resize(nnz * rows.width(order), 0);
+        values.resize(nnz, 0.0);
+        let mut sink = Sink {
+            coords,
+            values,
+            ids,
+            ptr,
+            rows,
+        };
+        // The first element's row, and the elements decoded.
+        let (mut first, mut done) = (0, 0);
         let elem = order * 4 + 4;
-        let mut coords = vec![0 as Idx; nnz * order];
-        let mut values = vec![0.0 as Val; nnz];
-        let mut done = 0usize;
-        read_slabs(file, &self.path, self.offset, nnz, elem, |slab| {
-            let n = slab.len() / elem;
-            let out = coords[done * order..(done + n) * order].chunks_exact_mut(order);
-            let mut bad = false;
-            for ((rec, out), value) in slab.chunks_exact(elem).zip(out).zip(&mut values[done..]) {
-                for ((field, out), &dim) in
-                    rec.chunks_exact(4).zip(out.iter_mut()).zip(&*self.shape)
-                {
-                    *out = Idx::from_le_bytes([field[0], field[1], field[2], field[3]]);
-                    bad |= *out >= dim;
-                }
-                *value = value_of(rec, order);
+        read_slabs(file, &self.path, self.offset, nnz, elem, slab, |slab| {
+            if done == 0 && self.section.is_some() {
+                first = coord_of(slab, rows.mode);
             }
-            if bad {
-                return Err(self.slab_fault(slab, 0));
-            }
-            done += n;
-            Ok(())
-        })?;
-        Ok((coords, values, None))
-    }
-
-    /// A chunk of `key.mode`'s sorted section, decoded into input
-    /// coordinates, values, and the ids and pointers of the rows it holds.
-    fn decode_section(&self, file: &mut File, key: SectionKey) -> Result<Decoded, StreamError> {
-        let (nnz, order, d) = (self.nnz, self.shape.len(), key.mode);
-        let (elem, k) = (order * 4 + 4, order - 1);
-        let mut inputs = vec![0 as Idx; nnz * k];
-        let mut values = vec![0.0 as Val; nnz];
-        // As many rows as `section_chunk_bytes` charges for.
-        let held = nnz.min((key.hi - key.lo) as usize + 1);
-        let (mut ids, mut ptr) = (Vec::with_capacity(held), Vec::with_capacity(held + 1));
-        // The first element's row, and the previous element's (`lo` before
-        // the first).
-        let (mut first, mut prev) = (key.lo, key.lo);
-        let (mut done, mut rows) = (0usize, Vec::new());
-        read_slabs(file, &self.path, self.offset, nnz, elem, |slab| {
-            if done == 0 {
-                first = coord_of(slab, d);
-            }
-            let n = slab.len() / elem;
-            rows.resize(n, 0);
-            let out = &mut inputs[done * k..(done + n) * k];
-            let vals = &mut values[done..done + n];
-            let mut bad = split(slab, d, &self.shape, out, vals, &mut rows);
-            let slab_prev = prev;
-            for (e, &row) in (done..).zip(&rows) {
-                bad |= (row < prev) | (row > key.hi);
-                if e == 0 || row != prev {
-                    ids.push(row);
-                    ptr.push(e);
-                }
-                prev = row;
-            }
-            if bad {
+            let slab_prev = sink.rows.prev;
+            if decode_slab(slab, &self.shape, &mut sink, done) {
                 return Err(self.slab_fault(slab, slab_prev));
             }
-            done += n;
+            done += slab.len() / elem;
             Ok(())
         })?;
+        let Some(key) = self.section else {
+            return Ok(());
+        };
         // Non-decreasing, so the first and last elements are the box.
-        if (first, prev) != (key.lo, key.hi) {
+        let last = sink.rows.prev;
+        if (first, last) != (key.lo, key.hi) {
             return Err(self.format_err(format!(
-                "spans rows [{first}, {prev}] of mode {d} where the footer's bounding box says \
+                "spans rows [{first}, {last}] of mode {} where the footer's bounding box says \
                  [{}, {}]",
-                key.lo, key.hi
+                key.mode, key.lo, key.hi
             )));
         }
         ptr.push(nnz);
-        let rows = SectionRows { mode: d, ids, ptr };
-        Ok((inputs, values, Some(rows)))
+        Ok(())
     }
 
     /// Names what is wrong with a slab the decode loop rejected; `prev` is
@@ -329,43 +346,146 @@ impl StagedRead {
     }
 }
 
-/// Splits a slab of a section sorted by mode `d`: each element's input
-/// coordinates go to `inputs`, its row to `rows` and its value to
-/// `values`. Returns whether a coordinate lies outside `shape`.
-fn split(
-    slab: &[u8],
-    d: usize,
-    shape: &[Idx],
-    inputs: &mut [Idx],
-    values: &mut [Val],
-    rows: &mut [Idx],
-) -> bool {
-    let mut out = inputs.iter_mut();
-    let mut bad = false;
-    let elems = slab.chunks_exact(shape.len() * 4 + 4);
-    for ((rec, value), row) in elems.zip(values).zip(rows) {
-        for (m, (field, &dim)) in rec.chunks_exact(4).zip(shape).enumerate() {
-            let c = Idx::from_le_bytes([field[0], field[1], field[2], field[3]]);
-            bad |= c >= dim;
-            if m == d {
-                *row = c;
-            } else if let Some(out) = out.next() {
-                *out = c;
-            }
+/// Where a section decode stands: the rows so far are held to `[prev, hi]`
+/// and the ids and pointers of the rows the chunk holds are listed as they
+/// start. The decode loops keep it in a local, so it lives in registers.
+#[derive(Clone, Copy)]
+struct RowCursor {
+    mode: usize,
+    hi: Idx,
+    /// The previous element's row (`lo` before the first).
+    prev: Idx,
+    /// Elements seen.
+    next: usize,
+}
+
+impl RowCursor {
+    /// Lists row `lo` up front, so the first element opens a row only if
+    /// it is not `lo` — and then the read fails on the box anyway.
+    fn new(key: SectionKey, ids: &mut Vec<Idx>, ptr: &mut Vec<usize>) -> Self {
+        ids.push(key.lo);
+        ptr.push(0);
+        Self {
+            mode: key.mode,
+            hi: key.hi,
+            prev: key.lo,
+            next: 0,
         }
-        *value = value_of(rec, shape.len());
     }
+
+    /// Coordinates stored per element of an order-`order` chunk.
+    fn width(&self, order: usize) -> usize {
+        order - usize::from(self.mode < order)
+    }
+
+    /// Takes the next element's row; returns whether it breaks the order or
+    /// the box.
+    #[inline(always)]
+    fn visit(&mut self, row: Idx, ids: &mut Vec<Idx>, ptr: &mut Vec<usize>) -> bool {
+        let bad = (row < self.prev) | (row > self.hi);
+        if row != self.prev {
+            ids.push(row);
+            ptr.push(self.next);
+        }
+        self.prev = row;
+        self.next += 1;
+        bad
+    }
+}
+
+/// Where a chunk's elements go: per element the coordinates of every mode
+/// but the cursor's into `coords` and the value into `values`, and, in a
+/// section, the rows along the cursor's mode into `ids` and `ptr`.
+struct Sink<'a> {
+    coords: &'a mut [Idx],
+    values: &'a mut [Val],
+    ids: &'a mut Vec<Idx>,
+    ptr: &'a mut Vec<usize>,
+    rows: RowCursor,
+}
+
+/// Decodes one slab of whole records into `sink` as its elements `e..`.
+/// Returns whether a coordinate lies outside `shape` or a row breaks the
+/// section's order or box.
+fn decode_slab(slab: &[u8], shape: &[Idx], sink: &mut Sink, e: usize) -> bool {
+    match (shape.len(), sink.rows.width(shape.len())) {
+        (3, 2) => decode_fixed::<3, 2, 16>(slab, shape, sink, e),
+        (3, 3) => decode_fixed::<3, 3, 16>(slab, shape, sink, e),
+        (5, 4) => decode_fixed::<5, 4, 24>(slab, shape, sink, e),
+        (5, 5) => decode_fixed::<5, 5, 24>(slab, shape, sink, e),
+        _ => decode_any(slab, shape, sink, e),
+    }
+}
+
+/// [`decode_slab`]'s loop for records of `N` coordinates (`R = 4N + 4`
+/// bytes) keeping `W` of them: fixed-width arrays, so the loop over an
+/// element's fields unrolls and its coordinates stay in registers.
+#[inline(never)]
+fn decode_fixed<const N: usize, const W: usize, const R: usize>(
+    slab: &[u8],
+    shape: &[Idx],
+    sink: &mut Sink,
+    e: usize,
+) -> bool {
+    debug_assert_eq!(R, 4 * N + 4);
+    let (recs, _) = slab.as_chunks::<R>();
+    let (outs, _) = sink.coords[e * W..].as_chunks_mut::<W>();
+    let mut dims = [0 as Idx; N];
+    dims.copy_from_slice(shape);
+    let (ids, ptr, mut rows) = (&mut *sink.ids, &mut *sink.ptr, sink.rows);
+    // Stored coordinate `j` is mode `j` below the sorted mode and mode
+    // `j + 1` from it on: a select between two registers.
+    let d = rows.mode;
+    let mut bad = false;
+    for ((rec, out), value) in recs.iter().zip(outs).zip(&mut sink.values[e..]) {
+        let c: [Idx; N] = std::array::from_fn(|m| {
+            Idx::from_le_bytes([rec[4 * m], rec[4 * m + 1], rec[4 * m + 2], rec[4 * m + 3]])
+        });
+        for (&c, &dim) in c.iter().zip(&dims) {
+            bad |= c >= dim;
+        }
+        for (j, out) in out.iter_mut().enumerate() {
+            *out = if j < d { c[j] } else { c[(j + 1).min(N - 1)] };
+        }
+        *value = Val::from_le_bytes([rec[4 * N], rec[4 * N + 1], rec[4 * N + 2], rec[4 * N + 3]]);
+        if W < N {
+            let row = (1..N).fold(c[0], |row, m| if m == d { c[m] } else { row });
+            bad |= rows.visit(row, ids, ptr);
+        }
+    }
+    sink.rows = rows;
     bad
 }
 
-/// A decoded chunk's coordinates, values and, for a sorted section, rows.
-type Decoded = (Vec<Idx>, Vec<Val>, Option<SectionRows>);
-
-/// The value of an encoded element of `order` coordinates.
-#[inline]
-fn value_of(rec: &[u8], order: usize) -> Val {
-    let v = &rec[order * 4..];
-    Val::from_le_bytes([v[0], v[1], v[2], v[3]])
+/// [`decode_slab`]'s loop for any order.
+fn decode_any(slab: &[u8], shape: &[Idx], sink: &mut Sink, e: usize) -> bool {
+    let order = shape.len();
+    let (ids, ptr, mut rows) = (&mut *sink.ids, &mut *sink.ptr, sink.rows);
+    let width = rows.width(order);
+    let mut c = vec![0 as Idx; order];
+    let mut bad = false;
+    let recs = slab.chunks_exact(order * 4 + 4);
+    for (k, (rec, value)) in (e..).zip(recs.zip(&mut sink.values[e..])) {
+        for (m, (c, &dim)) in c.iter_mut().zip(shape).enumerate() {
+            *c = coord_of(rec, m);
+            bad |= *c >= dim;
+        }
+        let out = &mut sink.coords[k * width..(k + 1) * width];
+        for (j, out) in out.iter_mut().enumerate() {
+            *out = c[j + usize::from(j >= rows.mode)];
+        }
+        *value = Val::from_le_bytes([
+            rec[4 * order],
+            rec[4 * order + 1],
+            rec[4 * order + 2],
+            rec[4 * order + 3],
+        ]);
+        if width < order {
+            bad |= rows.visit(c[rows.mode], ids, ptr);
+        }
+    }
+    sink.rows = rows;
+    bad
 }
 
 /// Reads `.tnsb` chunks from disk through a bounded host-memory budget.
@@ -381,6 +501,10 @@ fn value_of(rec: &[u8], order: usize) -> Val {
 /// budget reservation (here, on the owner's thread) and the disk read (a
 /// `Send`-able [`StagedRead`] a prefetch thread can execute), settled with
 /// [`ChunkReader::finish_stage`] / [`ChunkReader::fail_stage`].
+///
+/// A released chunk's arrays wait here for the next stage. A read takes new
+/// arrays only when none wait, so the reader never keeps more sets than
+/// chunks were ever staged or resident at once.
 #[derive(Debug)]
 pub struct ChunkReader {
     /// Shared with every [`StagedRead`] (each opens its own handle on it).
@@ -390,15 +514,19 @@ pub struct ChunkReader {
     meta: TnsbMeta,
     budget: MemPool,
     meters: ReaderMeters,
+    /// Released chunks' arrays.
+    spares: Vec<Buffers>,
 }
 
-/// Out-of-core telemetry handles: chunk reads/bytes, budget stalls (loads
-/// refused because staging was full), and a resident-bytes gauge. Detached
-/// (free) until [`ChunkReader::set_metrics`] attaches a registry.
+/// Out-of-core telemetry handles: chunk reads/bytes, reads into recycled
+/// arrays, budget stalls (loads refused because staging was full), and a
+/// resident-bytes gauge. Detached (free) until [`ChunkReader::set_metrics`]
+/// attaches a registry.
 #[derive(Debug, Default)]
 struct ReaderMeters {
     chunk_reads: Counter,
     chunk_read_bytes: Counter,
+    chunk_reuses: Counter,
     chunk_stalls: Counter,
     resident_bytes: Gauge,
 }
@@ -415,16 +543,19 @@ impl ChunkReader {
             meta,
             budget,
             meters: ReaderMeters::default(),
+            spares: Vec::new(),
         })
     }
 
-    /// Attaches `registry`: chunk loads, staged bytes, budget stalls, and
-    /// the resident-bytes gauge (`ooc_*` metrics) record into it from now
-    /// on. Purely observational — loads succeed and fail exactly as before.
+    /// Attaches `registry`: chunk loads, staged bytes, reads into recycled
+    /// arrays, budget stalls, and the resident-bytes gauge (`ooc_*`
+    /// metrics) record into it from now on. Purely observational — loads
+    /// succeed and fail exactly as before.
     pub fn set_metrics(&mut self, registry: MetricsRegistry) {
         self.meters = ReaderMeters {
             chunk_reads: registry.counter("ooc_chunk_reads"),
             chunk_read_bytes: registry.counter("ooc_chunk_read_bytes"),
+            chunk_reuses: registry.counter("ooc_chunk_reuses"),
             chunk_stalls: registry.counter("ooc_chunk_stalls"),
             resident_bytes: registry.gauge("ooc_resident_bytes"),
         };
@@ -442,9 +573,9 @@ impl ChunkReader {
 
     /// Reserves budget for chunk `c` without reading it: the returned
     /// [`StagedRead`] performs the actual disk read (possibly on another
-    /// thread). Fails with a budget stall exactly like
-    /// [`ChunkReader::load_chunk`] when resident + staged bytes already fill
-    /// the budget.
+    /// thread), into a released chunk's arrays if one is waiting. Fails
+    /// with a budget stall exactly like [`ChunkReader::load_chunk`] when
+    /// resident + staged bytes already fill the budget.
     ///
     /// `section = Some(d)` reads chunk `c` of mode `d`'s sorted section —
     /// `c × chunk_capacity` elements into the tensor as
@@ -459,7 +590,19 @@ impl ChunkReader {
             section.is_none_or(|d| d < self.meta.order()),
             "section {section:?} out of range"
         );
-        let staged = StagedRead {
+        let bytes = match section {
+            Some(d) => self.meta.section_chunk_bytes(d, c),
+            None => self.meta.chunk_bytes(c),
+        };
+        if let Err(e) = self.budget.alloc(bytes, "chunk staging") {
+            // A stall: the pipeline wanted a chunk the budget couldn't
+            // hold. Prefetch pipelines fall back to their blocking path
+            // when they see one.
+            self.meters.chunk_stalls.inc();
+            return Err(e.into());
+        }
+        self.meters.resident_bytes.set(self.budget.used() as f64);
+        Ok(StagedRead {
             index: c,
             path: Arc::clone(&self.path),
             offset: match section {
@@ -468,10 +611,7 @@ impl ChunkReader {
             },
             nnz: self.meta.chunks[c].nnz as usize,
             shape: Arc::clone(&self.shape),
-            bytes: match section {
-                Some(d) => self.meta.section_chunk_bytes(d, c),
-                None => self.meta.chunk_bytes(c),
-            },
+            bytes,
             section: section.map(|mode| {
                 let meta = &self.meta.sections[mode][c];
                 SectionKey {
@@ -480,22 +620,17 @@ impl ChunkReader {
                     hi: meta.mode_max[mode],
                 }
             }),
-        };
-        if let Err(e) = self.budget.alloc(staged.bytes, "chunk staging") {
-            // A stall: the pipeline wanted a chunk the budget couldn't
-            // hold. Prefetch pipelines fall back to their blocking path
-            // when they see one.
-            self.meters.chunk_stalls.inc();
-            return Err(e.into());
-        }
-        self.meters.resident_bytes.set(self.budget.used() as f64);
-        Ok(staged)
+            spare: self.spares.pop(),
+        })
     }
 
     /// Accounts a staged read that completed successfully; the chunk keeps
     /// its reservation until [`ChunkReader::release`].
     pub fn finish_stage(&mut self, chunk: &Chunk) {
         self.meters.chunk_reads.inc();
+        if chunk.reused {
+            self.meters.chunk_reuses.inc();
+        }
         let payload = chunk.nnz() as u64 * self.meta.elem_bytes();
         self.meters.chunk_read_bytes.add(payload);
     }
@@ -513,6 +648,7 @@ impl ChunkReader {
     /// budget.
     pub fn load_chunk(&mut self, c: usize) -> Result<Chunk, StreamError> {
         let staged = self.stage(c, None)?;
+        let bytes = staged.bytes();
         match staged.read() {
             Ok(chunk) => {
                 self.finish_stage(&chunk);
@@ -520,16 +656,23 @@ impl ChunkReader {
             }
             Err(e) => {
                 // A failed read must not leak budget.
-                self.fail_stage(staged.bytes());
+                self.fail_stage(bytes);
                 Err(e)
             }
         }
     }
 
-    /// Returns a chunk's bytes to the staging budget.
+    /// Frees the arrays released chunks left for the next read.
+    pub(crate) fn drop_spares(&mut self) {
+        self.spares.clear();
+    }
+
+    /// Returns a chunk's bytes to the staging budget and keeps its arrays
+    /// for the next read.
     pub fn release(&mut self, chunk: Chunk) {
         self.budget.free(chunk.bytes);
         self.meters.resident_bytes.set(self.budget.used() as f64);
+        self.spares.push(chunk.bufs);
     }
 }
 
@@ -798,13 +941,14 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 12)).unwrap();
         let staged = r.stage(0, Some(0)).unwrap();
+        let bytes = staged.bytes();
         let err = staged.read().unwrap_err();
         assert!(matches!(err, StreamError::Format { .. }), "{err}");
         assert!(
             err.to_string().contains("bounding box says [0, 9]"),
             "{err}"
         );
-        r.fail_stage(staged.bytes());
+        r.fail_stage(bytes);
         assert_eq!(r.budget().used(), 0);
         // The unsorted load and the honest section are unaffected.
         let plain = r.load_chunk(0).unwrap();
@@ -814,5 +958,224 @@ mod tests {
         r.finish_stage(&sorted);
         r.release(sorted);
         assert_eq!(r.budget().used(), 0);
+    }
+
+    /// A tiny seeded generator (SplitMix64), so the tests below need no
+    /// dependency.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Everything a chunk holds, in bits.
+    #[derive(Debug, PartialEq)]
+    struct Held {
+        coords: Vec<Idx>,
+        values: Vec<u32>,
+        ptr: Vec<usize>,
+        ids: Vec<Idx>,
+        bytes: u64,
+    }
+
+    impl Held {
+        fn of(chunk: &Chunk) -> Self {
+            let coords = match chunk.sorted_mode() {
+                Some(_) => chunk.input_coords(),
+                None => chunk.coords_flat(),
+            };
+            Self {
+                coords: coords.to_vec(),
+                values: chunk.values().iter().map(|v| v.to_bits()).collect(),
+                ptr: chunk.row_ptr().to_vec(),
+                ids: chunk.row_ids().to_vec(),
+                bytes: chunk.bytes(),
+            }
+        }
+    }
+
+    /// Chunk `c` of `section`, read by a reader of its own.
+    fn fresh_read(path: &Path, c: usize, section: Option<usize>) -> Held {
+        let mut r = ChunkReader::open(path, MemPool::new("fresh", 1 << 30)).unwrap();
+        let chunk = r.stage(c, section).unwrap().read().unwrap();
+        assert!(!chunk.reused);
+        Held::of(&chunk)
+    }
+
+    #[test]
+    fn recycled_arrays_decode_what_fresh_ones_do() {
+        let shapes: [&[Idx]; 5] = [
+            &[40, 30],
+            &[30, 20, 25],
+            &[12, 9, 1, 14],
+            &[10, 8, 9, 7, 6],
+            &[6, 5, 4, 5, 3, 4],
+        ];
+        let mut rng = Seeded(45);
+        for (seed, shape) in (0..).zip(shapes) {
+            let t = GenSpec::uniform(shape.to_vec(), 700, 60 + seed).generate();
+            let cap = (64..).find(|&cap| !t.nnz().is_multiple_of(cap)).unwrap();
+            let dir = ScratchDir::new("chunkreader");
+            let path = dir.join("recycle.tnsb");
+            let meta = write_tnsb(&t, &path, cap).unwrap();
+            let (order, chunks) = (t.order(), meta.num_chunks());
+            let last = chunks - 1;
+            assert!(
+                meta.chunks[last].nnz < cap as u64,
+                "the last chunk is short"
+            );
+            // Every (section, chunk) pair, file order included, shuffled;
+            // then a full chunk and, straight after it, the short last one.
+            let sections = (0..order).map(Some).chain([None]);
+            let mut pairs: Vec<_> = sections
+                .flat_map(|s| (0..chunks).map(move |c| (s, c)))
+                .collect();
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.below(i + 1));
+            }
+            pairs.extend([(Some(order - 1), 0), (Some(order - 1), last)]);
+            let reg = MetricsRegistry::new();
+            let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 30)).unwrap();
+            r.set_metrics(reg.clone());
+            // Two chunks resident at a time, released in either order, so
+            // two sets of arrays trade places.
+            for (i, two) in pairs.chunks(2).enumerate() {
+                let staged: Vec<_> = two.iter().map(|&(s, c)| r.stage(c, s).unwrap()).collect();
+                let mut held = Vec::new();
+                for (staged, &(s, c)) in staged.into_iter().zip(two) {
+                    let chunk = staged.read().unwrap();
+                    r.finish_stage(&chunk);
+                    assert_eq!(
+                        Held::of(&chunk),
+                        fresh_read(&path, c, s),
+                        "order {order}, section {s:?}, chunk {c}"
+                    );
+                    held.push(chunk);
+                }
+                if i % 2 == 1 {
+                    held.reverse();
+                }
+                for chunk in held {
+                    r.release(chunk);
+                }
+            }
+            assert_eq!(r.budget().used(), 0);
+            // Only the first two reads found no arrays to spare.
+            let reads = reg.counter_value("ooc_chunk_reads", &[]);
+            assert_eq!(reads, pairs.len() as u64);
+            assert_eq!(reg.counter_value("ooc_chunk_reuses", &[]), reads - 2);
+        }
+    }
+
+    /// What a sorted-section chunk's payload `bytes` decodes to under the
+    /// decoder's rules (every coordinate inside `shape`, rows
+    /// non-decreasing along `d`, first and last row `lo` and `hi`), spelled
+    /// out one element at a time; `None` if the rules reject it.
+    fn oracle(bytes: &[u8], shape: &[Idx], d: usize, (lo, hi): (Idx, Idx)) -> Option<Held> {
+        let order = shape.len();
+        let mut held = Held {
+            coords: Vec::new(),
+            values: Vec::new(),
+            ptr: Vec::new(),
+            ids: Vec::new(),
+            bytes: 0,
+        };
+        for (e, rec) in bytes.chunks_exact(order * 4 + 4).enumerate() {
+            let c: Vec<Idx> = (0..order).map(|m| coord_of(rec, m)).collect();
+            if c.iter().zip(shape).any(|(c, dim)| c >= dim) {
+                return None;
+            }
+            if held.ids.last() != Some(&c[d]) {
+                if held.ids.last().is_some_and(|&prev| c[d] < prev) {
+                    return None;
+                }
+                held.ids.push(c[d]);
+                held.ptr.push(e);
+            }
+            held.coords
+                .extend((0..order).filter(|&m| m != d).map(|m| c[m]));
+            held.values.push(coord_of(rec, order));
+        }
+        if (held.ids.first(), held.ids.last()) != (Some(&lo), Some(&hi)) {
+            return None;
+        }
+        held.ptr.push(held.values.len());
+        Some(held)
+    }
+
+    #[test]
+    fn flipped_section_bytes_decode_to_what_they_say_or_fail_typed() {
+        let mut rng = Seeded(9);
+        let specs = [
+            GenSpec {
+                shape: vec![30, 20, 25],
+                nnz: 400,
+                skew: vec![1.0, 0.0, 0.5],
+                seed: 71,
+            },
+            GenSpec::uniform(vec![9, 1, 12, 7], 300, 72),
+            GenSpec::uniform(vec![8, 6, 7, 9, 5], 300, 73),
+        ];
+        let (mut cases, mut failed) = (0, 0);
+        for spec in specs {
+            let t = spec.generate();
+            let dir = ScratchDir::new("chunkreader");
+            let path = dir.join("fuzz.tnsb");
+            let meta = write_tnsb(&t, &path, 48).unwrap();
+            let pristine = std::fs::read(&path).unwrap();
+            let elem = meta.elem_bytes() as usize;
+            let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 20)).unwrap();
+            for _ in 0..1000 {
+                let (d, c) = (rng.below(t.order()), rng.below(meta.num_chunks()));
+                let at = meta.section_chunk_offset(d, c) as usize;
+                let len = meta.chunks[c].nnz as usize * elem;
+                let byte = at + rng.below(len);
+                let flip = 1 + rng.below(255) as u8;
+                let mut bytes = pristine.clone();
+                bytes[byte] ^= flip;
+                std::fs::write(&path, &bytes).unwrap();
+                let box_ = (
+                    meta.sections[d][c].mode_min[d],
+                    meta.sections[d][c].mode_max[d],
+                );
+                let want = oracle(&bytes[at..at + len], t.shape(), d, box_);
+                let staged = r.stage(c, Some(d)).unwrap();
+                let reserved = staged.bytes();
+                match (staged.read(), want) {
+                    (Ok(chunk), Some(mut want)) => {
+                        want.bytes = reserved;
+                        assert_eq!(Held::of(&chunk), want, "section {d} chunk {c}");
+                        r.finish_stage(&chunk);
+                        r.release(chunk);
+                    }
+                    (Err(e), None) => {
+                        assert!(matches!(e, StreamError::Format { .. }), "{e}");
+                        assert!(e
+                            .to_string()
+                            .contains(&format!("sorted section {d} chunk {c}")));
+                        r.fail_stage(reserved);
+                        failed += 1;
+                    }
+                    (got, want) => panic!(
+                        "section {d} chunk {c}, byte {byte} ^ {flip:#x}: read {got:?}, \
+                         oracle {want:?}"
+                    ),
+                }
+                assert_eq!(r.budget().used(), 0);
+                cases += 1;
+            }
+        }
+        // Most flips land in a coordinate and most of those break a rule.
+        assert!(failed > cases / 4 && failed < cases, "{failed} of {cases}");
     }
 }

@@ -70,6 +70,61 @@ fn ooc_succeeds_where_in_core_hits_host_oom() {
     assert!(ooc.stage_peak() <= stage_budget);
 }
 
+/// A streamed CP-ALS decodes every chunk after its first prefetch window
+/// into the arrays of a released one, and recycling moves no budget charge:
+/// the staging peak is the larger of what the planning scan held and what
+/// one chunk plus the next staged behind it charge.
+#[test]
+fn streamed_als_recycles_chunk_arrays_within_its_budget() {
+    let t = GenSpec {
+        shape: vec![300, 200, 150],
+        nnz: 20_000,
+        skew: vec![0.8, 0.3, 0.0],
+        seed: 17,
+    }
+    .generate();
+    let dir = common::ScratchDir::new("ooc_integration");
+    let path = dir.join("recycle.tnsb");
+    let meta = write_tnsb(&t, &path, 1024).unwrap();
+    let reg = MetricsRegistry::new();
+    let platform = PlatformSpec::rtx6000_ada_node(2).scaled(1e-3);
+    let rt = SimRuntime::new(platform).with_metrics(reg.clone());
+    let cfg = AmpedConfig {
+        rank: 8,
+        isp_nnz: 256,
+        shard_nnz_budget: 2048,
+    };
+    let mut ooc = OocEngine::with_runtime(&path, Box::new(rt), cfg, 1 << 20).unwrap();
+    assert_eq!(ooc.tune().effective_prefetch(), 1);
+    let planned_peak = ooc.stage_peak();
+    let opts = AlsOptions {
+        max_iters: 3,
+        tol: 0.0,
+        seed: 5,
+        ..Default::default()
+    };
+    let res = cp_als(&mut ooc, &opts).unwrap();
+    assert_eq!(res.iterations, 3);
+
+    let (order, chunks) = (t.order(), meta.num_chunks());
+    let reads = reg.counter_value("ooc_chunk_reads", &[]);
+    assert_eq!(reads, (3 * order * chunks) as u64);
+    // The plan's scan keeps no arrays, so the first window's two reads
+    // allocate and every later read decodes into a released chunk's.
+    let reuses = reg.counter_value("ooc_chunk_reuses", &[]);
+    assert_eq!(reads - reuses, 2, "{reuses} of {reads} reads reused");
+    assert_eq!(reg.counter_value("ooc_chunk_stalls", &[]), 0);
+    let window = (0..order)
+        .flat_map(|d| {
+            let meta = &meta;
+            (1..chunks)
+                .map(move |k| meta.section_chunk_bytes(d, k - 1) + meta.section_chunk_bytes(d, k))
+        })
+        .max()
+        .unwrap();
+    assert_eq!(ooc.stage_peak(), planned_peak.max(window));
+}
+
 /// On a small tensor both engines can hold, one ALS iteration from the same
 /// seed must produce the same factors to 1e-6 — the out-of-core data path is
 /// a different execution order over the same arithmetic.
