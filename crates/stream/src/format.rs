@@ -230,21 +230,19 @@ pub(crate) fn coord_of(rec: &[u8], m: usize) -> Idx {
 /// Hands `body` the `nnz` elements of `elem_bytes` each that start at byte
 /// `offset` of `file`, in slabs of whole elements (64 KiB, or one element if
 /// that is larger) — one `read` call per slab instead of per element, and
-/// never more than a slab resident beyond what `body` keeps. The slabs are
-/// read into `slab`, which keeps its capacity for the next call.
+/// never more than a slab resident beyond what `body` keeps.
 pub(crate) fn read_slabs(
     file: &mut File,
     path: &Path,
     offset: u64,
     nnz: usize,
     elem_bytes: usize,
-    slab: &mut Vec<u8>,
     mut body: impl FnMut(&[u8]) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
     file.seek(SeekFrom::Start(offset))
         .map_err(|e| StreamError::io(path, e))?;
     let batch = (SLAB_BYTES / elem_bytes).max(1);
-    slab.resize(batch.min(nnz) * elem_bytes, 0);
+    let mut slab = vec![0u8; batch.min(nnz) * elem_bytes];
     let mut done = 0usize;
     while done < nnz {
         let n = batch.min(nnz - done);
@@ -390,7 +388,7 @@ impl TnsbWriter {
         }
         let changed = || StreamError::format(path, "the payload changed while it was being sorted");
         let mut cutter = ChunkCutter::new(self.chunks.capacity, order);
-        let (mut cursor, mut slab) = (Vec::new(), Vec::new());
+        let mut cursor = Vec::new();
         for w0 in (0..nnz).step_by(self.window_elems) {
             let len = self.window_elems.min(nnz - w0);
             window.resize(len * elem, 0u8);
@@ -401,7 +399,6 @@ impl TnsbWriter {
                 FIXED_HEADER_BYTES + 4 * order as u64,
                 nnz,
                 elem,
-                &mut slab,
                 |slab| {
                     for rec in slab.chunks_exact(elem) {
                         let next = cursor

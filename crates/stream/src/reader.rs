@@ -10,12 +10,13 @@
 //! order and to the footer's bounding box, so what reaches a kernel as
 //! "sorted by mode `d`" is.
 //!
-//! The decode is one pass per 64 KiB slab. At orders 3 and 5 it reads each
-//! record as a fixed-width array, so the shape check, the stores and the row
-//! bookkeeping compile to straight-line code; other orders take the same
-//! loop over runtime-width records. Its arrays are recycled: a released
-//! chunk hands them back to the reader and the next [`ChunkReader::stage`]
-//! decodes into them, so a steady-state read allocates nothing.
+//! The decode is one pass per 64 KiB slab. An order-3 section chunk, the
+//! one every streamed iteration reads, takes each record as a fixed-width
+//! array, so the shape check, the stores and the row bookkeeping compile to
+//! straight-line code; every other chunk takes the same checks over
+//! runtime-width records. Its arrays are recycled: a released chunk hands
+//! them back to the reader and the next [`ChunkReader::stage`] decodes into
+//! them, so a steady-state read allocates nothing but its slab.
 
 use crate::error::StreamError;
 use crate::format::{coord_of, read_slabs, read_tnsb_meta, TnsbMeta};
@@ -49,15 +50,66 @@ pub struct Chunk {
 /// or the `order − 1` input coordinates in ascending mode order (a sorted
 /// section). A sorted-section chunk lists the rows it holds: row `ids[i]`
 /// owns elements `ptr[i]..ptr[i + 1]`, and rows it does not hold cost
-/// nothing; a file-order chunk leaves both empty. `slab` is the read buffer
-/// the payload passes through.
+/// nothing; a file-order chunk leaves both empty.
 #[derive(Default)]
 struct Buffers {
     coords: Vec<Idx>,
     values: Vec<Val>,
     ids: Vec<Idx>,
     ptr: Vec<usize>,
-    slab: Vec<u8>,
+}
+
+impl Buffers {
+    /// Bytes the arrays hold once each has room for the elements `lens`
+    /// gives it (coordinates, values, row ids, row pointers).
+    fn held_for(&self, lens: [usize; 4]) -> u64 {
+        let caps = [
+            self.coords.capacity(),
+            self.values.capacity(),
+            self.ids.capacity(),
+            self.ptr.capacity(),
+        ];
+        let sizes = [
+            size_of::<Idx>(),
+            size_of::<Val>(),
+            size_of::<Idx>(),
+            size_of::<usize>(),
+        ];
+        let held = caps.iter().zip(lens).zip(sizes);
+        held.map(|((&cap, len), size)| (cap.max(len) * size) as u64)
+            .sum()
+    }
+
+    /// Bytes the arrays hold.
+    fn held(&self) -> u64 {
+        self.held_for([0; 4])
+    }
+
+    /// Readies the arrays for a chunk that fills `lens` and is charged
+    /// `bytes`: if growing them would hold more than that, each first gives
+    /// back what the chunk does not fill.
+    fn trim(&mut self, lens: [usize; 4], bytes: u64) {
+        if self.held_for(lens) > bytes {
+            fit_to(&mut self.coords, lens[0]);
+            fit_to(&mut self.values, lens[1]);
+            fit_to(&mut self.ids, lens[2]);
+            fit_to(&mut self.ptr, lens[3]);
+        }
+    }
+}
+
+/// Holds `v` to at most `len` elements and no more room.
+fn fit_to<T>(v: &mut Vec<T>, len: usize) {
+    v.truncate(len);
+    v.shrink_to(len);
+}
+
+/// Sizes `v` to `len` elements, growing its room to exactly that if it is
+/// short; kept elements are not written again.
+fn size_to<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    v.truncate(len);
+    v.reserve_exact(len - v.len());
+    v.resize(len, T::default());
 }
 
 impl fmt::Debug for Buffers {
@@ -182,7 +234,8 @@ pub struct StagedRead {
     shape: Arc<[Idx]>,
     bytes: u64,
     section: Option<SectionKey>,
-    /// A released chunk's arrays, if the reader had one to spare.
+    /// A released chunk's arrays, if the reader had one to spare, trimmed
+    /// to hold no more than `bytes` once grown to this chunk.
     spare: Option<Buffers>,
 }
 
@@ -198,6 +251,21 @@ impl StagedRead {
     /// ([`TnsbMeta::section_chunk_bytes`]).
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Elements the chunk fills in each of its arrays: coordinates, values,
+    /// row ids and row pointers — for a section chunk as many rows as
+    /// [`TnsbMeta::section_chunk_bytes`] charges for, so what they hold is
+    /// within [`StagedRead::bytes`].
+    fn lens(&self) -> [usize; 4] {
+        let order = self.shape.len();
+        match self.section {
+            None => [self.nnz * order, self.nnz, 0, 0],
+            Some(key) => {
+                let rows = self.nnz.min((key.hi - key.lo) as usize + 1);
+                [self.nnz * (order - 1), self.nnz, rows, rows + 1]
+            }
+        }
     }
 
     fn format_err(&self, what: String) -> StreamError {
@@ -224,11 +292,12 @@ impl StagedRead {
     /// branch per coordinate: each 64 KiB slab is decoded in one pass that
     /// stores the element and only accumulates a verdict, and a failed slab
     /// is walked again to name the offender. The chunk decodes into the
-    /// arrays of a released one when the reader had them to spare. Transient
-    /// memory beyond the charged chunk bytes is the slab, which travels
-    /// with the chunk (reading the whole payload into a buffer of its own
-    /// first would silently double the staging footprint the budget
-    /// accounts for).
+    /// arrays of a released one when the reader had them to spare; either
+    /// way they hold no more than the charged chunk bytes. Transient memory
+    /// beyond those is one slab of at most 64 KiB, allocated per read
+    /// (reading the whole payload into a buffer of its own first, or keeping
+    /// the slab with the chunk, would silently double the staging footprint
+    /// the budget accounts for).
     pub fn read(mut self) -> Result<Chunk, StreamError> {
         let path = &*self.path;
         let mut file = File::open(path).map_err(|e| StreamError::io(path, e))?;
@@ -254,28 +323,27 @@ impl StagedRead {
             values,
             ids,
             ptr,
-            slab,
         } = bufs;
+        // Room for exactly what the chunk fills, and coordinates and values
+        // sized up front: recycled arrays are overwritten, not zeroed again.
+        let [n_coords, n_values, n_ids, n_ptr] = self.lens();
         ids.clear();
+        ids.reserve_exact(n_ids);
         ptr.clear();
+        ptr.reserve_exact(n_ptr);
+        size_to(coords, n_coords);
+        size_to(values, n_values);
         // A file-order chunk lists no rows: its cursor's mode lies past the
         // last, so every coordinate is stored and the cursor is never asked.
-        let mut rows = RowCursor {
-            mode: order,
-            hi: 0,
-            prev: 0,
-            next: 0,
+        let rows = match self.section {
+            Some(key) => RowCursor::new(key, ids, ptr),
+            None => RowCursor {
+                mode: order,
+                hi: 0,
+                prev: 0,
+                next: 0,
+            },
         };
-        if let Some(key) = self.section {
-            // As many rows as `section_chunk_bytes` charges for.
-            let held = nnz.min((key.hi - key.lo) as usize + 1);
-            ids.reserve(held);
-            ptr.reserve(held + 1);
-            rows = RowCursor::new(key, ids, ptr);
-        }
-        // Sized up front: recycled arrays are overwritten, not zeroed again.
-        coords.resize(nnz * rows.width(order), 0);
-        values.resize(nnz, 0.0);
         let mut sink = Sink {
             coords,
             values,
@@ -286,7 +354,7 @@ impl StagedRead {
         // The first element's row, and the elements decoded.
         let (mut first, mut done) = (0, 0);
         let elem = order * 4 + 4;
-        read_slabs(file, &self.path, self.offset, nnz, elem, slab, |slab| {
+        read_slabs(file, &self.path, self.offset, nnz, elem, |slab| {
             if done == 0 && self.section.is_some() {
                 first = coord_of(slab, rows.mode);
             }
@@ -410,16 +478,14 @@ struct Sink<'a> {
 fn decode_slab(slab: &[u8], shape: &[Idx], sink: &mut Sink, e: usize) -> bool {
     match (shape.len(), sink.rows.width(shape.len())) {
         (3, 2) => decode_fixed::<3, 2, 16>(slab, shape, sink, e),
-        (3, 3) => decode_fixed::<3, 3, 16>(slab, shape, sink, e),
-        (5, 4) => decode_fixed::<5, 4, 24>(slab, shape, sink, e),
-        (5, 5) => decode_fixed::<5, 5, 24>(slab, shape, sink, e),
         _ => decode_any(slab, shape, sink, e),
     }
 }
 
-/// [`decode_slab`]'s loop for records of `N` coordinates (`R = 4N + 4`
-/// bytes) keeping `W` of them: fixed-width arrays, so the loop over an
-/// element's fields unrolls and its coordinates stay in registers.
+/// [`decode_slab`]'s loop for section records of `N` coordinates
+/// (`R = 4N + 4` bytes) keeping the `W = N − 1` inputs: fixed-width arrays,
+/// so the loop over an element's fields unrolls and its coordinates stay in
+/// registers.
 #[inline(never)]
 fn decode_fixed<const N: usize, const W: usize, const R: usize>(
     slab: &[u8],
@@ -427,7 +493,7 @@ fn decode_fixed<const N: usize, const W: usize, const R: usize>(
     sink: &mut Sink,
     e: usize,
 ) -> bool {
-    debug_assert_eq!(R, 4 * N + 4);
+    debug_assert_eq!((R, W + 1), (4 * N + 4, N));
     let (recs, _) = slab.as_chunks::<R>();
     let (outs, _) = sink.coords[e * W..].as_chunks_mut::<W>();
     let mut dims = [0 as Idx; N];
@@ -445,44 +511,51 @@ fn decode_fixed<const N: usize, const W: usize, const R: usize>(
             bad |= c >= dim;
         }
         for (j, out) in out.iter_mut().enumerate() {
-            *out = if j < d { c[j] } else { c[(j + 1).min(N - 1)] };
+            *out = if j < d { c[j] } else { c[j + 1] };
         }
         *value = Val::from_le_bytes([rec[4 * N], rec[4 * N + 1], rec[4 * N + 2], rec[4 * N + 3]]);
-        if W < N {
-            let row = (1..N).fold(c[0], |row, m| if m == d { c[m] } else { row });
-            bad |= rows.visit(row, ids, ptr);
-        }
+        let row = (1..N).fold(c[0], |row, m| if m == d { c[m] } else { row });
+        bad |= rows.visit(row, ids, ptr);
     }
     sink.rows = rows;
     bad
 }
 
-/// [`decode_slab`]'s loop for any order.
+/// [`decode_slab`]'s loop for any order, file order included.
 fn decode_any(slab: &[u8], shape: &[Idx], sink: &mut Sink, e: usize) -> bool {
     let order = shape.len();
     let (ids, ptr, mut rows) = (&mut *sink.ids, &mut *sink.ptr, sink.rows);
     let width = rows.width(order);
-    let mut c = vec![0 as Idx; order];
     let mut bad = false;
-    let recs = slab.chunks_exact(order * 4 + 4);
-    for (k, (rec, value)) in (e..).zip(recs.zip(&mut sink.values[e..])) {
-        for (m, (c, &dim)) in c.iter_mut().zip(shape).enumerate() {
-            *c = coord_of(rec, m);
-            bad |= *c >= dim;
+    let le = |f: &[u8]| Idx::from_le_bytes([f[0], f[1], f[2], f[3]]);
+    // Zipped with `shape`, a record's fields are its coordinates.
+    let recs = slab.chunks_exact(order * 4 + 4).zip(&mut sink.values[e..]);
+    if width == order {
+        // File order: every coordinate is stored.
+        let outs = sink.coords[e * order..].chunks_exact_mut(order);
+        for ((rec, value), out) in recs.zip(outs) {
+            for ((f, out), &dim) in rec.chunks_exact(4).zip(out).zip(shape) {
+                *out = le(f);
+                bad |= *out >= dim;
+            }
+            *value = Val::from_bits(le(&rec[4 * order..]));
         }
-        let out = &mut sink.coords[k * width..(k + 1) * width];
-        for (j, out) in out.iter_mut().enumerate() {
-            *out = c[j + usize::from(j >= rows.mode)];
+        return bad;
+    }
+    for (k, (rec, value)) in (e..).zip(recs) {
+        let mut out = sink.coords[k * width..(k + 1) * width].iter_mut();
+        let mut row = 0;
+        for (m, (f, &dim)) in rec.chunks_exact(4).zip(shape).enumerate() {
+            let c = le(f);
+            bad |= c >= dim;
+            if m == rows.mode {
+                row = c;
+            } else if let Some(out) = out.next() {
+                *out = c;
+            }
         }
-        *value = Val::from_le_bytes([
-            rec[4 * order],
-            rec[4 * order + 1],
-            rec[4 * order + 2],
-            rec[4 * order + 3],
-        ]);
-        if width < order {
-            bad |= rows.visit(c[rows.mode], ids, ptr);
-        }
+        *value = Val::from_bits(le(&rec[4 * order..]));
+        bad |= rows.visit(row, ids, ptr);
     }
     sink.rows = rows;
     bad
@@ -503,8 +576,10 @@ fn decode_any(slab: &[u8], shape: &[Idx], sink: &mut Sink, e: usize) -> bool {
 /// [`ChunkReader::finish_stage`] / [`ChunkReader::fail_stage`].
 ///
 /// A released chunk's arrays wait here for the next stage. A read takes new
-/// arrays only when none wait, so the reader never keeps more sets than
-/// chunks were ever staged or resident at once.
+/// arrays only when none wait, and a chunk's arrays hold no more than it is
+/// charged; the waiting sets keep within what the budget's high-water mark
+/// leaves above the bytes charged now. What the reader's arrays hold is
+/// therefore within [`MemPool::peak`].
 #[derive(Debug)]
 pub struct ChunkReader {
     /// Shared with every [`StagedRead`] (each opens its own handle on it).
@@ -602,7 +677,7 @@ impl ChunkReader {
             return Err(e.into());
         }
         self.meters.resident_bytes.set(self.budget.used() as f64);
-        Ok(StagedRead {
+        let mut staged = StagedRead {
             index: c,
             path: Arc::clone(&self.path),
             offset: match section {
@@ -620,8 +695,27 @@ impl ChunkReader {
                     hi: meta.mode_max[mode],
                 }
             }),
-            spare: self.spares.pop(),
-        })
+            spare: None,
+        };
+        staged.spare = self.spare_for(staged.lens(), bytes);
+        Ok(staged)
+    }
+
+    /// A released chunk's arrays for a read that fills `lens` and is
+    /// charged `bytes`, trimmed to hold no more than that once grown. The
+    /// spares left then keep to the budget's headroom, so the arrays of
+    /// staged, resident and spare chunks together never hold more than the
+    /// budget's high-water mark.
+    fn spare_for(&mut self, lens: [usize; 4], bytes: u64) -> Option<Buffers> {
+        let mut spare = self.spares.pop();
+        if let Some(spare) = &mut spare {
+            spare.trim(lens, bytes);
+        }
+        let room = self.budget.peak() - self.budget.used();
+        while self.spares.iter().map(Buffers::held).sum::<u64>() > room {
+            self.spares.remove(0);
+        }
+        spare
     }
 
     /// Accounts a staged read that completed successfully; the chunk keeps
@@ -1047,6 +1141,11 @@ mod tests {
             let reg = MetricsRegistry::new();
             let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 30)).unwrap();
             r.set_metrics(reg.clone());
+            // A high-water mark far above any two chunks, so no set waits
+            // for want of room (`arrays_held_stay_within_the_staging_peak`
+            // is where that happens).
+            r.budget.alloc(1 << 20, "headroom").unwrap();
+            r.budget.free(1 << 20);
             // Two chunks resident at a time, released in either order, so
             // two sets of arrays trade places.
             for (i, two) in pairs.chunks(2).enumerate() {
@@ -1074,6 +1173,75 @@ mod tests {
             let reads = reg.counter_value("ooc_chunk_reads", &[]);
             assert_eq!(reads, pairs.len() as u64);
             assert_eq!(reg.counter_value("ooc_chunk_reuses", &[]), reads - 2);
+        }
+    }
+
+    #[test]
+    fn arrays_held_stay_within_the_staging_peak() {
+        // Chunks of 16 B or 24 B records a few KiB long, so each read's
+        // 64 KiB slab would be larger than the chunk.
+        let specs = [
+            GenSpec {
+                shape: vec![300, 40, 250],
+                nnz: 2000,
+                skew: vec![1.1, 0.0, 0.2],
+                seed: 81,
+            },
+            GenSpec::uniform(vec![9, 30, 12, 7, 60], 1520, 82),
+        ];
+        let mut rng = Seeded(83);
+        for spec in specs {
+            let t = spec.generate();
+            let dir = ScratchDir::new("chunkreader");
+            let path = dir.join("held.tnsb");
+            let meta = write_tnsb(&t, &path, 150).unwrap();
+            let reg = MetricsRegistry::new();
+            let mut r = ChunkReader::open(&path, MemPool::new("host-stage", 1 << 30)).unwrap();
+            r.set_metrics(reg.clone());
+            let held = |r: &ChunkReader, resident: &[Chunk], staged: Option<&StagedRead>| {
+                let spares: u64 = r.spares.iter().map(Buffers::held).sum();
+                let chunks: u64 = resident.iter().map(|c| c.bufs.held()).sum();
+                let staged = staged.and_then(|s| s.spare.as_ref());
+                spares + chunks + staged.map_or(0, Buffers::held)
+            };
+            // A full chunk beside the short last one sets the high-water
+            // mark. With both released, a full chunk read into the short
+            // one's arrays leaves no room for the full one's to wait.
+            let read = |r: &mut ChunkReader, c: usize| {
+                let chunk = r.stage(c, None).unwrap().read().unwrap();
+                r.finish_stage(&chunk);
+                chunk
+            };
+            let last = meta.num_chunks() - 1;
+            let (full, short) = (read(&mut r, 0), read(&mut r, last));
+            assert!(short.nnz() < full.nnz() / 2);
+            r.release(full);
+            r.release(short);
+            let mut resident = vec![read(&mut r, 1)];
+            assert!(resident[0].reused && r.spares.is_empty());
+            assert!(held(&r, &resident, None) <= r.budget().peak());
+            for _ in 0..600 {
+                // One to three chunks of any section resident at a time.
+                if resident.len() == 3 || (!resident.is_empty() && rng.below(2) == 0) {
+                    let chunk = resident.swap_remove(rng.below(resident.len()));
+                    r.release(chunk);
+                } else {
+                    let c = rng.below(meta.num_chunks());
+                    let section = [None, Some(rng.below(t.order()))][rng.below(4).min(1)];
+                    let staged = r.stage(c, section).unwrap();
+                    assert!(held(&r, &resident, Some(&staged)) <= r.budget().peak());
+                    let chunk = staged.read().unwrap();
+                    r.finish_stage(&chunk);
+                    assert!(chunk.bufs.held() <= chunk.bytes(), "{section:?} chunk {c}");
+                    resident.push(chunk);
+                }
+                assert!(held(&r, &resident, None) <= r.budget().peak());
+            }
+            let reuses = reg.counter_value("ooc_chunk_reuses", &[]);
+            assert!(
+                reuses > reg.counter_value("ooc_chunk_reads", &[]) * 3 / 4,
+                "{reuses} reuses"
+            );
         }
     }
 
